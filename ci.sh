@@ -36,13 +36,17 @@
 #                `repro forkchoice --json` on a pinned tiny scenario —
 #                schema-valid ethmeter-forkchoice/v1 with distinct
 #                heads across engines
+#   benchmark-build  the repository benchmark (benchmark/, a workspace of
+#                its own that no other stage compiles) still builds
+#                against the product crates: its unit tests pass and
+#                `benchmark/run.sh --list` names the workloads
 #
 # Each stage is timed; a summary table is printed at the end (and on
 # failure, which names the failed stage instead of dumping trace noise).
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(build test golden par-smoke lint detlint bench-smoke dynamics-smoke repro-smoke consensus-smoke)
+STAGES=(build test golden par-smoke lint detlint bench-smoke dynamics-smoke repro-smoke consensus-smoke benchmark-build)
 
 stage_build() {
     cargo build --release
@@ -306,6 +310,20 @@ stage_consensus_smoke() {
          rm -f "$fc_json"
          return 1; }
     rm -f "$fc_json"
+}
+
+stage_benchmark_build() {
+    # benchmark/ path-depends on ../crates but is outside the root
+    # workspace, so a product-crate API change that stops it compiling
+    # goes unnoticed by every stage above. Debug tests plus the release
+    # build `run.sh` performs; no workload is run.
+    cargo test --offline -q --manifest-path benchmark/Cargo.toml
+    local listed
+    listed="$(benchmark/run.sh --list)"
+    grep -q '^workload planet-cold:' <<<"$listed" \
+    || { echo "benchmark --list does not name planet-cold:" >&2
+         echo "$listed" >&2
+         return 1; }
 }
 
 # --- driver -----------------------------------------------------------------

@@ -1926,6 +1926,25 @@ mod tests {
     }
 
     #[test]
+    fn per_node_gossip_state_does_not_grow_with_the_network() {
+        // O(degree), not O(N): a node of the 10k-node preset may hold no
+        // more gossip state than a node of the 150-node one (whose mean
+        // degree is the higher of the two, the observers' wide fan-out
+        // being spread over far fewer nodes).
+        let mean_state_bytes = |preset: Preset| {
+            let world = SimWorld::new(&Scenario::builder().preset(preset).seed(1).build());
+            let total: usize = world.nodes.iter().map(|n| n.state_bytes()).sum();
+            total as f64 / world.node_count() as f64
+        };
+        let small = mean_state_bytes(Preset::Small);
+        let planet = mean_state_bytes(Preset::Planet);
+        assert!(
+            planet <= 1.25 * small,
+            "planet {planet:.0} B/node vs small {small:.0} B/node"
+        );
+    }
+
+    #[test]
     fn five_minutes_produce_blocks_and_observations() {
         let (_, mut world) = tiny_world();
         let initial = world.initial_events();

@@ -5,80 +5,40 @@
 //! The bound matters behaviorally: once evicted, an item may be re-sent,
 //! which is one source of the redundant receptions measured in Table II.
 //!
-//! Three implementations share the contract:
+//! Two implementations share the contract (same insert/contains results,
+//! same FIFO eviction), both pinned by property tests against a plain
+//! `FxHashSet` + FIFO-queue reference model that lives with those tests:
 //!
-//! - [`KnownSet`] — the generic original (`FxHashSet` + FIFO queue), kept as
-//!   the reference model for equivalence testing and for cold paths;
-//! - [`DenseKnownSet`] — the hot-path replacement over interned `u32`
-//!   keys: a linear-probing table with multiplicative hashing and
-//!   backward-shift deletion;
-//! - [`PeerKnownSet`] — a whole *family* of bounded sets (one per peer of
-//!   a node) sharing a key-major bitmap. Transaction gossip floods one
-//!   recent key across every peer link of a node in a tight time window;
-//!   with per-peer probe tables each of those operations lands in a
+//! - [`DenseKnownSet`] — one set over interned `u32` keys: a
+//!   linear-probing table with multiplicative hashing and backward-shift
+//!   deletion;
+//! - [`PeerKnownSet`] — a whole *family* of bounded sets (a node's own
+//!   "seen" set plus one per peer) sharing a key-major bitmap.
+//!   Transaction gossip checks one recent key against the node itself and
+//!   then floods it across every peer link in a tight time window; with
+//!   per-member probe tables each of those operations lands in a
 //!   different table (a cache miss per insert — measured as the single
-//!   largest cost of the simulation hot path), whereas key-major rows put
-//!   all of a key's per-peer bits on the same cache line.
+//!   largest cost of the simulation hot path), whereas a key-major row
+//!   puts all of a key's bits in one or two words on one cache line.
+//!
+//! Memory follows what gossip is touching, not the campaign or the
+//! network: a [`DenseKnownSet`] table grows from empty up to its bound,
+//! and the family's bitmap is cut into [`PAGE_ROWS`]-row pages allocated
+//! on first touch and freed once eviction clears their last bit. The page
+//! is deliberately small (1 KiB at one word per row): a node far from the
+//! transaction sources holds a few dozen live rows, and with ten thousand
+//! nodes every page is a zero-fill plus first-touch faults on memory that
+//! is mostly never read, so page size times node count is paid in full
+//! inside the event loop.
 
 use std::collections::VecDeque;
-use std::hash::Hash;
 
-use ethmeter_types::FxHashSet;
-
-/// A FIFO-bounded set: inserting beyond capacity evicts the oldest entry.
-#[derive(Debug, Clone)]
-pub struct KnownSet<T> {
-    set: FxHashSet<T>,
-    order: VecDeque<T>,
-    cap: usize,
-}
-
-impl<T: Copy + Eq + Hash> KnownSet<T> {
-    /// Creates a set bounded to `cap` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap > 0, "known-set capacity must be positive");
-        // Storage grows on demand: a simulation holds one known-set per
-        // (node, peer) pair, so eager preallocation would dominate memory.
-        KnownSet {
-            set: FxHashSet::default(),
-            order: VecDeque::new(),
-            cap,
-        }
-    }
-
-    /// True if `item` is currently tracked.
-    pub fn contains(&self, item: T) -> bool {
-        self.set.contains(&item)
-    }
-
-    /// Inserts `item`; returns `true` if it was new. Evicts the oldest
-    /// entry when full.
-    pub fn insert(&mut self, item: T) -> bool {
-        if !self.set.insert(item) {
-            return false;
-        }
-        self.order.push_back(item);
-        if self.order.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-        true
-    }
-
-    /// Current number of tracked items.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// True if nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
+/// Fibonacci-hash bucket of `key` in a power-of-two table of `len` slots.
+#[inline]
+pub(crate) fn fib_bucket(key: u32, len: usize) -> usize {
+    debug_assert!(len.is_power_of_two());
+    let h = u64::from(key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (h >> 32) as usize & (len - 1)
 }
 
 /// Sentinel marking an empty probe-table slot (keys must stay below it —
@@ -86,9 +46,8 @@ impl<T: Copy + Eq + Hash> KnownSet<T> {
 /// artifacts to collide).
 const EMPTY: u32 = u32::MAX;
 
-/// A FIFO-bounded set of interned `u32` keys; behaviorally identical to
-/// [`KnownSet`] (same insert/contains results, same eviction order) but
-/// backed by a flat linear-probing table.
+/// A FIFO-bounded set of interned `u32` keys: inserting beyond capacity
+/// evicts the oldest entry. Backed by a flat linear-probing table.
 ///
 /// The table grows lazily from empty — a simulation holds one set per
 /// (node, peer) pair, most of which stay far below capacity — and is
@@ -118,12 +77,10 @@ impl DenseKnownSet {
         }
     }
 
-    /// Fibonacci-hash bucket of `key` in the current table.
+    /// Bucket of `key` in the current (non-empty) table.
     #[inline]
     fn bucket(&self, key: u32) -> usize {
-        debug_assert!(!self.table.is_empty());
-        let h = u64::from(key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h >> 32) as usize & (self.table.len() - 1)
+        fib_bucket(key, self.table.len())
     }
 
     /// True if `key` is currently tracked.
@@ -216,6 +173,12 @@ impl DenseKnownSet {
         self.clear();
     }
 
+    /// Heap bytes held by the probe table and the order queue
+    /// (diagnostics).
+    pub fn heap_bytes(&self) -> usize {
+        (self.table.capacity() + self.order.capacity()) * std::mem::size_of::<u32>()
+    }
+
     fn grow(&mut self) {
         let new_len = (self.table.len() * 2)
             .max(16)
@@ -278,8 +241,9 @@ impl DenseKnownSet {
     }
 }
 
-/// Rows per bitmap page (power of two).
-const PAGE_ROWS: usize = 1024;
+/// Rows per bitmap page (power of two); see the module doc for why it is
+/// this small.
+const PAGE_ROWS: usize = 128;
 
 /// One page of the key-major bitmap: `PAGE_ROWS × words` bits plus a
 /// live-bit count so fully evicted pages can be freed.
@@ -289,17 +253,19 @@ struct Page {
     live: u32,
 }
 
-/// A family of FIFO-bounded known-sets — one per peer position of a node
-/// — over dense `u32` keys, sharing one key-major bitmap.
+/// A family of FIFO-bounded known-sets — one per member position — over
+/// dense `u32` keys, sharing one key-major bitmap. A [`crate::Node`]
+/// registers itself at position 0 (its "seen" set) and its peers, in
+/// connection order, from position 1.
 ///
-/// Behaviorally, `(insert, contains)` on peer `p` is identical to an
-/// independent [`KnownSet`]/[`DenseKnownSet`] per peer (same results,
-/// same per-peer FIFO eviction; pinned by the `peer_family_*` property
-/// tests below against a per-peer [`KnownSet`] model). The
-/// difference is layout: bit `p` of row `key` lives next to every other
-/// peer's bit for the same key, so the flood of one fresh key across all
-/// of a node's links touches one or two cache lines instead of one probe
-/// table per peer.
+/// Behaviorally, `(insert, contains)` on position `p` is identical to an
+/// independent [`DenseKnownSet`] per position (same results, same
+/// per-position FIFO eviction; pinned by the `peer_family_*` property
+/// tests below against one reference model per position). The difference
+/// is layout: bit `p` of row `key` lives next to every other position's
+/// bit for the same key, so a delivery's seen-check and the flood of the
+/// fresh key across all of the node's links touch one or two cache lines
+/// instead of one probe table per peer.
 ///
 /// Memory is bounded: rows live in [`PAGE_ROWS`]-row pages that are
 /// allocated on first touch and freed when eviction clears their last
@@ -374,8 +340,7 @@ impl PeerKnownSet {
     }
 
     /// Inserts `key` for peer `pos`; returns `true` if it was new for
-    /// that peer. Evicts the peer's oldest key when its bound is full —
-    /// exactly [`KnownSet`] semantics per peer.
+    /// that peer. Evicts the peer's oldest key when its bound is full.
     #[inline]
     pub fn insert(&mut self, pos: usize, key: u32) -> bool {
         let row = key as usize;
@@ -524,11 +489,81 @@ impl PeerKnownSet {
             .map(|p| p.bits.len() * std::mem::size_of::<u64>())
             .sum()
     }
+
+    /// All heap bytes held by the family: live pages, the page directory,
+    /// and the per-position order queues and bounds (diagnostics).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let queues: usize = self
+            .order
+            .iter()
+            .chain(&self.spare)
+            .map(|q| q.capacity() * size_of::<u32>())
+            .sum();
+        self.page_bytes()
+            + self.pages.capacity() * size_of::<Option<Page>>()
+            + (self.order.capacity() + self.spare.capacity()) * size_of::<VecDeque<u32>>()
+            + self.caps.capacity() * size_of::<usize>()
+            + queues
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ethmeter_types::FxHashSet;
+    use std::hash::Hash;
+
+    /// The reference model both production sets are tested against: a
+    /// FIFO-bounded set over a hash set and an order queue, too plain to be
+    /// wrong.
+    #[derive(Debug, Clone)]
+    pub(crate) struct KnownSet<T> {
+        set: FxHashSet<T>,
+        order: VecDeque<T>,
+        cap: usize,
+    }
+
+    impl<T: Copy + Eq + Hash> KnownSet<T> {
+        /// Creates a set bounded to `cap` entries.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `cap == 0`.
+        pub fn with_capacity(cap: usize) -> Self {
+            assert!(cap > 0, "known-set capacity must be positive");
+            KnownSet {
+                set: FxHashSet::default(),
+                order: VecDeque::new(),
+                cap,
+            }
+        }
+
+        /// True if `item` is currently tracked.
+        pub fn contains(&self, item: T) -> bool {
+            self.set.contains(&item)
+        }
+
+        /// Inserts `item`; returns `true` if it was new. Evicts the oldest
+        /// entry when full.
+        pub fn insert(&mut self, item: T) -> bool {
+            if !self.set.insert(item) {
+                return false;
+            }
+            self.order.push_back(item);
+            if self.order.len() > self.cap {
+                if let Some(old) = self.order.pop_front() {
+                    self.set.remove(&old);
+                }
+            }
+            true
+        }
+
+        /// Current number of tracked items.
+        pub fn len(&self) -> usize {
+            self.set.len()
+        }
+    }
 
     #[test]
     fn insert_and_contains() {
@@ -606,6 +641,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::KnownSet;
     use super::*;
     use proptest::prelude::*;
 
@@ -784,6 +820,7 @@ mod peer_family_tests {
 
 #[cfg(test)]
 mod peer_family_proptests {
+    use super::tests::KnownSet;
     use super::*;
     use proptest::prelude::*;
 

@@ -33,7 +33,6 @@ pub mod topology;
 
 pub use config::{NetConfig, TxRelayPolicy};
 pub use headerview::HeaderView;
-pub use known::KnownSet;
 pub use message::{AnnounceList, Message, TxBatch};
 pub use node::{ImportAction, LinkError, Node, Send};
 pub use shard::{RemoteEvent, RemoteEventKind, ShardMap};

@@ -7,14 +7,27 @@
 //! simulation driver applies link latency and schedules delivery, keeping
 //! this type synchronous and unit-testable.
 //!
-//! Hot-path layout: all per-peer and per-artifact state is dense. Blocks
-//! and transactions arrive with their campaign-interned slots
+//! Hot-path layout: all per-peer and per-artifact state is dense, and a
+//! node's share of it is proportional to its degree and to the keys
+//! gossip is currently touching — never to the size of the network.
+//! Blocks and transactions arrive with their campaign-interned slots
 //! ([`BlockIdx`]/[`TxIdx`], issued by the driver's registries at creation
-//! time), peers are addressed by connection position, and the
-//! known/seen/pending sets are `Vec`-indexed slabs and flat probe tables
-//! ([`DenseKnownSet`]) — no `BlockHash`- or `NodeId`-keyed hash maps
-//! anywhere on the per-message path. Wire messages still carry real
-//! hashes; slots never leave the process.
+//! time) and peers are addressed by connection position:
+//!
+//! - a message's sender is turned into its position by the peer index, a
+//!   flat probe table of packed `(NodeId, position)` words kept at most
+//!   half full (`2 × degree` slots, a few cache lines), so the lookup is
+//!   O(1) without a table as wide as the id space;
+//! - per-peer known-block sets are a position-indexed slab of flat probe
+//!   tables ([`DenseKnownSet`]);
+//! - transaction knowledge is one key-major bitmap family
+//!   ([`PeerKnownSet`]) whose position 0 is the node's own "seen" bit and
+//!   whose position `p + 1` is peer `p`: a delivery's seen-check, the
+//!   sender's known-bit and the relay fan-out all land in the same row.
+//!
+//! No `BlockHash`- or `NodeId`-keyed hash maps sit on the per-message
+//! path. Wire messages still carry real hashes; slots never leave the
+//! process.
 //!
 //! Handlers are allocation-free in steady state: every handler appends
 //! its outgoing messages to a caller-owned `Vec<Send>` (the driver
@@ -35,7 +48,7 @@ use ethmeter_types::{BlockHash, BlockIdx, NodeId, Region, TxId, TxIdx};
 
 use crate::config::{NetConfig, TxRelayPolicy};
 use crate::headerview::{HeaderInsert, HeaderView};
-use crate::known::{DenseKnownSet, PeerKnownSet};
+use crate::known::{fib_bucket, DenseKnownSet, PeerKnownSet};
 use crate::message::{AnnounceList, Message, TxBatch};
 use ethmeter_txpool::Mempool;
 
@@ -63,8 +76,87 @@ struct FetchState {
     tried: usize,
 }
 
-/// Sentinel in the `NodeId → peer position` table for non-peers.
-const NO_PEER: u32 = u32::MAX;
+/// The node's own position in its known-tx family; peer `p` is at
+/// [`tx_pos`]`(p)`.
+const SELF_TX_POS: usize = 0;
+
+/// Position of the peer at slab position `pos` in the known-tx family.
+#[inline]
+fn tx_pos(pos: usize) -> usize {
+    pos + 1
+}
+
+/// `NodeId → peer position` in O(degree) memory: a linear-probing table
+/// of `(id << 32) | (position + 1)` words, 0 marking a free slot. The
+/// length is a power of two at least twice the number of peers (or zero
+/// before the first link), so probe chains stay short and always end.
+#[derive(Debug, Default)]
+struct PeerIndex {
+    slots: Vec<u64>,
+}
+
+impl PeerIndex {
+    #[inline]
+    fn get(&self, peer: NodeId) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = fib_bucket(peer.raw(), self.slots.len());
+        loop {
+            let entry = self.slots[i];
+            if entry == 0 {
+                return None;
+            }
+            if (entry >> 32) as u32 == peer.raw() {
+                return Some((entry as u32 - 1) as usize);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Places an entry; the caller guarantees `peer` is absent and a free
+    /// slot exists.
+    fn place(&mut self, peer: NodeId, pos: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = fib_bucket(peer.raw(), self.slots.len());
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (u64::from(peer.raw()) << 32) | (pos as u64 + 1);
+    }
+
+    /// Makes the table map exactly `peers[pos] → pos`, at most half full.
+    /// It grows to fit and never shrinks.
+    fn rebuild(&mut self, peers: &[NodeId]) {
+        let len = (2 * peers.len())
+            .next_power_of_two()
+            .max(8)
+            .max(self.slots.len());
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for (pos, &peer) in peers.iter().enumerate() {
+            self.place(peer, pos);
+        }
+    }
+
+    /// Records the peer just pushed at the tail of `peers`.
+    fn push(&mut self, peers: &[NodeId]) {
+        if self.slots.len() < 2 * peers.len() {
+            self.rebuild(peers);
+        } else {
+            self.place(peers[peers.len() - 1], peers.len() - 1);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(0);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<u64>()
+    }
+}
 
 /// Why a runtime link add was rejected (see [`Node::try_add_link`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,21 +186,19 @@ pub struct Node {
     region: Region,
     bandwidth: BandwidthClass,
     peers: Vec<NodeId>,
-    /// `peer_pos[node]` = position of `node` in `peers` (slab key for the
-    /// per-peer state below), or [`NO_PEER`].
-    peer_pos: Vec<u32>,
+    /// Position of each peer in `peers` (slab key for the per-peer state
+    /// below).
+    peer_index: PeerIndex,
     /// Per-peer known-block sets, by peer position, keyed by [`BlockIdx`].
     peer_known_blocks: Vec<DenseKnownSet>,
-    /// Per-peer known-tx sets, by peer position, keyed by [`TxIdx`] —
-    /// one key-major bitmap family (see [`PeerKnownSet`]): transaction
-    /// floods touch every peer's bit for the same recent key, so the
-    /// shared rows keep those operations on hot cache lines.
-    peer_known_txs: PeerKnownSet,
+    /// Known-tx sets keyed by [`TxIdx`] — one key-major bitmap family
+    /// (see [`PeerKnownSet`]) holding the transactions this node has seen
+    /// at [`SELF_TX_POS`] and what each peer is known to have at
+    /// [`tx_pos`]: a delivery checks the first and floods the rest for
+    /// the same recent key, so the shared row keeps all of it on one hot
+    /// cache line.
+    known_txs: PeerKnownSet,
     chain: HeaderView,
-    /// Transactions this node has seen, keyed by [`TxIdx`] — a
-    /// single-member [`PeerKnownSet`], so membership bits of consecutive
-    /// recent transactions share cache lines.
-    seen_txs: PeerKnownSet,
     /// Blocks whose body this node holds (or is importing), keyed by
     /// [`BlockIdx`].
     have_body: DenseKnownSet,
@@ -122,9 +212,10 @@ pub struct Node {
     /// A cleared mempool parked here across [`Node::reset`] so a node
     /// that is a gateway again next campaign reuses the allocation.
     spare_mempool: Option<Mempool>,
-    /// Reusable relay-candidate buffer of `(peer position, peer)` pairs
-    /// (cleared per call; never observable). Carrying the position avoids
-    /// a `peer_pos` lookup per send in the fan-out loops.
+    /// Reusable relay-candidate buffer of `(position, peer)` pairs — the
+    /// peer's slab position for blocks, its known-tx family position for
+    /// transactions (cleared per call; never observable). Carrying the
+    /// position avoids a peer-index lookup per send in the fan-out loops.
     scratch: Vec<(u32, NodeId)>,
     /// Second reusable buffer for fanout sampling (swapped with `scratch`).
     scratch_picks: Vec<(u32, NodeId)>,
@@ -150,15 +241,14 @@ impl Node {
             region,
             bandwidth,
             peers: Vec::new(),
-            peer_pos: Vec::new(),
+            peer_index: PeerIndex::default(),
             peer_known_blocks: Vec::new(),
-            peer_known_txs: PeerKnownSet::new(),
-            chain: HeaderView::with_consensus(genesis, cfg.header_window, consensus),
-            seen_txs: {
-                let mut seen = PeerKnownSet::new();
-                seen.add_peer(cfg.known_txs_cap);
-                seen
+            known_txs: {
+                let mut family = PeerKnownSet::new();
+                family.add_peer(cfg.known_txs_cap);
+                family
             },
+            chain: HeaderView::with_consensus(genesis, cfg.header_window, consensus),
             have_body: DenseKnownSet::with_capacity(4 * cfg.header_window as usize),
             import_pending: Vec::new(),
             fetching: Vec::new(),
@@ -190,14 +280,13 @@ impl Node {
         self.region = region;
         self.bandwidth = bandwidth;
         self.peers.clear();
-        self.peer_pos.clear();
+        self.peer_index.clear();
         // peer_known_blocks intentionally keeps its (stale) sets;
         // `try_add_link` re-initializes slot `pos` before `peers` grows
         // past it, so stale state is never reachable.
-        self.peer_known_txs.clear();
+        self.known_txs.clear();
+        self.known_txs.add_peer(cfg.known_txs_cap);
         self.chain.reset_with(genesis, cfg.header_window, consensus);
-        self.seen_txs.clear();
-        self.seen_txs.add_peer(cfg.known_txs_cap);
         self.have_body.reset(4 * cfg.header_window as usize);
         self.import_pending.clear();
         self.fetching.clear();
@@ -261,12 +350,9 @@ impl Node {
         if self.pos_of(peer).is_some() {
             return Err(LinkError::Duplicate);
         }
-        if self.peer_pos.len() <= peer.index() {
-            self.peer_pos.resize(peer.index() + 1, NO_PEER);
-        }
         let pos = self.peers.len();
-        self.peer_pos[peer.index()] = pos as u32;
         self.peers.push(peer);
+        self.peer_index.push(&self.peers);
         // Reuse a known-set left behind by `reset`, if one exists at this
         // slab position; otherwise grow the slab.
         match self.peer_known_blocks.get_mut(pos) {
@@ -275,24 +361,9 @@ impl Node {
                 .peer_known_blocks
                 .push(DenseKnownSet::with_capacity(cfg.known_blocks_cap)),
         }
-        let tx_pos = self.peer_known_txs.add_peer(cfg.known_txs_cap);
-        debug_assert_eq!(tx_pos, pos, "peer slabs advance in lockstep");
+        let registered = self.known_txs.add_peer(cfg.known_txs_cap);
+        debug_assert_eq!(registered, tx_pos(pos), "peer slabs advance in lockstep");
         Ok(())
-    }
-
-    /// Assert-based [`Node::try_add_link`], kept for drivers built before
-    /// the checked path existed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-links or duplicate links.
-    #[deprecated(note = "use `try_add_link`, which reports malformed links as a `LinkError`")]
-    pub fn connect(&mut self, peer: NodeId, cfg: &NetConfig) {
-        match self.try_add_link(peer, cfg) {
-            Ok(()) => {}
-            Err(LinkError::SelfLink) => panic!("self-link"),
-            Err(LinkError::Duplicate) => panic!("duplicate link to {peer}"),
-        }
     }
 
     /// True if `peer` is currently linked.
@@ -313,18 +384,14 @@ impl Node {
             return false;
         };
         let last = self.peers.len() - 1;
-        self.peer_pos[peer.index()] = NO_PEER;
         self.peers.swap_remove(pos);
-        if pos != last {
-            let moved = self.peers[pos];
-            self.peer_pos[moved.index()] = pos as u32;
-        }
+        self.peer_index.rebuild(&self.peers);
         // Park the severed link's (now stale) block set at the slab tail
-        // for reuse by a future `connect` — the same reuse contract
-        // `reset` relies on; `connect` re-initializes slot `pos` before
-        // `peers` grows past it.
+        // for reuse by a future `try_add_link` — the same reuse contract
+        // `reset` relies on; `try_add_link` re-initializes slot `pos`
+        // before `peers` grows past it.
         self.peer_known_blocks.swap(pos, last);
-        self.peer_known_txs.remove_peer(pos);
+        self.known_txs.remove_peer(tx_pos(pos));
         true
     }
 
@@ -333,13 +400,30 @@ impl Node {
         self.peers.len()
     }
 
+    /// Heap bytes held by this node's gossip state: the peer slabs and
+    /// index, the per-peer known-block tables, the known-tx family (pages
+    /// and order queues) and the body set. A diagnostic for the layout
+    /// contract in the module doc — it must track the node's degree and
+    /// gossip window, not the network's size. The header view and the
+    /// mempool are not counted.
+    pub fn state_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.peers.capacity() * size_of::<NodeId>()
+            + self.peer_index.heap_bytes()
+            + self.peer_known_blocks.capacity() * size_of::<DenseKnownSet>()
+            + self
+                .peer_known_blocks
+                .iter()
+                .map(DenseKnownSet::heap_bytes)
+                .sum::<usize>()
+            + self.known_txs.heap_bytes()
+            + self.have_body.heap_bytes()
+    }
+
     /// The slab position of `peer`, if connected.
     #[inline]
     fn pos_of(&self, peer: NodeId) -> Option<usize> {
-        match self.peer_pos.get(peer.index()) {
-            Some(&p) if p != NO_PEER => Some(p as usize),
-            _ => None,
-        }
+        self.peer_index.get(peer)
     }
 
     #[inline]
@@ -609,9 +693,9 @@ impl Node {
         fresh.clear();
         for &(idx, tx) in txs {
             if let Some(p) = from_pos {
-                self.peer_known_txs.insert(p, idx.raw());
+                self.known_txs.insert(tx_pos(p), idx.raw());
             }
-            if self.seen_txs.insert(0, idx.raw()) {
+            if self.known_txs.insert(SELF_TX_POS, idx.raw()) {
                 fresh.push((idx, tx.id));
                 if let Some(pool) = self.mempool.as_mut() {
                     pool.add(tx);
@@ -623,12 +707,13 @@ impl Node {
             return;
         }
         // Choose relay targets (into the scratch buffer, so the common
-        // all-peers case allocates nothing).
+        // all-peers case allocates nothing), each with its position in
+        // the known-tx family.
         self.scratch.clear();
         for pos in 0..self.peers.len() {
             let p = self.peers[pos];
             if Some(p) != from {
-                self.scratch.push((pos as u32, p));
+                self.scratch.push((tx_pos(pos) as u32, p));
             }
         }
         if cfg.tx_relay == TxRelayPolicy::Sqrt {
@@ -653,7 +738,7 @@ impl Node {
             // materialization, no per-send heap payload.
             for ti in 0..self.scratch.len() {
                 let (pos, peer) = self.scratch[ti];
-                if self.peer_known_txs.insert(pos as usize, idx.raw()) {
+                if self.known_txs.insert(pos as usize, idx.raw()) {
                     out.push(Send {
                         to: peer,
                         msg: Message::Tx(id),
@@ -669,7 +754,7 @@ impl Node {
             // spill to the heap.
             let mut unknown = TxBatch::new();
             for &(idx, id) in fresh.iter() {
-                if self.peer_known_txs.insert(pos as usize, idx.raw()) {
+                if self.known_txs.insert(pos as usize, idx.raw()) {
                     unknown.push(id);
                 }
             }
@@ -1238,5 +1323,97 @@ mod tests {
             relays.iter().any(|s| s.to == NodeId(1)),
             "re-dialed link must have forgotten nothing-known state"
         );
+    }
+}
+
+#[cfg(test)]
+mod peer_index_proptests {
+    use super::*;
+    use ethmeter_chain::consensus::ConsensusKind;
+    use proptest::prelude::*;
+
+    const SELF_ID: NodeId = NodeId(5);
+    /// Small ids collide in the probe table; the huge ones would size a
+    /// `NodeId`-indexed table at gigabytes.
+    const UNIVERSE: [NodeId; 12] = [
+        NodeId(0),
+        NodeId(1),
+        NodeId(2),
+        NodeId(3),
+        NodeId(4),
+        SELF_ID,
+        NodeId(6),
+        NodeId(7),
+        NodeId(8),
+        NodeId(1 << 20),
+        NodeId(1 << 31),
+        NodeId(u32::MAX - 1),
+    ];
+
+    fn fresh(cfg: &NetConfig) -> Node {
+        Node::new(
+            SELF_ID,
+            Region::WesternEurope,
+            BandwidthClass::Datacenter,
+            BlockHash::mix(0),
+            cfg,
+            ConsensusKind::Heaviest.build(),
+        )
+    }
+
+    proptest! {
+        /// Under random link adds, disconnects, re-adds and resets the
+        /// peer index answers exactly like a scan of the peer slab, the
+        /// slab itself follows `Vec::swap_remove`, and malformed adds are
+        /// reported without changing anything.
+        #[test]
+        fn peer_index_matches_a_scan_of_the_peer_slab(
+            ops in proptest::collection::vec((0usize..UNIVERSE.len(), 0u8..16), 1..160),
+        ) {
+            let cfg = NetConfig::default();
+            let mut node = fresh(&cfg);
+            let mut model: Vec<NodeId> = Vec::new();
+            for &(which, kind) in &ops {
+                let peer = UNIVERSE[which];
+                let at = model.iter().position(|&p| p == peer);
+                match kind {
+                    0 => {
+                        node.reset(
+                            SELF_ID,
+                            Region::WesternEurope,
+                            BandwidthClass::Datacenter,
+                            BlockHash::mix(0),
+                            &cfg,
+                            ConsensusKind::Heaviest.build(),
+                        );
+                        model.clear();
+                    }
+                    1..=5 => {
+                        prop_assert_eq!(node.disconnect(peer), at.is_some());
+                        if let Some(at) = at {
+                            model.swap_remove(at);
+                        }
+                    }
+                    _ => {
+                        let expected = if peer == SELF_ID {
+                            Err(LinkError::SelfLink)
+                        } else if at.is_some() {
+                            Err(LinkError::Duplicate)
+                        } else {
+                            model.push(peer);
+                            Ok(())
+                        };
+                        prop_assert_eq!(node.try_add_link(peer, &cfg), expected);
+                    }
+                }
+                prop_assert_eq!(node.peers(), &model[..]);
+                prop_assert_eq!(node.known_txs.peers(), model.len() + 1);
+                for &probe in &UNIVERSE {
+                    let scanned = model.iter().position(|&p| p == probe);
+                    prop_assert_eq!(node.pos_of(probe), scanned, "pos_of({})", probe);
+                    prop_assert_eq!(node.is_peer(probe), scanned.is_some());
+                }
+            }
+        }
     }
 }

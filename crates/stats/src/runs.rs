@@ -108,9 +108,10 @@ pub fn prob_run_at_least(n: u64, p: f64, k: u32) -> f64 {
     // state[j] = P(alive, current trailing run == j), j in 0..k
     let mut state = vec![0.0f64; k];
     state[0] = 1.0;
+    let mut next = vec![0.0f64; k];
     let mut dead = 0.0f64; // absorbed: a >=k run has occurred
     for _ in 0..n {
-        let mut next = vec![0.0f64; k];
+        next.fill(0.0);
         let mut fail_mass = 0.0;
         for (j, &m) in state.iter().enumerate() {
             if m == 0.0 {
@@ -125,7 +126,7 @@ pub fn prob_run_at_least(n: u64, p: f64, k: u32) -> f64 {
             }
         }
         next[0] += fail_mass;
-        state = next;
+        std::mem::swap(&mut state, &mut next);
     }
     dead
 }
