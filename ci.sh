@@ -30,9 +30,12 @@
 #   repro-smoke  `repro table3`, the selfish-threshold grid, and the
 #                spilled decentralization scalars on tiny presets:
 #                non-empty, schema-valid output
-#   consensus-smoke  the pluggable fork choice: trait-conformance and
-#                engine-law tests (unit + integration, the latter pins
-#                the explicit-heaviest goldens in --release), plus
+#   consensus-smoke  the pluggable fork choice: trait-conformance,
+#                fork-choice-core (`headertree`) and uncle-rule unit
+#                tests, the engine-law integration suite (pins the
+#                explicit-heaviest goldens in --release) and the
+#                view-vs-tree differential proptest in --release — a
+#                name-filtered run that matches 0 tests fails — plus
 #                `repro forkchoice --json` on a pinned tiny scenario —
 #                schema-valid ethmeter-forkchoice/v1 with distinct
 #                heads across engines
@@ -47,6 +50,20 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 STAGES=(build test golden par-smoke lint detlint bench-smoke dynamics-smoke repro-smoke consensus-smoke benchmark-build)
+
+# `cargo test -q <args>` with a name filter. A filter that matches nothing
+# still exits 0, so a renamed test or module would turn its gate into a
+# no-op: this fails when the invocation ran 0 tests.
+filtered_tests() {
+    local log ran
+    log="$(mktemp)"
+    cargo test -q "$@" 2>&1 | tee "$log"
+    ran="$(awk '/^test result:/ { for (i = 2; i <= NF; i++) if ($i == "passed;") n += $(i - 1) }
+                END { print n + 0 }' "$log")"
+    rm -f "$log"
+    [ "$ran" -gt 0 ] \
+    || { echo "ci.sh: \`cargo test -q $*\` ran 0 tests" >&2; return 1; }
+}
 
 stage_build() {
     cargo build --release
@@ -72,7 +89,7 @@ stage_par_smoke() {
     # campaign fingerprint must be bit-identical to the committed
     # sequential goldens. Release profile, like the goldens themselves —
     # a debug-only equivalence would not cover benchmarked behavior.
-    cargo test --release --test golden -q \
+    filtered_tests --release --test golden \
         sharded_campaigns_match_the_sequential_goldens
 }
 
@@ -196,7 +213,7 @@ stage_dynamics_smoke() {
     # 2/4/8-shard fingerprints against the sequential reference.
     # (one positional filter; it matches both the partition and the
     # eclipse test)
-    cargo test --release --test dynamics -q \
+    filtered_tests --release --test dynamics \
         script_fingerprint_is_shard_invariant
     # The reorg-depth CLI: a schema-valid ethmeter-reorg/v1 document with
     # the full k ∈ 1..=12 tail, byte-identical between the sequential and
@@ -283,9 +300,13 @@ stage_consensus_smoke() {
     # on the pinned goldens (sequential and 2/4/8 shards) and the
     # hash-ordered engines must be arrival-order independent. Release
     # profile: the debug run is covered by the workspace suite.
-    cargo test -q -p ethmeter-chain consensus
-    cargo test -q -p ethmeter-chain forkchoice
+    filtered_tests -p ethmeter-chain consensus
+    filtered_tests -p ethmeter-chain headertree
+    filtered_tests -p ethmeter-chain uncles
     cargo test --release --test consensus -q
+    # The differential check of the fork-choice core's two consumers
+    # (windowed HeaderView vs unpruned BlockTree, every engine).
+    filtered_tests --release --test consistency windowed_view_and_unpruned_tree_agree
     # The fork-choice comparison CLI on a pinned scenario: heaviest,
     # longest, and uncle-weighted GHOST must each report a head, and at
     # least two engines must disagree (tiny seed 11 splits all three).
@@ -348,7 +369,7 @@ run_stages() {
         # in an AND-OR context where bash *ignores* `set -e` (even inside
         # a subshell), silently swallowing every failure but the last
         # command's. A separate process is the only airtight form.
-        export -f "stage_${stage//-/_}"
+        export -f "stage_${stage//-/_}" filtered_tests
         bash -ec "set -uo pipefail; stage_${stage//-/_}" || rc=$?
         t1=$SECONDS
         if [ "$rc" -eq 0 ]; then

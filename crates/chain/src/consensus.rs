@@ -5,8 +5,8 @@
 //! (total-difficulty) rule, but its §V mitigation discussion — and the
 //! adversarial-behavior experiments layered on top — ask what happens to
 //! fork rates, commit times, and selfish-mining revenue when the *rule*
-//! changes. [`Consensus`] factors every protocol decision the block tree
-//! makes out of [`crate::tree::BlockTree`]:
+//! changes. [`Consensus`] factors every protocol decision out of the one
+//! fork-choice core, [`crate::headertree::HeaderTree`]:
 //!
 //! - **scoring** ([`Consensus::score`]): the fork-choice weight of a block
 //!   given its parent's weight, replacing the hardcoded total-difficulty
@@ -14,13 +14,13 @@
 //! - **head selection** ([`Consensus::prefer`]): whether a candidate
 //!   `(score, hash)` displaces the incumbent head;
 //! - **validation** ([`Consensus::validate`]): the structural check a
-//!   block must pass before attaching (height continuity by default);
+//!   header must pass before attaching (height continuity by default);
 //! - **uncle policy** ([`Consensus::uncle_policy`] /
 //!   [`Consensus::rewards_uncles`]): which uncle references are legal and
 //!   whether the reward schedule credits them;
 //! - **confirmation depths** ([`Consensus::safe_depth`] /
-//!   [`Consensus::finalized_depth`]): the head/safe/finalized markers of
-//!   the fork-choice tree.
+//!   [`Consensus::finalized_depth`]): how far the derived safe/finalized
+//!   markers trail the head.
 //!
 //! Three engines ship: [`HeaviestChain`] (the default — bit-identical to
 //! the historical hardcoded rule and pinned by the campaign goldens),
@@ -40,10 +40,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use ethmeter_types::BlockHash;
+use ethmeter_types::{BlockHash, BlockNumber};
 
-use crate::block::Block;
-use crate::tree::InsertError;
+use crate::headertree::InsertError;
 use crate::uncles::UnclePolicy;
 
 /// The fork-choice score of a block. Concrete (not an associated type) so
@@ -83,16 +82,21 @@ pub trait Consensus: fmt::Debug + Send + Sync {
         candidate > incumbent
     }
 
-    /// Structural validation of a block against its (attached) parent,
-    /// run before the block joins the tree. The default enforces height
-    /// continuity (`number == parent.number + 1`).
-    fn validate(&self, block: &Block, parent: &Block) -> Result<(), InsertError> {
-        let expected = parent.number() + 1;
-        if block.number() != expected {
+    /// Structural validation of a header against its (attached) parent's
+    /// height, run before the header joins a tree. The default enforces
+    /// height continuity (`number == parent_number + 1`).
+    fn validate(
+        &self,
+        hash: BlockHash,
+        number: BlockNumber,
+        parent_number: BlockNumber,
+    ) -> Result<(), InsertError> {
+        let expected = parent_number + 1;
+        if number != expected {
             return Err(InsertError::HeightMismatch {
-                hash: block.hash(),
+                hash,
                 expected,
-                got: block.number(),
+                got: number,
             });
         }
         Ok(())
@@ -260,8 +264,6 @@ impl std::str::FromStr for ConsensusKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockBuilder;
-    use ethmeter_types::PoolId;
 
     /// Trait-conformance checks shared by every shipped engine.
     fn conformance(kind: ConsensusKind) {
@@ -285,12 +287,9 @@ mod tests {
         assert!(!engine.prefer(lo, a, hi, b));
 
         // Default validation enforces height continuity.
-        let parent = BlockBuilder::new(BlockHash::ZERO, 0, PoolId(0)).build();
-        let ok = BlockBuilder::new(parent.hash(), 1, PoolId(0)).build();
-        let bad = BlockBuilder::new(parent.hash(), 5, PoolId(0)).build();
-        assert!(engine.validate(&ok, &parent).is_ok());
+        assert!(engine.validate(h, 1, 0).is_ok());
         assert!(matches!(
-            engine.validate(&bad, &parent),
+            engine.validate(h, 5, 0),
             Err(InsertError::HeightMismatch {
                 expected: 1,
                 got: 5,

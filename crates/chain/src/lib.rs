@@ -10,13 +10,17 @@
 //! - [`consensus`]: the pluggable [`Consensus`] engine trait (fork-choice
 //!   scoring, head selection, validation, uncle/reward policy) with
 //!   heaviest-chain, longest-chain, and uncle-weighted GHOST engines;
-//! - [`forkchoice`]: score-based fork choice with explicit
-//!   `head`/`safe`/`finalized` markers and `Result`-based inserts;
-//! - [`tree`]: the block tree with engine-driven fork choice, canonical
-//!   chain maintenance, and reorg tracking;
-//! - [`uncles`]: Ethereum's uncle-validity rules and reference policies,
-//!   including the paper's proposed mitigation (§V) that forbids uncles
-//!   from a miner that already holds the same-height main block;
+//! - [`headertree`]: the one fork-choice core — a header-only tree owning
+//!   scores, head selection, the canonical index, orphan buffering,
+//!   ancestry, derived `safe`/`finalized` markers, an optional pruning
+//!   window, and `Result`-based inserts (a gossip node's header view is
+//!   this type with a window);
+//! - [`tree`]: the ground-truth block tree — an unbounded [`headertree`]
+//!   plus block bodies and children;
+//! - [`uncles`]: Ethereum's uncle-validity rules and uncle selection over
+//!   a [`headertree`], and the reference policies, including the paper's
+//!   proposed mitigation (§V) that forbids uncles from a miner that
+//!   already holds the same-height main block;
 //! - [`rewards`]: the post-Constantinople reward schedule used to reason
 //!   about why one-miner forks are profitable;
 //! - [`forks`]: extraction and classification of forks from a complete
@@ -46,8 +50,8 @@
 
 pub mod block;
 pub mod consensus;
-pub mod forkchoice;
 pub mod forks;
+pub mod headertree;
 pub mod registry;
 pub mod rewards;
 pub mod tree;
@@ -56,8 +60,8 @@ pub mod uncles;
 
 pub use block::{Block, BlockBuilder, BlockHeader};
 pub use consensus::{Consensus, ConsensusKind, HeaviestChain, LongestChain, Score, UncleGhost};
-pub use forkchoice::{ForkChoiceError, ForkChoiceTree};
+pub use headertree::{HeaderInsert, HeaderTree, InsertError, InsertOutcome};
 pub use registry::{BlockRegistry, TxRegistry};
-pub use tree::{BlockTree, InsertError, InsertOutcome};
+pub use tree::BlockTree;
 pub use tx::Transaction;
 pub use uncles::UnclePolicy;

@@ -2,95 +2,44 @@
 //!
 //! Matches the Ethereum yellow paper's view of a "block tree" over which a
 //! fork is "a disagreement between nodes as to which root-to-leaf path down
-//! the block tree is the best blockchain" (§III-C4). Each node of the
-//! simulated network owns one `BlockTree`; the measurement pipeline also
-//! builds a global one from ground truth.
+//! the block tree is the best blockchain" (§III-C4). The measurement
+//! pipeline builds a global one from ground truth; the chain-only
+//! experiments grow one directly.
 //!
-//! Fork choice is delegated to a pluggable [`Consensus`] engine via an
-//! embedded [`ForkChoiceTree`]. The default ([`HeaviestChain`]) is the
-//! historical rule: the chain with the greatest total difficulty wins;
-//! ties keep the incumbent (first-seen), which is Geth's behavior under
-//! constant difficulty.
+//! Everything that is fork choice — scores, the head, the canonical index,
+//! orphan buffering, ancestry, the referenced-uncle record — is the
+//! embedded unbounded [`HeaderTree`], the same core a gossip node's header
+//! view is. `BlockTree` adds only what needs block *bodies*: the blocks
+//! themselves and each block's children.
 
-use std::fmt;
+use std::collections::hash_map::Entry as Slot;
+use std::ops::Deref;
 use std::sync::Arc;
 
-use ethmeter_types::{BlockHash, BlockNumber, FxHashMap, PoolId};
+use ethmeter_types::{BlockHash, FxHashMap};
 
 use crate::block::{Block, BlockBuilder};
-use crate::consensus::{Consensus, HeaviestChain, Score};
-use crate::forkchoice::ForkChoiceTree;
+use crate::consensus::{Consensus, HeaviestChain};
+use crate::headertree::HeaderTree;
+pub use crate::headertree::{InsertError, InsertOutcome, GENESIS_MINER};
 
-/// Miner id used for the synthetic genesis block.
-pub const GENESIS_MINER: PoolId = PoolId(u16::MAX);
-
-/// Result of inserting a block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// The block attached to the tree.
-    Attached {
-        /// True if this block (or an orphan it connected) became the head.
-        new_head: bool,
-        /// Number of canonical blocks replaced (0 for a plain extension).
-        reorg_depth: u64,
-        /// Hashes of previously orphaned blocks that this insertion
-        /// connected (in connection order, not including the block itself).
-        connected_orphans: Vec<BlockHash>,
-    },
-    /// The parent is unknown; the block was buffered and will connect
-    /// automatically when its parent arrives.
-    Orphaned,
+/// A block's children in arrival order. Nearly every block has exactly
+/// one, kept inline: no allocation per block on the insert path.
+#[derive(Debug, Clone)]
+enum Children {
+    One(BlockHash),
+    Many(Vec<BlockHash>),
 }
-
-/// Why an insertion was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InsertError {
-    /// The block (by hash) is already present.
-    Duplicate(BlockHash),
-    /// `number` is not `parent.number + 1`.
-    HeightMismatch {
-        /// The offending block.
-        hash: BlockHash,
-        /// Height the parent implies.
-        expected: BlockNumber,
-        /// Height the block claims.
-        got: BlockNumber,
-    },
-}
-
-impl fmt::Display for InsertError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InsertError::Duplicate(h) => write!(f, "duplicate block {h}"),
-            InsertError::HeightMismatch {
-                hash,
-                expected,
-                got,
-            } => write!(
-                f,
-                "block {hash} claims height {got}, parent implies {expected}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for InsertError {}
 
 /// A tree of blocks with canonical-chain tracking.
 #[derive(Debug, Clone)]
 pub struct BlockTree {
+    /// Fork choice over the headers of `blocks`: same keys, always.
+    headers: HeaderTree,
     blocks: FxHashMap<BlockHash, Block>,
-    children: FxHashMap<BlockHash, Vec<BlockHash>>,
-    /// Per-block scores, head selection, and safe/finalized markers.
-    forkchoice: ForkChoiceTree,
-    /// canonical[n] = hash of the canonical block at height n.
-    canonical: Vec<BlockHash>,
-    genesis: BlockHash,
-    /// uncle hash -> the canonical-chain block that referenced it first.
-    included_uncles: FxHashMap<BlockHash, BlockHash>,
-    /// parent hash -> blocks waiting for that parent.
-    orphans: FxHashMap<BlockHash, Vec<Block>>,
-    reorg_count: u64,
+    children: FxHashMap<BlockHash, Children>,
+    /// Bodies of the headers `headers` has buffered, by their own hash.
+    orphans: FxHashMap<BlockHash, Block>,
 }
 
 impl BlockTree {
@@ -107,25 +56,11 @@ impl BlockTree {
         let mut blocks = FxHashMap::default();
         blocks.insert(gh, genesis);
         BlockTree {
+            headers: HeaderTree::unbounded(gh, engine),
             blocks,
             children: FxHashMap::default(),
-            forkchoice: ForkChoiceTree::new(gh, engine),
-            canonical: vec![gh],
-            genesis: gh,
-            included_uncles: FxHashMap::default(),
             orphans: FxHashMap::default(),
-            reorg_count: 0,
         }
-    }
-
-    /// The consensus engine driving this tree's fork choice.
-    pub fn consensus(&self) -> &Arc<dyn Consensus> {
-        self.forkchoice.consensus()
-    }
-
-    /// The genesis hash (same for every tree: all nodes share one genesis).
-    pub fn genesis_hash(&self) -> BlockHash {
-        self.genesis
     }
 
     /// The hash every [`BlockTree::new`] roots at, without building a
@@ -137,88 +72,16 @@ impl BlockTree {
             .hash()
     }
 
-    /// The current best block.
-    pub fn head(&self) -> BlockHash {
-        self.forkchoice.head()
-    }
-
-    /// The newest canonical block at least [`Consensus::safe_depth`]
-    /// confirmations behind the head (genesis on short chains).
-    pub fn safe(&self) -> BlockHash {
-        self.forkchoice.safe()
-    }
-
-    /// The newest canonical block at least [`Consensus::finalized_depth`]
-    /// confirmations behind the head (genesis on short chains).
-    pub fn finalized(&self) -> BlockHash {
-        self.forkchoice.finalized()
-    }
-
-    /// The height of the current best block.
-    pub fn head_number(&self) -> BlockNumber {
-        self.canonical.len() as BlockNumber - 1
-    }
-
-    /// Total number of attached blocks, including genesis and forks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True if only genesis is present.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.len() == 1
-    }
-
-    /// Number of blocks buffered waiting for a parent.
-    pub fn orphan_count(&self) -> usize {
-        self.orphans.values().map(Vec::len).sum()
-    }
-
-    /// How many reorgs (head switches replacing ≥1 canonical block) have
-    /// happened.
-    pub fn reorg_count(&self) -> u64 {
-        self.reorg_count
-    }
-
     /// Looks up a block.
     pub fn get(&self, hash: BlockHash) -> Option<&Block> {
         self.blocks.get(&hash)
     }
 
-    /// True if the block is attached (orphans don't count).
-    pub fn contains(&self, hash: BlockHash) -> bool {
-        self.blocks.contains_key(&hash)
-    }
-
-    /// Fork-choice score of an attached block under this tree's engine.
-    pub fn score(&self, hash: BlockHash) -> Option<Score> {
-        self.forkchoice.score(hash)
-    }
-
-    /// Total difficulty of an attached block. Under the default
-    /// [`HeaviestChain`] engine this is the historical total-difficulty
-    /// value; under other engines it is that engine's score.
-    pub fn total_difficulty(&self, hash: BlockHash) -> Option<u128> {
-        self.forkchoice.score(hash)
-    }
-
-    /// The canonical hash at `number`, if the chain reaches that height.
-    pub fn canonical_hash(&self, number: BlockNumber) -> Option<BlockHash> {
-        self.canonical.get(number as usize).copied()
-    }
-
-    /// True if `hash` is on the canonical chain.
-    pub fn is_canonical(&self, hash: BlockHash) -> bool {
-        self.blocks
-            .get(&hash)
-            .is_some_and(|b| self.canonical_hash(b.number()) == Some(hash))
-    }
-
     /// Blocks of the canonical chain in height order (including genesis).
     pub fn canonical_blocks(&self) -> impl Iterator<Item = &Block> + '_ {
-        self.canonical
-            .iter()
-            .map(move |h| self.blocks.get(h).expect("canonical entries attached"))
+        self.headers
+            .canonical()
+            .map(move |h| self.blocks.get(&h).expect("canonical entries attached"))
     }
 
     /// All attached blocks in arbitrary (but deterministic) order.
@@ -234,53 +97,29 @@ impl BlockTree {
         self.blocks
             // detlint::allow(unordered-iter, reason = "documented-unordered accessor; FxHashMap order is deterministic per process and every consumer sorts or folds commutatively")
             .values()
-            .filter(move |b| !self.is_canonical(b.hash()))
+            .filter(move |b| self.canonical_hash(b.number()) != Some(b.hash()))
     }
 
     /// Children of a block.
     pub fn children_of(&self, hash: BlockHash) -> &[BlockHash] {
-        self.children.get(&hash).map_or(&[], Vec::as_slice)
-    }
-
-    /// The ancestor of `hash` at height `number`, walking parent links.
-    pub fn ancestor_at(&self, hash: BlockHash, number: BlockNumber) -> Option<BlockHash> {
-        let mut cur = self.blocks.get(&hash)?;
-        if number > cur.number() {
-            return None;
+        match self.children.get(&hash) {
+            None => &[],
+            Some(Children::One(child)) => std::slice::from_ref(child),
+            Some(Children::Many(children)) => children,
         }
-        while cur.number() > number {
-            cur = self.blocks.get(&cur.parent())?;
-        }
-        Some(cur.hash())
     }
 
     /// True if `ancestor` is an ancestor of (or equal to) `descendant`.
     pub fn is_ancestor(&self, ancestor: BlockHash, descendant: BlockHash) -> bool {
-        let Some(a) = self.blocks.get(&ancestor) else {
-            return false;
-        };
-        self.ancestor_at(descendant, a.number()) == Some(ancestor)
+        self.number_of(ancestor)
+            .is_some_and(|n| self.ancestor_at(descendant, n) == Some(ancestor))
     }
 
     /// Confirmations of a canonical block: `head_number - number`.
     /// `None` if the block is unknown or currently off-chain.
     pub fn confirmations(&self, hash: BlockHash) -> Option<u64> {
-        if self.is_canonical(hash) {
-            let n = self.blocks[&hash].number();
-            Some(self.head_number() - n)
-        } else {
-            None
-        }
-    }
-
-    /// The canonical block that referenced `hash` as an uncle, if any.
-    pub fn uncle_included_in(&self, hash: BlockHash) -> Option<BlockHash> {
-        self.included_uncles.get(&hash).copied()
-    }
-
-    /// True if `hash` has been referenced as an uncle by any inserted block.
-    pub fn is_recognized_uncle(&self, hash: BlockHash) -> bool {
-        self.included_uncles.contains_key(&hash)
+        let n = self.number_of(hash)?;
+        (self.canonical_hash(n) == Some(hash)).then(|| self.head_number() - n)
     }
 
     /// Inserts a block.
@@ -297,109 +136,67 @@ impl BlockTree {
     /// with the parent).
     pub fn insert(&mut self, block: Block) -> Result<InsertOutcome, InsertError> {
         let hash = block.hash();
-        if self.blocks.contains_key(&hash)
-            || self
-                .orphans
-                .values()
-                .any(|v| v.iter().any(|b| b.hash() == hash))
-        {
-            return Err(InsertError::Duplicate(hash));
-        }
-        let parent_hash = block.parent();
-        let Some(parent) = self.blocks.get(&parent_hash) else {
-            self.orphans.entry(parent_hash).or_default().push(block);
-            return Ok(InsertOutcome::Orphaned);
-        };
-        self.forkchoice.consensus().validate(&block, parent)?;
-
-        let mut new_head = false;
-        let mut reorg_depth = 0u64;
-        self.attach(block, &mut new_head, &mut reorg_depth);
-
-        // Connect any orphans now reachable, breadth-first.
-        let mut connected = Vec::new();
-        let mut frontier = vec![hash];
-        while let Some(parent) = frontier.pop() {
-            let Some(waiting) = self.orphans.remove(&parent) else {
-                continue;
-            };
-            for orphan in waiting {
-                let oh = orphan.hash();
-                // Invalid orphans are discarded silently: they can only
-                // come from a corrupted producer, which the simulator
-                // never creates.
-                let valid = self
-                    .forkchoice
-                    .consensus()
-                    .validate(&orphan, &self.blocks[&parent])
-                    .is_ok();
-                if valid {
-                    self.attach(orphan, &mut new_head, &mut reorg_depth);
-                    connected.push(oh);
-                    frontier.push(oh);
+        let outcome = self.headers.insert(
+            hash,
+            block.parent(),
+            block.number(),
+            block.miner(),
+            block.header().difficulty(),
+            block.uncles(),
+        )?;
+        match &outcome {
+            InsertOutcome::Orphaned => {
+                self.orphans.insert(hash, block);
+            }
+            InsertOutcome::Attached {
+                connected_orphans, ..
+            } => {
+                // Bodies follow their headers in connection order, so
+                // `blocks` (and `all_blocks()`) sees the same insertion
+                // sequence whatever the arrival order was.
+                self.attach_body(block);
+                for h in connected_orphans {
+                    let orphan = self.orphans.remove(h).expect("buffered with its header");
+                    self.attach_body(orphan);
+                }
+                // A body still waiting on an attached parent had its
+                // header refused by the cascade: drop it too.
+                if !self.orphans.is_empty() {
+                    let headers = &self.headers;
+                    self.orphans.retain(|_, b| !headers.contains(b.parent()));
                 }
             }
         }
-
-        Ok(InsertOutcome::Attached {
-            new_head,
-            reorg_depth,
-            connected_orphans: connected,
-        })
+        Ok(outcome)
     }
 
-    /// Attaches a block whose parent is present, updating fork choice.
-    fn attach(&mut self, block: Block, new_head: &mut bool, reorg_depth: &mut u64) {
-        let hash = block.hash();
-        let parent_hash = block.parent();
-        for &u in block.uncles() {
-            self.included_uncles.entry(u).or_insert(hash);
-        }
-        self.children.entry(parent_hash).or_default().push(hash);
-        let moved = self
-            .forkchoice
-            .insert(
-                hash,
-                parent_hash,
-                block.header().difficulty(),
-                block.uncles().len(),
-            )
-            .expect("attach precondition: parent scored, hash fresh");
-        self.blocks.insert(hash, block);
-
-        if moved {
-            let depth = self.switch_head(hash);
-            self.forkchoice.update_markers(&self.canonical);
-            *new_head = true;
-            if depth > 0 {
-                *reorg_depth = (*reorg_depth).max(depth);
-                self.reorg_count += 1;
+    fn attach_body(&mut self, block: Block) {
+        match self.children.entry(block.parent()) {
+            Slot::Vacant(slot) => {
+                slot.insert(Children::One(block.hash()));
             }
+            Slot::Occupied(mut slot) => match slot.get_mut() {
+                Children::One(first) => {
+                    *slot.get_mut() = Children::Many(vec![*first, block.hash()])
+                }
+                Children::Many(children) => children.push(block.hash()),
+            },
         }
+        self.blocks.insert(block.hash(), block);
     }
+}
 
-    /// Rebuilds the canonical index for `new_head` (the fork choice has
-    /// already moved the head marker); returns how many previously
-    /// canonical blocks were replaced.
-    fn switch_head(&mut self, new_head: BlockHash) -> u64 {
-        // Collect the non-canonical suffix of the new head's chain.
-        let mut path = Vec::new();
-        let mut cur = new_head;
-        loop {
-            let b = &self.blocks[&cur];
-            let n = b.number() as usize;
-            if self.canonical.get(n) == Some(&cur) {
-                break;
-            }
-            path.push(cur);
-            cur = b.parent();
-        }
-        let fork_height = self.blocks[&cur].number(); // last common block
-        let old_len = self.canonical.len() as u64;
-        let replaced = old_len.saturating_sub(fork_height + 1);
-        self.canonical.truncate(fork_height as usize + 1);
-        self.canonical.extend(path.iter().rev());
-        replaced
+/// Every read-only fork-choice query — `head`, `safe`, `finalized`,
+/// `score`, `canonical_hash`, `is_canonical`, `ancestor_at`,
+/// `is_valid_uncle`, `select_uncles`, `reorg_count`, … — is the embedded
+/// [`HeaderTree`]'s, with the same meaning (`len`/`contains` included: a
+/// header is attached iff its body is). Deliberately not `DerefMut`:
+/// headers only enter through [`BlockTree::insert`], with their bodies.
+impl Deref for BlockTree {
+    type Target = HeaderTree;
+
+    fn deref(&self) -> &HeaderTree {
+        &self.headers
     }
 }
 
@@ -412,7 +209,7 @@ impl Default for BlockTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ethmeter_types::TxId;
+    use ethmeter_types::{PoolId, TxId};
 
     fn child(tree: &BlockTree, parent: BlockHash, miner: u16, salt: u64) -> Block {
         let number = tree.get(parent).expect("parent").number() + 1;
@@ -556,6 +353,28 @@ mod tests {
         let b = child(&tree, g, 0, 1);
         tree.insert(b.clone()).expect("ok");
         assert!(matches!(tree.insert(b), Err(InsertError::Duplicate(_))));
+    }
+
+    #[test]
+    fn mismatched_orphan_is_dropped_with_its_body() {
+        let mut tree = BlockTree::new();
+        let b1 = child(&tree, tree.genesis_hash(), 0, 1);
+        // Buffered on b1 but claiming the wrong height.
+        let bad = BlockBuilder::new(b1.hash(), 5, PoolId(0)).build();
+        assert_eq!(tree.insert(bad.clone()), Ok(InsertOutcome::Orphaned));
+        match tree.insert(b1).expect("ok") {
+            InsertOutcome::Attached {
+                connected_orphans, ..
+            } => assert!(connected_orphans.is_empty()),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(tree.orphan_count(), 0);
+        assert!(tree.orphans.is_empty(), "the refused header's body leaked");
+        assert!(tree.get(bad.hash()).is_none());
+        assert!(matches!(
+            tree.insert(bad),
+            Err(InsertError::HeightMismatch { .. })
+        ));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use ethmeter_types::{BlockHash, BlockNumber};
 
-use crate::tree::BlockTree;
+use crate::headertree::HeaderTree;
 
 /// Maximum uncles one block may reference (yellow paper).
 pub const MAX_UNCLES: usize = 2;
@@ -34,91 +34,78 @@ pub enum UnclePolicy {
     ForbidSameMinerHeight,
 }
 
-/// Checks whether `uncle` may be referenced by a block extending `parent`
-/// at height `parent.number + 1`, under Ethereum's rules:
-///
-/// 1. the uncle is known and is **not** an ancestor of the new block;
-/// 2. the uncle's *parent* is an ancestor of the new block (so the uncle is
-///    a "sibling branch" of length exactly one — this is what makes deeper
-///    fork blocks structurally unreferenceable, Table III);
-/// 3. the generation gap is at most [`MAX_UNCLE_DEPTH`];
-/// 4. the uncle has not been referenced before (per the tree's records).
-///
-/// The optional `policy` adds the §V restriction.
-pub fn is_valid_uncle(
-    tree: &BlockTree,
-    parent: BlockHash,
-    uncle: BlockHash,
-    policy: UnclePolicy,
-) -> bool {
-    let Some(u) = tree.get(uncle) else {
-        return false;
-    };
-    let Some(p) = tree.get(parent) else {
-        return false;
-    };
-    let new_number: BlockNumber = p.number() + 1;
-    // Generation gap: 1 <= gap <= MAX_UNCLE_DEPTH.
-    if u.number() >= new_number || new_number - u.number() > MAX_UNCLE_DEPTH {
-        return false;
-    }
-    // Not already included.
-    if tree.is_recognized_uncle(uncle) {
-        return false;
-    }
-    // Not an ancestor of the new block.
-    if tree.ancestor_at(parent, u.number()) == Some(uncle) {
-        return false;
-    }
-    // The uncle's parent must be an ancestor of the new block.
-    if tree.ancestor_at(parent, u.number().saturating_sub(1)) != Some(u.parent()) {
-        return false;
-    }
-    if policy == UnclePolicy::ForbidSameMinerHeight {
-        // Reject if the same miner produced the new block's chain at the
-        // uncle's height.
-        if let Some(main_at_height) = tree.ancestor_at(parent, u.number()) {
-            if let Some(main) = tree.get(main_at_height) {
-                if main.miner() == u.miner() {
-                    return false;
-                }
-            }
+impl HeaderTree {
+    /// Checks whether `uncle` may be referenced by a block extending
+    /// `parent` at height `parent.number + 1`, under Ethereum's rules:
+    ///
+    /// 1. the uncle is attached and is **not** an ancestor of the new block;
+    /// 2. the uncle's *parent* is an ancestor of the new block (so the uncle
+    ///    is a "sibling branch" of length exactly one — this is what makes
+    ///    deeper fork blocks structurally unreferenceable, Table III);
+    /// 3. the generation gap is at most [`MAX_UNCLE_DEPTH`];
+    /// 4. the uncle has not been referenced before (per the tree's records).
+    ///
+    /// Ancestry is always the *parent's*, never the current head's: a miner
+    /// building on a side tip may reference the canonical sibling.
+    /// [`UnclePolicy::ForbidSameMinerHeight`] adds the §V restriction.
+    pub fn is_valid_uncle(&self, parent: BlockHash, uncle: BlockHash, policy: UnclePolicy) -> bool {
+        let (Some(u), Some(p)) = (self.entry(uncle), self.entry(parent)) else {
+            return false;
+        };
+        let new_number: BlockNumber = p.number + 1;
+        // Generation gap: 1 <= gap <= MAX_UNCLE_DEPTH.
+        if u.number >= new_number || new_number - u.number > MAX_UNCLE_DEPTH {
+            return false;
         }
+        if self.is_recognized_uncle(uncle) {
+            return false;
+        }
+        // The new block's own ancestor at the uncle's height (unknown once
+        // the walk leaves a windowed tree's horizon).
+        let on_chain = self.ancestor_at(parent, u.number);
+        if on_chain == Some(uncle)
+            || self.ancestor_at(parent, u.number.saturating_sub(1)) != Some(u.parent)
+        {
+            return false;
+        }
+        policy == UnclePolicy::Standard
+            || on_chain
+                .and_then(|main| self.entry(main))
+                .is_none_or(|main| main.miner != u.miner)
     }
-    true
-}
 
-/// Selects up to [`MAX_UNCLES`] referenceable uncles for a block extending
-/// `parent`, scanning the recent non-canonical blocks the local tree knows.
-///
-/// Candidates are ordered deepest-first (oldest uncles claim the smallest
-/// reward, so real miners prefer recent ones — we order recent-first) and
-/// ties broken by hash for determinism.
-pub fn select_uncles(tree: &BlockTree, parent: BlockHash, policy: UnclePolicy) -> Vec<BlockHash> {
-    let Some(p) = tree.get(parent) else {
-        return Vec::new();
-    };
-    let new_number = p.number() + 1;
-    let min_number = new_number.saturating_sub(MAX_UNCLE_DEPTH);
-    let mut candidates: Vec<(BlockNumber, BlockHash)> = tree
-        .non_canonical_blocks()
-        .filter(|b| b.number() >= min_number && b.number() < new_number)
-        .map(|b| (b.number(), b.hash()))
-        .filter(|&(_, h)| is_valid_uncle(tree, parent, h, policy))
-        .collect();
-    // Recent first, then by hash for a stable order.
-    candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    candidates
-        .into_iter()
-        .take(MAX_UNCLES)
-        .map(|(_, h)| h)
-        .collect()
+    /// Selects up to [`MAX_UNCLES`] referenceable uncles for a block
+    /// extending `parent`, from every attached header in the depth range.
+    ///
+    /// Candidates are ordered recent-first (the oldest uncles claim the
+    /// smallest reward, so real miners prefer recent ones) with ties
+    /// broken by hash for determinism.
+    pub fn select_uncles(&self, parent: BlockHash, policy: UnclePolicy) -> Vec<BlockHash> {
+        let Some(p) = self.entry(parent) else {
+            return Vec::new();
+        };
+        let new_number = p.number + 1;
+        let min_number = new_number.saturating_sub(MAX_UNCLE_DEPTH);
+        let mut candidates: Vec<(BlockNumber, BlockHash)> = self
+            .attached()
+            .filter(|(_, e)| e.number >= min_number && e.number < new_number)
+            .filter(|&(h, _)| self.is_valid_uncle(parent, h, policy))
+            .map(|(h, e)| (e.number, h))
+            .collect();
+        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        candidates
+            .into_iter()
+            .take(MAX_UNCLES)
+            .map(|(_, h)| h)
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::BlockBuilder;
+    use crate::tree::BlockTree;
     use ethmeter_types::PoolId;
 
     /// Builds: genesis -> a1 -> a2 -> ... (main, miner 0) with a fork block
@@ -143,20 +130,36 @@ mod tests {
     #[test]
     fn sibling_fork_block_is_valid_uncle() {
         let (tree, main, f1) = forked_tree(1);
-        assert!(is_valid_uncle(&tree, main[0], f1, UnclePolicy::Standard));
-        let picked = select_uncles(&tree, main[0], UnclePolicy::Standard);
+        assert!(tree.is_valid_uncle(main[0], f1, UnclePolicy::Standard));
+        let picked = tree.select_uncles(main[0], UnclePolicy::Standard);
         assert_eq!(picked, vec![f1]);
+    }
+
+    #[test]
+    fn side_tip_may_reference_its_canonical_sibling() {
+        // g -> a1 -> a2 canonical, f1 a sibling of a1. Eligibility follows
+        // the *parent's* ancestry: mining on f1 makes a1 the uncle, even
+        // though a1 is canonical from the head's point of view.
+        let (tree, main, f1) = forked_tree(2);
+        assert!(tree.is_canonical(main[0]) && !tree.is_canonical(f1));
+        assert!(tree.is_valid_uncle(f1, main[0], UnclePolicy::Standard));
+        let picked = tree.select_uncles(f1, UnclePolicy::Standard);
+        assert_eq!(picked, vec![main[0]]);
+        // Selection and validity agree on every attached block.
+        for b in tree.all_blocks() {
+            assert_eq!(
+                picked.contains(&b.hash()),
+                tree.is_valid_uncle(f1, b.hash(), UnclePolicy::Standard),
+                "{}",
+                b.hash()
+            );
+        }
     }
 
     #[test]
     fn ancestor_cannot_be_uncle() {
         let (tree, main, _) = forked_tree(3);
-        assert!(!is_valid_uncle(
-            &tree,
-            main[2],
-            main[1],
-            UnclePolicy::Standard
-        ));
+        assert!(!tree.is_valid_uncle(main[2], main[1], UnclePolicy::Standard));
     }
 
     #[test]
@@ -165,9 +168,9 @@ mod tests {
         // means gap 7 > 6 -> invalid.
         let (tree, main, f1) = forked_tree(7);
         // Parent = main[5] => new block number 7, gap = 6: valid.
-        assert!(is_valid_uncle(&tree, main[5], f1, UnclePolicy::Standard));
+        assert!(tree.is_valid_uncle(main[5], f1, UnclePolicy::Standard));
         // Parent = main[6] => new block number 8, gap = 7: invalid.
-        assert!(!is_valid_uncle(&tree, main[6], f1, UnclePolicy::Standard));
+        assert!(!tree.is_valid_uncle(main[6], f1, UnclePolicy::Standard));
     }
 
     #[test]
@@ -179,11 +182,11 @@ mod tests {
         let f2h = f2.hash();
         tree.insert(f2).expect("ok");
         // f1's parent (genesis) is an ancestor of main -> f1 valid.
-        assert!(is_valid_uncle(&tree, main[2], f1, UnclePolicy::Standard));
+        assert!(tree.is_valid_uncle(main[2], f1, UnclePolicy::Standard));
         // f2's parent (f1) is NOT an ancestor of main -> f2 invalid, at any
         // parent.
         for &p in &main {
-            assert!(!is_valid_uncle(&tree, p, f2h, UnclePolicy::Standard));
+            assert!(!tree.is_valid_uncle(p, f2h, UnclePolicy::Standard));
         }
     }
 
@@ -196,25 +199,15 @@ mod tests {
             .build();
         let nh = nephew.hash();
         tree.insert(nephew).expect("ok");
-        assert!(!is_valid_uncle(&tree, nh, f1, UnclePolicy::Standard));
-        assert!(select_uncles(&tree, nh, UnclePolicy::Standard).is_empty());
+        assert!(!tree.is_valid_uncle(nh, f1, UnclePolicy::Standard));
+        assert!(tree.select_uncles(nh, UnclePolicy::Standard).is_empty());
     }
 
     #[test]
     fn unknown_blocks_are_invalid() {
         let (tree, main, _) = forked_tree(1);
-        assert!(!is_valid_uncle(
-            &tree,
-            main[0],
-            BlockHash(424242),
-            UnclePolicy::Standard
-        ));
-        assert!(!is_valid_uncle(
-            &tree,
-            BlockHash(424242),
-            main[0],
-            UnclePolicy::Standard
-        ));
+        assert!(!tree.is_valid_uncle(main[0], BlockHash(424242), UnclePolicy::Standard));
+        assert!(!tree.is_valid_uncle(BlockHash(424242), main[0], UnclePolicy::Standard));
     }
 
     #[test]
@@ -231,24 +224,14 @@ mod tests {
         tree.insert(dup).expect("ok");
 
         // Standard Ethereum accepts the duplicate as an uncle...
-        assert!(is_valid_uncle(&tree, a1h, duph, UnclePolicy::Standard));
+        assert!(tree.is_valid_uncle(a1h, duph, UnclePolicy::Standard));
         // ...the paper's mitigation rejects it.
-        assert!(!is_valid_uncle(
-            &tree,
-            a1h,
-            duph,
-            UnclePolicy::ForbidSameMinerHeight
-        ));
+        assert!(!tree.is_valid_uncle(a1h, duph, UnclePolicy::ForbidSameMinerHeight));
         // A different miner's fork block is still fine under the policy.
         let other = BlockBuilder::new(g, 1, PoolId(1)).salt(3).build();
         let otherh = other.hash();
         tree.insert(other).expect("ok");
-        assert!(is_valid_uncle(
-            &tree,
-            a1h,
-            otherh,
-            UnclePolicy::ForbidSameMinerHeight
-        ));
+        assert!(tree.is_valid_uncle(a1h, otherh, UnclePolicy::ForbidSameMinerHeight));
     }
 
     #[test]
@@ -273,7 +256,7 @@ mod tests {
             fork_hashes.push(f.hash());
             tree.insert(f).expect("ok");
         }
-        let picked = select_uncles(&tree, main[2], UnclePolicy::Standard);
+        let picked = tree.select_uncles(main[2], UnclePolicy::Standard);
         assert_eq!(picked.len(), 2);
         // Most recent fork (height 3) must be picked first.
         assert_eq!(picked[0], fork_hashes[2]);

@@ -15,7 +15,7 @@
 use ethmeter_analysis::rewards::{self, RevenueReport};
 use ethmeter_chain::block::{Block, BlockBuilder};
 use ethmeter_chain::tree::BlockTree;
-use ethmeter_chain::uncles::{is_valid_uncle, UnclePolicy, MAX_UNCLES, MAX_UNCLE_DEPTH};
+use ethmeter_chain::uncles::{UnclePolicy, MAX_UNCLES, MAX_UNCLE_DEPTH};
 use ethmeter_measure::{CampaignData, GroundTruth};
 use ethmeter_mining::{SelfishConfig, SelfishOutcome, SelfishState};
 use ethmeter_sim::Xoshiro256;
@@ -86,7 +86,7 @@ impl SelfishRaceResult {
 fn pick_uncles(tree: &BlockTree, recent: &[BlockHash], parent: BlockHash) -> Vec<BlockHash> {
     let mut picked: Vec<(u64, BlockHash)> = recent
         .iter()
-        .filter(|&&h| is_valid_uncle(tree, parent, h, UnclePolicy::Standard))
+        .filter(|&&h| tree.is_valid_uncle(parent, h, UnclePolicy::Standard))
         .map(|&h| (tree.get(h).expect("candidates are attached").number(), h))
         .collect();
     picked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));

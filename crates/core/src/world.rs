@@ -952,7 +952,7 @@ impl SimWorld {
         // validate against.
         if let Some(parent) = self.blocks.get(block.parent()) {
             self.consensus
-                .validate(&block, parent)
+                .validate(block.hash(), block.number(), parent.number())
                 .expect("minted block must satisfy the consensus engine");
         }
         let idx = self.blocks.insert(block);
@@ -1756,7 +1756,7 @@ impl SimWorld {
             // only parent-present blocks can be validated here.
             if let Some(parent) = self.blocks.get(b.parent()) {
                 self.consensus
-                    .validate(&b, parent)
+                    .validate(b.hash(), b.number(), parent.number())
                     .expect("replica block must satisfy the consensus engine");
             }
             self.blocks.insert(b);

@@ -1,585 +1,10 @@
 //! A node-local, memory-bounded view of the block tree.
 //!
 //! Ordinary peers do not need full block bodies to participate in gossip
-//! and fork choice — headers suffice. `HeaderView` keeps a sliding window
-//! of recent headers (parent links, heights, miners, uncle references),
-//! delegates fork choice to a pluggable [`Consensus`] engine (the default
-//! [`HeaviestChain`] reproduces total-difficulty with first-seen
-//! tie-breaking), and supports uncle selection for miner gateways. Entries
-//! older than the window are pruned, so per-node memory stays constant no
-//! matter how long the simulation runs.
+//! and fork choice — headers suffice. A node's view is the chain crate's
+//! fork-choice core ([`ethmeter_chain::headertree`]) with a pruning
+//! window: head selection, the canonical index, orphan buffering and
+//! uncle selection all live there, once, shared with the ground-truth
+//! `BlockTree`. Nothing about fork choice is defined in this crate.
 
-use std::sync::Arc;
-
-use ethmeter_chain::consensus::{Consensus, HeaviestChain, Score};
-use ethmeter_chain::uncles::{UnclePolicy, MAX_UNCLES, MAX_UNCLE_DEPTH};
-use ethmeter_types::{BlockHash, BlockNumber, FxHashMap, FxHashSet, PoolId};
-
-/// Outcome of offering a header to the view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeaderInsert {
-    /// Attached and became the new head.
-    NewHead {
-        /// True if previously canonical blocks were replaced.
-        reorged: bool,
-    },
-    /// Attached as a side branch.
-    SideChain,
-    /// Parent unknown; buffered.
-    Orphaned,
-    /// Already known (attached or buffered).
-    Duplicate,
-    /// Below the pruning window; ignored.
-    TooOld,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    parent: BlockHash,
-    number: BlockNumber,
-    miner: PoolId,
-    /// Header difficulty — kept so orphan-buffered headers can be scored
-    /// once their parent attaches.
-    difficulty: u64,
-    /// Fork-choice score under the view's engine (0 while orphan-buffered).
-    score: Score,
-}
-
-/// A pruned, header-only block tree.
-#[derive(Debug, Clone)]
-pub struct HeaderView {
-    engine: Arc<dyn Consensus>,
-    entries: FxHashMap<BlockHash, Entry>,
-    /// canonical hash per height, within the window.
-    canonical: FxHashMap<BlockNumber, BlockHash>,
-    head: BlockHash,
-    head_number: BlockNumber,
-    head_score: Score,
-    genesis: BlockHash,
-    /// Uncles referenced by any block seen (windowed).
-    referenced: FxHashSet<BlockHash>,
-    /// parent -> waiting headers.
-    orphans: FxHashMap<BlockHash, Vec<(BlockHash, Entry, Vec<BlockHash>)>>,
-    window: u64,
-}
-
-impl HeaderView {
-    /// Creates a view rooted at `genesis`, keeping `window` heights of
-    /// history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is smaller than the uncle depth (pruning would
-    /// break uncle selection).
-    pub fn new(genesis: BlockHash, window: u64) -> Self {
-        Self::with_consensus(genesis, window, Arc::new(HeaviestChain))
-    }
-
-    /// Creates a view rooted at `genesis` whose fork choice is driven by
-    /// `engine`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is smaller than the uncle depth.
-    pub fn with_consensus(genesis: BlockHash, window: u64, engine: Arc<dyn Consensus>) -> Self {
-        assert!(
-            window > MAX_UNCLE_DEPTH + 1,
-            "window must exceed the uncle depth"
-        );
-        let mut entries = FxHashMap::default();
-        entries.insert(
-            genesis,
-            Entry {
-                parent: BlockHash::ZERO,
-                number: 0,
-                miner: PoolId(u16::MAX),
-                difficulty: 0,
-                score: 0,
-            },
-        );
-        let mut canonical = FxHashMap::default();
-        canonical.insert(0, genesis);
-        HeaderView {
-            engine,
-            entries,
-            canonical,
-            head: genesis,
-            head_number: 0,
-            head_score: 0,
-            genesis,
-            referenced: FxHashSet::default(),
-            orphans: FxHashMap::default(),
-            window,
-        }
-    }
-
-    /// Rewinds the view to a fresh root, keeping every map's allocation
-    /// and restoring the default [`HeaviestChain`] engine. Behaviorally
-    /// identical to `HeaderView::new(genesis, window)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is smaller than the uncle depth.
-    pub fn reset(&mut self, genesis: BlockHash, window: u64) {
-        self.reset_with(genesis, window, Arc::new(HeaviestChain));
-    }
-
-    /// Rewinds the view to a fresh root under `engine`, keeping every
-    /// map's allocation. Behaviorally identical to
-    /// [`HeaderView::with_consensus`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is smaller than the uncle depth.
-    pub fn reset_with(&mut self, genesis: BlockHash, window: u64, engine: Arc<dyn Consensus>) {
-        assert!(
-            window > MAX_UNCLE_DEPTH + 1,
-            "window must exceed the uncle depth"
-        );
-        self.engine = engine;
-        self.entries.clear();
-        self.entries.insert(
-            genesis,
-            Entry {
-                parent: BlockHash::ZERO,
-                number: 0,
-                miner: PoolId(u16::MAX),
-                difficulty: 0,
-                score: 0,
-            },
-        );
-        self.canonical.clear();
-        self.canonical.insert(0, genesis);
-        self.head = genesis;
-        self.head_number = 0;
-        self.head_score = 0;
-        self.genesis = genesis;
-        self.referenced.clear();
-        self.orphans.clear();
-        self.window = window;
-    }
-
-    /// The consensus engine driving this view's fork choice.
-    pub fn consensus(&self) -> &Arc<dyn Consensus> {
-        &self.engine
-    }
-
-    /// The current best block.
-    pub fn head(&self) -> BlockHash {
-        self.head
-    }
-
-    /// The current best height.
-    pub fn head_number(&self) -> BlockNumber {
-        self.head_number
-    }
-
-    /// The genesis hash this view was rooted at.
-    pub fn genesis(&self) -> BlockHash {
-        self.genesis
-    }
-
-    /// True if the view has this header attached.
-    pub fn contains(&self, hash: BlockHash) -> bool {
-        self.entries.contains_key(&hash)
-    }
-
-    /// Number of attached headers currently retained.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if only the root remains.
-    pub fn is_empty(&self) -> bool {
-        self.entries.len() <= 1
-    }
-
-    /// The canonical hash at `number`, if within the window.
-    pub fn canonical_hash(&self, number: BlockNumber) -> Option<BlockHash> {
-        self.canonical.get(&number).copied()
-    }
-
-    /// True if the hash is canonical at its height.
-    pub fn is_canonical(&self, hash: BlockHash) -> bool {
-        self.entries
-            .get(&hash)
-            .is_some_and(|e| self.canonical.get(&e.number) == Some(&hash))
-    }
-
-    /// The miner of an attached header.
-    pub fn miner_of(&self, hash: BlockHash) -> Option<PoolId> {
-        self.entries.get(&hash).map(|e| e.miner)
-    }
-
-    /// The height of an attached header.
-    pub fn number_of(&self, hash: BlockHash) -> Option<BlockNumber> {
-        self.entries.get(&hash).map(|e| e.number)
-    }
-
-    /// Offers a header. `difficulty` is the header's own difficulty (fed
-    /// to the engine's scoring); `uncles` are the hashes the block
-    /// references (they are recorded as globally referenced to prevent
-    /// double inclusion).
-    pub fn insert(
-        &mut self,
-        hash: BlockHash,
-        parent: BlockHash,
-        number: BlockNumber,
-        miner: PoolId,
-        difficulty: u64,
-        uncles: &[BlockHash],
-    ) -> HeaderInsert {
-        if self.entries.contains_key(&hash) {
-            return HeaderInsert::Duplicate;
-        }
-        if number + self.window <= self.head_number {
-            return HeaderInsert::TooOld;
-        }
-        if self
-            .orphans
-            .values()
-            .any(|v| v.iter().any(|(h, ..)| *h == hash))
-        {
-            return HeaderInsert::Duplicate;
-        }
-        let Some(parent_entry) = self.entries.get(&parent).copied() else {
-            self.orphans.entry(parent).or_default().push((
-                hash,
-                Entry {
-                    parent,
-                    number,
-                    miner,
-                    difficulty,
-                    score: 0,
-                },
-                uncles.to_vec(),
-            ));
-            return HeaderInsert::Orphaned;
-        };
-        if number != parent_entry.number + 1 {
-            // Corrupt header; the simulator never produces these, but a
-            // defensive view simply drops them.
-            return HeaderInsert::Duplicate;
-        }
-        let result = self.attach(hash, parent, parent_entry, miner, difficulty, uncles);
-        // Connect orphans reachable from here (cascade).
-        let mut frontier = vec![hash];
-        let mut promoted_head = matches!(result, HeaderInsert::NewHead { .. });
-        let mut reorged = matches!(result, HeaderInsert::NewHead { reorged: true });
-        while let Some(p) = frontier.pop() {
-            let Some(waiting) = self.orphans.remove(&p) else {
-                continue;
-            };
-            let parent_entry = self.entries[&p];
-            for (h, e, uncles) in waiting {
-                if e.number == parent_entry.number + 1 && !self.entries.contains_key(&h) {
-                    let r = self.attach(h, p, parent_entry, e.miner, e.difficulty, &uncles);
-                    if let HeaderInsert::NewHead { reorged: r2 } = r {
-                        promoted_head = true;
-                        reorged |= r2;
-                    }
-                    frontier.push(h);
-                }
-            }
-        }
-        if promoted_head {
-            HeaderInsert::NewHead { reorged }
-        } else {
-            result
-        }
-    }
-
-    fn attach(
-        &mut self,
-        hash: BlockHash,
-        parent: BlockHash,
-        parent_entry: Entry,
-        miner: PoolId,
-        difficulty: u64,
-        uncles: &[BlockHash],
-    ) -> HeaderInsert {
-        let number = parent_entry.number + 1;
-        let score = self
-            .engine
-            .score(parent_entry.score, difficulty, uncles.len());
-        self.entries.insert(
-            hash,
-            Entry {
-                parent,
-                number,
-                miner,
-                difficulty,
-                score,
-            },
-        );
-        for &u in uncles {
-            self.referenced.insert(u);
-        }
-        if self.engine.prefer(score, hash, self.head_score, self.head) {
-            let reorged = self.switch_head(hash, number, score);
-            self.prune();
-            HeaderInsert::NewHead { reorged }
-        } else {
-            HeaderInsert::SideChain
-        }
-    }
-
-    fn switch_head(&mut self, new_head: BlockHash, number: BlockNumber, score: Score) -> bool {
-        let mut reorged = false;
-        // Update the canonical map along the new head's path until we meet
-        // an already-canonical ancestor.
-        let mut cur = new_head;
-        let mut cur_number = number;
-        loop {
-            match self.canonical.get(&cur_number) {
-                Some(&h) if h == cur => break,
-                Some(_) => reorged = true,
-                None => {}
-            }
-            self.canonical.insert(cur_number, cur);
-            let Some(e) = self.entries.get(&cur) else {
-                break;
-            };
-            if cur_number == 0 {
-                break;
-            }
-            cur = e.parent;
-            cur_number -= 1;
-            if !self.entries.contains_key(&cur) {
-                break; // walked past the pruning horizon
-            }
-        }
-        self.head = new_head;
-        self.head_number = number;
-        self.head_score = score;
-        reorged
-    }
-
-    fn prune(&mut self) {
-        let Some(cutoff) = self.head_number.checked_sub(self.window) else {
-            return;
-        };
-        self.entries.retain(|_, e| e.number > cutoff);
-        self.canonical.retain(|&n, _| n > cutoff);
-        self.orphans.retain(|_, v| {
-            v.retain(|(_, e, _)| e.number > cutoff);
-            !v.is_empty()
-        });
-        // `referenced` is allowed to keep stale hashes; they can never be
-        // candidates again because candidates come from `entries`.
-        if self.referenced.len() > 4 * self.window as usize {
-            // detlint::allow(unordered-iter, reason = "keys feed a membership set used only for contains(); iteration order cannot affect the result")
-            let live: FxHashSet<BlockHash> = self.entries.keys().copied().collect();
-            self.referenced.retain(|h| live.contains(h));
-        }
-    }
-
-    /// The ancestor of `hash` at `number`, while within the window.
-    pub fn ancestor_at(&self, hash: BlockHash, number: BlockNumber) -> Option<BlockHash> {
-        let mut e = self.entries.get(&hash)?;
-        let mut cur = hash;
-        if number > e.number {
-            return None;
-        }
-        while e.number > number {
-            cur = e.parent;
-            e = self.entries.get(&cur)?;
-        }
-        Some(cur)
-    }
-
-    /// Selects up to [`MAX_UNCLES`] valid uncles for a block that would
-    /// extend `parent`, under `policy` — the gateway-side mirror of
-    /// [`ethmeter_chain::uncles::select_uncles`].
-    pub fn select_uncles(&self, parent: BlockHash, policy: UnclePolicy) -> Vec<BlockHash> {
-        let Some(p) = self.entries.get(&parent) else {
-            return Vec::new();
-        };
-        let new_number = p.number + 1;
-        let min_number = new_number.saturating_sub(MAX_UNCLE_DEPTH);
-        let mut candidates: Vec<(BlockNumber, BlockHash)> = self
-            .entries
-            .iter()
-            .filter(|(h, e)| {
-                e.number >= min_number
-                    && e.number < new_number
-                    && !self.referenced.contains(*h)
-                    // not on the parent's chain
-                    && self.ancestor_at(parent, e.number) != Some(**h)
-                    // uncle's parent must be on the parent's chain
-                    && self.ancestor_at(parent, e.number.saturating_sub(1)) == Some(e.parent)
-            })
-            .filter(|(h, e)| {
-                policy == UnclePolicy::Standard || {
-                    // ForbidSameMinerHeight: main-chain block at the uncle's
-                    // height must come from a different miner.
-                    let _ = h;
-                    self.ancestor_at(parent, e.number)
-                        .and_then(|m| self.entries.get(&m))
-                        .is_none_or(|main| main.miner != e.miner)
-                }
-            })
-            .map(|(h, e)| (e.number, *h))
-            .collect();
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        candidates
-            .into_iter()
-            .take(MAX_UNCLES)
-            .map(|(_, h)| h)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn h(n: u64) -> BlockHash {
-        BlockHash::mix(n)
-    }
-
-    fn linear(
-        view: &mut HeaderView,
-        from: BlockHash,
-        start: BlockNumber,
-        n: u64,
-    ) -> Vec<BlockHash> {
-        let mut out = Vec::new();
-        let mut parent = from;
-        for i in 0..n {
-            let hash = h(1000 + start + i);
-            let r = view.insert(hash, parent, start + i, PoolId(0), 1, &[]);
-            assert!(matches!(r, HeaderInsert::NewHead { .. }), "{r:?}");
-            out.push(hash);
-            parent = hash;
-        }
-        out
-    }
-
-    #[test]
-    fn linear_growth_moves_head() {
-        let g = h(0);
-        let mut v = HeaderView::new(g, 64);
-        let chain = linear(&mut v, g, 1, 5);
-        assert_eq!(v.head(), chain[4]);
-        assert_eq!(v.head_number(), 5);
-        assert!(v.is_canonical(chain[2]));
-        assert_eq!(v.canonical_hash(3), Some(chain[2]));
-    }
-
-    #[test]
-    fn side_chain_and_reorg() {
-        let g = h(0);
-        let mut v = HeaderView::new(g, 64);
-        // a1, a2
-        let a = linear(&mut v, g, 1, 2);
-        // Fork from genesis.
-        let b1 = h(501);
-        assert_eq!(
-            v.insert(b1, g, 1, PoolId(1), 1, &[]),
-            HeaderInsert::SideChain
-        );
-        let b2 = h(502);
-        assert_eq!(
-            v.insert(b2, b1, 2, PoolId(1), 1, &[]),
-            HeaderInsert::SideChain
-        );
-        let b3 = h(503);
-        assert_eq!(
-            v.insert(b3, b2, 3, PoolId(1), 1, &[]),
-            HeaderInsert::NewHead { reorged: true }
-        );
-        assert_eq!(v.head(), b3);
-        assert!(v.is_canonical(b1));
-        assert!(!v.is_canonical(a[0]));
-    }
-
-    #[test]
-    fn orphan_buffer_connects() {
-        let g = h(0);
-        let mut v = HeaderView::new(g, 64);
-        let c1 = h(1);
-        let c2 = h(2);
-        assert_eq!(
-            v.insert(c2, c1, 2, PoolId(0), 1, &[]),
-            HeaderInsert::Orphaned
-        );
-        assert_eq!(
-            v.insert(c2, c1, 2, PoolId(0), 1, &[]),
-            HeaderInsert::Duplicate
-        );
-        let r = v.insert(c1, g, 1, PoolId(0), 1, &[]);
-        assert_eq!(r, HeaderInsert::NewHead { reorged: false });
-        assert_eq!(v.head(), c2);
-        assert_eq!(v.head_number(), 2);
-    }
-
-    #[test]
-    fn pruning_bounds_memory() {
-        let g = h(0);
-        let mut v = HeaderView::new(g, 16);
-        linear(&mut v, g, 1, 200);
-        assert!(v.len() <= 17, "len {}", v.len());
-        assert_eq!(v.head_number(), 200);
-        // Ancient inserts are refused.
-        assert_eq!(
-            v.insert(h(9999), g, 1, PoolId(0), 1, &[]),
-            HeaderInsert::TooOld
-        );
-    }
-
-    #[test]
-    fn uncle_selection_on_view() {
-        let g = h(0);
-        let mut v = HeaderView::new(g, 64);
-        let main = linear(&mut v, g, 1, 3);
-        // A competing block at height 1 by another miner.
-        let f1 = h(700);
-        v.insert(f1, g, 1, PoolId(1), 1, &[]);
-        let picked = v.select_uncles(v.head(), UnclePolicy::Standard);
-        assert_eq!(picked, vec![f1]);
-        // Once referenced, it is no longer a candidate.
-        let n4 = h(800);
-        v.insert(n4, main[2], 4, PoolId(0), 1, &[f1]);
-        assert!(v.select_uncles(v.head(), UnclePolicy::Standard).is_empty());
-    }
-
-    #[test]
-    fn uncle_depth_window_respected() {
-        let g = h(0);
-        let mut v = HeaderView::new(g, 64);
-        let f1 = h(700);
-        let main = linear(&mut v, g, 1, 7);
-        v.insert(f1, g, 1, PoolId(1), 1, &[]);
-        // From head at 7, a new block at 8 has gap 7 to f1: too deep.
-        assert!(v.select_uncles(main[6], UnclePolicy::Standard).is_empty());
-        // From the block at height 6 (new number 7, gap 6): valid.
-        assert_eq!(v.select_uncles(main[5], UnclePolicy::Standard), vec![f1]);
-    }
-
-    #[test]
-    fn same_miner_policy_on_view() {
-        let g = h(0);
-        let mut v = HeaderView::new(g, 64);
-        let main = linear(&mut v, g, 1, 1); // miner 0 at height 1
-        let dup = h(700);
-        v.insert(dup, g, 1, PoolId(0), 1, &[]); // same miner duplicate
-        assert_eq!(v.select_uncles(main[0], UnclePolicy::Standard), vec![dup]);
-        assert!(v
-            .select_uncles(main[0], UnclePolicy::ForbidSameMinerHeight)
-            .is_empty());
-    }
-
-    #[test]
-    fn second_fork_block_not_a_candidate() {
-        let g = h(0);
-        let mut v = HeaderView::new(g, 64);
-        let main = linear(&mut v, g, 1, 4);
-        let f1 = h(700);
-        let f2 = h(701);
-        v.insert(f1, g, 1, PoolId(1), 1, &[]);
-        v.insert(f2, f1, 2, PoolId(1), 1, &[]);
-        let picked = v.select_uncles(main[3], UnclePolicy::Standard);
-        assert_eq!(picked, vec![f1], "f2's parent is off-chain");
-    }
-}
+pub use ethmeter_chain::headertree::{HeaderInsert, HeaderTree as HeaderView, InsertOutcome};

@@ -25,9 +25,16 @@
 //!   whose position `p + 1` is peer `p`: a delivery's seen-check, the
 //!   sender's known-bit and the relay fan-out all land in the same row.
 //!
-//! No `BlockHash`- or `NodeId`-keyed hash maps sit on the per-message
-//! path. Wire messages still carry real hashes; slots never leave the
-//! process.
+//! What that guarantees: the gossip bookkeeping itself — who knows what,
+//! what is being fetched, what awaits import — holds no hash map, keyed
+//! by `NodeId`, `BlockHash` or anything else. Handlers do reach two
+//! hash-keyed structures, both bounded by their own window rather than
+//! by the campaign: the node's header view (`chain`, the chain crate's
+//! fork-choice core with a pruning window), which `on_block_arrival`,
+//! `on_announce` and `on_fetch_timeout` probe with `chain.contains(hash)`
+//! when the dense `have_body` set misses and `on_import_complete`
+//! inserts into; and, on the nodes that run one, the `Mempool`. Wire
+//! messages still carry real hashes; slots never leave the process.
 //!
 //! Handlers are allocation-free in steady state: every handler appends
 //! its outgoing messages to a caller-owned `Vec<Send>` (the driver
@@ -47,7 +54,7 @@ use ethmeter_sim::Xoshiro256;
 use ethmeter_types::{BlockHash, BlockIdx, NodeId, Region, TxId, TxIdx};
 
 use crate::config::{NetConfig, TxRelayPolicy};
-use crate::headerview::{HeaderInsert, HeaderView};
+use crate::headerview::{HeaderView, InsertOutcome};
 use crate::known::{fib_bucket, DenseKnownSet, PeerKnownSet};
 use crate::message::{AnnounceList, Message, TxBatch};
 use ethmeter_txpool::Mempool;
@@ -632,9 +639,9 @@ impl Node {
             block.header().difficulty(),
             block.uncles(),
         );
-        let new_head = matches!(outcome, HeaderInsert::NewHead { .. });
+        let new_head = matches!(outcome, Ok(InsertOutcome::Attached { new_head: true, .. }));
 
-        if outcome == HeaderInsert::Orphaned {
+        if outcome == Ok(InsertOutcome::Orphaned) {
             // Ask whoever gave us the block for its parent (Geth's fetcher
             // backfill). If it was locally mined there is no one to ask.
             if let Some(p) = provenance {

@@ -5,6 +5,8 @@
 use ethmeter::chain::block::{Block, BlockBuilder};
 use ethmeter::chain::forks;
 use ethmeter::chain::tree::{BlockTree, InsertOutcome};
+use ethmeter::chain::uncles::UnclePolicy;
+use ethmeter::chain::ConsensusKind;
 use ethmeter::net::headerview::HeaderView;
 use ethmeter::stats::runs;
 use ethmeter::types::{BlockHash, PoolId};
@@ -120,9 +122,150 @@ proptest! {
         // Total difficulty of the head is identical (heads may differ only
         // when two chains tie, since first-seen breaks ties).
         prop_assert_eq!(
-            out_of_order.total_difficulty(out_of_order.head()),
-            in_order.total_difficulty(in_order.head())
+            out_of_order.score(out_of_order.head()),
+            in_order.score(in_order.head())
         );
+    }
+}
+
+/// The view's window in the differential test: small enough that a
+/// 60-block stream prunes, large enough that nothing the stream can do
+/// (forks at most [`FORK_BAND`] below the tip, arrivals displaced by at
+/// most [`ARRIVAL_CHUNK`] positions) reaches below it.
+const DIFF_WINDOW: u64 = 16;
+const FORK_BAND: u64 = 4;
+const ARRIVAL_CHUNK: usize = 4;
+
+/// A header stream with forks, uncle references and varying difficulty
+/// whose every block builds on one of the blocks within [`FORK_BAND`]
+/// heights of the highest block so far.
+fn build_recent_fork_stream(plan: &[(usize, u16, usize, usize)]) -> Vec<Block> {
+    let genesis = BlockTree::new().genesis_hash();
+    let mut created: Vec<(BlockHash, u64)> = vec![(genesis, 0)];
+    let mut blocks = Vec::new();
+    for (i, &(sel, miner, usel, uncles)) in plan.iter().enumerate() {
+        let top = created.iter().map(|&(_, n)| n).max().expect("genesis");
+        let recent: Vec<(BlockHash, u64)> = created
+            .iter()
+            .copied()
+            .filter(|&(_, n)| n + FORK_BAND > top)
+            .collect();
+        // Two steps in three extend a highest block, so the chain outgrows
+        // the window; the third forks anywhere in the band.
+        let tips: Vec<(BlockHash, u64)> =
+            recent.iter().copied().filter(|&(_, n)| n == top).collect();
+        let pool = if sel % 3 == 0 { &recent } else { &tips };
+        let (parent, pnum) = pool[sel / 3 % pool.len()];
+        // Referenced uncles come from an earlier arrival chunk, so they are
+        // attached before their nephew arrives (a windowed view's sweep of
+        // its reference record only keeps references to attached headers).
+        let arrived = 1 + i / ARRIVAL_CHUNK * ARRIVAL_CHUNK;
+        let citable: Vec<BlockHash> = created[..arrived]
+            .iter()
+            .filter(|&&(h, n)| n + FORK_BAND > top && h != parent && h != genesis)
+            .map(|&(h, _)| h)
+            .collect();
+        let mut refs: Vec<BlockHash> = Vec::new();
+        for k in 0..uncles.min(citable.len()) {
+            let u = citable[(usel + k) % citable.len()];
+            if !refs.contains(&u) {
+                refs.push(u);
+            }
+        }
+        let block = BlockBuilder::new(parent, pnum + 1, PoolId(miner))
+            .difficulty(1 + u64::from(miner % 2))
+            .uncles(refs)
+            .salt(i as u64)
+            .build();
+        created.push((block.hash(), block.number()));
+        blocks.push(block);
+    }
+    blocks
+}
+
+proptest! {
+    /// Differential check of the two consumers of the fork-choice core: a
+    /// windowed `HeaderView` (pruning as it goes) and an unpruned
+    /// `BlockTree`, fed the same locally shuffled header stream under
+    /// every engine, agree after every arrival on the head, the canonical
+    /// index inside the window and the uncles a miner on the head would
+    /// pick — and both keep `finalized ≤ safe ≤ head` on one chain (the
+    /// order check of ethrex's `apply_fork_choice`).
+    #[test]
+    fn windowed_view_and_unpruned_tree_agree_under_every_engine(
+        plan in proptest::collection::vec((0usize..1000, 0u16..4, 0usize..1000, 0usize..3), 60..160),
+        shuffle_seed in 0u64..1000,
+    ) {
+        let mut blocks = build_recent_fork_stream(&plan);
+        let mut rng = ethmeter::sim::Xoshiro256::seed_from_u64(shuffle_seed);
+        for chunk in blocks.chunks_mut(ARRIVAL_CHUNK) {
+            rng.shuffle(chunk);
+        }
+        for kind in ConsensusKind::ALL {
+            let mut tree = BlockTree::with_consensus(kind.build());
+            let mut view = HeaderView::with_consensus(tree.genesis_hash(), DIFF_WINDOW, kind.build());
+            // Lowest height the view is still required to cover.
+            let mut horizon = 0u64;
+            for (step, b) in blocks.iter().enumerate() {
+                let in_tree = tree.insert(b.clone());
+                let in_view = view.insert(
+                    b.hash(), b.parent(), b.number(), b.miner(), b.header().difficulty(), b.uncles(),
+                );
+                prop_assert_eq!(&in_view, &in_tree, "{} step {}: outcome", kind, step);
+
+                let head = tree.head();
+                let head_number = tree.head_number();
+                prop_assert_eq!(view.head(), head, "{} step {}: head", kind, step);
+                prop_assert_eq!(view.head_number(), head_number);
+                prop_assert_eq!(view.orphan_count(), tree.orphan_count());
+                horizon = horizon.max((head_number + 1).saturating_sub(DIFF_WINDOW));
+                for n in horizon..=head_number + 1 {
+                    prop_assert_eq!(
+                        view.canonical_hash(n), tree.canonical_hash(n),
+                        "{} step {}: canonical hash at {}", kind, step, n
+                    );
+                }
+                for seen in &blocks[..=step] {
+                    if seen.number() >= horizon {
+                        prop_assert_eq!(view.contains(seen.hash()), tree.contains(seen.hash()));
+                        prop_assert_eq!(view.is_canonical(seen.hash()), tree.is_canonical(seen.hash()));
+                    }
+                }
+                for policy in [UnclePolicy::Standard, UnclePolicy::ForbidSameMinerHeight] {
+                    prop_assert_eq!(
+                        view.select_uncles(head, policy), tree.select_uncles(head, policy),
+                        "{} step {}: uncles under {:?}", kind, step, policy
+                    );
+                }
+
+                // finalized ≤ safe ≤ head, all on the head's chain.
+                let tree_marks = [tree.finalized(), tree.safe(), head];
+                let view_marks = [view.finalized(), view.safe(), view.head()];
+                for marks in [tree_marks, view_marks] {
+                    let numbers: Vec<u64> = marks
+                        .iter()
+                        .map(|&m| tree.get(m).expect("markers are attached").number())
+                        .collect();
+                    prop_assert!(numbers.windows(2).all(|w| w[0] <= w[1]), "{}: {:?}", kind, numbers);
+                    for (&m, &n) in marks.iter().zip(&numbers) {
+                        prop_assert!(tree.is_canonical(m), "{} step {}: marker off-chain", kind, step);
+                        prop_assert_eq!(tree.ancestor_at(head, n), Some(m));
+                        prop_assert_eq!(view.number_of(m), Some(n));
+                    }
+                }
+                // The view's markers are the tree's unless pruned away.
+                for (v, t) in view_marks.iter().zip(&tree_marks) {
+                    let expected = tree.canonical_hash(
+                        tree.get(*t).expect("attached").number().max(horizon),
+                    );
+                    prop_assert_eq!(Some(*v), expected);
+                }
+            }
+            prop_assert!(
+                view.len() < tree.len(),
+                "{}: the stream never outgrew the window ({} headers)", kind, tree.len()
+            );
+        }
     }
 }
 
@@ -145,7 +288,8 @@ fn uncle_selection_agrees_between_tree_and_view() {
             b.miner(),
             b.header().difficulty(),
             &[],
-        );
+        )
+        .expect("main");
         tree.insert(b).expect("main");
     }
     // Forks at heights 2 and 4 by another miner.
@@ -161,11 +305,12 @@ fn uncle_selection_agrees_between_tree_and_view() {
             f.miner(),
             f.header().difficulty(),
             &[],
-        );
+        )
+        .expect("fork");
         tree.insert(f).expect("fork");
     }
-    let policy = ethmeter::chain::uncles::UnclePolicy::Standard;
-    let from_tree = ethmeter::chain::uncles::select_uncles(&tree, parent, policy);
+    let policy = UnclePolicy::Standard;
+    let from_tree = tree.select_uncles(parent, policy);
     let from_view = view.select_uncles(parent, policy);
     assert_eq!(from_tree, from_view);
     assert_eq!(from_tree.len(), 2);
