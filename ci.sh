@@ -9,7 +9,9 @@
 #   build        cargo build --release
 #   test         debug workspace test suite (tier-1 superset)
 #   golden       determinism fingerprints in --release (debug is covered
-#                by `test`; a debug/release divergence must fail CI)
+#                by `test`; a debug/release divergence must fail CI), and
+#                the event loop's allocation ceilings (tests/allocs.rs)
+#                in the profile the benchmark measures
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
 #                sequential goldens bit-for-bit
@@ -82,6 +84,10 @@ stage_golden() {
     # silently split "tested behavior" from "benchmarked behavior". The
     # debug run is covered by the workspace suite; re-run in release.
     cargo test --release --test golden -q
+    # Allocator calls per event, cold planet-shaped start and warm small
+    # preset: the counts do not depend on the profile, but release is
+    # what the benchmark runs.
+    filtered_tests --release --test allocs allocation_ceiling
 }
 
 stage_par_smoke() {

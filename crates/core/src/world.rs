@@ -18,13 +18,13 @@
 //! event, the scheduler writes follow-up events straight into the
 //! engine's queue slab, small wire payloads live inline in the
 //! [`Message`] itself, fan-out sampling and block packing run through
-//! world- and node-owned scratch buffers, and the ground-truth block tree
+//! world-owned scratch buffers, and the ground-truth block tree
 //! is materialized from the registry only at the campaign boundary — the
 //! hot path never clones a block.
 //!
 //! Worlds are reusable: [`SimWorld::reset`] rewinds everything to what
 //! `SimWorld::new` would build for a scenario while retaining every
-//! allocation (registries, node tables, known-set probe tables, observer
+//! allocation (registries, node tables, known-set chunk pools, observer
 //! logs), which is what lets sweep workers run whole job streams without
 //! rebuilding their heap footprint per seed.
 //!
@@ -49,7 +49,8 @@ use ethmeter_mining::{
 };
 use ethmeter_net::topology::DegreePlan;
 use ethmeter_net::{
-    ImportAction, Message, Node, RemoteEvent, RemoteEventKind, Send, ShardMap, Topology,
+    GossipScratch, ImportAction, Message, Node, RemoteEvent, RemoteEventKind, Send, ShardMap,
+    Topology,
 };
 use ethmeter_sim::dist::{Exp, LogNormal};
 use ethmeter_sim::engine::Scheduler;
@@ -338,6 +339,8 @@ pub struct SimWorld {
     // Recycled per-event buffers (cleared before use; never observable).
     /// Outgoing-message buffer shared by every handler invocation.
     send_scratch: Vec<Send>,
+    /// Relay-candidate lists shared by every node's gossip handlers.
+    gossip_scratch: GossipScratch,
     /// Mempool packing buffer.
     pack_buf: Vec<TxId>,
     /// Recent-ancestor transaction set for double-inclusion guarding.
@@ -433,6 +436,7 @@ impl SimWorld {
             dyn_script: Vec::new(),
             dynamics: DynamicsState::default(),
             send_scratch: Vec::new(),
+            gossip_scratch: GossipScratch::default(),
             pack_buf: Vec::new(),
             ancestor_scratch: FxHashSet::default(),
             shard: None,
@@ -1013,6 +1017,7 @@ impl SimWorld {
                 idx,
                 &self.net,
                 &mut self.lanes_node[node.index()],
+                &mut self.gossip_scratch,
                 &mut sends,
             )
         };
@@ -1291,6 +1296,7 @@ impl SimWorld {
                             idx,
                             &self.net,
                             &mut self.lanes_node[to.index()],
+                            &mut self.gossip_scratch,
                             &mut sends,
                         )
                     };
@@ -1307,57 +1313,47 @@ impl SimWorld {
                     self.dispatch_sends(to, &mut sends, sched);
                 }
             }
-            Message::Tx(id) => {
-                // The dominant gossip message: resolve the one transaction
-                // on the stack.
-                {
-                    let txs = &self.txs;
-                    let node = &mut self.nodes[to.index()];
-                    if let Some(ix) = txs.idx_of(id) {
-                        node.on_transactions(
-                            Some(from),
-                            &[(ix, txs.by_idx(ix))],
-                            &self.net,
-                            &mut self.lanes_node[to.index()],
-                            &mut sends,
-                        );
-                    }
-                }
-                self.dispatch_sends(to, &mut sends, sched);
-            }
+            // The dominant gossip message carries its one id inline.
+            Message::Tx(id) => self.deliver_txs(Some(from), to, &[id], &mut sends, sched),
             Message::Transactions(ids) => {
-                {
-                    let txs = &self.txs;
-                    let resolved: Vec<(TxIdx, &Transaction)> = ids
-                        .iter()
-                        .filter_map(|&id| txs.idx_of(id).map(|ix| (ix, txs.by_idx(ix))))
-                        .collect();
-                    self.nodes[to.index()].on_transactions(
-                        Some(from),
-                        &resolved,
-                        &self.net,
-                        &mut self.lanes_node[to.index()],
-                        &mut sends,
-                    );
-                }
-                self.dispatch_sends(to, &mut sends, sched);
+                self.deliver_txs(Some(from), to, &ids, &mut sends, sched);
             }
         }
         debug_assert!(sends.is_empty(), "dispatch_sends drains the buffer");
         self.send_scratch = sends;
     }
 
+    /// Hands `ids` to `to`'s transaction handler and dispatches its relays.
+    fn deliver_txs(
+        &mut self,
+        from: Option<NodeId>,
+        to: NodeId,
+        ids: &[TxId],
+        sends: &mut Vec<Send>,
+        sched: &mut Scheduler<Event>,
+    ) {
+        self.nodes[to.index()].on_transactions(
+            from,
+            ids,
+            &self.txs,
+            &self.net,
+            &mut self.lanes_node[to.index()],
+            &mut self.gossip_scratch,
+            sends,
+        );
+        self.dispatch_sends(to, sends, sched);
+    }
+
     fn on_import_done(&mut self, node: NodeId, idx: BlockIdx, sched: &mut Scheduler<Event>) {
         self.stats.imports += 1;
         let mut sends = std::mem::take(&mut self.send_scratch);
-        let new_head = {
-            let block = self.blocks.by_idx(idx);
-            let txs = &self.txs;
-            let included: Vec<&Transaction> =
-                block.txs().iter().filter_map(|&t| txs.get(t)).collect();
-            self.nodes[node.index()]
-                .on_import_complete(block, idx, &included, &self.net, &mut sends)
-        };
+        let new_head = self.nodes[node.index()].on_import_complete(
+            self.blocks.by_idx(idx),
+            idx,
+            &self.txs,
+            &self.net,
+            &mut sends,
+        );
         if new_head {
             if let Some(pool) = self.gateway_pool[node.index()] {
                 if self.primary_gateway(pool) == node {
@@ -1430,19 +1426,10 @@ impl SimWorld {
     }
 
     fn on_inject_tx(&mut self, idx: TxIdx, sched: &mut Scheduler<Event>) {
-        let origin = self.txs.by_idx(idx).origin;
+        let tx = self.txs.by_idx(idx);
+        let (id, origin) = (tx.id, tx.origin);
         let mut sends = std::mem::take(&mut self.send_scratch);
-        {
-            let tx = self.txs.by_idx(idx);
-            self.nodes[origin.index()].on_transactions(
-                None,
-                &[(idx, tx)],
-                &self.net,
-                &mut self.lanes_node[origin.index()],
-                &mut sends,
-            );
-        }
-        self.dispatch_sends(origin, &mut sends, sched);
+        self.deliver_txs(None, origin, &[id], &mut sends, sched);
         self.send_scratch = sends;
     }
 

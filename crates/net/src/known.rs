@@ -13,13 +13,14 @@
 //!   linear-probing table with multiplicative hashing and backward-shift
 //!   deletion;
 //! - [`PeerKnownSet`] — a whole *family* of bounded sets (a node's own
-//!   "seen" set plus one per peer) sharing a key-major bitmap.
-//!   Transaction gossip checks one recent key against the node itself and
-//!   then floods it across every peer link in a tight time window; with
-//!   per-member probe tables each of those operations lands in a
-//!   different table (a cache miss per insert — measured as the single
-//!   largest cost of the simulation hot path), whereas a key-major row
-//!   puts all of a key's bits in one or two words on one cache line.
+//!   "seen" set plus one per peer) sharing a key-major bitmap and one
+//!   pool of FIFO chunks. Transaction gossip checks one recent key
+//!   against the node itself and then floods it across every peer link
+//!   in a tight time window; with per-member probe tables each of those
+//!   operations lands in a different table (a cache miss per insert —
+//!   measured as the single largest cost of the simulation hot path),
+//!   whereas a key-major row puts all of a key's bits in one or two words
+//!   on one cache line.
 //!
 //! Memory follows what gossip is touching, not the campaign or the
 //! network: a [`DenseKnownSet`] table grows from empty up to its bound,
@@ -30,6 +31,20 @@
 //! nodes every page is a zero-fill plus first-touch faults on memory that
 //! is mostly never read, so page size times node count is paid in full
 //! inside the event loop.
+//!
+//! The same reasoning shapes the family's eviction order. Each position
+//! needs a FIFO queue of its keys, and a ring buffer per position is a
+//! heap object per (node, peer) pair — 170 k of them on the 10k-node
+//! preset, each reallocated five times on its way to 64 keys, all inside
+//! the event loop. Instead every queue of a family is a chain of
+//! [`CHUNK_KEYS`]-key chunks drawn from one `Vec`: a position is a
+//! 20-byte cursor (head and tail chunk, the offsets into them, length and
+//! bound), a push writes the cursor and the tail chunk, a drained head
+//! chunk goes onto a free list threaded through the chunks' link words
+//! and is the next tail some queue takes, and a queue holds its keys plus
+//! at most two partly used chunks. The first key flooded to a node's
+//! peers takes one allocation sized for a chunk each; after that the pool
+//! doubles, and `clear` keeps it for the next campaign.
 
 use std::collections::VecDeque;
 
@@ -49,9 +64,9 @@ const EMPTY: u32 = u32::MAX;
 /// A FIFO-bounded set of interned `u32` keys: inserting beyond capacity
 /// evicts the oldest entry. Backed by a flat linear-probing table.
 ///
-/// The table grows lazily from empty — a simulation holds one set per
-/// (node, peer) pair, most of which stay far below capacity — and is
-/// bounded by `cap`, so memory is O(min(items, cap)).
+/// The table grows lazily from empty — a simulation holds one per node
+/// (the block bodies it has), most of which stay far below capacity —
+/// and is bounded by `cap`, so memory is O(min(items, cap)).
 #[derive(Debug, Clone)]
 pub struct DenseKnownSet {
     /// Linear-probing table of keys; `EMPTY` marks free slots. Length is
@@ -161,8 +176,7 @@ impl DenseKnownSet {
     }
 
     /// [`DenseKnownSet::clear`] plus a new capacity bound — the reuse
-    /// path for per-peer sets whose configuration may change between
-    /// campaigns.
+    /// path for a set whose configuration may change between campaigns.
     ///
     /// # Panics
     ///
@@ -253,10 +267,245 @@ struct Page {
     live: u32,
 }
 
+/// The family's membership half: bit `pos` of row `key`, in
+/// [`PAGE_ROWS`]-row pages allocated on first touch and freed when their
+/// last bit clears.
+#[derive(Debug, Clone, Default)]
+struct Bitmap {
+    /// `pages[key / PAGE_ROWS]`, each `PAGE_ROWS × words` bits.
+    pages: Vec<Option<Page>>,
+    /// `u64` words per row — sized to the highest position.
+    words: usize,
+}
+
+impl Bitmap {
+    /// `(page, word within the page, bit mask)` of `(pos, key)`.
+    #[inline]
+    fn locate(&self, pos: usize, key: u32) -> (usize, usize, u64) {
+        let row = key as usize;
+        (
+            row / PAGE_ROWS,
+            (row % PAGE_ROWS) * self.words + pos / 64,
+            1u64 << (pos % 64),
+        )
+    }
+
+    #[inline]
+    fn test(&self, pos: usize, key: u32) -> bool {
+        let (page_idx, at, mask) = self.locate(pos, key);
+        match self.pages.get(page_idx) {
+            Some(Some(page)) => page.bits[at] & mask != 0,
+            _ => false,
+        }
+    }
+
+    /// Sets the bit; returns `true` if it was clear.
+    #[inline]
+    fn set(&mut self, pos: usize, key: u32) -> bool {
+        let (page_idx, at, mask) = self.locate(pos, key);
+        // Hot path: the key's page exists (it covers the sliding window
+        // of recent keys, which is where gossip lives).
+        match self.pages.get_mut(page_idx) {
+            Some(Some(page)) => {
+                let bits = &mut page.bits[at];
+                if *bits & mask != 0 {
+                    return false;
+                }
+                *bits |= mask;
+                page.live += 1;
+            }
+            _ => self.set_cold(page_idx, at, mask),
+        }
+        true
+    }
+
+    /// Page-fault path of [`Bitmap::set`]: allocates the page and sets
+    /// the (necessarily fresh) bit.
+    #[cold]
+    fn set_cold(&mut self, page_idx: usize, at: usize, mask: u64) {
+        if page_idx >= self.pages.len() {
+            self.pages.resize(page_idx + 1, None);
+        }
+        let words = self.words;
+        let page = self.pages[page_idx].get_or_insert_with(|| Page {
+            bits: vec![0; PAGE_ROWS * words],
+            live: 0,
+        });
+        page.bits[at] |= mask;
+        page.live += 1;
+    }
+
+    /// Clears a set bit, freeing the page if it was the last live one.
+    fn clear(&mut self, pos: usize, key: u32) {
+        let (page_idx, at, mask) = self.locate(pos, key);
+        let page = self.pages[page_idx]
+            .as_mut()
+            .expect("live keys have a page");
+        debug_assert!(page.bits[at] & mask != 0, "queues hold only live keys");
+        page.bits[at] &= !mask;
+        page.live -= 1;
+        if page.live == 0 {
+            // Backstop for the page/bitmap invariant: `live` counts set
+            // bits, so a page released at live == 0 must be all-zero —
+            // a drifted counter here would silently forget live keys.
+            debug_assert!(
+                page.bits.iter().all(|&w| w == 0),
+                "page freed with live bits: live counter diverged from bitmap"
+            );
+            // The sliding eviction window has moved past this page:
+            // release it so memory tracks the window, not the campaign.
+            self.pages[page_idx] = None;
+        }
+    }
+}
+
+/// Keys per FIFO chunk: with its link word a chunk is 8 words, half a
+/// cache line. (A whole line measured the same on saturated queues and
+/// worse, in both time and resident memory, on a cold 10k-node network,
+/// where most queues hold a few dozen keys.)
+const CHUNK_KEYS: usize = 7;
+
+/// "No chunk" in a link word, a cursor or the free-list head.
+const NIL: u32 = u32::MAX;
+
+/// One fixed-size piece of a position's insertion-order queue (or, when
+/// free, of the free list): `next` is the following chunk of whichever
+/// chain holds it.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct Chunk {
+    keys: [u32; CHUNK_KEYS],
+    next: u32,
+}
+
+/// One position's queue: a chain of chunks `head → … → tail` holding `len`
+/// keys from slot `head_off` of the head chunk to slot `tail_off` (one
+/// past the newest key) of the tail chunk. An empty queue owns no chunk.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    head: u32,
+    tail: u32,
+    len: u32,
+    cap: u32,
+    head_off: u8,
+    tail_off: u8,
+}
+
+/// The family's eviction-order half: every position's FIFO queue, cut
+/// into [`Chunk`]s that all live in one `Vec`.
+#[derive(Debug, Clone)]
+struct FifoPool {
+    chunks: Vec<Chunk>,
+    /// Head of the free list (threaded through `Chunk::next`).
+    free: u32,
+    cursors: Vec<Cursor>,
+}
+
+impl Default for FifoPool {
+    fn default() -> Self {
+        FifoPool {
+            chunks: Vec::new(),
+            free: NIL,
+            cursors: Vec::new(),
+        }
+    }
+}
+
+impl FifoPool {
+    /// Appends `key` to `pos`'s queue; returns the oldest key if that
+    /// pushed the queue past its bound.
+    #[inline]
+    fn push(&mut self, pos: usize, key: u32) -> Option<u32> {
+        let cur = self.cursors[pos];
+        if cur.tail == NIL || cur.tail_off as usize == CHUNK_KEYS {
+            self.grow(pos);
+        }
+        let cur = &mut self.cursors[pos];
+        self.chunks[cur.tail as usize].keys[cur.tail_off as usize] = key;
+        cur.tail_off += 1;
+        cur.len += 1;
+        if cur.len <= cur.cap {
+            return None;
+        }
+        // The queue holds cap + 1 ≥ 2 keys, so it stays non-empty and a
+        // drained head chunk always has a successor.
+        let head = &self.chunks[cur.head as usize];
+        let old = head.keys[cur.head_off as usize];
+        cur.head_off += 1;
+        cur.len -= 1;
+        if cur.head_off as usize == CHUNK_KEYS {
+            let drained = cur.head;
+            cur.head = head.next;
+            cur.head_off = 0;
+            self.chunks[drained as usize].next = self.free;
+            self.free = drained;
+        }
+        Some(old)
+    }
+
+    /// Links a tail chunk — the free list's head, else a new one — onto
+    /// `pos`'s chain.
+    fn grow(&mut self, pos: usize) {
+        let at = if self.free != NIL {
+            let at = self.free;
+            self.free = std::mem::replace(&mut self.chunks[at as usize].next, NIL);
+            at
+        } else {
+            if self.chunks.is_empty() {
+                // A fresh key is flooded to every position at once: size
+                // the first allocation for one chunk each.
+                self.chunks.reserve(self.cursors.len());
+            }
+            assert!(self.chunks.len() < NIL as usize, "chunk links are u32");
+            self.chunks.push(Chunk {
+                keys: [0; CHUNK_KEYS],
+                next: NIL,
+            });
+            (self.chunks.len() - 1) as u32
+        };
+        let cur = &mut self.cursors[pos];
+        if cur.tail == NIL {
+            cur.head = at;
+            cur.head_off = 0;
+        } else {
+            self.chunks[cur.tail as usize].next = at;
+        }
+        cur.tail = at;
+        cur.tail_off = 0;
+    }
+
+    /// `pos`'s keys, oldest first.
+    fn keys(&self, pos: usize) -> impl Iterator<Item = u32> + '_ {
+        let cur = self.cursors[pos];
+        let (mut chunk, mut off) = (cur.head, cur.head_off as usize);
+        (0..cur.len).map(move |_| {
+            if off == CHUNK_KEYS {
+                chunk = self.chunks[chunk as usize].next;
+                off = 0;
+            }
+            let key = self.chunks[chunk as usize].keys[off];
+            off += 1;
+            key
+        })
+    }
+
+    /// Swap-removes position `pos`: its whole chain goes onto the free
+    /// list in one splice and the last position's cursor moves into the
+    /// hole (its chunks stay where they are).
+    fn swap_remove(&mut self, pos: usize) {
+        let cur = self.cursors.swap_remove(pos);
+        if cur.tail != NIL {
+            self.chunks[cur.tail as usize].next = self.free;
+            self.free = cur.head;
+        }
+    }
+}
+
 /// A family of FIFO-bounded known-sets — one per member position — over
-/// dense `u32` keys, sharing one key-major bitmap. A [`crate::Node`]
-/// registers itself at position 0 (its "seen" set) and its peers, in
-/// connection order, from position 1.
+/// dense `u32` keys, sharing one key-major bitmap and one chunk pool. A
+/// [`crate::Node`] keeps two: its known-tx family registers the node
+/// itself at position 0 (its "seen" set) and its peers, in connection
+/// order, from position 1; its known-block family holds the peers alone.
 ///
 /// Behaviorally, `(insert, contains)` on position `p` is identical to an
 /// independent [`DenseKnownSet`] per position (same results, same
@@ -265,24 +514,20 @@ struct Page {
 /// is layout: bit `p` of row `key` lives next to every other position's
 /// bit for the same key, so a delivery's seen-check and the flood of the
 /// fresh key across all of the node's links touch one or two cache lines
-/// instead of one probe table per peer.
+/// instead of one probe table per peer, and the queues that remember
+/// insertion order are chains of small chunks in one allocation instead
+/// of one ring buffer per peer (see the module doc).
 ///
 /// Memory is bounded: rows live in [`PAGE_ROWS`]-row pages that are
 /// allocated on first touch and freed when eviction clears their last
 /// bit, so steady state holds only the sliding window of recent keys
-/// (`≈ cap` rows), not the whole campaign's key space.
+/// (`≈ cap` rows), not the whole campaign's key space; a queue of `n`
+/// keys holds at most `n / CHUNK_KEYS + 2` chunks, and drained chunks go
+/// back to the pool's free list.
 #[derive(Debug, Clone, Default)]
 pub struct PeerKnownSet {
-    /// `pages[key / PAGE_ROWS]`, each `PAGE_ROWS × words` bits.
-    pages: Vec<Option<Page>>,
-    /// Per-peer insertion order for FIFO eviction.
-    order: Vec<VecDeque<u32>>,
-    /// Per-peer capacity bound.
-    caps: Vec<usize>,
-    /// `u64` words per row — sized to the highest peer position.
-    words: usize,
-    /// Cleared order queues parked across `clear` for reuse.
-    spare: Vec<VecDeque<u32>>,
+    bits: Bitmap,
+    fifo: FifoPool,
 }
 
 impl PeerKnownSet {
@@ -297,93 +542,59 @@ impl PeerKnownSet {
     ///
     /// # Panics
     ///
-    /// Panics if `cap == 0`, or if a peer is added after keys were
-    /// inserted and the row width would have to grow (peers are wired
-    /// before gossip starts, so this cannot happen in a simulation).
+    /// Panics if `cap == 0` or exceeds `u32::MAX`, or if a peer is added
+    /// after keys were inserted and the row width would have to grow
+    /// (peers are wired before gossip starts, so this cannot happen in a
+    /// simulation).
     pub fn add_peer(&mut self, cap: usize) -> usize {
         assert!(cap > 0, "known-set capacity must be positive");
-        let pos = self.caps.len();
-        self.caps.push(cap);
-        self.order.push(self.spare.pop().unwrap_or_default());
+        let pos = self.fifo.cursors.len();
+        self.fifo.cursors.push(Cursor {
+            head: NIL,
+            tail: NIL,
+            len: 0,
+            cap: u32::try_from(cap).expect("known-set capacity fits u32"),
+            head_off: 0,
+            tail_off: 0,
+        });
         let needed = pos / 64 + 1;
-        if needed > self.words {
+        if needed > self.bits.words {
             assert!(
-                self.pages.iter().all(Option::is_none),
+                self.bits.pages.iter().all(Option::is_none),
                 "cannot widen rows after keys were inserted"
             );
-            self.words = needed;
+            self.bits.words = needed;
         }
         pos
     }
 
     /// Number of registered peers.
     pub fn peers(&self) -> usize {
-        self.caps.len()
+        self.fifo.cursors.len()
     }
 
     /// Number of keys currently tracked for peer `pos`.
     pub fn len_of(&self, pos: usize) -> usize {
-        self.order[pos].len()
+        self.fifo.cursors[pos].len as usize
     }
 
     /// True if peer `pos` is known to have `key`.
     #[inline]
     pub fn contains(&self, pos: usize, key: u32) -> bool {
-        let row = key as usize;
-        match self.pages.get(row / PAGE_ROWS) {
-            Some(Some(page)) => {
-                let at = (row % PAGE_ROWS) * self.words + pos / 64;
-                page.bits[at] & (1u64 << (pos % 64)) != 0
-            }
-            _ => false,
-        }
+        self.bits.test(pos, key)
     }
 
     /// Inserts `key` for peer `pos`; returns `true` if it was new for
     /// that peer. Evicts the peer's oldest key when its bound is full.
     #[inline]
     pub fn insert(&mut self, pos: usize, key: u32) -> bool {
-        let row = key as usize;
-        let page_idx = row / PAGE_ROWS;
-        let at = (row % PAGE_ROWS) * self.words + pos / 64;
-        let mask = 1u64 << (pos % 64);
-        // Hot path: the key's page exists (it covers the sliding window
-        // of recent keys, which is where gossip lives).
-        match self.pages.get_mut(page_idx) {
-            Some(Some(page)) => {
-                let bits = &mut page.bits[at];
-                if *bits & mask != 0 {
-                    return false;
-                }
-                *bits |= mask;
-                page.live += 1;
-            }
-            _ => self.insert_cold(page_idx, at, mask),
+        if !self.bits.set(pos, key) {
+            return false;
         }
-        self.order[pos].push_back(key);
-        if self.order[pos].len() > self.caps[pos] {
-            if let Some(old) = self.order[pos].pop_front() {
-                self.clear_bit(pos, old);
-            }
+        if let Some(old) = self.fifo.push(pos, key) {
+            self.bits.clear(pos, old);
         }
         true
-    }
-
-    /// Page-fault path of [`PeerKnownSet::insert`]: allocates the page
-    /// and sets the (necessarily fresh) bit.
-    #[cold]
-    fn insert_cold(&mut self, page_idx: usize, at: usize, mask: u64) {
-        if page_idx >= self.pages.len() {
-            self.pages.resize(page_idx + 1, None);
-        }
-        let words = self.words;
-        let page = self.pages[page_idx].get_or_insert_with(|| Page {
-            bits: vec![0; PAGE_ROWS * words],
-            live: 0,
-        });
-        debug_assert_eq!(page.bits[at] & mask, 0, "fresh page has no set bits");
-        page.bits[at] |= mask;
-        page.live += 1;
     }
 
     /// Unregisters peer position `pos`, forgetting its keys and
@@ -400,90 +611,42 @@ impl PeerKnownSet {
     ///
     /// Panics if `pos` is not a registered position.
     pub fn remove_peer(&mut self, pos: usize) {
-        let last = self.caps.len() - 1;
-        let mut dead = std::mem::take(&mut self.order[pos]);
-        while let Some(key) = dead.pop_front() {
-            self.clear_bit(pos, key);
+        let last = self.fifo.cursors.len() - 1;
+        for key in self.fifo.keys(pos) {
+            self.bits.clear(pos, key);
         }
-        self.spare.push(dead);
         if pos != last {
             // Relocate the last position's bits down to `pos`, key by
             // key. Set before clear: both bits share the key's page, so
             // this keeps its live count above zero throughout and the
             // page is never freed mid-move.
-            for i in 0..self.order[last].len() {
-                let key = self.order[last][i];
-                self.set_bit(pos, key);
-                self.clear_bit(last, key);
+            for key in self.fifo.keys(last) {
+                let fresh = self.bits.set(pos, key);
+                debug_assert!(fresh, "relocation target bit is clear");
+                self.bits.clear(last, key);
             }
         }
-        self.order.swap_remove(pos);
-        self.caps.swap_remove(pos);
+        self.fifo.swap_remove(pos);
     }
 
-    /// Sets peer `pos`'s bit for `key`; the caller guarantees the bit is
-    /// currently clear. Allocates the page if the key row has none.
-    fn set_bit(&mut self, pos: usize, key: u32) {
-        let row = key as usize;
-        let page_idx = row / PAGE_ROWS;
-        let at = (row % PAGE_ROWS) * self.words + pos / 64;
-        let mask = 1u64 << (pos % 64);
-        match self.pages.get_mut(page_idx) {
-            Some(Some(page)) => {
-                debug_assert_eq!(page.bits[at] & mask, 0, "set_bit of a live bit");
-                page.bits[at] |= mask;
-                page.live += 1;
-            }
-            _ => self.insert_cold(page_idx, at, mask),
-        }
-    }
-
-    /// Clears peer `pos`'s bit for `key`, freeing the page if it was the
-    /// last live bit.
-    fn clear_bit(&mut self, pos: usize, key: u32) {
-        let row = key as usize;
-        let page_idx = row / PAGE_ROWS;
-        let slot = self.pages[page_idx]
-            .as_mut()
-            .expect("live keys have a page");
-        let at = (row % PAGE_ROWS) * self.words + pos / 64;
-        let mask = 1u64 << (pos % 64);
-        debug_assert!(slot.bits[at] & mask != 0, "order holds only live keys");
-        slot.bits[at] &= !mask;
-        slot.live -= 1;
-        if slot.live == 0 {
-            // Backstop for the page/bitmap invariant: `live` counts set
-            // bits, so a page released at live == 0 must be all-zero —
-            // a drifted counter here would silently forget live keys.
-            debug_assert!(
-                slot.bits.iter().all(|&w| w == 0),
-                "page freed with live bits: live counter diverged from bitmap"
-            );
-            // The sliding eviction window has moved past this page:
-            // release it so memory tracks the window, not the campaign.
-            self.pages[page_idx] = None;
-        }
-    }
-
-    /// Forgets every key and every peer, parking the order queues for
-    /// reuse by the next [`PeerKnownSet::add_peer`] round. A cleared
-    /// family behaves exactly like a new one; peers must be
-    /// re-registered. (Bitmap pages are dropped: they track the sliding
-    /// eviction window and are reallocated lazily, a handful of
-    /// page-sized allocations per campaign.)
+    /// Forgets every key and every peer, keeping the chunk pool's
+    /// allocation for the next campaign. A cleared family behaves exactly
+    /// like a new one; peers must be re-registered. (Bitmap pages are
+    /// dropped: they track the sliding eviction window and are
+    /// reallocated lazily, a handful of page-sized allocations per
+    /// campaign.)
     pub fn clear(&mut self) {
-        self.pages.clear();
-        for mut q in self.order.drain(..) {
-            q.clear();
-            self.spare.push(q);
-        }
-        self.caps.clear();
-        self.words = 0;
+        self.bits.pages.clear();
+        self.bits.words = 0;
+        self.fifo.chunks.clear();
+        self.fifo.free = NIL;
+        self.fifo.cursors.clear();
     }
 
     /// Bytes currently held by live bitmap pages (diagnostics).
     pub fn page_bytes(&self) -> usize {
-        self.pages
+        self.bits
+            .pages
             .iter()
             .flatten()
             .map(|p| p.bits.len() * std::mem::size_of::<u64>())
@@ -491,20 +654,13 @@ impl PeerKnownSet {
     }
 
     /// All heap bytes held by the family: live pages, the page directory,
-    /// and the per-position order queues and bounds (diagnostics).
+    /// the chunk pool and the per-position cursors (diagnostics).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let queues: usize = self
-            .order
-            .iter()
-            .chain(&self.spare)
-            .map(|q| q.capacity() * size_of::<u32>())
-            .sum();
         self.page_bytes()
-            + self.pages.capacity() * size_of::<Option<Page>>()
-            + (self.order.capacity() + self.spare.capacity()) * size_of::<VecDeque<u32>>()
-            + self.caps.capacity() * size_of::<usize>()
-            + queues
+            + self.bits.pages.capacity() * size_of::<Option<Page>>()
+            + self.fifo.chunks.capacity() * size_of::<Chunk>()
+            + self.fifo.cursors.capacity() * size_of::<Cursor>()
     }
 }
 
@@ -699,6 +855,75 @@ mod proptests {
 }
 
 #[cfg(test)]
+impl PeerKnownSet {
+    /// Checks the pool's structural invariants: every chunk is reachable
+    /// exactly once — from one cursor's chain or from the free list —
+    /// each chain is as long as its cursor says, and each cursor's `len`
+    /// is the number of bits its position has set in the bitmap.
+    pub(crate) fn audit(&self) {
+        let fifo = &self.fifo;
+        let mut owner = vec![None; fifo.chunks.len()];
+        let mut claim = |chunk: u32, by: usize| {
+            let slot = &mut owner[chunk as usize];
+            assert_eq!(*slot, None, "chunk {chunk} reached twice (again by {by})");
+            *slot = Some(by);
+        };
+        let mut set_bits = vec![0usize; fifo.cursors.len()];
+        for page in self.bits.pages.iter().flatten() {
+            let mut live = 0;
+            for (at, &word) in page.bits.iter().enumerate() {
+                live += word.count_ones();
+                for bit in (0..64).filter(|b| word >> b & 1 == 1) {
+                    let pos = (at % self.bits.words) * 64 + bit;
+                    assert!(pos < set_bits.len(), "bit of unregistered position {pos}");
+                    set_bits[pos] += 1;
+                }
+            }
+            assert_eq!(page.live, live, "page live count");
+            assert!(live > 0, "empty pages are freed");
+        }
+        for (pos, cur) in fifo.cursors.iter().enumerate() {
+            assert!(cur.len <= cur.cap, "position {pos} over its bound");
+            assert_eq!(
+                cur.len as usize, set_bits[pos],
+                "position {pos} len vs bitmap"
+            );
+            if cur.len == 0 {
+                assert_eq!(
+                    (cur.head, cur.tail),
+                    (NIL, NIL),
+                    "empty queue owns no chunk"
+                );
+                continue;
+            }
+            assert!((cur.head_off as usize) < CHUNK_KEYS, "drained head kept");
+            let slots = cur.head_off as usize + cur.len as usize;
+            let mut chunk = cur.head;
+            for _ in 1..slots.div_ceil(CHUNK_KEYS) {
+                claim(chunk, pos);
+                chunk = fifo.chunks[chunk as usize].next;
+            }
+            claim(chunk, pos);
+            assert_eq!(chunk, cur.tail, "position {pos} chain ends at its tail");
+            assert_eq!(
+                cur.tail_off as usize,
+                (slots - 1) % CHUNK_KEYS + 1,
+                "position {pos} tail offset"
+            );
+            for key in fifo.keys(pos) {
+                assert!(self.bits.test(pos, key), "queued key {key} has its bit");
+            }
+        }
+        let mut chunk = fifo.free;
+        while chunk != NIL {
+            claim(chunk, usize::MAX);
+            chunk = fifo.chunks[chunk as usize].next;
+        }
+        assert!(owner.iter().all(Option::is_some), "leaked chunk: {owner:?}");
+    }
+}
+
+#[cfg(test)]
 mod peer_family_tests {
     use super::*;
 
@@ -739,6 +964,53 @@ mod peer_family_tests {
         );
         // Keys far behind the window read as absent.
         assert!(!fam.contains(0, 0));
+    }
+
+    #[test]
+    fn queues_recycle_their_chunks() {
+        // Two positions whose bounds straddle the chunk size slide over
+        // many keys: the pool must stop growing once both windows are
+        // full, because every drained head chunk is reused as a tail.
+        let mut fam = PeerKnownSet::new();
+        fam.add_peer(CHUNK_KEYS - 1);
+        fam.add_peer(2 * CHUNK_KEYS + 1);
+        for key in 0..(20 * CHUNK_KEYS as u32) {
+            fam.insert(0, key);
+            fam.insert(1, key);
+            fam.audit();
+        }
+        assert_eq!(fam.len_of(0), CHUNK_KEYS - 1);
+        assert_eq!(fam.len_of(1), 2 * CHUNK_KEYS + 1);
+        // ≤ n / CHUNK_KEYS + 2 chunks per queue: 2 + 4.
+        assert!(
+            fam.fifo.chunks.len() <= 6,
+            "{} chunks",
+            fam.fifo.chunks.len()
+        );
+        // FIFO order is the insertion order of the surviving window.
+        let newest = 20 * CHUNK_KEYS as u32;
+        let window: Vec<u32> = fam.fifo.keys(1).collect();
+        let expected: Vec<u32> = (newest - 2 * CHUNK_KEYS as u32 - 1..newest).collect();
+        assert_eq!(window, expected);
+    }
+
+    #[test]
+    fn clear_keeps_the_pool_allocation() {
+        let mut fam = PeerKnownSet::new();
+        for _ in 0..4 {
+            fam.add_peer(64);
+        }
+        for key in 0..64 {
+            for pos in 0..4 {
+                fam.insert(pos, key);
+            }
+        }
+        let held = fam.fifo.chunks.capacity();
+        assert!(held > 0);
+        fam.clear();
+        fam.audit();
+        assert_eq!(fam.fifo.chunks.capacity(), held);
+        assert_eq!(fam.page_bytes(), 0);
     }
 
     #[test]
@@ -824,22 +1096,56 @@ mod peer_family_proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Bounds on either side of every chunk-boundary case of the pool,
+    /// next to the tiny ones that maximize evictions and page frees.
+    const CAPS: [usize; 8] = [
+        1,
+        2,
+        5,
+        CHUNK_KEYS - 1,
+        CHUNK_KEYS,
+        CHUNK_KEYS + 1,
+        2 * CHUNK_KEYS,
+        2 * CHUNK_KEYS + 1,
+    ];
+
+    fn assert_membership_agrees(
+        fam: &PeerKnownSet,
+        models: &[KnownSet<u32>],
+        universe: u32,
+        step: usize,
+    ) {
+        prop_assert_eq!(fam.peers(), models.len());
+        for (pos, model) in models.iter().enumerate() {
+            prop_assert_eq!(fam.len_of(pos), model.len());
+            for probe in (0..universe).step_by(step) {
+                prop_assert_eq!(
+                    fam.contains(pos, probe),
+                    model.contains(probe),
+                    "probe ({}, {})",
+                    pos,
+                    probe
+                );
+            }
+        }
+    }
+
     proptest! {
         /// The family must be observationally identical to one
         /// independent [`KnownSet`] per peer — same insert results, same
         /// membership, same FIFO eviction — under arbitrary interleaved
-        /// `(peer, key)` streams. Small caps maximize evictions (and
-        /// page frees); keys span multiple bitmap pages.
+        /// `(peer, key)` streams. Caps come from [`CAPS`]; keys span
+        /// multiple bitmap pages.
         #[test]
         fn peer_family_equivalent_to_independent_knownsets(
-            caps in proptest::collection::vec(1usize..6, 1..6),
+            caps in proptest::collection::vec(0usize..CAPS.len(), 1..6),
             ops in proptest::collection::vec((0usize..6, 0u32..2_600), 0..384),
         ) {
             let mut fam = PeerKnownSet::new();
             let mut models: Vec<KnownSet<u32>> = Vec::new();
             for &cap in &caps {
-                fam.add_peer(cap);
-                models.push(KnownSet::with_capacity(cap));
+                fam.add_peer(CAPS[cap]);
+                models.push(KnownSet::with_capacity(CAPS[cap]));
             }
             for &(pos, key) in &ops {
                 let pos = pos % caps.len();
@@ -852,28 +1158,20 @@ mod peer_family_proptests {
                 );
                 prop_assert_eq!(fam.len_of(pos), models[pos].len());
             }
+            fam.audit();
             // Full membership sweep at the end, across page boundaries.
-            for (pos, model) in models.iter().enumerate() {
-                for probe in (0..2_600).step_by(13) {
-                    prop_assert_eq!(
-                        fam.contains(pos, probe),
-                        model.contains(probe),
-                        "probe ({}, {})",
-                        pos,
-                        probe
-                    );
-                }
-            }
+            assert_membership_agrees(&fam, &models, 2_600, 13);
         }
 
-        /// Under interleaved inserts, `remove_peer`, and re-registration,
-        /// the family stays observationally identical to a `Vec` of
-        /// independent [`KnownSet`]s maintained with `Vec::swap_remove`
-        /// — the exact lockstep contract the node's peer slabs rely on
-        /// for runtime churn.
+        /// Under interleaved inserts, `remove_peer`, re-registration and
+        /// `clear`-and-reuse, the family stays observationally identical
+        /// to a `Vec` of independent [`KnownSet`]s maintained with
+        /// `Vec::swap_remove` — the exact lockstep contract the node's
+        /// peer slabs rely on for runtime churn — and the chunk pool
+        /// neither leaks nor double-links a chunk at any step.
         #[test]
         fn peer_family_equivalent_under_removal(
-            ops in proptest::collection::vec((0usize..8, 0u32..2_200, 0u8..10), 1..256),
+            ops in proptest::collection::vec((0usize..8, 0u32..2_200, 0u8..24), 1..256),
         ) {
             let mut fam = PeerKnownSet::new();
             let mut models: Vec<KnownSet<u32>> = Vec::new();
@@ -882,43 +1180,42 @@ mod peer_family_proptests {
                     // Register a peer (cap from the key operand). Bounded
                     // to 8 concurrent peers: widening the row word-width
                     // with live pages is outside the API contract.
-                    let cap = 1 + (key as usize) % 5;
+                    let cap = CAPS[key as usize % CAPS.len()];
                     prop_assert_eq!(fam.add_peer(cap), models.len());
                     models.push(KnownSet::with_capacity(cap));
-                } else if kind == 1 && !models.is_empty() {
+                } else if kind == 1 {
                     let pos = pos % models.len();
                     fam.remove_peer(pos);
                     models.swap_remove(pos);
+                } else if kind == 2 && key % 8 == 0 {
+                    fam.clear();
+                    models.clear();
                 } else {
+                    // Runs of consecutive keys fill and cross chunks far
+                    // more often than independent draws would.
                     let pos = pos % models.len();
-                    prop_assert_eq!(fam.insert(pos, key), models[pos].insert(key));
+                    for key in key..key + u32::from(kind) {
+                        prop_assert_eq!(fam.insert(pos, key), models[pos].insert(key));
+                    }
                 }
+                fam.audit();
                 prop_assert_eq!(fam.peers(), models.len());
             }
-            for (pos, model) in models.iter().enumerate() {
-                prop_assert_eq!(fam.len_of(pos), model.len());
-                for probe in (0..2_200).step_by(11) {
-                    prop_assert_eq!(
-                        fam.contains(pos, probe),
-                        model.contains(probe),
-                        "probe ({}, {})",
-                        pos,
-                        probe
-                    );
-                }
-            }
+            assert_membership_agrees(&fam, &models, 2_300, 11);
         }
 
         /// `clear` + re-registration behaves exactly like a fresh family
         /// (the sweep-worker reuse path).
         #[test]
         fn peer_family_reuse_matches_fresh(
+            cap in 0usize..CAPS.len(),
             first in proptest::collection::vec((0usize..4, 0u32..2_000), 0..128),
             second in proptest::collection::vec((0usize..4, 0u32..2_000), 0..128),
         ) {
+            let cap = CAPS[cap];
             let mut reused = PeerKnownSet::new();
             for _ in 0..4 {
-                reused.add_peer(3);
+                reused.add_peer(cap);
             }
             for &(pos, key) in &first {
                 reused.insert(pos, key);
@@ -926,12 +1223,13 @@ mod peer_family_proptests {
             reused.clear();
             let mut fresh = PeerKnownSet::new();
             for _ in 0..4 {
-                reused.add_peer(3);
-                fresh.add_peer(3);
+                reused.add_peer(cap);
+                fresh.add_peer(cap);
             }
             for &(pos, key) in &second {
                 prop_assert_eq!(reused.insert(pos, key), fresh.insert(pos, key));
             }
+            reused.audit();
             for pos in 0..4 {
                 prop_assert_eq!(reused.len_of(pos), fresh.len_of(pos));
                 for probe in (0..2_000).step_by(7) {

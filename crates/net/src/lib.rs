@@ -34,6 +34,6 @@ pub mod topology;
 pub use config::{NetConfig, TxRelayPolicy};
 pub use headerview::HeaderView;
 pub use message::{AnnounceList, Message, TxBatch};
-pub use node::{ImportAction, LinkError, Node, Send};
+pub use node::{GossipScratch, ImportAction, LinkError, Node, Send};
 pub use shard::{RemoteEvent, RemoteEventKind, ShardMap};
 pub use topology::Topology;

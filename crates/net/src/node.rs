@@ -18,12 +18,14 @@
 //!   flat probe table of packed `(NodeId, position)` words kept at most
 //!   half full (`2 × degree` slots, a few cache lines), so the lookup is
 //!   O(1) without a table as wide as the id space;
-//! - per-peer known-block sets are a position-indexed slab of flat probe
-//!   tables ([`DenseKnownSet`]);
-//! - transaction knowledge is one key-major bitmap family
-//!   ([`PeerKnownSet`]) whose position 0 is the node's own "seen" bit and
-//!   whose position `p + 1` is peer `p`: a delivery's seen-check, the
-//!   sender's known-bit and the relay fan-out all land in the same row.
+//! - what each peer is known to have is two key-major bitmap families
+//!   ([`PeerKnownSet`]), one keyed by [`BlockIdx`] with peer `p` at
+//!   position `p`, one keyed by [`TxIdx`] whose position 0 is the node's
+//!   own "seen" bit and whose position `p + 1` is peer `p`: a delivery's
+//!   seen-check, the sender's known-bit and the relay fan-out all land in
+//!   the same row, and each family's eviction queues are chains of
+//!   chunks in one pool, so a node's whole gossip state is a handful of
+//!   allocations however many peers it has.
 //!
 //! What that guarantees: the gossip bookkeeping itself — who knows what,
 //! what is being fetched, what awaits import — holds no hash map, keyed
@@ -41,14 +43,16 @@
 //! recycles one buffer across all events), message payloads inline their
 //! one-or-two ids
 //! ([`crate::message::AnnounceList`]/[`crate::message::TxBatch`]), and
-//! all intermediate candidate lists live in per-node scratch buffers.
+//! all intermediate candidate lists live in one caller-owned
+//! [`GossipScratch`] passed beside that buffer — they hold nothing between
+//! calls, so a copy per node would only be ten thousand cold allocations.
 
 use std::sync::Arc;
 
 use ethmeter_chain::block::Block;
 use ethmeter_chain::consensus::Consensus;
-use ethmeter_chain::tx::Transaction;
 use ethmeter_chain::uncles::UnclePolicy;
+use ethmeter_chain::TxRegistry;
 use ethmeter_geo::BandwidthClass;
 use ethmeter_sim::Xoshiro256;
 use ethmeter_types::{BlockHash, BlockIdx, NodeId, Region, TxId, TxIdx};
@@ -81,6 +85,23 @@ pub enum ImportAction {
 struct FetchState {
     announcers: Vec<NodeId>,
     tried: usize,
+}
+
+/// Candidate lists of one handler call, owned by the driver and shared by
+/// every node (cleared before use; nothing survives a call).
+#[derive(Debug, Default)]
+pub struct GossipScratch {
+    /// Relay candidates as `(position, peer)` pairs — the peer's slab
+    /// position for blocks, its known-tx family position for
+    /// transactions. Carrying the position avoids a peer-index lookup per
+    /// send in the fan-out loops.
+    targets: Vec<(u32, NodeId)>,
+    /// The sampled subset of `targets` under a √ fan-out.
+    picks: Vec<(u32, NodeId)>,
+    /// Sampled fan-out indices into `targets`.
+    sampled: Vec<usize>,
+    /// `(slot, id)` of a batch's fresh transactions.
+    fresh: Vec<(TxIdx, TxId)>,
 }
 
 /// The node's own position in its known-tx family; peer `p` is at
@@ -196,14 +217,15 @@ pub struct Node {
     /// Position of each peer in `peers` (slab key for the per-peer state
     /// below).
     peer_index: PeerIndex,
-    /// Per-peer known-block sets, by peer position, keyed by [`BlockIdx`].
-    peer_known_blocks: Vec<DenseKnownSet>,
-    /// Known-tx sets keyed by [`TxIdx`] — one key-major bitmap family
-    /// (see [`PeerKnownSet`]) holding the transactions this node has seen
-    /// at [`SELF_TX_POS`] and what each peer is known to have at
-    /// [`tx_pos`]: a delivery checks the first and floods the rest for
-    /// the same recent key, so the shared row keeps all of it on one hot
-    /// cache line.
+    /// Known-block sets keyed by [`BlockIdx`] — one family (see
+    /// [`PeerKnownSet`]: a key-major bitmap plus one pool of FIFO chunks)
+    /// with each peer at its slab position.
+    known_blocks: PeerKnownSet,
+    /// Known-tx sets keyed by [`TxIdx`] — a second family holding the
+    /// transactions this node has seen at [`SELF_TX_POS`] and what each
+    /// peer is known to have at [`tx_pos`]: a delivery checks the first
+    /// and floods the rest for the same recent key, so the shared row
+    /// keeps all of it on one hot cache line.
     known_txs: PeerKnownSet,
     chain: HeaderView,
     /// Blocks whose body this node holds (or is importing), keyed by
@@ -219,17 +241,6 @@ pub struct Node {
     /// A cleared mempool parked here across [`Node::reset`] so a node
     /// that is a gateway again next campaign reuses the allocation.
     spare_mempool: Option<Mempool>,
-    /// Reusable relay-candidate buffer of `(position, peer)` pairs — the
-    /// peer's slab position for blocks, its known-tx family position for
-    /// transactions (cleared per call; never observable). Carrying the
-    /// position avoids a peer-index lookup per send in the fan-out loops.
-    scratch: Vec<(u32, NodeId)>,
-    /// Second reusable buffer for fanout sampling (swapped with `scratch`).
-    scratch_picks: Vec<(u32, NodeId)>,
-    /// Reusable buffer for sampled fan-out indices.
-    scratch_idx: Vec<usize>,
-    /// Reusable `(slot, id)` buffer of fresh transactions per batch.
-    scratch_fresh: Vec<(TxIdx, TxId)>,
 }
 
 impl Node {
@@ -249,7 +260,7 @@ impl Node {
             bandwidth,
             peers: Vec::new(),
             peer_index: PeerIndex::default(),
-            peer_known_blocks: Vec::new(),
+            known_blocks: PeerKnownSet::new(),
             known_txs: {
                 let mut family = PeerKnownSet::new();
                 family.add_peer(cfg.known_txs_cap);
@@ -261,19 +272,14 @@ impl Node {
             fetching: Vec::new(),
             mempool: None,
             spare_mempool: None,
-            scratch: Vec::new(),
-            scratch_picks: Vec::new(),
-            scratch_idx: Vec::new(),
-            scratch_fresh: Vec::new(),
         }
     }
 
     /// Rewinds the node to the state `Node::new(id, region, bandwidth,
     /// genesis, cfg, consensus)` would build, keeping every allocation:
-    /// peer slabs, per-peer known-set tables (reused by the next
-    /// [`Node::try_add_link`] calls), the header view's maps, and the
-    /// mempool (if re-enabled). Campaign-over-campaign behavior is
-    /// identical to a fresh node.
+    /// peer slabs, the known-set families' chunk pools, the header view's
+    /// maps, and the mempool (if re-enabled). Campaign-over-campaign
+    /// behavior is identical to a fresh node.
     pub fn reset(
         &mut self,
         id: NodeId,
@@ -288,9 +294,7 @@ impl Node {
         self.bandwidth = bandwidth;
         self.peers.clear();
         self.peer_index.clear();
-        // peer_known_blocks intentionally keeps its (stale) sets;
-        // `try_add_link` re-initializes slot `pos` before `peers` grows
-        // past it, so stale state is never reachable.
+        self.known_blocks.clear();
         self.known_txs.clear();
         self.known_txs.add_peer(cfg.known_txs_cap);
         self.chain.reset_with(genesis, cfg.header_window, consensus);
@@ -301,10 +305,6 @@ impl Node {
             pool.clear();
             self.spare_mempool = Some(pool);
         }
-        self.scratch.clear();
-        self.scratch_picks.clear();
-        self.scratch_idx.clear();
-        self.scratch_fresh.clear();
     }
 
     /// The node's id.
@@ -360,16 +360,13 @@ impl Node {
         let pos = self.peers.len();
         self.peers.push(peer);
         self.peer_index.push(&self.peers);
-        // Reuse a known-set left behind by `reset`, if one exists at this
-        // slab position; otherwise grow the slab.
-        match self.peer_known_blocks.get_mut(pos) {
-            Some(set) => set.reset(cfg.known_blocks_cap),
-            None => self
-                .peer_known_blocks
-                .push(DenseKnownSet::with_capacity(cfg.known_blocks_cap)),
-        }
+        let block_pos = self.known_blocks.add_peer(cfg.known_blocks_cap);
         let registered = self.known_txs.add_peer(cfg.known_txs_cap);
-        debug_assert_eq!(registered, tx_pos(pos), "peer slabs advance in lockstep");
+        debug_assert_eq!(
+            (block_pos, registered),
+            (pos, tx_pos(pos)),
+            "peer slabs advance in lockstep"
+        );
         Ok(())
     }
 
@@ -380,7 +377,7 @@ impl Node {
     }
 
     /// Tears down the link to `peer`, dropping its per-link gossip state
-    /// (known-blocks set, known-txs bits) without disturbing any other
+    /// (known-blocks and known-txs bits) without disturbing any other
     /// link's state. Returns `false` if no such link exists.
     ///
     /// In-flight fetch/announce bookkeeping may still name the departed
@@ -390,14 +387,9 @@ impl Node {
         let Some(pos) = self.pos_of(peer) else {
             return false;
         };
-        let last = self.peers.len() - 1;
         self.peers.swap_remove(pos);
         self.peer_index.rebuild(&self.peers);
-        // Park the severed link's (now stale) block set at the slab tail
-        // for reuse by a future `try_add_link` — the same reuse contract
-        // `reset` relies on; `try_add_link` re-initializes slot `pos`
-        // before `peers` grows past it.
-        self.peer_known_blocks.swap(pos, last);
+        self.known_blocks.remove_peer(pos);
         self.known_txs.remove_peer(tx_pos(pos));
         true
     }
@@ -408,8 +400,8 @@ impl Node {
     }
 
     /// Heap bytes held by this node's gossip state: the peer slabs and
-    /// index, the per-peer known-block tables, the known-tx family (pages
-    /// and order queues) and the body set. A diagnostic for the layout
+    /// index, the known-block and known-tx families (bitmap pages, chunk
+    /// pools and cursors) and the body set. A diagnostic for the layout
     /// contract in the module doc — it must track the node's degree and
     /// gossip window, not the network's size. The header view and the
     /// mempool are not counted.
@@ -417,12 +409,7 @@ impl Node {
         use std::mem::size_of;
         self.peers.capacity() * size_of::<NodeId>()
             + self.peer_index.heap_bytes()
-            + self.peer_known_blocks.capacity() * size_of::<DenseKnownSet>()
-            + self
-                .peer_known_blocks
-                .iter()
-                .map(DenseKnownSet::heap_bytes)
-                .sum::<usize>()
+            + self.known_blocks.heap_bytes()
             + self.known_txs.heap_bytes()
             + self.have_body.heap_bytes()
     }
@@ -436,13 +423,8 @@ impl Node {
     #[inline]
     fn mark_peer_knows_block(&mut self, peer: NodeId, idx: BlockIdx) {
         if let Some(p) = self.pos_of(peer) {
-            self.peer_known_blocks[p].insert(idx.raw());
+            self.known_blocks.insert(p, idx.raw());
         }
-    }
-
-    #[inline]
-    fn peer_knows_block(&self, pos: usize, idx: BlockIdx) -> bool {
-        self.peer_known_blocks[pos].contains(idx.raw())
     }
 
     #[inline]
@@ -464,6 +446,7 @@ impl Node {
     /// `idx` is the block's campaign-interned slot (from the driver's
     /// registry). Appends the immediate relays (full-block pushes to
     /// √(peers)) to `out` and returns whether to schedule an import.
+    #[allow(clippy::too_many_arguments)]
     pub fn on_block_arrival(
         &mut self,
         from: Option<NodeId>,
@@ -471,6 +454,7 @@ impl Node {
         idx: BlockIdx,
         cfg: &NetConfig,
         rng: &mut Xoshiro256,
+        scratch: &mut GossipScratch,
         out: &mut Vec<Send>,
     ) -> ImportAction {
         let hash = block.hash();
@@ -496,27 +480,29 @@ impl Node {
         let relay = improves || (cfg.relay_non_head && recent);
 
         if relay {
-            self.scratch.clear();
+            let GossipScratch {
+                targets, sampled, ..
+            } = scratch;
+            targets.clear();
             for pos in 0..self.peers.len() {
                 let p = self.peers[pos];
-                if Some(p) != from && !self.peer_knows_block(pos, idx) {
-                    self.scratch.push((pos as u32, p));
+                if Some(p) != from && !self.known_blocks.contains(pos, idx.raw()) {
+                    targets.push((pos as u32, p));
                 }
             }
             // Locally produced blocks (miner gateways) are pushed to every
             // peer: pool gateway software floods its own blocks to minimize
             // orphan risk, unlike vanilla Geth's sqrt relay.
             let fanout = if from.is_none() {
-                self.scratch.len()
+                targets.len()
             } else {
-                cfg.push_fanout(self.peers.len()).min(self.scratch.len())
+                cfg.push_fanout(self.peers.len()).min(targets.len())
             };
-            let n_candidates = self.scratch.len();
-            rng.sample_indices_into(n_candidates, fanout, &mut self.scratch_idx);
-            out.reserve(self.scratch_idx.len());
-            for t in 0..self.scratch_idx.len() {
-                let (pos, peer) = self.scratch[self.scratch_idx[t]];
-                self.peer_known_blocks[pos as usize].insert(idx.raw());
+            rng.sample_indices_into(targets.len(), fanout, sampled);
+            out.reserve(sampled.len());
+            for &t in sampled.iter() {
+                let (pos, peer) = targets[t];
+                self.known_blocks.insert(pos as usize, idx.raw());
                 out.push(Send {
                     to: peer,
                     msg: Message::NewBlock(hash),
@@ -618,14 +604,14 @@ impl Node {
     /// chain view, prunes the mempool, and announces to unknowing peers
     /// (appended to `out`).
     ///
-    /// `included` must be the block's transactions (resolved by the driver
-    /// from its registry). Returns true if the block became the node's
-    /// head.
+    /// `txs` is the driver's registry, which resolves the block's
+    /// transactions when a mempool has to be pruned. Returns true if the
+    /// block became the node's head.
     pub fn on_import_complete(
         &mut self,
         block: &Block,
         idx: BlockIdx,
-        included: &[&Transaction],
+        txs: &TxRegistry,
         cfg: &NetConfig,
         out: &mut Vec<Send>,
     ) -> bool {
@@ -655,7 +641,7 @@ impl Node {
 
         if let Some(pool) = self.mempool.as_mut() {
             if new_head {
-                pool.on_block(included.iter().copied());
+                pool.on_block(block.txs().iter().filter_map(|&id| txs.get(id)));
             }
         }
 
@@ -666,10 +652,11 @@ impl Node {
         let recent = block.number() + cfg.relay_window > head_number;
         if new_head || (cfg.relay_non_head && recent) {
             for pos in 0..self.peers.len() {
-                if self.peer_knows_block(pos, idx) {
+                // One fused probe: `insert` is a no-op on a peer that
+                // already knows the block.
+                if !self.known_blocks.insert(pos, idx.raw()) {
                     continue;
                 }
-                self.peer_known_blocks[pos].insert(idx.raw());
                 out.push(Send {
                     to: self.peers[pos],
                     msg: Message::Announce(AnnounceList::one(hash)),
@@ -680,71 +667,76 @@ impl Node {
     }
 
     /// Handles a batch of transactions (`from = None` for local
-    /// submissions injected by the workload). Entries pair each
-    /// transaction with its interned slot.
+    /// submissions injected by the workload), given by id and resolved
+    /// against the driver's registry `txs`; ids it never issued are
+    /// skipped.
     ///
     /// Appends the relays to `out`. Fresh transactions are added to the
     /// mempool if one is enabled.
+    #[allow(clippy::too_many_arguments)]
     pub fn on_transactions(
         &mut self,
         from: Option<NodeId>,
-        txs: &[(TxIdx, &Transaction)],
+        ids: &[TxId],
+        txs: &TxRegistry,
         cfg: &NetConfig,
         rng: &mut Xoshiro256,
+        scratch: &mut GossipScratch,
         out: &mut Vec<Send>,
     ) {
+        let GossipScratch {
+            targets,
+            picks,
+            sampled,
+            fresh,
+        } = scratch;
         let from_pos = from.and_then(|p| self.pos_of(p));
-        // The fresh list lives in a node-owned buffer; take/restore keeps
-        // the allocation across calls while the mempool borrow is live.
-        let mut fresh = std::mem::take(&mut self.scratch_fresh);
         fresh.clear();
-        for &(idx, tx) in txs {
+        for &id in ids {
+            let Some(idx) = txs.idx_of(id) else {
+                continue;
+            };
             if let Some(p) = from_pos {
                 self.known_txs.insert(tx_pos(p), idx.raw());
             }
             if self.known_txs.insert(SELF_TX_POS, idx.raw()) {
-                fresh.push((idx, tx.id));
+                fresh.push((idx, id));
                 if let Some(pool) = self.mempool.as_mut() {
-                    pool.add(tx);
+                    pool.add(txs.by_idx(idx));
                 }
             }
         }
         if fresh.is_empty() {
-            self.scratch_fresh = fresh;
             return;
         }
-        // Choose relay targets (into the scratch buffer, so the common
-        // all-peers case allocates nothing), each with its position in
-        // the known-tx family.
-        self.scratch.clear();
+        // Choose relay targets, each with its position in the known-tx
+        // family.
+        targets.clear();
         for pos in 0..self.peers.len() {
             let p = self.peers[pos];
             if Some(p) != from {
-                self.scratch.push((tx_pos(pos) as u32, p));
+                targets.push((tx_pos(pos) as u32, p));
             }
         }
-        if cfg.tx_relay == TxRelayPolicy::Sqrt {
-            let fanout = cfg.push_fanout(self.peers.len()).min(self.scratch.len());
-            let n_candidates = self.scratch.len();
-            rng.sample_indices_into(n_candidates, fanout, &mut self.scratch_idx);
-            // Gather into the second persistent buffer and swap, keeping
-            // both allocations alive across calls (picks may reference
-            // positions in any order, so in-place compaction is unsafe).
-            self.scratch_picks.clear();
-            for t in 0..self.scratch_idx.len() {
-                self.scratch_picks.push(self.scratch[self.scratch_idx[t]]);
-            }
-            std::mem::swap(&mut self.scratch, &mut self.scratch_picks);
-        }
+        let targets = if cfg.tx_relay == TxRelayPolicy::Sqrt {
+            let fanout = cfg.push_fanout(self.peers.len()).min(targets.len());
+            rng.sample_indices_into(targets.len(), fanout, sampled);
+            // Picks may reference positions in any order, so they are
+            // gathered into a second buffer rather than compacted in place.
+            picks.clear();
+            picks.extend(sampled.iter().map(|&t| targets[t]));
+            picks
+        } else {
+            targets
+        };
         // `insert` returning true ⟺ the peer did not know the tx, so one
         // fused probe replaces the old contains-then-insert pair; the set
         // state afterwards is identical (duplicate inserts are no-ops).
-        out.reserve(self.scratch.len());
+        out.reserve(targets.len());
         if let [(idx, id)] = fresh[..] {
             // Dominant case: a single fresh transaction — no list
             // materialization, no per-send heap payload.
-            for ti in 0..self.scratch.len() {
-                let (pos, peer) = self.scratch[ti];
+            for &(pos, peer) in targets.iter() {
                 if self.known_txs.insert(pos as usize, idx.raw()) {
                     out.push(Send {
                         to: peer,
@@ -752,11 +744,9 @@ impl Node {
                     });
                 }
             }
-            self.scratch_fresh = fresh;
             return;
         }
-        for ti in 0..self.scratch.len() {
-            let (pos, peer) = self.scratch[ti];
+        for &(pos, peer) in targets.iter() {
             // Small batches inline in the message; only outsized bursts
             // spill to the heap.
             let mut unknown = TxBatch::new();
@@ -777,7 +767,6 @@ impl Node {
                 }),
             }
         }
-        self.scratch_fresh = fresh;
     }
 
     /// Builds a mining template from this gateway's view: parent (current
@@ -817,6 +806,7 @@ mod tests {
     use super::*;
     use ethmeter_chain::block::BlockBuilder;
     use ethmeter_chain::consensus::ConsensusKind;
+    use ethmeter_chain::tx::Transaction;
     use ethmeter_chain::BlockRegistry;
     use ethmeter_types::{AccountId, ByteSize, PoolId, SimTime};
     use std::collections::HashSet;
@@ -863,17 +853,23 @@ mod tests {
         reg.insert(block.clone())
     }
 
-    fn tx(id: u64, origin: u32) -> Transaction {
-        Transaction {
-            id: TxId(id),
-            sender: AccountId(1),
-            nonce: 0,
-            gas_price: 5,
-            gas: 21_000,
-            size: ByteSize::from_bytes(180),
-            submitted_at: SimTime::ZERO,
-            origin: NodeId(origin),
+    /// A registry holding transactions `TxId(1)..=TxId(n)`, interned the
+    /// way the driver does at submission time.
+    fn tx_registry(n: u64) -> TxRegistry {
+        let mut reg = TxRegistry::new();
+        for id in 1..=n {
+            reg.insert(Transaction {
+                id: TxId(id),
+                sender: AccountId(1),
+                nonce: id - 1,
+                gas_price: 5,
+                gas: 21_000,
+                size: ByteSize::from_bytes(180),
+                submitted_at: SimTime::ZERO,
+                origin: NodeId(0),
+            });
         }
+        reg
     }
 
     /// Out-buffer wrappers so assertions read like the old value-returning
@@ -887,7 +883,15 @@ mod tests {
         rng: &mut Xoshiro256,
     ) -> (Vec<Send>, ImportAction) {
         let mut sends = Vec::new();
-        let action = n.on_block_arrival(from, b, idx, c, rng, &mut sends);
+        let action = n.on_block_arrival(
+            from,
+            b,
+            idx,
+            c,
+            rng,
+            &mut GossipScratch::default(),
+            &mut sends,
+        );
         (sends, action)
     }
 
@@ -895,11 +899,11 @@ mod tests {
         n: &mut Node,
         b: &Block,
         idx: BlockIdx,
-        included: &[&Transaction],
+        txs: &TxRegistry,
         c: &NetConfig,
     ) -> (Vec<Send>, bool) {
         let mut sends = Vec::new();
-        let new_head = n.on_import_complete(b, idx, included, c, &mut sends);
+        let new_head = n.on_import_complete(b, idx, txs, c, &mut sends);
         (sends, new_head)
     }
 
@@ -924,12 +928,21 @@ mod tests {
     fn transactions(
         n: &mut Node,
         from: Option<NodeId>,
-        txs: &[(TxIdx, &Transaction)],
+        ids: &[TxId],
+        txs: &TxRegistry,
         c: &NetConfig,
         rng: &mut Xoshiro256,
     ) -> Vec<Send> {
         let mut sends = Vec::new();
-        n.on_transactions(from, txs, c, rng, &mut sends);
+        n.on_transactions(
+            from,
+            ids,
+            txs,
+            c,
+            rng,
+            &mut GossipScratch::default(),
+            &mut sends,
+        );
         sends
     }
 
@@ -964,7 +977,15 @@ mod tests {
             to: NodeId(7),
             msg: Message::GetBlock(BlockHash(1234)),
         }];
-        n.on_block_arrival(Some(NodeId(1)), &b, idx, &cfg(), &mut rng(), &mut sends);
+        n.on_block_arrival(
+            Some(NodeId(1)),
+            &b,
+            idx,
+            &cfg(),
+            &mut rng(),
+            &mut GossipScratch::default(),
+            &mut sends,
+        );
         assert_eq!(sends[0].to, NodeId(7), "pre-existing entry untouched");
         assert_eq!(sends.len(), 6);
     }
@@ -991,7 +1012,7 @@ mod tests {
         let c = cfg();
         let (pushes, _) = arrive(&mut n, Some(NodeId(1)), &b, idx, &c, &mut rng());
         let pushed_to: HashSet<NodeId> = pushes.iter().map(|s| s.to).collect();
-        let (sends, new_head) = import(&mut n, &b, idx, &[], &c);
+        let (sends, new_head) = import(&mut n, &b, idx, &TxRegistry::new(), &c);
         assert!(new_head);
         // Announcements go to everyone who neither sent nor received it.
         let announced: HashSet<NodeId> = sends.iter().map(|s| s.to).collect();
@@ -1070,7 +1091,7 @@ mod tests {
         let i2 = intern(&mut reg, &b2);
         let (_, action) = arrive(&mut n, Some(NodeId(3)), &b2, i2, &c, &mut rng());
         assert!(matches!(action, ImportAction::Schedule(_)));
-        let (sends, new_head) = import(&mut n, &b2, i2, &[], &c);
+        let (sends, new_head) = import(&mut n, &b2, i2, &TxRegistry::new(), &c);
         assert!(!new_head);
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].to, NodeId(3));
@@ -1081,14 +1102,14 @@ mod tests {
     fn transactions_relay_to_all_unknowing_peers() {
         let mut n = node(99, 6);
         let c = cfg();
-        let t1 = tx(1, 0);
-        let sends = transactions(&mut n, Some(NodeId(1)), &[(TxIdx(0), &t1)], &c, &mut rng());
+        let txs = tx_registry(1);
+        let sends = transactions(&mut n, Some(NodeId(1)), &[TxId(1)], &txs, &c, &mut rng());
         // 5 peers other than the sender.
         assert_eq!(sends.len(), 5);
         // Replay: nothing fresh, nothing sent.
-        assert!(
-            transactions(&mut n, Some(NodeId(2)), &[(TxIdx(0), &t1)], &c, &mut rng()).is_empty()
-        );
+        assert!(transactions(&mut n, Some(NodeId(2)), &[TxId(1)], &txs, &c, &mut rng()).is_empty());
+        // An id the registry never issued is skipped.
+        assert!(transactions(&mut n, Some(NodeId(2)), &[TxId(7)], &txs, &c, &mut rng()).is_empty());
     }
 
     #[test]
@@ -1096,8 +1117,7 @@ mod tests {
         let mut n = node(99, 25);
         let mut c = cfg();
         c.tx_relay = TxRelayPolicy::Sqrt;
-        let t2 = tx(2, 0);
-        let sends = transactions(&mut n, None, &[(TxIdx(1), &t2)], &c, &mut rng());
+        let sends = transactions(&mut n, None, &[TxId(2)], &tx_registry(2), &c, &mut rng());
         assert_eq!(sends.len(), 5); // sqrt(25) = 5
     }
 
@@ -1105,11 +1125,11 @@ mod tests {
     fn tx_batches_relay_inline() {
         let mut n = node(99, 4);
         let c = cfg();
-        let (t1, t2) = (tx(1, 0), tx(2, 0));
         let sends = transactions(
             &mut n,
             Some(NodeId(1)),
-            &[(TxIdx(0), &t1), (TxIdx(1), &t2)],
+            &[TxId(1), TxId(2)],
+            &tx_registry(2),
             &c,
             &mut rng(),
         );
@@ -1131,8 +1151,8 @@ mod tests {
         let mut n = node(99, 3);
         n.enable_mempool();
         let c = cfg();
-        let tx0 = tx(1, 99);
-        transactions(&mut n, None, &[(TxIdx(0), &tx0)], &c, &mut rng());
+        let registry = tx_registry(1);
+        transactions(&mut n, None, &[TxId(1)], &registry, &c, &mut rng());
         assert_eq!(n.mempool().expect("enabled").len(), 1);
 
         let (parent, number, uncles, txs) = n.mine_template(UnclePolicy::Standard, 8_000_000);
@@ -1147,7 +1167,7 @@ mod tests {
             .build();
         let idx = intern(&mut reg, &b);
         arrive(&mut n, None, &b, idx, &c, &mut rng());
-        let (_, new_head) = import(&mut n, &b, idx, &[&tx0], &c);
+        let (_, new_head) = import(&mut n, &b, idx, &registry, &c);
         assert!(new_head);
         assert_eq!(n.mempool().expect("enabled").len(), 0);
     }
@@ -1177,7 +1197,7 @@ mod tests {
             parent = b.hash();
             let idx = intern(&mut reg, &b);
             arrive(&mut n, Some(NodeId(1)), &b, idx, &c, &mut rng());
-            import(&mut n, &b, idx, &[], &c);
+            import(&mut n, &b, idx, &TxRegistry::new(), &c);
         }
         assert_eq!(n.chain().head_number(), 10);
         // A late fork block at height 1 does not improve the head and is
@@ -1217,15 +1237,9 @@ mod tests {
         let b = block1();
         let idx = intern(&mut reg, &b);
         arrive(&mut used, Some(NodeId(1)), &b, idx, &c, &mut rng_a);
-        import(&mut used, &b, idx, &[], &c);
-        let t1 = tx(1, 0);
-        transactions(
-            &mut used,
-            Some(NodeId(2)),
-            &[(TxIdx(0), &t1)],
-            &c,
-            &mut rng_a,
-        );
+        import(&mut used, &b, idx, &TxRegistry::new(), &c);
+        let txs = tx_registry(9);
+        transactions(&mut used, Some(NodeId(2)), &[TxId(1)], &txs, &c, &mut rng_a);
 
         // ...then reset it and wire the same topology as a fresh twin.
         used.reset(
@@ -1258,10 +1272,9 @@ mod tests {
         let (s_fresh, a_fresh) = arrive(&mut fresh, Some(NodeId(1)), &b2, i2, &c, &mut r2);
         assert_eq!(s_used, s_fresh);
         assert_eq!(a_used, a_fresh);
-        let t9 = tx(9, 0);
         assert_eq!(
-            transactions(&mut used, Some(NodeId(3)), &[(TxIdx(5), &t9)], &c, &mut r1),
-            transactions(&mut fresh, Some(NodeId(3)), &[(TxIdx(5), &t9)], &c, &mut r2),
+            transactions(&mut used, Some(NodeId(3)), &[TxId(9)], &txs, &c, &mut r1),
+            transactions(&mut fresh, Some(NodeId(3)), &[TxId(9)], &txs, &c, &mut r2),
         );
     }
 
@@ -1306,12 +1319,13 @@ mod tests {
         let b = block1();
         let idx = intern(&mut reg, &b);
         arrive(&mut churned, Some(NodeId(1)), &b, idx, &c, &mut rng_a);
-        import(&mut churned, &b, idx, &[], &c);
-        let t1 = tx(1, 0);
+        import(&mut churned, &b, idx, &TxRegistry::new(), &c);
+        let txs = tx_registry(2);
         transactions(
             &mut churned,
             Some(NodeId(1)),
-            &[(TxIdx(0), &t1)],
+            &[TxId(1)],
+            &txs,
             &c,
             &mut rng_a,
         );
@@ -1324,8 +1338,7 @@ mod tests {
         churned.on_announce(NodeId(3), &[(b.hash(), idx)], &mut sends);
         // (peer 3 announced; nothing for peer 1 here — the real probe is
         // the tx relay below, which consults the known-txs family.)
-        let t2 = tx(2, 0);
-        let relays = transactions(&mut churned, None, &[(TxIdx(1), &t2)], &c, &mut rng_a);
+        let relays = transactions(&mut churned, None, &[TxId(2)], &txs, &c, &mut rng_a);
         assert!(
             relays.iter().any(|s| s.to == NodeId(1)),
             "re-dialed link must have forgotten nothing-known state"
