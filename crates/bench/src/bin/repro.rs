@@ -3,52 +3,30 @@
 //! ```text
 //! repro [EXPERIMENT] [--preset tiny|small|medium|paper|planet] [--seed N]
 //!       [--shards N] [--spill-dir DIR] [--budget BYTES] [--json]
+//! repro --list
+//! ```
 //!
-//! EXPERIMENT:
-//!   all        every experiment (default)
-//!   table1     measurement infrastructure
-//!   fig1       block propagation delay PDF
-//!   table2     redundant block receptions
-//!   fig2       first observations per vantage
-//!   fig3       first observations per origin pool
-//!   fig4       inclusion + confirmation CDFs
-//!   fig5       in-order vs out-of-order commit delay
-//!   fig6       empty blocks per pool
-//!   table3     fork census + one-miner forks
-//!   fig7       consecutive-block sequences (campaign + 201k-block month)
-//!   rewards    per-pool revenue share vs hash-power share
-//!   decentralization  Nakamoto / Gini / HHI over hash power, block
-//!              production, first observation, and revenue (--json emits
-//!              the machine-readable table)
-//!   security   §III-D whole-chain sequence scan (7.7M blocks)
-//!   ablation   §V uncle-policy ablation
-//!   selfish    selfish-mining profitability thresholds (α × γ grid;
-//!              --json emits the machine-readable surface)
-//!   dynamics   eclipse-attack reorg-depth tail: a 30%-hash-power victim
-//!              pool is eclipsed for a quarter of the campaign and the
-//!              P(revert ≥ k) table for k ∈ 1..=12 is printed (--json
-//!              emits the ethmeter-reorg/v1 document)
-//!   forkchoice the same campaign replayed under every consensus engine
-//!              (heaviest, longest, uncle-weighted GHOST) — head, reorg
-//!              count, and safe/finalized markers per engine (--json
-//!              emits the ethmeter-forkchoice/v1 document)
+//! EXPERIMENT is `all` (the default) or one name from `repro --list`,
+//! which prints the [`EXPERIMENTS`] table: the single place an experiment
+//! is declared, driving the usage text, `--list`, `all` and dispatch.
 //!
 //! The preset scales the campaign for campaign-backed experiments and the
 //! α × γ grid density for `selfish`. `--shards` runs the campaign on the
 //! sharded parallel engine; `--spill-dir` + `--budget` bound the
 //! measurement heap by spilling observer logs to columnar segments under
-//! DIR (bit-identical reports to the in-memory path).
-//! ```
+//! DIR (bit-identical reports to the in-memory path). `--json` switches
+//! the experiments that have a machine-readable form to it.
 
 use std::process::ExitCode;
 
-use ethmeter_bench::repro_scenario;
 use ethmeter_core::experiments::{self, Suite};
-use ethmeter_core::{run_campaign, Preset, Scenario};
+use ethmeter_core::types::{PoolId, SimDuration};
+use ethmeter_core::{analysis, run_campaign, Preset, Scenario};
 use ethmeter_measure::CampaignData;
 
 struct Args {
     experiment: String,
+    list: bool,
     preset: Preset,
     seed: u64,
     shards: usize,
@@ -65,10 +43,12 @@ fn parse_args() -> Result<Args, String> {
     let mut spill_dir = None;
     let mut budget = None;
     let mut json = false;
+    let mut list = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--json" => json = true,
+            "--list" => list = true,
             "--preset" => {
                 let v = argv.next().ok_or("--preset needs a value")?;
                 preset = match v.as_str() {
@@ -113,6 +93,7 @@ fn parse_args() -> Result<Args, String> {
     }
     Ok(Args {
         experiment,
+        list,
         preset,
         seed,
         shards,
@@ -143,6 +124,16 @@ fn selfish_report(preset: Preset, seed: u64) -> experiments::SelfishThresholdRep
     experiments::selfish_threshold(alphas, gammas, seed, seeds, blocks)
 }
 
+/// The scenario `ablation` replays under each uncle policy: small enough
+/// that three campaigns stay quick, large enough that forks occur.
+fn ablation_scenario(seed: u64) -> Scenario {
+    Scenario::builder()
+        .preset(Preset::Tiny)
+        .seed(seed)
+        .duration(SimDuration::from_mins(10))
+        .build()
+}
+
 fn run_suite(scenario: &Scenario) -> (CampaignData, Suite) {
     eprintln!(
         "running campaign: {} ordinary nodes, {} simulated, seed {} ...",
@@ -160,112 +151,153 @@ fn run_suite(scenario: &Scenario) -> (CampaignData, Suite) {
     (outcome.campaign, suite)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!(
-                "usage: repro [EXPERIMENT] [--preset tiny|small|medium|paper|planet] [--seed N] \
-                 [--shards N] [--spill-dir DIR] [--budget BYTES] [--json]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut scenario = repro_scenario(args.preset, args.seed);
-    scenario.shards = args.shards;
-    if let Some(dir) = &args.spill_dir {
-        scenario.spill_dir = Some(dir.clone());
-        if let Some(budget) = args.budget {
-            scenario.measure_budget_bytes = budget;
-        }
+/// How an experiment renders the document `repro NAME` prints.
+enum Run {
+    /// From the shared campaign and its suite (run once, also under
+    /// `all`). Text documents end in a blank line of their own.
+    Shared(fn(&Args, &CampaignData, &Suite) -> String),
+    /// From the preset scenario (with `--seed`, `--shards` and the spill
+    /// flags applied); the flag asks for the `--json` form.
+    Own(fn(&Args, &Scenario, bool) -> String),
+}
+
+/// One row of the experiment table.
+struct Experiment {
+    name: &'static str,
+    summary: &'static str,
+    /// Part of `all`; the two scripted-campaign experiments are not.
+    in_all: bool,
+    run: Run,
+}
+
+/// The `--json` document when asked for, else the text one.
+fn pick(json: bool, text: impl ToString, doc: impl FnOnce() -> String) -> String {
+    if json {
+        doc()
+    } else {
+        text.to_string()
     }
-    let needs_campaign = matches!(
-        args.experiment.as_str(),
-        "all"
-            | "table1"
-            | "fig1"
-            | "table2"
-            | "fig2"
-            | "fig3"
-            | "fig4"
-            | "fig5"
-            | "fig6"
-            | "table3"
-            | "fig7"
-            | "rewards"
-            | "decentralization"
-    );
-    let campaign_and_suite = needs_campaign.then(|| run_suite(&scenario));
+}
 
-    let print_for = |name: &str, campaign: &CampaignData, suite: &Suite| match name {
-        "table1" => println!("{}\n", experiments::table1(campaign)),
-        "fig1" => println!("{}\n", suite.fig1),
-        "table2" => match &suite.table2 {
-            Ok(r) => println!("{r}\n"),
-            Err(e) => println!("Table II unavailable: {e}\n"),
-        },
-        "fig2" => println!("{}\n", suite.fig2),
-        "fig3" => println!("{}\n", suite.fig3),
-        "fig4" => println!("{}\n", suite.fig4),
-        "fig5" => println!("{}\n", suite.fig5),
-        "fig6" => println!("{}\n", suite.fig6),
-        "table3" => println!("{}\n", suite.table3),
-        "rewards" => println!("{}\n", ethmeter_core::analysis::rewards::analyze(campaign)),
-        "decentralization" => {
-            if args.json {
-                println!("{}", suite.decentralization.to_json());
-            } else {
-                println!("{}\n", suite.decentralization);
-            }
-        }
-        "fig7" => {
-            println!("campaign-scale sequences:\n{}\n", suite.fig7);
-            println!(
-                "paper-scale month (201,086 blocks):\n{}\n",
+/// Every experiment, in `all` order.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        summary: "measurement infrastructure",
+        in_all: true,
+        run: Run::Shared(|_, campaign, _| format!("{}\n", experiments::table1(campaign))),
+    },
+    Experiment {
+        name: "fig1",
+        summary: "block propagation delay PDF",
+        in_all: true,
+        run: Run::Shared(|_, _, suite| format!("{}\n", suite.fig1)),
+    },
+    Experiment {
+        name: "table2",
+        summary: "redundant block receptions",
+        in_all: true,
+        run: Run::Shared(|_, _, suite| match &suite.table2 {
+            Ok(r) => format!("{r}\n"),
+            Err(e) => format!("Table II unavailable: {e}\n"),
+        }),
+    },
+    Experiment {
+        name: "fig2",
+        summary: "first observations per vantage",
+        in_all: true,
+        run: Run::Shared(|_, _, suite| format!("{}\n", suite.fig2)),
+    },
+    Experiment {
+        name: "fig3",
+        summary: "first observations per origin pool",
+        in_all: true,
+        run: Run::Shared(|_, _, suite| format!("{}\n", suite.fig3)),
+    },
+    Experiment {
+        name: "fig4",
+        summary: "inclusion + confirmation CDFs",
+        in_all: true,
+        run: Run::Shared(|_, _, suite| format!("{}\n", suite.fig4)),
+    },
+    Experiment {
+        name: "fig5",
+        summary: "in-order vs out-of-order commit delay",
+        in_all: true,
+        run: Run::Shared(|_, _, suite| format!("{}\n", suite.fig5)),
+    },
+    Experiment {
+        name: "fig6",
+        summary: "empty blocks per pool",
+        in_all: true,
+        run: Run::Shared(|_, _, suite| format!("{}\n", suite.fig6)),
+    },
+    Experiment {
+        name: "table3",
+        summary: "fork census + one-miner forks",
+        in_all: true,
+        run: Run::Shared(|_, _, suite| format!("{}\n", suite.table3)),
+    },
+    Experiment {
+        name: "fig7",
+        summary: "consecutive-block sequences (campaign + 201k-block month)",
+        in_all: true,
+        run: Run::Shared(|args, _, suite| {
+            format!(
+                "campaign-scale sequences:\n{}\n\n\
+                 paper-scale month (201,086 blocks):\n{}\n",
+                suite.fig7,
                 experiments::fig7_month(args.seed)
-            );
-        }
-        _ => {}
-    };
-
-    match args.experiment.as_str() {
-        "all" => {
-            let (campaign, suite) = campaign_and_suite.as_ref().expect("campaign ran");
-            for name in [
-                "table1",
-                "fig1",
-                "table2",
-                "fig2",
-                "fig3",
-                "fig4",
-                "fig5",
-                "fig6",
-                "table3",
-                "fig7",
-                "rewards",
-                "decentralization",
-            ] {
-                print_for(name, campaign, suite);
-            }
-            println!("{}\n", experiments::security_whole_chain(args.seed));
-            println!(
-                "{}\n",
-                experiments::ablation_uncle_policy(&ethmeter_bench::bench_scenario(args.seed))
-            );
-            println!("{}", selfish_report(args.preset, args.seed));
-        }
-        "selfish" => {
+            )
+        }),
+    },
+    Experiment {
+        name: "rewards",
+        summary: "per-pool revenue share vs hash-power share",
+        in_all: true,
+        run: Run::Shared(|_, campaign, _| format!("{}\n", analysis::rewards::analyze(campaign))),
+    },
+    Experiment {
+        name: "decentralization",
+        summary: "Nakamoto / Gini / HHI over hash power, block production, \
+                  first observation and revenue (--json: ethmeter-decentralization/v1)",
+        in_all: true,
+        run: Run::Shared(|args, _, suite| {
+            let report = &suite.decentralization;
+            pick(args.json, format!("{report}\n"), || report.to_json())
+        }),
+    },
+    Experiment {
+        name: "security",
+        summary: "§III-D whole-chain sequence scan (7.7M blocks)",
+        in_all: true,
+        run: Run::Own(|args, _, _| experiments::security_whole_chain(args.seed).to_string()),
+    },
+    Experiment {
+        name: "ablation",
+        summary: "§V uncle-policy ablation",
+        in_all: true,
+        run: Run::Own(|args, _, _| {
+            experiments::ablation_uncle_policy(&ablation_scenario(args.seed)).to_string()
+        }),
+    },
+    Experiment {
+        name: "selfish",
+        summary: "selfish-mining profitability thresholds, α × γ grid \
+                  (--json: ethmeter-selfish-threshold/v1)",
+        in_all: true,
+        run: Run::Own(|args, _, json| {
             let report = selfish_report(args.preset, args.seed);
-            if args.json {
-                println!("{}", report.to_json());
-            } else {
-                println!("{report}");
-            }
-        }
-        "dynamics" => {
+            pick(json, &report, || report.to_json())
+        }),
+    },
+    Experiment {
+        name: "dynamics",
+        summary: "eclipse-attack reorg-depth tail: a 30%-hash-power pool eclipsed for a \
+                  quarter of the campaign, P(revert ≥ k) for k ∈ 1..=12 \
+                  (--json: ethmeter-reorg/v1)",
+        in_all: false,
+        run: Run::Own(|_, scenario, json| {
             let mut base = scenario.clone();
             base.pools = experiments::victim_vs_rest_pools(0.3, 2);
             let start = base.duration.mul_f64(0.25);
@@ -275,19 +307,17 @@ fn main() -> ExitCode {
                  seed {} ...",
                 base.seed
             );
-            let report = experiments::eclipse_reorg_report(
-                &base,
-                ethmeter_core::types::PoolId(0),
-                start,
-                window,
-            );
-            if args.json {
-                println!("{}", report.to_json());
-            } else {
-                println!("{report}");
-            }
-        }
-        "forkchoice" => {
+            let report = experiments::eclipse_reorg_report(&base, PoolId(0), start, window);
+            pick(json, &report, || report.to_json())
+        }),
+    },
+    Experiment {
+        name: "forkchoice",
+        summary: "the same campaign replayed under every consensus engine (heaviest, longest, \
+                  uncle-weighted GHOST): head, reorg count, safe/finalized markers \
+                  (--json: ethmeter-forkchoice/v1)",
+        in_all: false,
+        run: Run::Own(|args, scenario, json| {
             let label = match args.preset {
                 Preset::Tiny => "tiny",
                 Preset::Small => "small",
@@ -295,26 +325,104 @@ fn main() -> ExitCode {
                 Preset::PaperScaled => "paper",
                 Preset::Planet => "planet",
             };
-            let report = experiments::forkchoice_compare(&scenario, label);
-            if args.json {
-                println!("{}", report.to_json());
-            } else {
-                println!("{report}");
+            let report = experiments::forkchoice_compare(scenario, label);
+            pick(json, &report, || report.to_json())
+        }),
+    },
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    format!(
+        "usage: repro [EXPERIMENT] [--preset tiny|small|medium|paper|planet] [--seed N] \
+         [--shards N] [--spill-dir DIR] [--budget BYTES] [--json]\n\
+         \x20      repro --list\n\
+         EXPERIMENT: all (default), {}",
+        names.join(", ")
+    )
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(a) => a,
+        Err(msg) => {
+            if !msg.is_empty() {
+                eprintln!("error: {msg}");
             }
-        }
-        "security" => println!("{}", experiments::security_whole_chain(args.seed)),
-        "ablation" => println!(
-            "{}",
-            experiments::ablation_uncle_policy(&ethmeter_bench::bench_scenario(args.seed))
-        ),
-        name if campaign_and_suite.is_some() => {
-            let (campaign, suite) = campaign_and_suite.as_ref().expect("campaign ran");
-            print_for(name, campaign, suite);
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
+    };
+    if args.list {
+        for e in EXPERIMENTS {
+            println!("{:<17} {}", e.name, e.summary);
+        }
+        return ExitCode::SUCCESS;
+    }
+    let all = args.experiment == "all";
+    let selected: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|e| (all && e.in_all) || e.name == args.experiment)
+        .collect();
+    if selected.is_empty() {
+        eprintln!("unknown experiment '{}'", args.experiment);
+        return ExitCode::FAILURE;
+    }
+    let mut scenario = Scenario::builder()
+        .preset(args.preset)
+        .seed(args.seed)
+        .build();
+    scenario.shards = args.shards;
+    if let Some(dir) = &args.spill_dir {
+        scenario.spill_dir = Some(dir.clone());
+        if let Some(budget) = args.budget {
+            scenario.measure_budget_bytes = budget;
+        }
+    }
+    // The shared campaign runs once, before the first document that reads it.
+    let mut shared = None;
+    // Under `all`, a blank line separates the documents; the
+    // campaign-backed ones already end in one.
+    let mut separate = false;
+    for e in selected {
+        if separate {
+            println!();
+        }
+        let document = match &e.run {
+            Run::Shared(run) => {
+                let (campaign, suite) = shared.get_or_insert_with(|| run_suite(&scenario));
+                run(&args, campaign, suite)
+            }
+            // `all` has only ever honoured `--json` for the
+            // shared-campaign documents.
+            Run::Own(run) => run(&args, &scenario, args.json && !all),
+        };
+        println!("{document}");
+        separate = matches!(e.run, Run::Own(_));
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ablation_scenario_is_small() {
+        let s = ablation_scenario(1);
+        assert!(s.ordinary_nodes <= 100);
+        assert_eq!(s.duration, SimDuration::from_mins(10));
+    }
+
+    #[test]
+    fn experiment_names_are_unique_and_all_is_reserved() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert_ne!(e.name, "all");
+            assert!(
+                EXPERIMENTS[..i].iter().all(|p| p.name != e.name),
+                "{}",
+                e.name
+            );
+        }
+    }
 }

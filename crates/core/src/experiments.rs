@@ -1,5 +1,5 @@
-//! One entry point per table/figure — shared by the examples, the bench
-//! harness, and the `repro` binary.
+//! One entry point per table/figure — shared by the examples, the
+//! repository benchmark, and the `repro` binary.
 
 use std::fmt;
 
@@ -829,74 +829,6 @@ pub fn eclipse_reorg_report(
     let mut s = base.clone();
     s.dynamics = DynamicsScript::new().eclipse_window(SimTime::ZERO + start, eclipse, victim);
     reorg::analyze(&run_campaign(&s).campaign)
-}
-
-/// The partition-resilience surface: regional partition duration × pool
-/// count (hash-power concentration — `n` uniform pools have Nakamoto
-/// coefficient `⌈(n+1)/2⌉`), with the reorg tail per point. The
-/// partition opens a quarter into the run and splits the east/west
-/// region sets of [`east_west_masks`].
-pub fn partition_surface(
-    base: &Scenario,
-    partition_secs: &[u64],
-    pool_counts: &[usize],
-    first_seed: u64,
-    seeds: usize,
-    threads: usize,
-) -> GridReport {
-    let start = SimTime::ZERO + base.duration.mul_f64(0.25);
-    Grid::new(base.clone())
-        .seed_range(first_seed, seeds)
-        .axis(
-            "partition_secs",
-            partition_secs.to_vec(),
-            move |s, &secs| {
-                let (east, west) = east_west_masks();
-                s.dynamics = DynamicsScript::new().partition_window(
-                    start,
-                    SimDuration::from_secs(secs),
-                    east,
-                    west,
-                );
-            },
-        )
-        .axis("pools", pool_counts.to_vec(), |s, &n| {
-            s.pools = PoolDirectory::uniform(n, 2);
-        })
-        .threads(threads)
-        .run(reorg_scalars())
-        .output
-}
-
-/// The eclipse surface: eclipse duration × victim hash share γ, with the
-/// reorg tail per point. The victim (pool 0 of
-/// [`victim_vs_rest_pools`]) is isolated from a quarter into the run; a
-/// bigger γ mines a taller island chain in the same wall of time, so the
-/// `P(revert ≥ k)` tail thickens along both axes.
-pub fn eclipse_surface(
-    base: &Scenario,
-    eclipse_secs: &[u64],
-    gammas: &[f64],
-    first_seed: u64,
-    seeds: usize,
-    threads: usize,
-) -> GridReport {
-    let start = SimTime::ZERO + base.duration.mul_f64(0.25);
-    Grid::new(base.clone())
-        .seed_range(first_seed, seeds)
-        .axis("eclipse_secs", eclipse_secs.to_vec(), move |s, &secs| {
-            s.dynamics = DynamicsScript::new().eclipse_window(
-                start,
-                SimDuration::from_secs(secs),
-                PoolId(0),
-            );
-        })
-        .axis("gamma", gammas.to_vec(), |s, &g| {
-            s.pools = victim_vs_rest_pools(g, 2);
-        })
-        .threads(threads)
-        .run(reorg_scalars())
-        .output
 }
 
 impl fmt::Display for AblationReport {

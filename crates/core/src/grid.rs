@@ -14,7 +14,7 @@
 //! [`run_campaign`] of the same materialized scenario), each job's metric
 //! clone observes exactly one outcome, and the per-job instances fold in
 //! grid order. Results are therefore identical across `threads(1)`,
-//! `threads(N)`, and the legacy sequential path — pinned by
+//! `threads(N)`, and a sequential `run_campaign` loop — pinned by
 //! `tests/sweep.rs`.
 //!
 //! # Example
@@ -216,7 +216,7 @@ impl Grid {
     /// Declares an axis from pre-labeled `(label, transform)` points —
     /// the escape hatch for axes whose values aren't `Display`able (whole
     /// pool directories, net configs) or whose transforms differ per
-    /// point. `Sweep`'s variant axis lowers to this.
+    /// point (a "variant" axis of named scenario rewrites).
     ///
     /// # Panics
     ///
@@ -519,22 +519,36 @@ mod tests {
 
     #[test]
     fn axis_setters_shape_the_scenario() {
+        // Pre-labeled points (`axis` lowers to the same machinery).
+        let interblock = |secs: u64| -> AxisSetter {
+            Box::new(move |s: &mut Scenario| s.interblock = SimDuration::from_secs(secs))
+        };
         let out = Grid::new(base())
-            .axis("interblock_s", [8.0, 20.0], |s, &secs| {
-                s.interblock = SimDuration::from_secs_f64(secs);
-            })
+            .seeds([1, 2])
+            .axis_with(
+                "variant",
+                vec![
+                    ("fast-blocks".to_owned(), interblock(8)),
+                    ("slow-blocks".to_owned(), interblock(20)),
+                ],
+            )
             .threads(2)
             .run(RetainRuns::new());
+        // A labeled axis multiplies the grid variant-major.
+        let labels: Vec<_> = out.output.iter().map(|r| r.point.get("variant")).collect();
+        let (fast, slow) = (Some("fast-blocks"), Some("slow-blocks"));
+        assert_eq!(labels, [fast, fast, slow, slow]);
         let head = |i: usize| out.output[i].outcome.campaign.truth.tree.head_number();
-        // Faster blocks -> longer chain for the same duration.
-        assert!(head(0) > head(1), "{} vs {}", head(0), head(1));
+        // Faster blocks -> longer chain for the same seed and duration.
+        assert!(head(0) > head(2), "{} vs {}", head(0), head(2));
     }
 
     #[test]
     fn axisless_grid_defaults_to_base_seed() {
         let scenario = base();
         let seed = scenario.seed;
-        let out = Grid::new(scenario).threads(1).run(RetainRuns::new());
+        // The thread cap never exceeds the job count.
+        let out = Grid::new(scenario).threads(16).run(RetainRuns::new());
         assert_eq!(out.jobs, 1);
         assert_eq!(out.output[0].seed, seed);
         assert!(out.output[0].point.is_base());

@@ -17,16 +17,15 @@
 //! - [`metric`]: the composable collector API ([`metric::Analyze`] lifts
 //!   every `ethmeter-analysis` report, [`metric::Scalars`] builds
 //!   cross-seed [`report::GridReport`] tables, [`metric::RetainRuns`]
-//!   keeps full outcomes for back-compat);
-//! - [`sweep`]: the retained-runs convenience layer over [`grid`] (one
-//!   seed axis plus an optional variant axis, every outcome kept);
+//!   keeps every full outcome, for tests and tooling that need the
+//!   datasets themselves);
 //! - [`chainonly`]: the fast block-sequence simulator for month- and
 //!   chain-lifetime-scale sequence analyses (Figure 7, §III-D);
 //! - [`selfish`]: the chain-only selfish-mining race behind the
 //!   profitability-threshold experiments (explicit α and γ, same
 //!   withholding machine the full world drives);
 //! - [`experiments`]: one function per table/figure, shared by the
-//!   examples, the benches, and the `repro` binary.
+//!   examples, the repository benchmark, and the `repro` binary.
 //!
 //! # Quickstart
 //!
@@ -78,7 +77,6 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod selfish;
-pub mod sweep;
 pub mod world;
 
 pub use grid::{AxisSetter, Grid, GridOutcome, GridPoint};
@@ -88,7 +86,6 @@ pub use report::{GridReport, GridRow};
 pub use runner::{run_campaign, CampaignOutcome, CampaignRunner};
 pub use scenario::{Preset, Scenario, ScenarioBuilder, ScenarioError};
 pub use selfish::{run_selfish_race, SelfishRaceConfig, SelfishRaceResult};
-pub use sweep::{Sweep, SweepOutcome, SweepRun};
 pub use world::{RunStats, SimWorld};
 
 // Re-export the sub-crates under their natural names so downstream users
@@ -115,7 +112,6 @@ pub mod prelude {
     pub use crate::runner::{run_campaign, CampaignOutcome, CampaignRunner};
     pub use crate::scenario::{Preset, Scenario, ScenarioError};
     pub use crate::selfish::{run_selfish_race, SelfishRaceConfig, SelfishRaceResult};
-    pub use crate::sweep::{Sweep, SweepOutcome, SweepRun};
     pub use crate::{
         analysis, chain, dynamics, geo, measure, mining, net, sim, stats, types, workload,
     };

@@ -109,8 +109,8 @@ pub struct RetainedRun {
     pub outcome: CampaignOutcome,
 }
 
-/// Retains every [`CampaignOutcome`] — the legacy `SweepOutcome::runs`
-/// behavior as a metric.
+/// Retains every [`CampaignOutcome`] in grid order, tagged with its seed
+/// and grid point.
 ///
 /// Memory grows linearly with the grid (each retained outcome holds the
 /// observer logs and the full ground-truth tree), so prefer streaming
@@ -135,8 +135,8 @@ impl Metric for RetainRuns {
         self.observe_owned(ctx, outcome.clone());
     }
 
-    /// Ownership fast path: a directly-retained outcome (the `Sweep`
-    /// case) is moved in, never deep-cloned.
+    /// Ownership fast path: a directly-retained outcome is moved in,
+    /// never deep-cloned.
     fn observe_owned(&mut self, ctx: &RunCtx<'_>, outcome: CampaignOutcome) {
         self.runs.push(RetainedRun {
             index: ctx.index,

@@ -788,22 +788,6 @@ impl SimWorld {
         )
     }
 
-    /// Gateway placement per pool: `(pool name, regions of its gateways)`.
-    /// Useful for diagnosing geographic calibration.
-    pub fn gateway_placement(&self) -> Vec<(String, Vec<Region>)> {
-        self.pools
-            .iter()
-            .map(|p| {
-                let regions = self.pool_states[p.id.index()]
-                    .gateways
-                    .iter()
-                    .map(|g| self.node_meta[g.index()].0)
-                    .collect();
-                (p.name.clone(), regions)
-            })
-            .collect()
-    }
-
     fn primary_gateway(&self, pool: PoolId) -> NodeId {
         self.pool_states[pool.index()].gateways[0]
     }

@@ -1,7 +1,8 @@
 //! Seed sweep: fan one scenario out across eight seeds on parallel
 //! workers, then show that the parallel results are bit-identical to
 //! sequential `run_campaign` calls — the paper's many-independent-runs
-//! methodology as one API call.
+//! methodology as one `Grid` with a seed axis and the retain-everything
+//! collector.
 //!
 //! ```sh
 //! cargo run --release --example seed_sweep
@@ -20,13 +21,14 @@ fn main() {
         base.ordinary_nodes, base.duration
     );
 
-    // The sweep clones the base scenario per seed and runs the campaigns
+    // The grid clones the base scenario per seed and runs the campaigns
     // on a pool of worker threads (here at least two; 0 = one per CPU).
     let threads = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
-    let sweep = Sweep::new(base.clone())
+    let sweep = Grid::new(base.clone())
         .seed_range(100, 8)
         .threads(threads)
-        .run();
+        .run(RetainRuns::new());
+    let runs = &sweep.output;
 
     println!(
         "done on {} threads: {} events, {} blocks produced, {} txs submitted\n",
@@ -34,7 +36,7 @@ fn main() {
     );
 
     println!("seed   head-number  head-hash          messages");
-    for run in &sweep.runs {
+    for run in runs {
         let truth = &run.outcome.campaign.truth;
         println!(
             "{:<6} {:<12} {:<18} {}",
@@ -44,18 +46,22 @@ fn main() {
             run.outcome.stats.messages
         );
     }
+    let heads: std::collections::BTreeSet<_> = runs
+        .iter()
+        .map(|r| r.outcome.campaign.truth.tree.head())
+        .collect();
     println!(
         "\n{} distinct canonical heads across {} seeds",
-        sweep.distinct_heads(),
-        sweep.runs.len()
+        heads.len(),
+        runs.len()
     );
 
     // Spot-check determinism: re-run one grid point sequentially and
     // compare against the parallel result bit for bit.
     let mut check = base;
-    check.seed = sweep.runs[3].seed;
+    check.seed = runs[3].seed;
     let sequential = run_campaign(&check);
-    let parallel = &sweep.runs[3].outcome;
+    let parallel = &runs[3].outcome;
     assert_eq!(sequential.stats, parallel.stats);
     assert_eq!(sequential.events, parallel.events);
     assert_eq!(

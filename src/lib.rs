@@ -86,12 +86,11 @@
 //!   [`core::runner::CampaignOutcome`] to compact summaries the moment the
 //!   run completes; the observer logs and ground-truth tree are dropped.
 //!   Peak memory is ~one campaign's footprint per worker thread, however
-//!   many runs the grid has (the bench suite's `grid` section certifies
-//!   this on every run).
-//! - **Retained**: [`core::metric::RetainRuns`] (and the [`core::sweep::Sweep`]
-//!   convenience layer built on it) keeps every outcome in full — memory
-//!   grows linearly with the grid. Use it when tests or tooling need the
-//!   complete datasets.
+//!   many runs the grid has (`peak_rss_mib` on the repository
+//!   benchmark's `grid-mixed` workload measures it).
+//! - **Retained**: [`core::metric::RetainRuns`] keeps every outcome in
+//!   full — memory grows linearly with the grid. Use it when tests or
+//!   tooling need the complete datasets.
 //!
 //! Either way, results are **bit-identical across thread counts** and to a
 //! sequential `run_campaign` loop: per-job metric instances observe one

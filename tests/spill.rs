@@ -116,6 +116,15 @@ fn spilled_sharded_campaign_matches_the_pinned_golden() {
     }
 }
 
+/// Columnar segments flushed to disk, summed over the vantages.
+fn spilled_segments(campaign: &CampaignData) -> usize {
+    campaign
+        .observers
+        .iter()
+        .map(|(_, log)| log.spilled_segments())
+        .sum()
+}
+
 #[test]
 fn spilled_logs_actually_spill_and_clean_up() {
     let dir = spill_dir("observe");
@@ -127,14 +136,8 @@ fn spilled_logs_actually_spill_and_clean_up() {
         .measure_budget(1 << 12)
         .build();
     let outcome = run_campaign(&s);
-    let spilled_segments: usize = outcome
-        .campaign
-        .observers
-        .iter()
-        .map(|(_, log)| log.spilled_segments())
-        .sum();
     assert!(
-        spilled_segments > 0,
+        spilled_segments(&outcome.campaign) > 0,
         "a 4 KiB campaign-wide budget must push segments to disk"
     );
     drop(outcome);
@@ -147,6 +150,35 @@ fn spilled_logs_actually_spill_and_clean_up() {
         leftovers.is_empty(),
         "dropping the campaign must unlink every segment, found {leftovers:?}"
     );
+}
+
+#[test]
+fn spilled_peak_is_bounded_by_the_budget_not_the_campaign() {
+    // The out-of-core claim in one number: spilled under *half* its own
+    // in-memory observer-log peak (floored at 4 KiB), a campaign's summed
+    // log high-water mark stays under 1.5x that budget — live maps plus
+    // the per-segment key filters — while the dataset stays bit-identical.
+    let log_peak = |c: &CampaignData| -> usize {
+        c.observers
+            .iter()
+            .map(|(_, log)| log.peak_mem_bytes())
+            .sum()
+    };
+    for (preset, tag) in [(Preset::Tiny, "bound-tiny"), (Preset::Small, "bound-small")] {
+        let mem = run_campaign(&scenario(preset, 7, 2)).campaign;
+        let budget = (log_peak(&mem) / 2).max(4096);
+        let spill = run_campaign(&spilled(preset, 7, 2, tag, budget, 1)).campaign;
+        assert_eq!(spill.fingerprint(), mem.fingerprint(), "{tag}");
+        assert!(
+            spilled_segments(&spill) > 0,
+            "{tag}: half the peak must force segments out"
+        );
+        let peak = log_peak(&spill);
+        assert!(
+            (peak as f64) < 1.5 * budget as f64,
+            "{tag}: spilled peak {peak} B vs budget {budget} B"
+        );
+    }
 }
 
 #[test]

@@ -1,10 +1,14 @@
-//! Sweep-runner contracts: parallel fan-out must be a pure wall-clock
+//! Multi-seed grid contracts: parallel fan-out must be a pure wall-clock
 //! optimization — per-seed results bit-identical to sequential
 //! `run_campaign`, independent of worker count — while distinct seeds
 //! produce genuinely independent campaigns.
 
+use std::collections::BTreeSet;
+
 use ethmeter::measure::csv;
+use ethmeter::metric::RetainedRun;
 use ethmeter::prelude::*;
+use ethmeter::types::BlockHash;
 
 fn base() -> Scenario {
     Scenario::builder()
@@ -15,18 +19,37 @@ fn base() -> Scenario {
 
 const SEEDS: [u64; 8] = [201, 202, 203, 204, 205, 206, 207, 208];
 
+/// The seed-axis grid under test, every outcome retained.
+fn sweep(threads: usize) -> GridOutcome<Vec<RetainedRun>> {
+    Grid::new(base())
+        .seeds(SEEDS)
+        .threads(threads)
+        .run(RetainRuns::new())
+}
+
+/// Per-run `(seed, canonical head)` pairs, in grid order.
+fn heads(runs: &[RetainedRun]) -> Vec<(u64, BlockHash)> {
+    runs.iter()
+        .map(|r| (r.seed, r.outcome.campaign.truth.tree.head()))
+        .collect()
+}
+
 #[test]
 fn parallel_sweep_is_bit_identical_to_sequential_runs() {
-    let sweep = Sweep::new(base()).seeds(SEEDS).threads(4).run();
-    assert_eq!(sweep.runs.len(), SEEDS.len());
+    let sweep = sweep(4);
+    assert_eq!(sweep.output.len(), SEEDS.len());
     assert!(sweep.threads_used >= 2, "sweep must actually run parallel");
-    for (run, &seed) in sweep.runs.iter().zip(SEEDS.iter()) {
+    let mut totals = ethmeter::RunStats::default();
+    let mut events = 0;
+    for (run, &seed) in sweep.output.iter().zip(SEEDS.iter()) {
         assert_eq!(run.seed, seed);
         let mut scenario = base();
         scenario.seed = seed;
         let sequential = run_campaign(&scenario);
         assert_eq!(run.outcome.stats, sequential.stats, "seed {seed}");
         assert_eq!(run.outcome.events, sequential.events, "seed {seed}");
+        totals.merge(&sequential.stats);
+        events += sequential.events;
         let (pt, st) = (&run.outcome.campaign.truth, &sequential.campaign.truth);
         assert_eq!(pt.tree.head(), st.tree.head(), "seed {seed}");
         assert_eq!(pt.tree.len(), st.tree.len(), "seed {seed}");
@@ -44,13 +67,17 @@ fn parallel_sweep_is_bit_identical_to_sequential_runs() {
             assert_eq!(csv::txs_to_csv(&pa.1), csv::txs_to_csv(&pb.1));
         }
     }
+    // The grid's own sums are the per-run sums, nothing more.
+    assert_eq!(sweep.totals, totals);
+    assert_eq!(sweep.events, events);
+    assert!(sweep.totals.blocks_produced > 0);
 }
 
 #[test]
 fn thread_count_does_not_change_results() {
-    let one = Sweep::new(base()).seeds(SEEDS).threads(1).run();
-    let many = Sweep::new(base()).seeds(SEEDS).threads(4).run();
-    assert_eq!(one.heads(), many.heads());
+    let one = sweep(1);
+    let many = sweep(4);
+    assert_eq!(heads(&one.output), heads(&many.output));
     assert_eq!(one.totals, many.totals);
     assert_eq!(one.events, many.events);
 }
@@ -62,9 +89,9 @@ fn parallel_sweep_fingerprints_match_sequential() {
     // equals the digest of the same scenario run sequentially. Any
     // cross-worker state leak (shared RNG, allocation-order dependence,
     // map-iteration nondeterminism) shows up here as a one-integer diff.
-    let sweep = Sweep::new(base()).seeds(SEEDS).threads(4).run();
+    let sweep = sweep(4);
     assert!(sweep.threads_used >= 2, "sweep must actually run parallel");
-    for (run, &seed) in sweep.runs.iter().zip(SEEDS.iter()) {
+    for (run, &seed) in sweep.output.iter().zip(SEEDS.iter()) {
         let mut scenario = base();
         scenario.seed = seed;
         let sequential = run_campaign(&scenario);
@@ -78,19 +105,19 @@ fn parallel_sweep_fingerprints_match_sequential() {
 
 #[test]
 fn reused_worker_sweeps_equal_fresh_and_sequential() {
-    // Sweep workers reuse one world+engine across their whole job stream
+    // Grid workers reuse one world+engine across their whole job stream
     // (the default); that reuse must be a pure wall-clock optimization.
     // Pin all three execution styles to the same campaign fingerprints:
     // reused workers, fresh-construction workers, and sequential runs.
-    let reused = Sweep::new(base()).seeds(SEEDS).threads(2).run();
-    let fresh = Sweep::new(base())
+    let reused = sweep(2);
+    let fresh = Grid::new(base())
         .seeds(SEEDS)
         .threads(2)
         .reuse_workers(false)
-        .run();
+        .run(RetainRuns::new());
     assert_eq!(reused.totals, fresh.totals);
     assert_eq!(reused.events, fresh.events);
-    for ((r, f), &seed) in reused.runs.iter().zip(fresh.runs.iter()).zip(SEEDS.iter()) {
+    for ((r, f), &seed) in reused.output.iter().zip(&fresh.output).zip(&SEEDS) {
         let fp_reused = r.outcome.campaign.fingerprint();
         assert_eq!(
             fp_reused,
@@ -109,12 +136,12 @@ fn reused_worker_sweeps_equal_fresh_and_sequential() {
 
 #[test]
 fn distinct_seeds_diverge() {
-    let sweep = Sweep::new(base()).seeds(SEEDS).threads(4).run();
+    let heads = heads(&sweep(4).output);
+    let distinct: BTreeSet<BlockHash> = heads.iter().map(|&(_, head)| head).collect();
     assert_eq!(
-        sweep.distinct_heads(),
+        distinct.len(),
         SEEDS.len(),
-        "every seed must grow its own chain: {:?}",
-        sweep.heads()
+        "every seed must grow its own chain: {heads:?}"
     );
 }
 
@@ -133,11 +160,7 @@ const INTERBLOCKS: [f64; 2] = [10.0, 20.0];
 /// one retained collector plus two streaming ones.
 fn run_grid(
     threads: usize,
-) -> GridOutcome<(
-    Vec<ethmeter::metric::RetainedRun>,
-    propagation::PropagationReport,
-    GridReport,
-)> {
+) -> GridOutcome<(Vec<RetainedRun>, propagation::PropagationReport, GridReport)> {
     Grid::new(base())
         .seeds(GRID_SEEDS)
         .axis("interblock_s", INTERBLOCKS, |s, &secs| {
