@@ -15,7 +15,7 @@
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
 #                sequential goldens bit-for-bit
-#   lint         check --benches --examples, clippy -D warnings, fmt
+#   lint         clippy -D warnings on every target, fmt
 #   detlint      workspace determinism lint (see DETERMINISM.md): must be
 #                clean, and its JSON report must validate
 #   dynamics-smoke  scripted network dynamics: partition and eclipse
@@ -99,7 +99,6 @@ stage_par_smoke() {
 }
 
 stage_lint() {
-    cargo check --workspace --benches --examples
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --all --check
 }

@@ -16,9 +16,9 @@
 //! The steady state is also allocation-free: node handlers append their
 //! outgoing messages to one world-owned `Vec<Send>` recycled across every
 //! event, the scheduler writes follow-up events straight into the
-//! engine's queue slab, small wire payloads live inline in the
-//! [`Message`] itself, fan-out sampling and block packing run through
-//! world-owned scratch buffers, and the ground-truth block tree
+//! engine's queue slab, every wire [`Message`] is one id (so an
+//! [`Event`] is three words), fan-out sampling and block packing run
+//! through world-owned scratch buffers, and the ground-truth block tree
 //! is materialized from the registry only at the campaign boundary — the
 //! hot path never clones a block.
 //!
@@ -916,11 +916,6 @@ impl SimWorld {
         out
     }
 
-    /// Registers a block, returning its dense slot. The registry is the
-    /// single owner; ground truth is derived from it at the campaign
-    /// boundary. On a shard, the slot is also recorded as locally minted
-    /// so the window barrier can replicate it and the merge can rebuild
-    /// global creation order.
     /// The uncle-reference policy in force for a minting pool: the
     /// engine's policy when it imposes one, otherwise the pool's
     /// configured strategy. The shipped engines impose
@@ -933,6 +928,11 @@ impl SimWorld {
         }
     }
 
+    /// Registers a block, returning its dense slot. The registry is the
+    /// single owner; ground truth is derived from it at the campaign
+    /// boundary. On a shard, the slot is also recorded as locally minted
+    /// so the window barrier can replicate it and the merge can rebuild
+    /// global creation order.
     fn register_block(&mut self, block: Block) -> BlockIdx {
         self.stats.blocks_produced += 1;
         // Mint-time consensus validation. The parent is absent only for
@@ -1203,27 +1203,19 @@ impl SimWorld {
         self.solve_normal(pool, now, sched);
     }
 
-    fn record_observation(&mut self, slot: usize, from: NodeId, msg: &Message, now: SimTime) {
+    fn record_observation(&mut self, slot: usize, from: NodeId, msg: Message, now: SimTime) {
         let local = self.observers[slot]
             .skew
             .read(now, &mut self.lanes_clock[slot]);
+        let log = &mut self.logs[slot];
         match msg {
-            Message::Announce(hashes) => {
-                for &h in hashes.iter() {
-                    self.logs[slot].record_block_msg(h, BlockMsgKind::Announce, from, local, now);
-                }
+            Message::Announce(h) => {
+                log.record_block_msg(h, BlockMsgKind::Announce, from, local, now)
             }
             Message::NewBlock(h) | Message::BlockBody(h) => {
-                self.logs[slot].record_block_msg(*h, BlockMsgKind::FullBlock, from, local, now);
+                log.record_block_msg(h, BlockMsgKind::FullBlock, from, local, now);
             }
-            Message::Transactions(ids) => {
-                for &id in ids.iter() {
-                    self.logs[slot].record_tx(id, from, local, now);
-                }
-            }
-            Message::Tx(id) => {
-                self.logs[slot].record_tx(*id, from, local, now);
-            }
+            Message::Tx(id) => log.record_tx(id, from, local, now),
             Message::GetBlock(_) => {}
         }
     }
@@ -1238,35 +1230,20 @@ impl SimWorld {
     ) {
         self.stats.messages += 1;
         if let Some(slot) = self.observer_slot[to.index()] {
-            self.record_observation(slot, from, &msg, now);
+            self.record_observation(slot, from, msg, now);
         }
         let mut sends = std::mem::take(&mut self.send_scratch);
         match msg {
-            Message::Announce(hashes) => {
-                let resolve = |blocks: &BlockRegistry, h: BlockHash| {
-                    let idx = blocks
-                        .idx_of(h)
-                        .expect("announced hashes are registered at creation");
-                    (h, idx)
-                };
-                // Announcements carry one hash in practice; resolve on the
-                // stack and only fall back to a heap batch for real lists.
-                if let [h] = hashes[..] {
-                    let entry = [resolve(&self.blocks, h)];
-                    self.nodes[to.index()].on_announce(from, &entry, &mut sends);
-                } else {
-                    let entries: Vec<(BlockHash, BlockIdx)> =
-                        hashes.iter().map(|&h| resolve(&self.blocks, h)).collect();
-                    self.nodes[to.index()].on_announce(from, &entries, &mut sends);
-                }
-                for s in &sends {
-                    if let Message::GetBlock(h) = s.msg {
-                        let idx = self.blocks.idx_of(h).expect("fetches target known blocks");
-                        sched.after(
-                            self.net.fetch_timeout,
-                            Event::FetchTimeout { node: to, idx },
-                        );
-                    }
+            Message::Announce(h) => {
+                let idx = self
+                    .blocks
+                    .idx_of(h)
+                    .expect("announced hashes are registered at creation");
+                if self.nodes[to.index()].on_announce(from, h, idx, &mut sends) {
+                    sched.after(
+                        self.net.fetch_timeout,
+                        Event::FetchTimeout { node: to, idx },
+                    );
                 }
                 self.dispatch_sends(to, &mut sends, sched);
             }
@@ -1297,28 +1274,24 @@ impl SimWorld {
                     self.dispatch_sends(to, &mut sends, sched);
                 }
             }
-            // The dominant gossip message carries its one id inline.
-            Message::Tx(id) => self.deliver_txs(Some(from), to, &[id], &mut sends, sched),
-            Message::Transactions(ids) => {
-                self.deliver_txs(Some(from), to, &ids, &mut sends, sched);
-            }
+            Message::Tx(id) => self.deliver_tx(Some(from), to, id, &mut sends, sched),
         }
         debug_assert!(sends.is_empty(), "dispatch_sends drains the buffer");
         self.send_scratch = sends;
     }
 
-    /// Hands `ids` to `to`'s transaction handler and dispatches its relays.
-    fn deliver_txs(
+    /// Hands `id` to `to`'s transaction handler and dispatches its relays.
+    fn deliver_tx(
         &mut self,
         from: Option<NodeId>,
         to: NodeId,
-        ids: &[TxId],
+        id: TxId,
         sends: &mut Vec<Send>,
         sched: &mut Scheduler<Event>,
     ) {
         self.nodes[to.index()].on_transactions(
             from,
-            ids,
+            id,
             &self.txs,
             &self.net,
             &mut self.lanes_node[to.index()],
@@ -1413,7 +1386,7 @@ impl SimWorld {
         let tx = self.txs.by_idx(idx);
         let (id, origin) = (tx.id, tx.origin);
         let mut sends = std::mem::take(&mut self.send_scratch);
-        self.deliver_txs(None, origin, &[id], &mut sends, sched);
+        self.deliver_tx(None, origin, id, &mut sends, sched);
         self.send_scratch = sends;
     }
 
@@ -1439,8 +1412,11 @@ impl SimWorld {
                 }
             }
             DynamicsEvent::LinkUp(a, b) => {
-                self.unsever(a, b);
-                self.reconnect_or_defer(a, b);
+                // Only a recorded failure heals; a pair that was never
+                // linked stays unlinked (the topology's degree caps hold).
+                if self.unsever(a, b) {
+                    self.reconnect_or_defer(a, b);
+                }
             }
             DynamicsEvent::Partition { a, b } => self.partition(a, b),
             DynamicsEvent::Heal { a, b } => self.heal_regions(a, b),
@@ -1540,16 +1516,16 @@ impl SimWorld {
     }
 
     /// Drops the `(a, b)` pair (either orientation) from the severed
-    /// list, if present.
-    fn unsever(&mut self, a: NodeId, b: NodeId) {
-        if let Some(pos) = self
-            .dynamics
-            .severed
+    /// list; returns whether it was there.
+    fn unsever(&mut self, a: NodeId, b: NodeId) -> bool {
+        let severed = &mut self.dynamics.severed;
+        let at = severed
             .iter()
-            .position(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
-        {
-            self.dynamics.severed.remove(pos);
+            .position(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a));
+        if let Some(pos) = at {
+            severed.remove(pos);
         }
+        at.is_some()
     }
 
     /// Heals the `a`↔`b` link now, or — when an endpoint is itself down —
@@ -1836,12 +1812,8 @@ impl World for SimWorld {
             Event::FetchTimeout { node, idx } => {
                 let hash = self.blocks.by_idx(idx).hash();
                 let mut sends = std::mem::take(&mut self.send_scratch);
-                self.nodes[node.index()].on_fetch_timeout(hash, idx, &mut sends);
-                for s in &sends {
-                    if let Message::GetBlock(h) = s.msg {
-                        let i = self.blocks.idx_of(h).expect("fetches target known blocks");
-                        sched.after(self.net.fetch_timeout, Event::FetchTimeout { node, idx: i });
-                    }
+                if self.nodes[node.index()].on_fetch_timeout(hash, idx, &mut sends) {
+                    sched.after(self.net.fetch_timeout, Event::FetchTimeout { node, idx });
                 }
                 self.dispatch_sends(node, &mut sends, sched);
                 self.send_scratch = sends;
@@ -2028,5 +2000,51 @@ mod tests {
                 scenario.seed
             );
         }
+    }
+
+    #[test]
+    fn queued_events_are_three_words() {
+        // Every queued event is copied through the engine's slab, and on
+        // a tx-heavy run nearly all of them are `Deliver {from, to,
+        // Tx(id)}`: one tag and one id per message keeps the whole event
+        // in three words.
+        assert_eq!(std::mem::size_of::<Message>(), 16);
+        assert_eq!(std::mem::size_of::<Event>(), 24);
+    }
+
+    #[test]
+    fn link_up_heals_only_severed_links() {
+        let (_, mut world) = tiny_world();
+        let a = NodeId(0);
+        let b = world.peers_of(a)[0];
+        let c = (1..world.node_count() as u32)
+            .map(NodeId)
+            .find(|&n| !world.peers_of(a).contains(&n))
+            .expect("the tiny topology is not complete");
+        let sorted_peers = |w: &SimWorld, n: NodeId| {
+            let mut peers = w.peers_of(n).to_vec();
+            peers.sort();
+            peers
+        };
+        let before: Vec<Vec<NodeId>> = [a, b, c].map(|n| sorted_peers(&world, n)).into();
+        let at = |s: u64| SimTime::from_secs(s);
+        world.dyn_script = vec![
+            (at(1), DynamicsEvent::LinkUp(a, c)),
+            (at(2), DynamicsEvent::LinkDown(a, b)),
+            (at(3), DynamicsEvent::LinkUp(a, b)),
+        ];
+        let mut engine = Engine::new(world);
+        let mut fire = |entry: u32| {
+            let t = at(u64::from(entry) + 1);
+            engine.schedule(t, Event::Dynamics { entry });
+            engine.run_until(t);
+            [a, b, c].map(|n| sorted_peers(engine.world(), n))
+        };
+        // Never linked: nothing to heal.
+        assert_eq!(fire(0).to_vec(), before);
+        let [down_a, down_b, _] = fire(1);
+        assert!(!down_a.contains(&b) && !down_b.contains(&a));
+        // A recorded failure heals to the original link.
+        assert_eq!(fire(2).to_vec(), before);
     }
 }

@@ -5,32 +5,27 @@
 //! The bound matters behaviorally: once evicted, an item may be re-sent,
 //! which is one source of the redundant receptions measured in Table II.
 //!
-//! Two implementations share the contract (same insert/contains results,
-//! same FIFO eviction), both pinned by property tests against a plain
-//! `FxHashSet` + FIFO-queue reference model that lives with those tests:
-//!
-//! - [`DenseKnownSet`] — one set over interned `u32` keys: a
-//!   linear-probing table with multiplicative hashing and backward-shift
-//!   deletion;
-//! - [`PeerKnownSet`] — a whole *family* of bounded sets (a node's own
-//!   "seen" set plus one per peer) sharing a key-major bitmap and one
-//!   pool of FIFO chunks. Transaction gossip checks one recent key
-//!   against the node itself and then floods it across every peer link
-//!   in a tight time window; with per-member probe tables each of those
-//!   operations lands in a different table (a cache miss per insert —
-//!   measured as the single largest cost of the simulation hot path),
-//!   whereas a key-major row puts all of a key's bits in one or two words
-//!   on one cache line.
+//! One type keeps them: [`PeerKnownSet`], a whole *family* of bounded
+//! sets (a node's own set plus one per peer) over interned `u32` keys,
+//! sharing a key-major bitmap and one pool of FIFO chunks. Gossip checks
+//! one recent key against the node itself and then floods it across every
+//! peer link in a tight time window; with per-member probe tables each of
+//! those operations lands in a different table (a cache miss per insert —
+//! measured as the single largest cost of the simulation hot path),
+//! whereas a key-major row puts all of a key's bits in one or two words on
+//! one cache line. Its contract (same insert/contains results, same FIFO
+//! eviction as an independent set per member) is pinned by property tests
+//! against a plain `FxHashSet` + FIFO-queue reference model that lives
+//! with those tests.
 //!
 //! Memory follows what gossip is touching, not the campaign or the
-//! network: a [`DenseKnownSet`] table grows from empty up to its bound,
-//! and the family's bitmap is cut into [`PAGE_ROWS`]-row pages allocated
-//! on first touch and freed once eviction clears their last bit. The page
-//! is deliberately small (1 KiB at one word per row): a node far from the
-//! transaction sources holds a few dozen live rows, and with ten thousand
-//! nodes every page is a zero-fill plus first-touch faults on memory that
-//! is mostly never read, so page size times node count is paid in full
-//! inside the event loop.
+//! network: the family's bitmap is cut into [`PAGE_ROWS`]-row pages
+//! allocated on first touch and freed once eviction clears their last
+//! bit. The page is deliberately small (1 KiB at one word per row): a
+//! node far from the transaction sources holds a few dozen live rows, and
+//! with ten thousand nodes every page is a zero-fill plus first-touch
+//! faults on memory that is mostly never read, so page size times node
+//! count is paid in full inside the event loop.
 //!
 //! The same reasoning shapes the family's eviction order. Each position
 //! needs a FIFO queue of its keys, and a ring buffer per position is a
@@ -45,215 +40,6 @@
 //! at most two partly used chunks. The first key flooded to a node's
 //! peers takes one allocation sized for a chunk each; after that the pool
 //! doubles, and `clear` keeps it for the next campaign.
-
-use std::collections::VecDeque;
-
-/// Fibonacci-hash bucket of `key` in a power-of-two table of `len` slots.
-#[inline]
-pub(crate) fn fib_bucket(key: u32, len: usize) -> usize {
-    debug_assert!(len.is_power_of_two());
-    let h = u64::from(key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (h >> 32) as usize & (len - 1)
-}
-
-/// Sentinel marking an empty probe-table slot (keys must stay below it —
-/// interned slots are sequential, so a campaign would need 4 billion
-/// artifacts to collide).
-const EMPTY: u32 = u32::MAX;
-
-/// A FIFO-bounded set of interned `u32` keys: inserting beyond capacity
-/// evicts the oldest entry. Backed by a flat linear-probing table.
-///
-/// The table grows lazily from empty — a simulation holds one per node
-/// (the block bodies it has), most of which stay far below capacity —
-/// and is bounded by `cap`, so memory is O(min(items, cap)).
-#[derive(Debug, Clone)]
-pub struct DenseKnownSet {
-    /// Linear-probing table of keys; `EMPTY` marks free slots. Length is
-    /// always a power of two (or zero before the first insert).
-    table: Vec<u32>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<u32>,
-    cap: usize,
-}
-
-impl DenseKnownSet {
-    /// Creates a set bounded to `cap` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap > 0, "known-set capacity must be positive");
-        DenseKnownSet {
-            table: Vec::new(),
-            order: VecDeque::new(),
-            cap,
-        }
-    }
-
-    /// Bucket of `key` in the current (non-empty) table.
-    #[inline]
-    fn bucket(&self, key: u32) -> usize {
-        fib_bucket(key, self.table.len())
-    }
-
-    /// True if `key` is currently tracked.
-    #[inline]
-    pub fn contains(&self, key: u32) -> bool {
-        if self.table.is_empty() {
-            return false;
-        }
-        let mut i = self.bucket(key);
-        loop {
-            match self.table[i] {
-                EMPTY => return false,
-                k if k == key => return true,
-                _ => i = (i + 1) & (self.table.len() - 1),
-            }
-        }
-    }
-
-    /// Inserts `key`; returns `true` if it was new. Evicts the oldest
-    /// entry when full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key == u32::MAX` (reserved sentinel).
-    pub fn insert(&mut self, key: u32) -> bool {
-        assert_ne!(key, EMPTY, "u32::MAX is reserved");
-        // Keep load factor ≤ 1/2 while below the bound; at the bound the
-        // table is fixed and eviction holds occupancy constant.
-        if self.table.len() < 2 * (self.order.len() + 1) {
-            // Growth path (rare): membership check, then rebuild + place.
-            if self.contains(key) {
-                return false;
-            }
-            self.grow();
-            self.insert_slot(key);
-        } else {
-            // Hot path: one fused probe walk either finds the key
-            // (present — no-op) or the first empty slot, which is exactly
-            // where `insert_slot` would place it.
-            let mask = self.table.len() - 1;
-            let mut i = self.bucket(key);
-            loop {
-                match self.table[i] {
-                    EMPTY => {
-                        self.table[i] = key;
-                        break;
-                    }
-                    k if k == key => return false,
-                    _ => i = (i + 1) & mask,
-                }
-            }
-        }
-        self.order.push_back(key);
-        if self.order.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.erase(old);
-            }
-        }
-        true
-    }
-
-    /// Current number of tracked keys.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True if nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Forgets every key, keeping the probe table's allocation. A cleared
-    /// set answers every query exactly like a fresh one (the table size
-    /// only affects probe positions, never membership or eviction).
-    pub fn clear(&mut self) {
-        self.table.fill(EMPTY);
-        self.order.clear();
-    }
-
-    /// [`DenseKnownSet::clear`] plus a new capacity bound — the reuse
-    /// path for a set whose configuration may change between campaigns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn reset(&mut self, cap: usize) {
-        assert!(cap > 0, "known-set capacity must be positive");
-        self.cap = cap;
-        self.clear();
-    }
-
-    /// Heap bytes held by the probe table and the order queue
-    /// (diagnostics).
-    pub fn heap_bytes(&self) -> usize {
-        (self.table.capacity() + self.order.capacity()) * std::mem::size_of::<u32>()
-    }
-
-    fn grow(&mut self) {
-        let new_len = (self.table.len() * 2)
-            .max(16)
-            .min((2 * self.cap + 1).next_power_of_two());
-        if new_len == self.table.len() {
-            return;
-        }
-        self.table = vec![EMPTY; new_len];
-        // Rebuild from the order queue (it holds exactly the live keys).
-        for i in 0..self.order.len() {
-            let key = self.order[i];
-            self.insert_slot(key);
-        }
-    }
-
-    /// Places `key` in its probe slot; the caller guarantees it is absent
-    /// and that a free slot exists.
-    #[inline]
-    fn insert_slot(&mut self, key: u32) {
-        let mask = self.table.len() - 1;
-        let mut i = self.bucket(key);
-        while self.table[i] != EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.table[i] = key;
-    }
-
-    /// Removes `key` using backward-shift deletion, keeping every probe
-    /// chain contiguous (no tombstones, so lookups never degrade).
-    fn erase(&mut self, key: u32) {
-        let mask = self.table.len() - 1;
-        let mut i = self.bucket(key);
-        loop {
-            match self.table[i] {
-                EMPTY => return, // not present (cannot happen for live keys)
-                k if k == key => break,
-                _ => i = (i + 1) & mask,
-            }
-        }
-        // Slot i is now free; pull back any displaced successors.
-        let mut j = i;
-        loop {
-            self.table[i] = EMPTY;
-            loop {
-                j = (j + 1) & mask;
-                let k = self.table[j];
-                if k == EMPTY {
-                    return;
-                }
-                // Move k back iff its home bucket is outside the cyclic
-                // range (i, j] — i.e. probing for k would pass through i.
-                let home = self.bucket(k);
-                if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
-                    self.table[i] = k;
-                    break;
-                }
-            }
-            i = j;
-        }
-    }
-}
 
 /// Rows per bitmap page (power of two); see the module doc for why it is
 /// this small.
@@ -503,12 +289,12 @@ impl FifoPool {
 
 /// A family of FIFO-bounded known-sets — one per member position — over
 /// dense `u32` keys, sharing one key-major bitmap and one chunk pool. A
-/// [`crate::Node`] keeps two: its known-tx family registers the node
-/// itself at position 0 (its "seen" set) and its peers, in connection
-/// order, from position 1; its known-block family holds the peers alone.
+/// [`crate::Node`] keeps two with one layout: the node itself at position
+/// 0 (the block bodies it holds, the transactions it has seen) and its
+/// peers, in connection order, from position 1.
 ///
 /// Behaviorally, `(insert, contains)` on position `p` is identical to an
-/// independent [`DenseKnownSet`] per position (same results, same
+/// independent FIFO-bounded set per position (same results, same
 /// per-position FIFO eviction; pinned by the `peer_family_*` property
 /// tests below against one reference model per position). The difference
 /// is layout: bit `p` of row `key` lives next to every other position's
@@ -666,13 +452,13 @@ impl PeerKnownSet {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use ethmeter_types::FxHashSet;
+    use std::collections::VecDeque;
     use std::hash::Hash;
 
-    /// The reference model both production sets are tested against: a
-    /// FIFO-bounded set over a hash set and an order queue, too plain to be
-    /// wrong.
+    /// The reference model [`super::PeerKnownSet`] is tested against, one
+    /// per position: a FIFO-bounded set over a hash set and an order queue,
+    /// too plain to be wrong.
     #[derive(Debug, Clone)]
     pub(crate) struct KnownSet<T> {
         set: FxHashSet<T>,
@@ -760,97 +546,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
         let _: KnownSet<u32> = KnownSet::with_capacity(0);
-    }
-
-    #[test]
-    fn dense_set_matches_reference_on_basics() {
-        let mut s = DenseKnownSet::with_capacity(3);
-        assert!(s.is_empty());
-        assert!(s.insert(10));
-        assert!(!s.insert(10));
-        assert!(s.contains(10));
-        assert!(!s.contains(11));
-        for k in [11, 12, 13] {
-            assert!(s.insert(k)); // 13 evicts 10
-        }
-        assert_eq!(s.len(), 3);
-        assert!(!s.contains(10));
-        assert!(s.contains(11) && s.contains(12) && s.contains(13));
-        // Duplicate insert must not evict.
-        assert!(!s.insert(13));
-        assert!(s.contains(11));
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved")]
-    fn dense_set_rejects_sentinel_key() {
-        let mut s = DenseKnownSet::with_capacity(4);
-        s.insert(u32::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn dense_zero_capacity_rejected() {
-        let _ = DenseKnownSet::with_capacity(0);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::tests::KnownSet;
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The dense replacement must be observationally identical to the
-        /// original [`KnownSet`] — same insert results, same membership,
-        /// same FIFO eviction — under arbitrary key streams and small
-        /// capacities (small caps maximize evictions, the hard part of
-        /// backward-shift deletion).
-        #[test]
-        fn dense_set_equivalent_to_knownset_model(
-            cap in 1usize..24,
-            keys in proptest::collection::vec(0u32..48, 0..256),
-        ) {
-            let mut dense = DenseKnownSet::with_capacity(cap);
-            let mut model: KnownSet<u32> = KnownSet::with_capacity(cap);
-            for &k in &keys {
-                prop_assert_eq!(dense.insert(k), model.insert(k), "insert {}", k);
-                prop_assert_eq!(dense.len(), model.len());
-                // Full-universe membership sweep after every operation.
-                for probe in 0..48u32 {
-                    prop_assert_eq!(
-                        dense.contains(probe),
-                        model.contains(probe),
-                        "probe {} after inserting {}",
-                        probe,
-                        k
-                    );
-                }
-            }
-        }
-
-        /// Same equivalence under adversarial clustering: keys drawn from
-        /// a tiny residue class collide heavily in the probe table,
-        /// stressing displacement chains across wrap-around.
-        #[test]
-        fn dense_set_survives_heavy_collisions(
-            cap in 1usize..12,
-            seeds in proptest::collection::vec(0u32..8, 0..192),
-        ) {
-            let mut dense = DenseKnownSet::with_capacity(cap);
-            let mut model: KnownSet<u32> = KnownSet::with_capacity(cap);
-            for &s in &seeds {
-                // Multiples of 16 share low bits; with a 16-slot table all
-                // of them fight for a handful of buckets.
-                let k = s * 16;
-                prop_assert_eq!(dense.insert(k), model.insert(k));
-                for probe in 0..8u32 {
-                    prop_assert_eq!(dense.contains(probe * 16), model.contains(probe * 16));
-                }
-            }
-            prop_assert_eq!(dense.len(), model.len());
-        }
     }
 }
 

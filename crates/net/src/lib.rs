@@ -33,7 +33,7 @@ pub mod topology;
 
 pub use config::{NetConfig, TxRelayPolicy};
 pub use headerview::HeaderView;
-pub use message::{AnnounceList, Message, TxBatch};
+pub use message::Message;
 pub use node::{GossipScratch, ImportAction, LinkError, Node, Send};
 pub use shard::{RemoteEvent, RemoteEventKind, ShardMap};
 pub use topology::Topology;

@@ -3,10 +3,11 @@
 //! The paper's Table II distinguishes exactly two ways a block reaches a
 //! peer — "light announcements (consisting of only the block's hash)" and
 //! direct propagation "(including both header and body)" — plus the fetch
-//! round-trip announcements trigger. Transactions travel in batched
-//! `Transactions` messages.
+//! round-trip announcements trigger. Transactions are relayed one at a
+//! time. Every message carries exactly one id, so a `Message` is a tag and
+//! a word.
 
-use ethmeter_types::{BlockHash, ByteSize, InlineVec, TxId};
+use ethmeter_types::{BlockHash, ByteSize, TxId};
 
 /// Approximate wire overhead of any devp2p message (RLP framing, message
 /// id, signature envelope).
@@ -15,24 +16,12 @@ pub const MSG_OVERHEAD_BYTES: u64 = 60;
 /// Bytes per announced hash in `NewBlockHashes` (hash + number).
 pub const ANNOUNCE_ENTRY_BYTES: u64 = 40;
 
-/// The hash list of an `Announce`. Real announcements carry one or two
-/// hashes, so the payload lives inline in the message — constructing and
-/// fanning one out per peer allocates nothing.
-pub type AnnounceList = InlineVec<BlockHash, 2>;
-
-/// The id list of a `Transactions` batch. Small batches (the common case
-/// outside bursts) stay inline; large bursts spill to the heap. Three is
-/// the largest inline capacity that keeps `Message` no bigger than its
-/// pre-inline-payload size (the message is copied through the event slab
-/// on every hop, so its footprint is itself a hot-path constant).
-pub type TxBatch = InlineVec<TxId, 3>;
-
 /// A protocol message. Block bodies are addressed by hash; the driver
 /// resolves bodies through its block registry when sizing and delivering.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Message {
     /// `NewBlockHashes`: light announcement of block availability.
-    Announce(AnnounceList),
+    Announce(BlockHash),
     /// `NewBlock`: unsolicited full block (header + body), the "direct
     /// propagation" path.
     NewBlock(BlockHash),
@@ -40,29 +29,22 @@ pub enum Message {
     GetBlock(BlockHash),
     /// The fetch response carrying the full block.
     BlockBody(BlockHash),
-    /// A batch of complete transactions.
-    Transactions(TxBatch),
-    /// A single complete transaction — wire-equivalent to
-    /// `Transactions(vec![id])`, but with no heap payload. Transaction
-    /// gossip is overwhelmingly one-at-a-time, so the hot path pays no
-    /// allocation per relayed transaction.
+    /// A complete transaction.
     Tx(TxId),
 }
 
 impl Message {
     /// Computes the wire size, resolving block/tx payload sizes via
     /// `block_size` and `tx_size` lookups.
-    pub fn size<B, T>(&self, mut block_size: B, mut tx_size: T) -> ByteSize
+    pub fn size<B, T>(&self, block_size: B, tx_size: T) -> ByteSize
     where
-        B: FnMut(BlockHash) -> ByteSize,
-        T: FnMut(TxId) -> ByteSize,
+        B: FnOnce(BlockHash) -> ByteSize,
+        T: FnOnce(TxId) -> ByteSize,
     {
-        let payload = match self {
-            Message::Announce(hashes) => hashes.len() as u64 * ANNOUNCE_ENTRY_BYTES,
-            Message::NewBlock(h) | Message::BlockBody(h) => block_size(*h).as_bytes(),
-            Message::GetBlock(_) => ANNOUNCE_ENTRY_BYTES,
-            Message::Transactions(txs) => txs.iter().map(|&t| tx_size(t).as_bytes()).sum::<u64>(),
-            Message::Tx(t) => tx_size(*t).as_bytes(),
+        let payload = match *self {
+            Message::Announce(_) | Message::GetBlock(_) => ANNOUNCE_ENTRY_BYTES,
+            Message::NewBlock(h) | Message::BlockBody(h) => block_size(h).as_bytes(),
+            Message::Tx(t) => tx_size(t).as_bytes(),
         };
         ByteSize::from_bytes(MSG_OVERHEAD_BYTES + payload)
     }
@@ -88,43 +70,21 @@ mod tests {
 
     #[test]
     fn announcement_is_light() {
-        let ann = Message::Announce(AnnounceList::one(BlockHash(1)));
+        let ann = Message::Announce(BlockHash(1));
         let full = Message::NewBlock(BlockHash(1));
         let a = ann.size(fixed_block, fixed_tx);
         let f = full.size(fixed_block, fixed_tx);
-        assert!(a.as_bytes() < 200);
+        assert_eq!(a.as_bytes(), MSG_OVERHEAD_BYTES + ANNOUNCE_ENTRY_BYTES);
         assert_eq!(f.as_bytes(), 25_060);
         assert!(f.as_bytes() > 100 * a.as_bytes() / 2);
     }
 
     #[test]
-    fn batched_announcements_scale() {
-        let one = Message::Announce(AnnounceList::one(BlockHash(1))).size(fixed_block, fixed_tx);
-        let three = Message::Announce(AnnounceList::from_slice(&[
-            BlockHash(1),
-            BlockHash(2),
-            BlockHash(3),
-        ]))
-        .size(fixed_block, fixed_tx);
-        assert_eq!(three.as_bytes() - one.as_bytes(), 2 * ANNOUNCE_ENTRY_BYTES);
-    }
-
-    #[test]
-    fn tx_batch_sums_sizes() {
-        let batch = Message::Transactions(TxBatch::from_slice(&[TxId(1), TxId(2)]));
-        assert_eq!(
-            batch.size(fixed_block, fixed_tx).as_bytes(),
-            MSG_OVERHEAD_BYTES + 360
-        );
-    }
-
-    #[test]
-    fn singleton_tx_sizes_like_a_batch_of_one() {
+    fn tx_sizes_from_the_registry() {
         let one = Message::Tx(TxId(1));
-        let batch = Message::Transactions(TxBatch::one(TxId(1)));
         assert_eq!(
-            one.size(fixed_block, fixed_tx),
-            batch.size(fixed_block, fixed_tx)
+            one.size(fixed_block, fixed_tx).as_bytes(),
+            MSG_OVERHEAD_BYTES + 180
         );
         assert!(!one.carries_block_body());
     }
@@ -133,8 +93,7 @@ mod tests {
     fn body_kind_classification() {
         assert!(Message::NewBlock(BlockHash(1)).carries_block_body());
         assert!(Message::BlockBody(BlockHash(1)).carries_block_body());
-        assert!(!Message::Announce(AnnounceList::new()).carries_block_body());
+        assert!(!Message::Announce(BlockHash(1)).carries_block_body());
         assert!(!Message::GetBlock(BlockHash(1)).carries_block_body());
-        assert!(!Message::Transactions(TxBatch::new()).carries_block_body());
     }
 }

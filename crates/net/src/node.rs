@@ -18,14 +18,16 @@
 //!   flat probe table of packed `(NodeId, position)` words kept at most
 //!   half full (`2 × degree` slots, a few cache lines), so the lookup is
 //!   O(1) without a table as wide as the id space;
-//! - what each peer is known to have is two key-major bitmap families
-//!   ([`PeerKnownSet`]), one keyed by [`BlockIdx`] with peer `p` at
-//!   position `p`, one keyed by [`TxIdx`] whose position 0 is the node's
-//!   own "seen" bit and whose position `p + 1` is peer `p`: a delivery's
-//!   seen-check, the sender's known-bit and the relay fan-out all land in
-//!   the same row, and each family's eviction queues are chains of
-//!   chunks in one pool, so a node's whole gossip state is a handful of
-//!   allocations however many peers it has.
+//! - what the node and each peer are known to have is two key-major
+//!   bitmap families ([`PeerKnownSet`]) with one layout: position 0 is the
+//!   node itself and position `p + 1` is peer `p`. In the family keyed by
+//!   [`BlockIdx`] the node's own position holds the block bodies it has
+//!   (the last `4 × header_window` arrivals); in the family keyed by
+//!   [`TxIdx`] it is the node's "seen" bit. A delivery's own check, the
+//!   sender's known-bit and the relay fan-out all land in the same row,
+//!   and each family's eviction queues are chains of chunks in one pool,
+//!   so a node's whole gossip state is a handful of allocations however
+//!   many peers it has.
 //!
 //! What that guarantees: the gossip bookkeeping itself — who knows what,
 //! what is being fetched, what awaits import — holds no hash map, keyed
@@ -34,18 +36,18 @@
 //! by the campaign: the node's header view (`chain`, the chain crate's
 //! fork-choice core with a pruning window), which `on_block_arrival`,
 //! `on_announce` and `on_fetch_timeout` probe with `chain.contains(hash)`
-//! when the dense `have_body` set misses and `on_import_complete`
+//! when the node holds no body for the block and `on_import_complete`
 //! inserts into; and, on the nodes that run one, the `Mempool`. Wire
 //! messages still carry real hashes; slots never leave the process.
 //!
 //! Handlers are allocation-free in steady state: every handler appends
 //! its outgoing messages to a caller-owned `Vec<Send>` (the driver
-//! recycles one buffer across all events), message payloads inline their
-//! one-or-two ids
-//! ([`crate::message::AnnounceList`]/[`crate::message::TxBatch`]), and
+//! recycles one buffer across all events), every message is one id, and
 //! all intermediate candidate lists live in one caller-owned
 //! [`GossipScratch`] passed beside that buffer — they hold nothing between
 //! calls, so a copy per node would only be ten thousand cold allocations.
+//!
+//! [`TxIdx`]: ethmeter_types::TxIdx
 
 use std::sync::Arc;
 
@@ -55,12 +57,12 @@ use ethmeter_chain::uncles::UnclePolicy;
 use ethmeter_chain::TxRegistry;
 use ethmeter_geo::BandwidthClass;
 use ethmeter_sim::Xoshiro256;
-use ethmeter_types::{BlockHash, BlockIdx, NodeId, Region, TxId, TxIdx};
+use ethmeter_types::{BlockHash, BlockIdx, NodeId, Region, TxId};
 
 use crate::config::{NetConfig, TxRelayPolicy};
 use crate::headerview::{HeaderView, InsertOutcome};
-use crate::known::{fib_bucket, DenseKnownSet, PeerKnownSet};
-use crate::message::{AnnounceList, Message, TxBatch};
+use crate::known::PeerKnownSet;
+use crate::message::Message;
 use ethmeter_txpool::Mempool;
 
 /// An outgoing message the driver must deliver.
@@ -91,27 +93,31 @@ struct FetchState {
 /// every node (cleared before use; nothing survives a call).
 #[derive(Debug, Default)]
 pub struct GossipScratch {
-    /// Relay candidates as `(position, peer)` pairs — the peer's slab
-    /// position for blocks, its known-tx family position for
-    /// transactions. Carrying the position avoids a peer-index lookup per
-    /// send in the fan-out loops.
+    /// Relay candidates as `(family position, peer)` pairs. Carrying the
+    /// position avoids a peer-index lookup per send in the fan-out loops.
     targets: Vec<(u32, NodeId)>,
     /// The sampled subset of `targets` under a √ fan-out.
     picks: Vec<(u32, NodeId)>,
     /// Sampled fan-out indices into `targets`.
     sampled: Vec<usize>,
-    /// `(slot, id)` of a batch's fresh transactions.
-    fresh: Vec<(TxIdx, TxId)>,
 }
 
-/// The node's own position in its known-tx family; peer `p` is at
-/// [`tx_pos`]`(p)`.
-const SELF_TX_POS: usize = 0;
+/// The node's own position in both known-set families; peer `p` is at
+/// [`peer_pos`]`(p)`.
+const SELF_POS: usize = 0;
 
-/// Position of the peer at slab position `pos` in the known-tx family.
+/// Position of the peer at slab position `pos` in a known-set family.
 #[inline]
-fn tx_pos(pos: usize) -> usize {
+fn peer_pos(pos: usize) -> usize {
     pos + 1
+}
+
+/// Fibonacci-hash bucket of `key` in a power-of-two table of `len` slots.
+#[inline]
+fn fib_bucket(key: u32, len: usize) -> usize {
+    debug_assert!(len.is_power_of_two());
+    let h = u64::from(key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (h >> 32) as usize & (len - 1)
 }
 
 /// `NodeId → peer position` in O(degree) memory: a linear-probing table
@@ -219,18 +225,16 @@ pub struct Node {
     peer_index: PeerIndex,
     /// Known-block sets keyed by [`BlockIdx`] — one family (see
     /// [`PeerKnownSet`]: a key-major bitmap plus one pool of FIFO chunks)
-    /// with each peer at its slab position.
+    /// holding the blocks whose body this node holds (or is importing) at
+    /// [`SELF_POS`] and what each peer is known to have at [`peer_pos`].
     known_blocks: PeerKnownSet,
-    /// Known-tx sets keyed by [`TxIdx`] — a second family holding the
-    /// transactions this node has seen at [`SELF_TX_POS`] and what each
-    /// peer is known to have at [`tx_pos`]: a delivery checks the first
-    /// and floods the rest for the same recent key, so the shared row
-    /// keeps all of it on one hot cache line.
+    /// Known-tx sets keyed by [`TxIdx`](ethmeter_types::TxIdx) — a second
+    /// family with the same layout, holding the transactions this node
+    /// has seen at [`SELF_POS`]: a delivery checks that bit and floods the
+    /// rest of the same recent row, so all of it sits on one hot cache
+    /// line.
     known_txs: PeerKnownSet,
     chain: HeaderView,
-    /// Blocks whose body this node holds (or is importing), keyed by
-    /// [`BlockIdx`].
-    have_body: DenseKnownSet,
     /// Blocks with a scheduled import: `(slot, provenance)`. In-flight
     /// imports are at most a handful, so a flat vector with linear probes
     /// beats any hashed structure.
@@ -254,32 +258,30 @@ impl Node {
         cfg: &NetConfig,
         consensus: Arc<dyn Consensus>,
     ) -> Self {
-        Node {
+        let mut node = Node {
             id,
             region,
             bandwidth,
             peers: Vec::new(),
             peer_index: PeerIndex::default(),
             known_blocks: PeerKnownSet::new(),
-            known_txs: {
-                let mut family = PeerKnownSet::new();
-                family.add_peer(cfg.known_txs_cap);
-                family
-            },
-            chain: HeaderView::with_consensus(genesis, cfg.header_window, consensus),
-            have_body: DenseKnownSet::with_capacity(4 * cfg.header_window as usize),
+            known_txs: PeerKnownSet::new(),
+            chain: HeaderView::with_consensus(genesis, cfg.header_window, Arc::clone(&consensus)),
             import_pending: Vec::new(),
             fetching: Vec::new(),
             mempool: None,
             spare_mempool: None,
-        }
+        };
+        node.reset(id, region, bandwidth, genesis, cfg, consensus);
+        node
     }
 
     /// Rewinds the node to the state `Node::new(id, region, bandwidth,
-    /// genesis, cfg, consensus)` would build, keeping every allocation:
-    /// peer slabs, the known-set families' chunk pools, the header view's
-    /// maps, and the mempool (if re-enabled). Campaign-over-campaign
-    /// behavior is identical to a fresh node.
+    /// genesis, cfg, consensus)` builds (`new` is an empty shell plus this
+    /// call), keeping every allocation: peer slabs, the known-set
+    /// families' chunk pools, the header view's maps, and the mempool (if
+    /// re-enabled). Campaign-over-campaign behavior is identical to a
+    /// fresh node.
     pub fn reset(
         &mut self,
         id: NodeId,
@@ -296,9 +298,12 @@ impl Node {
         self.peer_index.clear();
         self.known_blocks.clear();
         self.known_txs.clear();
-        self.known_txs.add_peer(cfg.known_txs_cap);
+        let own = (
+            self.known_blocks.add_peer(4 * cfg.header_window as usize),
+            self.known_txs.add_peer(cfg.known_txs_cap),
+        );
+        debug_assert_eq!(own, (SELF_POS, SELF_POS));
         self.chain.reset_with(genesis, cfg.header_window, consensus);
-        self.have_body.reset(4 * cfg.header_window as usize);
         self.import_pending.clear();
         self.fetching.clear();
         if let Some(mut pool) = self.mempool.take() {
@@ -360,11 +365,13 @@ impl Node {
         let pos = self.peers.len();
         self.peers.push(peer);
         self.peer_index.push(&self.peers);
-        let block_pos = self.known_blocks.add_peer(cfg.known_blocks_cap);
-        let registered = self.known_txs.add_peer(cfg.known_txs_cap);
+        let registered = (
+            self.known_blocks.add_peer(cfg.known_blocks_cap),
+            self.known_txs.add_peer(cfg.known_txs_cap),
+        );
         debug_assert_eq!(
-            (block_pos, registered),
-            (pos, tx_pos(pos)),
+            registered,
+            (peer_pos(pos), peer_pos(pos)),
             "peer slabs advance in lockstep"
         );
         Ok(())
@@ -389,8 +396,8 @@ impl Node {
         };
         self.peers.swap_remove(pos);
         self.peer_index.rebuild(&self.peers);
-        self.known_blocks.remove_peer(pos);
-        self.known_txs.remove_peer(tx_pos(pos));
+        self.known_blocks.remove_peer(peer_pos(pos));
+        self.known_txs.remove_peer(peer_pos(pos));
         true
     }
 
@@ -400,18 +407,17 @@ impl Node {
     }
 
     /// Heap bytes held by this node's gossip state: the peer slabs and
-    /// index, the known-block and known-tx families (bitmap pages, chunk
-    /// pools and cursors) and the body set. A diagnostic for the layout
-    /// contract in the module doc — it must track the node's degree and
-    /// gossip window, not the network's size. The header view and the
-    /// mempool are not counted.
+    /// index and the known-block and known-tx families (bitmap pages,
+    /// chunk pools and cursors). A diagnostic for the layout contract in
+    /// the module doc — it must track the node's degree and gossip window,
+    /// not the network's size. The header view and the mempool are not
+    /// counted.
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         self.peers.capacity() * size_of::<NodeId>()
             + self.peer_index.heap_bytes()
             + self.known_blocks.heap_bytes()
             + self.known_txs.heap_bytes()
-            + self.have_body.heap_bytes()
     }
 
     /// The slab position of `peer`, if connected.
@@ -423,7 +429,7 @@ impl Node {
     #[inline]
     fn mark_peer_knows_block(&mut self, peer: NodeId, idx: BlockIdx) {
         if let Some(p) = self.pos_of(peer) {
-            self.known_blocks.insert(p, idx.raw());
+            self.known_blocks.insert(peer_pos(p), idx.raw());
         }
     }
 
@@ -464,13 +470,10 @@ impl Node {
         if let Some(at) = self.fetching.iter().position(|(i, _)| *i == idx) {
             self.fetching.swap_remove(at);
         }
-        if self.have_body.contains(idx.raw())
-            || self.chain.contains(hash)
-            || self.is_import_pending(idx)
-        {
+        if self.has_block_body(idx) || self.chain.contains(hash) || self.is_import_pending(idx) {
             return ImportAction::None;
         }
-        self.have_body.insert(idx.raw());
+        self.known_blocks.insert(SELF_POS, idx.raw());
 
         // Relay policy: push recent (head-candidate) blocks; optionally
         // also side blocks within the relay window.
@@ -486,8 +489,8 @@ impl Node {
             targets.clear();
             for pos in 0..self.peers.len() {
                 let p = self.peers[pos];
-                if Some(p) != from && !self.known_blocks.contains(pos, idx.raw()) {
-                    targets.push((pos as u32, p));
+                if Some(p) != from && !self.known_blocks.contains(peer_pos(pos), idx.raw()) {
+                    targets.push((peer_pos(pos) as u32, p));
                 }
             }
             // Locally produced blocks (miner gateways) are pushed to every
@@ -513,72 +516,70 @@ impl Node {
         ImportAction::Schedule(idx)
     }
 
-    /// Handles a `NewBlockHashes` announcement: fetch unknown blocks from
-    /// the announcer (Geth's fetcher). Entries pair each announced hash
-    /// with its interned slot. Requests are appended to `out`.
+    /// Handles a `NewBlockHashes` announcement of `hash` (interned at
+    /// `idx`): fetch the block from the announcer unless it is held or
+    /// already being fetched (Geth's fetcher). The request is appended to
+    /// `out`; returns whether one was sent, so the driver can arm the
+    /// fetch timeout.
     pub fn on_announce(
         &mut self,
         from: NodeId,
-        hashes: &[(BlockHash, BlockIdx)],
+        hash: BlockHash,
+        idx: BlockIdx,
         out: &mut Vec<Send>,
-    ) {
-        for &(hash, idx) in hashes {
-            self.mark_peer_knows_block(from, idx);
-            if self.have_body.contains(idx.raw())
-                || self.chain.contains(hash)
-                || self.is_import_pending(idx)
-            {
-                continue;
-            }
-            match self.fetching.iter_mut().find(|(i, _)| *i == idx) {
-                Some((_, f)) => {
-                    if !f.announcers.contains(&from) {
-                        f.announcers.push(from);
-                    }
-                }
-                None => {
-                    self.fetching.push((
-                        idx,
-                        FetchState {
-                            announcers: vec![from],
-                            tried: 1,
-                        },
-                    ));
-                    out.push(Send {
-                        to: from,
-                        msg: Message::GetBlock(hash),
-                    });
-                }
-            }
+    ) -> bool {
+        self.mark_peer_knows_block(from, idx);
+        if self.has_block_body(idx) || self.chain.contains(hash) || self.is_import_pending(idx) {
+            return false;
         }
+        if let Some((_, f)) = self.fetching.iter_mut().find(|(i, _)| *i == idx) {
+            if !f.announcers.contains(&from) {
+                f.announcers.push(from);
+            }
+            return false;
+        }
+        self.fetching.push((
+            idx,
+            FetchState {
+                announcers: vec![from],
+                tried: 1,
+            },
+        ));
+        out.push(Send {
+            to: from,
+            msg: Message::GetBlock(hash),
+        });
+        true
     }
 
     /// Fetch timeout: re-request from the next announcer, or give up.
     ///
-    /// Appends the re-request (if any) to `out`; the driver should re-arm
-    /// the timeout when a request goes out.
-    pub fn on_fetch_timeout(&mut self, hash: BlockHash, idx: BlockIdx, out: &mut Vec<Send>) {
-        if self.have_body.contains(idx.raw()) || self.chain.contains(hash) {
-            if let Some(at) = self.fetching.iter().position(|(i, _)| *i == idx) {
-                self.fetching.swap_remove(at);
-            }
-            return;
-        }
+    /// Appends the re-request (if any) to `out` and returns whether one
+    /// was sent; the driver re-arms the timeout when it was.
+    pub fn on_fetch_timeout(
+        &mut self,
+        hash: BlockHash,
+        idx: BlockIdx,
+        out: &mut Vec<Send>,
+    ) -> bool {
         let Some(at) = self.fetching.iter().position(|(i, _)| *i == idx) else {
-            return;
+            return false;
         };
+        let held = self.has_block_body(idx) || self.chain.contains(hash);
         let f = &mut self.fetching[at].1;
-        if f.tried < f.announcers.len() {
+        if !held && f.tried < f.announcers.len() {
             let next = f.announcers[f.tried];
             f.tried += 1;
             out.push(Send {
                 to: next,
                 msg: Message::GetBlock(hash),
             });
-        } else {
-            // Out of announcers: give up; a push may still deliver it.
-            self.fetching.swap_remove(at);
+            return true;
         }
+        // Held already, or out of announcers (give up; a push may still
+        // deliver it): the fetch is over.
+        self.fetching.swap_remove(at);
+        false
     }
 
     /// Serves a fetch request if the body is available (appended to
@@ -590,7 +591,7 @@ impl Node {
         idx: BlockIdx,
         out: &mut Vec<Send>,
     ) {
-        if !self.have_body.contains(idx.raw()) {
+        if !self.has_block_body(idx) {
             return;
         }
         self.mark_peer_knows_block(from, idx);
@@ -645,77 +646,66 @@ impl Node {
             }
         }
 
-        // Post-import announcement to everyone not known to have it. The
-        // single-hash payload lives inline in the message, so the per-peer
-        // fan-out allocates nothing.
+        // Post-import announcement to everyone not known to have it.
         let head_number = self.chain.head_number();
         let recent = block.number() + cfg.relay_window > head_number;
         if new_head || (cfg.relay_non_head && recent) {
             for pos in 0..self.peers.len() {
                 // One fused probe: `insert` is a no-op on a peer that
                 // already knows the block.
-                if !self.known_blocks.insert(pos, idx.raw()) {
+                if !self.known_blocks.insert(peer_pos(pos), idx.raw()) {
                     continue;
                 }
                 out.push(Send {
                     to: self.peers[pos],
-                    msg: Message::Announce(AnnounceList::one(hash)),
+                    msg: Message::Announce(hash),
                 });
             }
         }
         new_head
     }
 
-    /// Handles a batch of transactions (`from = None` for local
-    /// submissions injected by the workload), given by id and resolved
-    /// against the driver's registry `txs`; ids it never issued are
-    /// skipped.
+    /// Handles a transaction (`from = None` for a local submission
+    /// injected by the workload), given by id and resolved against the
+    /// driver's registry `txs`; an id it never issued is skipped.
     ///
-    /// Appends the relays to `out`. Fresh transactions are added to the
+    /// Appends the relays to `out`. A fresh transaction is added to the
     /// mempool if one is enabled.
     #[allow(clippy::too_many_arguments)]
     pub fn on_transactions(
         &mut self,
         from: Option<NodeId>,
-        ids: &[TxId],
+        id: TxId,
         txs: &TxRegistry,
         cfg: &NetConfig,
         rng: &mut Xoshiro256,
         scratch: &mut GossipScratch,
         out: &mut Vec<Send>,
     ) {
+        let Some(idx) = txs.idx_of(id) else {
+            return;
+        };
+        if let Some(p) = from.and_then(|p| self.pos_of(p)) {
+            self.known_txs.insert(peer_pos(p), idx.raw());
+        }
+        if !self.known_txs.insert(SELF_POS, idx.raw()) {
+            return;
+        }
+        if let Some(pool) = self.mempool.as_mut() {
+            pool.add(txs.by_idx(idx));
+        }
         let GossipScratch {
             targets,
             picks,
             sampled,
-            fresh,
         } = scratch;
-        let from_pos = from.and_then(|p| self.pos_of(p));
-        fresh.clear();
-        for &id in ids {
-            let Some(idx) = txs.idx_of(id) else {
-                continue;
-            };
-            if let Some(p) = from_pos {
-                self.known_txs.insert(tx_pos(p), idx.raw());
-            }
-            if self.known_txs.insert(SELF_TX_POS, idx.raw()) {
-                fresh.push((idx, id));
-                if let Some(pool) = self.mempool.as_mut() {
-                    pool.add(txs.by_idx(idx));
-                }
-            }
-        }
-        if fresh.is_empty() {
-            return;
-        }
         // Choose relay targets, each with its position in the known-tx
         // family.
         targets.clear();
         for pos in 0..self.peers.len() {
             let p = self.peers[pos];
             if Some(p) != from {
-                targets.push((tx_pos(pos) as u32, p));
+                targets.push((peer_pos(pos) as u32, p));
             }
         }
         let targets = if cfg.tx_relay == TxRelayPolicy::Sqrt {
@@ -733,38 +723,12 @@ impl Node {
         // fused probe replaces the old contains-then-insert pair; the set
         // state afterwards is identical (duplicate inserts are no-ops).
         out.reserve(targets.len());
-        if let [(idx, id)] = fresh[..] {
-            // Dominant case: a single fresh transaction — no list
-            // materialization, no per-send heap payload.
-            for &(pos, peer) in targets.iter() {
-                if self.known_txs.insert(pos as usize, idx.raw()) {
-                    out.push(Send {
-                        to: peer,
-                        msg: Message::Tx(id),
-                    });
-                }
-            }
-            return;
-        }
         for &(pos, peer) in targets.iter() {
-            // Small batches inline in the message; only outsized bursts
-            // spill to the heap.
-            let mut unknown = TxBatch::new();
-            for &(idx, id) in fresh.iter() {
-                if self.known_txs.insert(pos as usize, idx.raw()) {
-                    unknown.push(id);
-                }
-            }
-            match unknown.len() {
-                0 => {}
-                1 => out.push(Send {
+            if self.known_txs.insert(pos as usize, idx.raw()) {
+                out.push(Send {
                     to: peer,
-                    msg: Message::Tx(unknown[0]),
-                }),
-                _ => out.push(Send {
-                    to: peer,
-                    msg: Message::Transactions(unknown),
-                }),
+                    msg: Message::Tx(id),
+                });
             }
         }
     }
@@ -795,9 +759,11 @@ impl Node {
         self.fetching.iter().any(|(i, _)| *i == idx)
     }
 
-    /// True if the node holds (or is importing) this block's body.
+    /// True if the node holds (or is importing) this block's body — one
+    /// of its last `4 × header_window` arrivals.
+    #[inline]
     pub fn has_block_body(&self, idx: BlockIdx) -> bool {
-        self.have_body.contains(idx.raw())
+        self.known_blocks.contains(SELF_POS, idx.raw())
     }
 }
 
@@ -907,15 +873,19 @@ mod tests {
         (sends, new_head)
     }
 
-    fn announce(n: &mut Node, from: NodeId, entries: &[(BlockHash, BlockIdx)]) -> Vec<Send> {
+    /// The fetch handlers also report whether they sent a request; the
+    /// wrappers check that against the buffer.
+    fn announce(n: &mut Node, from: NodeId, hash: BlockHash, idx: BlockIdx) -> Vec<Send> {
         let mut sends = Vec::new();
-        n.on_announce(from, entries, &mut sends);
+        let sent = n.on_announce(from, hash, idx, &mut sends);
+        assert_eq!(sent, !sends.is_empty());
         sends
     }
 
     fn timeout(n: &mut Node, hash: BlockHash, idx: BlockIdx) -> Vec<Send> {
         let mut sends = Vec::new();
-        n.on_fetch_timeout(hash, idx, &mut sends);
+        let sent = n.on_fetch_timeout(hash, idx, &mut sends);
+        assert_eq!(sent, !sends.is_empty());
         sends
     }
 
@@ -928,7 +898,7 @@ mod tests {
     fn transactions(
         n: &mut Node,
         from: Option<NodeId>,
-        ids: &[TxId],
+        id: TxId,
         txs: &TxRegistry,
         c: &NetConfig,
         rng: &mut Xoshiro256,
@@ -936,7 +906,7 @@ mod tests {
         let mut sends = Vec::new();
         n.on_transactions(
             from,
-            ids,
+            id,
             txs,
             c,
             rng,
@@ -1019,14 +989,7 @@ mod tests {
         assert!(announced.is_disjoint(&pushed_to));
         assert!(!announced.contains(&NodeId(1)));
         assert_eq!(announced.len(), 9 - pushed_to.len());
-        assert!(sends
-            .iter()
-            .all(|s| matches!(&s.msg, Message::Announce(v) if v[..] == [b.hash()])));
-        // The inline payload never touches the heap.
-        assert!(sends.iter().all(|s| match &s.msg {
-            Message::Announce(v) => v.is_inline(),
-            _ => false,
-        }));
+        assert!(sends.iter().all(|s| s.msg == Message::Announce(b.hash())));
     }
 
     #[test]
@@ -1035,13 +998,13 @@ mod tests {
         let mut n = node(99, 5);
         let b = block1();
         let idx = intern(&mut reg, &b);
-        let sends = announce(&mut n, NodeId(1), &[(b.hash(), idx)]);
+        let sends = announce(&mut n, NodeId(1), b.hash(), idx);
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].to, NodeId(1));
         assert!(matches!(sends[0].msg, Message::GetBlock(h) if h == b.hash()));
         assert!(n.is_fetching(idx));
         // Second announcer recorded, no second request.
-        let sends = announce(&mut n, NodeId(2), &[(b.hash(), idx)]);
+        let sends = announce(&mut n, NodeId(2), b.hash(), idx);
         assert!(sends.is_empty());
         // Timeout falls over to the second announcer.
         let retry = timeout(&mut n, b.hash(), idx);
@@ -1059,7 +1022,7 @@ mod tests {
         let mut n = node(99, 5);
         let b = block1();
         let idx = intern(&mut reg, &b);
-        announce(&mut n, NodeId(1), &[(b.hash(), idx)]);
+        announce(&mut n, NodeId(1), b.hash(), idx);
         let (_, action) = arrive(&mut n, Some(NodeId(1)), &b, idx, &cfg(), &mut rng());
         assert!(matches!(action, ImportAction::Schedule(_)));
         assert!(!n.is_fetching(idx));
@@ -1078,6 +1041,30 @@ mod tests {
         let resp = get_block(&mut n, NodeId(1), b.hash(), idx);
         assert_eq!(resp.len(), 1);
         assert!(matches!(resp[0].msg, Message::BlockBody(h) if h == b.hash()));
+    }
+
+    #[test]
+    fn body_set_keeps_the_last_four_header_windows_of_arrivals() {
+        let mut reg = BlockRegistry::new();
+        let mut n = node(99, 3);
+        let c = cfg();
+        let bound = 4 * c.header_window;
+        let mut arrive_salted = |n: &mut Node, salt: u64| {
+            let b = BlockBuilder::new(genesis(), 1, PoolId(0))
+                .salt(salt)
+                .build();
+            let idx = intern(&mut reg, &b);
+            arrive(n, Some(NodeId(1)), &b, idx, &c, &mut rng());
+            (b.hash(), idx)
+        };
+        let (first, first_idx) = arrive_salted(&mut n, 0);
+        for salt in 1..bound {
+            arrive_salted(&mut n, salt);
+        }
+        assert!(n.has_block_body(first_idx), "{bound} arrivals all held");
+        arrive_salted(&mut n, bound);
+        assert!(!n.has_block_body(first_idx), "the oldest body is evicted");
+        assert!(get_block(&mut n, NodeId(2), first, first_idx).is_empty());
     }
 
     #[test]
@@ -1103,13 +1090,14 @@ mod tests {
         let mut n = node(99, 6);
         let c = cfg();
         let txs = tx_registry(1);
-        let sends = transactions(&mut n, Some(NodeId(1)), &[TxId(1)], &txs, &c, &mut rng());
+        let sends = transactions(&mut n, Some(NodeId(1)), TxId(1), &txs, &c, &mut rng());
         // 5 peers other than the sender.
         assert_eq!(sends.len(), 5);
+        assert!(sends.iter().all(|s| s.msg == Message::Tx(TxId(1))));
         // Replay: nothing fresh, nothing sent.
-        assert!(transactions(&mut n, Some(NodeId(2)), &[TxId(1)], &txs, &c, &mut rng()).is_empty());
+        assert!(transactions(&mut n, Some(NodeId(2)), TxId(1), &txs, &c, &mut rng()).is_empty());
         // An id the registry never issued is skipped.
-        assert!(transactions(&mut n, Some(NodeId(2)), &[TxId(7)], &txs, &c, &mut rng()).is_empty());
+        assert!(transactions(&mut n, Some(NodeId(2)), TxId(7), &txs, &c, &mut rng()).is_empty());
     }
 
     #[test]
@@ -1117,32 +1105,8 @@ mod tests {
         let mut n = node(99, 25);
         let mut c = cfg();
         c.tx_relay = TxRelayPolicy::Sqrt;
-        let sends = transactions(&mut n, None, &[TxId(2)], &tx_registry(2), &c, &mut rng());
+        let sends = transactions(&mut n, None, TxId(2), &tx_registry(2), &c, &mut rng());
         assert_eq!(sends.len(), 5); // sqrt(25) = 5
-    }
-
-    #[test]
-    fn tx_batches_relay_inline() {
-        let mut n = node(99, 4);
-        let c = cfg();
-        let sends = transactions(
-            &mut n,
-            Some(NodeId(1)),
-            &[TxId(1), TxId(2)],
-            &tx_registry(2),
-            &c,
-            &mut rng(),
-        );
-        assert_eq!(sends.len(), 3);
-        for s in &sends {
-            match &s.msg {
-                Message::Transactions(batch) => {
-                    assert_eq!(batch[..], [TxId(1), TxId(2)]);
-                    assert!(batch.is_inline(), "2-element batch must stay inline");
-                }
-                other => panic!("expected a batch, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -1152,7 +1116,7 @@ mod tests {
         n.enable_mempool();
         let c = cfg();
         let registry = tx_registry(1);
-        transactions(&mut n, None, &[TxId(1)], &registry, &c, &mut rng());
+        transactions(&mut n, None, TxId(1), &registry, &c, &mut rng());
         assert_eq!(n.mempool().expect("enabled").len(), 1);
 
         let (parent, number, uncles, txs) = n.mine_template(UnclePolicy::Standard, 8_000_000);
@@ -1239,7 +1203,7 @@ mod tests {
         arrive(&mut used, Some(NodeId(1)), &b, idx, &c, &mut rng_a);
         import(&mut used, &b, idx, &TxRegistry::new(), &c);
         let txs = tx_registry(9);
-        transactions(&mut used, Some(NodeId(2)), &[TxId(1)], &txs, &c, &mut rng_a);
+        transactions(&mut used, Some(NodeId(2)), TxId(1), &txs, &c, &mut rng_a);
 
         // ...then reset it and wire the same topology as a fresh twin.
         used.reset(
@@ -1273,8 +1237,8 @@ mod tests {
         assert_eq!(s_used, s_fresh);
         assert_eq!(a_used, a_fresh);
         assert_eq!(
-            transactions(&mut used, Some(NodeId(3)), &[TxId(9)], &txs, &c, &mut r1),
-            transactions(&mut fresh, Some(NodeId(3)), &[TxId(9)], &txs, &c, &mut r2),
+            transactions(&mut used, Some(NodeId(3)), TxId(9), &txs, &c, &mut r1),
+            transactions(&mut fresh, Some(NodeId(3)), TxId(9), &txs, &c, &mut r2),
         );
     }
 
@@ -1321,24 +1285,17 @@ mod tests {
         arrive(&mut churned, Some(NodeId(1)), &b, idx, &c, &mut rng_a);
         import(&mut churned, &b, idx, &TxRegistry::new(), &c);
         let txs = tx_registry(2);
-        transactions(
-            &mut churned,
-            Some(NodeId(1)),
-            &[TxId(1)],
-            &txs,
-            &c,
-            &mut rng_a,
-        );
+        transactions(&mut churned, Some(NodeId(1)), TxId(1), &txs, &c, &mut rng_a);
         assert!(churned.disconnect(NodeId(1)));
         assert_eq!(churned.try_add_link(NodeId(1), &c), Ok(()));
 
         // The re-dialed link no longer remembers what peer 1 knew: an
         // announce of the same block goes back out to peer 1 too.
         let mut sends = Vec::new();
-        churned.on_announce(NodeId(3), &[(b.hash(), idx)], &mut sends);
+        churned.on_announce(NodeId(3), b.hash(), idx, &mut sends);
         // (peer 3 announced; nothing for peer 1 here — the real probe is
         // the tx relay below, which consults the known-txs family.)
-        let relays = transactions(&mut churned, None, &[TxId(2)], &txs, &c, &mut rng_a);
+        let relays = transactions(&mut churned, None, TxId(2), &txs, &c, &mut rng_a);
         assert!(
             relays.iter().any(|s| s.to == NodeId(1)),
             "re-dialed link must have forgotten nothing-known state"

@@ -26,13 +26,11 @@
 pub mod ids;
 pub mod region;
 pub mod registry;
-pub mod smallvec;
 pub mod time;
 pub mod units;
 
 pub use ids::{AccountId, BlockHash, BlockIdx, BlockNumber, NodeId, Nonce, PoolId, TxId, TxIdx};
 pub use region::Region;
 pub use registry::{BuildFxHasher, FxHashMap, FxHashSet, Interner};
-pub use smallvec::InlineVec;
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, ByteSize, Gas};
