@@ -9,7 +9,10 @@
 #   build        cargo build --release
 #   test         debug workspace test suite (tier-1 superset)
 #   golden       determinism fingerprints in --release (debug is covered
-#                by `test`; a debug/release divergence must fail CI), and
+#                by `test`; a debug/release divergence must fail CI), the
+#                pinned chain-only text, the whole-chain agreement of the
+#                run-length probability with its stepping reference
+#                (release only), and
 #                the event loop's allocation ceilings (tests/allocs.rs)
 #                in the profile the benchmark measures
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
@@ -81,8 +84,14 @@ stage_golden() {
     # Golden determinism fingerprints must hold in BOTH profiles: a
     # float/ordering divergence between debug and --release would
     # silently split "tested behavior" from "benchmarked behavior". The
-    # debug run is covered by the workspace suite; re-run in release.
-    cargo test --release --test golden -q
+    # debug run is covered by the workspace suite; re-run in release (the
+    # pinned Fig. 7 month + selfish-grid text among them).
+    filtered_tests --release --test golden
+    # prob_run_at_least's O(k³·log n) matrix power against the O(n·k)
+    # stepping reference at n = 7.7 M (~1 min; ignored in debug builds,
+    # where it would take far longer).
+    filtered_tests --release -p ethmeter-stats \
+        stepping_and_matrix_power_agree_over_the_whole_chain
     # Allocator calls per event, cold planet-shaped start and warm small
     # preset: the counts do not depend on the profile, but release is
     # what the benchmark runs.

@@ -10,7 +10,7 @@
 //! mined the same-height main block; [`UnclePolicy::ForbidSameMinerHeight`]
 //! implements that mitigation for the ablation experiment.
 
-use ethmeter_types::{BlockHash, BlockNumber};
+use ethmeter_types::{BlockHash, BlockNumber, PoolId};
 
 use crate::headertree::HeaderTree;
 
@@ -75,29 +75,88 @@ impl HeaderTree {
     }
 
     /// Selects up to [`MAX_UNCLES`] referenceable uncles for a block
-    /// extending `parent`, from every attached header in the depth range.
-    ///
-    /// Candidates are ordered recent-first (the oldest uncles claim the
-    /// smallest reward, so real miners prefer recent ones) with ties
-    /// broken by hash for determinism.
+    /// extending `parent`, from every attached header in the depth range
+    /// (see [`HeaderTree::select_uncles_among`]).
     pub fn select_uncles(&self, parent: BlockHash, policy: UnclePolicy) -> Vec<BlockHash> {
         let Some(p) = self.entry(parent) else {
             return Vec::new();
         };
         let new_number = p.number + 1;
         let min_number = new_number.saturating_sub(MAX_UNCLE_DEPTH);
-        let mut candidates: Vec<(BlockNumber, BlockHash)> = self
+        let in_range = self
             .attached()
             .filter(|(_, e)| e.number >= min_number && e.number < new_number)
-            .filter(|&(h, _)| self.is_valid_uncle(parent, h, policy))
-            .map(|(h, e)| (e.number, h))
-            .collect();
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        candidates
+            .map(|(h, _)| h);
+        self.select_uncles_among(parent, in_range, policy)
+    }
+
+    /// Selects up to [`MAX_UNCLES`] of `candidates` that
+    /// [`HeaderTree::is_valid_uncle`] accepts for a block extending
+    /// `parent`, ordered recent-first (the oldest uncles claim the smallest
+    /// reward, so real miners prefer recent ones) with ties broken by hash
+    /// for determinism.
+    ///
+    /// The parent's ancestry is walked once, [`MAX_UNCLE_DEPTH`]` + 1`
+    /// heights deep (an uncle's height and its parent's), and every
+    /// candidate is tested against that table: an ancestor costs no
+    /// lookup, any other candidate at most two (its header and the
+    /// referenced-uncle record). Candidates that are not attached are
+    /// skipped.
+    pub fn select_uncles_among(
+        &self,
+        parent: BlockHash,
+        candidates: impl IntoIterator<Item = BlockHash>,
+        policy: UnclePolicy,
+    ) -> Vec<BlockHash> {
+        let Some(p) = self.entry(parent) else {
+            return Vec::new();
+        };
+        // ancestry[d] = the parent's ancestor `d` heights below it (hash,
+        // miner); `None` once the walk leaves a windowed tree's horizon,
+        // exactly where `ancestor_at` gives up.
+        const SPAN: usize = MAX_UNCLE_DEPTH as usize + 1;
+        let mut ancestry: [Option<(BlockHash, PoolId)>; SPAN] = [None; SPAN];
+        let mut cur = parent;
+        for slot in &mut ancestry {
+            let Some(e) = self.entry(cur) else {
+                break;
+            };
+            *slot = Some((cur, e.miner));
+            cur = e.parent;
+        }
+        let ancestor_at = |number: BlockNumber| {
+            ancestry
+                .get(usize::try_from(p.number - number).ok()?)
+                .copied()
+                .flatten()
+        };
+        let new_number = p.number + 1;
+        let mut picked: Vec<(BlockNumber, BlockHash)> = candidates
             .into_iter()
-            .take(MAX_UNCLES)
-            .map(|(_, h)| h)
-            .collect()
+            .filter_map(|h| {
+                // Not an ancestor. Checked first and without a lookup: a
+                // candidate list near the head is mostly the parent's own
+                // chain. (An ancestry entry more than MAX_UNCLE_DEPTH below
+                // the new block fails the gap test anyway.)
+                if ancestry.iter().flatten().any(|&(a, _)| a == h) {
+                    return None;
+                }
+                let u = self.entry(h)?;
+                // Generation gap: 1 <= gap <= MAX_UNCLE_DEPTH.
+                if u.number >= new_number || new_number - u.number > MAX_UNCLE_DEPTH {
+                    return None;
+                }
+                let valid = ancestor_at(u.number.saturating_sub(1)).map(|(a, _)| a)
+                    == Some(u.parent)
+                    && !self.is_recognized_uncle(h)
+                    && (policy == UnclePolicy::Standard
+                        || ancestor_at(u.number).is_none_or(|(_, miner)| miner != u.miner));
+                valid.then_some((u.number, h))
+            })
+            .collect();
+        picked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        picked.truncate(MAX_UNCLES);
+        picked.into_iter().map(|(_, h)| h).collect()
     }
 }
 

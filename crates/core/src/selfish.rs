@@ -15,7 +15,7 @@
 use ethmeter_analysis::rewards::{self, RevenueReport};
 use ethmeter_chain::block::{Block, BlockBuilder};
 use ethmeter_chain::tree::BlockTree;
-use ethmeter_chain::uncles::{UnclePolicy, MAX_UNCLES, MAX_UNCLE_DEPTH};
+use ethmeter_chain::uncles::{UnclePolicy, MAX_UNCLE_DEPTH};
 use ethmeter_measure::{CampaignData, GroundTruth};
 use ethmeter_mining::{SelfishConfig, SelfishOutcome, SelfishState};
 use ethmeter_sim::Xoshiro256;
@@ -80,18 +80,20 @@ impl SelfishRaceResult {
     }
 }
 
-/// Selects up to [`MAX_UNCLES`] referenceable uncles for a block
-/// extending `parent`, from the windowed candidate list (recent-first,
-/// hash tie-break — the same order miners use elsewhere).
-fn pick_uncles(tree: &BlockTree, recent: &[BlockHash], parent: BlockHash) -> Vec<BlockHash> {
-    let mut picked: Vec<(u64, BlockHash)> = recent
+/// The blocks of `recent` at heights an uncle of a block at `number` may
+/// have. `select_uncles_among` applies every rule itself, but each
+/// candidate it is handed costs a lookup in the race's ever-growing tree;
+/// the heights stored beside the hashes drop the out-of-range ones for
+/// free (measured: `chain-only` is ~16 % slower without this).
+fn in_uncle_range(
+    recent: &[(BlockHash, u64)],
+    number: u64,
+) -> impl Iterator<Item = BlockHash> + '_ {
+    let heights = number.saturating_sub(MAX_UNCLE_DEPTH)..number;
+    recent
         .iter()
-        .filter(|&&h| tree.is_valid_uncle(parent, h, UnclePolicy::Standard))
-        .map(|&h| (tree.get(h).expect("candidates are attached").number(), h))
-        .collect();
-    picked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    picked.truncate(MAX_UNCLES);
-    picked.into_iter().map(|(_, h)| h).collect()
+        .filter(move |(_, n)| heights.contains(n))
+        .map(|&(h, _)| h)
 }
 
 /// Runs the race (deterministic per config).
@@ -114,21 +116,22 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
     let mut tree = BlockTree::new();
     let mut state: SelfishState<Block> = SelfishState::new(cfg.behavior, tree.genesis_hash());
     let mut salt = 0u64;
-    // Uncle candidates: every public block still inside the depth window.
-    let mut recent: Vec<BlockHash> = Vec::new();
+    // Uncle candidates: every public block still inside the depth window,
+    // with its height.
+    let mut recent: Vec<(BlockHash, u64)> = Vec::new();
     // The attacker's released block currently tied at head height, if any
     // — the branch point γ steers honest miners toward.
     let mut tie: Option<BlockHash> = None;
 
     let publish = |tree: &mut BlockTree,
-                   recent: &mut Vec<BlockHash>,
+                   recent: &mut Vec<(BlockHash, u64)>,
                    tie: &mut Option<BlockHash>,
                    blocks: Vec<Block>| {
         for block in blocks {
             let hash = block.hash();
             let number = block.number();
             let _ = tree.insert(block);
-            recent.push(hash);
+            recent.push((hash, number));
             // A released attacker block contesting the head height opens
             // (or refreshes) the tie race.
             if number == tree.head_number() && !tree.is_canonical(hash) {
@@ -139,7 +142,7 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
         if recent.len() > 4 * MAX_UNCLE_DEPTH as usize {
             let head = tree.head_number();
             let min = head.saturating_sub(MAX_UNCLE_DEPTH + 1);
-            recent.retain(|h| tree.get(*h).is_some_and(|b| b.number() >= min));
+            recent.retain(|&(_, number)| number >= min);
         }
     };
 
@@ -148,11 +151,11 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
             // Attacker wins: mine at the machine's target. Only a block on
             // a public parent can reference uncles.
             let (parent, number) = state.target();
-            let uncles = if tree.contains(parent) {
-                pick_uncles(&tree, &recent, parent)
-            } else {
-                Vec::new()
-            };
+            let uncles = tree.select_uncles_among(
+                parent,
+                in_uncle_range(&recent, number),
+                UnclePolicy::Standard,
+            );
             salt += 1;
             let block = BlockBuilder::new(parent, number, ATTACKER)
                 .uncles(uncles)
@@ -181,7 +184,11 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
                 _ => tree.head(),
             };
             let number = tree.get(parent).expect("parent is public").number() + 1;
-            let uncles = pick_uncles(&tree, &recent, parent);
+            let uncles = tree.select_uncles_among(
+                parent,
+                in_uncle_range(&recent, number),
+                UnclePolicy::Standard,
+            );
             salt += 1;
             let block = BlockBuilder::new(parent, number, HONEST)
                 .uncles(uncles)

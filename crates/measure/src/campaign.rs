@@ -1,5 +1,7 @@
 //! The complete dataset of one measurement campaign.
 
+use std::fmt;
+
 use ethmeter_chain::tree::BlockTree;
 use ethmeter_chain::tx::Transaction;
 use ethmeter_types::{BlockHash, FxHashMap, PoolId, SimDuration, TxId};
@@ -163,8 +165,9 @@ impl CampaignData {
         for (vantage, log) in &self.observers {
             h.write_bytes(vantage.name.as_bytes());
             h.write_u64(u64::from(vantage.default_peers));
-            h.write_bytes(csv::blocks_to_csv(log).as_bytes());
-            h.write_bytes(csv::txs_to_csv(log).as_bytes());
+            // As `write_bytes(blocks_to_csv(log))`, without the `String`.
+            h.write_text(|out| csv::write_blocks_csv(out, log));
+            h.write_text(|out| csv::write_txs_csv(out, log));
         }
 
         let tree = &self.truth.tree;
@@ -230,14 +233,31 @@ impl Fnv64 {
         Fnv64(Self::OFFSET)
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
+    fn absorb(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
-        // Length terminator: distinguishes ["ab","c"] from ["a","bc"].
-        self.0 ^= bytes.len() as u64;
+    }
+
+    /// Length terminator: distinguishes ["ab","c"] from ["a","bc"].
+    fn terminate(&mut self, len: u64) {
+        self.0 ^= len;
         self.0 = self.0.wrapping_mul(Self::PRIME);
+    }
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.absorb(bytes);
+        self.terminate(bytes.len() as u64);
+    }
+
+    /// Hashes the text `write` emits as one field — the same digest as
+    /// [`Fnv64::write_bytes`] over the whole text, without building it.
+    fn write_text(&mut self, write: impl FnOnce(&mut TextField<'_>) -> fmt::Result) {
+        let mut field = TextField { hash: self, len: 0 };
+        write(&mut field).expect("hashing cannot fail");
+        let len = field.len;
+        self.terminate(len);
     }
 
     fn write_u64(&mut self, v: u64) {
@@ -246,6 +266,21 @@ impl Fnv64 {
 
     fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// The field [`Fnv64::write_text`] is writing: bytes are hashed as they
+/// come and counted for the length terminator.
+struct TextField<'a> {
+    hash: &'a mut Fnv64,
+    len: u64,
+}
+
+impl fmt::Write for TextField<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.hash.absorb(s.as_bytes());
+        self.len += s.len() as u64;
+        Ok(())
     }
 }
 
@@ -300,6 +335,30 @@ mod tests {
         let mut d = empty_campaign();
         d.truth.pool_shares[0] += 1e-9;
         assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    #[test]
+    fn streamed_csv_hashes_like_the_rendered_text() {
+        use ethmeter_types::{NodeId, SimTime};
+        let mut log = ObserverLog::new();
+        for i in 0..50u64 {
+            let t = SimTime::from_nanos(1_000 * (50 - i));
+            log.record_block_msg(
+                BlockHash(i % 7),
+                crate::BlockMsgKind::Announce,
+                NodeId(1),
+                t,
+                t,
+            );
+            log.record_tx(TxId(i), NodeId(2), t, t);
+        }
+        let mut rendered = Fnv64::new();
+        rendered.write_bytes(csv::blocks_to_csv(&log).as_bytes());
+        rendered.write_bytes(csv::txs_to_csv(&log).as_bytes());
+        let mut streamed = Fnv64::new();
+        streamed.write_text(|out| csv::write_blocks_csv(out, &log));
+        streamed.write_text(|out| csv::write_txs_csv(out, &log));
+        assert_eq!(streamed.finish(), rendered.finish());
     }
 
     #[test]

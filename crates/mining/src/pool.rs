@@ -458,12 +458,6 @@ impl PoolDirectory {
     pub fn has_adversary(&self) -> bool {
         self.pools.iter().any(|p| p.behavior.is_adversarial())
     }
-
-    /// Samples the winner of a block according to hash-power shares.
-    pub fn sample_winner(&self, rng: &mut Xoshiro256) -> PoolId {
-        let weights: Vec<f64> = self.pools.iter().map(|p| p.share).collect();
-        PoolId(rng.choose_weighted(&weights) as u16)
-    }
 }
 
 #[cfg(test)]
@@ -537,24 +531,6 @@ mod tests {
             (0.35..=0.55).contains(&ea_weight),
             "EA-origin hash power {ea_weight}"
         );
-    }
-
-    #[test]
-    fn winner_sampling_matches_shares() {
-        let d = PoolDirectory::paper_dsn2020();
-        let mut rng = Xoshiro256::seed_from_u64(12);
-        let n = 200_000;
-        let mut counts = vec![0u64; d.len()];
-        for _ in 0..n {
-            counts[d.sample_winner(&mut rng).index()] += 1;
-        }
-        let ethermine_frac = counts[0] as f64 / n as f64;
-        assert!(
-            (ethermine_frac - 0.2532).abs() < 0.005,
-            "ethermine {ethermine_frac}"
-        );
-        let nano_frac = counts[3] as f64 / n as f64;
-        assert!((nano_frac - 0.1210).abs() < 0.004, "nanopool {nano_frac}");
     }
 
     #[test]

@@ -6,38 +6,35 @@
 //! blocks would be 0.259^8 = 2 × 10^-5 ... Ethermine should be able to mine
 //! 8 consecutive blocks 4 times per month". This module provides both the
 //! empirical extraction and the exact theory the paper approximates.
+//!
+//! The exact chance of a ≥k run in n trials ([`prob_run_at_least`]) is the
+//! absorbed mass of a (k+1)-state Markov chain after n steps, read off the
+//! n-th power of its transfer matrix taken by repeated squaring:
+//! O(k³·⌈log2 n⌉) instead of the O(n·k) of stepping the chain, so the
+//! whole-chain horizon (n = 7.7 M, k a pool's longest run) costs
+//! microseconds. The stepping DP stays in the tests as the reference.
 
-/// Extracts maximal runs from a sequence: `[(value, run_length)]`.
+/// Extracts maximal runs from a sequence as `(value, run_length)`, lazily:
+/// nothing is materialised, so a whole-chain scan holds one run at a time.
 ///
 /// ```
 /// use ethmeter_stats::runs::run_lengths;
-/// assert_eq!(run_lengths(&[1, 1, 2, 2, 2, 1]), vec![(1, 2), (2, 3), (1, 1)]);
+/// let runs: Vec<_> = run_lengths(&[1, 1, 2, 2, 2, 1]).collect();
+/// assert_eq!(runs, vec![(1, 2), (2, 3), (1, 1)]);
 /// ```
-pub fn run_lengths<T: Copy + PartialEq>(seq: &[T]) -> Vec<(T, usize)> {
-    let mut out = Vec::new();
-    let mut iter = seq.iter();
-    let Some(&first) = iter.next() else {
-        return out;
-    };
-    let mut current = first;
-    let mut len = 1usize;
-    for &v in iter {
-        if v == current {
-            len += 1;
-        } else {
-            out.push((current, len));
-            current = v;
-            len = 1;
-        }
-    }
-    out.push((current, len));
-    out
+pub fn run_lengths<T: Copy + PartialEq>(seq: &[T]) -> impl Iterator<Item = (T, usize)> + '_ {
+    let mut rest = seq;
+    std::iter::from_fn(move || {
+        let (&first, tail) = rest.split_first()?;
+        let len = 1 + tail.iter().take_while(|&&v| v == first).count();
+        rest = &rest[len..];
+        Some((first, len))
+    })
 }
 
 /// The longest run of `value` in `seq` (0 if absent).
 pub fn longest_run<T: Copy + PartialEq>(seq: &[T], value: T) -> usize {
     run_lengths(seq)
-        .into_iter()
         .filter(|&(v, _)| v == value)
         .map(|(_, l)| l)
         .max()
@@ -47,7 +44,6 @@ pub fn longest_run<T: Copy + PartialEq>(seq: &[T], value: T) -> usize {
 /// Counts maximal runs of `value` with length at least `k`.
 pub fn count_runs_at_least<T: Copy + PartialEq>(seq: &[T], value: T, k: usize) -> usize {
     run_lengths(seq)
-        .into_iter()
         .filter(|&(v, l)| v == value && l >= k)
         .count()
 }
@@ -88,9 +84,13 @@ pub fn expected_maximal_runs(n: u64, p: f64, k: u32) -> f64 {
 /// Exact probability that `n` Bernoulli(`p`) trials contain at least one
 /// run of ≥ `k` successes.
 ///
-/// Computed by dynamic programming over the current-run-length state
-/// (O(n·k) time, O(k) space), so it is exact rather than the Poisson
-/// approximation implicit in the paper's estimate.
+/// The state is the current trailing run length (`0..k`, alive) plus one
+/// absorbing state (a ≥k run has occurred), so the answer is exact rather
+/// than the Poisson approximation implicit in the paper's estimate. It is
+/// the absorbed entry of the n-th power of the (k+1)×(k+1) transfer
+/// matrix (O(k³·log n) time, O(k²) space), which adds and multiplies
+/// nonnegative numbers only, so it loses no precision to a `1 − q`
+/// cancellation.
 ///
 /// # Panics
 ///
@@ -104,36 +104,75 @@ pub fn prob_run_at_least(n: u64, p: f64, k: u32) -> f64 {
     if p == 1.0 {
         return 1.0;
     }
-    let k = k as usize;
+    prob_by_matrix_power(n, p, k as usize)
+}
+
+/// `e_0 · T^n`'s absorbed entry, with `T` the transfer matrix over states
+/// `0..k` (alive, trailing run `j`) and `k` (absorbed), row-major.
+fn prob_by_matrix_power(n: u64, p: f64, k: usize) -> f64 {
+    let dim = k + 1;
+    let mut power = vec![0.0f64; dim * dim];
+    for j in 0..k {
+        power[j * dim] = 1.0 - p;
+        power[j * dim + j + 1] = p;
+    }
+    power[k * dim + k] = 1.0;
+    let mut dist = vec![0.0f64; dim];
+    dist[0] = 1.0;
+    let (mut dist_next, mut power_next) = (dist.clone(), power.clone());
+    // dist · T^n = dist · ∏ T^(2^i) over the set bits i of n; the powers
+    // of one matrix commute, so the order of the factors is free.
+    let mut bits = n;
+    loop {
+        if bits & 1 == 1 {
+            mul_into(&mut dist_next, &dist, &power, dim);
+            std::mem::swap(&mut dist, &mut dist_next);
+        }
+        bits >>= 1;
+        if bits == 0 {
+            return dist[k];
+        }
+        mul_into(&mut power_next, &power, &power, dim);
+        std::mem::swap(&mut power, &mut power_next);
+    }
+}
+
+/// `out = a · b` for row-major `a` (`a.len() / dim` rows) and a `dim × dim`
+/// matrix `b`.
+fn mul_into(out: &mut [f64], a: &[f64], b: &[f64], dim: usize) {
+    out.fill(0.0);
+    for (out_row, a_row) in out.chunks_exact_mut(dim).zip(a.chunks_exact(dim)) {
+        for (&x, b_row) in a_row.iter().zip(b.chunks_exact(dim)) {
+            for (o, &y) in out_row.iter_mut().zip(b_row) {
+                *o += x * y;
+            }
+        }
+    }
+}
+
+/// Steps the run-length chain `n` times (O(n·k)): the reference
+/// [`prob_by_matrix_power`] is tested against.
+#[cfg(test)]
+fn prob_by_stepping(n: u64, p: f64, k: usize) -> f64 {
     // state[j] = P(alive, current trailing run == j), j in 0..k
     let mut state = vec![0.0f64; k];
     state[0] = 1.0;
-    let mut next = vec![0.0f64; k];
+    let q = 1.0 - p;
     let mut dead = 0.0f64; // absorbed: a >=k run has occurred
     for _ in 0..n {
-        next.fill(0.0);
-        let mut fail_mass = 0.0;
-        for (j, &m) in state.iter().enumerate() {
-            if m == 0.0 {
-                continue;
-            }
-            fail_mass += m * (1.0 - p);
-            let extended = m * p;
-            if j + 1 == k {
-                dead += extended;
-            } else {
-                next[j + 1] += extended;
-            }
+        let fail_mass = state.iter().fold(0.0, |acc, &m| acc + m * q);
+        dead += state[k - 1] * p;
+        for j in (1..k).rev() {
+            state[j] = state[j - 1] * p;
         }
-        next[0] += fail_mass;
-        std::mem::swap(&mut state, &mut next);
+        state[0] = fail_mass;
     }
     dead
 }
 
 /// Expected number of trials until the first run of `k` successes completes
-/// (inclusive of the run itself): `(1 - p^k) / ((1 - p) · p^k)` + `k`-free
-/// standard form; equivalently `(p^-k - 1)/(1 - p)`.
+/// (inclusive of the run itself): `(1 - p^k) / ((1 - p) · p^k)`, computed
+/// in the equivalent form `(p^-k - 1) / (1 - p)`.
 ///
 /// §III-D: with `p = 0.259` and `k = 14`, this is on the order of 10^7
 /// blocks — "once in 1,000 years" at 13.3 s/block.
@@ -154,10 +193,10 @@ mod tests {
 
     #[test]
     fn run_extraction_basics() {
-        assert_eq!(run_lengths::<u8>(&[]), vec![]);
-        assert_eq!(run_lengths(&[5]), vec![(5, 1)]);
+        assert_eq!(run_lengths::<u8>(&[]).next(), None);
+        assert_eq!(run_lengths(&[5]).collect::<Vec<_>>(), vec![(5, 1)]);
         assert_eq!(
-            run_lengths(&[1, 1, 1, 2, 1, 1]),
+            run_lengths(&[1, 1, 1, 2, 1, 1]).collect::<Vec<_>>(),
             vec![(1, 3), (2, 1), (1, 2)]
         );
     }
@@ -200,21 +239,77 @@ mod tests {
         assert!(wait_blocks > 1e8, "wait {wait_blocks}");
     }
 
-    #[test]
-    fn dp_matches_closed_forms_small() {
-        // k=1: P(any success in n trials) = 1 - (1-p)^n.
-        for &(n, p) in &[(1u64, 0.3f64), (5, 0.3), (10, 0.7)] {
-            let dp = prob_run_at_least(n, p, 1);
-            let closed = 1.0 - (1.0 - p).powi(n as i32);
-            assert!((dp - closed).abs() < 1e-12, "n={n} p={p}");
+    /// The shares of the agreement grid: rare, paper-scale and dominant.
+    const PS: [f64; 6] = [0.01, 0.05, 0.1, 0.2532, 0.5, 0.9];
+
+    fn rel_diff(a: f64, b: f64) -> f64 {
+        let scale = a.abs().max(b.abs());
+        if scale == 0.0 {
+            0.0
+        } else {
+            (a - b).abs() / scale
         }
-        // n = k: must be exactly p^k.
-        let dp = prob_run_at_least(4, 0.5, 4);
-        assert!((dp - 0.0625).abs() < 1e-12);
+    }
+
+    /// Both paths over `p ∈ PS`, `k ∈ 1..=16` at each `n` (`None` = `n = k`)
+    /// agree within `tol` relative.
+    fn assert_paths_agree(ns: &[Option<u64>], tol: f64) {
+        for &n in ns {
+            for p in PS {
+                for k in 1..=16u32 {
+                    let n = n.unwrap_or(u64::from(k));
+                    let stepped = prob_by_stepping(n, p, k as usize);
+                    let powered = prob_by_matrix_power(n, p, k as usize);
+                    let d = rel_diff(stepped, powered);
+                    assert!(
+                        d <= tol,
+                        "n={n} p={p} k={k}: stepped {stepped:e} vs matrix {powered:e} (rel {d:e})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stepping_and_matrix_power_agree() {
+        assert_paths_agree(&[None, Some(10), Some(1_000), Some(201_086)], 1e-8);
+    }
+
+    /// The whole-chain horizon: 96 stepped calls of up to 123 M updates,
+    /// several of which (p ≥ 0.5, small k) spend millions of steps on
+    /// subnormal alive mass — about a minute even optimised.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release only: O(n·k) reference at n = 7.7 M"
+    )]
+    fn stepping_and_matrix_power_agree_over_the_whole_chain() {
+        assert_paths_agree(&[Some(7_700_000)], 1e-8);
+    }
+
+    #[test]
+    fn both_paths_match_closed_forms() {
+        type Path = fn(u64, f64, usize) -> f64;
+        for path in [prob_by_stepping as Path, prob_by_matrix_power] {
+            for p in PS {
+                // k = 1: P(any success in n trials) = 1 - (1-p)^n.
+                for n in [1u64, 10, 1_000, 201_086] {
+                    let closed = 1.0 - (1.0 - p).powf(n as f64);
+                    let d = rel_diff(path(n, p, 1), closed);
+                    assert!(d < 1e-12, "k=1 n={n} p={p}: rel {d:e}");
+                }
+                // n = k: exactly p^k.
+                for k in 1..=16 {
+                    let d = rel_diff(path(k, p, k as usize), p.powi(k as i32));
+                    assert!(d < 1e-12, "n=k={k} p={p}: rel {d:e}");
+                }
+            }
+        }
         // Degenerate edges.
         assert_eq!(prob_run_at_least(3, 0.5, 4), 0.0);
         assert_eq!(prob_run_at_least(10, 1.0, 4), 1.0);
         assert_eq!(prob_run_at_least(10, 0.0, 1), 0.0);
+        assert_eq!(prob_run_at_least(7_700_000, 0.0, 3), 0.0);
     }
 
     #[test]
@@ -250,7 +345,7 @@ mod tests {
     proptest! {
         #[test]
         fn run_lengths_reconstruct_sequence(seq in proptest::collection::vec(0u8..4, 0..200)) {
-            let runs = run_lengths(&seq);
+            let runs: Vec<(u8, usize)> = run_lengths(&seq).collect();
             // Total length preserved.
             let total: usize = runs.iter().map(|&(_, l)| l).sum();
             prop_assert_eq!(total, seq.len());
@@ -274,7 +369,7 @@ mod tests {
         ) {
             let base = prob_run_at_least(n, p, k);
             prop_assert!((-1e-9..=1.0 + 1e-9).contains(&base));
-            // Tolerances absorb the additive FP error of the O(n*k) DP.
+            // Tolerances absorb the additive FP error of the matrix products.
             prop_assert!(prob_run_at_least(n + 10, p, k) >= base - 1e-9);
             prop_assert!(prob_run_at_least(n, p, k + 1) <= base + 1e-9);
         }

@@ -5,8 +5,8 @@
 use ethmeter::chain::block::{Block, BlockBuilder};
 use ethmeter::chain::forks;
 use ethmeter::chain::tree::{BlockTree, InsertOutcome};
-use ethmeter::chain::uncles::UnclePolicy;
-use ethmeter::chain::ConsensusKind;
+use ethmeter::chain::uncles::{UnclePolicy, MAX_UNCLES};
+use ethmeter::chain::{ConsensusKind, HeaderTree};
 use ethmeter::net::headerview::HeaderView;
 use ethmeter::stats::runs;
 use ethmeter::types::{BlockHash, PoolId};
@@ -91,7 +91,7 @@ proptest! {
         }
         let seq = forks::miner_sequence(&tree);
         prop_assert_eq!(seq.len() as u64, tree.head_number());
-        let total_run_len: usize = runs::run_lengths(&seq).iter().map(|&(_, l)| l).sum();
+        let total_run_len: usize = runs::run_lengths(&seq).map(|(_, l)| l).sum();
         prop_assert_eq!(total_run_len, seq.len());
     }
 
@@ -183,14 +183,33 @@ fn build_recent_fork_stream(plan: &[(usize, u16, usize, usize)]) -> Vec<Block> {
     blocks
 }
 
+/// The uncle choice spelled out: every candidate `is_valid_uncle` accepts,
+/// by (height desc, hash), truncated to `MAX_UNCLES`.
+fn reference_uncles(
+    chain: &HeaderTree,
+    parent: BlockHash,
+    candidates: &[BlockHash],
+    policy: UnclePolicy,
+) -> Vec<BlockHash> {
+    let mut valid: Vec<(u64, BlockHash)> = candidates
+        .iter()
+        .filter(|&&h| chain.is_valid_uncle(parent, h, policy))
+        .map(|&h| (chain.number_of(h).expect("valid uncles are attached"), h))
+        .collect();
+    valid.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    valid.truncate(MAX_UNCLES);
+    valid.into_iter().map(|(_, h)| h).collect()
+}
+
 proptest! {
     /// Differential check of the two consumers of the fork-choice core: a
     /// windowed `HeaderView` (pruning as it goes) and an unpruned
     /// `BlockTree`, fed the same locally shuffled header stream under
     /// every engine, agree after every arrival on the head, the canonical
     /// index inside the window and the uncles a miner on the head would
-    /// pick — and both keep `finalized ≤ safe ≤ head` on one chain (the
-    /// order check of ethrex's `apply_fork_choice`).
+    /// pick — each chain's pick equal to its `is_valid_uncle` reference —
+    /// and both keep `finalized ≤ safe ≤ head` on one chain (the order
+    /// check of ethrex's `apply_fork_choice`).
     #[test]
     fn windowed_view_and_unpruned_tree_agree_under_every_engine(
         plan in proptest::collection::vec((0usize..1000, 0u16..4, 0usize..1000, 0usize..3), 60..160),
@@ -231,11 +250,32 @@ proptest! {
                         prop_assert_eq!(view.is_canonical(seen.hash()), tree.is_canonical(seen.hash()));
                     }
                 }
+                let seen: Vec<BlockHash> = std::iter::once(tree.genesis_hash())
+                    .chain(blocks[..=step].iter().map(Block::hash))
+                    .collect();
                 for policy in [UnclePolicy::Standard, UnclePolicy::ForbidSameMinerHeight] {
                     prop_assert_eq!(
                         view.select_uncles(head, policy), tree.select_uncles(head, policy),
                         "{} step {}: uncles under {:?}", kind, step, policy
                     );
+                    // The walk-once selector is the single-candidate
+                    // predicate filtered, ordered and capped, from the head
+                    // and from the block that just arrived (a side tip or
+                    // an orphan).
+                    for (chain, name) in [(&view, "view"), (&*tree, "tree")] {
+                        for parent in [head, b.hash()] {
+                            let expected = reference_uncles(chain, parent, &seen, policy);
+                            prop_assert_eq!(
+                                &chain.select_uncles(parent, policy), &expected,
+                                "{} step {} {}: select_uncles under {:?}", kind, step, name, policy
+                            );
+                            prop_assert_eq!(
+                                &chain.select_uncles_among(parent, seen.iter().copied(), policy),
+                                &expected,
+                                "{} step {} {}: select_uncles_among under {:?}", kind, step, name, policy
+                            );
+                        }
+                    }
                 }
 
                 // finalized ≤ safe ≤ head, all on the head's chain.

@@ -77,6 +77,33 @@ fn sharded_campaigns_match_the_sequential_goldens() {
     }
 }
 
+/// FNV-1a digest of the chain-only text below, pinned like the campaign
+/// goldens (`ETHMETER_BLESS=1` prints the current value).
+const CHAIN_ONLY_TEXT: u64 = 0x0d07_3396_5f91_11ea;
+
+/// The chain-only artifacts as text: the paper month's Fig. 7 / §III-D
+/// table (its exact run-length probabilities included) and a 3×2
+/// selfish-threshold grid, rendered and as JSON. A change to the miner
+/// draws, the run-length theory or the race's uncle choice moves it.
+#[test]
+fn chain_only_text_matches_its_pinned_digest() {
+    let month = ethmeter::experiments::fig7_month(7);
+    let selfish =
+        ethmeter::experiments::selfish_threshold(&[0.2, 0.3, 0.4], &[0.0, 1.0], 7, 1, 5_000);
+    let text = format!("{month}\n\n{selfish}\n\n{}\n", selfish.to_json());
+    let got = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    if std::env::var_os("ETHMETER_BLESS").is_some() {
+        println!("CHAIN_ONLY_TEXT = {got:#018x}");
+    } else {
+        assert_eq!(
+            got, CHAIN_ONLY_TEXT,
+            "chain-only text digest {got:#018x}, pinned {CHAIN_ONLY_TEXT:#018x}:\n{text}"
+        );
+    }
+}
+
 #[test]
 fn fingerprint_is_reproducible_and_seed_sensitive() {
     let s = scenario(Preset::Tiny, 101, 5);
