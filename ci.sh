@@ -12,8 +12,9 @@
 #                by `test`; a debug/release divergence must fail CI), the
 #                pinned chain-only text, the whole-chain agreement of the
 #                run-length probability with its stepping reference
-#                (release only), and
-#                the event loop's allocation ceilings (tests/allocs.rs)
+#                (release only), the dataset row codec and the Fig. 4/5
+#                merge-joins against their reference implementations,
+#                and the event loop's allocation ceilings (tests/allocs.rs)
 #                in the profile the benchmark measures
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
@@ -92,6 +93,12 @@ stage_golden() {
     # where it would take far longer).
     filtered_tests --release -p ethmeter-stats \
         stepping_and_matrix_power_agree_over_the_whole_chain
+    # The CSV row codec (digit writer, arrival placement, field splitter)
+    # against the formatter/split-collect codec it replaced, and the
+    # Fig. 4/5 merge-joins against the hash-map reference, in the profile
+    # the benchmark runs them in.
+    filtered_tests --release -p ethmeter-measure csv::codec
+    filtered_tests --release -p ethmeter-analysis commit::differential
     # Allocator calls per event, cold planet-shaped start and warm small
     # preset: the counts do not depend on the profile, but release is
     # what the benchmark runs.

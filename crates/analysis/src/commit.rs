@@ -14,10 +14,11 @@
 
 use std::fmt;
 
+use ethmeter_chain::block::Block;
 use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::pct;
 use ethmeter_stats::{Cdf, QuantileSketch};
-use ethmeter_types::{AccountId, BlockNumber, FxHashMap, FxHashSet, SimTime, TxId};
+use ethmeter_types::{BlockHash, BlockNumber, SimDuration, SimTime, TxId};
 
 use crate::Reduce;
 
@@ -82,103 +83,126 @@ impl CommitReport {
     }
 }
 
-/// Per-block observation index: height -> earliest true observation.
+/// Per-height observation index: `obs[h]` is the earliest true
+/// observation of the canonical block at height `h` by any main observer.
 ///
-/// Built from one streaming merge-join over the observer scans (spilled
-/// or in-memory), joined against the canonical chain; the index itself
-/// holds one entry per canonical block, never raw rows.
-fn block_observations(data: &CampaignData) -> FxHashMap<BlockNumber, SimTime> {
-    let mut canonical: FxHashMap<ethmeter_types::BlockHash, BlockNumber> = FxHashMap::default();
-    for block in data.truth.tree.canonical_blocks() {
-        if block.number() > 0 {
-            canonical.insert(block.hash(), block.number());
-        }
-    }
-    let mut obs: FxHashMap<BlockNumber, SimTime> = FxHashMap::default();
+/// Built from one merge-join of the hash-ascending observer scans
+/// (spilled or in-memory) against the canonical chain sorted by hash; the
+/// index holds one slot per canonical height, never raw rows.
+fn block_observations(data: &CampaignData) -> Vec<Option<SimTime>> {
+    let tree = &data.truth.tree;
+    let mut canonical: Vec<(BlockHash, BlockNumber)> = tree
+        .canonical_blocks()
+        .filter(|b| b.number() > 0)
+        .map(|b| (b.hash(), b.number()))
+        .collect();
+    canonical.sort_unstable();
+    let mut obs = vec![None; tree.head_number() as usize + 1];
+    let mut chain = canonical.iter().peekable();
     data.for_each_main_block(|hash, group| {
-        if let Some(&number) = canonical.get(&hash) {
-            let earliest = group
-                .iter()
-                .map(|(_, r)| r.first_true)
-                .min()
-                .expect("non-empty group");
-            obs.insert(number, earliest);
+        while chain.next_if(|&&(h, _)| h < hash).is_some() {}
+        if let Some(&(_, number)) = chain.next_if(|&&(h, _)| h == hash) {
+            obs[number as usize] = Some(earliest(group.iter().map(|(_, r)| r.first_true)));
         }
     });
     obs
 }
 
-/// Earliest true observation of each transaction across main observers,
-/// streamed through the scan merge-join.
-fn tx_observations(data: &CampaignData) -> FxHashMap<TxId, SimTime> {
-    let mut obs: FxHashMap<TxId, SimTime> = FxHashMap::default();
-    data.for_each_main_tx(|id, group| {
-        let earliest = group
-            .iter()
-            .map(|(_, r)| r.first_true)
-            .min()
-            .expect("non-empty group");
-        obs.insert(id, earliest);
-    });
-    obs
+/// The observation of canonical height `h`, if any main observer saw it.
+fn observed(obs: &[Option<SimTime>], h: BlockNumber) -> Option<SimTime> {
+    obs.get(usize::try_from(h).ok()?).copied().flatten()
+}
+
+fn earliest(times: impl Iterator<Item = SimTime>) -> SimTime {
+    times.min().expect("non-empty group")
+}
+
+/// Every canonical `(tx, height)` inclusion accepted by `keep_block`,
+/// reduced to each tx's first (lowest) height and sorted by id — the
+/// shape that merge-joins against [`CampaignData::for_each_main_tx`].
+fn first_inclusions(
+    data: &CampaignData,
+    mut keep_block: impl FnMut(&Block) -> bool,
+) -> Vec<(TxId, BlockNumber)> {
+    let mut inclusions: Vec<(TxId, BlockNumber)> = Vec::new();
+    for block in data.truth.tree.canonical_blocks() {
+        if keep_block(block) {
+            inclusions.extend(block.txs().iter().map(|&id| (id, block.number())));
+        }
+    }
+    inclusions.sort_unstable();
+    inclusions.dedup_by_key(|&mut (id, _)| id);
+    inclusions
 }
 
 /// Computes Figure 4.
 pub fn analyze(data: &CampaignData) -> CommitReport {
     let block_obs = block_observations(data);
-    let tx_obs = tx_observations(data);
+    let mut skipped = 0u64;
+    // An unobserved block's txs are skipped outright, every time; a tx
+    // included again after a reorg is measured once, at its first
+    // observed inclusion.
+    let included = first_inclusions(data, |block| match block.number() {
+        0 => false,
+        h if observed(&block_obs, h).is_some() => true,
+        _ => {
+            skipped += block.txs().len() as u64;
+            false
+        }
+    });
     let mut inclusion = Vec::new();
-    let mut confs: Vec<(u64, Vec<f64>)> = CONFIRMATION_DEPTHS
+    let mut confs: Vec<(u64, Vec<u64>)> = CONFIRMATION_DEPTHS
         .iter()
         .map(|&k| (k, Vec::new()))
         .collect();
     let mut measured = 0u64;
-    let mut skipped = 0u64;
-    let mut seen: FxHashSet<TxId> = FxHashSet::default();
-    for block in data.truth.tree.canonical_blocks() {
-        if block.number() == 0 {
-            continue;
-        }
-        let h = block.number();
-        let Some(&t_inc) = block_obs.get(&h) else {
-            skipped += block.txs().len() as u64;
-            continue;
+    let mut pending = included.iter().peekable();
+    data.for_each_main_tx(|id, group| {
+        while pending.next_if(|&&(tx, _)| tx < id).is_some() {}
+        let Some(&(_, h)) = pending.next_if(|&&(tx, _)| tx == id) else {
+            return;
         };
-        for &txid in block.txs() {
-            if !seen.insert(txid) {
-                continue; // double inclusion across a reorg: count once
-            }
-            let Some(&t_tx) = tx_obs.get(&txid) else {
-                skipped += 1;
-                continue;
-            };
-            if t_tx > t_inc {
-                // Observed only after inclusion (e.g. miner-private tx):
-                // the paper cannot measure these either.
-                skipped += 1;
-                continue;
-            }
-            measured += 1;
-            inclusion.push((t_inc - t_tx).as_secs_f64());
-            for (k, sink) in &mut confs {
-                if let Some(&t_k) = block_obs.get(&(h + *k)) {
-                    sink.push((t_k - t_tx).as_secs_f64());
-                }
+        let t_tx = earliest(group.iter().map(|(_, r)| r.first_true));
+        let t_inc = observed(&block_obs, h).expect("kept blocks are observed");
+        if t_tx > t_inc {
+            // Observed only after inclusion (e.g. miner-private tx): the
+            // paper cannot measure these either. Counted as skipped below.
+            return;
+        }
+        measured += 1;
+        inclusion.push((t_inc - t_tx).as_nanos());
+        for (k, sink) in &mut confs {
+            if let Some(t_k) = observed(&block_obs, h + *k) {
+                sink.push((t_k - t_tx).as_nanos());
             }
         }
-    }
+    });
+    // Every first inclusion is measured or skipped (unobserved, or
+    // observed only after inclusion).
+    skipped += included.len() as u64 - measured;
+    let inclusion = delay_cdf(inclusion);
     let mut inclusion_sketch = QuantileSketch::new();
-    inclusion_sketch.record_all(inclusion.iter().copied());
+    inclusion_sketch.record_all(inclusion.sorted_values().iter().copied());
     CommitReport {
-        inclusion: Cdf::from_values(inclusion),
+        inclusion,
         inclusion_sketch,
-        confirmations: confs
-            .into_iter()
-            .map(|(k, v)| (k, Cdf::from_values(v)))
-            .collect(),
+        confirmations: confs.into_iter().map(|(k, v)| (k, delay_cdf(v))).collect(),
         txs_measured: measured,
         txs_skipped: skipped,
     }
+}
+
+/// The CDF of delays given in nanoseconds, in seconds. Sorted as
+/// integers first: `as_secs_f64` is monotone, so the floats arrive in
+/// exactly the order [`Cdf::from_values`] would sort them into, and its
+/// own sort only confirms one ascending run.
+fn delay_cdf(mut nanos: Vec<u64>) -> Cdf {
+    nanos.sort_unstable();
+    Cdf::from_values(
+        nanos
+            .into_iter()
+            .map(|n| SimDuration::from_nanos(n).as_secs_f64()),
+    )
 }
 
 /// Streaming Figure 4 across many campaigns: commit-delay samples pooled
@@ -265,8 +289,9 @@ pub fn ordering(data: &CampaignData) -> OrderingReport {
 pub struct CommitOrdering {
     ooo_count: u64,
     total: u64,
-    in_order: Vec<f64>,
-    out_of_order: Vec<f64>,
+    /// Delay samples in nanoseconds (see [`delay_cdf`]).
+    in_order: Vec<u64>,
+    out_of_order: Vec<u64>,
 }
 
 impl CommitOrdering {
@@ -281,54 +306,69 @@ impl Reduce for CommitOrdering {
 
     fn observe(&mut self, data: &CampaignData) {
         let block_obs = block_observations(data);
-        // Committed txs: id -> (sender, nonce, inclusion height).
-        let mut committed: FxHashMap<TxId, (AccountId, u64, BlockNumber)> = FxHashMap::default();
-        for block in data.truth.tree.canonical_blocks() {
-            for &txid in block.txs() {
-                if let Some(tx) = data.truth.txs.get(&txid) {
-                    // First inclusion wins if a tx appears twice across a reorg.
-                    committed
-                        .entry(txid)
-                        .or_insert((tx.sender, tx.nonce, block.number()));
-                }
+        // Committed txs (first canonical inclusion, known to the table),
+        // in id order: `ids[pos]`. `ranked` holds them in (sender, nonce)
+        // order; a tx's rank is its index there, `rank_of[pos]`.
+        let mut ids = Vec::new();
+        let mut ranked = Vec::new();
+        for (id, height) in first_inclusions(data, |_| true) {
+            if let Some(tx) = data.truth.txs.get(&id) {
+                ranked.push((tx.sender, tx.nonce, ids.len(), height));
+                ids.push(id);
             }
         }
-        // One streaming merge-join over the observer scans fills every
-        // observer's per-sender worklist (with each record's own first
-        // arrival carried along), replacing per-observer random access.
-        let n_obs = data.main_observers().count();
-        // Per-sender worklist entries: (nonce, arrival_seq, tx, first arrival).
-        type SenderWork = FxHashMap<AccountId, Vec<(u64, u64, TxId, SimTime)>>;
-        let mut by_sender: Vec<SenderWork> = vec![FxHashMap::default(); n_obs];
-        data.for_each_main_tx(|id, group| {
-            if let Some(&(sender, nonce, _)) = committed.get(&id) {
-                for &(i, r) in group {
-                    by_sender[i].entry(sender).or_default().push((
-                        nonce,
-                        r.arrival_seq,
-                        id,
-                        r.first_true,
-                    ));
+        ranked.sort_unstable();
+        let mut rank_of = vec![0; ids.len()];
+        for (rank, &(_, _, pos, _)) in ranked.iter().enumerate() {
+            rank_of[pos] = rank;
+        }
+        // Per main observer: one merge-join of its id-ascending scan
+        // against `ids` fills the rank-indexed arrivals (arrival_seq,
+        // first arrival), then one walk in rank order classifies them.
+        let mut arrivals: Vec<Option<(u64, SimTime)>> = vec![None; ranked.len()];
+        let mut tie: Vec<(u64, SimTime, BlockNumber)> = Vec::new();
+        for (_, log) in data.main_observers() {
+            arrivals.fill(None);
+            let mut pos = 0;
+            for r in log.scan_txs() {
+                while pos < ids.len() && ids[pos] < r.id {
+                    pos += 1;
+                }
+                if ids.get(pos) == Some(&r.id) {
+                    arrivals[rank_of[pos]] = Some((r.arrival_seq, r.first_true));
+                    pos += 1;
                 }
             }
-        });
-        for per_observer in &mut by_sender {
-            for txs in per_observer.values_mut() {
-                txs.sort_unstable(); // by nonce
-                let mut max_seq_below = 0u64;
-                let mut any_below = false;
-                for &(_, seq, id, first_true) in txs.iter() {
-                    let ooo = any_below && max_seq_below > seq;
+            // The highest seq among the sender's lower nonces seen so
+            // far; equal (sender, nonce) entries are taken in arrival
+            // order.
+            let mut max_seq_below: Option<u64> = None;
+            let mut r = 0;
+            while r < ranked.len() {
+                let (sender, nonce, _, _) = ranked[r];
+                if r == 0 || ranked[r - 1].0 != sender {
+                    max_seq_below = None;
+                }
+                let end = r + ranked[r..]
+                    .iter()
+                    .take_while(|&&(s, n, _, _)| (s, n) == (sender, nonce))
+                    .count();
+                tie.clear();
+                tie.extend(
+                    (r..end).filter_map(|k| arrivals[k].map(|(seq, t)| (seq, t, ranked[k].3))),
+                );
+                tie.sort_by_key(|&(seq, _, _)| seq);
+                for &(seq, first_true, height) in &tie {
+                    let ooo = max_seq_below.is_some_and(|m| m > seq);
                     self.total += 1;
                     if ooo {
                         self.ooo_count += 1;
                     }
                     // Commit sample: 12-conf delay from this observer's own
                     // first arrival.
-                    let (_, _, height) = committed[&id];
-                    if let Some(&t12) = block_obs.get(&(height + 12)) {
+                    if let Some(t12) = observed(&block_obs, height + 12) {
                         if first_true <= t12 {
-                            let d = (t12 - first_true).as_secs_f64();
+                            let d = (t12 - first_true).as_nanos();
                             if ooo {
                                 self.out_of_order.push(d);
                             } else {
@@ -336,11 +376,9 @@ impl Reduce for CommitOrdering {
                             }
                         }
                     }
-                    if seq > max_seq_below {
-                        max_seq_below = seq;
-                    }
-                    any_below = true;
+                    max_seq_below = Some(max_seq_below.map_or(seq, |m| m.max(seq)));
                 }
+                r = end;
             }
         }
     }
@@ -355,8 +393,8 @@ impl Reduce for CommitOrdering {
     fn finish(self) -> OrderingReport {
         OrderingReport {
             ooo_fraction: self.ooo_count as f64 / self.total.max(1) as f64,
-            in_order: Cdf::from_values(self.in_order),
-            out_of_order: Cdf::from_values(self.out_of_order),
+            in_order: delay_cdf(self.in_order),
+            out_of_order: delay_cdf(self.out_of_order),
         }
     }
 }
@@ -559,5 +597,289 @@ mod tests {
         right.observe(&b);
         left.merge(right);
         assert_eq!(left.finish(), r);
+    }
+}
+
+/// The hash-map implementation the merge-joins replaced, kept as the
+/// reference the differential test compares against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use ethmeter_types::{AccountId, FxHashMap, FxHashSet};
+
+    fn block_observations(data: &CampaignData) -> FxHashMap<BlockNumber, SimTime> {
+        let mut canonical: FxHashMap<BlockHash, BlockNumber> = FxHashMap::default();
+        for block in data.truth.tree.canonical_blocks() {
+            if block.number() > 0 {
+                canonical.insert(block.hash(), block.number());
+            }
+        }
+        let mut obs: FxHashMap<BlockNumber, SimTime> = FxHashMap::default();
+        data.for_each_main_block(|hash, group| {
+            if let Some(&number) = canonical.get(&hash) {
+                let earliest = group.iter().map(|(_, r)| r.first_true).min();
+                obs.insert(number, earliest.expect("non-empty group"));
+            }
+        });
+        obs
+    }
+
+    fn tx_observations(data: &CampaignData) -> FxHashMap<TxId, SimTime> {
+        let mut obs: FxHashMap<TxId, SimTime> = FxHashMap::default();
+        data.for_each_main_tx(|id, group| {
+            let earliest = group.iter().map(|(_, r)| r.first_true).min();
+            obs.insert(id, earliest.expect("non-empty group"));
+        });
+        obs
+    }
+
+    pub(super) fn analyze(data: &CampaignData) -> CommitReport {
+        let block_obs = block_observations(data);
+        let tx_obs = tx_observations(data);
+        let mut inclusion = Vec::new();
+        let mut confs: Vec<(u64, Vec<f64>)> = CONFIRMATION_DEPTHS
+            .iter()
+            .map(|&k| (k, Vec::new()))
+            .collect();
+        let mut measured = 0u64;
+        let mut skipped = 0u64;
+        let mut seen: FxHashSet<TxId> = FxHashSet::default();
+        for block in data.truth.tree.canonical_blocks() {
+            if block.number() == 0 {
+                continue;
+            }
+            let h = block.number();
+            let Some(&t_inc) = block_obs.get(&h) else {
+                skipped += block.txs().len() as u64;
+                continue;
+            };
+            for &txid in block.txs() {
+                if !seen.insert(txid) {
+                    continue;
+                }
+                let Some(&t_tx) = tx_obs.get(&txid) else {
+                    skipped += 1;
+                    continue;
+                };
+                if t_tx > t_inc {
+                    skipped += 1;
+                    continue;
+                }
+                measured += 1;
+                inclusion.push((t_inc - t_tx).as_secs_f64());
+                for (k, sink) in &mut confs {
+                    if let Some(&t_k) = block_obs.get(&(h + *k)) {
+                        sink.push((t_k - t_tx).as_secs_f64());
+                    }
+                }
+            }
+        }
+        let mut inclusion_sketch = QuantileSketch::new();
+        inclusion_sketch.record_all(inclusion.iter().copied());
+        CommitReport {
+            inclusion: Cdf::from_values(inclusion),
+            inclusion_sketch,
+            confirmations: confs
+                .into_iter()
+                .map(|(k, v)| (k, Cdf::from_values(v)))
+                .collect(),
+            txs_measured: measured,
+            txs_skipped: skipped,
+        }
+    }
+
+    pub(super) fn ordering(data: &CampaignData) -> OrderingReport {
+        let (mut ooo_count, mut total) = (0u64, 0u64);
+        let (mut in_order, mut out_of_order) = (Vec::new(), Vec::new());
+        let block_obs = block_observations(data);
+        let mut committed: FxHashMap<TxId, (AccountId, u64, BlockNumber)> = FxHashMap::default();
+        for block in data.truth.tree.canonical_blocks() {
+            for &txid in block.txs() {
+                if let Some(tx) = data.truth.txs.get(&txid) {
+                    committed
+                        .entry(txid)
+                        .or_insert((tx.sender, tx.nonce, block.number()));
+                }
+            }
+        }
+        let n_obs = data.main_observers().count();
+        type SenderWork = FxHashMap<AccountId, Vec<(u64, u64, TxId, SimTime)>>;
+        let mut by_sender: Vec<SenderWork> = vec![FxHashMap::default(); n_obs];
+        data.for_each_main_tx(|id, group| {
+            if let Some(&(sender, nonce, _)) = committed.get(&id) {
+                for &(i, r) in group {
+                    by_sender[i].entry(sender).or_default().push((
+                        nonce,
+                        r.arrival_seq,
+                        id,
+                        r.first_true,
+                    ));
+                }
+            }
+        });
+        for per_observer in &mut by_sender {
+            for txs in per_observer.values_mut() {
+                txs.sort_unstable();
+                let mut max_seq_below = 0u64;
+                let mut any_below = false;
+                for &(_, seq, id, first_true) in txs.iter() {
+                    let ooo = any_below && max_seq_below > seq;
+                    total += 1;
+                    if ooo {
+                        ooo_count += 1;
+                    }
+                    let (_, _, height) = committed[&id];
+                    if let Some(&t12) = block_obs.get(&(height + 12)) {
+                        if first_true <= t12 {
+                            let d = (t12 - first_true).as_secs_f64();
+                            if ooo {
+                                out_of_order.push(d);
+                            } else {
+                                in_order.push(d);
+                            }
+                        }
+                    }
+                    if seq > max_seq_below {
+                        max_seq_below = seq;
+                    }
+                    any_below = true;
+                }
+            }
+        }
+        OrderingReport {
+            ooo_fraction: ooo_count as f64 / total.max(1) as f64,
+            in_order: Cdf::from_values(in_order),
+            out_of_order: Cdf::from_values(out_of_order),
+        }
+    }
+}
+
+/// The merge-join analyses against [`reference`] over random campaigns:
+/// txs included twice on the canonical chain, equal nonces from one
+/// sender, unobserved and post-inclusion txs, unobserved and side-chain
+/// blocks, txs missing from the table — each on in-memory and on spilled
+/// logs.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::testutil;
+    use ethmeter_chain::block::BlockBuilder;
+    use ethmeter_chain::tree::BlockTree;
+    use ethmeter_measure::{BlockMsgKind, ObserverLog, SpillConfig, VantagePoint};
+    use ethmeter_types::{FxHashMap, NodeId, PoolId, SimDuration};
+    use proptest::TestRng;
+
+    const CAMPAIGNS: u64 = 64;
+
+    fn secs(rng: &mut TestRng, max_s: u64) -> SimTime {
+        SimTime::from_nanos(rng.next_u64() % (max_s * 1_000_000_000))
+    }
+
+    /// Campaign `seed`, recorded in memory (`spill: None`) or under a
+    /// per-observer spill budget. The same seed gives the same records
+    /// either way.
+    fn campaign(seed: u64, spill: Option<usize>) -> CampaignData {
+        let mut rng = TestRng::deterministic(&format!("commit-differential-{seed}"));
+        let pool_size = 1 + rng.next_u64() % 60;
+        let mut table: FxHashMap<TxId, ethmeter_chain::tx::Transaction> = FxHashMap::default();
+        let mut pool = Vec::new();
+        for i in 0..pool_size {
+            let id = TxId(rng.next_u64() | 1);
+            // Few senders and nonces: equal (sender, nonce) pairs occur.
+            let (sender, nonce) = ((rng.next_u64() % 4) as u32, rng.next_u64() % 6);
+            // One tx in ten is missing from the table.
+            if rng.next_u64() % 10 != 0 {
+                table.insert(id, testutil::tx(id.raw(), sender, nonce, SimTime::ZERO));
+            }
+            pool.push((id, i));
+        }
+        let length = 3 + rng.next_u64() % 30;
+        let mut tree = BlockTree::new();
+        let mut parent = tree.genesis_hash();
+        let mut blocks = Vec::new();
+        let ib = testutil::interblock();
+        for n in 1..=length {
+            // Draws with replacement: a tx can land in several blocks.
+            let picks = rng.next_u64() % 5;
+            let txs: Vec<TxId> = (0..picks)
+                .map(|_| pool[(rng.next_u64() % pool_size) as usize].0)
+                .collect();
+            let at = SimTime::ZERO + ib * n;
+            let block = BlockBuilder::new(parent, n, PoolId(0))
+                .mined_at(at)
+                .txs(txs.clone())
+                .salt(n)
+                .build();
+            let hash = block.hash();
+            tree.insert(block).expect("canonical block attaches");
+            blocks.push((hash, at));
+            if rng.next_u64() % 5 == 0 {
+                let side = BlockBuilder::new(parent, n, PoolId(1))
+                    .mined_at(at)
+                    .txs(txs)
+                    .salt(n ^ 0xa5a5)
+                    .build();
+                blocks.push((side.hash(), at));
+                tree.insert(side).expect("side block attaches");
+            }
+            parent = hash;
+        }
+        let horizon_s = 15 * (length + 1);
+        let mut observers = Vec::new();
+        for vantage in VantagePoint::paper_all() {
+            let mut log = match spill {
+                None => ObserverLog::new(),
+                Some(budget) => ObserverLog::with_spill(SpillConfig {
+                    dir: std::env::temp_dir().join(format!("ethmeter-commit-diff-{seed}")),
+                    budget_bytes: budget,
+                    prefix: SpillConfig::sanitize(&vantage.name),
+                }),
+            };
+            for &(hash, at) in &blocks {
+                // One block in eight goes unobserved here.
+                for _ in 0..rng.next_u64() % 8 {
+                    let t = at + SimDuration::from_millis(rng.next_u64() % 3_000);
+                    log.record_block_msg(hash, BlockMsgKind::FullBlock, NodeId(1), t, t);
+                }
+            }
+            // Arrival order is a random walk over the pool, re-drawing
+            // some txs (ignored duplicates) and skipping others; times
+            // are independent of it, so some arrive after inclusion.
+            for _ in 0..pool_size + pool_size / 2 {
+                let (id, _) = pool[(rng.next_u64() % pool_size) as usize];
+                let t = secs(&mut rng, horizon_s);
+                log.record_tx(id, NodeId(2), t, t);
+            }
+            observers.push((vantage, log));
+        }
+        CampaignData {
+            observers,
+            truth: testutil::truth(tree, table),
+        }
+    }
+
+    #[test]
+    fn merge_joins_match_the_hash_map_reference() {
+        let (mut skipped, mut ooo, mut spilled) = (0, 0, 0);
+        for seed in 0..CAMPAIGNS {
+            let mem = campaign(seed, None);
+            let fig4 = reference::analyze(&mem);
+            let fig5 = reference::ordering(&mem);
+            assert_eq!(analyze(&mem), fig4, "campaign {seed}, in memory");
+            assert_eq!(ordering(&mem), fig5, "campaign {seed}, in memory");
+            let budget = [1, 64, 512, 4_096][seed as usize % 4];
+            let disk = campaign(seed, Some(budget));
+            spilled += disk
+                .observers
+                .iter()
+                .map(|(_, l)| l.spilled_segments())
+                .sum::<usize>();
+            assert_eq!(analyze(&disk), fig4, "campaign {seed}, spilled");
+            assert_eq!(ordering(&disk), fig5, "campaign {seed}, spilled");
+            skipped += fig4.txs_skipped;
+            ooo += fig5.out_of_order.count();
+        }
+        // The generator reaches the paths it is meant to cover.
+        assert!(skipped > 0 && ooo > 0 && spilled > 0);
     }
 }

@@ -131,38 +131,44 @@ pub fn blocks_to_csv(log: &ObserverLog) -> String {
     // a month-scale export's peak RSS by ~4 %.
     let rows = block_rows(log);
     let mut out = String::with_capacity(64 * (rows.len() + 1));
-    write_block_rows(&mut out, rows).expect("writing to String cannot fail");
+    write_block_rows(&mut out, &rows).expect("writing to String cannot fail");
     out
 }
 
 /// Writes the text [`blocks_to_csv`] returns into `out`, without building
 /// it first (the campaign fingerprint hashes it this way).
 pub(crate) fn write_blocks_csv(out: &mut impl Write, log: &ObserverLog) -> fmt::Result {
-    write_block_rows(out, block_rows(log))
+    write_block_rows(out, &block_rows(log))
 }
 
 fn block_rows(log: &ObserverLog) -> Vec<BlockRecord> {
     let mut rows: Vec<BlockRecord> = log.scan_blocks().collect();
-    rows.sort_by_key(|r| (r.first_true, r.hash));
+    // Hashes are distinct, so the key is total and unstable sorting is
+    // the stable order.
+    rows.sort_unstable_by_key(|r| (r.first_true, r.hash));
     rows
 }
 
-fn write_block_rows(out: &mut impl Write, rows: Vec<BlockRecord>) -> fmt::Result {
-    writeln!(out, "{BLOCK_HEADER}")?;
+fn write_block_rows(out: &mut impl Write, rows: &[BlockRecord]) -> fmt::Result {
+    let mut w = RowWriter::new(out, BLOCK_HEADER);
     for r in rows {
-        writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            r.hash.raw(),
-            r.first_local.as_nanos(),
-            r.first_true.as_nanos(),
-            kind_tag(r.first_kind),
-            r.first_from.raw(),
-            r.announces,
-            r.full_blocks
-        )?;
+        w.row_start()?;
+        w.u64(r.hash.raw());
+        w.comma();
+        w.u64(r.first_local.as_nanos());
+        w.comma();
+        w.u64(r.first_true.as_nanos());
+        w.comma();
+        w.push(kind_tag(r.first_kind).as_bytes());
+        w.comma();
+        w.u64(u64::from(r.first_from.raw()));
+        w.comma();
+        w.u64(u64::from(r.announces));
+        w.comma();
+        w.u64(u64::from(r.full_blocks));
+        w.push(b"\n");
     }
-    Ok(())
+    w.finish()
 }
 
 /// Serializes an observer's transaction records (sorted by arrival seq).
@@ -170,41 +176,196 @@ fn write_block_rows(out: &mut impl Write, rows: Vec<BlockRecord>) -> fmt::Result
 pub fn txs_to_csv(log: &ObserverLog) -> String {
     let rows = tx_rows(log);
     let mut out = String::with_capacity(48 * (rows.len() + 1));
-    write_tx_rows(&mut out, rows).expect("writing to String cannot fail");
+    write_tx_rows(&mut out, &rows).expect("writing to String cannot fail");
     out
 }
 
 /// Writes the text [`txs_to_csv`] returns into `out`, without building it
 /// first.
 pub(crate) fn write_txs_csv(out: &mut impl Write, log: &ObserverLog) -> fmt::Result {
-    write_tx_rows(out, tx_rows(log))
+    write_tx_rows(out, &tx_rows(log))
 }
 
 fn tx_rows(log: &ObserverLog) -> Vec<TxRecord> {
-    let mut rows: Vec<TxRecord> = log.scan_txs().collect();
+    by_arrival(log.tx_count(), || log.scan_txs())
+}
+
+/// The `n` rows `scan` yields, ordered by `arrival_seq` as a stable sort
+/// of the scan order would order them.
+///
+/// A log numbers its arrivals `0..n`, so each row is stored straight into
+/// slot `arrival_seq` as the scan yields it: O(1) per row, one buffer,
+/// and independent stores where an in-place cycle walk would chase one
+/// cache miss per row. Seqs that are not exactly `0..n` (out of range,
+/// repeated, missing) leave a slot unfilled; then the scan runs again
+/// into the stable sort.
+fn by_arrival<I: Iterator<Item = TxRecord>>(n: usize, scan: impl Fn() -> I) -> Vec<TxRecord> {
+    const UNFILLED: TxRecord = TxRecord {
+        id: TxId(0),
+        first_local: SimTime::ZERO,
+        first_true: SimTime::ZERO,
+        from: NodeId(0),
+        arrival_seq: u64::MAX,
+    };
+    let mut rows = vec![UNFILLED; n];
+    let (mut scanned, mut in_range) = (0, true);
+    for r in scan() {
+        scanned += 1;
+        match usize::try_from(r.arrival_seq)
+            .ok()
+            .and_then(|i| rows.get_mut(i))
+        {
+            Some(slot) => *slot = r,
+            None => in_range = false,
+        }
+    }
+    // `n` rows filling `n` slots, each with its own seq: a permutation.
+    if scanned == n && in_range && rows.iter().zip(0..).all(|(r, i)| r.arrival_seq == i) {
+        return rows;
+    }
+    rows = scan().collect();
     rows.sort_by_key(|r| r.arrival_seq);
     rows
 }
 
-fn write_tx_rows(out: &mut impl Write, rows: Vec<TxRecord>) -> fmt::Result {
-    writeln!(out, "{TX_HEADER}")?;
+fn write_tx_rows(out: &mut impl Write, rows: &[TxRecord]) -> fmt::Result {
+    let mut w = RowWriter::new(out, TX_HEADER);
     for r in rows {
-        writeln!(
-            out,
-            "{},{},{},{},{}",
-            r.id.raw(),
-            r.first_local.as_nanos(),
-            r.first_true.as_nanos(),
-            r.from.raw(),
-            r.arrival_seq
-        )?;
+        w.row_start()?;
+        w.u64(r.id.raw());
+        w.comma();
+        w.u64(r.first_local.as_nanos());
+        w.comma();
+        w.u64(r.first_true.as_nanos());
+        w.comma();
+        w.u64(u64::from(r.from.raw()));
+        w.comma();
+        w.u64(r.arrival_seq);
+        w.push(b"\n");
     }
-    Ok(())
+    w.finish()
+}
+
+/// Bytes [`RowWriter`] buffers before handing a chunk to its sink.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// Upper bound of one row's bytes: seven fields of at most 20 digits,
+/// their separators and the newline.
+const MAX_ROW_BYTES: usize = 7 * 21;
+
+/// `"00"`, `"01"`, …, `"99"`: two digits per table lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `v` — exactly `v.to_string()`'s bytes.
+fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + v as u8;
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
+/// Renders rows into one reused byte buffer and hands the sink a chunk
+/// every [`CHUNK_BYTES`], so a row costs its digits, not a formatter
+/// call per field. The sink sees the same text in fewer, larger pieces.
+struct RowWriter<'a, W: Write> {
+    out: &'a mut W,
+    buf: Vec<u8>,
+}
+
+impl<'a, W: Write> RowWriter<'a, W> {
+    fn new(out: &'a mut W, header: &str) -> Self {
+        let mut buf = Vec::with_capacity(CHUNK_BYTES + MAX_ROW_BYTES);
+        buf.extend_from_slice(header.as_bytes());
+        buf.push(b'\n');
+        RowWriter { out, buf }
+    }
+
+    /// Flushes the buffer if the next row might not fit.
+    fn row_start(&mut self) -> fmt::Result {
+        if self.buf.len() >= CHUNK_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn u64(&mut self, v: u64) {
+        push_u64(&mut self.buf, v);
+    }
+
+    fn comma(&mut self) {
+        self.buf.push(b',');
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn flush(&mut self) -> fmt::Result {
+        // Digits, separators and the ASCII header: always UTF-8.
+        let text = std::str::from_utf8(&self.buf).map_err(|_| fmt::Error)?;
+        self.out.write_str(text)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    fn finish(mut self) -> fmt::Result {
+        self.flush()
+    }
 }
 
 fn parse_u64(s: &str, line: usize, field: &'static str) -> Result<u64, ParseError> {
     s.parse::<u64>()
         .map_err(|_: ParseIntError| ParseError::BadField { line, field })
+}
+
+/// Splits `row` at commas into exactly `N` fields, or reports the row's
+/// actual field count as a [`ParseError::BadShape`]. A byte loop: rows
+/// are short, and `str::split`'s per-field search costs more than
+/// parsing the field.
+fn split_row<const N: usize>(row: &str, line: usize) -> Result<[&str; N], ParseError> {
+    let mut fields = [""; N];
+    let mut got = 0;
+    let mut start = 0;
+    for (at, &b) in row.as_bytes().iter().enumerate() {
+        if b == b',' {
+            if let Some(slot) = fields.get_mut(got) {
+                // A comma is ASCII, so both ends are char boundaries.
+                *slot = &row[start..at];
+            }
+            got += 1;
+            start = at + 1;
+        }
+    }
+    if let Some(slot) = fields.get_mut(got) {
+        *slot = &row[start..];
+    }
+    got += 1;
+    if got != N {
+        return Err(ParseError::BadShape {
+            line,
+            expected: N,
+            got,
+        });
+    }
+    Ok(fields)
 }
 
 /// Parses a block-record CSV produced by [`blocks_to_csv`].
@@ -219,27 +380,20 @@ pub fn blocks_from_csv(text: &str) -> Result<Vec<BlockRecord>, ParseError> {
             continue;
         }
         let line = i + 1;
-        let fields: Vec<&str> = row.split(',').collect();
-        if fields.len() != 7 {
-            return Err(ParseError::BadShape {
-                line,
-                expected: 7,
-                got: fields.len(),
-            });
-        }
-        let kind = match fields[3] {
+        let [hash, local, true_ns, kind, from, announces, full_blocks] = split_row(row, line)?;
+        let kind = match kind {
             "ann" => BlockMsgKind::Announce,
             "blk" => BlockMsgKind::FullBlock,
             _ => return Err(ParseError::BadKind { line }),
         };
         out.push(BlockRecord {
-            hash: BlockHash(parse_u64(fields[0], line, "hash")?),
-            first_local: SimTime::from_nanos(parse_u64(fields[1], line, "first_local_ns")?),
-            first_true: SimTime::from_nanos(parse_u64(fields[2], line, "first_true_ns")?),
+            hash: BlockHash(parse_u64(hash, line, "hash")?),
+            first_local: SimTime::from_nanos(parse_u64(local, line, "first_local_ns")?),
+            first_true: SimTime::from_nanos(parse_u64(true_ns, line, "first_true_ns")?),
             first_kind: kind,
-            first_from: NodeId(parse_u64(fields[4], line, "first_from")? as u32),
-            announces: parse_u64(fields[5], line, "announces")? as u32,
-            full_blocks: parse_u64(fields[6], line, "full_blocks")? as u32,
+            first_from: NodeId(parse_u64(from, line, "first_from")? as u32),
+            announces: parse_u64(announces, line, "announces")? as u32,
+            full_blocks: parse_u64(full_blocks, line, "full_blocks")? as u32,
         });
     }
     Ok(out)
@@ -257,20 +411,13 @@ pub fn txs_from_csv(text: &str) -> Result<Vec<TxRecord>, ParseError> {
             continue;
         }
         let line = i + 1;
-        let fields: Vec<&str> = row.split(',').collect();
-        if fields.len() != 5 {
-            return Err(ParseError::BadShape {
-                line,
-                expected: 5,
-                got: fields.len(),
-            });
-        }
+        let [id, local, true_ns, from, seq] = split_row(row, line)?;
         out.push(TxRecord {
-            id: TxId(parse_u64(fields[0], line, "tx")?),
-            first_local: SimTime::from_nanos(parse_u64(fields[1], line, "first_local_ns")?),
-            first_true: SimTime::from_nanos(parse_u64(fields[2], line, "first_true_ns")?),
-            from: NodeId(parse_u64(fields[3], line, "from")? as u32),
-            arrival_seq: parse_u64(fields[4], line, "arrival_seq")?,
+            id: TxId(parse_u64(id, line, "tx")?),
+            first_local: SimTime::from_nanos(parse_u64(local, line, "first_local_ns")?),
+            first_true: SimTime::from_nanos(parse_u64(true_ns, line, "first_true_ns")?),
+            from: NodeId(parse_u64(from, line, "from")? as u32),
+            arrival_seq: parse_u64(seq, line, "arrival_seq")?,
         });
     }
     Ok(out)
@@ -566,6 +713,260 @@ mod proptests {
                 .collect();
             let escaped = escape_field(&s);
             prop_assert_eq!(unescape_field(&escaped), Some(s));
+        }
+    }
+}
+
+/// The row codec against the formatter-based codec it replaced: the text
+/// it writes, the rows and errors it parses, and the arrival order it
+/// sorts must all be the reference's.
+#[cfg(test)]
+mod codec {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The reference writer: one `writeln!` per row.
+    fn reference_text(blocks: &[BlockRecord], txs: &[TxRecord]) -> (String, String) {
+        let mut b = format!("{BLOCK_HEADER}\n");
+        for r in blocks {
+            writeln!(
+                b,
+                "{},{},{},{},{},{},{}",
+                r.hash.raw(),
+                r.first_local.as_nanos(),
+                r.first_true.as_nanos(),
+                kind_tag(r.first_kind),
+                r.first_from.raw(),
+                r.announces,
+                r.full_blocks
+            )
+            .expect("String");
+        }
+        let mut t = format!("{TX_HEADER}\n");
+        for r in txs {
+            writeln!(
+                t,
+                "{},{},{},{},{}",
+                r.id.raw(),
+                r.first_local.as_nanos(),
+                r.first_true.as_nanos(),
+                r.from.raw(),
+                r.arrival_seq
+            )
+            .expect("String");
+        }
+        (b, t)
+    }
+
+    /// The reference parser: a `Vec<&str>` of fields per row.
+    fn reference_blocks_from_csv(text: &str) -> Result<Vec<BlockRecord>, ParseError> {
+        let mut out = Vec::new();
+        for (i, row) in text.lines().enumerate() {
+            if i == 0 || row.is_empty() {
+                continue;
+            }
+            let line = i + 1;
+            let fields: Vec<&str> = row.split(',').collect();
+            if fields.len() != 7 {
+                return Err(ParseError::BadShape {
+                    line,
+                    expected: 7,
+                    got: fields.len(),
+                });
+            }
+            let kind = match fields[3] {
+                "ann" => BlockMsgKind::Announce,
+                "blk" => BlockMsgKind::FullBlock,
+                _ => return Err(ParseError::BadKind { line }),
+            };
+            out.push(BlockRecord {
+                hash: BlockHash(parse_u64(fields[0], line, "hash")?),
+                first_local: SimTime::from_nanos(parse_u64(fields[1], line, "first_local_ns")?),
+                first_true: SimTime::from_nanos(parse_u64(fields[2], line, "first_true_ns")?),
+                first_kind: kind,
+                first_from: NodeId(parse_u64(fields[4], line, "first_from")? as u32),
+                announces: parse_u64(fields[5], line, "announces")? as u32,
+                full_blocks: parse_u64(fields[6], line, "full_blocks")? as u32,
+            });
+        }
+        Ok(out)
+    }
+
+    fn reference_txs_from_csv(text: &str) -> Result<Vec<TxRecord>, ParseError> {
+        let mut out = Vec::new();
+        for (i, row) in text.lines().enumerate() {
+            if i == 0 || row.is_empty() {
+                continue;
+            }
+            let line = i + 1;
+            let fields: Vec<&str> = row.split(',').collect();
+            if fields.len() != 5 {
+                return Err(ParseError::BadShape {
+                    line,
+                    expected: 5,
+                    got: fields.len(),
+                });
+            }
+            out.push(TxRecord {
+                id: TxId(parse_u64(fields[0], line, "tx")?),
+                first_local: SimTime::from_nanos(parse_u64(fields[1], line, "first_local_ns")?),
+                first_true: SimTime::from_nanos(parse_u64(fields[2], line, "first_true_ns")?),
+                from: NodeId(parse_u64(fields[3], line, "from")? as u32),
+                arrival_seq: parse_u64(fields[4], line, "arrival_seq")?,
+            });
+        }
+        Ok(out)
+    }
+
+    fn rendered(v: u64) -> String {
+        let mut buf = Vec::new();
+        push_u64(&mut buf, v);
+        String::from_utf8(buf).expect("ASCII digits")
+    }
+
+    #[test]
+    fn u64_writer_matches_display_at_every_digit_boundary() {
+        let mut edges = vec![0, 9, 10, 99, 100, u64::MAX, u64::MAX - 1];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p, p + 1]);
+        }
+        for v in edges {
+            assert_eq!(rendered(v), format!("{v}"));
+        }
+    }
+
+    /// One generated CSV field: mostly valid integers of every length,
+    /// else a sign, an empty field, an overflow, a kind tag or junk.
+    fn field(x: u64) -> String {
+        let n = x >> (8 + (x >> 5) % 56);
+        match x % 32 {
+            0..=23 => n.to_string(),
+            24 => format!("+{n}"),
+            25 => format!("-{n}"),
+            26 => String::new(),
+            27 => "18446744073709551616".into(),
+            28 => u64::MAX.to_string(),
+            29 => "ann".into(),
+            30 => "blk".into(),
+            _ => format!("{n}x"),
+        }
+    }
+
+    /// A dataset text from generated rows; an even selector pads or cuts
+    /// the row to `arity` (and for blocks puts a valid tag at field 3),
+    /// so both well- and ill-shaped rows occur.
+    fn text(header: &str, arity: usize, rows: &[(u8, Vec<u64>)]) -> String {
+        let mut out = format!("{header}\n");
+        for (sel, raw) in rows {
+            let mut fields: Vec<String> = raw.iter().map(|&x| field(x)).collect();
+            if sel % 2 == 0 {
+                fields.resize(arity, "7".into());
+                if arity == 7 && sel % 4 == 0 {
+                    fields[3] = "blk".into();
+                }
+            }
+            out.push_str(&fields.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn u64_writer_matches_display(x in 0u64..u64::MAX, shift in 0u32..64) {
+            let v = x >> shift;
+            prop_assert_eq!(rendered(v), format!("{v}"));
+        }
+
+        #[test]
+        fn parsers_match_the_split_collect_reference(
+            rows in proptest::collection::vec(
+                (0u8..8, proptest::collection::vec(0u64..u64::MAX, 0..10)),
+                0..6,
+            ),
+        ) {
+            let blocks = text(BLOCK_HEADER, 7, &rows);
+            prop_assert_eq!(blocks_from_csv(&blocks), reference_blocks_from_csv(&blocks));
+            let txs = text(TX_HEADER, 5, &rows);
+            prop_assert_eq!(txs_from_csv(&txs), reference_txs_from_csv(&txs));
+        }
+
+        /// Exports span several writer chunks: ~1,500 rows of up to ~100
+        /// bytes each.
+        #[test]
+        fn row_writer_matches_the_formatter_reference(
+            seed in 0u64..u64::MAX,
+            rows in 0usize..1_500,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let mut log = ObserverLog::new();
+            for _ in 0..rows {
+                let x = rng.next_u64();
+                let wide = |v: u64| v >> (x % 64);
+                log.record_block_msg(
+                    BlockHash(rng.next_u64()),
+                    if x % 2 == 0 { BlockMsgKind::Announce } else { BlockMsgKind::FullBlock },
+                    NodeId(rng.next_u64() as u32),
+                    SimTime::from_nanos(wide(rng.next_u64())),
+                    SimTime::from_nanos(wide(rng.next_u64())),
+                );
+                log.record_tx(
+                    TxId(rng.next_u64()),
+                    NodeId(rng.next_u64() as u32),
+                    SimTime::from_nanos(wide(rng.next_u64())),
+                    SimTime::from_nanos(wide(rng.next_u64())),
+                );
+            }
+            let (blocks, txs) = reference_text(&block_rows(&log), &tx_rows(&log));
+            prop_assert_eq!(blocks_to_csv(&log), blocks);
+            prop_assert_eq!(txs_to_csv(&log), txs);
+        }
+
+        /// Arbitrary seqs — duplicates, gaps, out of range, a row too
+        /// many or too few — order exactly as the stable sort of the scan
+        /// order; permutations of `0..n` too.
+        #[test]
+        fn arrival_order_equals_the_stable_sort(
+            seqs in proptest::collection::vec(0u64..40, 0..40),
+            permute in 0u8..2,
+            miscount in 0usize..3,
+        ) {
+            let seqs: Vec<u64> = if permute == 1 {
+                // A permutation of 0..n: rank each draw (ties by position).
+                let mut order: Vec<usize> = (0..seqs.len()).collect();
+                order.sort_by_key(|&i| seqs[i]);
+                let mut perm = vec![0; seqs.len()];
+                for (rank, &i) in order.iter().enumerate() {
+                    perm[i] = rank as u64;
+                }
+                perm
+            } else {
+                seqs
+            };
+            let rows: Vec<TxRecord> = seqs
+                .iter()
+                .enumerate()
+                .map(|(i, &seq)| TxRecord {
+                    id: TxId(3 * i as u64 + 1),
+                    first_local: SimTime::from_nanos(i as u64),
+                    first_true: SimTime::from_nanos(i as u64),
+                    from: NodeId(i as u32),
+                    arrival_seq: seq,
+                })
+                .collect();
+            let mut expected = rows.clone();
+            expected.sort_by_key(|r| r.arrival_seq);
+            // `n` as the log counts it, or off by one either way.
+            let n = (rows.len() + miscount).saturating_sub(1);
+            let placed = by_arrival(n, || rows.iter().copied());
+            prop_assert_eq!(&placed, &expected);
+            // A repeated seq beside a full permutation fills every slot.
+            let mut extra = rows.clone();
+            extra.extend(rows.first().copied());
+            expected.extend(rows.first().copied());
+            expected.sort_by_key(|r| r.arrival_seq);
+            prop_assert_eq!(by_arrival(rows.len(), || extra.iter().copied()), expected);
         }
     }
 }

@@ -7,6 +7,7 @@
 //! month-scale simulations in memory. Raw per-message streams can be
 //! reconstructed for small runs via the `csv` module's record export.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use ethmeter_types::{BlockHash, FxHashMap, NodeId, SimTime, TxId};
@@ -79,14 +80,25 @@ pub const TX_ENTRY_BYTES: usize = 56;
 /// reused runner.
 pub const MAX_RETAINED_BYTES: usize = 1 << 20;
 
-/// Out-of-core state of a budgeted log: its spill policy plus the
-/// immutable segments flushed so far (shared by reference with any
-/// clones, e.g. extracted campaign data).
+/// Out-of-core state of a budgeted log: its spill policy, the immutable
+/// segments flushed so far (shared by reference with any clones, e.g.
+/// extracted campaign data), and the filter over their keys.
 #[derive(Debug, Clone)]
 struct SpillState {
     config: SpillConfig,
     block_segments: Vec<Arc<BlockSegment>>,
     tx_segments: Vec<Arc<TxSegment>>,
+    /// Ascending distinct hashes of every spilled block: one probe tells
+    /// a fresh live block from a delta of a spilled one.
+    spilled_blocks: Vec<BlockHash>,
+    /// Ascending ids of every spilled tx (disjoint from the live map):
+    /// one probe keeps `arrival_seq` assignment identical to the
+    /// in-memory backend.
+    spilled_txs: Vec<TxId>,
+    /// 8 bytes per row of every segment written so far — the filter cost
+    /// [`ObserverLog::retained_bytes`] charges, kept as a running sum so
+    /// the per-record high-water check stays O(1).
+    segment_key_bytes: usize,
 }
 
 /// Everything one observer recorded.
@@ -136,6 +148,9 @@ impl ObserverLog {
             config,
             block_segments: Vec::new(),
             tx_segments: Vec::new(),
+            spilled_blocks: Vec::new(),
+            spilled_txs: Vec::new(),
+            segment_key_bytes: 0,
         });
     }
 
@@ -151,22 +166,14 @@ impl ObserverLog {
     }
 
     /// Estimated resident bytes of everything this log retains: map
-    /// capacity plus (under spill) the per-segment key filters. The
-    /// filters cost 8 bytes per distinct key and are what exact
-    /// deduplication across segments needs; they are *not* counted
-    /// against the flush budget (flushing cannot shrink them).
+    /// capacity plus (under spill) the spilled-key filter, charged at 8
+    /// bytes per segment row. The filter is what exact deduplication
+    /// across segments needs; it is *not* counted against the flush
+    /// budget (flushing cannot shrink it).
     pub fn retained_bytes(&self) -> usize {
-        let mut bytes =
-            self.blocks.capacity() * BLOCK_ENTRY_BYTES + self.txs.capacity() * TX_ENTRY_BYTES;
-        if let Some(sp) = &self.spill {
-            for s in &sp.block_segments {
-                bytes += s.rows() * 8;
-            }
-            for s in &sp.tx_segments {
-                bytes += s.rows() * 8;
-            }
-        }
-        bytes
+        self.blocks.capacity() * BLOCK_ENTRY_BYTES
+            + self.txs.capacity() * TX_ENTRY_BYTES
+            + self.spill.as_ref().map_or(0, |sp| sp.segment_key_bytes)
     }
 
     /// High-water mark of [`ObserverLog::retained_bytes`] over this log's
@@ -208,6 +215,8 @@ impl ObserverLog {
             let name = format!("{}.blk{:04}.seg", sp.config.prefix, sp.block_segments.len());
             sp.block_segments
                 .push(BlockSegment::write(&sp.config.dir, &name, &rows));
+            merge_keys(&mut sp.spilled_blocks, rows.iter().map(|r| r.hash));
+            sp.segment_key_bytes += rows.len() * 8;
         }
         if !self.txs.is_empty() {
             let mut rows: Vec<TxRecord> = self.txs.drain().map(|(_, r)| r).collect();
@@ -215,6 +224,8 @@ impl ObserverLog {
             let name = format!("{}.txs{:04}.seg", sp.config.prefix, sp.tx_segments.len());
             sp.tx_segments
                 .push(TxSegment::write(&sp.config.dir, &name, &rows));
+            merge_keys(&mut sp.spilled_txs, rows.iter().map(|r| r.id));
+            sp.segment_key_bytes += rows.len() * 8;
         }
     }
 
@@ -227,16 +238,25 @@ impl ObserverLog {
         local: SimTime,
         true_time: SimTime,
     ) {
-        let fresh = !self.blocks.contains_key(&hash);
-        let entry = self.blocks.entry(hash).or_insert(BlockRecord {
-            hash,
-            first_local: local,
-            first_true: true_time,
-            first_kind: kind,
-            first_from: from,
-            announces: 0,
-            full_blocks: 0,
-        });
+        let entry = match self.blocks.entry(hash) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                if let Some(sp) = &self.spill {
+                    if sp.spilled_blocks.binary_search(&hash).is_err() {
+                        self.distinct_blocks += 1;
+                    }
+                }
+                e.insert(BlockRecord {
+                    hash,
+                    first_local: local,
+                    first_true: true_time,
+                    first_kind: kind,
+                    first_from: from,
+                    announces: 0,
+                    full_blocks: 0,
+                })
+            }
+        };
         match kind {
             BlockMsgKind::Announce => entry.announces += 1,
             BlockMsgKind::FullBlock => entry.full_blocks += 1,
@@ -251,41 +271,28 @@ impl ObserverLog {
             entry.first_kind = kind;
             entry.first_from = from;
         }
-        if fresh {
-            if let Some(sp) = &self.spill {
-                if !sp.block_segments.iter().any(|s| s.contains(hash)) {
-                    self.distinct_blocks += 1;
-                }
-            }
-        }
         self.after_record();
     }
 
     /// Records a transaction reception (only the first one is kept).
     pub fn record_tx(&mut self, id: TxId, from: NodeId, local: SimTime, true_time: SimTime) {
-        if self.txs.contains_key(&id) {
+        let Entry::Vacant(slot) = self.txs.entry(id) else {
             return;
-        }
+        };
         if let Some(sp) = &self.spill {
-            // Already flushed to a segment: still a duplicate. The filter
-            // check keeps `arrival_seq` assignment identical to the
-            // in-memory backend.
-            if sp.tx_segments.iter().any(|s| s.contains(id)) {
+            // Already flushed to a segment: still a duplicate.
+            if sp.spilled_txs.binary_search(&id).is_ok() {
                 return;
             }
         }
-        let seq = self.tx_arrivals;
-        self.tx_arrivals += 1;
-        self.txs.insert(
+        slot.insert(TxRecord {
             id,
-            TxRecord {
-                id,
-                first_local: local,
-                first_true: true_time,
-                from,
-                arrival_seq: seq,
-            },
-        );
+            first_local: local,
+            first_true: true_time,
+            from,
+            arrival_seq: self.tx_arrivals,
+        });
+        self.tx_arrivals += 1;
         self.after_record();
     }
 
@@ -316,11 +323,7 @@ impl ObserverLog {
     /// live map; ids are globally deduplicated, so segment rows are
     /// disjoint).
     pub fn tx_count(&self) -> usize {
-        let spilled: usize = self
-            .spill
-            .as_ref()
-            .map_or(0, |sp| sp.tx_segments.iter().map(|s| s.rows()).sum());
-        spilled + self.txs.len()
+        self.spill.as_ref().map_or(0, |sp| sp.spilled_txs.len()) + self.txs.len()
     }
 
     /// Streams every block record in ascending hash order, merging
@@ -390,6 +393,24 @@ impl ObserverLog {
     }
 }
 
+/// Merges the ascending `new` keys into the ascending `filter`, keeping
+/// one copy of a key present in both (a block re-spilled as a delta).
+/// The result is allocated once at its bound, so the filter carries no
+/// doubling slack.
+fn merge_keys<K: Ord + Copy>(filter: &mut Vec<K>, new: impl ExactSizeIterator<Item = K>) {
+    let mut merged = Vec::with_capacity(filter.len() + new.len());
+    let mut old = filter.iter().copied().peekable();
+    for k in new {
+        while let Some(o) = old.next_if(|&o| o < k) {
+            merged.push(o);
+        }
+        old.next_if_eq(&k);
+        merged.push(k);
+    }
+    merged.extend(old);
+    *filter = merged;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,20 +427,118 @@ mod tests {
         }
     }
 
-    /// Replays a deterministic mixed record stream into `log`.
+    /// One recording call of the test stream.
+    enum Rec {
+        Block(BlockHash, BlockMsgKind, NodeId, SimTime, SimTime),
+        Tx(TxId, NodeId, SimTime, SimTime),
+    }
+
+    /// Step `i` of a deterministic mixed record stream.
+    fn stream(i: u64) -> [Rec; 3] {
+        let kind = if i % 3 == 0 {
+            BlockMsgKind::Announce
+        } else {
+            BlockMsgKind::FullBlock
+        };
+        [
+            Rec::Block(
+                BlockHash(i % 97),
+                kind,
+                NodeId((i % 11) as u32),
+                t(i + 1),
+                t(i),
+            ),
+            Rec::Tx(TxId(i % 301), NodeId((i % 7) as u32), t(i + 2), t(i + 1)),
+            // Duplicate tx receptions must be ignored on both backends.
+            Rec::Tx(TxId(i % 301), NodeId(99), t(0), t(0)),
+        ]
+    }
+
+    fn apply(log: &mut ObserverLog, rec: &Rec) {
+        match *rec {
+            Rec::Block(h, kind, from, local, true_time) => {
+                log.record_block_msg(h, kind, from, local, true_time)
+            }
+            Rec::Tx(id, from, local, true_time) => log.record_tx(id, from, local, true_time),
+        }
+    }
+
+    /// Replays the first `n` steps of the test stream into `log`.
     fn replay(log: &mut ObserverLog, n: u64) {
         for i in 0..n {
-            let h = BlockHash(i % 97);
-            let kind = if i % 3 == 0 {
-                BlockMsgKind::Announce
-            } else {
-                BlockMsgKind::FullBlock
-            };
-            log.record_block_msg(h, kind, NodeId((i % 11) as u32), t(i + 1), t(i));
-            log.record_tx(TxId(i % 301), NodeId((i % 7) as u32), t(i + 2), t(i + 1));
-            // Duplicate tx receptions must be ignored on both backends.
-            log.record_tx(TxId(i % 301), NodeId(99), t(0), t(0));
+            for rec in &stream(i) {
+                apply(log, rec);
+            }
         }
+    }
+
+    fn map_bytes(log: &ObserverLog) -> usize {
+        log.blocks.capacity() * BLOCK_ENTRY_BYTES + log.txs.capacity() * TX_ENTRY_BYTES
+    }
+
+    /// The filter charge recomputed from the segments on disk: 8 bytes
+    /// per row.
+    fn segment_bytes(log: &ObserverLog) -> usize {
+        log.spill.as_ref().map_or(0, |sp| {
+            let blocks: usize = sp.block_segments.iter().map(|s| s.rows()).sum();
+            let txs: usize = sp.tx_segments.iter().map(|s| s.rows()).sum();
+            8 * (blocks + txs)
+        })
+    }
+
+    #[test]
+    fn spilled_logs_agree_with_in_memory_at_every_budget() {
+        // 300 steps keep a 1-byte budget (a flush per record) under the
+        // open-file limit when a scan opens every segment at once.
+        let n = 300;
+        let mut mem = ObserverLog::new();
+        replay(&mut mem, n);
+        let mem_blocks: Vec<BlockRecord> = mem.scan_blocks().collect();
+        let mem_txs: Vec<TxRecord> = mem.scan_txs().collect();
+        for budget in [1, 57, 512, 4_096, 1 << 30] {
+            let mut log = ObserverLog::with_spill(spill_cfg(&format!("agree-{budget}"), budget));
+            // The high-water mark samples retained bytes after each
+            // insert and before any flush it triggers.
+            let mut peak = 0;
+            for i in 0..n {
+                for rec in &stream(i) {
+                    let segments_before = segment_bytes(&log);
+                    let txs_before = log.tx_count();
+                    apply(&mut log, rec);
+                    if matches!(rec, Rec::Block(..)) || log.tx_count() > txs_before {
+                        peak = peak.max(map_bytes(&log) + segments_before);
+                    }
+                    assert_eq!(
+                        log.retained_bytes(),
+                        map_bytes(&log) + segment_bytes(&log),
+                        "budget {budget}, step {i}"
+                    );
+                }
+            }
+            assert_eq!(log.peak_mem_bytes(), peak, "budget {budget}");
+            if log.spilled_segments() == 0 {
+                assert_eq!(log.peak_mem_bytes(), mem.peak_mem_bytes());
+            }
+            // Same rows in the same scan order, `arrival_seq` included.
+            let blocks: Vec<BlockRecord> = log.scan_blocks().collect();
+            let txs: Vec<TxRecord> = log.scan_txs().collect();
+            assert_eq!(blocks, mem_blocks, "budget {budget}");
+            assert_eq!(txs, mem_txs, "budget {budget}");
+            assert_eq!(log.block_count(), mem.block_count(), "budget {budget}");
+            assert_eq!(log.tx_count(), mem.tx_count(), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn key_merge_keeps_one_ascending_copy() {
+        let mut filter = vec![2u64, 5, 9];
+        merge_keys(&mut filter, [1u64, 5, 7, 12].into_iter());
+        assert_eq!(filter, vec![1, 2, 5, 7, 9, 12]);
+        merge_keys(&mut filter, std::iter::empty());
+        assert_eq!(filter, vec![1, 2, 5, 7, 9, 12]);
+        let mut empty: Vec<u64> = Vec::new();
+        merge_keys(&mut empty, [3u64, 4].into_iter());
+        assert_eq!(empty, vec![3, 4]);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! in-memory rows in ascending key order, so reports stream over the
 //! union without ever re-materializing the raw rows.
 //!
+//! A segment keeps nothing per row in memory: its key column is the
+//! file's first column, read back by scans like every other column. The
+//! dedup filter recording needs — which keys were spilled at all — is one
+//! ascending key list per log, owned by the
+//! [`ObserverLog`](crate::ObserverLog) and merged at each flush.
+//!
 //! Determinism contract:
 //!
 //! - **File naming** is a pure function of the caller-provided spill dir,
@@ -80,10 +86,9 @@ fn decode_u32(bytes: &[u8], i: usize) -> u32 {
 /// the last [`Arc`] reference drops.
 pub(crate) struct BlockSegment {
     path: PathBuf,
-    /// Ascending hash column, retained in memory as the dedup/count
-    /// filter (8 bytes per distinct key — the only per-row state a
-    /// spilled log keeps resident).
-    keys: Vec<BlockHash>,
+    /// Row count. The ascending hash column lives only on disk; the dedup
+    /// filter over every block segment is the owning log's.
+    rows: usize,
 }
 
 impl std::fmt::Debug for BlockSegment {
@@ -92,7 +97,7 @@ impl std::fmt::Debug for BlockSegment {
             f,
             "BlockSegment({}, {} rows)",
             self.path.display(),
-            self.keys.len()
+            self.rows
         )
     }
 }
@@ -144,18 +149,13 @@ impl BlockSegment {
             .unwrap_or_else(|e| panic!("spill segment write {}: {e}", path.display()));
         Arc::new(BlockSegment {
             path,
-            keys: rows.iter().map(|r| r.hash).collect(),
+            rows: rows.len(),
         })
     }
 
-    /// Number of rows.
+    #[cfg(test)]
     pub(crate) fn rows(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True if `hash` has a row in this segment.
-    pub(crate) fn contains(&self, hash: BlockHash) -> bool {
-        self.keys.binary_search(&hash).is_ok()
+        self.rows
     }
 
     /// Opens a chunked ascending scan.
@@ -183,13 +183,15 @@ struct BlockSegmentScan {
 
 impl BlockSegmentScan {
     fn refill(&mut self) {
-        let rows = self.seg.rows();
+        let rows = self.seg.rows;
         let n = CHUNK_ROWS.min(rows - self.next_row);
         let at = self.next_row as u64;
         let rows64 = rows as u64;
         let path = &self.seg.path;
         // Per-column chunk reads: column base offsets follow the layout
         // in `BLK_ROW_BYTES`'s comment.
+        let mut hash = vec![0u8; n * 8];
+        read_exact(&mut self.file, path, at * 8, &mut hash);
         let mut local = vec![0u8; n * 8];
         read_exact(&mut self.file, path, 8 * rows64 + at * 8, &mut local);
         let mut truet = vec![0u8; n * 8];
@@ -205,7 +207,7 @@ impl BlockSegmentScan {
         self.buf.clear();
         for (i, &k) in kind.iter().enumerate() {
             self.buf.push(BlockRecord {
-                hash: self.seg.keys[self.next_row + i],
+                hash: BlockHash(decode_u64(&hash, i)),
                 first_local: SimTime::from_nanos(decode_u64(&local, i)),
                 first_true: SimTime::from_nanos(decode_u64(&truet, i)),
                 first_kind: match k {
@@ -224,7 +226,7 @@ impl BlockSegmentScan {
 
     fn peek(&mut self) -> Option<&BlockRecord> {
         if self.buf_pos == self.buf.len() {
-            if self.next_row == self.seg.rows() {
+            if self.next_row == self.seg.rows {
                 return None;
             }
             self.refill();
@@ -243,19 +245,15 @@ impl BlockSegmentScan {
 /// last reference drops).
 pub(crate) struct TxSegment {
     path: PathBuf,
-    /// Ascending id column, resident as the global first-reception dedup
-    /// filter.
-    keys: Vec<TxId>,
+    /// Row count. The ascending id column lives only on disk; the
+    /// first-reception dedup filter over every tx segment is the owning
+    /// log's.
+    rows: usize,
 }
 
 impl std::fmt::Debug for TxSegment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "TxSegment({}, {} rows)",
-            self.path.display(),
-            self.keys.len()
-        )
+        write!(f, "TxSegment({}, {} rows)", self.path.display(), self.rows)
     }
 }
 
@@ -296,18 +294,13 @@ impl TxSegment {
             .unwrap_or_else(|e| panic!("spill segment write {}: {e}", path.display()));
         Arc::new(TxSegment {
             path,
-            keys: rows.iter().map(|r| r.id).collect(),
+            rows: rows.len(),
         })
     }
 
-    /// Number of rows.
+    #[cfg(test)]
     pub(crate) fn rows(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True if `id` has a row in this segment.
-    pub(crate) fn contains(&self, id: TxId) -> bool {
-        self.keys.binary_search(&id).is_ok()
+        self.rows
     }
 
     fn scan(self: &Arc<Self>) -> TxSegmentScan {
@@ -334,11 +327,13 @@ struct TxSegmentScan {
 
 impl TxSegmentScan {
     fn refill(&mut self) {
-        let rows = self.seg.rows();
+        let rows = self.seg.rows;
         let n = CHUNK_ROWS.min(rows - self.next_row);
         let at = self.next_row as u64;
         let rows64 = rows as u64;
         let path = &self.seg.path;
+        let mut id = vec![0u8; n * 8];
+        read_exact(&mut self.file, path, at * 8, &mut id);
         let mut local = vec![0u8; n * 8];
         read_exact(&mut self.file, path, 8 * rows64 + at * 8, &mut local);
         let mut truet = vec![0u8; n * 8];
@@ -350,7 +345,7 @@ impl TxSegmentScan {
         self.buf.clear();
         for i in 0..n {
             self.buf.push(TxRecord {
-                id: self.seg.keys[self.next_row + i],
+                id: TxId(decode_u64(&id, i)),
                 first_local: SimTime::from_nanos(decode_u64(&local, i)),
                 first_true: SimTime::from_nanos(decode_u64(&truet, i)),
                 from: NodeId(decode_u32(&from, i)),
@@ -363,7 +358,7 @@ impl TxSegmentScan {
 
     fn peek(&mut self) -> Option<&TxRecord> {
         if self.buf_pos == self.buf.len() {
-            if self.next_row == self.seg.rows() {
+            if self.next_row == self.seg.rows {
                 return None;
             }
             self.refill();
@@ -457,9 +452,14 @@ fn fold_block(mut acc: BlockRecord, later: BlockRecord) -> BlockRecord {
 
 /// Ascending-id merge over spilled tx segments plus the residual
 /// in-memory rows. Transaction ids are globally unique across sources
-/// (recording dedups against the segment filters), so no folding occurs.
+/// (recording dedups against the log's spilled-key filter), so no
+/// folding occurs.
 pub struct TxScan {
+    /// Segment scans not yet drained, and side by side the id each yields
+    /// next: a row's minimum is one pass over a dense array, not a peek
+    /// into every segment's buffer.
     segs: Vec<TxSegmentScan>,
+    heads: Vec<TxId>,
     mem: std::vec::IntoIter<TxRecord>,
     mem_peek: Option<TxRecord>,
 }
@@ -469,8 +469,18 @@ pub struct TxScan {
 pub(crate) fn merge_tx_scan(segments: &[Arc<TxSegment>], mem: Vec<TxRecord>) -> TxScan {
     let mut mem = mem.into_iter();
     let mem_peek = mem.next();
+    let mut segs = Vec::with_capacity(segments.len());
+    let mut heads = Vec::with_capacity(segments.len());
+    for seg in segments {
+        let mut scan = seg.scan();
+        if let Some(r) = scan.peek() {
+            heads.push(r.id);
+            segs.push(scan);
+        }
+    }
     TxScan {
-        segs: segments.iter().map(TxSegment::scan).collect(),
+        segs,
+        heads,
         mem,
         mem_peek,
     }
@@ -480,22 +490,28 @@ impl Iterator for TxScan {
     type Item = TxRecord;
 
     fn next(&mut self) -> Option<TxRecord> {
-        let mut best: Option<(TxId, usize)> = self.mem_peek.map(|r| (r.id, usize::MAX));
-        for (i, s) in self.segs.iter_mut().enumerate() {
-            if let Some(r) = s.peek() {
-                if best.is_none_or(|(id, _)| r.id < id) {
-                    best = Some((r.id, i));
-                }
+        let mut best = self.mem_peek.map(|r| r.id);
+        let mut src = None;
+        for (i, &id) in self.heads.iter().enumerate() {
+            if best.is_none_or(|b| id < b) {
+                best = Some(id);
+                src = Some(i);
             }
         }
-        let (_, src) = best?;
-        if src == usize::MAX {
-            let r = self.mem_peek.take().expect("peeked");
+        let Some(i) = src else {
+            let r = self.mem_peek.take()?;
             self.mem_peek = self.mem.next();
-            Some(r)
-        } else {
-            Some(self.segs[src].pop())
+            return Some(r);
+        };
+        let r = self.segs[i].pop();
+        match self.segs[i].peek() {
+            Some(next) => self.heads[i] = next.id,
+            None => {
+                self.segs.swap_remove(i);
+                self.heads.swap_remove(i);
+            }
         }
+        Some(r)
     }
 }
 
@@ -536,9 +552,7 @@ mod tests {
         let seg = BlockSegment::write(&dir, "a.blk0000.seg", &rows);
         let path = seg.path.clone();
         assert!(path.exists());
-        assert_eq!(seg.rows(), 2500);
-        assert!(seg.contains(BlockHash(3)));
-        assert!(!seg.contains(BlockHash(4)));
+        assert_eq!(seg.rows, 2500);
         let back: Vec<BlockRecord> = merge_block_scan(&[seg], Vec::new()).collect();
         assert_eq!(back, rows);
         assert!(!path.exists(), "file unlinked once the last Arc dropped");
