@@ -35,8 +35,9 @@
 #                fork-choice-core (`headertree`) and uncle-rule unit
 #                tests, the engine-law integration suite (pins the
 #                explicit-heaviest goldens in --release) and the
-#                view-vs-tree differential proptest in --release — a
-#                name-filtered run that matches 0 tests fails — plus
+#                view-vs-tree and slot-tree-vs-hash-keyed-reference
+#                differential tests in --release — a name-filtered run
+#                that matches 0 tests fails — plus
 #                `repro forkchoice --json` on a pinned tiny scenario —
 #                schema-valid ethmeter-forkchoice/v1 with distinct
 #                heads across engines
@@ -247,6 +248,9 @@ stage_consensus_smoke() {
     # The differential check of the fork-choice core's two consumers
     # (windowed HeaderView vs unpruned BlockTree, every engine).
     filtered_tests --release --test consistency windowed_view_and_unpruned_tree_agree
+    # The slot-backed core against the hash-keyed tree it replaced, every
+    # engine, unbounded and at the smallest window (slots recycle).
+    filtered_tests --release -p ethmeter-chain headertree::reference
     # The fork-choice comparison CLI on a pinned scenario: heaviest,
     # longest, and uncle-weighted GHOST must each report a head, and at
     # least two engines must disagree (tiny seed 11 splits all three).

@@ -1,8 +1,8 @@
 //! The one fork-choice core: a header-only block tree.
 //!
 //! [`HeaderTree`] is the single owner of everything chain selection needs
-//! and nothing it does not: per-block `{parent, number, miner, score}`,
-//! head selection under a pluggable [`Consensus`] engine (the default
+//! and nothing it does not: per-block `{hash, parent, number, miner,
+//! score}`, head selection under a pluggable [`Consensus`] engine (the default
 //! [`HeaviestChain`] reproduces total difficulty with first-seen
 //! tie-breaking), the canonical index, the orphan buffer and its cascade,
 //! the ancestor walk, the referenced-uncle record, and an optional pruning
@@ -10,13 +10,21 @@
 //! index and the engine's confirmation depths, never stored. Uncle
 //! eligibility over the same state lives in [`crate::uncles`].
 //!
+//! Headers live in slots of one `Vec`, each linked to its parent's slot.
+//! A query probes the one hash→slot index once, for the hash it is handed;
+//! ancestry, head switches and uncle checks then walk slots. A prune frees
+//! the slots at or below the window's cutoff and repairs no link, so a
+//! link counts only while its slot is live and still holds the parent's
+//! hash: a freed or reused slot ends a walk exactly where the pruned
+//! parent would have.
+//!
 //! Both consumers are this type: a gossip node's view of the chain is a
 //! windowed tree (`ethmeter_net::HeaderView`, so per-node memory stays
 //! constant however long the simulation runs), and the ground-truth
 //! [`crate::tree::BlockTree`] is an unbounded one with block bodies kept
 //! beside it.
 
-use std::collections::hash_map::Entry as Slot;
+use std::collections::hash_map::Entry::Vacant;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -108,17 +116,28 @@ pub enum InsertOutcome {
 pub type HeaderInsert = Result<InsertOutcome, InsertError>;
 
 /// What the tree keeps per attached header. Packed to 8-byte alignment
-/// because the `u128` score would otherwise pad every map slot from 48 to
-/// 64 bytes — per header, in 10,000 views and every ground-truth tree.
+/// because the `u128` score would otherwise pad every slot from 48 to 64
+/// bytes — per header, in 10,000 views and every ground-truth tree.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, packed(8))]
 pub(crate) struct Entry {
+    pub(crate) hash: BlockHash,
     pub(crate) parent: BlockHash,
+    /// [`FREE`] while the slot holds no header.
     pub(crate) number: BlockNumber,
-    pub(crate) miner: PoolId,
     /// Fork-choice score under the tree's engine.
     pub(crate) score: Score,
+    /// The slot `parent` was attached in ([`NO_SLOT`] for the root). See
+    /// [`HeaderTree::parent_entry`] for when it may be followed.
+    parent_slot: u32,
+    pub(crate) miner: PoolId,
 }
+
+/// The height a free slot claims: no header can reach it.
+const FREE: BlockNumber = BlockNumber::MAX;
+
+/// The root's parent slot: there is nothing to follow.
+const NO_SLOT: u32 = u32::MAX;
 
 /// A buffered header. Its difficulty and uncle list are only needed until
 /// the parent attaches and the header can be scored.
@@ -135,7 +154,12 @@ struct Orphan {
 #[derive(Debug, Clone)]
 pub struct HeaderTree {
     engine: Arc<dyn Consensus>,
-    entries: FxHashMap<BlockHash, Entry>,
+    /// Attached headers by slot, free slots among them.
+    entries: Vec<Entry>,
+    /// hash -> slot of every attached header: the tree's one hash index.
+    index: FxHashMap<BlockHash, u32>,
+    /// Slots freed by pruning, reused newest first.
+    free: Vec<u32>,
     /// `canonical[i]` is the canonical hash at height `base + i`; the back
     /// is the head.
     canonical: VecDeque<BlockHash>,
@@ -182,7 +206,11 @@ impl HeaderTree {
     fn rooted(genesis: BlockHash, window: Option<u64>, engine: Arc<dyn Consensus>) -> Self {
         let mut tree = HeaderTree {
             engine,
-            entries: FxHashMap::default(),
+            // Only the root until a block arrives: a view that never sees
+            // one (a tx-only campaign's 10,000 nodes) stays one slot big.
+            entries: Vec::with_capacity(1),
+            index: FxHashMap::default(),
+            free: Vec::new(),
             canonical: VecDeque::new(),
             base: 0,
             head_score: 0,
@@ -214,16 +242,20 @@ impl HeaderTree {
             "window must exceed the uncle depth"
         );
         self.entries.clear();
+        self.index.clear();
+        self.free.clear();
         self.canonical.clear();
         self.referenced.clear();
         self.orphans.clear();
-        let root = Entry {
+        self.entries.push(Entry {
+            hash: genesis,
             parent: BlockHash::ZERO,
             number: 0,
-            miner: GENESIS_MINER,
             score: 0,
-        };
-        self.entries.insert(genesis, root);
+            parent_slot: NO_SLOT,
+            miner: GENESIS_MINER,
+        });
+        self.index.insert(genesis, 0);
         self.canonical.push_back(genesis);
         (self.base, self.head_score, self.reorg_count) = (0, 0, 0);
         self.genesis = genesis;
@@ -274,17 +306,17 @@ impl HeaderTree {
 
     /// True if the tree has this header attached (orphans don't count).
     pub fn contains(&self, hash: BlockHash) -> bool {
-        self.entries.contains_key(&hash)
+        self.index.contains_key(&hash)
     }
 
     /// Number of attached headers currently retained, the root included.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True if only the root is attached.
     pub fn is_empty(&self) -> bool {
-        self.entries.len() <= 1
+        self.index.len() <= 1
     }
 
     /// Number of headers buffered waiting for a parent.
@@ -312,19 +344,18 @@ impl HeaderTree {
 
     /// True if `hash` is attached and canonical at its height.
     pub fn is_canonical(&self, hash: BlockHash) -> bool {
-        self.entries
-            .get(&hash)
+        self.entry(hash)
             .is_some_and(|e| self.canonical_hash(e.number) == Some(hash))
     }
 
     /// The height of an attached header.
     pub fn number_of(&self, hash: BlockHash) -> Option<BlockNumber> {
-        self.entries.get(&hash).map(|e| e.number)
+        self.entry(hash).map(|e| e.number)
     }
 
     /// Fork-choice score of an attached header under this tree's engine.
     pub fn score(&self, hash: BlockHash) -> Option<Score> {
-        self.entries.get(&hash).map(|e| e.score)
+        self.entry(hash).map(|e| e.score)
     }
 
     /// The block that first referenced `hash` as an uncle, if any. A
@@ -339,29 +370,54 @@ impl HeaderTree {
         self.referenced.contains_key(&hash)
     }
 
-    pub(crate) fn entry(&self, hash: BlockHash) -> Option<&Entry> {
-        self.entries.get(&hash)
+    /// The slot of an attached header: the one hash probe of a query.
+    pub(crate) fn slot_of(&self, hash: BlockHash) -> Option<usize> {
+        self.index.get(&hash).map(|&slot| slot as usize)
     }
 
-    /// Every attached header, in arbitrary (but deterministic) order.
-    pub(crate) fn attached(&self) -> impl Iterator<Item = (BlockHash, &Entry)> + '_ {
-        // detlint::allow(unordered-iter, reason = "crate-internal candidate scan; the one consumer (uncle selection) sorts by (height, hash) before truncating")
-        self.entries.iter().map(|(h, e)| (*h, e))
+    pub(crate) fn entry(&self, hash: BlockHash) -> Option<&Entry> {
+        self.slot_of(hash).map(|slot| &self.entries[slot])
+    }
+
+    /// The slot the parent of the header in `slot` was attached in.
+    pub(crate) fn parent_slot(&self, slot: usize) -> usize {
+        self.entries[slot].parent_slot as usize
+    }
+
+    /// `e`'s parent, if it is still attached. The link counts only if its
+    /// slot is live and holds the parent's hash: a prune frees slots
+    /// without repairing the links into them, and a newer header may have
+    /// taken the slot since.
+    pub(crate) fn parent_entry(&self, e: &Entry) -> Option<&Entry> {
+        let p = self.entries.get(e.parent_slot as usize)?;
+        (p.number != FREE && p.hash == e.parent).then_some(p)
+    }
+
+    /// Every attached header, in slot order.
+    pub(crate) fn attached(&self) -> impl Iterator<Item = &Entry> + '_ {
+        self.entries.iter().filter(|e| e.number != FREE)
     }
 
     /// The ancestor of `hash` at height `number`, walking parent links;
     /// `None` once the walk leaves the window.
     pub fn ancestor_at(&self, hash: BlockHash, number: BlockNumber) -> Option<BlockHash> {
-        let mut e = self.entries.get(&hash)?;
-        let mut cur = hash;
+        self.ancestor_entry(self.entry(hash)?, number)
+            .map(|a| a.hash)
+    }
+
+    /// [`HeaderTree::ancestor_at`] from an entry already in hand.
+    pub(crate) fn ancestor_entry<'a>(
+        &'a self,
+        mut e: &'a Entry,
+        number: BlockNumber,
+    ) -> Option<&'a Entry> {
         if number > e.number {
             return None;
         }
         while e.number > number {
-            cur = e.parent;
-            e = self.entries.get(&cur)?;
+            e = self.parent_entry(e)?;
         }
-        Some(cur)
+        Some(e)
     }
 
     /// Offers a header. `difficulty` is the header's own difficulty (fed
@@ -391,7 +447,7 @@ impl HeaderTree {
         difficulty: u64,
         uncles: &[BlockHash],
     ) -> HeaderInsert {
-        if self.entries.contains_key(&hash) {
+        if self.index.contains_key(&hash) {
             return Err(InsertError::Duplicate(hash));
         }
         if self.cutoff().is_some_and(|cutoff| number <= cutoff) {
@@ -463,20 +519,34 @@ impl HeaderTree {
         difficulty: u64,
         uncles: &[BlockHash],
     ) -> Result<Option<u64>, InsertError> {
-        let Some(p) = self.entries.get(&parent) else {
+        let Some(&parent_slot) = self.index.get(&parent) else {
             return Err(InsertError::UnknownParent { hash, parent });
         };
+        let p = &self.entries[parent_slot as usize];
         self.engine.validate(hash, number, p.number)?;
         let score = self.engine.score(p.score, difficulty, uncles.len());
-        match self.entries.entry(hash) {
-            Slot::Occupied(_) => return Err(InsertError::Duplicate(hash)),
-            Slot::Vacant(slot) => slot.insert(Entry {
-                parent,
-                number,
-                miner,
-                score,
-            }),
+        let Vacant(vacant) = self.index.entry(hash) else {
+            return Err(InsertError::Duplicate(hash));
         };
+        let entry = Entry {
+            hash,
+            parent,
+            number,
+            score,
+            parent_slot,
+            miner,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.entries.push(entry);
+                u32::try_from(self.entries.len() - 1).expect("fewer than 2^32 headers retained")
+            }
+        };
+        vacant.insert(slot);
         for &u in uncles {
             self.referenced.entry(u).or_insert(hash);
         }
@@ -486,37 +556,42 @@ impl HeaderTree {
         {
             return Ok(None);
         }
-        let replaced = self.switch_head(hash, parent, number);
+        let replaced = self.switch_head(slot);
         self.head_score = score;
         self.reorg_count += u64::from(replaced > 0);
         self.prune();
         Ok(Some(replaced))
     }
 
-    /// Rewrites the canonical index so it ends at `new_head` (attached at
-    /// `number` on top of `parent`); returns how many previously canonical
-    /// blocks were replaced.
-    fn switch_head(&mut self, new_head: BlockHash, parent: BlockHash, number: BlockNumber) -> u64 {
+    /// Rewrites the canonical index so it ends at the header in slot
+    /// `new_head`; returns how many previously canonical blocks were
+    /// replaced.
+    fn switch_head(&mut self, new_head: u32) -> u64 {
+        let head = self.entries[new_head as usize];
         // Walk the new branch down to the lowest height it rewrites: the
         // one just above its first still-canonical ancestor, or the
         // bottom of the window.
-        let mut fork = number;
-        let mut below = parent;
-        while fork > self.base && self.canonical_hash(fork - 1) != Some(below) {
-            let Some(e) = self.entries.get(&below) else {
-                break;
-            };
-            below = e.parent;
-            fork -= 1;
+        let mut fork = head.number;
+        let mut below = self.parent_entry(&head);
+        while fork > self.base {
+            match below {
+                Some(b) if self.canonical_hash(fork - 1) != Some(b.hash) => {
+                    below = self.parent_entry(b);
+                    fork -= 1;
+                }
+                _ => break,
+            }
         }
         let replaced = (self.head_number() + 1).saturating_sub(fork);
         self.canonical.truncate((fork - self.base) as usize);
         self.canonical
-            .resize((number + 1 - self.base) as usize, new_head);
-        let mut cur = parent;
-        for n in (fork..number).rev() {
-            self.canonical[(n - self.base) as usize] = cur;
-            cur = self.entries[&cur].parent;
+            .resize((head.number + 1 - self.base) as usize, head.hash);
+        // The walk above checked every link between these heights.
+        let mut cur = head.parent_slot;
+        for n in (fork..head.number).rev() {
+            let e = &self.entries[cur as usize];
+            self.canonical[(n - self.base) as usize] = e.hash;
+            cur = e.parent_slot;
         }
         replaced
     }
@@ -531,7 +606,14 @@ impl HeaderTree {
         let (Some(window), Some(cutoff)) = (self.window, self.cutoff()) else {
             return;
         };
-        self.entries.retain(|_, e| e.number > cutoff);
+        for (slot, e) in (0u32..).zip(&mut self.entries) {
+            // A free slot claims FREE, above every cutoff.
+            if e.number <= cutoff {
+                self.index.remove(&{ e.hash });
+                e.number = FREE;
+                self.free.push(slot);
+            }
+        }
         while self.base <= cutoff {
             self.canonical.pop_front();
             self.base += 1;
@@ -540,15 +622,18 @@ impl HeaderTree {
             waiting.retain(|o| o.number > cutoff);
             !waiting.is_empty()
         });
-        // `referenced` may keep stale hashes — uncle candidates come from
-        // `entries`, so a pruned hash can never be one again — and is
-        // only swept once it has outgrown the window several times over.
+        // `referenced` may keep stale hashes — uncle candidates must be
+        // attached, so a pruned hash can never be one again — and is only
+        // swept once it has outgrown the window several times over.
         if self.referenced.len() as u64 > 4 * window {
-            let entries = &self.entries;
-            self.referenced.retain(|u, _| entries.contains_key(u));
+            let index = &self.index;
+            self.referenced.retain(|u, _| index.contains_key(u));
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -799,6 +884,68 @@ mod tests {
                 number: 1
             })
         );
+    }
+
+    #[test]
+    fn entry_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 48);
+    }
+
+    #[test]
+    fn forking_inserts_keep_slot_storage_bounded() {
+        let window = 16;
+        let mut v = HeaderTree::new(h(0), window);
+        for n in 1..=5_000u64 {
+            // Every height gets two blocks on the head; every third height
+            // the heavier second one takes over.
+            let tip = v.head();
+            v.insert(h(2 * n), tip, n, PoolId(0), 1, &[]).unwrap();
+            assert!(
+                v.entries.len() <= 4 * window as usize,
+                "{}",
+                v.entries.len()
+            );
+            let heavier = 1 + u64::from(n % 3 == 0);
+            v.insert(h(2 * n + 1), tip, n, PoolId(1), heavier, &[])
+                .unwrap();
+            assert!(
+                v.entries.len() <= 4 * window as usize,
+                "{}",
+                v.entries.len()
+            );
+        }
+        assert_eq!(v.head_number(), 5_000);
+        assert_eq!(v.len() + v.free.len(), v.entries.len());
+    }
+
+    #[test]
+    fn a_reused_parent_slot_ends_the_walk() {
+        let g = h(0);
+        let mut v = HeaderTree::new(g, MAX_UNCLE_DEPTH + 2);
+        let mut chain = vec![g];
+        chain.extend(linear(&mut v, g, 1, 4));
+        // A survivor on c3 at height 4, beside the canonical c4.
+        let survivor = h(700);
+        assert_eq!(
+            v.insert(survivor, chain[3], 4, PoolId(1), 1, &[]),
+            side_chain()
+        );
+        let parent_slot = v.slot_of(chain[3]).unwrap();
+        // Heads 5..=11: the last prune (cutoff 3) frees c3's slot only.
+        chain.extend(linear(&mut v, chain[4], 5, 7));
+        assert!(!v.contains(chain[3]) && v.contains(survivor));
+        assert_eq!(v.free.last(), Some(&(parent_slot as u32)));
+        // A side block that moves no head takes the slot.
+        let newcomer = h(800);
+        assert_eq!(
+            v.insert(newcomer, chain[10], 11, PoolId(1), 1, &[]),
+            side_chain()
+        );
+        assert_eq!(v.slot_of(newcomer), Some(parent_slot));
+        assert_eq!(v.ancestor_at(survivor, 4), Some(survivor));
+        assert_eq!(v.ancestor_at(survivor, 3), None);
+        assert_eq!(v.ancestor_at(chain[4], 3), None);
+        assert!(v.select_uncles(survivor, UnclePolicy::Standard).is_empty());
     }
 
     #[test]

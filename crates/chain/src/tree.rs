@@ -10,9 +10,8 @@
 //! orphan buffering, ancestry, the referenced-uncle record — is the
 //! embedded unbounded [`HeaderTree`], the same core a gossip node's header
 //! view is. `BlockTree` adds only what needs block *bodies*: the blocks
-//! themselves and each block's children.
+//! themselves and each block's children, both indexed by the header's slot.
 
-use std::collections::hash_map::Entry as Slot;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -23,21 +22,34 @@ use crate::consensus::{Consensus, HeaviestChain};
 use crate::headertree::HeaderTree;
 pub use crate::headertree::{InsertError, InsertOutcome, GENESIS_MINER};
 
-/// A block's children in arrival order. Nearly every block has exactly
+/// A block's children in arrival order. Nearly every block has at most
 /// one, kept inline: no allocation per block on the insert path.
 #[derive(Debug, Clone)]
 enum Children {
+    None,
     One(BlockHash),
     Many(Vec<BlockHash>),
+}
+
+impl Children {
+    fn push(&mut self, child: BlockHash) {
+        match self {
+            Children::None => *self = Children::One(child),
+            Children::One(first) => *self = Children::Many(vec![*first, child]),
+            Children::Many(children) => children.push(child),
+        }
+    }
 }
 
 /// A tree of blocks with canonical-chain tracking.
 #[derive(Debug, Clone)]
 pub struct BlockTree {
-    /// Fork choice over the headers of `blocks`: same keys, always.
+    /// Fork choice over the headers of `blocks`. Unbounded, so it never
+    /// frees a slot: a header's slot is its attach position, and indexes
+    /// its body in `blocks` and its children in `children`.
     headers: HeaderTree,
-    blocks: FxHashMap<BlockHash, Block>,
-    children: FxHashMap<BlockHash, Children>,
+    blocks: Vec<Block>,
+    children: Vec<Children>,
     /// Bodies of the headers `headers` has buffered, by their own hash.
     orphans: FxHashMap<BlockHash, Block>,
 }
@@ -52,13 +64,10 @@ impl BlockTree {
     /// Creates a genesis-only tree driven by `engine`.
     pub fn with_consensus(engine: Arc<dyn Consensus>) -> Self {
         let genesis = BlockBuilder::new(BlockHash::ZERO, 0, GENESIS_MINER).build();
-        let gh = genesis.hash();
-        let mut blocks = FxHashMap::default();
-        blocks.insert(gh, genesis);
         BlockTree {
-            headers: HeaderTree::unbounded(gh, engine),
-            blocks,
-            children: FxHashMap::default(),
+            headers: HeaderTree::unbounded(genesis.hash(), engine),
+            blocks: vec![genesis],
+            children: vec![Children::None],
             orphans: FxHashMap::default(),
         }
     }
@@ -74,36 +83,35 @@ impl BlockTree {
 
     /// Looks up a block.
     pub fn get(&self, hash: BlockHash) -> Option<&Block> {
-        self.blocks.get(&hash)
+        self.headers.slot_of(hash).map(|slot| &self.blocks[slot])
     }
 
     /// Blocks of the canonical chain in height order (including genesis).
     pub fn canonical_blocks(&self) -> impl Iterator<Item = &Block> + '_ {
         self.headers
             .canonical()
-            .map(move |h| self.blocks.get(&h).expect("canonical entries attached"))
+            .map(move |h| self.get(h).expect("canonical entries attached"))
     }
 
-    /// All attached blocks in arbitrary (but deterministic) order.
-    /// Consumers that produce output must sort or fold commutatively.
+    /// All attached blocks in attach order, genesis first. A block follows
+    /// its parent; siblings and cousins keep their (arrival-dependent)
+    /// order.
     pub fn all_blocks(&self) -> impl Iterator<Item = &Block> + '_ {
-        // detlint::allow(unordered-iter, reason = "documented-unordered accessor; FxHashMap order is deterministic per process and every consumer sorts or folds commutatively")
-        self.blocks.values()
+        self.blocks.iter()
     }
 
     /// Attached blocks not on the canonical chain (fork blocks), excluding
-    /// genesis, in arbitrary (but deterministic) order.
+    /// genesis, in attach order.
     pub fn non_canonical_blocks(&self) -> impl Iterator<Item = &Block> + '_ {
         self.blocks
-            // detlint::allow(unordered-iter, reason = "documented-unordered accessor; FxHashMap order is deterministic per process and every consumer sorts or folds commutatively")
-            .values()
+            .iter()
             .filter(move |b| self.canonical_hash(b.number()) != Some(b.hash()))
     }
 
-    /// Children of a block.
+    /// Children of a block, in attach order.
     pub fn children_of(&self, hash: BlockHash) -> &[BlockHash] {
-        match self.children.get(&hash) {
-            None => &[],
+        match self.headers.slot_of(hash).map(|slot| &self.children[slot]) {
+            None | Some(Children::None) => &[],
             Some(Children::One(child)) => std::slice::from_ref(child),
             Some(Children::Many(children)) => children,
         }
@@ -151,9 +159,8 @@ impl BlockTree {
             InsertOutcome::Attached {
                 connected_orphans, ..
             } => {
-                // Bodies follow their headers in connection order, so
-                // `blocks` (and `all_blocks()`) sees the same insertion
-                // sequence whatever the arrival order was.
+                // Bodies follow their headers in connection order: the
+                // order the headers took their slots in.
                 self.attach_body(block);
                 for h in connected_orphans {
                     let orphan = self.orphans.remove(h).expect("buffered with its header");
@@ -171,18 +178,11 @@ impl BlockTree {
     }
 
     fn attach_body(&mut self, block: Block) {
-        match self.children.entry(block.parent()) {
-            Slot::Vacant(slot) => {
-                slot.insert(Children::One(block.hash()));
-            }
-            Slot::Occupied(mut slot) => match slot.get_mut() {
-                Children::One(first) => {
-                    *slot.get_mut() = Children::Many(vec![*first, block.hash()])
-                }
-                Children::Many(children) => children.push(block.hash()),
-            },
-        }
-        self.blocks.insert(block.hash(), block);
+        let slot = self.blocks.len();
+        debug_assert_eq!(self.headers.slot_of(block.hash()), Some(slot));
+        self.children[self.headers.parent_slot(slot)].push(block.hash());
+        self.blocks.push(block);
+        self.children.push(Children::None);
     }
 }
 

@@ -62,16 +62,16 @@ impl HeaderTree {
         }
         // The new block's own ancestor at the uncle's height (unknown once
         // the walk leaves a windowed tree's horizon).
-        let on_chain = self.ancestor_at(parent, u.number);
-        if on_chain == Some(uncle)
-            || self.ancestor_at(parent, u.number.saturating_sub(1)) != Some(u.parent)
+        let on_chain = self.ancestor_entry(p, u.number);
+        if on_chain.is_some_and(|a| a.hash == uncle)
+            || self
+                .ancestor_entry(p, u.number.saturating_sub(1))
+                .map(|a| a.hash)
+                != Some(u.parent)
         {
             return false;
         }
-        policy == UnclePolicy::Standard
-            || on_chain
-                .and_then(|main| self.entry(main))
-                .is_none_or(|main| main.miner != u.miner)
+        policy == UnclePolicy::Standard || on_chain.is_none_or(|main| main.miner != u.miner)
     }
 
     /// Selects up to [`MAX_UNCLES`] referenceable uncles for a block
@@ -85,8 +85,8 @@ impl HeaderTree {
         let min_number = new_number.saturating_sub(MAX_UNCLE_DEPTH);
         let in_range = self
             .attached()
-            .filter(|(_, e)| e.number >= min_number && e.number < new_number)
-            .map(|(h, _)| h);
+            .filter(|e| e.number >= min_number && e.number < new_number)
+            .map(|e| e.hash);
         self.select_uncles_among(parent, in_range, policy)
     }
 
@@ -116,13 +116,13 @@ impl HeaderTree {
         // exactly where `ancestor_at` gives up.
         const SPAN: usize = MAX_UNCLE_DEPTH as usize + 1;
         let mut ancestry: [Option<(BlockHash, PoolId)>; SPAN] = [None; SPAN];
-        let mut cur = parent;
-        for slot in &mut ancestry {
-            let Some(e) = self.entry(cur) else {
+        let mut cur = Some(p);
+        for row in &mut ancestry {
+            let Some(e) = cur else {
                 break;
             };
-            *slot = Some((cur, e.miner));
-            cur = e.parent;
+            *row = Some((e.hash, e.miner));
+            cur = self.parent_entry(e);
         }
         let ancestor_at = |number: BlockNumber| {
             ancestry
