@@ -239,8 +239,10 @@ stage_consensus_smoke() {
     # The consensus trait's laws: engine conformance at the unit level,
     # then the integration suite — explicit-heaviest campaigns must land
     # on the pinned goldens (sequential and 2/4/8 shards) and the
-    # hash-ordered engines must be arrival-order independent. Release
-    # profile: the debug run is covered by the workspace suite.
+    # hash-ordered engines must be arrival-order independent — then the
+    # fork-choice core against its reference model and the chain-only
+    # race and miner draw against their pinned values. Release profile:
+    # the debug run is covered by the workspace suite.
     filtered_tests -p ethmeter-chain consensus
     filtered_tests -p ethmeter-chain headertree
     filtered_tests -p ethmeter-chain uncles
@@ -251,6 +253,12 @@ stage_consensus_smoke() {
     # The slot-backed core against the hash-keyed tree it replaced, every
     # engine, unbounded and at the smallest window (slots recycle).
     filtered_tests --release -p ethmeter-chain headertree::reference
+    # The chain-only selfish race over a 3x3 alpha x gamma grid and the
+    # Fig. 7 month's miner sequence, pinned value for value; and the
+    # once-summed weighted draw against the inline loop it replaced, index
+    # for index and generator state for state.
+    filtered_tests --release -p ethmeter-core selfish::pinned
+    filtered_tests --release -p ethmeter-sim rng::chooser
     # The fork-choice comparison CLI on a pinned scenario: heaviest,
     # longest, and uncle-weighted GHOST must each report a head, and at
     # least two engines must disagree (tiny seed 11 splits all three).

@@ -12,11 +12,12 @@
 //!
 //! Headers live in slots of one `Vec`, each linked to its parent's slot.
 //! A query probes the one hash→slot index once, for the hash it is handed;
-//! ancestry, head switches and uncle checks then walk slots. A prune frees
-//! the slots at or below the window's cutoff and repairs no link, so a
-//! link counts only while its slot is live and still holds the parent's
-//! hash: a freed or reused slot ends a walk exactly where the pruned
-//! parent would have.
+//! ancestry, head switches and uncle checks then walk slots. The canonical
+//! index holds slots too, so reading the chain by height makes no probe at
+//! all. A prune frees the slots at or below the window's cutoff and
+//! repairs no link, so a link counts only while its slot is live and still
+//! holds the parent's hash: a freed or reused slot ends a walk exactly
+//! where the pruned parent would have.
 //!
 //! Both consumers are this type: a gossip node's view of the chain is a
 //! windowed tree (`ethmeter_net::HeaderView`, so per-node memory stays
@@ -160,9 +161,10 @@ pub struct HeaderTree {
     index: FxHashMap<BlockHash, u32>,
     /// Slots freed by pruning, reused newest first.
     free: Vec<u32>,
-    /// `canonical[i]` is the canonical hash at height `base + i`; the back
-    /// is the head.
-    canonical: VecDeque<BlockHash>,
+    /// `canonical[i]` is the slot of the canonical header at height
+    /// `base + i`; the back is the head. Canonical slots are always live,
+    /// so two of them are equal exactly when their hashes are.
+    canonical: VecDeque<u32>,
     /// Lowest height the canonical index still covers (0 until pruned).
     base: BlockNumber,
     head_score: Score,
@@ -256,7 +258,7 @@ impl HeaderTree {
             miner: GENESIS_MINER,
         });
         self.index.insert(genesis, 0);
-        self.canonical.push_back(genesis);
+        self.canonical.push_back(0);
         (self.base, self.head_score, self.reorg_count) = (0, 0, 0);
         self.genesis = genesis;
         self.window = window;
@@ -269,10 +271,11 @@ impl HeaderTree {
 
     /// The current best block.
     pub fn head(&self) -> BlockHash {
-        *self
+        let head = self
             .canonical
             .back()
-            .expect("the canonical index holds the head")
+            .expect("the canonical index holds the head");
+        self.entries[*head as usize].hash
     }
 
     /// The current best height.
@@ -296,7 +299,9 @@ impl HeaderTree {
 
     fn canonical_behind_head(&self, depth: u64) -> BlockHash {
         let last = self.canonical.len() - 1;
-        self.canonical[last.saturating_sub(usize::try_from(depth).unwrap_or(usize::MAX))]
+        let slot =
+            self.canonical[last.saturating_sub(usize::try_from(depth).unwrap_or(usize::MAX))];
+        self.entries[slot as usize].hash
     }
 
     /// The genesis hash this tree was rooted at.
@@ -333,19 +338,38 @@ impl HeaderTree {
     /// The canonical hash at `number`, if the chain reaches that height
     /// and the window still covers it.
     pub fn canonical_hash(&self, number: BlockNumber) -> Option<BlockHash> {
-        let i = number.checked_sub(self.base)?;
-        self.canonical.get(usize::try_from(i).ok()?).copied()
+        self.canonical_slot(number)
+            .map(|slot| self.entries[slot].hash)
     }
 
     /// The retained canonical chain in height order, head last.
     pub fn canonical(&self) -> impl Iterator<Item = BlockHash> + '_ {
-        self.canonical.iter().copied()
+        self.canonical_slots().map(|slot| self.entries[slot].hash)
     }
 
     /// True if `hash` is attached and canonical at its height.
     pub fn is_canonical(&self, hash: BlockHash) -> bool {
-        self.entry(hash)
-            .is_some_and(|e| self.canonical_hash(e.number) == Some(hash))
+        self.slot_of(hash)
+            .is_some_and(|slot| self.canonical_slot(self.entries[slot].number) == Some(slot))
+    }
+
+    /// The slot of the canonical header at `number`, if retained.
+    pub(crate) fn canonical_slot(&self, number: BlockNumber) -> Option<usize> {
+        let i = number.checked_sub(self.base)?;
+        let slot = self.canonical.get(usize::try_from(i).ok()?)?;
+        Some(*slot as usize)
+    }
+
+    /// The slots of [`HeaderTree::canonical`], in the same order.
+    pub(crate) fn canonical_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.canonical.iter().map(|&slot| slot as usize)
+    }
+
+    /// Makes room for `additional` more headers without regrowing the slot
+    /// `Vec` or rehashing the index.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+        self.index.reserve(additional);
     }
 
     /// The height of an attached header.
@@ -570,13 +594,13 @@ impl HeaderTree {
         let head = self.entries[new_head as usize];
         // Walk the new branch down to the lowest height it rewrites: the
         // one just above its first still-canonical ancestor, or the
-        // bottom of the window.
+        // bottom of the window. `below` is a live parent's slot and entry.
         let mut fork = head.number;
-        let mut below = self.parent_entry(&head);
+        let mut below = (head.parent_slot as usize, self.parent_entry(&head));
         while fork > self.base {
             match below {
-                Some(b) if self.canonical_hash(fork - 1) != Some(b.hash) => {
-                    below = self.parent_entry(b);
+                (slot, Some(b)) if self.canonical_slot(fork - 1) != Some(slot) => {
+                    below = (b.parent_slot as usize, self.parent_entry(b));
                     fork -= 1;
                 }
                 _ => break,
@@ -585,13 +609,12 @@ impl HeaderTree {
         let replaced = (self.head_number() + 1).saturating_sub(fork);
         self.canonical.truncate((fork - self.base) as usize);
         self.canonical
-            .resize((head.number + 1 - self.base) as usize, head.hash);
+            .resize((head.number + 1 - self.base) as usize, new_head);
         // The walk above checked every link between these heights.
         let mut cur = head.parent_slot;
         for n in (fork..head.number).rev() {
-            let e = &self.entries[cur as usize];
-            self.canonical[(n - self.base) as usize] = e.hash;
-            cur = e.parent_slot;
+            self.canonical[(n - self.base) as usize] = cur;
+            cur = self.entries[cur as usize].parent_slot;
         }
         replaced
     }

@@ -91,6 +91,25 @@ impl ReferenceTree {
         self.canonical.get(usize::try_from(i).ok()?).copied()
     }
 
+    pub(crate) fn is_canonical(&self, hash: BlockHash) -> bool {
+        self.entries
+            .get(&hash)
+            .is_some_and(|e| self.canonical_hash(e.number) == Some(hash))
+    }
+
+    fn canonical_behind_head(&self, depth: u64) -> BlockHash {
+        let last = self.canonical.len() - 1;
+        self.canonical[last.saturating_sub(usize::try_from(depth).unwrap_or(usize::MAX))]
+    }
+
+    pub(crate) fn safe(&self) -> BlockHash {
+        self.canonical_behind_head(self.engine.safe_depth())
+    }
+
+    pub(crate) fn finalized(&self) -> BlockHash {
+        self.canonical_behind_head(self.engine.finalized_depth())
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
@@ -409,13 +428,27 @@ mod differential {
                 slots.canonical().eq(reference.canonical()),
                 "{at}: canonical"
             );
+            assert_eq!(slots.safe(), reference.safe(), "{at}: safe");
+            assert_eq!(slots.finalized(), reference.finalized(), "{at}: finalized");
             assert_eq!(slots.len(), reference.len(), "{at}: len");
             assert_eq!(slots.orphan_count(), reference.orphan_count(), "{at}");
             assert_eq!(slots.reorg_count(), reference.reorg_count(), "{at}");
             // Above a header's own height every ancestor query is `None`
             // before any walk, so one height past the highest suffices.
             let top = reference.head_number().max(*number) + 1;
+            for n in 0..=reference.head_number() + 1 {
+                assert_eq!(
+                    slots.canonical_hash(n),
+                    reference.canonical_hash(n),
+                    "{at}: canonical hash at {n}"
+                );
+            }
             for &h in &seen {
+                assert_eq!(
+                    slots.is_canonical(h),
+                    reference.is_canonical(h),
+                    "{at}: is {h} canonical"
+                );
                 assert_eq!(slots.number_of(h), reference.number_of(h), "{at}: {h}");
                 assert_eq!(slots.score(h), reference.score(h), "{at}: {h}");
                 for n in 0..=top {
@@ -449,9 +482,11 @@ mod differential {
     /// streams under every engine, unbounded and windowed down to the
     /// smallest window the uncle depth allows (where freed slots are
     /// reused on nearly every insert), agree after every arrival on the
-    /// outcome, the head, the canonical index, every counter, every
-    /// ancestor of every header seen at every height, uncle validity and
-    /// uncle selection. `PROPTEST_CASES` sets the number of streams.
+    /// outcome, the head, the `safe` and `finalized` markers, the canonical
+    /// index (whole, per height up to one past the head, and per header
+    /// seen), every counter, every ancestor of every header seen at every
+    /// height, uncle validity and uncle selection. `PROPTEST_CASES` sets
+    /// the number of streams.
     #[test]
     fn slot_tree_matches_the_hash_keyed_reference() {
         let plans = proptest::collection::vec(

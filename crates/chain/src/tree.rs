@@ -89,8 +89,8 @@ impl BlockTree {
     /// Blocks of the canonical chain in height order (including genesis).
     pub fn canonical_blocks(&self) -> impl Iterator<Item = &Block> + '_ {
         self.headers
-            .canonical()
-            .map(move |h| self.get(h).expect("canonical entries attached"))
+            .canonical_slots()
+            .map(move |slot| &self.blocks[slot])
     }
 
     /// All attached blocks in attach order, genesis first. A block follows
@@ -105,7 +105,9 @@ impl BlockTree {
     pub fn non_canonical_blocks(&self) -> impl Iterator<Item = &Block> + '_ {
         self.blocks
             .iter()
-            .filter(move |b| self.canonical_hash(b.number()) != Some(b.hash()))
+            .enumerate()
+            .filter(move |&(slot, b)| self.headers.canonical_slot(b.number()) != Some(slot))
+            .map(|(_, b)| b)
     }
 
     /// Children of a block, in attach order.
@@ -128,6 +130,14 @@ impl BlockTree {
     pub fn confirmations(&self, hash: BlockHash) -> Option<u64> {
         let n = self.number_of(hash)?;
         (self.canonical_hash(n) == Some(hash)).then(|| self.head_number() - n)
+    }
+
+    /// Makes room for `additional` more blocks, so a caller that knows how
+    /// many it will insert pays no regrowth or rehash along the way.
+    pub fn reserve(&mut self, additional: usize) {
+        self.headers.reserve(additional);
+        self.blocks.reserve(additional);
+        self.children.reserve(additional);
     }
 
     /// Inserts a block.
@@ -453,6 +463,92 @@ mod tests {
         let h = b.hash();
         tree.insert(b).expect("ok");
         assert_eq!(tree.get(h).expect("present").txs(), &[TxId(1), TxId(2)]);
+    }
+
+    /// A random block stream in arrival order: each block builds on a
+    /// recent or any earlier block and arrives up to 12 positions late, so
+    /// forks, reorgs and orphan cascades all occur.
+    fn random_stream(rng: &mut proptest::TestRng, len: usize) -> Vec<Block> {
+        let genesis = BlockTree::shared_genesis_hash();
+        let mut made: Vec<(BlockHash, u64)> = vec![(genesis, 0)];
+        let mut arrivals: Vec<(u64, Block)> = Vec::new();
+        for i in 0..len as u64 {
+            let pick = rng.next_u64() as usize;
+            let (parent, number) = if pick % 3 == 0 {
+                made[pick / 3 % made.len()]
+            } else {
+                made[made.len() - 1 - pick / 3 % made.len().min(3)]
+            };
+            let block = BlockBuilder::new(parent, number + 1, PoolId((pick % 4) as u16))
+                .salt(i)
+                .build();
+            made.push((block.hash(), number + 1));
+            arrivals.push((i + rng.next_u64() % 13, block));
+        }
+        arrivals.sort_by_key(|&(at, _)| at);
+        arrivals.into_iter().map(|(_, b)| b).collect()
+    }
+
+    fn hashes<'a>(blocks: impl Iterator<Item = &'a Block>) -> Vec<BlockHash> {
+        blocks.map(Block::hash).collect()
+    }
+
+    /// Over random streams under every engine: the slot-read canonical
+    /// blocks are the canonical hashes looked up one by one, the
+    /// non-canonical blocks are every other attached block in attach
+    /// order, and a tree reserved for the whole stream up front grows into
+    /// the same tree as one that was not.
+    #[test]
+    fn slot_reads_and_reserve_match_the_hash_reads() {
+        use crate::consensus::ConsensusKind;
+        let mut rng = proptest::TestRng::deterministic("slot_reads_and_reserve_match");
+        let (mut orphaned, mut reorgs, mut forks) = (0, 0, 0);
+        for case in 0..proptest::cases(32) {
+            let len = 1 + (rng.next_u64() % 200) as usize;
+            let stream = random_stream(&mut rng, len);
+            for kind in ConsensusKind::ALL {
+                let at = format!("case {case}, {kind}");
+                let mut plain = BlockTree::with_consensus(kind.build());
+                let mut reserved = BlockTree::with_consensus(kind.build());
+                reserved.reserve(stream.len());
+                for block in &stream {
+                    let outcome = plain.insert(block.clone());
+                    orphaned += usize::from(outcome == Ok(InsertOutcome::Orphaned));
+                    assert_eq!(outcome, reserved.insert(block.clone()), "{at}: outcome");
+                }
+                reorgs += plain.reorg_count();
+                forks += plain.non_canonical_blocks().count();
+                for tree in [&plain, &reserved] {
+                    let looked_up: Vec<&Block> = tree
+                        .canonical()
+                        .map(|h| tree.get(h).expect("canonical blocks attached"))
+                        .collect();
+                    assert_eq!(
+                        tree.canonical_blocks().collect::<Vec<_>>(),
+                        looked_up,
+                        "{at}"
+                    );
+                    let complement: Vec<BlockHash> = tree
+                        .all_blocks()
+                        .map(Block::hash)
+                        .filter(|&h| !tree.is_canonical(h))
+                        .collect();
+                    assert_eq!(hashes(tree.non_canonical_blocks()), complement, "{at}");
+                    assert_eq!(looked_up.len() + complement.len(), tree.len(), "{at}");
+                }
+                assert_eq!(
+                    hashes(plain.all_blocks()),
+                    hashes(reserved.all_blocks()),
+                    "{at}: attach order"
+                );
+                assert!(plain.canonical().eq(reserved.canonical()), "{at}");
+                assert_eq!(plain.reorg_count(), reserved.reorg_count(), "{at}");
+            }
+        }
+        assert!(
+            orphaned > 0 && reorgs > 0 && forks > 0,
+            "the streams must exercise every path"
+        );
     }
 
     #[test]

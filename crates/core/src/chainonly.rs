@@ -10,6 +10,7 @@
 
 use ethmeter_analysis::sequences::{analyze_sequence, SequenceReport};
 use ethmeter_mining::PoolDirectory;
+use ethmeter_sim::dist::WeightedIndex;
 use ethmeter_sim::Xoshiro256;
 use ethmeter_types::{PoolId, SimDuration};
 
@@ -73,8 +74,9 @@ impl ChainOnlyResult {
 pub fn run_chain_only(cfg: &ChainOnlyConfig) -> ChainOnlyResult {
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
     let shares: Vec<f64> = cfg.pools.iter().map(|p| p.share).collect();
+    let winner = WeightedIndex::new(&shares);
     let sequence = (0..cfg.blocks)
-        .map(|_| PoolId(rng.choose_weighted(&shares) as u16))
+        .map(|_| PoolId(winner.sample(&mut rng) as u16))
         .collect();
     ChainOnlyResult {
         sequence,

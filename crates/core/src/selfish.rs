@@ -14,7 +14,7 @@
 
 use ethmeter_analysis::rewards::{self, RevenueReport};
 use ethmeter_chain::block::{Block, BlockBuilder};
-use ethmeter_chain::tree::BlockTree;
+use ethmeter_chain::tree::{BlockTree, InsertOutcome};
 use ethmeter_chain::uncles::{UnclePolicy, MAX_UNCLE_DEPTH};
 use ethmeter_measure::{CampaignData, GroundTruth};
 use ethmeter_mining::{SelfishConfig, SelfishOutcome, SelfishState};
@@ -96,6 +96,42 @@ fn in_uncle_range(
         .map(|&(h, _)| h)
 }
 
+/// Inserts released blocks into the public tree, records them as uncle
+/// candidates and tracks the tie race.
+fn publish(
+    tree: &mut BlockTree,
+    recent: &mut Vec<(BlockHash, u64)>,
+    tie: &mut Option<BlockHash>,
+    blocks: impl IntoIterator<Item = Block>,
+) {
+    for block in blocks {
+        let hash = block.hash();
+        let number = block.number();
+        // A block that attached alone is canonical iff it became the
+        // head; only an error or a connected orphan needs the probe.
+        let became_head = match tree.insert(block) {
+            Ok(InsertOutcome::Attached {
+                new_head,
+                connected_orphans,
+                ..
+            }) if connected_orphans.is_empty() => Some(new_head),
+            _ => None,
+        };
+        recent.push((hash, number));
+        // A released attacker block contesting the head height opens (or
+        // refreshes) the tie race.
+        if number == tree.head_number() && !became_head.unwrap_or_else(|| tree.is_canonical(hash)) {
+            *tie = Some(hash);
+        }
+    }
+    // Window the candidate list so uncle scans stay O(1).
+    if recent.len() > 4 * MAX_UNCLE_DEPTH as usize {
+        let head = tree.head_number();
+        let min = head.saturating_sub(MAX_UNCLE_DEPTH + 1);
+        recent.retain(|&(_, number)| number >= min);
+    }
+}
+
 /// Runs the race (deterministic per config).
 ///
 /// # Panics
@@ -114,6 +150,9 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
     );
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
     let mut tree = BlockTree::new();
+    // Every PoW win makes one block, and a withheld one never enters the
+    // tree: `blocks` bounds its size, so it never regrows.
+    tree.reserve(usize::try_from(cfg.blocks).unwrap_or(usize::MAX));
     let mut state: SelfishState<Block> = SelfishState::new(cfg.behavior, tree.genesis_hash());
     let mut salt = 0u64;
     // Uncle candidates: every public block still inside the depth window,
@@ -122,29 +161,6 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
     // The attacker's released block currently tied at head height, if any
     // — the branch point γ steers honest miners toward.
     let mut tie: Option<BlockHash> = None;
-
-    let publish = |tree: &mut BlockTree,
-                   recent: &mut Vec<(BlockHash, u64)>,
-                   tie: &mut Option<BlockHash>,
-                   blocks: Vec<Block>| {
-        for block in blocks {
-            let hash = block.hash();
-            let number = block.number();
-            let _ = tree.insert(block);
-            recent.push((hash, number));
-            // A released attacker block contesting the head height opens
-            // (or refreshes) the tie race.
-            if number == tree.head_number() && !tree.is_canonical(hash) {
-                *tie = Some(hash);
-            }
-        }
-        // Window the candidate list so uncle scans stay O(1).
-        if recent.len() > 4 * MAX_UNCLE_DEPTH as usize {
-            let head = tree.head_number();
-            let min = head.saturating_sub(MAX_UNCLE_DEPTH + 1);
-            recent.retain(|&(_, number)| number >= min);
-        }
-    };
 
     for _ in 0..cfg.blocks {
         if rng.chance(cfg.alpha) {
@@ -169,13 +185,11 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
         } else {
             // Honest network wins. Validate the tie pointer first: it only
             // steers miners while the contested height is still the head
-            // height and the attacker's block hasn't already won.
+            // height and the attacker's block hasn't already won (at that
+            // height, being canonical is being the head).
+            let head_number = tree.head_number();
             if let Some(t) = tie {
-                let live = tree
-                    .get(t)
-                    .is_some_and(|b| b.number() == tree.head_number())
-                    && !tree.is_canonical(t);
-                if !live {
+                if t == tree.head() || tree.number_of(t) != Some(head_number) {
                     tie = None;
                 }
             }
@@ -183,7 +197,8 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
                 Some(t) if rng.chance(cfg.gamma) => t,
                 _ => tree.head(),
             };
-            let number = tree.get(parent).expect("parent is public").number() + 1;
+            // Either way the parent sits at the head height.
+            let number = head_number + 1;
             let uncles = tree.select_uncles_among(
                 parent,
                 in_uncle_range(&recent, number),
@@ -194,7 +209,7 @@ pub fn run_selfish_race(cfg: &SelfishRaceConfig) -> SelfishRaceResult {
                 .uncles(uncles)
                 .salt(salt)
                 .build();
-            publish(&mut tree, &mut recent, &mut tie, vec![block]);
+            publish(&mut tree, &mut recent, &mut tie, std::iter::once(block));
             // Feed the machine the (possibly new) head at fork-choice
             // time, exactly as the world's gateway hook does.
             let head = tree.head();
@@ -299,5 +314,90 @@ mod tests {
     #[should_panic(expected = "alpha must be in (0, 1)")]
     fn invalid_alpha_rejected() {
         let _ = run_selfish_race(&SelfishRaceConfig::new(1.5, 0.0, 10, 1));
+    }
+}
+
+/// The race's and the miner draw's exact results. A speed-up must leave
+/// every one of them unchanged; a change to the race's draws, its tree or
+/// its reward accounting moves at least one.
+#[cfg(test)]
+mod pinned {
+    use super::*;
+    use crate::chainonly::{run_chain_only, ChainOnlyConfig};
+
+    /// `(alpha, gamma, relative revenue bits, canonical height, unreleased,
+    /// total blocks, total reward, rows)`, each row `(pool, blocks, uncles,
+    /// reward)` in report order.
+    type Pin = (f64, f64, u64, u64, u64, u64, u64, [(u16, u64, u64, u64); 2]);
+
+    #[rustfmt::skip]
+    const RACES: [Pin; 9] = [
+        (0.1, 0.0, 0x3fee_02e4_1f95_1e14, 18_302, 0, 18_302, 39_573_604,
+            [(1, 17_628, 322, 35_862_182), (0, 674, 1_345, 3_711_422)]),
+        (0.1, 0.5, 0x3fef_55da_01f4_c18b, 18_302, 0, 18_302, 39_576_854,
+            [(1, 16_972, 978, 35_701_370), (0, 1_330, 689, 3_875_484)]),
+        (0.1, 1.0, 0x3ff0_5d31_e8b8_3d00, 18_302, 0, 18_302, 39_581_104,
+            [(1, 16_283, 1_667, 35_532_936), (0, 2_019, 0, 4_048_168)]),
+        (0.3, 0.0, 0x3ff1_1e42_bd37_1b22, 15_617, 0, 15_617, 37_084_902,
+            [(1, 11_206, 1_716, 25_181_896), (0, 4_411, 1_730, 11_903_006)]),
+        (0.3, 0.5, 0x3ff1_5bcb_14b0_3662, 15_617, 0, 15_617, 37_230_132,
+            [(1, 10_366, 2_596, 25_112_724), (0, 5_251, 890, 12_117_408)]),
+        (0.3, 1.0, 0x3ff1_a817_668e_6ef0, 15_617, 0, 15_617, 37_291_006,
+            [(1, 9_476, 3_488, 24_945_394), (0, 6_141, 0, 12_345_612)]),
+        (0.45, 0.0, 0x3ff7_2b42_ced2_0c14, 12_328, 0, 12_328, 27_814_980,
+            [(1, 3_854, 1_268, 9_689_966), (0, 8_474, 647, 18_125_014)]),
+        (0.45, 0.5, 0x3ff7_053c_bf61_3ca9, 12_328, 0, 12_328, 28_129_204,
+            [(1, 3_536, 1_763, 9_916_940), (0, 8_792, 329, 18_212_264)]),
+        (0.45, 1.0, 0x3ff7_0eef_6af7_8c0b, 12_328, 0, 12_328, 28_216_702,
+            [(1, 3_207, 2_096, 9_917_724), (0, 9_121, 0, 18_298_978)]),
+    ];
+
+    #[test]
+    fn race_values_match_their_pins() {
+        for (alpha, gamma, rel, height, unreleased, blocks, reward, rows) in RACES {
+            let r = run_selfish_race(&SelfishRaceConfig::new(alpha, gamma, 20_000, 7));
+            let at = format!("alpha {alpha}, gamma {gamma}");
+            assert_eq!(
+                r.relative_revenue().to_bits(),
+                rel,
+                "{at}: relative revenue"
+            );
+            assert_eq!(r.canonical_height, height, "{at}: canonical height");
+            assert_eq!(r.unreleased, unreleased, "{at}: unreleased");
+            assert_eq!(r.report.total_blocks, blocks, "{at}: total blocks");
+            assert_eq!(r.report.total_reward, reward, "{at}: total reward");
+            assert_eq!(r.report.rows.len(), rows.len(), "{at}: rows");
+            for (row, (pool, blocks, uncles, reward)) in r.report.rows.iter().zip(rows) {
+                let (name, share) = if pool == ATTACKER.raw() {
+                    ("Attacker", alpha)
+                } else {
+                    ("Honest network", 1.0 - alpha)
+                };
+                assert_eq!(
+                    (row.pool.raw(), row.name.as_str(), row.hash_share.to_bits()),
+                    (pool, name, share.to_bits()),
+                    "{at}: row identity"
+                );
+                assert_eq!(
+                    (row.blocks, row.uncles, row.reward),
+                    (blocks, uncles, reward),
+                    "{at}: row of pool {pool}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn month_sequence_matches_its_pin() {
+        let sequence = run_chain_only(&ChainOnlyConfig::paper_month(7)).sequence;
+        assert_eq!(sequence.len(), 201_086);
+        // FNV-1a over the little-endian pool ids.
+        let fnv = sequence
+            .iter()
+            .flat_map(|p| p.raw().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(fnv, 0x5ce1_89a3_61e3_c6a1);
     }
 }

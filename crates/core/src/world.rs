@@ -714,12 +714,16 @@ impl SimWorld {
     /// Materializes the ground-truth block tree from the registry by
     /// replaying every block in creation order — identical to the tree an
     /// incremental builder would have produced, because parents are always
-    /// registered before children.
-    pub(crate) fn build_truth_tree(
-        engine: Arc<dyn Consensus>,
-        blocks: impl IntoIterator<Item = Block>,
-    ) -> BlockTree {
+    /// registered before children. Every block attaches, so the tree is
+    /// sized for all of them up front.
+    pub(crate) fn build_truth_tree<I>(engine: Arc<dyn Consensus>, blocks: I) -> BlockTree
+    where
+        I: IntoIterator<Item = Block>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let blocks = blocks.into_iter();
         let mut tree = BlockTree::with_consensus(engine);
+        tree.reserve(blocks.len());
         for block in blocks {
             // Duplicate hashes cannot occur (the registry deduplicates at
             // interning time); orphans cannot occur (creation order).

@@ -12,6 +12,7 @@
 //! | [`Zipf`] | transaction-sender activity skew |
 //! | [`Poisson`] | per-interval arrival counts |
 //! | [`Mixture2`] | NTP offsets (tight core + heavy tail) |
+//! | [`WeightedIndex`] | miner draws by hash-power share, region placement |
 
 use crate::rng::Xoshiro256;
 use ethmeter_types::SimDuration;
@@ -284,6 +285,48 @@ impl Mixture2 {
         } else {
             self.core.sample(rng)
         }
+    }
+}
+
+/// An index drawn with probability proportional to its weight.
+///
+/// The weights are summed once, up front, in slice order: every draw is
+/// the one [`Xoshiro256::choose_weighted`] makes over the same slice, so a
+/// hot loop can hoist the sum without moving a result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeightedIndex<'a> {
+    weights: &'a [f64],
+    total: f64,
+}
+
+impl<'a> WeightedIndex<'a> {
+    /// Sums non-negative `weights` for drawing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights are empty or sum to zero.
+    pub fn new(weights: &'a [f64]) -> Self {
+        let total: f64 = weights.iter().sum();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "weights must be non-empty with positive finite sum"
+        );
+        WeightedIndex { weights, total }
+    }
+
+    /// Draws an index: one uniform scaled by the total, then the weights
+    /// subtracted in order until it goes negative. Rounding can leave it
+    /// non-negative after the last weight; the last index takes that draw.
+    #[inline]
+    pub fn sample(&self, rng: &mut Xoshiro256) -> usize {
+        let mut x = rng.next_f64() * self.total;
+        for (i, w) in self.weights.iter().enumerate() {
+            x -= w;
+            if x < 0.0 {
+                return i;
+            }
+        }
+        self.weights.len() - 1
     }
 }
 

@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+use crate::dist::WeightedIndex;
+
 /// SplitMix64 — a 64-bit generator mainly used for seeding.
 ///
 /// Reference: Guy L. Steele Jr., Doug Lea, Christine H. Flood,
@@ -231,24 +233,14 @@ impl Xoshiro256 {
     }
 
     /// Chooses an index according to a slice of non-negative weights.
+    /// Drawing many times from one slice? Build its [`WeightedIndex`]
+    /// once instead: the draws are identical and the sum is not redone.
     ///
     /// # Panics
     ///
     /// Panics if the weights are empty or sum to zero.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "weights must be non-empty with positive finite sum"
-        );
-        let mut x = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            x -= w;
-            if x < 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
+        WeightedIndex::new(weights).sample(self)
     }
 }
 
@@ -412,5 +404,104 @@ mod tests {
     fn debug_impl_is_nonempty() {
         let rng = Xoshiro256::seed_from_u64(1);
         assert!(!format!("{rng:?}").is_empty());
+    }
+}
+
+/// [`WeightedIndex`] against the inline loop `choose_weighted` ran before
+/// the sum was hoisted out of it.
+#[cfg(test)]
+mod chooser {
+    use super::*;
+
+    /// The previous `choose_weighted`, verbatim.
+    fn inline_choose_weighted(rng: &mut Xoshiro256, weights: &[f64]) -> usize {
+        let total: f64 = weights.iter().sum();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "weights must be non-empty with positive finite sum"
+        );
+        let mut x = rng.next_f64() * total;
+        for (i, w) in weights.iter().enumerate() {
+            x -= w;
+            if x < 0.0 {
+                return i;
+            }
+        }
+        weights.len() - 1
+    }
+
+    /// Random weight vectors of length 1–20, about a quarter of the weights
+    /// zero and the rest spread over six orders of magnitude.
+    fn weights(rng: &mut Xoshiro256) -> Vec<f64> {
+        let len = 1 + rng.index(20);
+        let mut w: Vec<f64> = (0..len)
+            .map(|_| {
+                if rng.chance(0.25) {
+                    0.0
+                } else {
+                    rng.next_f64() * 10f64.powi(rng.range_u64(0, 5) as i32 - 2)
+                }
+            })
+            .collect();
+        if w.iter().all(|&x| x == 0.0) {
+            let i = rng.index(len);
+            w[i] = 1.0;
+        }
+        w
+    }
+
+    #[test]
+    fn chooser_matches_the_inline_loop_draw_for_draw() {
+        let mut gen = Xoshiro256::seed_from_u64(0x5eed);
+        for case in 0..200u64 {
+            let w = weights(&mut gen);
+            let chooser = WeightedIndex::new(&w);
+            let mut old = Xoshiro256::seed_from_u64(case);
+            let mut new = old.clone();
+            let mut via = old.clone();
+            for draw in 0..10_000 {
+                let expected = inline_choose_weighted(&mut old, &w);
+                assert_eq!(
+                    chooser.sample(&mut new),
+                    expected,
+                    "case {case} draw {draw}"
+                );
+                assert_eq!(via.choose_weighted(&w), expected, "case {case} draw {draw}");
+            }
+            assert_eq!(new, old, "case {case}: rng state");
+            assert_eq!(via, old, "case {case}: rng state");
+        }
+    }
+
+    /// A generator whose next `next_f64` is the largest value below 1.
+    fn next_draw_just_below_one() -> Xoshiro256 {
+        // The inverse of an odd multiplier modulo 2^64, by Newton's method.
+        let inverse = |a: u64| {
+            (0..6).fold(a, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)))
+            })
+        };
+        // `next_u64` returns `rotl(s1 * 5, 7) * 9`: solve it for all ones.
+        let s1 = u64::MAX
+            .wrapping_mul(inverse(9))
+            .rotate_right(7)
+            .wrapping_mul(inverse(5));
+        let rng = Xoshiro256 { s: [1, s1, 2, 3] };
+        assert_eq!(rng.clone().next_f64(), 1.0 - f64::EPSILON / 2.0);
+        rng
+    }
+
+    #[test]
+    fn a_draw_rounding_leaves_unspent_falls_to_the_last_index() {
+        // 0.1 + 0.2 + 0.3 sums to 0.6000000000000001, and the top draw
+        // scaled by it minus the three weights leaves exactly 0.0: no
+        // weight took the draw, so the loop falls through to the last
+        // index — here a zero weight no draw could otherwise reach.
+        let w = [0.1, 0.2, 0.3, 0.0];
+        let mut old = next_draw_just_below_one();
+        let mut new = old.clone();
+        assert_eq!(inline_choose_weighted(&mut old, &w), 3);
+        assert_eq!(WeightedIndex::new(&w).sample(&mut new), 3);
+        assert_eq!(new, old);
     }
 }
