@@ -87,7 +87,8 @@ stage_golden() {
     # float/ordering divergence between debug and --release would
     # silently split "tested behavior" from "benchmarked behavior". The
     # debug run is covered by the workspace suite; re-run in release (the
-    # pinned Fig. 7 month + selfish-grid text among them).
+    # pinned Fig. 7 month + selfish-grid text among them, and the report
+    # pin: the tiny-101 suite text and the four scalar sets' CSV/JSON).
     filtered_tests --release --test golden
     # prob_run_at_least's O(k³·log n) matrix power against the O(n·k)
     # stepping reference at n = 7.7 M (~1 min; ignored in debug builds,

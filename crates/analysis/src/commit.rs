@@ -17,7 +17,7 @@ use std::fmt;
 use ethmeter_chain::block::Block;
 use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::pct;
-use ethmeter_stats::{Cdf, QuantileSketch};
+use ethmeter_stats::Cdf;
 use ethmeter_types::{BlockHash, BlockNumber, SimDuration, SimTime, TxId};
 
 use crate::Reduce;
@@ -30,11 +30,6 @@ pub const CONFIRMATION_DEPTHS: [u64; 4] = [3, 12, 15, 36];
 pub struct CommitReport {
     /// Delay from first tx observation to inclusion-block observation (s).
     pub inclusion: Cdf,
-    /// The inclusion-delay sample as a fixed-size mergeable sketch —
-    /// the planet-scale collector (quantiles within
-    /// [`ethmeter_stats::sketch::RELATIVE_ERROR`] of
-    /// [`CommitReport::inclusion`], bit-stable under any merge tree).
-    pub inclusion_sketch: QuantileSketch,
     /// Delay to the k-th confirmation, for k in
     /// [`CONFIRMATION_DEPTHS`] order (s).
     pub confirmations: Vec<(u64, Cdf)>,
@@ -50,7 +45,6 @@ impl CommitReport {
     pub fn empty() -> Self {
         CommitReport {
             inclusion: Cdf::from_values(std::iter::empty()),
-            inclusion_sketch: QuantileSketch::new(),
             confirmations: CONFIRMATION_DEPTHS
                 .iter()
                 .map(|&k| (k, Cdf::from_values(std::iter::empty())))
@@ -64,7 +58,6 @@ impl CommitReport {
     /// one. Exact: the CDFs become the union of both samples.
     pub fn merge(&mut self, other: &CommitReport) {
         self.inclusion.merge(&other.inclusion);
-        self.inclusion_sketch.merge(&other.inclusion_sketch);
         for ((k, cdf), (ok, ocdf)) in self.confirmations.iter_mut().zip(&other.confirmations) {
             debug_assert_eq!(k, ok, "confirmation depths are fixed");
             cdf.merge(ocdf);
@@ -180,12 +173,8 @@ pub fn analyze(data: &CampaignData) -> CommitReport {
     // Every first inclusion is measured or skipped (unobserved, or
     // observed only after inclusion).
     skipped += included.len() as u64 - measured;
-    let inclusion = delay_cdf(inclusion);
-    let mut inclusion_sketch = QuantileSketch::new();
-    inclusion_sketch.record_all(inclusion.sorted_values().iter().copied());
     CommitReport {
-        inclusion,
-        inclusion_sketch,
+        inclusion: delay_cdf(inclusion),
         confirmations: confs.into_iter().map(|(k, v)| (k, delay_cdf(v))).collect(),
         txs_measured: measured,
         txs_skipped: skipped,
@@ -674,11 +663,8 @@ mod reference {
                 }
             }
         }
-        let mut inclusion_sketch = QuantileSketch::new();
-        inclusion_sketch.record_all(inclusion.iter().copied());
         CommitReport {
             inclusion: Cdf::from_values(inclusion),
-            inclusion_sketch,
             confirmations: confs
                 .into_iter()
                 .map(|(k, v)| (k, Cdf::from_values(v)))

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use ethmeter_measure::CampaignData;
-use ethmeter_stats::{Histogram, QuantileSketch, Summary};
+use ethmeter_stats::{Cdf, Histogram};
 
 use crate::Reduce;
 
@@ -19,15 +19,7 @@ use crate::Reduce;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PropagationReport {
     /// Per-(block, trailing-observer) delays, milliseconds.
-    pub delays: Summary,
-    /// The PDF histogram of Figure 1 (0–500 ms, 25 bins).
-    pub histogram: Histogram,
-    /// The same delay sample as a fixed-size mergeable sketch — the
-    /// planet-scale collector: bit-identical at any shard/merge-tree
-    /// shape, quantiles within
-    /// [`ethmeter_stats::sketch::RELATIVE_ERROR`] of
-    /// [`PropagationReport::delays`].
-    pub sketch: QuantileSketch,
+    pub delays: Cdf,
     /// Blocks observed by at least two observers.
     pub blocks_measured: u64,
 }
@@ -36,9 +28,7 @@ impl PropagationReport {
     /// A report over zero campaigns (the [`Propagation`] starting state).
     pub fn empty() -> Self {
         PropagationReport {
-            delays: Summary::from_values(std::iter::empty()),
-            histogram: Histogram::new(0.0, 500.0, 25),
-            sketch: QuantileSketch::new(),
+            delays: Cdf::from_values(std::iter::empty()),
             blocks_measured: 0,
         }
     }
@@ -48,9 +38,15 @@ impl PropagationReport {
     /// samples, independent of merge grouping.
     pub fn merge(&mut self, other: &PropagationReport) {
         self.delays.merge(&other.delays);
-        self.histogram.merge(&other.histogram);
-        self.sketch.merge(&other.sketch);
         self.blocks_measured += other.blocks_measured;
+    }
+
+    /// The PDF histogram of Figure 1 (0–500 ms, 25 bins) of
+    /// [`PropagationReport::delays`].
+    pub fn histogram(&self) -> Histogram {
+        let mut histogram = Histogram::new(0.0, 500.0, 25);
+        histogram.record_all(self.delays.sorted_values().iter().copied());
+        histogram
     }
 }
 
@@ -96,8 +92,7 @@ impl Reduce for Propagation {
 ///
 /// Consumes the logs through [`CampaignData::for_each_main_block`], so
 /// spilled and in-memory campaigns produce bit-identical reports (the
-/// delay multiset is the same; [`Summary`] sorts, the histogram and
-/// sketch count).
+/// delay multiset is the same, and [`Cdf`] sorts it).
 pub fn analyze(data: &CampaignData) -> PropagationReport {
     let mut delays_ms: Vec<f64> = Vec::new();
     let mut blocks_measured = 0u64;
@@ -120,14 +115,8 @@ pub fn analyze(data: &CampaignData) -> PropagationReport {
             delays_ms.push(t - first);
         }
     });
-    let mut histogram = Histogram::new(0.0, 500.0, 25);
-    histogram.record_all(delays_ms.iter().copied());
-    let mut sketch = QuantileSketch::new();
-    sketch.record_all(delays_ms.iter().copied());
     PropagationReport {
-        delays: Summary::from_values(delays_ms),
-        histogram,
-        sketch,
+        delays: Cdf::from_values(delays_ms),
         blocks_measured,
     }
 }
@@ -151,7 +140,7 @@ impl fmt::Display for PropagationReport {
                 self.delays.quantile(0.99),
             )?;
         }
-        write!(f, "{}", self.histogram)
+        write!(f, "{}", self.histogram())
     }
 }
 
@@ -174,13 +163,6 @@ mod tests {
         assert!((report.delays.median() - 60.0).abs() < 1e-9);
         assert!((report.delays.max() - 100.0).abs() < 1e-9);
         assert!((report.delays.min() - 40.0).abs() < 1e-9);
-        // The sketch tracks the same sample within its documented bound.
-        assert_eq!(report.sketch.count(), report.delays.count() as u64);
-        let est = report.sketch.quantile(0.5);
-        assert!(
-            (60.0..=60.0 * ethmeter_stats::sketch::GAMMA).contains(&est),
-            "sketch median {est}"
-        );
     }
 
     #[test]
@@ -199,9 +181,8 @@ mod tests {
     fn histogram_mass_in_range() {
         let data = testutil::campaign_with_block_spread(&[0, 100, 40, 60]);
         let report = analyze(&data);
-        let mass: f64 = (0..report.histogram.bins())
-            .map(|i| report.histogram.pdf(i))
-            .sum();
+        let histogram = report.histogram();
+        let mass: f64 = (0..histogram.bins()).map(|i| histogram.pdf(i)).sum();
         assert!((mass - 1.0).abs() < 1e-9, "all spreads under 500ms");
         assert!(report.to_string().contains("Figure 1"));
     }

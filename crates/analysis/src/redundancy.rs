@@ -10,7 +10,7 @@ use std::fmt;
 
 use ethmeter_measure::{CampaignData, ObserverLog};
 use ethmeter_stats::table::{f3, Table};
-use ethmeter_stats::Summary;
+use ethmeter_stats::Cdf;
 
 use crate::Reduce;
 
@@ -28,7 +28,7 @@ pub struct RedundancyRow {
 }
 
 impl RedundancyRow {
-    fn from_summary(s: &Summary) -> Self {
+    fn from_cdf(s: &Cdf) -> Self {
         RedundancyRow {
             avg: s.mean(),
             median: s.median(),
@@ -86,12 +86,12 @@ pub fn analyze(data: &CampaignData) -> Result<RedundancyReport, RedundancyError>
     acc.finish()
 }
 
-/// Per-block reception summaries of one observer log:
+/// Per-block reception samples of one observer log:
 /// `(announcements, whole blocks, both combined)`.
 ///
 /// One pass over [`ObserverLog::scan_blocks`], so a spilled log reads
 /// identically to an in-memory one and raw rows are never collected.
-fn reception_summaries(log: &ObserverLog) -> (Summary, Summary, Summary) {
+fn reception_cdfs(log: &ObserverLog) -> (Cdf, Cdf, Cdf) {
     let mut ann: Vec<f64> = Vec::new();
     let mut full: Vec<f64> = Vec::new();
     let mut both: Vec<f64> = Vec::new();
@@ -101,9 +101,9 @@ fn reception_summaries(log: &ObserverLog) -> (Summary, Summary, Summary) {
         both.push(f64::from(r.total_receptions()));
     }
     (
-        Summary::from_values(ann),
-        Summary::from_values(full),
-        Summary::from_values(both),
+        Cdf::from_values(ann),
+        Cdf::from_values(full),
+        Cdf::from_values(both),
     )
 }
 
@@ -111,9 +111,9 @@ fn reception_summaries(log: &ObserverLog) -> (Summary, Summary, Summary) {
 /// pooled over every run's default-peers observer.
 #[derive(Debug, Clone)]
 pub struct Redundancy {
-    announces: Summary,
-    whole_blocks: Summary,
-    combined: Summary,
+    announces: Cdf,
+    whole_blocks: Cdf,
+    combined: Cdf,
     blocks: u64,
     saw_observer: bool,
 }
@@ -121,7 +121,7 @@ pub struct Redundancy {
 impl Redundancy {
     /// An accumulator over zero campaigns.
     pub fn new() -> Self {
-        let empty = || Summary::from_values(std::iter::empty());
+        let empty = || Cdf::from_values(std::iter::empty());
         Redundancy {
             announces: empty(),
             whole_blocks: empty(),
@@ -149,7 +149,7 @@ impl Reduce for Redundancy {
         if log.block_count() == 0 {
             return;
         }
-        let (ann, full, both) = reception_summaries(log);
+        let (ann, full, both) = reception_cdfs(log);
         self.announces.merge(&ann);
         self.whole_blocks.merge(&full);
         self.combined.merge(&both);
@@ -173,9 +173,9 @@ impl Reduce for Redundancy {
             });
         }
         Ok(RedundancyReport {
-            announcements: RedundancyRow::from_summary(&self.announces),
-            whole_blocks: RedundancyRow::from_summary(&self.whole_blocks),
-            combined: RedundancyRow::from_summary(&self.combined),
+            announcements: RedundancyRow::from_cdf(&self.announces),
+            whole_blocks: RedundancyRow::from_cdf(&self.whole_blocks),
+            combined: RedundancyRow::from_cdf(&self.combined),
             blocks: self.blocks,
         })
     }

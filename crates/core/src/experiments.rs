@@ -4,7 +4,7 @@
 use std::fmt;
 
 use ethmeter_analysis::commit::{CommitReport, OrderingReport};
-use ethmeter_analysis::decentralization::{Concentration, DecentralizationReport};
+use ethmeter_analysis::decentralization::DecentralizationReport;
 use ethmeter_analysis::empty_blocks::EmptyBlockReport;
 use ethmeter_analysis::first_observation::{GeoReport, PoolReport};
 use ethmeter_analysis::forks::ForkReport;
@@ -88,35 +88,15 @@ impl Suite {
 /// (Table III), `empty_fraction` (Figure 6), `commit12_median_s`
 /// (Figure 4; 0 when no transaction reached 12 confirmations).
 pub fn headline_scalars() -> Scalars {
-    // Both propagation columns come from one analysis pass: the probe
-    // memoizes the (median, p95) pair per job index, so the second
-    // column reuses the first's work. The cache is keyed by job index —
-    // a concurrent worker evicting it merely recomputes, never changes
-    // a value — so determinism is unaffected.
-    let prop_cache = std::sync::Arc::new(std::sync::Mutex::new(None::<(usize, (f64, f64))>));
-    let prop = move |ctx: &crate::metric::RunCtx<'_>, campaign: &_| -> (f64, f64) {
-        let mut cache = prop_cache.lock().expect("probe cache never poisoned");
-        if let Some((index, value)) = *cache {
-            if index == ctx.index {
-                return value;
-            }
-        }
-        let r = propagation::analyze(campaign);
-        let value = if r.delays.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (r.delays.median(), r.delays.quantile(0.95))
-        };
-        *cache = Some((ctx.index, value));
-        value
-    };
-    let prop = std::sync::Arc::new(prop);
-    let prop_median = std::sync::Arc::clone(&prop);
     Scalars::new()
-        .column("prop_median_ms", move |ctx, o| {
-            prop_median(ctx, &o.campaign).0
+        .columns(["prop_median_ms", "prop_p95_ms"], |_, o| {
+            let delays = propagation::analyze(&o.campaign).delays;
+            if delays.is_empty() {
+                vec![0.0, 0.0]
+            } else {
+                vec![delays.median(), delays.quantile(0.95)]
+            }
         })
-        .column("prop_p95_ms", move |ctx, o| prop(ctx, &o.campaign).1)
         .column("fork_rate", |_, o| {
             let c = forks::analyze(&o.campaign).census;
             (c.recognized_uncles + c.unrecognized) as f64 / c.total().max(1) as f64
@@ -136,27 +116,6 @@ pub fn headline_scalars() -> Scalars {
 /// and revenue share — nine streaming scalar columns, one
 /// [`ethmeter_analysis::decentralization`] pass per run.
 pub fn decentralization_scalars() -> Scalars {
-    // All nine columns come from one analysis pass: the probe memoizes
-    // the scalar vector per job index (same pattern and determinism
-    // argument as `headline_scalars`' propagation cache).
-    let cache = std::sync::Arc::new(std::sync::Mutex::new(None::<(usize, [f64; 9])>));
-    let probe = move |ctx: &crate::metric::RunCtx<'_>, campaign: &_| -> [f64; 9] {
-        let mut cache = cache.lock().expect("probe cache never poisoned");
-        if let Some((index, value)) = *cache {
-            if index == ctx.index {
-                return value;
-            }
-        }
-        let r = decentralization::analyze(campaign);
-        let axis = |c: &Concentration| [f64::from(c.nakamoto), c.gini, c.hhi];
-        let [hn, hg, hh] = axis(&r.hash_power);
-        let [fn_, fg, fh] = axis(&r.first_observation);
-        let [rn, rg, rh] = axis(&r.revenue);
-        let value = [hn, hg, hh, fn_, fg, fh, rn, rg, rh];
-        *cache = Some((ctx.index, value));
-        value
-    };
-    let probe = std::sync::Arc::new(probe);
     let names = [
         "nakamoto_hash",
         "gini_hash",
@@ -168,12 +127,13 @@ pub fn decentralization_scalars() -> Scalars {
         "gini_revenue",
         "hhi_revenue",
     ];
-    let mut scalars = Scalars::new();
-    for (i, name) in names.into_iter().enumerate() {
-        let probe = std::sync::Arc::clone(&probe);
-        scalars = scalars.column(name, move |ctx, o| probe(ctx, &o.campaign)[i]);
-    }
-    scalars
+    Scalars::new().columns(names, |_, o| {
+        let r = decentralization::analyze(&o.campaign);
+        [&r.hash_power, &r.first_observation, &r.revenue]
+            .into_iter()
+            .flat_map(|c| [f64::from(c.nakamoto), c.gini, c.hhi])
+            .collect()
+    })
 }
 
 /// Runs a seeds-only grid over `base` and returns the aggregated
@@ -491,32 +451,15 @@ pub fn selfish_threshold(
 /// revenue share, relative revenue gain, and withholding activity as
 /// cross-seed scalar columns (composable with any [`Grid`] axis).
 pub fn revenue_scalars(pool: PoolId) -> Scalars {
-    // Both revenue columns come from one analysis pass: the probe
-    // memoizes the (rev_share, rel_revenue) pair per job index, same as
-    // headline_scalars' propagation cache (and with the same determinism
-    // argument: eviction only ever recomputes, never changes a value).
-    let cache = std::sync::Arc::new(std::sync::Mutex::new(None::<(usize, (f64, f64))>));
-    let probe = move |ctx: &crate::metric::RunCtx<'_>, campaign: &_| -> (f64, f64) {
-        let mut cache = cache.lock().expect("probe cache never poisoned");
-        if let Some((index, value)) = *cache {
-            if index == ctx.index {
-                return value;
-            }
-        }
-        let r = rewards::analyze(campaign);
-        let value = (
-            r.row(pool)
-                .map_or(0.0, |row| row.revenue_share(r.total_reward)),
-            r.relative_revenue(pool),
-        );
-        *cache = Some((ctx.index, value));
-        value
-    };
-    let probe = std::sync::Arc::new(probe);
-    let share_probe = std::sync::Arc::clone(&probe);
     Scalars::new()
-        .column("rev_share", move |ctx, o| share_probe(ctx, &o.campaign).0)
-        .column("rel_revenue", move |ctx, o| probe(ctx, &o.campaign).1)
+        .columns(["rev_share", "rel_revenue"], move |_, o| {
+            let r = rewards::analyze(&o.campaign);
+            vec![
+                r.row(pool)
+                    .map_or(0.0, |row| row.revenue_share(r.total_reward)),
+                r.relative_revenue(pool),
+            ]
+        })
         .column("withheld", |_, o| o.stats.blocks_withheld as f64)
         .column("released", |_, o| o.stats.blocks_released as f64)
 }
@@ -780,40 +723,23 @@ pub fn victim_vs_rest_pools(gamma: f64, victim_gateways: usize) -> PoolDirectory
 /// Reorg-depth probe columns for dynamics grids: `p_revert_1`,
 /// `p_revert_6`, `p_revert_12` (the `P(revert ≥ k)` tail at the common
 /// confirmation policies) and `abandoned_blocks`. All four come from one
-/// [`reorg::analyze`] pass, memoized per job index (same pattern and
-/// determinism argument as `headline_scalars`' propagation cache).
+/// [`reorg::analyze`] pass per run.
 pub fn reorg_scalars() -> Scalars {
-    let cache = std::sync::Arc::new(std::sync::Mutex::new(None::<(usize, [f64; 4])>));
-    let probe = move |ctx: &crate::metric::RunCtx<'_>, campaign: &_| -> [f64; 4] {
-        let mut cache = cache.lock().expect("probe cache never poisoned");
-        if let Some((index, value)) = *cache {
-            if index == ctx.index {
-                return value;
-            }
-        }
-        let r = reorg::analyze(campaign);
-        let value = [
-            r.p_revert(1),
-            r.p_revert(6),
-            r.p_revert(12),
-            r.abandoned_blocks as f64,
-        ];
-        *cache = Some((ctx.index, value));
-        value
-    };
-    let probe = std::sync::Arc::new(probe);
     let names = [
         "p_revert_1",
         "p_revert_6",
         "p_revert_12",
         "abandoned_blocks",
     ];
-    let mut scalars = Scalars::new();
-    for (i, name) in names.into_iter().enumerate() {
-        let probe = std::sync::Arc::clone(&probe);
-        scalars = scalars.column(name, move |ctx, o| probe(ctx, &o.campaign)[i]);
-    }
-    scalars
+    Scalars::new().columns(names, |_, o| {
+        let r = reorg::analyze(&o.campaign);
+        vec![
+            r.p_revert(1),
+            r.p_revert(6),
+            r.p_revert(12),
+            r.abandoned_blocks as f64,
+        ]
+    })
 }
 
 /// One eclipse campaign: the victim pool's gateways are isolated for

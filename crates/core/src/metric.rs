@@ -199,7 +199,7 @@ impl<R: Reduce + Send> Metric for Analyze<R> {
 /// Runs an independent copy of `M` for every scenario-axis grid point,
 /// yielding `(point, output)` pairs in point order — the building block
 /// of "aggregate across seeds, split by configuration".
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PerPoint<M> {
     proto: M,
     /// `(point index, point, accumulated metric)`, ascending point index.
@@ -255,8 +255,9 @@ impl<M: Metric + Clone> Metric for PerPoint<M> {
 // ---------------------------------------------------------------------------
 // Scalars: named per-run scalar probes -> a cross-seed GridReport.
 
-/// A named per-run scalar extraction.
-type ProbeFn = Arc<dyn Fn(&RunCtx<'_>, &CampaignOutcome) -> f64 + Send + Sync>;
+/// One probe group: a per-run extraction yielding one value per named
+/// column of its group.
+type ProbeFn = Arc<dyn Fn(&RunCtx<'_>, &CampaignOutcome) -> Vec<f64> + Send + Sync>;
 
 /// Extracts named scalar statistics from every run and aggregates them
 /// across seeds per grid point, finishing into a
@@ -265,20 +266,25 @@ type ProbeFn = Arc<dyn Fn(&RunCtx<'_>, &CampaignOutcome) -> f64 + Send + Sync>;
 /// This is the one-stop results-table metric: declare the columns once,
 /// run the grid, and print/export mean ± stddev (plus the
 /// percentile-of-percentiles spread) for every scenario configuration.
+/// Columns that come from one analysis pass are declared together with
+/// [`Scalars::columns`], so the pass runs once per run.
 ///
 /// ```
 /// use ethmeter_core::metric::Scalars;
 ///
 /// let metric = Scalars::new()
 ///     .column("head_number", |_, o| o.campaign.truth.tree.head_number() as f64)
-///     .column("events", |_, o| o.events as f64);
+///     .columns(["events", "messages"], |_, o| {
+///         vec![o.events as f64, o.stats.messages as f64]
+///     });
 /// # let _ = metric;
 /// ```
 #[derive(Clone, Default)]
 pub struct Scalars {
-    columns: Vec<(String, ProbeFn)>,
-    /// `(point index, point, per-column per-run values)`, ascending index.
-    slots: Vec<(usize, GridPoint, Vec<Vec<f64>>)>,
+    /// Column names, in declaration order.
+    names: Vec<String>,
+    /// Every run's values per grid point.
+    points: PerPoint<Samples>,
 }
 
 impl Scalars {
@@ -293,29 +299,48 @@ impl Scalars {
     /// panic: the sample is excluded from that cell's aggregation and
     /// the cell's `runs` count reflects only finite values.
     #[must_use]
-    pub fn column<F>(mut self, name: impl Into<String>, probe: F) -> Self
+    pub fn column<F>(self, name: impl Into<String>, probe: F) -> Self
     where
         F: Fn(&RunCtx<'_>, &CampaignOutcome) -> f64 + Send + Sync + 'static,
     {
+        self.columns([name], move |ctx, outcome| vec![probe(ctx, outcome)])
+    }
+
+    /// Adds a group of named columns extracted from every run by one
+    /// probe call, which returns one value per name, in name order.
+    /// Non-finite values are excluded as in [`Scalars::column`].
+    ///
+    /// # Panics
+    ///
+    /// The grid panics if the probe returns a different number of values.
+    #[must_use]
+    pub fn columns<N, F>(mut self, names: impl IntoIterator<Item = N>, probe: F) -> Self
+    where
+        N: Into<String>,
+        F: Fn(&RunCtx<'_>, &CampaignOutcome) -> Vec<f64> + Send + Sync + 'static,
+    {
         assert!(
-            self.slots.is_empty(),
+            self.points.slots.is_empty(),
             "add columns before observing any runs"
         );
-        self.columns.push((name.into(), Arc::new(probe)));
+        let before = self.names.len();
+        self.names.extend(names.into_iter().map(Into::into));
+        let width = self.names.len() - before;
+        self.points.proto.groups.push((width, Arc::new(probe)));
         self
     }
 
     /// Column names, in declaration order.
     pub fn column_names(&self) -> Vec<String> {
-        self.columns.iter().map(|(n, _)| n.clone()).collect()
+        self.names.clone()
     }
 }
 
 impl std::fmt::Debug for Scalars {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scalars")
-            .field("columns", &self.column_names())
-            .field("points_observed", &self.slots.len())
+            .field("columns", &self.names)
+            .field("points_observed", &self.points.slots.len())
             .finish()
     }
 }
@@ -324,44 +349,45 @@ impl Metric for Scalars {
     type Output = crate::report::GridReport;
 
     fn observe(&mut self, ctx: &RunCtx<'_>, outcome: &CampaignOutcome) {
-        let values: Vec<Vec<f64>> = self
-            .columns
-            .iter()
-            .map(|(_, probe)| vec![probe(ctx, outcome)])
-            .collect();
-        match self.slots.binary_search_by_key(&ctx.point_index, |s| s.0) {
-            Ok(pos) => {
-                for (col, v) in self.slots[pos].2.iter_mut().zip(values) {
-                    col.extend(v);
-                }
-            }
-            Err(pos) => self
-                .slots
-                .insert(pos, (ctx.point_index, ctx.point.clone(), values)),
+        self.points.observe(ctx, outcome);
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.points.merge(other.points);
+    }
+
+    fn finish(self) -> crate::report::GridReport {
+        crate::report::GridReport::from_samples(self.names, self.points.finish())
+    }
+}
+
+/// One grid point's [`Scalars`] values: every probe group run once per
+/// observed run.
+#[derive(Clone, Default)]
+struct Samples {
+    /// `(column count, probe)` per group, in declaration order.
+    groups: Vec<(usize, ProbeFn)>,
+    /// Every column's value, one run after another.
+    values: Vec<f64>,
+}
+
+impl Metric for Samples {
+    type Output = Vec<f64>;
+
+    fn observe(&mut self, ctx: &RunCtx<'_>, outcome: &CampaignOutcome) {
+        for (width, probe) in &self.groups {
+            let row = probe(ctx, outcome);
+            assert_eq!(row.len(), *width, "a probe returns one value per column");
+            self.values.extend(row);
         }
     }
 
     fn merge(&mut self, other: Self) {
-        for (idx, point, values) in other.slots {
-            match self.slots.binary_search_by_key(&idx, |s| s.0) {
-                Ok(pos) => {
-                    for (col, v) in self.slots[pos].2.iter_mut().zip(values) {
-                        col.extend(v);
-                    }
-                }
-                Err(pos) => self.slots.insert(pos, (idx, point, values)),
-            }
-        }
+        self.values.extend(other.values);
     }
 
-    fn finish(self) -> crate::report::GridReport {
-        crate::report::GridReport::from_samples(
-            self.column_names(),
-            self.slots
-                .into_iter()
-                .map(|(_, point, values)| (point, values))
-                .collect(),
-        )
+    fn finish(self) -> Vec<f64> {
+        self.values
     }
 }
 
@@ -394,3 +420,53 @@ tuple_metric!(A: 0, B: 1, C: 2);
 tuple_metric!(A: 0, B: 1, C: 2, D: 3);
 tuple_metric!(A: 0, B: 1, C: 2, D: 3, E: 4);
 tuple_metric!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use ethmeter_types::SimDuration;
+
+    use super::*;
+    use crate::grid::Grid;
+    use crate::scenario::Preset;
+
+    fn grid(threads: usize) -> Grid {
+        let base = Scenario::builder()
+            .preset(Preset::Tiny)
+            .duration(SimDuration::from_mins(1))
+            .build();
+        Grid::new(base)
+            .seed_range(1, 2)
+            .axis("interblock_s", [10.0, 25.0], |s, &secs| {
+                s.interblock = SimDuration::from_secs_f64(secs);
+            })
+            .threads(threads)
+    }
+
+    fn head(o: &CampaignOutcome) -> f64 {
+        o.campaign.truth.tree.head_number() as f64
+    }
+
+    #[test]
+    fn a_column_group_probes_each_run_once() {
+        let singles = grid(1)
+            .run(
+                Scalars::new()
+                    .column("head", |_, o| head(o))
+                    .column("events", |_, o| o.events as f64),
+            )
+            .output;
+        for threads in [1, 4] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&calls);
+            let out = grid(threads).run(Scalars::new().columns(["head", "events"], move |_, o| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                vec![head(o), o.events as f64]
+            }));
+            assert_eq!((out.jobs, out.threads_used), (4, threads));
+            assert_eq!(calls.load(Ordering::Relaxed), 4, "threads({threads})");
+            assert_eq!(out.output, singles, "threads({threads})");
+        }
+    }
+}

@@ -13,7 +13,7 @@ use std::fmt;
 
 use ethmeter_measure::csv::escape_field;
 use ethmeter_stats::table::Table;
-use ethmeter_stats::{Aggregate, Summary};
+use ethmeter_stats::Aggregate;
 
 use crate::grid::GridPoint;
 
@@ -38,29 +38,27 @@ pub struct GridReport {
 }
 
 impl GridReport {
-    /// Builds a report from per-point, per-column run samples.
+    /// Builds a report from per-point run samples: every column's value,
+    /// one run after another, in column order.
     ///
     /// Non-finite samples (a probe dividing by zero, say) are excluded
     /// from aggregation — each cell's `runs` counts only finite values —
     /// so one bad probe result cannot abort a completed grid at finish
     /// time.
-    pub(crate) fn from_samples(
-        columns: Vec<String>,
-        points: Vec<(GridPoint, Vec<Vec<f64>>)>,
-    ) -> Self {
+    pub(crate) fn from_samples(columns: Vec<String>, points: Vec<(GridPoint, Vec<f64>)>) -> Self {
         let axes = points
             .first()
             .map(|(p, _)| p.coords().iter().map(|(a, _)| a.clone()).collect())
             .unwrap_or_default();
+        let width = columns.len();
         let rows = points
             .into_iter()
-            .map(|(point, cols)| GridRow {
+            .map(|(point, values)| GridRow {
                 point,
-                cells: cols
-                    .into_iter()
-                    .map(|values| {
-                        let finite = values.into_iter().filter(|v| v.is_finite());
-                        Aggregate::from_summary(&Summary::from_values(finite))
+                cells: (0..width)
+                    .map(|col| {
+                        let column = values.iter().skip(col).step_by(width).copied();
+                        Aggregate::from_values(column.filter(|v| v.is_finite()))
                     })
                     .collect(),
             })
@@ -251,8 +249,8 @@ mod tests {
         GridReport::from_samples(
             vec!["head".to_owned(), "forks".to_owned()],
             vec![
-                (point("0.5"), vec![vec![10.0, 12.0], vec![1.0, 3.0]]),
-                (point("2"), vec![vec![11.0, 13.0], vec![2.0, 2.0]]),
+                (point("0.5"), vec![10.0, 1.0, 12.0, 3.0]),
+                (point("2"), vec![11.0, 2.0, 13.0, 2.0]),
             ],
         )
     }
@@ -296,7 +294,7 @@ mod tests {
             vec!["ratio".to_owned()],
             vec![(
                 GridPoint::from_coords([("a", "1")]),
-                vec![vec![2.0, f64::NAN, 4.0, f64::INFINITY]],
+                vec![2.0, f64::NAN, 4.0, f64::INFINITY],
             )],
         );
         let cell = &report.rows[0].cells[0];

@@ -1,13 +1,20 @@
-//! Empirical cumulative distribution functions.
+//! Empirical cumulative distribution functions: the one exact sorted
+//! sample behind every statistic of a report.
 //!
 //! Figures 4, 5 and 7 of the paper are CDF plots; [`Cdf`] supports both the
 //! "fraction at or below x" query used to print those series and the inverse
 //! quantile query used for headline numbers ("median waiting time for 12
-//! blocks was 189 seconds").
+//! blocks was 189 seconds"), plus the sample's mean, standard deviation and
+//! extremes (Figure 1, Table II). [`Aggregate`] condenses one per-run
+//! scalar across runs.
 
 use std::fmt;
 
 /// An empirical CDF over a finite sample.
+///
+/// Construction sorts a copy of the data once; quantile queries are then
+/// O(1). Quantiles use the nearest-rank (inverted CDF) convention, matching
+/// how the paper reports "the propagation delay of the 95% fastest blocks".
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
@@ -62,40 +69,6 @@ impl Cdf {
         self.sorted = merged;
     }
 
-    /// Folds many CDFs into this one in `O(n log k)` total work instead of
-    /// the `O(n·k)` a chain of pairwise [`Cdf::merge`] calls costs (each
-    /// pairwise merge re-copies the whole accumulated sample).
-    ///
-    /// The result is the same exact union-multiset CDF as any sequence of
-    /// pairwise merges — merging stays merge-tree independent — so sweeps
-    /// and the sharded engine can fold hundreds of per-segment CDFs without
-    /// quadratic re-copying.
-    pub fn merge_many<'a, I: IntoIterator<Item = &'a Cdf>>(&mut self, others: I) {
-        // Tournament fold: repeatedly merge pairs of runs until one is left.
-        let mut runs: Vec<Vec<f64>> = Vec::new();
-        if !self.sorted.is_empty() {
-            runs.push(std::mem::take(&mut self.sorted));
-        }
-        runs.extend(
-            others
-                .into_iter()
-                .filter(|c| !c.sorted.is_empty())
-                .map(|c| c.sorted.clone()),
-        );
-        while runs.len() > 1 {
-            let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut it = runs.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => next.push(merge_sorted(&a, &b)),
-                    None => next.push(a),
-                }
-            }
-            runs = next;
-        }
-        self.sorted = runs.pop().unwrap_or_default();
-    }
-
     /// Number of samples.
     pub fn count(&self) -> usize {
         self.sorted.len()
@@ -104,6 +77,43 @@ impl Cdf {
     /// True if the sample is empty.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
+    }
+
+    /// Arithmetic mean (0 for an empty sample).
+    pub fn mean(&self) -> f64 {
+        moments(&self.sorted).0
+    }
+
+    /// Population standard deviation (0 for an empty sample).
+    pub fn std_dev(&self) -> f64 {
+        moments(&self.sorted).1
+    }
+
+    /// Smallest value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sample.
+    pub fn min(&self) -> f64 {
+        *self.sorted.first().expect("min of empty sample")
+    }
+
+    /// Largest value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sample.
+    pub fn max(&self) -> f64 {
+        *self.sorted.last().expect("max of empty sample")
+    }
+
+    /// The median (0.5 quantile).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sample.
+    pub fn median(&self) -> f64 {
+        self.quantile(0.5)
     }
 
     /// `P(X <= x)` under the empirical distribution (0 for empty sample).
@@ -157,10 +167,22 @@ impl Cdf {
     }
 }
 
+/// Mean and population standard deviation of an ascending sample, summed
+/// in ascending order so the bits depend only on the multiset.
+fn moments(sorted: &[f64]) -> (f64, f64) {
+    if sorted.is_empty() {
+        return (0.0, 0.0);
+    }
+    let n = sorted.len() as f64;
+    let mean = sorted.iter().sum::<f64>() / n;
+    let var = sorted.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+    (mean, var.sqrt())
+}
+
 /// Merges two ascending slices into one ascending vector (stable: ties
 /// take the left operand's elements first — immaterial for equal floats,
 /// but it keeps the operation fully deterministic).
-pub(crate) fn merge_sorted(a: &[f64], b: &[f64]) -> Vec<f64> {
+fn merge_sorted(a: &[f64], b: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -175,6 +197,70 @@ pub(crate) fn merge_sorted(a: &[f64], b: &[f64]) -> Vec<f64> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
+}
+
+/// Cross-run aggregation of one scalar statistic.
+///
+/// A grid produces one scalar per run (a median propagation delay, a fork
+/// rate, a commit-time percentile); `Aggregate` condenses the per-run
+/// values of one grid point into the row a results table prints: mean ±
+/// stddev with the spread (min / p50 / p95 / max — the
+/// percentile-of-percentiles convention when the scalar is itself a
+/// percentile).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Aggregate {
+    /// Number of runs aggregated (the default aggregates none, with
+    /// every statistic 0).
+    pub runs: usize,
+    /// Mean of the per-run values.
+    pub mean: f64,
+    /// Population standard deviation of the per-run values.
+    pub std_dev: f64,
+    /// Smallest per-run value (0 when `runs == 0`).
+    pub min: f64,
+    /// Median per-run value (0 when `runs == 0`).
+    pub p50: f64,
+    /// 95th-percentile per-run value (0 when `runs == 0`).
+    pub p95: f64,
+    /// Largest per-run value (0 when `runs == 0`).
+    pub max: f64,
+}
+
+impl Aggregate {
+    /// Aggregates a set of per-run values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any value is NaN or infinite.
+    pub fn from_values<I: IntoIterator<Item = f64>>(values: I) -> Self {
+        let s = Cdf::from_values(values);
+        if s.is_empty() {
+            return Aggregate::default();
+        }
+        let (mean, std_dev) = moments(&s.sorted);
+        Aggregate {
+            runs: s.count(),
+            mean,
+            std_dev,
+            min: s.min(),
+            p50: s.median(),
+            p95: s.quantile(0.95),
+            max: s.max(),
+        }
+    }
+}
+
+impl fmt::Display for Aggregate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.runs == 0 {
+            return write!(f, "n=0");
+        }
+        write!(
+            f,
+            "{:.3} ± {:.3} (n={}, min {:.3}, p50 {:.3}, p95 {:.3}, max {:.3})",
+            self.mean, self.std_dev, self.runs, self.min, self.p50, self.p95, self.max
+        )
+    }
 }
 
 impl fmt::Display for Cdf {
@@ -286,28 +372,85 @@ mod tests {
     }
 
     #[test]
-    fn merge_many_equals_pairwise_chain() {
-        let parts: Vec<Vec<f64>> = (0..7)
-            .map(|k| (0..40).map(|i| ((i * 7 + k * 3) % 50) as f64).collect())
-            .collect();
-        let cdfs: Vec<Cdf> = parts
-            .iter()
-            .map(|p| Cdf::from_values(p.iter().copied()))
-            .collect();
-        let mut chained = cdfs[0].clone();
-        for c in &cdfs[1..] {
-            chained.merge(c);
+    fn basic_moments() {
+        let s = Cdf::from_values([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        assert_eq!(s.count(), 8);
+        assert!((s.mean() - 5.0).abs() < 1e-12);
+        assert!((s.std_dev() - 2.0).abs() < 1e-12);
+        assert_eq!(s.min(), 2.0);
+        assert_eq!(s.max(), 9.0);
+    }
+
+    #[test]
+    fn quantiles_nearest_rank() {
+        let s = Cdf::from_values((1..=100).map(f64::from));
+        assert_eq!(s.quantile(0.0), 1.0);
+        assert_eq!(s.quantile(0.5), 50.0);
+        assert_eq!(s.quantile(0.95), 95.0);
+        assert_eq!(s.quantile(0.99), 99.0);
+        assert_eq!(s.quantile(1.0), 100.0);
+        assert_eq!(s.median(), 50.0);
+    }
+
+    #[test]
+    fn quantile_single_element() {
+        let s = Cdf::from_values([42.0]);
+        for q in [0.0, 0.3, 0.5, 1.0] {
+            assert_eq!(s.quantile(q), 42.0);
         }
-        let mut kway = cdfs[0].clone();
-        kway.merge_many(&cdfs[1..]);
-        assert_eq!(kway, chained);
-        // Degenerate inputs.
-        let mut empty = Cdf::from_values(std::iter::empty());
-        empty.merge_many(std::iter::empty());
-        assert!(empty.is_empty());
-        let mut single = Cdf::from_values([2.0, 1.0]);
-        single.merge_many(std::iter::empty());
-        assert_eq!(single, Cdf::from_values([1.0, 2.0]));
+    }
+
+    #[test]
+    fn empty_sample_behaviors() {
+        let s = Cdf::from_values(std::iter::empty());
+        assert!(s.is_empty());
+        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.std_dev(), 0.0);
+        assert_eq!(s.at(1.0), 0.0);
+        assert_eq!(s.to_string(), "cdf(n=0)");
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn rejects_nan() {
+        let _ = Cdf::from_values([1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn merge_matches_oneshot_bitwise() {
+        let a = [2.0, 9.0, 4.0];
+        let b = [5.0, 4.0, 7.0, 2.0];
+        let mut merged = Cdf::from_values(a);
+        merged.merge(&Cdf::from_values(b));
+        let oneshot = Cdf::from_values(a.into_iter().chain(b));
+        assert_eq!(merged, oneshot);
+        assert_eq!(merged.mean().to_bits(), oneshot.mean().to_bits());
+        assert_eq!(merged.std_dev().to_bits(), oneshot.std_dev().to_bits());
+        // Merge-tree independence: ((a+b)+b) == (a+(b+b)).
+        let mut left = Cdf::from_values(a);
+        left.merge(&Cdf::from_values(b));
+        left.merge(&Cdf::from_values(b));
+        let mut bb = Cdf::from_values(b);
+        bb.merge(&Cdf::from_values(b));
+        let mut right = Cdf::from_values(a);
+        right.merge(&bb);
+        assert_eq!(left, right);
+        assert_eq!(left.mean().to_bits(), right.mean().to_bits());
+    }
+
+    #[test]
+    fn aggregate_condenses_per_run_values() {
+        let a = Aggregate::from_values((1..=20).map(f64::from));
+        assert_eq!(a.runs, 20);
+        assert!((a.mean - 10.5).abs() < 1e-12);
+        assert_eq!(a.min, 1.0);
+        assert_eq!(a.p50, 10.0);
+        assert_eq!(a.p95, 19.0);
+        assert_eq!(a.max, 20.0);
+        assert!(a.to_string().contains("n=20"));
+        let empty = Aggregate::from_values(std::iter::empty());
+        assert_eq!(empty.runs, 0);
+        assert_eq!(empty.to_string(), "n=0");
     }
 
     #[test]

@@ -5,18 +5,19 @@
 //! (Figures 4, 5, 7), and run-length/censorship analysis (§III-D). This
 //! crate implements those reductions:
 //!
-//! - [`summary::Summary`]: count/mean/std/quantiles of a sample;
-//! - [`summary::Aggregate`]: cross-run condensation of one scalar
+//! - [`cdf::Cdf`]: the one sorted exact sample — empirical CDF (`at`,
+//!   the fraction at or below x), nearest-rank quantiles, mean, standard
+//!   deviation and extremes;
+//! - [`cdf::Aggregate`]: cross-run condensation of one scalar
 //!   statistic (mean ± stddev plus percentile-of-percentiles spread);
 //! - [`histogram::Histogram`]: fixed-width binning with PDF normalization;
-//! - [`cdf::Cdf`]: empirical CDF with quantile and fraction-below queries;
 //! - [`sketch::QuantileSketch`]: fixed-size log-bucketed quantile sketch
 //!   with a deterministic (element-wise-add) merge for out-of-core runs;
 //! - [`runs`]: run-length extraction and the exact/approximate theory of
 //!   longest same-miner block sequences;
 //! - [`table`]: plain-text table rendering for paper-style reports.
 //!
-//! [`Summary`], [`Histogram`], and [`Cdf`] all support **exact,
+//! [`Cdf`] and [`Histogram`] both support **exact,
 //! merge-tree independent `merge`**: folding per-run instances together
 //! yields the same object as one pass over all samples, regardless of how
 //! the merges are grouped. That property is what lets campaign sweeps
@@ -30,11 +31,9 @@ pub mod cdf;
 pub mod histogram;
 pub mod runs;
 pub mod sketch;
-pub mod summary;
 pub mod table;
 
-pub use cdf::Cdf;
+pub use cdf::{Aggregate, Cdf};
 pub use histogram::Histogram;
 pub use sketch::QuantileSketch;
-pub use summary::{Aggregate, Summary};
 pub use table::Table;

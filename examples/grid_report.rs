@@ -29,13 +29,19 @@ fn centralize_gateways(s: &mut Scenario, region: Region) {
     s.pools = pools;
 }
 
-/// Share of first-block observations won by one vantage in this run.
-fn first_obs_share(data: &CampaignData, vantage: &str) -> f64 {
-    first_observation::geo(data)
-        .per_vantage
+/// Shares of first-block observations won by each of `vantages` in this
+/// run, from one Figure 2 pass.
+fn first_obs_shares(data: &CampaignData, vantages: &[&str]) -> Vec<f64> {
+    let geo = first_observation::geo(data);
+    vantages
         .iter()
-        .find(|(name, ..)| name == vantage)
-        .map_or(0.0, |&(_, share, _)| share)
+        .map(|vantage| {
+            geo.per_vantage
+                .iter()
+                .find(|(name, ..)| name == vantage)
+                .map_or(0.0, |&(_, share, _)| share)
+        })
+        .collect()
 }
 
 fn main() {
@@ -73,8 +79,9 @@ fn main() {
                     r.delays.median()
                 }
             })
-            .column("ea_first_share", |_, o| first_obs_share(&o.campaign, "EA"))
-            .column("we_first_share", |_, o| first_obs_share(&o.campaign, "WE")),
+            .columns(["ea_first_share", "we_first_share"], |_, o| {
+                first_obs_shares(&o.campaign, &["EA", "WE"])
+            }),
     );
     let report = out.output;
 

@@ -115,3 +115,62 @@ fn fingerprint_is_reproducible_and_seed_sensitive() {
         .fingerprint();
     assert_ne!(a, c, "different seeds must diverge");
 }
+
+/// FNV-1a digest of the campaign reports below, pinned like the campaign
+/// goldens (`ETHMETER_BLESS=1` prints the current value).
+const CAMPAIGN_REPORTS: u64 = 0xd11f_6eaf_5138_08cb;
+
+/// The results layer as text: every report of the tiny-101 campaign as
+/// `repro all` prints it, plus the revenue table, and the CSV and JSON of
+/// the four scalar probe sets over a 2-seed grid on two threads. A change
+/// to a statistic, a report's rendering or the cross-seed aggregation
+/// moves it.
+#[test]
+fn campaign_reports_match_their_pinned_digest() {
+    use ethmeter::experiments::{self, Suite};
+    let data = run_campaign(&scenario(Preset::Tiny, 101, 5)).campaign;
+    let suite = Suite::from_campaign(&data);
+    let table2 = match &suite.table2 {
+        Ok(r) => r.to_string(),
+        Err(e) => format!("Table II unavailable: {e}"),
+    };
+    let mut text = format!(
+        "{}\n\n{}\n\n{table2}\n\n{}\n\n{}\n\n{}\n\n{}\n\n{}\n\n{}\n\n{}\n\n{}\n\n{}\n",
+        experiments::table1(&data),
+        suite.fig1,
+        suite.fig2,
+        suite.fig3,
+        suite.fig4,
+        suite.fig5,
+        suite.fig6,
+        suite.table3,
+        suite.fig7,
+        ethmeter::analysis::rewards::analyze(&data),
+        suite.decentralization,
+    );
+    let (headline, decentralization, revenue, reorg) = Grid::new(scenario(Preset::Tiny, 0, 5))
+        .seed_range(11, 2)
+        .threads(2)
+        .run((
+            experiments::headline_scalars(),
+            experiments::decentralization_scalars(),
+            experiments::revenue_scalars(ethmeter::types::PoolId(0)),
+            experiments::reorg_scalars(),
+        ))
+        .output;
+    for report in [headline, decentralization, revenue, reorg] {
+        text.push_str(&report.to_csv());
+        text.push_str(&report.to_json());
+    }
+    let got = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    if std::env::var_os("ETHMETER_BLESS").is_some() {
+        println!("CAMPAIGN_REPORTS = {got:#018x}");
+    } else {
+        assert_eq!(
+            got, CAMPAIGN_REPORTS,
+            "campaign report digest {got:#018x}, pinned {CAMPAIGN_REPORTS:#018x}:\n{text}"
+        );
+    }
+}

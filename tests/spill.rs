@@ -182,12 +182,12 @@ fn spilled_peak_is_bounded_by_the_budget_not_the_campaign() {
 }
 
 #[test]
-fn propagation_sketch_is_shard_count_invariant() {
-    // Part of the merge-stability contract: the quantile sketch embedded
-    // in the propagation report is *bit-identical* at every shard count,
-    // not merely within error bounds.
+fn propagation_report_is_shard_count_invariant() {
+    // Part of the merge-stability contract: the propagation report (its
+    // exact delay sample and every statistic drawn from it) is
+    // *bit-identical* at every shard count.
     let reference = propagation::analyze(&run_campaign(&scenario(Preset::Tiny, 101, 5)).campaign);
-    assert!(reference.sketch.count() > 0, "campaign must measure delays");
+    assert!(!reference.delays.is_empty(), "campaign must measure delays");
     for shards in [2, 4, 8] {
         let s = Scenario::builder()
             .preset(Preset::Tiny)
@@ -196,10 +196,6 @@ fn propagation_sketch_is_shard_count_invariant() {
             .shards(shards)
             .build();
         let report = propagation::analyze(&run_campaign(&s).campaign);
-        assert_eq!(
-            report.sketch, reference.sketch,
-            "sketch diverged at {shards} shards"
-        );
         assert_eq!(report, reference, "report diverged at {shards} shards");
     }
 }

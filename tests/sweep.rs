@@ -197,7 +197,7 @@ fn grid_results_bit_identical_across_thread_counts() {
     let (runs_1, fig1_1, report_1) = &one.output;
     let (runs_n, fig1_n, report_n) = &many.output;
     // Streaming outputs: full structural equality, floats included (the
-    // PartialEq on Summary/Histogram/Aggregate compares exact values).
+    // PartialEq on Cdf/Aggregate compares exact values).
     assert_eq!(fig1_1, fig1_n);
     assert_eq!(report_1, report_n);
     // Retained outputs: same grid order, same campaign fingerprints.
