@@ -19,7 +19,9 @@
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
 #                sequential goldens bit-for-bit
-#   lint         clippy -D warnings on every target, fmt
+#   lint         clippy -D warnings on every target, fmt, and rustdoc
+#                -D warnings over the workspace (a dangling or private
+#                intra-doc link fails)
 #   detlint      workspace determinism lint (see DETERMINISM.md): must be
 #                clean, and its JSON report must validate
 #   dynamics-smoke  scripted network dynamics: partition and eclipse
@@ -119,6 +121,7 @@ stage_par_smoke() {
 stage_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --all --check
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 }
 
 stage_detlint() {

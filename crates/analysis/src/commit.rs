@@ -20,8 +20,6 @@ use ethmeter_stats::table::pct;
 use ethmeter_stats::Cdf;
 use ethmeter_types::{BlockHash, BlockNumber, SimDuration, SimTime, TxId};
 
-use crate::Reduce;
-
 /// The confirmation depths Figure 4 plots.
 pub const CONFIRMATION_DEPTHS: [u64; 4] = [3, 12, 15, 36];
 
@@ -41,30 +39,6 @@ pub struct CommitReport {
 }
 
 impl CommitReport {
-    /// A report over zero campaigns (the [`Commit`] starting state).
-    pub fn empty() -> Self {
-        CommitReport {
-            inclusion: Cdf::from_values(std::iter::empty()),
-            confirmations: CONFIRMATION_DEPTHS
-                .iter()
-                .map(|&k| (k, Cdf::from_values(std::iter::empty())))
-                .collect(),
-            txs_measured: 0,
-            txs_skipped: 0,
-        }
-    }
-
-    /// Folds another campaign's (or partial sweep's) report into this
-    /// one. Exact: the CDFs become the union of both samples.
-    pub fn merge(&mut self, other: &CommitReport) {
-        self.inclusion.merge(&other.inclusion);
-        for ((k, cdf), (ok, ocdf)) in self.confirmations.iter_mut().zip(&other.confirmations) {
-            debug_assert_eq!(k, ok, "confirmation depths are fixed");
-            cdf.merge(ocdf);
-        }
-        self.txs_measured += other.txs_measured;
-        self.txs_skipped += other.txs_skipped;
-    }
     /// The headline number: median 12-confirmation commit delay (paper:
     /// 189 s). `None` if no transaction reached 12 confirmations.
     pub fn median_commit_12(&self) -> Option<f64> {
@@ -194,44 +168,6 @@ fn delay_cdf(mut nanos: Vec<u64>) -> Cdf {
     )
 }
 
-/// Streaming Figure 4 across many campaigns: commit-delay samples pooled
-/// over every run.
-#[derive(Debug, Clone)]
-pub struct Commit {
-    report: CommitReport,
-}
-
-impl Commit {
-    /// An accumulator over zero campaigns.
-    pub fn new() -> Self {
-        Commit {
-            report: CommitReport::empty(),
-        }
-    }
-}
-
-impl Default for Commit {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Reduce for Commit {
-    type Report = CommitReport;
-
-    fn observe(&mut self, data: &CampaignData) {
-        self.report.merge(&analyze(data));
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.report.merge(&other.report);
-    }
-
-    fn finish(self) -> CommitReport {
-        self.report
-    }
-}
-
 impl fmt::Display for CommitReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -267,124 +203,87 @@ pub struct OrderingReport {
 /// same sender arrived later at *that* observer — and samples are pooled
 /// across the four main observers.
 pub fn ordering(data: &CampaignData) -> OrderingReport {
-    let mut acc = CommitOrdering::new();
-    acc.observe(data);
-    acc.finish()
-}
-
-/// Streaming Figure 5 across many campaigns: classification counts and
-/// delay samples pooled over every run's observers.
-#[derive(Debug, Clone, Default)]
-pub struct CommitOrdering {
-    ooo_count: u64,
-    total: u64,
-    /// Delay samples in nanoseconds (see [`delay_cdf`]).
-    in_order: Vec<u64>,
-    out_of_order: Vec<u64>,
-}
-
-impl CommitOrdering {
-    /// An accumulator over zero campaigns.
-    pub fn new() -> Self {
-        Self::default()
+    let (mut ooo_count, mut total) = (0u64, 0u64);
+    // Delay samples in nanoseconds, as `delay_cdf` takes them.
+    let (mut in_order, mut out_of_order) = (Vec::new(), Vec::new());
+    let block_obs = block_observations(data);
+    // Committed txs (first canonical inclusion, known to the table),
+    // in id order: `ids[pos]`. `ranked` holds them in (sender, nonce)
+    // order; a tx's rank is its index there, `rank_of[pos]`.
+    let mut ids = Vec::new();
+    let mut ranked = Vec::new();
+    for (id, height) in first_inclusions(data, |_| true) {
+        if let Some(tx) = data.truth.txs.get(&id) {
+            ranked.push((tx.sender, tx.nonce, ids.len(), height));
+            ids.push(id);
+        }
     }
-}
-
-impl Reduce for CommitOrdering {
-    type Report = OrderingReport;
-
-    fn observe(&mut self, data: &CampaignData) {
-        let block_obs = block_observations(data);
-        // Committed txs (first canonical inclusion, known to the table),
-        // in id order: `ids[pos]`. `ranked` holds them in (sender, nonce)
-        // order; a tx's rank is its index there, `rank_of[pos]`.
-        let mut ids = Vec::new();
-        let mut ranked = Vec::new();
-        for (id, height) in first_inclusions(data, |_| true) {
-            if let Some(tx) = data.truth.txs.get(&id) {
-                ranked.push((tx.sender, tx.nonce, ids.len(), height));
-                ids.push(id);
+    ranked.sort_unstable();
+    let mut rank_of = vec![0; ids.len()];
+    for (rank, &(_, _, pos, _)) in ranked.iter().enumerate() {
+        rank_of[pos] = rank;
+    }
+    // Per main observer: one merge-join of its id-ascending scan
+    // against `ids` fills the rank-indexed arrivals (arrival_seq,
+    // first arrival), then one walk in rank order classifies them.
+    let mut arrivals: Vec<Option<(u64, SimTime)>> = vec![None; ranked.len()];
+    let mut tie: Vec<(u64, SimTime, BlockNumber)> = Vec::new();
+    for (_, log) in data.main_observers() {
+        arrivals.fill(None);
+        let mut pos = 0;
+        for r in log.scan_txs() {
+            while pos < ids.len() && ids[pos] < r.id {
+                pos += 1;
+            }
+            if ids.get(pos) == Some(&r.id) {
+                arrivals[rank_of[pos]] = Some((r.arrival_seq, r.first_true));
+                pos += 1;
             }
         }
-        ranked.sort_unstable();
-        let mut rank_of = vec![0; ids.len()];
-        for (rank, &(_, _, pos, _)) in ranked.iter().enumerate() {
-            rank_of[pos] = rank;
-        }
-        // Per main observer: one merge-join of its id-ascending scan
-        // against `ids` fills the rank-indexed arrivals (arrival_seq,
-        // first arrival), then one walk in rank order classifies them.
-        let mut arrivals: Vec<Option<(u64, SimTime)>> = vec![None; ranked.len()];
-        let mut tie: Vec<(u64, SimTime, BlockNumber)> = Vec::new();
-        for (_, log) in data.main_observers() {
-            arrivals.fill(None);
-            let mut pos = 0;
-            for r in log.scan_txs() {
-                while pos < ids.len() && ids[pos] < r.id {
-                    pos += 1;
-                }
-                if ids.get(pos) == Some(&r.id) {
-                    arrivals[rank_of[pos]] = Some((r.arrival_seq, r.first_true));
-                    pos += 1;
-                }
+        // The highest seq among the sender's lower nonces seen so
+        // far; equal (sender, nonce) entries are taken in arrival
+        // order.
+        let mut max_seq_below: Option<u64> = None;
+        let mut r = 0;
+        while r < ranked.len() {
+            let (sender, nonce, _, _) = ranked[r];
+            if r == 0 || ranked[r - 1].0 != sender {
+                max_seq_below = None;
             }
-            // The highest seq among the sender's lower nonces seen so
-            // far; equal (sender, nonce) entries are taken in arrival
-            // order.
-            let mut max_seq_below: Option<u64> = None;
-            let mut r = 0;
-            while r < ranked.len() {
-                let (sender, nonce, _, _) = ranked[r];
-                if r == 0 || ranked[r - 1].0 != sender {
-                    max_seq_below = None;
+            let end = r + ranked[r..]
+                .iter()
+                .take_while(|&&(s, n, _, _)| (s, n) == (sender, nonce))
+                .count();
+            tie.clear();
+            tie.extend((r..end).filter_map(|k| arrivals[k].map(|(seq, t)| (seq, t, ranked[k].3))));
+            tie.sort_by_key(|&(seq, _, _)| seq);
+            for &(seq, first_true, height) in &tie {
+                let ooo = max_seq_below.is_some_and(|m| m > seq);
+                total += 1;
+                if ooo {
+                    ooo_count += 1;
                 }
-                let end = r + ranked[r..]
-                    .iter()
-                    .take_while(|&&(s, n, _, _)| (s, n) == (sender, nonce))
-                    .count();
-                tie.clear();
-                tie.extend(
-                    (r..end).filter_map(|k| arrivals[k].map(|(seq, t)| (seq, t, ranked[k].3))),
-                );
-                tie.sort_by_key(|&(seq, _, _)| seq);
-                for &(seq, first_true, height) in &tie {
-                    let ooo = max_seq_below.is_some_and(|m| m > seq);
-                    self.total += 1;
-                    if ooo {
-                        self.ooo_count += 1;
-                    }
-                    // Commit sample: 12-conf delay from this observer's own
-                    // first arrival.
-                    if let Some(t12) = observed(&block_obs, height + 12) {
-                        if first_true <= t12 {
-                            let d = (t12 - first_true).as_nanos();
-                            if ooo {
-                                self.out_of_order.push(d);
-                            } else {
-                                self.in_order.push(d);
-                            }
+                // Commit sample: 12-conf delay from this observer's own
+                // first arrival.
+                if let Some(t12) = observed(&block_obs, height + 12) {
+                    if first_true <= t12 {
+                        let d = (t12 - first_true).as_nanos();
+                        if ooo {
+                            out_of_order.push(d);
+                        } else {
+                            in_order.push(d);
                         }
                     }
-                    max_seq_below = Some(max_seq_below.map_or(seq, |m| m.max(seq)));
                 }
-                r = end;
+                max_seq_below = Some(max_seq_below.map_or(seq, |m| m.max(seq)));
             }
+            r = end;
         }
     }
-
-    fn merge(&mut self, other: Self) {
-        self.ooo_count += other.ooo_count;
-        self.total += other.total;
-        self.in_order.extend(other.in_order);
-        self.out_of_order.extend(other.out_of_order);
-    }
-
-    fn finish(self) -> OrderingReport {
-        OrderingReport {
-            ooo_fraction: self.ooo_count as f64 / self.total.max(1) as f64,
-            in_order: delay_cdf(self.in_order),
-            out_of_order: delay_cdf(self.out_of_order),
-        }
+    OrderingReport {
+        ooo_fraction: ooo_count as f64 / total.max(1) as f64,
+        in_order: delay_cdf(in_order),
+        out_of_order: delay_cdf(out_of_order),
     }
 }
 
@@ -547,45 +446,6 @@ mod tests {
         let r = ordering(&data);
         assert_eq!(r.ooo_fraction, 0.0);
         assert_eq!(r.out_of_order.count(), 0);
-    }
-
-    #[test]
-    fn streamed_reductions_pool_samples_across_runs() {
-        use crate::Reduce;
-        let a = campaign_with_txs();
-        let b = campaign_with_ooo();
-        // Figure 4: two runs double the inclusion samples of one run each.
-        let mut acc = Commit::new();
-        acc.observe(&a);
-        acc.observe(&b);
-        let merged = acc.finish();
-        let mut expected = analyze(&a);
-        expected.merge(&analyze(&b));
-        assert_eq!(merged, expected);
-        assert_eq!(
-            merged.txs_measured,
-            analyze(&a).txs_measured + analyze(&b).txs_measured
-        );
-        // Figure 5: counts and CDFs pool exactly; fraction recomputed from
-        // the pooled counts (1 OOO of 3 samples, not a mean of fractions).
-        let mut ord = CommitOrdering::new();
-        ord.observe(&a);
-        ord.observe(&b);
-        let r = ord.finish();
-        assert!(
-            (r.ooo_fraction - 1.0 / 3.0).abs() < 1e-9,
-            "{}",
-            r.ooo_fraction
-        );
-        assert_eq!(r.in_order.count(), 2);
-        assert_eq!(r.out_of_order.count(), 1);
-        // Merge of single-run accumulators equals sequential observation.
-        let mut left = CommitOrdering::new();
-        left.observe(&a);
-        let mut right = CommitOrdering::new();
-        right.observe(&b);
-        left.merge(right);
-        assert_eq!(left.finish(), r);
     }
 }
 

@@ -7,7 +7,7 @@
 //! geographic decentralization in scalar indices, and Long et al.
 //! ("Measuring Miner Decentralization in Proof-of-Work Blockchains")
 //! apply the same three to miners. This module computes them over four
-//! weight distributions of one (or many merged) campaigns:
+//! weight distributions of one campaign:
 //!
 //! - **hash power** — the configured pool shares (the input axis);
 //! - **block production** — canonical blocks actually mined per pool;
@@ -15,18 +15,15 @@
 //!   measurement-side geographic axis of Figures 2/3);
 //! - **revenue** — per-pool rewards under the canonical schedule.
 //!
-//! All three indices are pure functions of the weight multiset, so the
-//! streaming [`Decentralization`] reduction is merge-tree independent
-//! like every other [`Reduce`] in this crate.
+//! All three indices are pure functions of the weight multiset, never of
+//! its order.
 
 use std::fmt;
 
 use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::Table;
 
-use crate::first_observation::FirstObservation;
-use crate::rewards::Rewards;
-use crate::Reduce;
+use crate::{first_observation, rewards};
 
 /// Concentration scalars of one non-negative weight distribution.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +106,7 @@ pub fn concentration(weights: &[f64]) -> Concentration {
     }
 }
 
-/// The decentralization table of one (or many merged) campaigns.
+/// The decentralization table of one campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecentralizationReport {
     /// Concentration of the configured hash-power shares.
@@ -120,7 +117,7 @@ pub struct DecentralizationReport {
     pub first_observation: Concentration,
     /// Concentration of per-pool revenue.
     pub revenue: Concentration,
-    /// Canonical blocks credited across the observed campaigns.
+    /// Canonical blocks credited.
     pub blocks: u64,
 }
 
@@ -157,75 +154,20 @@ impl DecentralizationReport {
     }
 }
 
-/// Computes the decentralization table of one campaign.
+/// Computes the decentralization table of one campaign: the Figure 2
+/// win shares and the revenue tallies, condensed into scalars.
 pub fn analyze(data: &CampaignData) -> DecentralizationReport {
-    let mut acc = Decentralization::new();
-    acc.observe(data);
-    acc.finish()
-}
-
-/// Streaming decentralization across campaigns: per-pool and
-/// per-vantage tallies only (via the [`FirstObservation`] and
-/// [`Rewards`] reductions), with the scalar indices computed at finish
-/// time over the merged distributions.
-#[derive(Debug, Clone)]
-pub struct Decentralization {
-    fo: FirstObservation,
-    rewards: Rewards,
-    pool_shares: Vec<f64>,
-}
-
-impl Decentralization {
-    /// An accumulator over zero campaigns.
-    pub fn new() -> Self {
-        Decentralization {
-            fo: FirstObservation::new(usize::MAX),
-            rewards: Rewards::new(),
-            pool_shares: Vec::new(),
-        }
-    }
-}
-
-impl Default for Decentralization {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Reduce for Decentralization {
-    type Report = DecentralizationReport;
-
-    fn observe(&mut self, data: &CampaignData) {
-        if self.pool_shares.is_empty() {
-            self.pool_shares = data.truth.pool_shares.clone();
-        }
-        // The embedded reductions assert a stable pool directory and
-        // vantage set, so the snapshot above stays consistent.
-        self.fo.observe(data);
-        self.rewards.observe(data);
-    }
-
-    fn merge(&mut self, other: Self) {
-        if self.pool_shares.is_empty() {
-            self.pool_shares = other.pool_shares;
-        }
-        self.fo.merge(other.fo);
-        self.rewards.merge(other.rewards);
-    }
-
-    fn finish(self) -> DecentralizationReport {
-        let geo = self.fo.finish_geo();
-        let revenue = self.rewards.finish();
-        let first_obs: Vec<f64> = geo.per_vantage.iter().map(|(_, share, _)| *share).collect();
-        let mined: Vec<f64> = revenue.rows.iter().map(|r| r.blocks as f64).collect();
-        let rewards: Vec<f64> = revenue.rows.iter().map(|r| r.reward as f64).collect();
-        DecentralizationReport {
-            hash_power: concentration(&self.pool_shares),
-            block_production: concentration(&mined),
-            first_observation: concentration(&first_obs),
-            revenue: concentration(&rewards),
-            blocks: revenue.total_blocks,
-        }
+    let geo = first_observation::geo(data);
+    let revenue = rewards::analyze(data);
+    let first_obs: Vec<f64> = geo.per_vantage.iter().map(|(_, share, _)| *share).collect();
+    let mined: Vec<f64> = revenue.rows.iter().map(|r| r.blocks as f64).collect();
+    let rewards: Vec<f64> = revenue.rows.iter().map(|r| r.reward as f64).collect();
+    DecentralizationReport {
+        hash_power: concentration(&data.truth.pool_shares),
+        block_production: concentration(&mined),
+        first_observation: concentration(&first_obs),
+        revenue: concentration(&rewards),
+        blocks: revenue.total_blocks,
     }
 }
 
@@ -317,27 +259,5 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"schema\":\"ethmeter-decentralization/v1\""));
         assert!(json.contains("\"first_observation\":{\"n\":1,\"nakamoto\":1,"));
-    }
-
-    #[test]
-    fn streamed_reduction_equals_oneshot_and_merges() {
-        let a = testutil::campaign_with_block_spread(&[0, 100, 40, 60]);
-        let b = testutil::campaign_with_block_spread(&[100, 0, 40, 60]);
-        let mut one = Decentralization::new();
-        one.observe(&a);
-        assert_eq!(one.finish(), analyze(&a));
-        let mut streamed = Decentralization::new();
-        streamed.observe(&a);
-        streamed.observe(&b);
-        let mut left = Decentralization::new();
-        left.observe(&a);
-        let mut right = Decentralization::new();
-        right.observe(&b);
-        left.merge(right);
-        let merged = left.finish();
-        assert_eq!(streamed.finish(), merged);
-        // Two vantages now win blocks: the first-observation axis widens.
-        assert_eq!(merged.first_observation.n, 2);
-        assert!(merged.first_observation.hhi < 1.0);
     }
 }

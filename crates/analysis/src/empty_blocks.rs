@@ -11,8 +11,6 @@ use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::{pct, Table};
 use ethmeter_types::PoolId;
 
-use crate::Reduce;
-
 /// One pool's row in Figure 6.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmptyBlockRow {
@@ -59,154 +57,68 @@ impl EmptyBlockReport {
 
 /// Computes Figure 6 over the canonical chain, keeping `top_n` pools.
 pub fn analyze(data: &CampaignData, top_n: usize) -> EmptyBlockReport {
-    let mut acc = EmptyBlocks::new(top_n);
-    acc.observe(data);
-    acc.finish()
-}
-
-/// Streaming Figure 6 across many campaigns: per-pool block/empty tallies
-/// accumulated run by run.
-///
-/// The always-empty-miner census is computed at finish time over the
-/// *merged* tallies — a pool empty in one run but productive in another
-/// correctly drops out, which a per-run report concatenation would get
-/// wrong.
-#[derive(Debug, Clone)]
-pub struct EmptyBlocks {
-    top_n: usize,
-    /// Per-pool `(canonical blocks, empty blocks)`.
-    pools: BTreeMap<PoolId, (u64, u64)>,
-    total_blocks: u64,
-    total_empty: u64,
-    /// Pool label/share snapshot from the first observed campaign.
-    pool_names: Vec<String>,
-    pool_shares: Vec<f64>,
-}
-
-impl EmptyBlocks {
-    /// An accumulator keeping `top_n` pools (tail folds into a
-    /// "Remaining pools" row at finish time).
-    pub fn new(top_n: usize) -> Self {
-        EmptyBlocks {
-            top_n,
-            pools: BTreeMap::new(),
-            total_blocks: 0,
-            total_empty: 0,
-            pool_names: Vec::new(),
-            pool_shares: Vec::new(),
+    // Per-pool `(canonical blocks, empty blocks)`.
+    let mut pools: BTreeMap<PoolId, (u64, u64)> = BTreeMap::new();
+    let mut total_blocks = 0u64;
+    let mut total_empty = 0u64;
+    for block in data.truth.tree.canonical_blocks() {
+        if block.number() == 0 {
+            continue;
+        }
+        total_blocks += 1;
+        let e = pools.entry(block.miner()).or_default();
+        e.0 += 1;
+        if block.is_empty() {
+            e.1 += 1;
+            total_empty += 1;
         }
     }
-
-    fn pool_name(&self, pool: PoolId) -> String {
-        self.pool_names
-            .get(pool.index())
-            .cloned()
-            .unwrap_or_else(|| pool.to_string())
-    }
-
-    fn pool_share(&self, pool: PoolId) -> f64 {
-        self.pool_shares.get(pool.index()).copied().unwrap_or(0.0)
-    }
-}
-
-impl Reduce for EmptyBlocks {
-    type Report = EmptyBlockReport;
-
-    fn observe(&mut self, data: &CampaignData) {
-        if self.pool_names.is_empty() {
-            self.pool_names = data.truth.pool_names.clone();
-            self.pool_shares = data.truth.pool_shares.clone();
-        } else {
-            // Row labels, shares, and the top-N fold are all computed from
-            // this snapshot, so a directory change mid-reduction would
-            // silently mislabel rows. Split per configuration instead
-            // (e.g. `PerPoint` in a grid).
-            assert!(
-                self.pool_names == data.truth.pool_names
-                    && self.pool_shares == data.truth.pool_shares,
-                "empty-blocks reduction requires a stable pool directory"
-            );
+    let share = |pool: PoolId| data.truth.pool_share(pool);
+    let mut pool_ids: Vec<PoolId> = pools.keys().copied().collect();
+    pool_ids.sort_by(|a, b| {
+        share(*b)
+            .partial_cmp(&share(*a))
+            .expect("finite")
+            .then(a.cmp(b))
+    });
+    let mut rows = Vec::new();
+    let mut rest = (0u64, 0u64);
+    let mut rest_share = 0.0;
+    let mut all_empty_miners = Vec::new();
+    for (rank, pool) in pool_ids.iter().enumerate() {
+        let (b, e) = pools[pool];
+        let name = data.truth.pool_name(*pool);
+        if e == b && b > 0 {
+            all_empty_miners.push((name.clone(), b));
         }
-        for block in data.truth.tree.canonical_blocks() {
-            if block.number() == 0 {
-                continue;
-            }
-            self.total_blocks += 1;
-            let e = self.pools.entry(block.miner()).or_default();
-            e.0 += 1;
-            if block.is_empty() {
-                e.1 += 1;
-                self.total_empty += 1;
-            }
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (pool, (b, e)) in other.pools {
-            let entry = self.pools.entry(pool).or_default();
-            entry.0 += b;
-            entry.1 += e;
-        }
-        self.total_blocks += other.total_blocks;
-        self.total_empty += other.total_empty;
-        if self.pool_names.is_empty() {
-            self.pool_names = other.pool_names;
-            self.pool_shares = other.pool_shares;
-        } else if !other.pool_names.is_empty() {
-            assert!(
-                self.pool_names == other.pool_names && self.pool_shares == other.pool_shares,
-                "empty-blocks reduction requires a stable pool directory"
-            );
-        }
-    }
-
-    fn finish(self) -> EmptyBlockReport {
-        let mut pool_ids: Vec<PoolId> = self.pools.keys().copied().collect();
-        pool_ids.sort_by(|a, b| {
-            self.pool_share(*b)
-                .partial_cmp(&self.pool_share(*a))
-                .expect("finite")
-                .then(a.cmp(b))
-        });
-        let mut rows = Vec::new();
-        let mut rest = (0u64, 0u64);
-        let mut rest_share = 0.0;
-        let mut all_empty_miners = Vec::new();
-        for (rank, pool) in pool_ids.iter().enumerate() {
-            let (b, e) = self.pools[pool];
-            let name = self.pool_name(*pool);
-            if e == b && b > 0 {
-                all_empty_miners.push((name.clone(), b));
-            }
-            if rank < self.top_n {
-                rows.push(EmptyBlockRow {
-                    pool: *pool,
-                    name,
-                    hash_share: self.pool_share(*pool),
-                    blocks: b,
-                    empty: e,
-                });
-            } else {
-                rest.0 += b;
-                rest.1 += e;
-                rest_share += self.pool_share(*pool);
-            }
-        }
-        if rest.0 > 0 {
+        if rank < top_n {
             rows.push(EmptyBlockRow {
-                pool: PoolId(u16::MAX),
-                name: "Remaining pools".into(),
-                hash_share: rest_share,
-                blocks: rest.0,
-                empty: rest.1,
+                pool: *pool,
+                name,
+                hash_share: share(*pool),
+                blocks: b,
+                empty: e,
             });
+        } else {
+            rest.0 += b;
+            rest.1 += e;
+            rest_share += share(*pool);
         }
-        EmptyBlockReport {
-            rows,
-            total_blocks: self.total_blocks,
-            total_empty: self.total_empty,
-            all_empty_miners,
-        }
+    }
+    if rest.0 > 0 {
+        rows.push(EmptyBlockRow {
+            pool: PoolId(u16::MAX),
+            name: "Remaining pools".into(),
+            hash_share: rest_share,
+            blocks: rest.0,
+            empty: rest.1,
+        });
+    }
+    EmptyBlockReport {
+        rows,
+        total_blocks,
+        total_empty,
+        all_empty_miners,
     }
 }
 
@@ -304,40 +216,5 @@ mod tests {
     #[test]
     fn display_renders() {
         assert!(analyze(&campaign(), 15).to_string().contains("Figure 6"));
-    }
-
-    #[test]
-    #[should_panic(expected = "stable pool directory")]
-    fn changing_pool_directory_mid_reduction_is_rejected() {
-        let a = campaign();
-        let mut b = campaign();
-        b.truth.pool_names[0] = "SomeoneElse".to_owned();
-        let mut acc = EmptyBlocks::new(15);
-        acc.observe(&a);
-        acc.observe(&b);
-    }
-
-    #[test]
-    fn streamed_reduction_merges_tallies() {
-        let data = campaign();
-        let mut acc = EmptyBlocks::new(15);
-        acc.observe(&data);
-        acc.observe(&data);
-        let r = acc.finish();
-        let single = analyze(&data, 15);
-        assert_eq!(r.total_blocks, 2 * single.total_blocks);
-        assert_eq!(r.total_empty, 2 * single.total_empty);
-        assert_eq!(r.all_empty_miners, vec![("Sparkpool".to_owned(), 10)]);
-        // Merge of single-run accumulators equals sequential observation.
-        let mut left = EmptyBlocks::new(15);
-        left.observe(&data);
-        let mut right = EmptyBlocks::new(15);
-        right.observe(&data);
-        left.merge(right);
-        assert_eq!(left.finish(), r);
-        // One observed run is exactly the classic report.
-        let mut one = EmptyBlocks::new(15);
-        one.observe(&data);
-        assert_eq!(one.finish(), single);
     }
 }

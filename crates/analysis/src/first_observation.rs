@@ -12,8 +12,6 @@ use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::{pct, Table};
 use ethmeter_types::PoolId;
 
-use crate::Reduce;
-
 /// NTP envelope used for the error bars: the paper's "offset under 10ms in
 /// 90% of cases".
 const NTP_MARGIN_NANOS: u64 = 10_000_000;
@@ -31,9 +29,21 @@ pub struct GeoReport {
 
 /// Computes Figure 2.
 pub fn geo(data: &CampaignData) -> GeoReport {
-    let mut acc = FirstObservation::new(usize::MAX);
-    acc.observe(data);
-    acc.finish_geo()
+    let wins = Wins::count(data);
+    let per_vantage = wins
+        .vantages
+        .into_iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let share = wins.wins[i] as f64 / wins.blocks.max(1) as f64;
+            let unc = wins.narrow_wins[i] as f64 / wins.blocks.max(1) as f64;
+            (name, share, unc)
+        })
+        .collect();
+    GeoReport {
+        per_vantage,
+        blocks: wins.blocks,
+    }
 }
 
 impl fmt::Display for GeoReport {
@@ -79,163 +89,81 @@ pub struct PoolReport {
 /// Computes Figure 3, keeping the `top_n` pools by hash share and folding
 /// the rest into a synthetic "Remaining" row.
 pub fn by_pool(data: &CampaignData, top_n: usize) -> PoolReport {
-    let mut acc = FirstObservation::new(top_n);
-    acc.observe(data);
-    acc.finish_pool()
+    let wins = Wins::count(data);
+    let share = |pool: PoolId| data.truth.pool_share(pool);
+    // Order pools by hash share descending; fold the tail.
+    let mut pool_ids: Vec<PoolId> = wins.pools.keys().copied().collect();
+    pool_ids.sort_by(|a, b| {
+        share(*b)
+            .partial_cmp(&share(*a))
+            .expect("finite shares")
+            .then(a.cmp(b))
+    });
+    let mut pools = Vec::new();
+    let mut rest_wins = vec![0u64; wins.vantages.len()];
+    let mut rest_blocks = 0u64;
+    let mut rest_share = 0.0;
+    for (rank, pool) in pool_ids.iter().enumerate() {
+        let (b, w) = &wins.pools[pool];
+        let b = *b;
+        if rank < top_n {
+            pools.push(PoolFirstObs {
+                pool: *pool,
+                name: data.truth.pool_name(*pool),
+                hash_share: share(*pool),
+                blocks: b,
+                vantage_shares: w.iter().map(|&x| x as f64 / b.max(1) as f64).collect(),
+            });
+        } else {
+            for (i, &x) in w.iter().enumerate() {
+                rest_wins[i] += x;
+            }
+            rest_blocks += b;
+            rest_share += share(*pool);
+        }
+    }
+    if rest_blocks > 0 {
+        pools.push(PoolFirstObs {
+            pool: PoolId(u16::MAX),
+            name: "Remaining miners".into(),
+            hash_share: rest_share,
+            blocks: rest_blocks,
+            vantage_shares: rest_wins
+                .iter()
+                .map(|&x| x as f64 / rest_blocks as f64)
+                .collect(),
+        });
+    }
+    PoolReport {
+        vantages: wins.vantages,
+        pools,
+    }
 }
 
-/// Streaming Figures 2 and 3 across many campaigns.
-///
-/// One pass over each campaign counts per-vantage wins (with NTP-narrow
-/// margins) and per-pool wins; [`Reduce::finish`] — or the more specific
-/// [`FirstObservation::finish_geo`] / [`FirstObservation::finish_pool`] —
-/// turns the merged counts into the classic reports. Shares, the
-/// "Remaining miners" fold, and uncertainty fractions are all computed at
-/// finish time, so they are exact over the whole run set.
-#[derive(Debug, Clone)]
-pub struct FirstObservation {
-    top_n: usize,
-    /// Vantage names (fixed by the first observed campaign).
+/// First-observation tallies of one campaign, shared by Figures 2 and 3.
+struct Wins {
+    /// Main vantage names, in observer order.
     vantages: Vec<String>,
+    /// Per-vantage wins.
     wins: Vec<u64>,
+    /// Per-vantage wins by a margin under the NTP envelope.
     narrow_wins: Vec<u64>,
+    /// Blocks observed by at least two vantages.
     blocks: u64,
     /// Per-pool `(raced blocks, per-vantage wins)`.
     pools: BTreeMap<PoolId, (u64, Vec<u64>)>,
-    /// Pool label/share snapshot from the first observed campaign.
-    pool_names: Vec<String>,
-    pool_shares: Vec<f64>,
 }
 
-impl FirstObservation {
-    /// An accumulator keeping `top_n` pools in Figure 3's table (the tail
-    /// folds into a "Remaining miners" row at finish time).
-    pub fn new(top_n: usize) -> Self {
-        FirstObservation {
-            top_n,
-            vantages: Vec::new(),
-            wins: Vec::new(),
-            narrow_wins: Vec::new(),
-            blocks: 0,
-            pools: BTreeMap::new(),
-            pool_names: Vec::new(),
-            pool_shares: Vec::new(),
-        }
-    }
-
-    fn pool_name(&self, pool: PoolId) -> String {
-        self.pool_names
-            .get(pool.index())
-            .cloned()
-            .unwrap_or_else(|| pool.to_string())
-    }
-
-    fn pool_share(&self, pool: PoolId) -> f64 {
-        self.pool_shares.get(pool.index()).copied().unwrap_or(0.0)
-    }
-
-    /// Finishes into Figure 2 only.
-    pub fn finish_geo(&self) -> GeoReport {
-        let per_vantage = self
-            .vantages
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let share = self.wins[i] as f64 / self.blocks.max(1) as f64;
-                let unc = self.narrow_wins[i] as f64 / self.blocks.max(1) as f64;
-                (name.clone(), share, unc)
-            })
-            .collect();
-        GeoReport {
-            per_vantage,
-            blocks: self.blocks,
-        }
-    }
-
-    /// Finishes into Figure 3 only.
-    pub fn finish_pool(&self) -> PoolReport {
-        // Order pools by hash share descending; fold the tail.
-        let mut pool_ids: Vec<PoolId> = self.pools.keys().copied().collect();
-        pool_ids.sort_by(|a, b| {
-            self.pool_share(*b)
-                .partial_cmp(&self.pool_share(*a))
-                .expect("finite shares")
-                .then(a.cmp(b))
-        });
-        let mut pools = Vec::new();
-        let mut rest_wins = vec![0u64; self.vantages.len()];
-        let mut rest_blocks = 0u64;
-        let mut rest_share = 0.0;
-        for (rank, pool) in pool_ids.iter().enumerate() {
-            let (b, w) = &self.pools[pool];
-            let b = *b;
-            if rank < self.top_n {
-                pools.push(PoolFirstObs {
-                    pool: *pool,
-                    name: self.pool_name(*pool),
-                    hash_share: self.pool_share(*pool),
-                    blocks: b,
-                    vantage_shares: w.iter().map(|&x| x as f64 / b.max(1) as f64).collect(),
-                });
-            } else {
-                for (i, &x) in w.iter().enumerate() {
-                    rest_wins[i] += x;
-                }
-                rest_blocks += b;
-                rest_share += self.pool_share(*pool);
-            }
-        }
-        if rest_blocks > 0 {
-            pools.push(PoolFirstObs {
-                pool: PoolId(u16::MAX),
-                name: "Remaining miners".into(),
-                hash_share: rest_share,
-                blocks: rest_blocks,
-                vantage_shares: rest_wins
-                    .iter()
-                    .map(|&x| x as f64 / rest_blocks as f64)
-                    .collect(),
-            });
-        }
-        PoolReport {
-            vantages: self.vantages.clone(),
-            pools,
-        }
-    }
-}
-
-impl Reduce for FirstObservation {
-    type Report = (GeoReport, PoolReport);
-
-    fn observe(&mut self, data: &CampaignData) {
-        let names: Vec<String> = data.main_observers().map(|(v, _)| v.name.clone()).collect();
-        if self.vantages.is_empty() {
-            self.vantages = names;
-            self.wins = vec![0; self.vantages.len()];
-            self.narrow_wins = vec![0; self.vantages.len()];
-        } else {
-            assert_eq!(
-                self.vantages, names,
-                "first-observation reduction requires a stable vantage set"
-            );
-        }
-        if self.pool_names.is_empty() {
-            self.pool_names = data.truth.pool_names.clone();
-            self.pool_shares = data.truth.pool_shares.clone();
-        } else {
-            // Figure 3's labels, shares, and top-N fold come from this
-            // snapshot; reject a mid-reduction directory change instead
-            // of silently mislabeling rows (split per configuration,
-            // e.g. `PerPoint` in a grid).
-            assert!(
-                self.pool_names == data.truth.pool_names
-                    && self.pool_shares == data.truth.pool_shares,
-                "first-observation reduction requires a stable pool directory"
-            );
-        }
-        // One streaming merge-join over the observer scans (works for
-        // spilled and in-memory logs alike); the truth tree supplies the
-        // origin pool per observed hash.
+impl Wins {
+    /// One streaming merge-join over the observer scans (works for
+    /// spilled and in-memory logs alike); the truth tree supplies the
+    /// origin pool per observed hash.
+    fn count(data: &CampaignData) -> Self {
+        let vantages: Vec<String> = data.main_observers().map(|(v, _)| v.name.clone()).collect();
+        let mut wins = vec![0; vantages.len()];
+        let mut narrow_wins = vec![0; vantages.len()];
+        let mut blocks = 0;
+        let mut pools: BTreeMap<PoolId, (u64, Vec<u64>)> = BTreeMap::new();
         let tree = &data.truth.tree;
         let genesis = tree.genesis_hash();
         data.for_each_main_block(|hash, group| {
@@ -245,13 +173,13 @@ impl Reduce for FirstObservation {
             let Some(block) = tree.get(hash) else {
                 return;
             };
-            self.blocks += 1;
+            blocks += 1;
             let (winner, t_first) = group
                 .iter()
                 .map(|&(i, r)| (i, r.first_local.as_nanos()))
                 .min_by_key(|&(_, t)| t)
                 .expect("non-empty");
-            self.wins[winner] += 1;
+            wins[winner] += 1;
             let runner_up = group
                 .iter()
                 .filter(|&&(i, _)| i != winner)
@@ -259,59 +187,21 @@ impl Reduce for FirstObservation {
                 .min()
                 .expect("two arrivals");
             if runner_up - t_first < NTP_MARGIN_NANOS {
-                self.narrow_wins[winner] += 1;
+                narrow_wins[winner] += 1;
             }
-            let entry = self
-                .pools
+            let entry = pools
                 .entry(block.miner())
-                .or_insert_with(|| (0, vec![0; self.vantages.len()]));
+                .or_insert_with(|| (0, vec![0; vantages.len()]));
             entry.0 += 1;
             entry.1[winner] += 1;
         });
-    }
-
-    fn merge(&mut self, other: Self) {
-        if self.vantages.is_empty() {
-            *self = other;
-            return;
+        Wins {
+            vantages,
+            wins,
+            narrow_wins,
+            blocks,
+            pools,
         }
-        if other.vantages.is_empty() {
-            return;
-        }
-        assert_eq!(
-            self.vantages, other.vantages,
-            "first-observation reduction requires a stable vantage set"
-        );
-        for (a, b) in self.wins.iter_mut().zip(other.wins) {
-            *a += b;
-        }
-        for (a, b) in self.narrow_wins.iter_mut().zip(other.narrow_wins) {
-            *a += b;
-        }
-        self.blocks += other.blocks;
-        for (pool, (b, w)) in other.pools {
-            let entry = self
-                .pools
-                .entry(pool)
-                .or_insert_with(|| (0, vec![0; self.vantages.len()]));
-            entry.0 += b;
-            for (a, x) in entry.1.iter_mut().zip(w) {
-                *a += x;
-            }
-        }
-        if self.pool_names.is_empty() {
-            self.pool_names = other.pool_names;
-            self.pool_shares = other.pool_shares;
-        } else if !other.pool_names.is_empty() {
-            assert!(
-                self.pool_names == other.pool_names && self.pool_shares == other.pool_shares,
-                "first-observation reduction requires a stable pool directory"
-            );
-        }
-    }
-
-    fn finish(self) -> (GeoReport, PoolReport) {
-        (self.finish_geo(), self.finish_pool())
     }
 }
 
@@ -404,46 +294,6 @@ mod tests {
         assert_eq!(r.pools.len(), 2);
         assert_eq!(r.pools[1].name, "Remaining miners");
         assert_eq!(r.pools[1].blocks, testutil::BLOCKS as u64 / 2);
-    }
-
-    #[test]
-    fn streamed_reduction_counts_across_runs() {
-        use crate::Reduce;
-        let a = testutil::campaign_with_block_spread(&[0, 100, 40, 60]);
-        let b = testutil::campaign_with_block_spread(&[100, 0, 40, 60]); // NA first
-        let mut acc = FirstObservation::new(15);
-        acc.observe(&a);
-        acc.observe(&b);
-        let (geo_r, pool_r) = acc.finish();
-        assert_eq!(geo_r.blocks, 2 * testutil::BLOCKS as u64);
-        // EA won every block of run a, NA every block of run b.
-        let share = |name: &str| {
-            geo_r
-                .per_vantage
-                .iter()
-                .find(|(n, ..)| n == name)
-                .expect("present")
-                .1
-        };
-        assert!((share("EA") - 0.5).abs() < 1e-9);
-        assert!((share("NA") - 0.5).abs() < 1e-9);
-        // Pool tallies doubled relative to one run.
-        let single = by_pool(&a, 15);
-        assert_eq!(pool_r.pools.len(), single.pools.len());
-        assert_eq!(pool_r.pools[0].blocks, 2 * single.pools[0].blocks);
-        // Merging two single-run accumulators equals observing both.
-        let mut left = FirstObservation::new(15);
-        left.observe(&a);
-        let mut right = FirstObservation::new(15);
-        right.observe(&b);
-        left.merge(right);
-        assert_eq!(left.finish_geo(), geo_r);
-        assert_eq!(left.finish_pool(), pool_r);
-        // One observed run reproduces the classic reports exactly.
-        let mut one = FirstObservation::new(15);
-        one.observe(&a);
-        assert_eq!(one.finish_geo(), geo(&a));
-        assert_eq!(one.finish_pool(), single);
     }
 
     #[test]

@@ -9,8 +9,6 @@ use ethmeter_chain::forks::{
 use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::{grouped, pct, Table};
 
-use crate::Reduce;
-
 /// §III-C5's aggregation of one-miner fork groups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OneMinerReport {
@@ -55,129 +53,64 @@ pub struct ForkReport {
 
 /// Computes Table III and the one-miner fork statistics from ground truth.
 pub fn analyze(data: &CampaignData) -> ForkReport {
-    let mut acc = Forks::new();
-    acc.observe(data);
-    acc.finish()
-}
-
-/// Streaming Table III + §III-C5 across many campaigns: the fork census,
-/// length table, and one-miner counters accumulated run by run. All the
-/// report's fractions are recomputed from the merged counters at finish
-/// time, so a thousand-run reduction reports pooled rates, not averages
-/// of per-run rates.
-#[derive(Debug, Clone, Default)]
-pub struct Forks {
-    census: BlockCensus,
-    /// Fork length -> `(total, recognized)`.
-    lengths: BTreeMap<usize, (u64, u64)>,
-    tuples: Vec<u64>,
-    duplicates: u64,
-    recognized: u64,
-    same_txset: u64,
-    groups: u64,
-    one_miner_forks: u64,
-    total_forks: u64,
-}
-
-impl Forks {
-    /// An accumulator over zero campaigns.
-    pub fn new() -> Self {
-        Self::default()
+    let tree = &data.truth.tree;
+    let forks = extract_forks(tree);
+    // Fork length -> `(total, recognized)`.
+    let mut lengths: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
+    for f in &forks {
+        let e = lengths.entry(f.length).or_default();
+        e.0 += 1;
+        if f.recognized {
+            e.1 += 1;
+        }
     }
-}
-
-impl Reduce for Forks {
-    type Report = ForkReport;
-
-    fn observe(&mut self, data: &CampaignData) {
-        let tree = &data.truth.tree;
-        let forks = extract_forks(tree);
-        for f in &forks {
-            let e = self.lengths.entry(f.length).or_default();
-            e.0 += 1;
-            if f.recognized {
-                e.1 += 1;
-            }
+    let groups = one_miner_groups(tree);
+    let mut tuples: Vec<u64> = Vec::new();
+    let (mut duplicates, mut recognized, mut same_txset) = (0u64, 0u64, 0u64);
+    for g in &groups {
+        let idx = g.size() - 2;
+        if tuples.len() <= idx {
+            tuples.resize(idx + 1, 0);
         }
-        let groups = one_miner_groups(tree);
-        for g in &groups {
-            let idx = g.size() - 2;
-            if self.tuples.len() <= idx {
-                self.tuples.resize(idx + 1, 0);
-            }
-            self.tuples[idx] += 1;
-            self.duplicates += g.duplicates;
-            self.recognized += g.recognized_duplicates;
-            if g.same_tx_set {
-                self.same_txset += 1;
-            }
+        tuples[idx] += 1;
+        duplicates += g.duplicates;
+        recognized += g.recognized_duplicates;
+        if g.same_tx_set {
+            same_txset += 1;
         }
-        self.groups += groups.len() as u64;
-        // A fork is a one-miner divergence when its first block's miner
-        // also mined the canonical block at the same height.
-        self.one_miner_forks += forks
+    }
+    // A fork is a one-miner divergence when its first block's miner
+    // also mined the canonical block at the same height.
+    let one_miner_forks = forks
+        .iter()
+        .filter(|f| {
+            let Some(&first) = f.blocks.first() else {
+                return false;
+            };
+            let Some(fork_block) = tree.get(first) else {
+                return false;
+            };
+            tree.canonical_hash(f.start_number)
+                .and_then(|h| tree.get(h))
+                .is_some_and(|main| main.miner() == fork_block.miner())
+        })
+        .count();
+    let table = ForkLengthTable {
+        rows: lengths
             .iter()
-            .filter(|f| {
-                let Some(&first) = f.blocks.first() else {
-                    return false;
-                };
-                let Some(fork_block) = tree.get(first) else {
-                    return false;
-                };
-                tree.canonical_hash(f.start_number)
-                    .and_then(|h| tree.get(h))
-                    .is_some_and(|main| main.miner() == fork_block.miner())
-            })
-            .count() as u64;
-        self.total_forks += forks.len() as u64;
-        let c = census(tree);
-        self.census.main += c.main;
-        self.census.recognized_uncles += c.recognized_uncles;
-        self.census.unrecognized += c.unrecognized;
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.census.main += other.census.main;
-        self.census.recognized_uncles += other.census.recognized_uncles;
-        self.census.unrecognized += other.census.unrecognized;
-        for (len, (total, rec)) in other.lengths {
-            let e = self.lengths.entry(len).or_default();
-            e.0 += total;
-            e.1 += rec;
-        }
-        if self.tuples.len() < other.tuples.len() {
-            self.tuples.resize(other.tuples.len(), 0);
-        }
-        for (a, b) in self.tuples.iter_mut().zip(other.tuples) {
-            *a += b;
-        }
-        self.duplicates += other.duplicates;
-        self.recognized += other.recognized;
-        self.same_txset += other.same_txset;
-        self.groups += other.groups;
-        self.one_miner_forks += other.one_miner_forks;
-        self.total_forks += other.total_forks;
-    }
-
-    fn finish(self) -> ForkReport {
-        let table = ForkLengthTable {
-            rows: self
-                .lengths
-                .iter()
-                .map(|(&len, &(total, rec))| (len, total, rec, total - rec))
-                .collect(),
-        };
-        ForkReport {
-            census: self.census,
-            table,
-            one_miner: OneMinerReport {
-                tuples: self.tuples,
-                recognized_fraction: self.recognized as f64 / self.duplicates.max(1) as f64,
-                same_txset_fraction: self.same_txset as f64 / self.groups.max(1) as f64,
-                fraction_of_forks: self.one_miner_forks as f64 / self.total_forks.max(1) as f64,
-            },
-            total_forks: self.total_forks,
-        }
+            .map(|(&len, &(total, rec))| (len, total, rec, total - rec))
+            .collect(),
+    };
+    ForkReport {
+        census: census(tree),
+        table,
+        one_miner: OneMinerReport {
+            tuples,
+            recognized_fraction: recognized as f64 / duplicates.max(1) as f64,
+            same_txset_fraction: same_txset as f64 / groups.len().max(1) as f64,
+            fraction_of_forks: one_miner_forks as f64 / forks.len().max(1) as f64,
+        },
+        total_forks: forks.len() as u64,
     }
 }
 
@@ -316,33 +249,5 @@ mod tests {
         let s = analyze(&campaign()).to_string();
         assert!(s.contains("Table III"));
         assert!(s.contains("2-tuples: 1"));
-    }
-
-    #[test]
-    fn streamed_reduction_pools_counters() {
-        use crate::Reduce;
-        let data = campaign();
-        let mut acc = Forks::new();
-        acc.observe(&data);
-        acc.observe(&data);
-        let r = acc.finish();
-        let single = analyze(&data);
-        assert_eq!(r.census.total(), 2 * single.census.total());
-        assert_eq!(r.total_forks, 2 * single.total_forks);
-        assert_eq!(r.table.rows, vec![(1, 4, 2, 2)]);
-        assert_eq!(r.one_miner.pairs(), 2);
-        // Pooled fractions equal the per-run ones for identical runs.
-        assert!((r.one_miner.fraction_of_forks - single.one_miner.fraction_of_forks).abs() < 1e-9);
-        // Merge of single-run accumulators equals sequential observation.
-        let mut left = Forks::new();
-        left.observe(&data);
-        let mut right = Forks::new();
-        right.observe(&data);
-        left.merge(right);
-        assert_eq!(left.finish(), r);
-        // One observed run is exactly the classic report.
-        let mut one = Forks::new();
-        one.observe(&data);
-        assert_eq!(one.finish(), single);
     }
 }

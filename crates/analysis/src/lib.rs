@@ -19,22 +19,9 @@
 //!
 //! All analyzers consume a [`ethmeter_measure::CampaignData`]; the
 //! sequence analyses additionally accept bare miner sequences so the fast
-//! chain-only simulator can feed them directly.
-//!
-//! # Streaming across campaigns
-//!
-//! Each report family also ships a [`Reduce`] accumulator
-//! ([`propagation::Propagation`], [`redundancy::Redundancy`],
-//! [`first_observation::FirstObservation`], [`commit::Commit`],
-//! [`commit::CommitOrdering`], [`empty_blocks::EmptyBlocks`],
-//! [`forks::Forks`], [`rewards::Rewards`], [`reorg::Reorg`],
-//! [`decentralization::Decentralization`]) that folds one campaign at a time into a compact
-//! summary and can merge with other accumulators. The single-campaign
-//! `analyze` functions are the one-shot path through the same
-//! accumulators, so a streamed multi-campaign report over one run equals
-//! the classic report exactly. This is what lets a thousand-run sweep
-//! compute every table at ~constant memory: the full `CampaignData`
-//! (observer logs + ground-truth tree) is dropped after each `observe`.
+//! chain-only simulator can feed them directly. Each analysis is one
+//! function from one campaign to one report; statistics across runs are
+//! per-run scalars read off these reports (`Scalars` in `ethmeter-core`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,33 +39,3 @@ pub mod sequences;
 
 #[cfg(test)]
 pub(crate) mod testutil;
-
-use ethmeter_measure::CampaignData;
-
-/// A streaming campaign reduction: observe campaigns one at a time, merge
-/// partial reductions, and finish into a report.
-///
-/// The contract every implementation upholds (and the sweep machinery
-/// relies on):
-///
-/// - **one-shot equivalence** — `observe` on a fresh accumulator followed
-///   by `finish` equals the module's classic `analyze(data)` output;
-/// - **merge-tree independence** — folding per-campaign accumulators
-///   together in a fixed observation order yields the same report no
-///   matter how the merges are grouped, so parallel sweeps are
-///   bit-identical at any thread count;
-/// - **compactness** — accumulator state holds reduced samples and
-///   counters only, never the observed `CampaignData`.
-pub trait Reduce {
-    /// The finished report type.
-    type Report;
-
-    /// Folds one campaign into the accumulator.
-    fn observe(&mut self, data: &CampaignData);
-
-    /// Absorbs another accumulator of the same configuration.
-    fn merge(&mut self, other: Self);
-
-    /// Produces the final report.
-    fn finish(self) -> Self::Report;
-}

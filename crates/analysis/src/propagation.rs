@@ -1,7 +1,7 @@
 //! Figure 1: block propagation delay.
 //!
 //! The paper adapts Decker & Wattenhofer's method: "the propagation delay
-//! of a block [is] the time difference between the first observation of
+//! of a block \[is\] the time difference between the first observation of
 //! that block at any instance of a measurement node and the times of
 //! arrival on the remaining measurement nodes" (§II). Delays are computed
 //! from *local* (NTP-skewed) timestamps, exactly as in the real
@@ -13,8 +13,6 @@ use std::fmt;
 use ethmeter_measure::CampaignData;
 use ethmeter_stats::{Cdf, Histogram};
 
-use crate::Reduce;
-
 /// Figure 1's data: the distribution of cross-observer arrival spreads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PropagationReport {
@@ -25,66 +23,12 @@ pub struct PropagationReport {
 }
 
 impl PropagationReport {
-    /// A report over zero campaigns (the [`Propagation`] starting state).
-    pub fn empty() -> Self {
-        PropagationReport {
-            delays: Cdf::from_values(std::iter::empty()),
-            blocks_measured: 0,
-        }
-    }
-
-    /// Folds another campaign's (or partial sweep's) report into this
-    /// one. Exact: equals one report over the union of both delay
-    /// samples, independent of merge grouping.
-    pub fn merge(&mut self, other: &PropagationReport) {
-        self.delays.merge(&other.delays);
-        self.blocks_measured += other.blocks_measured;
-    }
-
     /// The PDF histogram of Figure 1 (0–500 ms, 25 bins) of
     /// [`PropagationReport::delays`].
     pub fn histogram(&self) -> Histogram {
         let mut histogram = Histogram::new(0.0, 500.0, 25);
         histogram.record_all(self.delays.sorted_values().iter().copied());
         histogram
-    }
-}
-
-/// Streaming Figure 1 across many campaigns: one [`PropagationReport`]
-/// accumulated run by run.
-#[derive(Debug, Clone)]
-pub struct Propagation {
-    report: PropagationReport,
-}
-
-impl Propagation {
-    /// An accumulator over zero campaigns.
-    pub fn new() -> Self {
-        Propagation {
-            report: PropagationReport::empty(),
-        }
-    }
-}
-
-impl Default for Propagation {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Reduce for Propagation {
-    type Report = PropagationReport;
-
-    fn observe(&mut self, data: &CampaignData) {
-        self.report.merge(&analyze(data));
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.report.merge(&other.report);
-    }
-
-    fn finish(self) -> PropagationReport {
-        self.report
     }
 }
 
@@ -185,30 +129,6 @@ mod tests {
         let mass: f64 = (0..histogram.bins()).map(|i| histogram.pdf(i)).sum();
         assert!((mass - 1.0).abs() < 1e-9, "all spreads under 500ms");
         assert!(report.to_string().contains("Figure 1"));
-    }
-
-    #[test]
-    fn streamed_reduction_equals_oneshot_analysis() {
-        let a = testutil::campaign_with_block_spread(&[0, 100, 40, 60]);
-        let b = testutil::campaign_with_block_spread(&[0, 20, 80, 10]);
-        // observe(a); observe(b) == merge of two single-run accumulators
-        // == analyze(a) + analyze(b), field for field.
-        let mut streamed = Propagation::new();
-        streamed.observe(&a);
-        streamed.observe(&b);
-        let mut left = Propagation::new();
-        left.observe(&a);
-        let mut right = Propagation::new();
-        right.observe(&b);
-        left.merge(right);
-        let mut expected = analyze(&a);
-        expected.merge(&analyze(&b));
-        assert_eq!(streamed.finish(), expected);
-        assert_eq!(left.finish(), expected);
-        // One observed campaign reproduces the classic report exactly.
-        let mut single = Propagation::new();
-        single.observe(&a);
-        assert_eq!(single.finish(), analyze(&a));
     }
 
     #[test]

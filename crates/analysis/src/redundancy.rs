@@ -8,11 +8,9 @@
 
 use std::fmt;
 
-use ethmeter_measure::{CampaignData, ObserverLog};
+use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::{f3, Table};
 use ethmeter_stats::Cdf;
-
-use crate::Reduce;
 
 /// One row of Table II.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,17 +79,14 @@ impl std::error::Error for RedundancyError {}
 /// complementary observer, [`RedundancyError::EmptyLog`] if it saw
 /// nothing.
 pub fn analyze(data: &CampaignData) -> Result<RedundancyReport, RedundancyError> {
-    let mut acc = Redundancy::new();
-    acc.observe(data);
-    acc.finish()
-}
-
-/// Per-block reception samples of one observer log:
-/// `(announcements, whole blocks, both combined)`.
-///
-/// One pass over [`ObserverLog::scan_blocks`], so a spilled log reads
-/// identically to an in-memory one and raw rows are never collected.
-fn reception_cdfs(log: &ObserverLog) -> (Cdf, Cdf, Cdf) {
+    let (_, log) = data
+        .redundancy_observer()
+        .ok_or(RedundancyError::NoDefaultObserver)?;
+    if log.block_count() == 0 {
+        return Err(RedundancyError::EmptyLog);
+    }
+    // One pass over `ObserverLog::scan_blocks`, so a spilled log reads
+    // identically to an in-memory one and raw rows are never collected.
     let mut ann: Vec<f64> = Vec::new();
     let mut full: Vec<f64> = Vec::new();
     let mut both: Vec<f64> = Vec::new();
@@ -100,85 +95,12 @@ fn reception_cdfs(log: &ObserverLog) -> (Cdf, Cdf, Cdf) {
         full.push(f64::from(r.full_blocks));
         both.push(f64::from(r.total_receptions()));
     }
-    (
-        Cdf::from_values(ann),
-        Cdf::from_values(full),
-        Cdf::from_values(both),
-    )
-}
-
-/// Streaming Table II across many campaigns: per-block reception samples
-/// pooled over every run's default-peers observer.
-#[derive(Debug, Clone)]
-pub struct Redundancy {
-    announces: Cdf,
-    whole_blocks: Cdf,
-    combined: Cdf,
-    blocks: u64,
-    saw_observer: bool,
-}
-
-impl Redundancy {
-    /// An accumulator over zero campaigns.
-    pub fn new() -> Self {
-        let empty = || Cdf::from_values(std::iter::empty());
-        Redundancy {
-            announces: empty(),
-            whole_blocks: empty(),
-            combined: empty(),
-            blocks: 0,
-            saw_observer: false,
-        }
-    }
-}
-
-impl Default for Redundancy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Reduce for Redundancy {
-    type Report = Result<RedundancyReport, RedundancyError>;
-
-    fn observe(&mut self, data: &CampaignData) {
-        let Some((_, log)) = data.redundancy_observer() else {
-            return;
-        };
-        self.saw_observer = true;
-        if log.block_count() == 0 {
-            return;
-        }
-        let (ann, full, both) = reception_cdfs(log);
-        self.announces.merge(&ann);
-        self.whole_blocks.merge(&full);
-        self.combined.merge(&both);
-        self.blocks += log.block_count() as u64;
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.announces.merge(&other.announces);
-        self.whole_blocks.merge(&other.whole_blocks);
-        self.combined.merge(&other.combined);
-        self.blocks += other.blocks;
-        self.saw_observer |= other.saw_observer;
-    }
-
-    fn finish(self) -> Result<RedundancyReport, RedundancyError> {
-        if self.blocks == 0 {
-            return Err(if self.saw_observer {
-                RedundancyError::EmptyLog
-            } else {
-                RedundancyError::NoDefaultObserver
-            });
-        }
-        Ok(RedundancyReport {
-            announcements: RedundancyRow::from_cdf(&self.announces),
-            whole_blocks: RedundancyRow::from_cdf(&self.whole_blocks),
-            combined: RedundancyRow::from_cdf(&self.combined),
-            blocks: self.blocks,
-        })
-    }
+    Ok(RedundancyReport {
+        announcements: RedundancyRow::from_cdf(&Cdf::from_values(ann)),
+        whole_blocks: RedundancyRow::from_cdf(&Cdf::from_values(full)),
+        combined: RedundancyRow::from_cdf(&Cdf::from_values(both)),
+        blocks: log.block_count() as u64,
+    })
 }
 
 impl fmt::Display for RedundancyReport {
@@ -286,30 +208,6 @@ mod tests {
         data.observers
             .push((VantagePoint::paper_redundancy(), ObserverLog::new()));
         assert_eq!(analyze(&data), Err(RedundancyError::EmptyLog));
-    }
-
-    #[test]
-    fn streamed_reduction_pools_samples_across_runs() {
-        let data = campaign_with_redundancy();
-        // Two observations of the same campaign double every sample.
-        let mut acc = Redundancy::new();
-        acc.observe(&data);
-        acc.observe(&data);
-        let r = acc.finish().expect("data present");
-        let single = analyze(&data).expect("ok");
-        assert_eq!(r.blocks, 2 * single.blocks);
-        assert!((r.announcements.avg - single.announcements.avg).abs() < 1e-12);
-        assert_eq!(r.whole_blocks.median, single.whole_blocks.median);
-        // A run without the observer neither errors nor perturbs totals.
-        let mut mixed = Redundancy::new();
-        mixed.observe(&testutil::campaign_with_block_spread(&[0, 100, 40, 60]));
-        mixed.observe(&data);
-        assert_eq!(mixed.finish().expect("ok"), single);
-        // No runs with data at all: error mirrors the one-shot behavior.
-        assert_eq!(
-            Redundancy::new().finish(),
-            Err(RedundancyError::NoDefaultObserver)
-        );
     }
 
     #[test]

@@ -25,15 +25,12 @@
 //! the fraction of `k`-confirmed accept decisions that were later
 //! reverted. Under attack scenarios (an eclipsed pool mining an island
 //! chain that loses on release) the numerator grows with the eclipse
-//! duration; the streaming [`Reorg`] reduction makes the curve cheap to
-//! pool across campaign grids.
+//! duration.
 
 use std::fmt;
 
 use ethmeter_measure::CampaignData;
 use ethmeter_types::{BlockHash, BlockNumber, FxHashMap};
-
-use crate::Reduce;
 
 /// Depths beyond this are clamped into the last bucket; the report
 /// prints `k ∈ 1..=MAX_K`.
@@ -58,22 +55,21 @@ pub struct RevertRow {
     pub p_revert: f64,
 }
 
-/// The reorg-depth report of one (or many merged) campaigns.
+/// The reorg-depth report of one campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReorgReport {
     /// `P(revert ≥ k)` rows for `k ∈ 1..=MAX_K`.
     pub rows: Vec<RevertRow>,
-    /// Canonical blocks across the observed campaigns (genesis excluded).
+    /// Canonical blocks (genesis excluded).
     pub canonical_blocks: u64,
-    /// Abandoned (non-canonical) blocks across the observed campaigns.
+    /// Abandoned (non-canonical) blocks.
     pub abandoned_blocks: u64,
     /// The deepest revert observed (clamped at [`MAX_K`] `+ 1`).
     pub max_depth: u32,
-    /// The engine's safe-confirmation depth (max across merged
-    /// campaigns) — the `k` row a "safe" client reads.
+    /// The engine's safe-confirmation depth — the `k` row a "safe"
+    /// client reads.
     pub safe_depth: u64,
-    /// The engine's finalized-confirmation depth (max across merged
-    /// campaigns).
+    /// The engine's finalized-confirmation depth.
     pub finalized_depth: u64,
 }
 
@@ -136,136 +132,63 @@ impl fmt::Display for ReorgReport {
 
 /// Computes the reorg-depth table of one campaign.
 pub fn analyze(data: &CampaignData) -> ReorgReport {
-    let mut acc = Reorg::new();
-    acc.observe(data);
-    acc.finish()
-}
+    let tree = &data.truth.tree;
+    // `reverted_ge[k]` = abandoned blocks with revert depth `≥ k` (index
+    // 0 unused).
+    let mut reverted_ge = [0u64; BUCKETS + 1];
+    let mut max_depth = 0u32;
 
-/// Streaming reorg-depth reduction: integer tail counters only, so
-/// merging is plain addition and trivially merge-tree independent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reorg {
-    /// `reverted_ge[k]` = abandoned blocks with revert depth `≥ k`
-    /// (index 0 unused).
-    reverted_ge: [u64; BUCKETS + 1],
-    /// `at_risk_canonical_ge[k]` = canonical blocks that reached `≥ k`
-    /// confirmations, summed per campaign at observe time (index 0
-    /// unused).
-    at_risk_canonical_ge: [u64; BUCKETS + 1],
-    canonical: u64,
-    abandoned: u64,
-    max_depth: u32,
-    /// Confirmation depths read from each campaign's consensus engine
-    /// (merged by max; 0 until the first observe).
-    safe_depth: u64,
-    finalized_depth: u64,
-}
-
-impl Reorg {
-    /// An accumulator over zero campaigns.
-    pub fn new() -> Self {
-        Reorg {
-            reverted_ge: [0; BUCKETS + 1],
-            at_risk_canonical_ge: [0; BUCKETS + 1],
-            canonical: 0,
-            abandoned: 0,
-            max_depth: 0,
-            safe_depth: 0,
-            finalized_depth: 0,
+    // Revert depths: every descendant of a non-canonical block is
+    // itself non-canonical, so one height-descending sweep propagates
+    // each subtree's max height to its root — by the time a block is
+    // visited, all its children already carry their subtree maxima.
+    // The sweep order is fully determined by `(height desc, hash)`,
+    // independent of the tree's internal map order.
+    let mut abandoned: Vec<(BlockNumber, BlockHash)> = tree
+        .non_canonical_blocks()
+        .map(|b| (b.number(), b.hash()))
+        .collect();
+    abandoned.sort_by_key(|&(n, h)| (std::cmp::Reverse(n), h));
+    let mut subtree_max: FxHashMap<BlockHash, BlockNumber> = FxHashMap::default();
+    for &(number, hash) in &abandoned {
+        let mut max = number;
+        for &child in tree.children_of(hash) {
+            max = max.max(subtree_max[&child]);
         }
+        subtree_max.insert(hash, max);
+        let depth = (max - number + 1).min(BUCKETS as u64) as usize;
+        for count in &mut reverted_ge[1..=depth] {
+            *count += 1;
+        }
+        max_depth = max_depth.max(depth as u32);
     }
-}
 
-impl Default for Reorg {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Reduce for Reorg {
-    type Report = ReorgReport;
-
-    fn observe(&mut self, data: &CampaignData) {
-        let tree = &data.truth.tree;
-        // Confirmation depths come from the campaign's consensus engine;
-        // heterogeneous merges keep the most conservative (deepest) rule.
-        self.safe_depth = self.safe_depth.max(tree.consensus().safe_depth());
-        self.finalized_depth = self.finalized_depth.max(tree.consensus().finalized_depth());
-
-        // Revert depths: every descendant of a non-canonical block is
-        // itself non-canonical, so one height-descending sweep propagates
-        // each subtree's max height to its root — by the time a block is
-        // visited, all its children already carry their subtree maxima.
-        // The sweep order is fully determined by `(height desc, hash)`,
-        // independent of the tree's internal map order.
-        let mut abandoned: Vec<(BlockNumber, BlockHash)> = tree
-            .non_canonical_blocks()
-            .map(|b| (b.number(), b.hash()))
-            .collect();
-        abandoned.sort_by_key(|&(n, h)| (std::cmp::Reverse(n), h));
-        let mut subtree_max: FxHashMap<BlockHash, BlockNumber> = FxHashMap::default();
-        for &(number, hash) in &abandoned {
-            let mut max = number;
-            for &child in tree.children_of(hash) {
-                max = max.max(subtree_max[&child]);
+    // Canonical survivors: a chain of length n has n − k + 1 blocks
+    // with ≥ k confirmations (counting the block itself).
+    let n = tree.head_number();
+    let rows = (1..=MAX_K as u32)
+        .map(|k| {
+            let reverted = reverted_ge[k as usize];
+            let at_risk = reverted + (n + 1).saturating_sub(u64::from(k));
+            RevertRow {
+                k,
+                reverted,
+                at_risk,
+                p_revert: if at_risk == 0 {
+                    0.0
+                } else {
+                    reverted as f64 / at_risk as f64
+                },
             }
-            subtree_max.insert(hash, max);
-            let depth = (max - number + 1).min(BUCKETS as u64) as usize;
-            for k in 1..=depth {
-                self.reverted_ge[k] += 1;
-            }
-            self.max_depth = self.max_depth.max(depth as u32);
-        }
-        self.abandoned += abandoned.len() as u64;
-
-        // Canonical survivors: a chain of length n has n − k + 1 blocks
-        // with ≥ k confirmations (counting the block itself).
-        let n = tree.head_number();
-        self.canonical += n;
-        for k in 1..=BUCKETS as u64 {
-            if n >= k {
-                self.at_risk_canonical_ge[k as usize] += n - k + 1;
-            }
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for k in 0..=BUCKETS {
-            self.reverted_ge[k] += other.reverted_ge[k];
-            self.at_risk_canonical_ge[k] += other.at_risk_canonical_ge[k];
-        }
-        self.canonical += other.canonical;
-        self.abandoned += other.abandoned;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.safe_depth = self.safe_depth.max(other.safe_depth);
-        self.finalized_depth = self.finalized_depth.max(other.finalized_depth);
-    }
-
-    fn finish(self) -> ReorgReport {
-        let rows = (1..=MAX_K as u32)
-            .map(|k| {
-                let reverted = self.reverted_ge[k as usize];
-                let at_risk = reverted + self.at_risk_canonical_ge[k as usize];
-                RevertRow {
-                    k,
-                    reverted,
-                    at_risk,
-                    p_revert: if at_risk == 0 {
-                        0.0
-                    } else {
-                        reverted as f64 / at_risk as f64
-                    },
-                }
-            })
-            .collect();
-        ReorgReport {
-            rows,
-            canonical_blocks: self.canonical,
-            abandoned_blocks: self.abandoned,
-            max_depth: self.max_depth,
-            safe_depth: self.safe_depth,
-            finalized_depth: self.finalized_depth,
-        }
+        })
+        .collect();
+    ReorgReport {
+        rows,
+        canonical_blocks: n,
+        abandoned_blocks: abandoned.len() as u64,
+        max_depth,
+        safe_depth: tree.consensus().safe_depth(),
+        finalized_depth: tree.consensus().finalized_depth(),
     }
 }
 
@@ -306,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_equals_streamed_and_depths_are_exact() {
+    fn revert_depths_are_exact() {
         let data = campaign_with_fork();
         let report = analyze(&data);
         assert_eq!(report.canonical_blocks, 10);
@@ -319,38 +242,6 @@ mod tests {
             assert_eq!((row.k, row.reverted, row.at_risk), (k, reverted, at_risk));
             assert!((row.p_revert - reverted as f64 / at_risk as f64).abs() < 1e-15);
         }
-        let mut acc = Reorg::new();
-        acc.observe(&data);
-        assert_eq!(report, acc.finish());
-    }
-
-    #[test]
-    fn merge_is_tree_independent() {
-        let data = campaign_with_fork();
-        let mut left = Reorg::new();
-        left.observe(&data);
-        left.observe(&data);
-        left.observe(&data);
-        let mut a = Reorg::new();
-        a.observe(&data);
-        let mut b = Reorg::new();
-        b.observe(&data);
-        let mut c = Reorg::new();
-        c.observe(&data);
-        // ((a ⊕ b) ⊕ c) vs (a ⊕ (b ⊕ c)) vs sequential observes.
-        let mut ab = a.clone();
-        ab.merge(b.clone());
-        ab.merge(c.clone());
-        let mut bc = b;
-        bc.merge(c);
-        let mut a_bc = a;
-        a_bc.merge(bc);
-        assert_eq!(left.finish(), ab.finish());
-        let mut left2 = Reorg::new();
-        left2.observe(&data);
-        left2.observe(&data);
-        left2.observe(&data);
-        assert_eq!(left2.finish(), a_bc.finish());
     }
 
     #[test]

@@ -16,8 +16,6 @@ use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::{pct, Table};
 use ethmeter_types::PoolId;
 
-use crate::Reduce;
-
 /// One pool's revenue line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RevenueRow {
@@ -52,7 +50,7 @@ impl RevenueRow {
     }
 }
 
-/// The per-pool revenue breakdown of one (or many merged) campaigns.
+/// The per-pool revenue breakdown of one campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RevenueReport {
     /// Per-pool rows, ordered by descending hash share (ties by id).
@@ -78,133 +76,71 @@ impl RevenueReport {
 
 /// Computes the revenue breakdown of one campaign.
 pub fn analyze(data: &CampaignData) -> RevenueReport {
-    let mut acc = Rewards::new();
-    acc.observe(data);
-    acc.finish()
-}
-
-/// Streaming revenue reduction across campaigns (per-pool tallies only;
-/// the campaign is dropped after each observe).
-#[derive(Debug, Clone, Default)]
-pub struct Rewards {
-    /// Per-pool `(canonical blocks, uncles credited, reward)`.
-    pools: BTreeMap<PoolId, (u64, u64, MilliEther)>,
-    total_blocks: u64,
-    total_reward: MilliEther,
-    pool_names: Vec<String>,
-    pool_shares: Vec<f64>,
-}
-
-impl Rewards {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Reduce for Rewards {
-    type Report = RevenueReport;
-
-    fn observe(&mut self, data: &CampaignData) {
-        if self.pool_names.is_empty() {
-            self.pool_names = data.truth.pool_names.clone();
-            self.pool_shares = data.truth.pool_shares.clone();
+    // Per-pool `(canonical blocks, uncles credited, reward)`.
+    let mut pools: BTreeMap<PoolId, (u64, u64, MilliEther)> = BTreeMap::new();
+    let mut total_blocks = 0u64;
+    let mut total_reward: MilliEther = 0;
+    let tree = &data.truth.tree;
+    // The reward schedule is consensus-dependent: engines without
+    // uncle semantics (pure longest-chain) pay no nephew or uncle
+    // rewards — blocks and fees only.
+    let uncles_pay = tree.consensus().rewards_uncles();
+    for block in tree.canonical_blocks() {
+        if block.number() == 0 {
+            continue;
+        }
+        total_blocks += 1;
+        let entry = pools.entry(block.miner()).or_default();
+        entry.0 += 1;
+        let nephew = if uncles_pay {
+            NEPHEW_REWARD * block.uncles().len() as MilliEther
         } else {
-            assert!(
-                self.pool_names == data.truth.pool_names
-                    && self.pool_shares == data.truth.pool_shares,
-                "revenue reduction requires a stable pool directory"
-            );
+            0
+        };
+        let reward = BLOCK_REWARD + nephew + tx_fees(block.txs().len());
+        entry.2 += reward;
+        total_reward += reward;
+        if !uncles_pay {
+            continue;
         }
-        let tree = &data.truth.tree;
-        // The reward schedule is consensus-dependent: engines without
-        // uncle semantics (pure longest-chain) pay no nephew or uncle
-        // rewards — blocks and fees only.
-        let uncles_pay = tree.consensus().rewards_uncles();
-        for block in tree.canonical_blocks() {
-            if block.number() == 0 {
+        // Uncle credits: only references from canonical blocks pay.
+        for &u in block.uncles() {
+            let Some(uncle) = tree.get(u) else {
                 continue;
-            }
-            self.total_blocks += 1;
-            let entry = self.pools.entry(block.miner()).or_default();
-            entry.0 += 1;
-            let nephew = if uncles_pay {
-                NEPHEW_REWARD * block.uncles().len() as MilliEther
-            } else {
-                0
             };
-            let reward = BLOCK_REWARD + nephew + tx_fees(block.txs().len());
-            entry.2 += reward;
-            self.total_reward += reward;
-            if !uncles_pay {
-                continue;
-            }
-            // Uncle credits: only references from canonical blocks pay.
-            for &u in block.uncles() {
-                let Some(uncle) = tree.get(u) else {
-                    continue;
-                };
-                let credit = uncle_reward(block.number(), uncle.number());
-                let e = self.pools.entry(uncle.miner()).or_default();
-                e.1 += 1;
-                e.2 += credit;
-                self.total_reward += credit;
-            }
+            let credit = uncle_reward(block.number(), uncle.number());
+            let e = pools.entry(uncle.miner()).or_default();
+            e.1 += 1;
+            e.2 += credit;
+            total_reward += credit;
         }
     }
-
-    fn merge(&mut self, other: Self) {
-        for (pool, (b, u, r)) in other.pools {
-            let e = self.pools.entry(pool).or_default();
-            e.0 += b;
-            e.1 += u;
-            e.2 += r;
-        }
-        self.total_blocks += other.total_blocks;
-        self.total_reward += other.total_reward;
-        if self.pool_names.is_empty() {
-            self.pool_names = other.pool_names;
-            self.pool_shares = other.pool_shares;
-        } else if !other.pool_names.is_empty() {
-            assert!(
-                self.pool_names == other.pool_names && self.pool_shares == other.pool_shares,
-                "revenue reduction requires a stable pool directory"
-            );
-        }
-    }
-
-    fn finish(self) -> RevenueReport {
-        let share = |pool: PoolId| self.pool_shares.get(pool.index()).copied().unwrap_or(0.0);
-        let mut ids: Vec<PoolId> = self.pools.keys().copied().collect();
-        ids.sort_by(|a, b| {
-            share(*b)
-                .partial_cmp(&share(*a))
-                .expect("finite")
-                .then(a.cmp(b))
-        });
-        let rows = ids
-            .into_iter()
-            .map(|pool| {
-                let (blocks, uncles, reward) = self.pools[&pool];
-                RevenueRow {
-                    pool,
-                    name: self
-                        .pool_names
-                        .get(pool.index())
-                        .cloned()
-                        .unwrap_or_else(|| pool.to_string()),
-                    hash_share: share(pool),
-                    blocks,
-                    uncles,
-                    reward,
-                }
-            })
-            .collect();
-        RevenueReport {
-            rows,
-            total_blocks: self.total_blocks,
-            total_reward: self.total_reward,
-        }
+    let share = |pool: PoolId| data.truth.pool_share(pool);
+    let mut ids: Vec<PoolId> = pools.keys().copied().collect();
+    ids.sort_by(|a, b| {
+        share(*b)
+            .partial_cmp(&share(*a))
+            .expect("finite")
+            .then(a.cmp(b))
+    });
+    let rows = ids
+        .into_iter()
+        .map(|pool| {
+            let (blocks, uncles, reward) = pools[&pool];
+            RevenueRow {
+                pool,
+                name: data.truth.pool_name(pool),
+                hash_share: share(pool),
+                blocks,
+                uncles,
+                reward,
+            }
+        })
+        .collect();
+    RevenueReport {
+        rows,
+        total_blocks,
+        total_reward,
     }
 }
 
@@ -309,38 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_reduction_matches_one_shot() {
-        let data = campaign();
-        let single = analyze(&data);
-        let mut left = Rewards::new();
-        left.observe(&data);
-        let mut right = Rewards::new();
-        right.observe(&data);
-        left.merge(right);
-        let doubled = left.finish();
-        assert_eq!(doubled.total_blocks, 2 * single.total_blocks);
-        assert_eq!(doubled.total_reward, 2 * single.total_reward);
-        // Shares are unchanged by doubling identical campaigns.
-        let a = single.relative_revenue(PoolId(0));
-        let b = doubled.relative_revenue(PoolId(0));
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_renders() {
         let s = analyze(&campaign()).to_string();
         assert!(s.contains("Revenue"));
         assert!(s.contains("Rel. revenue"));
-    }
-
-    #[test]
-    #[should_panic(expected = "stable pool directory")]
-    fn changing_directory_mid_reduction_rejected() {
-        let a = campaign();
-        let mut b = campaign();
-        b.truth.pool_shares[0] = 0.9;
-        let mut acc = Rewards::new();
-        acc.observe(&a);
-        acc.observe(&b);
     }
 }

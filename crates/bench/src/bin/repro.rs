@@ -425,4 +425,23 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn experiments_md_lists_every_experiment() {
+        let doc = include_str!("../../../../EXPERIMENTS.md");
+        let section = doc
+            .split("\n## Experiment list\n")
+            .nth(1)
+            .expect("EXPERIMENTS.md has an `## Experiment list` section");
+        let section = section.split("\n## ").next().expect("section body");
+        let listed: Vec<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .filter_map(|cell| cell.split('`').next())
+            .collect();
+        let expected: Vec<&str> = std::iter::once("all")
+            .chain(EXPERIMENTS.iter().map(|e| e.name))
+            .collect();
+        assert_eq!(listed, expected);
+    }
 }

@@ -14,11 +14,11 @@
 //! - [`grid`]: multi-axis campaign grids — named scenario axes × seeds on
 //!   parallel workers, reduced through streaming [`metric::Metric`]
 //!   collectors at ~constant memory;
-//! - [`metric`]: the composable collector API ([`metric::Analyze`] lifts
-//!   every `ethmeter-analysis` report, [`metric::Scalars`] builds
-//!   cross-seed [`report::GridReport`] tables, [`metric::RetainRuns`]
-//!   keeps every full outcome, for tests and tooling that need the
-//!   datasets themselves);
+//! - [`metric`]: the collector API ([`metric::Scalars`] runs any
+//!   `ethmeter-analysis` report per run and builds cross-seed
+//!   [`report::GridReport`] tables from the scalars it reads off,
+//!   [`metric::RetainRuns`] keeps every full outcome, for tests and
+//!   tooling that need the datasets themselves);
 //! - [`chainonly`]: the fast block-sequence simulator for month- and
 //!   chain-lifetime-scale sequence analyses (Figure 7, §III-D);
 //! - [`selfish`]: the chain-only selfish-mining race behind the
@@ -39,13 +39,13 @@
 //! assert!(outcome.campaign.truth.tree.head_number() > 0);
 //! ```
 //!
-//! A cross-seed grid, streamed through metric collectors (full campaign
-//! datasets are dropped as each run completes; memory stays ~flat no
-//! matter how many runs the grid has):
+//! A cross-seed grid, streamed through a [`Scalars`] collector (full
+//! campaign datasets are dropped as each run completes; memory stays
+//! ~flat no matter how many runs the grid has). Each probe may run any
+//! analysis on its run; one column group shares one Figure 1 pass:
 //!
 //! ```
 //! use ethmeter_core::prelude::*;
-//! use ethmeter_core::analysis::propagation::Propagation;
 //!
 //! let base = Scenario::builder()
 //!     .preset(Preset::Tiny)
@@ -54,14 +54,16 @@
 //! let outcome = Grid::new(base)
 //!     .seed_range(1, 3)
 //!     .axis("tx_rate", [0.5, 1.0], |s, &rate| s.set_tx_rate(rate))
-//!     .run((
-//!         Analyze::new(Propagation::new()),
-//!         Scalars::new().column("head", |_, o| {
-//!             o.campaign.truth.tree.head_number() as f64
-//!         }),
-//!     ));
-//! let (fig1, table) = outcome.output;
-//! assert!(fig1.blocks_measured > 0);
+//!     .run(
+//!         Scalars::new()
+//!             .column("head", |_, o| o.campaign.truth.tree.head_number() as f64)
+//!             .columns(["fig1_mean_ms", "fig1_blocks"], |_, o| {
+//!                 let fig1 = analysis::propagation::analyze(&o.campaign);
+//!                 vec![fig1.delays.mean(), fig1.blocks_measured as f64]
+//!             }),
+//!     );
+//! let table = outcome.output;
+//! assert!(table.rows.iter().all(|row| row.cells[2].mean > 0.0));
 //! println!("{table}"); // or table.to_csv() / table.to_json()
 //! ```
 
@@ -80,7 +82,7 @@ pub mod selfish;
 pub mod world;
 
 pub use grid::{AxisSetter, Grid, GridOutcome, GridPoint};
-pub use metric::{Analyze, Metric, PerPoint, RetainRuns, RunCtx, Scalars};
+pub use metric::{Metric, RetainRuns, RunCtx, Scalars};
 pub use par::run_campaign_sharded;
 pub use report::{GridReport, GridRow};
 pub use runner::{run_campaign, CampaignOutcome, CampaignRunner};
@@ -107,7 +109,7 @@ pub use ethmeter_workload as workload;
 pub mod prelude {
     pub use crate::chainonly::{run_chain_only, ChainOnlyConfig};
     pub use crate::grid::{AxisSetter, Grid, GridOutcome, GridPoint};
-    pub use crate::metric::{Analyze, Metric, PerPoint, RetainRuns, RunCtx, Scalars};
+    pub use crate::metric::{Metric, RetainRuns, RunCtx, Scalars};
     pub use crate::report::{GridReport, GridRow};
     pub use crate::runner::{run_campaign, CampaignOutcome, CampaignRunner};
     pub use crate::scenario::{Preset, Scenario, ScenarioError};
@@ -115,7 +117,6 @@ pub mod prelude {
     pub use crate::{
         analysis, chain, dynamics, geo, measure, mining, net, sim, stats, types, workload,
     };
-    pub use ethmeter_analysis::Reduce;
     pub use ethmeter_chain::consensus::ConsensusKind;
     pub use ethmeter_dynamics::{DynamicsEvent, DynamicsScript, RegionMask};
     pub use ethmeter_measure::CampaignData;

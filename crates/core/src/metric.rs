@@ -8,6 +8,11 @@
 //! [`Grid`](crate::grid::Grid) runs at roughly the memory footprint of a
 //! single campaign.
 //!
+//! Two metrics ship: [`Scalars`] runs any `ethmeter_analysis` report
+//! inside a probe and keeps only the named per-run scalars it reads off,
+//! aggregated per grid point into a [`GridReport`](crate::report::GridReport);
+//! [`RetainRuns`] keeps every outcome whole.
+//!
 //! # Determinism contract
 //!
 //! [`Grid::run`](crate::grid::Grid::run) clones the caller's prototype
@@ -21,14 +26,10 @@
 //!
 //! # Composition
 //!
-//! Tuples of metrics are metrics: `(RetainRuns::new(), Analyze::new(...))`
-//! computes both in one pass. [`PerPoint`] lifts any metric into a
-//! per-grid-point family, which is how cross-seed aggregation per scenario
-//! configuration is expressed.
+//! Tuples of metrics are metrics: `(RetainRuns::new(), Scalars::new()...)`
+//! computes both in one pass.
 
 use std::sync::Arc;
-
-use ethmeter_analysis::Reduce;
 
 use crate::grid::GridPoint;
 use crate::runner::CampaignOutcome;
@@ -156,103 +157,6 @@ impl Metric for RetainRuns {
 }
 
 // ---------------------------------------------------------------------------
-// Analyze: lift any ethmeter-analysis reduction into a metric.
-
-/// Adapts an [`ethmeter_analysis::Reduce`] accumulator into a [`Metric`].
-///
-/// ```
-/// use ethmeter_core::metric::Analyze;
-/// use ethmeter_core::analysis::propagation::Propagation;
-///
-/// let metric = Analyze::new(Propagation::new()); // Output: PropagationReport
-/// # let _ = metric;
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Analyze<R>(pub R);
-
-impl<R> Analyze<R> {
-    /// Wraps a configured (empty) reduction accumulator.
-    pub fn new(reduce: R) -> Self {
-        Analyze(reduce)
-    }
-}
-
-impl<R: Reduce + Send> Metric for Analyze<R> {
-    type Output = R::Report;
-
-    fn observe(&mut self, _ctx: &RunCtx<'_>, outcome: &CampaignOutcome) {
-        self.0.observe(&outcome.campaign);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
-    }
-
-    fn finish(self) -> R::Report {
-        self.0.finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PerPoint: per-grid-point metric families.
-
-/// Runs an independent copy of `M` for every scenario-axis grid point,
-/// yielding `(point, output)` pairs in point order — the building block
-/// of "aggregate across seeds, split by configuration".
-#[derive(Debug, Clone, Default)]
-pub struct PerPoint<M> {
-    proto: M,
-    /// `(point index, point, accumulated metric)`, ascending point index.
-    slots: Vec<(usize, GridPoint, M)>,
-}
-
-impl<M: Clone> PerPoint<M> {
-    /// Wraps the per-point prototype metric.
-    pub fn new(proto: M) -> Self {
-        PerPoint {
-            proto,
-            slots: Vec::new(),
-        }
-    }
-
-    fn slot(&mut self, point_index: usize, point: &GridPoint) -> &mut M {
-        let pos = match self.slots.binary_search_by_key(&point_index, |s| s.0) {
-            Ok(pos) => pos,
-            Err(pos) => {
-                self.slots
-                    .insert(pos, (point_index, point.clone(), self.proto.clone()));
-                pos
-            }
-        };
-        &mut self.slots[pos].2
-    }
-}
-
-impl<M: Metric + Clone> Metric for PerPoint<M> {
-    type Output = Vec<(GridPoint, M::Output)>;
-
-    fn observe(&mut self, ctx: &RunCtx<'_>, outcome: &CampaignOutcome) {
-        self.slot(ctx.point_index, ctx.point).observe(ctx, outcome);
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (idx, point, m) in other.slots {
-            match self.slots.binary_search_by_key(&idx, |s| s.0) {
-                Ok(pos) => self.slots[pos].2.merge(m),
-                Err(pos) => self.slots.insert(pos, (idx, point, m)),
-            }
-        }
-    }
-
-    fn finish(self) -> Self::Output {
-        self.slots
-            .into_iter()
-            .map(|(_, point, m)| (point, m.finish()))
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Scalars: named per-run scalar probes -> a cross-seed GridReport.
 
 /// One probe group: a per-run extraction yielding one value per named
@@ -283,8 +187,11 @@ type ProbeFn = Arc<dyn Fn(&RunCtx<'_>, &CampaignOutcome) -> Vec<f64> + Send + Sy
 pub struct Scalars {
     /// Column names, in declaration order.
     names: Vec<String>,
-    /// Every run's values per grid point.
-    points: PerPoint<Samples>,
+    /// `(column count, probe)` per group, in declaration order.
+    groups: Vec<(usize, ProbeFn)>,
+    /// `(point index, point, every column's value one run after another)`,
+    /// ascending point index.
+    points: Vec<(usize, GridPoint, Vec<f64>)>,
 }
 
 impl Scalars {
@@ -320,13 +227,13 @@ impl Scalars {
         F: Fn(&RunCtx<'_>, &CampaignOutcome) -> Vec<f64> + Send + Sync + 'static,
     {
         assert!(
-            self.points.slots.is_empty(),
+            self.points.is_empty(),
             "add columns before observing any runs"
         );
         let before = self.names.len();
         self.names.extend(names.into_iter().map(Into::into));
         let width = self.names.len() - before;
-        self.points.proto.groups.push((width, Arc::new(probe)));
+        self.groups.push((width, Arc::new(probe)));
         self
     }
 
@@ -340,7 +247,7 @@ impl std::fmt::Debug for Scalars {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scalars")
             .field("columns", &self.names)
-            .field("points_observed", &self.points.slots.len())
+            .field("points_observed", &self.points.len())
             .finish()
     }
 }
@@ -349,45 +256,38 @@ impl Metric for Scalars {
     type Output = crate::report::GridReport;
 
     fn observe(&mut self, ctx: &RunCtx<'_>, outcome: &CampaignOutcome) {
-        self.points.observe(ctx, outcome);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.points.merge(other.points);
-    }
-
-    fn finish(self) -> crate::report::GridReport {
-        crate::report::GridReport::from_samples(self.names, self.points.finish())
-    }
-}
-
-/// One grid point's [`Scalars`] values: every probe group run once per
-/// observed run.
-#[derive(Clone, Default)]
-struct Samples {
-    /// `(column count, probe)` per group, in declaration order.
-    groups: Vec<(usize, ProbeFn)>,
-    /// Every column's value, one run after another.
-    values: Vec<f64>,
-}
-
-impl Metric for Samples {
-    type Output = Vec<f64>;
-
-    fn observe(&mut self, ctx: &RunCtx<'_>, outcome: &CampaignOutcome) {
+        let pos = match self.points.binary_search_by_key(&ctx.point_index, |p| p.0) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                self.points
+                    .insert(pos, (ctx.point_index, ctx.point.clone(), Vec::new()));
+                pos
+            }
+        };
+        let values = &mut self.points[pos].2;
         for (width, probe) in &self.groups {
             let row = probe(ctx, outcome);
             assert_eq!(row.len(), *width, "a probe returns one value per column");
-            self.values.extend(row);
+            values.extend(row);
         }
     }
 
     fn merge(&mut self, other: Self) {
-        self.values.extend(other.values);
+        for (idx, point, values) in other.points {
+            match self.points.binary_search_by_key(&idx, |p| p.0) {
+                Ok(pos) => self.points[pos].2.extend(values),
+                Err(pos) => self.points.insert(pos, (idx, point, values)),
+            }
+        }
     }
 
-    fn finish(self) -> Vec<f64> {
-        self.values
+    fn finish(self) -> crate::report::GridReport {
+        let points = self
+            .points
+            .into_iter()
+            .map(|(_, point, values)| (point, values))
+            .collect();
+        crate::report::GridReport::from_samples(self.names, points)
     }
 }
 

@@ -19,7 +19,7 @@
 //! with those tests.
 //!
 //! Memory follows what gossip is touching, not the campaign or the
-//! network: the family's bitmap is cut into [`PAGE_ROWS`]-row pages
+//! network: the family's bitmap is cut into `PAGE_ROWS`-row pages
 //! allocated on first touch and freed once eviction clears their last
 //! bit. The page is deliberately small (1 KiB at one word per row): a
 //! node far from the transaction sources holds a few dozen live rows, and
@@ -32,7 +32,7 @@
 //! heap object per (node, peer) pair — 170 k of them on the 10k-node
 //! preset, each reallocated five times on its way to 64 keys, all inside
 //! the event loop. Instead every queue of a family is a chain of
-//! [`CHUNK_KEYS`]-key chunks drawn from one `Vec`: a position is a
+//! `CHUNK_KEYS`-key chunks drawn from one `Vec`: a position is a
 //! 20-byte cursor (head and tail chunk, the offsets into them, length and
 //! bound), a push writes the cursor and the tail chunk, a drained head
 //! chunk goes onto a free list threaded through the chunks' link words
@@ -54,7 +54,7 @@ struct Page {
 }
 
 /// The family's membership half: bit `pos` of row `key`, in
-/// [`PAGE_ROWS`]-row pages allocated on first touch and freed when their
+/// `PAGE_ROWS`-row pages allocated on first touch and freed when their
 /// last bit clears.
 #[derive(Debug, Clone, Default)]
 struct Bitmap {
@@ -304,7 +304,7 @@ impl FifoPool {
 /// insertion order are chains of small chunks in one allocation instead
 /// of one ring buffer per peer (see the module doc).
 ///
-/// Memory is bounded: rows live in [`PAGE_ROWS`]-row pages that are
+/// Memory is bounded: rows live in `PAGE_ROWS`-row pages that are
 /// allocated on first touch and freed when eviction clears their last
 /// bit, so steady state holds only the sliding window of recent keys
 /// (`≈ cap` rows), not the whole campaign's key space; a queue of `n`

@@ -36,39 +36,6 @@ impl Cdf {
         Cdf { sorted }
     }
 
-    /// Folds another CDF's sample into this one.
-    ///
-    /// Merging is exact (the empirical CDFs are over the union multiset of
-    /// both samples) and the result depends only on the combined sample,
-    /// never on the merge-tree shape — per-run CDFs streamed out of a
-    /// sweep aggregate to the same object in any grouping.
-    pub fn merge(&mut self, other: &Cdf) {
-        // Fast paths: empty operands and non-overlapping ranges (the common
-        // case when folding per-shard segments that cover disjoint spans)
-        // skip the element-wise merge walk entirely.
-        if other.sorted.is_empty() {
-            return;
-        }
-        if self.sorted.is_empty() {
-            self.sorted = other.sorted.clone();
-            return;
-        }
-        let self_last = *self.sorted.last().expect("non-empty");
-        if self_last <= other.sorted[0] {
-            self.sorted.extend_from_slice(&other.sorted);
-            return;
-        }
-        if *other.sorted.last().expect("non-empty") < self.sorted[0] {
-            let mut out = Vec::with_capacity(self.sorted.len() + other.sorted.len());
-            out.extend_from_slice(&other.sorted);
-            out.append(&mut self.sorted);
-            self.sorted = out;
-            return;
-        }
-        let merged = merge_sorted(&self.sorted, &other.sorted);
-        self.sorted = merged;
-    }
-
     /// Number of samples.
     pub fn count(&self) -> usize {
         self.sorted.len()
@@ -177,26 +144,6 @@ fn moments(sorted: &[f64]) -> (f64, f64) {
     let mean = sorted.iter().sum::<f64>() / n;
     let var = sorted.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
     (mean, var.sqrt())
-}
-
-/// Merges two ascending slices into one ascending vector (stable: ties
-/// take the left operand's elements first — immaterial for equal floats,
-/// but it keeps the operation fully deterministic).
-fn merge_sorted(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Cross-run aggregation of one scalar statistic.
@@ -327,51 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_union_and_shape_independent() {
-        let a = [5.0, 1.0, 3.0];
-        let b = [2.0, 4.0];
-        let c = [0.5, 6.0];
-        // ((a + b) + c) == (a + (b + c)) == one-shot construction.
-        let mut left = Cdf::from_values(a);
-        left.merge(&Cdf::from_values(b));
-        left.merge(&Cdf::from_values(c));
-        let mut right_tail = Cdf::from_values(b);
-        right_tail.merge(&Cdf::from_values(c));
-        let mut right = Cdf::from_values(a);
-        right.merge(&right_tail);
-        let oneshot = Cdf::from_values(a.into_iter().chain(b).chain(c));
-        assert_eq!(left, oneshot);
-        assert_eq!(right, oneshot);
-        // Merging an empty CDF is the identity.
-        let mut x = Cdf::from_values(a);
-        x.merge(&Cdf::from_values(std::iter::empty()));
-        assert_eq!(x, Cdf::from_values(a));
-    }
-
-    #[test]
-    fn merge_fast_paths_match_general_path() {
-        // Disjoint-after, disjoint-before, overlapping, and empty operands
-        // all land on the one-shot construction.
-        let cases: [(&[f64], &[f64]); 5] = [
-            (&[1.0, 2.0], &[3.0, 4.0]),
-            (&[3.0, 4.0], &[1.0, 2.0]),
-            (&[1.0, 3.0], &[2.0, 4.0]),
-            (&[], &[1.0, 2.0]),
-            (&[1.0, 2.0], &[]),
-        ];
-        for (a, b) in cases {
-            let mut m = Cdf::from_values(a.iter().copied());
-            m.merge(&Cdf::from_values(b.iter().copied()));
-            let oneshot = Cdf::from_values(a.iter().chain(b).copied());
-            assert_eq!(m, oneshot, "a={a:?} b={b:?}");
-        }
-        // Touching boundary (tie) stays exact too.
-        let mut m = Cdf::from_values([1.0, 2.0]);
-        m.merge(&Cdf::from_values([2.0, 3.0]));
-        assert_eq!(m, Cdf::from_values([1.0, 2.0, 2.0, 3.0]));
-    }
-
-    #[test]
     fn basic_moments() {
         let s = Cdf::from_values([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.count(), 8);
@@ -414,28 +316,6 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_nan() {
         let _ = Cdf::from_values([1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn merge_matches_oneshot_bitwise() {
-        let a = [2.0, 9.0, 4.0];
-        let b = [5.0, 4.0, 7.0, 2.0];
-        let mut merged = Cdf::from_values(a);
-        merged.merge(&Cdf::from_values(b));
-        let oneshot = Cdf::from_values(a.into_iter().chain(b));
-        assert_eq!(merged, oneshot);
-        assert_eq!(merged.mean().to_bits(), oneshot.mean().to_bits());
-        assert_eq!(merged.std_dev().to_bits(), oneshot.std_dev().to_bits());
-        // Merge-tree independence: ((a+b)+b) == (a+(b+b)).
-        let mut left = Cdf::from_values(a);
-        left.merge(&Cdf::from_values(b));
-        left.merge(&Cdf::from_values(b));
-        let mut bb = Cdf::from_values(b);
-        bb.merge(&Cdf::from_values(b));
-        let mut right = Cdf::from_values(a);
-        right.merge(&bb);
-        assert_eq!(left, right);
-        assert_eq!(left.mean().to_bits(), right.mean().to_bits());
     }
 
     #[test]

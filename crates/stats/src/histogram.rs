@@ -59,35 +59,6 @@ impl Histogram {
         }
     }
 
-    /// Folds another histogram into this one, bin by bin.
-    ///
-    /// Merging is exact — the result is identical to recording both
-    /// histograms' inputs into one histogram, in any order — which is what
-    /// lets per-run histograms stream out of a sweep worker and still
-    /// aggregate deterministically regardless of merge-tree shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms have different ranges or bin counts.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.counts.len() == other.counts.len(),
-            "histogram merge requires identical binning: [{}, {})x{} vs [{}, {})x{}",
-            self.lo,
-            self.hi,
-            self.counts.len(),
-            other.lo,
-            other.hi,
-            other.counts.len()
-        );
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.underflow += other.underflow;
-        self.total += other.total;
-    }
-
     /// Number of bins (excluding under/overflow).
     pub fn bins(&self) -> usize {
         self.counts.len()
@@ -233,27 +204,5 @@ mod tests {
     #[should_panic(expected = "at least one bin")]
     fn zero_bins_rejected() {
         let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_once() {
-        let values_a = [-1.0, 0.5, 3.3, 9.9, 12.0];
-        let values_b = [0.5, 4.4, 7.7, 100.0];
-        let mut merged = Histogram::new(0.0, 10.0, 5);
-        merged.record_all(values_a);
-        let mut other = Histogram::new(0.0, 10.0, 5);
-        other.record_all(values_b);
-        merged.merge(&other);
-        let mut oneshot = Histogram::new(0.0, 10.0, 5);
-        oneshot.record_all(values_a.into_iter().chain(values_b));
-        assert_eq!(merged, oneshot);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical binning")]
-    fn merge_rejects_mismatched_bins() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let b = Histogram::new(0.0, 10.0, 10);
-        a.merge(&b);
     }
 }

@@ -12,17 +12,16 @@
 //!   statistic (mean ± stddev plus percentile-of-percentiles spread);
 //! - [`histogram::Histogram`]: fixed-width binning with PDF normalization;
 //! - [`sketch::QuantileSketch`]: fixed-size log-bucketed quantile sketch
-//!   with a deterministic (element-wise-add) merge for out-of-core runs;
+//!   with a documented relative error bound;
 //! - [`runs`]: run-length extraction and the exact/approximate theory of
 //!   longest same-miner block sequences;
 //! - [`table`]: plain-text table rendering for paper-style reports.
 //!
-//! [`Cdf`] and [`Histogram`] both support **exact,
-//! merge-tree independent `merge`**: folding per-run instances together
-//! yields the same object as one pass over all samples, regardless of how
-//! the merges are grouped. That property is what lets campaign sweeps
-//! stream compact per-run reductions out of parallel workers and still
-//! produce bit-identical aggregates at any thread count.
+//! [`Cdf`], [`Histogram`] and [`QuantileSketch`] are pure functions of
+//! their sample multiset ([`Cdf`] sorts before it answers and sums in
+//! ascending order), so the same values in any order give bit-identical
+//! statistics. Statistics across runs are [`Aggregate`]s of one per-run
+//! scalar each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

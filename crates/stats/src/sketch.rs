@@ -1,4 +1,4 @@
-//! Fixed-size, merge-stable streaming quantile sketch.
+//! Fixed-size streaming quantile sketch.
 //!
 //! Planet-scale campaigns produce delay samples far beyond what an exact
 //! [`Cdf`](crate::Cdf) (which retains every value) can hold. [`QuantileSketch`]
@@ -6,16 +6,11 @@
 //! array of **fixed size** (~20 KiB regardless of sample count) whose
 //! quantile answers carry a documented *relative* error bound.
 //!
-//! Two properties make it safe inside the deterministic pipeline:
-//!
-//! - **Integer-only state.** The sketch stores only `u64` bucket counts
-//!   plus the exact running `min`/`max` (`f64` min/max are exact,
-//!   associative and commutative). There is no floating-point running sum,
-//!   so no operation whose result depends on accumulation order.
-//! - **Merge = element-wise add.** Folding two sketches adds their bucket
-//!   counts, which is fully associative and commutative. A sweep can merge
-//!   per-shard sketches in any tree shape — 1, 2, 4 or 8 shards — and land
-//!   on the bit-identical sketch every time.
+//! **Integer-only state** makes it safe inside the deterministic
+//! pipeline: the sketch stores only `u64` bucket counts plus the exact
+//! running `min`/`max` (`f64` min/max are exact, associative and
+//! commutative). There is no floating-point running sum, so the sketch
+//! of a sample never depends on the order its values were recorded in.
 //!
 //! # Error bound
 //!
@@ -25,7 +20,7 @@
 //! exact <= e <= exact * GAMMA        (GAMMA = 1.02, i.e. <= 2% relative)
 //! ```
 //!
-//! where `exact` is the nearest-rank quantile the exact [`Cdf`] would
+//! where `exact` is the nearest-rank quantile the exact [`Cdf`](crate::Cdf) would
 //! return for the same sample (up to one `f64` ulp of slop from the log
 //! bucketing). Samples in `[0, MIN_TRACKED)` are represented as `0.0`
 //! (absolute error below 1e-9 — invisible at nanosecond granularity).
@@ -59,11 +54,11 @@ const OFFSET: i64 = 1047;
 /// Bucket count covering `[MIN_TRACKED, MAX_TRACKED]` with headroom.
 const NUM_BUCKETS: usize = 2_500;
 
-/// A fixed-size streaming quantile sketch with deterministic merge.
+/// A fixed-size streaming quantile sketch.
 ///
 /// See the [module docs](self) for the error bound and the determinism
-/// argument. Construction, recording, and merging never allocate beyond
-/// the one fixed bucket array.
+/// argument. Construction and recording never allocate beyond the one
+/// fixed bucket array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     /// Log-bucket counts: bucket `i` covers `[γ^{i-OFFSET}, γ^{i-OFFSET+1})`.
@@ -135,22 +130,6 @@ impl QuantileSketch {
         for v in values {
             self.record(v);
         }
-    }
-
-    /// Folds another sketch into this one.
-    ///
-    /// The merge is element-wise addition of bucket counts plus exact
-    /// min/max folding — fully associative and commutative, so any merge
-    /// tree over the same per-run sketches produces the bit-identical
-    /// result (the property the sharded engine and sweeps rely on).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.low += other.low;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Total samples recorded.
@@ -314,34 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_elementwise_and_tree_shape_independent() {
-        let a: Vec<f64> = (0..500).map(|i| (i as f64).sqrt()).collect();
-        let b: Vec<f64> = (0..300).map(|i| i as f64 * 2.5).collect();
-        let c: Vec<f64> = (0..200).map(|i| 1000.0 / (i + 1) as f64).collect();
-        let sk = |v: &[f64]| {
-            let mut s = QuantileSketch::new();
-            s.record_all(v.iter().copied());
-            s
-        };
-        // ((a+b)+c) == (a+(b+c)) == one-shot, bit-for-bit.
-        let mut left = sk(&a);
-        left.merge(&sk(&b));
-        left.merge(&sk(&c));
-        let mut bc = sk(&b);
-        bc.merge(&sk(&c));
-        let mut right = sk(&a);
-        right.merge(&bc);
-        let mut oneshot = QuantileSketch::new();
-        oneshot.record_all(a.iter().chain(&b).chain(&c).copied());
-        assert_eq!(left, oneshot);
-        assert_eq!(right, oneshot);
-        // Merging an empty sketch is the identity.
-        let mut x = sk(&a);
-        x.merge(&QuantileSketch::new());
-        assert_eq!(x, sk(&a));
-    }
-
-    #[test]
     fn histogram_projection_matches_direct_recording_within_bound() {
         let values: Vec<f64> = (0..2_000).map(|i| (i % 487) as f64).collect();
         let mut s = QuantileSketch::new();
@@ -412,25 +363,6 @@ mod tests {
                     );
                 }
             }
-        }
-
-        #[test]
-        fn sharded_merge_is_bit_identical(
-            values in proptest::collection::vec(0.0f64..1e6, 0..300),
-            shards in 1usize..9,
-        ) {
-            let mut oneshot = QuantileSketch::new();
-            oneshot.record_all(values.iter().copied());
-            // Round-robin partition, then fold per-shard sketches.
-            let mut parts = vec![QuantileSketch::new(); shards];
-            for (i, &v) in values.iter().enumerate() {
-                parts[i % shards].record(v);
-            }
-            let mut merged = QuantileSketch::new();
-            for p in &parts {
-                merged.merge(p);
-            }
-            prop_assert_eq!(merged, oneshot);
         }
     }
 }

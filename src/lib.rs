@@ -8,22 +8,22 @@
 //! This facade crate re-exports the full public API of the workspace. Most
 //! applications interact with four layers:
 //!
-//! 1. **Scenario construction** — [`core::scenario::Scenario`] describes a
+//! 1. **Scenario construction** — [`scenario::Scenario`] describes a
 //!    simulated Ethereum network: topology, geography, mining pools (with
 //!    hash-power shares, probabilistic selfish-strategy knobs, and stateful
 //!    [`mining::PoolBehavior`]s — honest publishing or the selfish-mining
 //!    withholding machine), transaction workload, and the measurement
 //!    vantage points.
-//! 2. **Campaign execution** — [`core::runner`] runs the discrete-event
+//! 2. **Campaign execution** — [`runner`] runs the discrete-event
 //!    simulation and returns the observers' raw logs plus ground truth.
-//! 3. **Grid execution** — [`core::grid::Grid`] fans a scenario out over
+//! 3. **Grid execution** — [`grid::Grid`] fans a scenario out over
 //!    named parameter axes × seeds on parallel workers, reducing every
-//!    outcome through streaming [`core::metric::Metric`] collectors.
+//!    outcome through streaming [`metric::Metric`] collectors.
 //! 4. **Analysis** — [`analysis`] turns logs into the paper's tables and
 //!    figures (propagation delay PDFs, first-observation shares, redundancy,
-//!    commit-time CDFs, empty-block censuses, fork tables, sequence CDFs);
-//!    every report family is also a streaming [`analysis::Reduce`]
-//!    accumulator, so the same tables compute across a whole grid.
+//!    commit-time CDFs, empty-block censuses, fork tables, sequence CDFs),
+//!    one `analyze` call per campaign; a grid reads per-run scalars off
+//!    those reports through [`metric::Scalars`].
 //!
 //! Every result is a pure function of `(scenario, seed)` — reruns,
 //! debug vs. release, and parallel grids are bit-identical. That
@@ -48,15 +48,15 @@
 //!
 //! ## Quickstart: a cross-seed grid
 //!
-//! The paper's claims are statistics *across* runs. A [`core::grid::Grid`]
+//! The paper's claims are statistics *across* runs. A [`grid::Grid`]
 //! runs the full cartesian product of its axes and streams every outcome
-//! through [`core::metric::Metric`] collectors — here Figure 1 pooled over
-//! all runs, plus a per-grid-point results table aggregated across seeds
-//! (a Table-1-style cross-seed row per configuration):
+//! through [`metric::Metric`] collectors — here a per-grid-point
+//! results table aggregated across seeds (a Table-1-style cross-seed row
+//! per configuration), whose Figure 1 columns come from one
+//! [`analysis::propagation::analyze`] call per run:
 //!
 //! ```
 //! use ethmeter::prelude::*;
-//! use ethmeter::analysis::propagation::Propagation;
 //!
 //! let base = Scenario::builder()
 //!     .preset(Preset::Tiny)
@@ -65,15 +65,17 @@
 //! let outcome = Grid::new(base)
 //!     .seed_range(1, 3)
 //!     .axis("tx_rate", [0.5, 1.0], |s, &rate| s.set_tx_rate(rate))
-//!     .run((
-//!         Analyze::new(Propagation::new()),
-//!         Scalars::new().column("head", |_, o| {
-//!             o.campaign.truth.tree.head_number() as f64
-//!         }),
-//!     ));
-//! let (fig1, table) = outcome.output;
-//! assert!(fig1.blocks_measured > 0);
+//!     .run(
+//!         Scalars::new()
+//!             .column("head", |_, o| o.campaign.truth.tree.head_number() as f64)
+//!             .columns(["fig1_mean_ms", "fig1_blocks"], |_, o| {
+//!                 let fig1 = analysis::propagation::analyze(&o.campaign);
+//!                 vec![fig1.delays.mean(), fig1.blocks_measured as f64]
+//!             }),
+//!     );
+//! let table = outcome.output;
 //! assert_eq!(table.rows.len(), 2); // one aggregated row per tx_rate
+//! assert!(table.rows.iter().all(|row| row.cells[2].mean > 0.0));
 //! println!("{table}");             // or table.to_csv() / table.to_json()
 //! ```
 //!
@@ -81,14 +83,14 @@
 //!
 //! What a grid retains is decided by its metric, not the grid:
 //!
-//! - **Streamed** (the default posture): [`core::metric::Analyze`],
-//!   [`core::metric::Scalars`], and [`core::metric::PerPoint`] reduce each
-//!   [`core::runner::CampaignOutcome`] to compact summaries the moment the
-//!   run completes; the observer logs and ground-truth tree are dropped.
-//!   Peak memory is ~one campaign's footprint per worker thread, however
-//!   many runs the grid has (`peak_rss_mib` on the repository
-//!   benchmark's `grid-mixed` workload measures it).
-//! - **Retained**: [`core::metric::RetainRuns`] keeps every outcome in
+//! - **Streamed** (the default posture): [`metric::Scalars`]
+//!   reduces each [`runner::CampaignOutcome`] to its named per-run
+//!   scalars the moment the run completes; the observer logs and
+//!   ground-truth tree are dropped. Peak memory is ~one campaign's
+//!   footprint per worker thread, however many runs the grid has
+//!   (`peak_rss_mib` on the repository benchmark's `grid-mixed` workload
+//!   measures it).
+//! - **Retained**: [`metric::RetainRuns`] keeps every outcome in
 //!   full — memory grows linearly with the grid. Use it when tests or
 //!   tooling need the complete datasets.
 //!
@@ -104,9 +106,9 @@
 //! [`mining::PoolBehavior::Selfish`] arms the uncle-aware selfish-mining
 //! state machine: blocks are withheld on a private branch and released
 //! at fork-choice time (match/override/tie), with abandoned blocks
-//! published as uncle bait. [`core::experiments::selfish_threshold`]
+//! published as uncle bait. [`experiments::selfish_threshold`]
 //! reproduces the α × γ profitability-threshold surface at chain-only
-//! scale, and [`core::experiments::selfish_sim_grid`] runs the attack
+//! scale, and [`experiments::selfish_sim_grid`] runs the attack
 //! inside the full network simulation, where the tie-win fraction γ
 //! emerges from gateway placement:
 //!

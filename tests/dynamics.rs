@@ -143,50 +143,6 @@ fn eclipse_duration_thickens_the_reorg_tail() {
     assert!(reports[2].p_revert(2) > reports[0].p_revert(2));
 }
 
-/// The streaming reorg reduction is merge-tree independent over real
-/// campaign data: left-fold, right-fold, and sequential observation of
-/// the same three campaigns produce identical reports.
-#[test]
-fn reorg_reduce_is_merge_tree_independent_on_real_campaigns() {
-    use ethmeter::analysis::reorg::Reorg;
-    let campaigns: Vec<_> = (1u64..=3)
-        .map(|seed| {
-            let script = DynamicsScript::new().eclipse_window(
-                SimTime::ZERO + SimDuration::from_secs(30),
-                SimDuration::from_secs(60),
-                PoolId(0),
-            );
-            let s = Scenario::builder()
-                .preset(Preset::Tiny)
-                .seed(seed)
-                .duration(SimDuration::from_mins(3))
-                .pools(experiments::victim_vs_rest_pools(0.3, 2))
-                .dynamics(script)
-                .build();
-            run_campaign(&s).campaign
-        })
-        .collect();
-    let mut sequential = Reorg::new();
-    let mut accs = Vec::new();
-    for c in &campaigns {
-        sequential.observe(c);
-        let mut a = Reorg::new();
-        a.observe(c);
-        accs.push(a);
-    }
-    let [a, b, c] = <[Reorg; 3]>::try_from(accs).expect("three campaigns");
-    let mut left = a.clone();
-    left.merge(b.clone());
-    left.merge(c.clone());
-    let mut bc = b;
-    bc.merge(c);
-    let mut right = a;
-    right.merge(bc);
-    let expected = sequential.finish();
-    assert_eq!(left.finish(), expected);
-    assert_eq!(right.finish(), expected);
-}
-
 /// Snapshot of every node's peer set, order-independent.
 fn peer_sets(world: &SimWorld, nodes: usize) -> Vec<std::collections::BTreeSet<NodeId>> {
     (0..nodes)

@@ -150,17 +150,22 @@ fn distinct_seeds_diverge() {
 // optimization — outputs bit-identical across thread counts and to the
 // legacy sequential path.
 
-use ethmeter::analysis::propagation::{self, Propagation};
-use ethmeter::analysis::Reduce;
+use ethmeter::analysis::propagation;
+use ethmeter::stats::Aggregate;
 
 const GRID_SEEDS: [u64; 4] = [301, 302, 303, 304];
 const INTERBLOCKS: [f64; 2] = [10.0, 20.0];
 
+/// Figure 1's per-run scalars: the median delay (ms) and the sample count.
+fn fig1(campaign: &CampaignData) -> Vec<f64> {
+    let report = propagation::analyze(campaign);
+    vec![report.delays.median(), report.delays.count() as f64]
+}
+
 /// The grid under test: 2 interblock points × 4 seeds, observed through
-/// one retained collector plus two streaming ones.
-fn run_grid(
-    threads: usize,
-) -> GridOutcome<(Vec<RetainedRun>, propagation::PropagationReport, GridReport)> {
+/// one retained collector plus a streaming one whose Figure 1 columns
+/// run an analysis per run.
+fn run_grid(threads: usize) -> GridOutcome<(Vec<RetainedRun>, GridReport)> {
     Grid::new(base())
         .seeds(GRID_SEEDS)
         .axis("interblock_s", INTERBLOCKS, |s, &secs| {
@@ -169,10 +174,10 @@ fn run_grid(
         .threads(threads)
         .run((
             RetainRuns::new(),
-            Analyze::new(Propagation::new()),
             Scalars::new()
                 .column("head", |_, o| o.campaign.truth.tree.head_number() as f64)
-                .column("messages", |_, o| o.stats.messages as f64),
+                .column("messages", |_, o| o.stats.messages as f64)
+                .columns(["fig1_median_ms", "fig1_samples"], |_, o| fig1(&o.campaign)),
         ))
 }
 
@@ -194,11 +199,10 @@ fn grid_results_bit_identical_across_thread_counts() {
     assert_eq!(one.jobs, 8);
     assert_eq!(one.totals, many.totals);
     assert_eq!(one.events, many.events);
-    let (runs_1, fig1_1, report_1) = &one.output;
-    let (runs_n, fig1_n, report_n) = &many.output;
-    // Streaming outputs: full structural equality, floats included (the
-    // PartialEq on Cdf/Aggregate compares exact values).
-    assert_eq!(fig1_1, fig1_n);
+    let (runs_1, report_1) = &one.output;
+    let (runs_n, report_n) = &many.output;
+    // Streaming output: full structural equality, floats included (the
+    // PartialEq on Aggregate compares exact values).
     assert_eq!(report_1, report_n);
     // Retained outputs: same grid order, same campaign fingerprints.
     assert_eq!(runs_1.len(), runs_n.len());
@@ -219,16 +223,16 @@ fn grid_results_bit_identical_across_thread_counts() {
 #[test]
 fn grid_matches_the_legacy_sequential_path() {
     let grid = run_grid(4);
-    let (runs, fig1, report) = grid.output;
-    // Legacy path: a plain run_campaign loop in grid order, feeding the
-    // same reductions sequentially.
-    let mut seq_fig1 = Propagation::new();
+    let (runs, report) = grid.output;
+    // Legacy path: a plain run_campaign loop in grid order, running the
+    // same analysis on each campaign.
     let mut idx = 0;
-    for &interblock_s in &INTERBLOCKS {
+    for (point, &interblock_s) in INTERBLOCKS.iter().enumerate() {
+        let mut per_seed: Vec<Vec<f64>> = Vec::new();
         for &seed in &GRID_SEEDS {
             let scenario = legacy_scenario(interblock_s, seed);
             let outcome = run_campaign(&scenario);
-            seq_fig1.observe(&outcome.campaign);
+            per_seed.push(fig1(&outcome.campaign));
             assert_eq!(
                 runs[idx].outcome.campaign.fingerprint(),
                 outcome.campaign.fingerprint(),
@@ -236,9 +240,22 @@ fn grid_matches_the_legacy_sequential_path() {
             );
             idx += 1;
         }
+        // The Figure 1 cells aggregate exactly the sequential per-seed
+        // values.
+        for (col, name) in ["fig1_median_ms", "fig1_samples"].iter().enumerate() {
+            let cell = report
+                .columns
+                .iter()
+                .position(|c| c == name)
+                .expect("column");
+            let expected = Aggregate::from_values(per_seed.iter().map(|v| v[col]));
+            assert_eq!(
+                report.rows[point].cells[cell], expected,
+                "{name} at point {point}"
+            );
+        }
     }
     assert_eq!(runs.len(), idx);
-    assert_eq!(fig1, seq_fig1.finish());
     // The aggregated table reflects the same runs: every cell aggregates
     // one value per seed.
     assert_eq!(report.rows.len(), INTERBLOCKS.len());
