@@ -48,9 +48,11 @@
 #                against the product crates: its unit tests pass and
 #                `benchmark/run.sh --list` names the workloads
 #   benchmark-check  the repository benchmark itself, three passes per
-#                workload: no failed check, and the exact facts (events,
+#                workload: no failed check, the exact facts (events,
 #                fingerprint, rows, segments) equal the committed
-#                BENCH_baseline.json; timings are printed, not gated
+#                BENCH_baseline.json, and no workload's median peak_rss_mib
+#                exceeds the baseline's by more than BENCHMARK.json's
+#                bound; timings are printed, not gated
 #
 # Each stage is timed; a summary table is printed at the end (and on
 # failure, which names the failed stage instead of dumping trace noise).
@@ -316,6 +318,24 @@ stage_benchmark_check() {
     local facts='.workloads | map_values({events, fingerprint, rows, segments})'
     diff <(jq -S "$facts" BENCH_baseline.json) <(jq -S "$facts" benchmark/out/results.json) \
     || { echo "benchmark-check: exact facts differ from BENCH_baseline.json" >&2; return 1; }
+    # Peak RSS is gated: unlike the timings it repeats to within a MiB
+    # or so from run to run and day to day, so a median past the
+    # baseline's by more than the bound BENCHMARK.json gives it is a real
+    # regression.
+    local over
+    over="$(jq -r --slurpfile base BENCH_baseline.json --slurpfile spec BENCHMARK.json '
+        ($spec[0].end_to_end[] | select(.name == "peak_rss_mib") | .bound) as $bound
+        | .workloads | to_entries[]
+        | .key as $w
+        | .value.metrics.peak_rss_mib.median as $now
+        | $base[0].workloads[$w].metrics.peak_rss_mib.median as $was
+        | select($now > $was * (1 + $bound))
+        | "\($w): peak_rss_mib median \($now) MiB, baseline \($was) MiB, bound +\($bound * 100)%"
+    ' benchmark/out/results.json)"
+    [ -z "$over" ] \
+    || { echo "benchmark-check: peak RSS above BENCH_baseline.json:" >&2
+         echo "$over" >&2
+         return 1; }
 }
 
 # --- driver -----------------------------------------------------------------

@@ -420,6 +420,12 @@ impl Node {
             + self.known_txs.heap_bytes()
     }
 
+    /// The node's known-tx family: its own seen-set at position 0, then one
+    /// bounded set per peer in connection order (diagnostics).
+    pub fn known_txs(&self) -> &PeerKnownSet {
+        &self.known_txs
+    }
+
     /// The slab position of `peer`, if connected.
     #[inline]
     fn pos_of(&self, peer: NodeId) -> Option<usize> {

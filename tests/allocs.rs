@@ -101,7 +101,8 @@ fn planet_shaped_cold_start_stays_under_the_allocation_ceiling() {
         .ordinary_nodes(2_000)
         .seed(42)
         .build();
-    // Measured 0.062; a ring buffer per (node, peer) pair made it 0.396.
+    // Measured 0.054 (0.062 while chunks held 7 whole keys, so the pool
+    // doubled more often); a ring buffer per (node, peer) pair made it 0.396.
     let per_event = allocs_per_event(&scenario, 0, 500_000);
     assert!(
         per_event <= 0.10,

@@ -104,6 +104,54 @@ fn chain_only_text_matches_its_pinned_digest() {
     }
 }
 
+/// Eviction-heavy campaigns: `Preset::Tiny` for 10 minutes with
+/// known-set bounds small enough that every peer queue fills and evicts
+/// many times over, as (known-tx bound, known-block bound, fingerprint),
+/// pinned like the campaign goldens (`ETHMETER_BLESS=1` prints them).
+///
+/// At the default bounds no golden fills a queue. At 50 transactions and
+/// 8 blocks every queue evicts, but eviction changes nothing: the same
+/// campaign at the default bounds has this digest too, so there the
+/// golden checks the pop path through the debug build's "queues hold only
+/// live keys" assertion. A bound of 2 blocks is below the blocks still in
+/// flight, so evicted announcements are sent again and the digest depends
+/// on which key every pop returns, in either build.
+const EVICTION_HEAVY: [(usize, usize, u64); 2] = [
+    (50, 8, 0xdb98_bdb9_eb2f_8543),
+    (50, 2, 0x9fc9_2cd1_b025_43f2),
+];
+
+#[test]
+fn eviction_heavy_campaigns_match_their_goldens() {
+    let bless = std::env::var_os("ETHMETER_BLESS").is_some();
+    for (known_txs_cap, known_blocks_cap, expected) in EVICTION_HEAVY {
+        let net = ethmeter::net::NetConfig {
+            known_txs_cap,
+            known_blocks_cap,
+            ..ethmeter::net::NetConfig::default()
+        };
+        for shards in [1, 4] {
+            let s = Scenario::builder()
+                .preset(Preset::Tiny)
+                .seed(101)
+                .duration(SimDuration::from_mins(10))
+                .net(net.clone())
+                .shards(shards)
+                .build();
+            let got = run_campaign(&s).campaign.fingerprint();
+            let label = format!("bounds {known_txs_cap}/{known_blocks_cap} at {shards} shards");
+            if bless {
+                println!("{label}: {got:#018x}");
+            } else {
+                assert_eq!(
+                    got, expected,
+                    "{label}: fingerprint {got:#018x}, pinned {expected:#018x}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn fingerprint_is_reproducible_and_seed_sensitive() {
     let s = scenario(Preset::Tiny, 101, 5);
