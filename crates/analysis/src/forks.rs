@@ -1,10 +1,9 @@
 //! Table III and §III-C5: forks, their recognition, and one-miner forks.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use ethmeter_chain::forks::{
-    census, extract_forks, one_miner_groups, BlockCensus, ForkLengthTable,
+    census, extract_forks, fork_length_table, one_miner_groups, BlockCensus, ForkLengthTable,
 };
 use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::{grouped, pct, Table};
@@ -26,18 +25,6 @@ pub struct OneMinerReport {
     pub fraction_of_forks: f64,
 }
 
-impl OneMinerReport {
-    /// Number of pairs (the paper's 1,750).
-    pub fn pairs(&self) -> u64 {
-        self.tuples.first().copied().unwrap_or(0)
-    }
-
-    /// Number of triples (the paper's 25).
-    pub fn triples(&self) -> u64 {
-        self.tuples.get(1).copied().unwrap_or(0)
-    }
-}
-
 /// The fork analysis bundle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForkReport {
@@ -55,15 +42,6 @@ pub struct ForkReport {
 pub fn analyze(data: &CampaignData) -> ForkReport {
     let tree = &data.truth.tree;
     let forks = extract_forks(tree);
-    // Fork length -> `(total, recognized)`.
-    let mut lengths: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-    for f in &forks {
-        let e = lengths.entry(f.length).or_default();
-        e.0 += 1;
-        if f.recognized {
-            e.1 += 1;
-        }
-    }
     let groups = one_miner_groups(tree);
     let mut tuples: Vec<u64> = Vec::new();
     let (mut duplicates, mut recognized, mut same_txset) = (0u64, 0u64, 0u64);
@@ -95,15 +73,9 @@ pub fn analyze(data: &CampaignData) -> ForkReport {
                 .is_some_and(|main| main.miner() == fork_block.miner())
         })
         .count();
-    let table = ForkLengthTable {
-        rows: lengths
-            .iter()
-            .map(|(&len, &(total, rec))| (len, total, rec, total - rec))
-            .collect(),
-    };
     ForkReport {
         census: census(tree),
-        table,
+        table: fork_length_table(&forks),
         one_miner: OneMinerReport {
             tuples,
             recognized_fraction: recognized as f64 / duplicates.max(1) as f64,
@@ -234,8 +206,8 @@ mod tests {
     #[test]
     fn one_miner_stats() {
         let r = analyze(&campaign());
-        assert_eq!(r.one_miner.pairs(), 1);
-        assert_eq!(r.one_miner.triples(), 0);
+        // One pair, no triples.
+        assert_eq!(r.one_miner.tuples, vec![1]);
         // The single duplicate was recognized.
         assert!((r.one_miner.recognized_fraction - 1.0).abs() < 1e-9);
         // The pair shares the (empty) tx set.

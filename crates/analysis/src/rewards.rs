@@ -233,6 +233,44 @@ mod tests {
     }
 
     #[test]
+    fn one_pool_accumulates_blocks_nephew_bonuses_fees_and_uncles() {
+        // genesis -> a1 (two txs) -> a2 (empty, refs u1 and u2); a1, u1
+        // and u2 are all pool 0's height-1 blocks.
+        let mut tree = BlockTree::new();
+        let g = tree.genesis_hash();
+        let a1 = BlockBuilder::new(g, 1, PoolId(0))
+            .txs(vec![TxId(1), TxId(2)])
+            .salt(1)
+            .build();
+        let a1h = a1.hash();
+        tree.insert(a1).expect("ok");
+        let mut uncles = Vec::new();
+        for salt in [2, 3] {
+            let u = BlockBuilder::new(g, 1, PoolId(0)).salt(salt).build();
+            uncles.push(u.hash());
+            tree.insert(u).expect("ok");
+        }
+        let a2 = BlockBuilder::new(a1h, 2, PoolId(0))
+            .uncles(uncles)
+            .salt(4)
+            .build();
+        tree.insert(a2).expect("ok");
+        let r = analyze(&CampaignData {
+            observers: vec![],
+            truth: testutil::truth(tree, Default::default()),
+        });
+        let row = r.row(PoolId(0)).expect("mined");
+        assert_eq!((row.blocks, row.uncles), (2, 2));
+        assert_eq!(
+            row.reward,
+            2 * BLOCK_REWARD + 2 * NEPHEW_REWARD + tx_fees(2) + 2 * uncle_reward(2, 1)
+        );
+        assert_eq!(r.total_reward, row.reward);
+        assert_eq!(r.rows.len(), 1, "pools that earned nothing get no row");
+        assert!(r.row(PoolId(9)).is_none());
+    }
+
+    #[test]
     fn relative_revenue_compares_to_hash_share() {
         let r = analyze(&campaign());
         // Pool 0 (55% hash) won everything but the uncle: rel > 1.

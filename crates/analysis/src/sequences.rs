@@ -38,17 +38,6 @@ impl PoolSequenceRow {
     pub fn runs_at_least(&self, k: usize) -> u64 {
         self.runs.iter().skip(k).sum()
     }
-
-    /// Figure 7's y-value: fraction of this pool's runs with length ≤ `k`
-    /// (a CDF over run lengths).
-    pub fn cdf_at(&self, k: usize) -> f64 {
-        let total: u64 = self.runs.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let le: u64 = self.runs.iter().take(k + 1).sum();
-        le as f64 / total as f64
-    }
 }
 
 /// Figure 7 plus the §III-D security table.
@@ -63,11 +52,6 @@ pub struct SequenceReport {
 }
 
 impl SequenceReport {
-    /// The longest run across all pools.
-    pub fn longest_overall(&self) -> usize {
-        self.pools.iter().map(|p| p.longest).max().unwrap_or(0)
-    }
-
     /// The censorship window a run of `len` blocks represents.
     pub fn censorship_window(&self, len: usize) -> SimDuration {
         self.interblock * len as u64
@@ -226,26 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let seq: Vec<PoolId> = [0, 0, 1, 0, 1, 1, 1].iter().map(|&i| PoolId(i)).collect();
-        let r = analyze_sequence(
-            &seq,
-            &names(),
-            &[0.5, 0.5],
-            SimDuration::from_secs_f64(13.3),
-        );
-        for row in &r.pools {
-            let mut prev = 0.0;
-            for k in 0..=row.longest {
-                let c = row.cdf_at(k);
-                assert!(c >= prev);
-                prev = c;
-            }
-            assert!((row.cdf_at(row.longest) - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn censorship_window_scales_with_interblock() {
         let seq: Vec<PoolId> = vec![PoolId(0); 9];
         let r = analyze_sequence(
@@ -254,7 +218,7 @@ mod tests {
             &[1.0, 0.0],
             SimDuration::from_secs_f64(13.3),
         );
-        assert_eq!(r.longest_overall(), 9);
+        assert_eq!(r.pools[0].longest, 9);
         // 9 blocks * 13.3 s ~ 120 s — the paper's "two minutes" regime.
         let w = r.censorship_window(9).as_secs_f64();
         assert!((w - 119.7).abs() < 0.2, "window {w}");
@@ -283,7 +247,7 @@ mod tests {
         let r = analyze(&data);
         // Alternating miners: every run has length 1.
         assert_eq!(r.total_blocks, testutil::BLOCKS as u64);
-        assert_eq!(r.longest_overall(), 1);
+        assert!(r.pools.iter().all(|p| p.longest == 1));
         assert!(r.to_string().contains("Figure 7"));
     }
 
@@ -292,6 +256,5 @@ mod tests {
         let r = analyze_sequence(&[], &[], &[], SimDuration::from_secs_f64(13.3));
         assert_eq!(r.total_blocks, 0);
         assert!(r.pools.is_empty());
-        assert_eq!(r.longest_overall(), 0);
     }
 }

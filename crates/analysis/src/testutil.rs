@@ -9,16 +9,16 @@ use ethmeter_types::{
 };
 
 /// Number of canonical blocks the synthetic campaigns build.
-pub const BLOCKS: usize = 20;
+pub(crate) const BLOCKS: usize = 20;
 
 /// Mean inter-block time used by the builders.
-pub fn interblock() -> SimDuration {
+pub(crate) fn interblock() -> SimDuration {
     SimDuration::from_secs_f64(13.3)
 }
 
 /// Builds a linear 20-block chain, alternating miners pool-0 ("Ethermine")
 /// and pool-1 ("Sparkpool"), with blocks sealed 13.3s apart.
-pub fn linear_tree() -> (BlockTree, Vec<BlockHash>) {
+pub(crate) fn linear_tree() -> (BlockTree, Vec<BlockHash>) {
     let mut tree = BlockTree::new();
     let mut hashes = Vec::new();
     let mut parent = tree.genesis_hash();
@@ -35,7 +35,7 @@ pub fn linear_tree() -> (BlockTree, Vec<BlockHash>) {
 }
 
 /// Ground truth around a tree.
-pub fn truth(tree: BlockTree, txs: FxHashMap<TxId, Transaction>) -> GroundTruth {
+pub(crate) fn truth(tree: BlockTree, txs: FxHashMap<TxId, Transaction>) -> GroundTruth {
     GroundTruth {
         tree,
         txs,
@@ -49,13 +49,13 @@ pub fn truth(tree: BlockTree, txs: FxHashMap<TxId, Transaction>) -> GroundTruth 
 /// A campaign where every block is first observed by the EA observer at
 /// its sealing time and reaches the other observers after the given
 /// per-observer offsets (ms), ordered [EA, NA, WE, CE].
-pub fn campaign_with_block_spread(offsets_ms: &[i64; 4]) -> CampaignData {
+pub(crate) fn campaign_with_block_spread(offsets_ms: &[i64; 4]) -> CampaignData {
     campaign_with_block_spread_and_skew(offsets_ms, &[0, 0, 0, 0])
 }
 
 /// Like [`campaign_with_block_spread`], with per-observer clock offsets
 /// (ns) applied to the local timestamps.
-pub fn campaign_with_block_spread_and_skew(
+pub(crate) fn campaign_with_block_spread_and_skew(
     offsets_ms: &[i64; 4],
     skew_ns: &[i64; 4],
 ) -> CampaignData {
@@ -112,7 +112,7 @@ pub fn campaign_with_block_spread_and_skew(
 
 /// Builds a transaction committed in the block at `height` (1-based) with
 /// the given sender/nonce, submitted at `submitted`.
-pub fn tx(id: u64, sender: u32, nonce: u64, submitted: SimTime) -> Transaction {
+pub(crate) fn tx(id: u64, sender: u32, nonce: u64, submitted: SimTime) -> Transaction {
     Transaction {
         id: TxId(id),
         sender: AccountId(sender),

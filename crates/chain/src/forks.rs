@@ -114,11 +114,6 @@ impl BlockCensus {
     pub fn total(&self) -> u64 {
         self.main + self.recognized_uncles + self.unrecognized
     }
-
-    /// Fraction of blocks on the main chain.
-    pub fn main_fraction(&self) -> f64 {
-        self.main as f64 / self.total().max(1) as f64
-    }
 }
 
 /// Classifies every non-genesis block in the tree.
@@ -253,7 +248,6 @@ mod tests {
         let c = census(&tree);
         assert_eq!(c.main, 5);
         assert_eq!(c.total(), 5);
-        assert_eq!(c.main_fraction(), 1.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The post-Constantinople reward schedule (EIP-1234, in force during the
-//! paper's April 2019 window) and per-pool reward accounting.
+//! paper's April 2019 window).
 //!
 //! Rewards explain the selfish behaviors the paper documents: an empty
 //! block forfeits only transaction fees (small) while keeping the 2 ETH
@@ -7,13 +7,12 @@
 //! transaction fees ... they still get the mining reward which is, on
 //! average, considerably higher" (§III-C3). One-miner forks harvest uncle
 //! rewards: up to 7/8 of a block reward for a duplicate block (§III-C5).
+//! `ethmeter_analysis::rewards` applies this schedule per pool.
 
-use std::collections::BTreeMap;
+use ethmeter_types::BlockNumber;
 
-use ethmeter_types::{BlockNumber, PoolId};
-
-/// Milli-ether: rewards are tracked in integer thousandths of an ETH so the
-/// ledger stays exact.
+/// Milli-ether: rewards are tracked in integer thousandths of an ETH so
+/// per-pool sums stay exact.
 pub type MilliEther = u64;
 
 /// Base block reward after Constantinople: 2 ETH.
@@ -38,11 +37,6 @@ pub fn uncle_reward(nephew: BlockNumber, uncle: BlockNumber) -> MilliEther {
 /// `BLOCK_REWARD / 32`.
 pub const NEPHEW_REWARD: MilliEther = BLOCK_REWARD / 32;
 
-/// Average transaction fee revenue per full block during the window, used
-/// to quantify what an empty block forfeits (~0.15 ETH at April 2019 gas
-/// prices).
-pub const AVG_FEES_PER_FULL_BLOCK: MilliEther = 150;
-
 /// Average fee revenue of one transaction (~75 transactions per full
 /// block during the window → 2 mETH each). Deliberately integral so
 /// revenue ledgers stay exact.
@@ -52,59 +46,6 @@ pub const AVG_FEE_PER_TX: MilliEther = 2;
 /// flat per-transaction fee model.
 pub fn tx_fees(tx_count: usize) -> MilliEther {
     AVG_FEE_PER_TX * tx_count as MilliEther
-}
-
-/// Per-pool reward ledger.
-#[derive(Debug, Clone, Default)]
-pub struct Ledger {
-    entries: BTreeMap<PoolId, PoolEarnings>,
-}
-
-/// Cumulative earnings of one pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolEarnings {
-    /// Canonical blocks mined.
-    pub blocks: u64,
-    /// Uncles credited.
-    pub uncles: u64,
-    /// Total reward, in milli-ether.
-    pub reward: MilliEther,
-}
-
-impl Ledger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Credits a canonical block (base reward + nephew bonus + fees).
-    pub fn credit_block(&mut self, miner: PoolId, uncles_referenced: usize, fees: MilliEther) {
-        let e = self.entries.entry(miner).or_default();
-        e.blocks += 1;
-        e.reward += BLOCK_REWARD + NEPHEW_REWARD * uncles_referenced as MilliEther + fees;
-    }
-
-    /// Credits an uncle reward.
-    pub fn credit_uncle(&mut self, miner: PoolId, nephew: BlockNumber, uncle: BlockNumber) {
-        let e = self.entries.entry(miner).or_default();
-        e.uncles += 1;
-        e.reward += uncle_reward(nephew, uncle);
-    }
-
-    /// The earnings of a pool (zeroes if never credited).
-    pub fn earnings(&self, pool: PoolId) -> PoolEarnings {
-        self.entries.get(&pool).copied().unwrap_or_default()
-    }
-
-    /// Iterates over all pools with any earnings.
-    pub fn iter(&self) -> impl Iterator<Item = (PoolId, &PoolEarnings)> + '_ {
-        self.entries.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Total reward issued, in milli-ether.
-    pub fn total_reward(&self) -> MilliEther {
-        self.entries.values().map(|e| e.reward).sum()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +74,8 @@ mod tests {
     #[test]
     fn flat_fee_model_matches_full_block_average() {
         assert_eq!(tx_fees(0), 0);
-        assert_eq!(tx_fees(75), AVG_FEES_PER_FULL_BLOCK);
+        // ~0.15 ETH of fees in a full block at April 2019 gas prices.
+        assert_eq!(tx_fees(75), 150);
     }
 
     #[test]
@@ -141,25 +83,6 @@ mod tests {
         // The paper's §III-C5 economics: a duplicate block recognized as a
         // gap-1 uncle earns 1.75 ETH -- 87.5% of a main block. That dwarfs
         // the fee income it forfeits, which is why duplicates pay off.
-        assert!(uncle_reward(5, 4) > 10 * AVG_FEES_PER_FULL_BLOCK);
-    }
-
-    #[test]
-    fn ledger_accumulates() {
-        let mut ledger = Ledger::new();
-        let p = PoolId(1);
-        ledger.credit_block(p, 0, AVG_FEES_PER_FULL_BLOCK);
-        ledger.credit_block(p, 2, 0); // empty block with two uncle refs
-        ledger.credit_uncle(p, 10, 9);
-        let e = ledger.earnings(p);
-        assert_eq!(e.blocks, 2);
-        assert_eq!(e.uncles, 1);
-        assert_eq!(
-            e.reward,
-            2 * BLOCK_REWARD + 2 * NEPHEW_REWARD + AVG_FEES_PER_FULL_BLOCK + 1_750
-        );
-        assert_eq!(ledger.total_reward(), e.reward);
-        assert_eq!(ledger.earnings(PoolId(9)), PoolEarnings::default());
-        assert_eq!(ledger.iter().count(), 1);
+        assert!(uncle_reward(5, 4) > 10 * tx_fees(75));
     }
 }

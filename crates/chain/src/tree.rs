@@ -119,12 +119,6 @@ impl BlockTree {
         }
     }
 
-    /// True if `ancestor` is an ancestor of (or equal to) `descendant`.
-    pub fn is_ancestor(&self, ancestor: BlockHash, descendant: BlockHash) -> bool {
-        self.number_of(ancestor)
-            .is_some_and(|n| self.ancestor_at(descendant, n) == Some(ancestor))
-    }
-
     /// Confirmations of a canonical block: `head_number - number`.
     /// `None` if the block is unknown or currently off-chain.
     pub fn confirmations(&self, hash: BlockHash) -> Option<u64> {
@@ -410,10 +404,7 @@ mod tests {
         assert_eq!(tree.ancestor_at(b3, 1), Some(b1));
         assert_eq!(tree.ancestor_at(b3, 3), Some(b3));
         assert_eq!(tree.ancestor_at(b1, 3), None);
-        assert!(tree.is_ancestor(b1, b3));
-        assert!(tree.is_ancestor(b3, b3));
-        assert!(!tree.is_ancestor(b3, b1));
-        assert!(tree.is_ancestor(g, b3));
+        assert_eq!(tree.ancestor_at(b3, 0), Some(g));
     }
 
     #[test]

@@ -29,48 +29,5 @@ pub struct Transaction {
     pub origin: NodeId,
 }
 
-impl Transaction {
-    /// The `(sender, nonce)` ordering key.
-    pub fn ordering_key(&self) -> (AccountId, Nonce) {
-        (self.sender, self.nonce)
-    }
-}
-
 /// Gas consumed by a plain value transfer; the workload default.
 pub const SIMPLE_TX_GAS: Gas = 21_000;
-
-/// The mainnet block gas limit during the measurement window (8M gas,
-/// April 2019).
-pub const BLOCK_GAS_LIMIT: Gas = 8_000_000;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tx(sender: u32, nonce: u64) -> Transaction {
-        Transaction {
-            id: TxId(u64::from(sender) << 32 | nonce),
-            sender: AccountId(sender),
-            nonce,
-            gas_price: 1,
-            gas: SIMPLE_TX_GAS,
-            size: ByteSize::from_bytes(180),
-            submitted_at: SimTime::ZERO,
-            origin: NodeId(0),
-        }
-    }
-
-    #[test]
-    fn ordering_key_is_sender_nonce() {
-        assert_eq!(tx(7, 3).ordering_key(), (AccountId(7), 3));
-    }
-
-    #[test]
-    fn block_fits_expected_tx_count() {
-        // ~380 plain transfers fit an 8M-gas block; real blocks carried
-        // ~100 (mixed contract calls), i.e. ~80% gas utilization with
-        // heavier transactions. The simulator's workload crate picks gas
-        // values to land in the same regime.
-        assert_eq!(BLOCK_GAS_LIMIT / SIMPLE_TX_GAS, 380);
-    }
-}

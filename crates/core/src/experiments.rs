@@ -115,6 +115,7 @@ pub fn headline_scalars() -> Scalars {
 /// coefficient, Gini, and HHI over hash power, first-observation share,
 /// and revenue share — nine streaming scalar columns, one
 /// [`ethmeter_analysis::decentralization`] pass per run.
+// detlint::allow(unread-pub, reason = "library API: the cross-seed decentralization recipe in EXPERIMENTS.md runs a Grid over it; tests/golden.rs pins its report digest")
 pub fn decentralization_scalars() -> Scalars {
     let names = [
         "nakamoto_hash",
@@ -137,26 +138,10 @@ pub fn decentralization_scalars() -> Scalars {
 }
 
 /// Runs a seeds-only grid over `base` and returns the aggregated
-/// decentralization table — the cross-seed companion of
-/// [`decentralization_scalars`], ~flat in memory like
-/// [`cross_seed_report`].
-pub fn decentralization_report(
-    base: &Scenario,
-    first_seed: u64,
-    seeds: usize,
-    threads: usize,
-) -> GridReport {
-    Grid::new(base.clone())
-        .seed_range(first_seed, seeds)
-        .threads(threads)
-        .run(decentralization_scalars())
-        .output
-}
-
-/// Runs a seeds-only grid over `base` and returns the aggregated
 /// headline table — the one-call generator behind EXPERIMENTS.md's
 /// cross-seed rows. Memory stays ~flat in `seeds`: each campaign is
 /// reduced to five scalars as it completes.
+// detlint::allow(unread-pub, reason = "library API: EXPERIMENTS.md's cross-seed recipe calls it")
 pub fn cross_seed_report(
     base: &Scenario,
     first_seed: u64,
@@ -638,33 +623,6 @@ pub fn forkchoice_compare(base: &Scenario, preset: &str) -> ForkChoiceReport {
     }
 }
 
-/// The selfish-gain × fork-choice surface: relative revenue of the
-/// attacker (pool 0) across hash shares `alphas` under each consensus
-/// engine in `kinds`. Uncle-aware engines blunt the attack — withheld
-/// blocks that lose the race still earn as uncles under the default
-/// schedule, while pure longest-chain pays them nothing.
-pub fn selfish_forkchoice_grid(
-    base: &Scenario,
-    alphas: &[f64],
-    kinds: &[ConsensusKind],
-    first_seed: u64,
-    seeds: usize,
-    threads: usize,
-) -> GridReport {
-    Grid::new(base.clone())
-        .seed_range(first_seed, seeds)
-        .axis("alpha", alphas.to_vec(), |s, &alpha| {
-            let (gw, cfg) = attacker_knobs(&s.pools);
-            s.pools = PoolDirectory::attacker_vs_honest(alpha, gw, cfg);
-        })
-        .axis("consensus", kinds.to_vec(), |s, &kind| {
-            s.consensus = kind;
-        })
-        .threads(threads)
-        .run(revenue_scalars(PoolId(0)))
-        .output
-}
-
 // ---- Network dynamics & attacks (EXPERIMENTS.md §dynamics) ----
 
 /// The east/rest region split used by the canonical partition scenarios:
@@ -825,12 +783,16 @@ mod tests {
     }
 
     #[test]
-    fn decentralization_report_aggregates_scalars() {
+    fn decentralization_scalars_aggregate_across_seeds() {
         let base = Scenario::builder()
             .preset(Preset::Tiny)
             .duration(SimDuration::from_mins(5))
             .build();
-        let report = decentralization_report(&base, 1, 2, 2);
+        let report = Grid::new(base)
+            .seed_range(1, 2)
+            .threads(2)
+            .run(decentralization_scalars())
+            .output;
         assert_eq!(report.rows.len(), 1, "seeds-only grid has one point");
         assert_eq!(report.columns.len(), 9);
         let row = &report.rows[0];
@@ -970,7 +932,7 @@ mod tests {
     }
 
     #[test]
-    fn selfish_forkchoice_grid_spans_both_axes() {
+    fn revenue_scalars_span_an_alpha_by_engine_grid() {
         let base = Scenario::builder()
             .preset(Preset::Tiny)
             .duration(SimDuration::from_mins(8))
@@ -981,7 +943,18 @@ mod tests {
             ))
             .build();
         let kinds = [ConsensusKind::Heaviest, ConsensusKind::Longest];
-        let report = selfish_forkchoice_grid(&base, &[0.35], &kinds, 3, 1, 1);
+        // The selfish-gain × fork-choice surface: the attacker's revenue
+        // under each engine.
+        let report = Grid::new(base)
+            .seed_range(3, 1)
+            .axis("alpha", vec![0.35], |s, &alpha| {
+                let (gw, cfg) = attacker_knobs(&s.pools);
+                s.pools = PoolDirectory::attacker_vs_honest(alpha, gw, cfg);
+            })
+            .axis("consensus", kinds.to_vec(), |s, &kind| s.consensus = kind)
+            .threads(1)
+            .run(revenue_scalars(PoolId(0)))
+            .output;
         assert_eq!(report.rows.len(), 2, "one alpha × two engines");
         let engines: Vec<_> = report
             .rows

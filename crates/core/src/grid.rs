@@ -70,10 +70,9 @@ pub struct GridPoint {
 }
 
 impl GridPoint {
-    /// Builds a point from explicit `(axis, value)` coordinates — useful
-    /// as a lookup key into a
-    /// [`GridReport`](crate::report::GridReport::row).
-    pub fn from_coords<A, V, I>(coords: I) -> Self
+    /// Builds a point from explicit `(axis, value)` coordinates.
+    #[cfg(test)]
+    pub(crate) fn from_coords<A, V, I>(coords: I) -> Self
     where
         A: Into<String>,
         V: Into<String>,
@@ -101,7 +100,8 @@ impl GridPoint {
     }
 
     /// True for the unique point of an axis-less grid.
-    pub fn is_base(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_base(&self) -> bool {
         self.coords.is_empty()
     }
 }

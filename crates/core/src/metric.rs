@@ -236,11 +236,6 @@ impl Scalars {
         self.groups.push((width, Arc::new(probe)));
         self
     }
-
-    /// Column names, in declaration order.
-    pub fn column_names(&self) -> Vec<String> {
-        self.names.clone()
-    }
 }
 
 impl std::fmt::Debug for Scalars {

@@ -561,7 +561,10 @@ mod tests {
         // directly: a panic must mark the run poisoned, record its
         // shard, and turn the worker into a barrier-keeping no-op.
         let shared = Shared {
-            map: Arc::new(ShardMap::single(1)),
+            map: Arc::new(ShardMap::by_region(
+                &[ethmeter_types::Region::NorthAmerica],
+                1,
+            )),
             mailboxes: vec![Mutex::new((Vec::new(), Vec::new()))],
             next_time: vec![AtomicU64::new(u64::MAX)],
             poisoned: AtomicBool::new(false),

@@ -1851,6 +1851,34 @@ mod tests {
     }
 
     #[test]
+    fn observer_degree_stays_within_its_capped_vantage_target() {
+        // A measurement node dials its vantage's `peer_target`, capped at
+        // a third of the network (at least 32) unless the vantage keeps
+        // Geth's default peer count; inbound dials add at most 16.
+        let scenario = Scenario::builder().preset(Preset::Small).seed(42).build();
+        let world = SimWorld::new(&scenario);
+        let n = world.node_count();
+        let mut checked = 0;
+        for (i, slot) in world.observer_slot.iter().enumerate() {
+            let Some(slot) = *slot else { continue };
+            let v = &scenario.vantages[slot];
+            let target = if v.default_peers {
+                v.peer_target
+            } else {
+                v.peer_target.min((n / 3).max(32))
+            };
+            let degree = world.peers_of(NodeId(i as u32)).len();
+            assert!(
+                degree <= target + 16,
+                "{}: degree {degree} over target {target} + 16",
+                v.name
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, scenario.vantages.len());
+    }
+
+    #[test]
     fn world_builds_expected_population() {
         let (scenario, world) = tiny_world();
         let gw_total: usize = scenario.pools.iter().map(|p| p.gateway_count).sum();

@@ -58,25 +58,15 @@ pub struct CodeView {
 
 impl CodeView {
     /// The 1-based line containing byte `offset`.
-    pub fn line_of(&self, offset: usize) -> usize {
+    pub(crate) fn line_of(&self, offset: usize) -> usize {
         match self.line_starts.binary_search(&offset) {
             Ok(i) => i + 1,
             Err(i) => i,
         }
     }
 
-    /// The blanked text of the given 1-based line (without the newline).
-    pub fn line_text(&self, line: usize) -> &str {
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .map_or(self.code.len(), |&e| e - 1);
-        &self.code[start..end.max(start)]
-    }
-
     /// Number of lines.
-    pub fn line_count(&self) -> usize {
+    pub(crate) fn line_count(&self) -> usize {
         self.line_starts.len()
     }
 }

@@ -26,7 +26,7 @@ pub mod rules;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use rules::{check_file, AllowedSite, FileCtx, FileKind, Finding, RuleId};
+use rules::{check_files, AllowedSite, FileCtx, FileKind, Finding, RuleId};
 
 /// Schema identifier stamped into `--format json` output.
 pub const JSON_SCHEMA: &str = "ethmeter-detlint/v1";
@@ -130,12 +130,8 @@ fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Scans every workspace `.rs` file under `root` and returns the report.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
-    let files = collect_rs_files(root)?;
-    let mut report = Report {
-        root: root.display().to_string(),
-        ..Report::default()
-    };
-    for path in files {
+    let mut files = Vec::new();
+    for path in collect_rs_files(root)? {
         let rel: String = path
             .strip_prefix(root)
             .unwrap_or(&path)
@@ -144,9 +140,18 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
             .collect::<Vec<_>>()
             .join("/");
         let Some(ctx) = classify(&rel) else { continue };
-        let source = std::fs::read_to_string(&path)?;
-        let outcome = check_file(&ctx, &source);
-        report.files_scanned += 1;
+        files.push((rel, ctx, std::fs::read_to_string(&path)?));
+    }
+    let inputs: Vec<(FileCtx, &str)> = files
+        .iter()
+        .map(|(_, ctx, source)| (ctx.clone(), source.as_str()))
+        .collect();
+    let mut report = Report {
+        root: root.display().to_string(),
+        files_scanned: files.len(),
+        ..Report::default()
+    };
+    for ((rel, _, _), outcome) in files.iter().zip(check_files(&inputs)) {
         for finding in outcome.findings {
             report.diagnostics.push(FileFinding {
                 file: rel.clone(),

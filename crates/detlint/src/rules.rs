@@ -7,6 +7,8 @@
 //! [`crate::lexer::Pragma`]), and a pragma that suppresses nothing is
 //! itself a diagnostic — allow-lists must not rot.
 
+use std::collections::BTreeMap;
+
 use crate::lexer::{lex, CodeView};
 
 /// The rule catalog.
@@ -21,6 +23,9 @@ pub enum RuleId {
     Entropy,
     /// R4: crate roots must carry the workspace lint header.
     CrateHygiene,
+    /// R6: a `pub fn`/`pub const` that no non-test code reads. (R5 is
+    /// reserved.)
+    UnreadPub,
     /// A pragma that did not parse, named an unknown rule, or lacked a
     /// reason.
     BadPragma,
@@ -36,19 +41,21 @@ impl RuleId {
             RuleId::UnorderedIter => "unordered-iter",
             RuleId::Entropy => "entropy",
             RuleId::CrateHygiene => "crate-hygiene",
+            RuleId::UnreadPub => "unread-pub",
             RuleId::BadPragma => "bad-pragma",
             RuleId::UnusedPragma => "unused-pragma",
         }
     }
 
-    /// Parses a pragma rule id. Only the four policy rules can be
-    /// allowed; the pragma-hygiene rules cannot suppress themselves.
+    /// Parses a pragma rule id. Only the policy rules can be allowed;
+    /// the pragma-hygiene rules cannot suppress themselves.
     pub fn from_pragma_id(id: &str) -> Option<RuleId> {
         match id {
             "default-hasher" => Some(RuleId::DefaultHasher),
             "unordered-iter" => Some(RuleId::UnorderedIter),
             "entropy" => Some(RuleId::Entropy),
             "crate-hygiene" => Some(RuleId::CrateHygiene),
+            "unread-pub" => Some(RuleId::UnreadPub),
             _ => None,
         }
     }
@@ -60,6 +67,7 @@ impl RuleId {
             RuleId::UnorderedIter,
             RuleId::Entropy,
             RuleId::CrateHygiene,
+            RuleId::UnreadPub,
             RuleId::BadPragma,
             RuleId::UnusedPragma,
         ]
@@ -83,6 +91,10 @@ impl RuleId {
             }
             RuleId::CrateHygiene => {
                 "crate roots must carry #![forbid(unsafe_code)] and #![warn(missing_docs)]"
+            }
+            RuleId::UnreadPub => {
+                "a pub fn or pub const must be read by non-test code (sources, examples, \
+                 benches) other than its definition"
             }
             RuleId::BadPragma => "allow pragmas must name a known rule and carry a reason",
             RuleId::UnusedPragma => "allow pragmas that suppress nothing must be removed",
@@ -156,24 +168,48 @@ pub struct FileOutcome {
     pub allowed: Vec<AllowedSite>,
 }
 
-/// Checks one file against every applicable rule.
-pub fn check_file(ctx: &FileCtx, source: &str) -> FileOutcome {
-    let view = lex(source);
-    let test_lines = test_region_lines(&view);
+/// Checks a set of files together: every single-file rule on each, plus
+/// `unread-pub`, which needs every file's code view. Outcomes are in
+/// input order.
+pub fn check_files(files: &[(FileCtx, &str)]) -> Vec<FileOutcome> {
+    let lexed: Vec<(&FileCtx, CodeView, Vec<bool>)> = files
+        .iter()
+        .map(|(ctx, source)| {
+            let view = lex(source);
+            let test_lines = test_region_lines(&view);
+            (ctx, view, test_lines)
+        })
+        .collect();
+    let unread = rule_unread_pub(&lexed);
+    lexed
+        .iter()
+        .zip(unread)
+        .map(|((ctx, view, test_lines), extra)| check_view(ctx, view, test_lines, extra))
+        .collect()
+}
+
+/// The single-file rules plus `extra` cross-file findings, filtered
+/// through the file's pragmas.
+fn check_view(
+    ctx: &FileCtx,
+    view: &CodeView,
+    test_lines: &[bool],
+    extra: Vec<Finding>,
+) -> FileOutcome {
     let policy_active = ctx.kind == FileKind::Source;
     let sim_path = SIM_PATH_CRATES.contains(&ctx.crate_name.as_str());
     let entropy_exempt = ENTROPY_EXEMPT_CRATES.contains(&ctx.crate_name.as_str());
 
-    let mut raw: Vec<Finding> = Vec::new();
+    let mut raw = extra;
     if policy_active && sim_path {
-        raw.extend(rule_default_hasher(&view, &test_lines));
-        raw.extend(rule_unordered_iter(&view, &test_lines));
+        raw.extend(rule_default_hasher(view, test_lines));
+        raw.extend(rule_unordered_iter(view, test_lines));
     }
     if policy_active && !entropy_exempt {
-        raw.extend(rule_entropy(&view, &test_lines));
+        raw.extend(rule_entropy(view, test_lines));
     }
     if ctx.is_crate_root {
-        raw.extend(rule_crate_hygiene(&view));
+        raw.extend(rule_crate_hygiene(view));
     }
 
     // Pragma application: a pragma on line P covers lines P and P + 1.
@@ -712,6 +748,74 @@ fn rule_entropy(view: &CodeView, test_lines: &[bool]) -> Vec<Finding> {
     out
 }
 
+/// R6: a `pub fn` or `pub const` in non-test source whose name, as a
+/// whole word, occurs in no non-test code of sources, examples or
+/// benches beyond its own definitions. Returns findings per file.
+fn rule_unread_pub(files: &[(&FileCtx, CodeView, Vec<bool>)]) -> Vec<Vec<Finding>> {
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut defs: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut sites = Vec::new();
+    for (fi, (ctx, view, test_lines)) in files.iter().enumerate() {
+        if ctx.kind == FileKind::Test {
+            continue;
+        }
+        let is_test = |line: usize| test_lines.get(line).copied().unwrap_or(false);
+        for (i, text) in view.code.lines().enumerate() {
+            if !is_test(i + 1) {
+                for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+                    *uses.entry(word).or_default() += 1;
+                }
+            }
+        }
+        if ctx.kind != FileKind::Source {
+            continue;
+        }
+        for at in token_positions(&view.code, "pub") {
+            let line = view.line_of(at);
+            if is_test(line) {
+                continue;
+            }
+            if let Some(name) = pub_item_name(&view.code[at + 3..]) {
+                *defs.entry(name).or_default() += 1;
+                sites.push((fi, line, name));
+            }
+        }
+    }
+    let mut out = vec![Vec::new(); files.len()];
+    for (fi, line, name) in sites {
+        if uses[name] <= defs[name] {
+            out[fi].push(Finding {
+                line,
+                rule: RuleId::UnreadPub,
+                message: format!(
+                    "`pub` item `{name}` is read only by tests: delete it, make it \
+                     private or `#[cfg(test)]`, or justify it with a pragma"
+                ),
+            });
+        }
+    }
+    out
+}
+
+/// The name a `pub fn` / `pub const [fn]` item declares, given the code
+/// after its `pub` token; `None` for other items and restricted `pub(..)`.
+fn pub_item_name(rest: &str) -> Option<&str> {
+    if !rest.starts_with(char::is_whitespace) {
+        return None;
+    }
+    let mut words = rest
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty());
+    match words.next()? {
+        "fn" => words.next(),
+        "const" => match words.next()? {
+            "fn" => words.next(),
+            name => Some(name),
+        },
+        _ => None,
+    }
+}
+
 /// Attributes every crate root must carry.
 const HYGIENE_ATTRS: &[&str] = &["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"];
 
@@ -735,6 +839,10 @@ fn rule_crate_hygiene(view: &CodeView) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn check_file(ctx: &FileCtx, source: &str) -> FileOutcome {
+        check_files(&[(ctx.clone(), source)]).remove(0)
+    }
 
     fn sim_ctx() -> FileCtx {
         FileCtx {

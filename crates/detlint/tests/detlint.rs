@@ -8,22 +8,40 @@
 
 use std::path::Path;
 
-use ethmeter_detlint::rules::{check_file, FileCtx, FileKind, FileOutcome, RuleId};
+use ethmeter_detlint::rules::{check_files, FileCtx, FileKind, FileOutcome, RuleId};
 use ethmeter_detlint::{render_json, scan_workspace};
 
-/// Runs one fixture as non-test source on a sim-path crate.
-fn check_fixture(name: &str, is_crate_root: bool) -> FileOutcome {
+fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
-    let source =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
-    let ctx = FileCtx {
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"))
+}
+
+fn ctx(kind: FileKind, is_crate_root: bool) -> FileCtx {
+    FileCtx {
         crate_name: "net".into(),
-        kind: FileKind::Source,
+        kind,
         is_crate_root,
-    };
-    check_file(&ctx, &source)
+    }
+}
+
+/// Runs one fixture as non-test source on a sim-path crate.
+fn check_fixture(name: &str, is_crate_root: bool) -> FileOutcome {
+    check_files(&[(ctx(FileKind::Source, is_crate_root), &fixture(name))]).remove(0)
+}
+
+/// Runs an R6 fixture as library source next to an example that calls
+/// `entry` and an integration test that calls every other item.
+fn check_r6_fixture(name: &str) -> FileOutcome {
+    let example = "fn main() { let _ = entry(); }\n";
+    let test = "fn t() { only_tests_read_me(); unread_const_fn(); kept_for_later(); }\n";
+    check_files(&[
+        (ctx(FileKind::Source, false), &fixture(name)),
+        (ctx(FileKind::Example, false), example),
+        (ctx(FileKind::Test, false), test),
+    ])
+    .remove(0)
 }
 
 fn lines_of(out: &FileOutcome, rule: RuleId) -> Vec<usize> {
@@ -90,6 +108,21 @@ fn r4_good_crate_root_passes() {
 fn r4_is_not_applied_to_non_roots() {
     let out = check_fixture("r4_bad.rs", false);
     assert!(out.findings.is_empty(), "{:?}", out.findings);
+}
+
+#[test]
+fn r6_bad_flags_pub_items_only_tests_read() {
+    let out = check_r6_fixture("r6_bad.rs");
+    assert_eq!(lines_of(&out, RuleId::UnreadPub), vec![3, 7, 9]);
+    assert_eq!(out.findings.len(), 3, "{:?}", out.findings);
+}
+
+#[test]
+fn r6_good_passes_read_restricted_and_pragma_kept_items() {
+    let out = check_r6_fixture("r6_good.rs");
+    assert!(out.findings.is_empty(), "{:?}", out.findings);
+    assert_eq!(out.allowed.len(), 1, "{:?}", out.allowed);
+    assert_eq!(out.allowed[0].rule, RuleId::UnreadPub);
 }
 
 #[test]

@@ -2,4 +2,4 @@
 
 #![forbid(unsafe_code)]
 
-pub fn noop() {}
+fn noop() {}

@@ -3,4 +3,4 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub fn noop() {}
+fn noop() {}

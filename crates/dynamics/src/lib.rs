@@ -46,6 +46,7 @@ pub struct RegionMask(u8);
 
 impl RegionMask {
     /// The empty set.
+    #[cfg(test)]
     pub const EMPTY: RegionMask = RegionMask(0);
 
     /// Every region.
@@ -312,6 +313,7 @@ impl DynamicsScript {
     /// offset and come back after `downtime`. The same arguments always
     /// produce the same script.
     #[must_use]
+    // detlint::allow(unread-pub, reason = "library API: scripted churn, driven by the shard-invariance proptest in tests/dynamics.rs")
     pub fn churn(
         mut self,
         seed: u64,

@@ -105,13 +105,13 @@ mod tests {
 
     #[test]
     fn classes_are_ordered_by_speed() {
-        let size = ByteSize::from_kib(25);
+        let size = ByteSize::from_bytes(25 * 1024);
         let res = BandwidthClass::Residential.transfer_time(size);
         let dc = BandwidthClass::Datacenter.transfer_time(size);
         let bb = BandwidthClass::Backbone.transfer_time(size);
         assert!(res > dc && dc > bb);
         // A 25 KiB block on 50 Mbps is ~4ms — noticeable vs. an empty block.
-        assert!(res.as_millis() >= 3, "got {res}");
+        assert!(res.as_millis_f64() >= 3.0, "got {res}");
     }
 
     #[test]
@@ -119,7 +119,7 @@ mod tests {
         // The serialization advantage of an empty block (~500 B) over a full
         // one (~25 KiB) on a residential link should be milliseconds.
         let empty = BandwidthClass::Residential.transfer_time(ByteSize::from_bytes(500));
-        let full = BandwidthClass::Residential.transfer_time(ByteSize::from_kib(25));
+        let full = BandwidthClass::Residential.transfer_time(ByteSize::from_bytes(25 * 1024));
         assert!(full.as_millis_f64() - empty.as_millis_f64() > 3.0);
     }
 
@@ -154,7 +154,7 @@ mod tests {
         ];
         let sizes = (0..2_000u64)
             .map(ByteSize::from_bytes)
-            .chain((0..200u64).map(|k| ByteSize::from_kib(25 * k)))
+            .chain((0..200u64).map(|k| ByteSize::from_bytes(25 * 1024 * k)))
             .chain([ByteSize::from_bytes(u64::from(u32::MAX))]);
         for size in sizes {
             for class in classes {

@@ -35,6 +35,7 @@ impl ClockModel {
     }
 
     /// A perfect clock (for ablations isolating measurement error).
+    #[cfg(test)]
     pub fn perfect() -> Self {
         ClockModel {
             offset_ms: Mixture2::new(Normal::new(0.0, 0.0), Normal::new(0.0, 0.0), 0.0),
@@ -43,6 +44,7 @@ impl ClockModel {
     }
 
     /// The NTP re-poll interval.
+    #[cfg(test)]
     pub fn repoll_interval(&self) -> SimDuration {
         self.repoll
     }

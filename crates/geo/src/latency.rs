@@ -58,6 +58,7 @@ impl LatencyModel {
     /// # Panics
     ///
     /// Panics if any entry is negative or the matrix is not symmetric.
+    // detlint::allow(unread-pub, reason = "the exact gossip oracle (ROADMAP item 7) drives campaigns over chosen base matrices")
     pub fn with_base_matrix(mut self, base_ms: [[f64; Region::COUNT]; Region::COUNT]) -> Self {
         for (i, row) in base_ms.iter().enumerate() {
             for (j, &delay) in row.iter().enumerate() {
@@ -100,25 +101,6 @@ impl LatencyModel {
         } else {
             d
         }
-    }
-
-    /// Scales every base entry by `factor` (ablation: "what if the backbone
-    /// were uniformly faster/slower?").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive.
-    pub fn scaled(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "scale factor must be positive"
-        );
-        for row in &mut self.base_ms {
-            for v in row.iter_mut() {
-                *v *= factor;
-            }
-        }
-        self
     }
 }
 
@@ -185,16 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_scales_base() {
-        let m = LatencyModel::default().scaled(2.0);
-        assert_eq!(
-            m.base(Region::NorthAmerica, Region::EasternAsia)
-                .as_millis(),
-            150
-        );
-    }
-
-    #[test]
     fn vantage_pairs_match_paper_scale() {
         // Sanity: the four vantage regions should span ~10-100ms one-way,
         // the regime in which the paper's 74ms median propagation lives.
@@ -202,8 +174,8 @@ mod tests {
         for a in Region::VANTAGE {
             for b in Region::VANTAGE {
                 if a != b {
-                    let ms = m.base(a, b).as_millis();
-                    assert!((10..=120).contains(&ms), "{a}->{b} = {ms}ms");
+                    let ms = m.base(a, b).as_millis_f64();
+                    assert!((10.0..121.0).contains(&ms), "{a}->{b} = {ms}ms");
                 }
             }
         }

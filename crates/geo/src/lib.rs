@@ -24,7 +24,7 @@
 //! let model = LatencyModel::default();
 //! let mut rng = Xoshiro256::seed_from_u64(1);
 //! let d = model.sample(&mut rng, Region::NorthAmerica, Region::EasternAsia);
-//! assert!(d.as_millis() >= 30, "transpacific latency is not sub-30ms");
+//! assert!(d.as_millis_f64() >= 30.0, "transpacific latency is not sub-30ms");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -68,6 +68,7 @@ impl CampaignData {
     }
 
     /// Looks an observer up by name.
+    #[cfg(test)]
     pub fn observer(&self, name: &str) -> Option<&(VantagePoint, ObserverLog)> {
         self.observers.iter().find(|(v, _)| v.name == name)
     }

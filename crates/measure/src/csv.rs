@@ -92,6 +92,7 @@ pub fn escape_field(field: &str) -> String {
 ///
 /// Returns `None` when the field is malformed (unbalanced quoting, or a
 /// lone `"` inside a quoted field).
+#[cfg(test)]
 pub fn unescape_field(field: &str) -> Option<String> {
     let Some(inner) = field.strip_prefix('"') else {
         // Unquoted fields may not contain quotes or separators.

@@ -155,6 +155,7 @@ impl ObserverLog {
     }
 
     /// True if this log spills to disk under a budget.
+    #[cfg(test)]
     pub fn is_spilling(&self) -> bool {
         self.spill.is_some()
     }

@@ -36,6 +36,7 @@ pub enum PoolBehavior {
 
 impl PoolBehavior {
     /// True for any behavior other than plain honest publishing.
+    #[cfg(test)]
     pub fn is_adversarial(&self) -> bool {
         !matches!(self, PoolBehavior::Honest)
     }
@@ -65,6 +66,7 @@ impl SelfishConfig {
     /// A lead-`k` stubborn variant: the attacker keeps racing until its
     /// lead falls to `k` before publishing the whole branch. `stubborn(1)`
     /// is [`SelfishConfig::classic`]; `stubborn(0)` never overrides early.
+    // detlint::allow(unread-pub, reason = "library API: the stubborn selfish-mining variant, run in full simulation by tests/selfish.rs")
     pub fn stubborn(override_lead: u64) -> Self {
         SelfishConfig { override_lead }
     }
@@ -197,11 +199,13 @@ impl<B> SelfishState<B> {
     }
 
     /// True while a fully released branch is racing a public tie.
+    #[cfg(test)]
     pub fn is_racing(&self) -> bool {
         self.racing
     }
 
     /// The withheld branch, oldest first (inspection/testing).
+    #[cfg(test)]
     pub fn branch(&self) -> &[Withheld<B>] {
         &self.private
     }

@@ -97,6 +97,7 @@ impl Strategy {
     }
 
     /// True if this strategy ever misbehaves.
+    #[cfg(test)]
     pub fn is_selfish(&self) -> bool {
         self.empty_block_prob > 0.0 || self.duplicate_prob > 0.0 || self.malfunction_prob > 0.0
     }

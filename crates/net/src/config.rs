@@ -21,20 +21,15 @@ pub enum TxRelayPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Target peer count of an ordinary node (Geth default: 25).
+    /// Measurement nodes take theirs from their vantage point instead.
     pub default_peer_target: usize,
     /// Hard cap on an ordinary node's degree (inbound included).
     pub max_peer_cap: usize,
-    /// Peer target for measurement nodes in the paper's main campaign
-    /// ("we set it to unlimited"): they connect to this many peers or the
-    /// whole network, whichever is smaller.
-    pub observer_peer_target: usize,
     /// Transaction relay fanout policy.
     pub tx_relay: TxRelayPolicy,
-    /// Relay blocks that are *not* head candidates? Geth relays any valid
-    /// recent block; disabling is an ablation that starves uncle
-    /// recognition.
-    pub relay_non_head: bool,
     /// How far behind the local head a block may lag and still be relayed.
+    /// Like Geth, a node relays any valid block this recent, head
+    /// candidate or side block.
     pub relay_window: u64,
     /// Fetcher timeout before re-requesting an announced block elsewhere.
     pub fetch_timeout: SimDuration,
@@ -62,9 +57,7 @@ impl Default for NetConfig {
         NetConfig {
             default_peer_target: 25,
             max_peer_cap: 60,
-            observer_peer_target: 200,
             tx_relay: TxRelayPolicy::All,
-            relay_non_head: true,
             relay_window: 7,
             fetch_timeout: SimDuration::from_millis(500),
             // Geth 1.8-era mainnet imports (header + PoW check + state
@@ -102,7 +95,7 @@ mod tests {
         let c = NetConfig::default();
         assert_eq!(c.default_peer_target, 25);
         assert_eq!(c.tx_relay, TxRelayPolicy::All);
-        assert!(c.relay_non_head);
+        assert_eq!(c.relay_window, 7);
         assert_eq!(c.known_blocks_cap, 1024);
     }
 

@@ -573,6 +573,7 @@ impl PeerKnownSet {
     ///
     /// Walks the position's queue (diagnostics and tests): the push path
     /// counts only the room left under the bound.
+    // detlint::allow(unread-pub, reason = "diagnostic: core world::tests::known_tx_queues_stay_near_a_byte_per_key divides chunk_bytes by it")
     pub fn len_of(&self, pos: usize) -> usize {
         self.fifo.keys(pos).count()
     }
@@ -655,6 +656,7 @@ impl PeerKnownSet {
     /// Bytes of every chunk the pool has handed out, free-listed ones
     /// included (diagnostics): what the eviction queues cost, next to the
     /// keys they hold ([`PeerKnownSet::len_of`] summed over the positions).
+    // detlint::allow(unread-pub, reason = "diagnostic: core world::tests::known_tx_queues_stay_near_a_byte_per_key bounds bytes per queued key with it")
     pub fn chunk_bytes(&self) -> usize {
         self.fifo.chunks.len() * std::mem::size_of::<Chunk>()
     }

@@ -51,6 +51,7 @@ impl Message {
 
     /// True for the two block-bearing message kinds (Table II's "Whole
     /// Blocks" row).
+    #[cfg(test)]
     pub fn carries_block_body(&self) -> bool {
         matches!(self, Message::NewBlock(_) | Message::BlockBody(_))
     }

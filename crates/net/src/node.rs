@@ -53,7 +53,6 @@ use std::sync::Arc;
 
 use ethmeter_chain::block::Block;
 use ethmeter_chain::consensus::Consensus;
-use ethmeter_chain::uncles::UnclePolicy;
 use ethmeter_chain::TxRegistry;
 use ethmeter_geo::BandwidthClass;
 use ethmeter_sim::Xoshiro256;
@@ -402,6 +401,7 @@ impl Node {
     }
 
     /// Degree of this node.
+    #[cfg(test)]
     pub fn degree(&self) -> usize {
         self.peers.len()
     }
@@ -412,6 +412,7 @@ impl Node {
     /// the module doc — it must track the node's degree and gossip window,
     /// not the network's size. The header view and the mempool are not
     /// counted.
+    // detlint::allow(unread-pub, reason = "the per-node memory budget of run telemetry (ROADMAP item 6) reads it; core tests pin it today")
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         self.peers.capacity() * size_of::<NodeId>()
@@ -481,12 +482,12 @@ impl Node {
         }
         self.known_blocks.insert(SELF_POS, idx.raw());
 
-        // Relay policy: push recent (head-candidate) blocks; optionally
-        // also side blocks within the relay window.
+        // Relay policy: push head candidates and side blocks within the
+        // relay window.
         let head_number = self.chain.head_number();
         let improves = block.number() > head_number;
         let recent = block.number() + cfg.relay_window > head_number;
-        let relay = improves || (cfg.relay_non_head && recent);
+        let relay = improves || recent;
 
         if relay {
             let GossipScratch {
@@ -655,7 +656,7 @@ impl Node {
         // Post-import announcement to everyone not known to have it.
         let head_number = self.chain.head_number();
         let recent = block.number() + cfg.relay_window > head_number;
-        if new_head || (cfg.relay_non_head && recent) {
+        if new_head || recent {
             for pos in 0..self.peers.len() {
                 // One fused probe: `insert` is a no-op on a peer that
                 // already knows the block.
@@ -739,28 +740,8 @@ impl Node {
         }
     }
 
-    /// Builds a mining template from this gateway's view: parent (current
-    /// head), next height, uncle references, and packed transactions.
-    ///
-    /// Returns `(parent, number, uncles, txs)`.
-    pub fn mine_template(
-        &self,
-        policy: UnclePolicy,
-        gas_limit: u64,
-    ) -> (BlockHash, u64, Vec<BlockHash>, Vec<TxId>) {
-        let parent = self.chain.head();
-        let number = self.chain.head_number() + 1;
-        let uncles = self.chain.select_uncles(parent, policy);
-        let txs = self
-            .mempool
-            .as_ref()
-            .map(|m| m.pack(gas_limit))
-            .unwrap_or_default();
-        (parent, number, uncles, txs)
-    }
-
-    /// True if this block is currently being fetched (for driver timeout
-    /// wiring).
+    /// True if this block is currently being fetched.
+    #[cfg(test)]
     pub fn is_fetching(&self, idx: BlockIdx) -> bool {
         self.fetching.iter().any(|(i, _)| *i == idx)
     }
@@ -1116,7 +1097,7 @@ mod tests {
     }
 
     #[test]
-    fn mempool_integration_and_mining_template() {
+    fn mempool_admits_gossiped_txs_and_prunes_included_ones() {
         let mut reg = BlockRegistry::new();
         let mut n = node(99, 3);
         n.enable_mempool();
@@ -1124,12 +1105,11 @@ mod tests {
         let registry = tx_registry(1);
         transactions(&mut n, None, TxId(1), &registry, &c, &mut rng());
         assert_eq!(n.mempool().expect("enabled").len(), 1);
-
-        let (parent, number, uncles, txs) = n.mine_template(UnclePolicy::Standard, 8_000_000);
-        assert_eq!(parent, genesis());
-        assert_eq!(number, 1);
-        assert!(uncles.is_empty());
-        assert_eq!(txs, vec![TxId(1)]);
+        let mut packed = Vec::new();
+        n.mempool()
+            .expect("enabled")
+            .pack_into(8_000_000, &mut packed);
+        assert_eq!(packed, vec![TxId(1)]);
 
         // A block including tx0 prunes it from the mempool.
         let b = BlockBuilder::new(genesis(), 1, PoolId(0))
@@ -1155,11 +1135,10 @@ mod tests {
     }
 
     #[test]
-    fn stale_side_blocks_not_relayed_when_policy_off() {
+    fn side_blocks_outside_the_relay_window_are_not_relayed() {
         let mut reg = BlockRegistry::new();
         let mut n = node(99, 9);
-        let mut c = cfg();
-        c.relay_non_head = false;
+        let c = cfg();
         // Advance the node's head far beyond 1 by importing a chain.
         let mut parent = genesis();
         for i in 1..=10u64 {

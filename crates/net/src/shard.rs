@@ -34,14 +34,6 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// The trivial single-shard map: every node owned by shard 0.
-    pub fn single(nodes: usize) -> Self {
-        ShardMap {
-            owner: vec![0; nodes],
-            shards: 1,
-        }
-    }
-
     /// Partitions nodes across `shards` workers without ever splitting a
     /// region: regions are sorted by population (largest first, region
     /// index breaking ties) and each is assigned to the least-loaded
@@ -109,6 +101,7 @@ impl ShardMap {
     }
 
     /// Nodes owned by `shard`.
+    #[cfg(test)]
     pub fn population(&self, shard: usize) -> usize {
         self.owner.iter().filter(|&&o| o as usize == shard).count()
     }
@@ -226,13 +219,13 @@ mod tests {
     }
 
     #[test]
-    fn map_is_deterministic_and_single_is_trivial() {
+    fn map_is_deterministic_and_one_shard_owns_everything() {
         let regions = spread(300);
         assert_eq!(
             ShardMap::by_region(&regions, 3),
             ShardMap::by_region(&regions, 3)
         );
-        let single = ShardMap::single(7);
+        let single = ShardMap::by_region(&regions[..7], 1);
         assert_eq!(single.len(), 7);
         assert!(!single.is_empty());
         assert!((0..7).all(|i| single.owns(0, NodeId(i))));

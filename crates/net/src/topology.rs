@@ -155,6 +155,7 @@ impl Topology {
     }
 
     /// True if every node can reach every other.
+    #[cfg(test)]
     pub fn is_connected(&self) -> bool {
         let mut seen = vec![false; self.n];
         let mut stack = vec![0usize];

@@ -100,12 +100,6 @@ impl Xoshiro256 {
         result
     }
 
-    /// Returns the next 32 bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -165,16 +159,6 @@ impl Xoshiro256 {
         lo + self.next_below(hi - lo + 1)
     }
 
-    /// A uniform float in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or not finite.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi && lo.is_finite() && hi.is_finite(), "invalid range");
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Returns `true` with probability `p`.
     ///
     /// `p <= 0` never fires; `p >= 1` always fires.
@@ -191,19 +175,12 @@ impl Xoshiro256 {
         }
     }
 
-    /// Samples `k` distinct indices from `0..n` (Floyd's algorithm).
+    /// Samples `k` distinct indices from `0..n` (Floyd's algorithm) into
+    /// `out` (cleared first), so steady-state fan-out sampling reuses one
+    /// allocation.
     ///
-    /// Returns all of `0..n` (in random order is *not* guaranteed) when
+    /// Yields all of `0..n` (in random order is *not* guaranteed) when
     /// `k >= n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut chosen = Vec::new();
-        self.sample_indices_into(n, k, &mut chosen);
-        chosen
-    }
-
-    /// [`Xoshiro256::sample_indices`] into a caller-provided buffer
-    /// (cleared first), so steady-state fan-out sampling reuses one
-    /// allocation. The draw sequence is identical to `sample_indices`.
     pub fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         out.clear();
         if k >= n {
@@ -220,16 +197,6 @@ impl Xoshiro256 {
                 out.push(t);
             }
         }
-    }
-
-    /// Chooses one element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        assert!(!slice.is_empty(), "cannot choose from an empty slice");
-        &slice[self.index(slice.len())]
     }
 
     /// Chooses an index according to a slice of non-negative weights.
@@ -334,8 +301,6 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.range_u64(10, 20);
             assert!((10..=20).contains(&v));
-            let f = rng.range_f64(-1.0, 1.0);
-            assert!((-1.0..1.0).contains(&f));
         }
         assert_eq!(rng.range_u64(5, 5), 5);
     }
@@ -363,15 +328,18 @@ mod tests {
     #[test]
     fn sample_indices_distinct_and_bounded() {
         let mut rng = Xoshiro256::seed_from_u64(17);
+        let mut s = vec![99];
         for _ in 0..100 {
-            let s = rng.sample_indices(50, 12);
+            rng.sample_indices_into(50, 12, &mut s);
             assert_eq!(s.len(), 12);
             let set: HashSet<usize> = s.iter().copied().collect();
             assert_eq!(set.len(), 12);
             assert!(s.iter().all(|&i| i < 50));
         }
-        assert_eq!(rng.sample_indices(5, 10).len(), 5);
-        assert_eq!(rng.sample_indices(5, 5).len(), 5);
+        rng.sample_indices_into(5, 10, &mut s);
+        assert_eq!(s.len(), 5);
+        rng.sample_indices_into(5, 5, &mut s);
+        assert_eq!(s.len(), 5);
     }
 
     #[test]

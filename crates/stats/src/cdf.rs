@@ -107,27 +107,6 @@ impl Cdf {
         self.sorted[rank.clamp(1, self.sorted.len()) - 1]
     }
 
-    /// Samples the CDF at `points` evenly spaced x-values across the data
-    /// range, returning `(x, P(X <= x))` pairs — the plottable series.
-    ///
-    /// Returns an empty vector for an empty sample.
-    pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        if points == 1 || hi == lo {
-            return vec![(hi, 1.0)];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.at(x))
-            })
-            .collect()
-    }
-
     /// Borrow the sorted sample.
     pub fn sorted_values(&self) -> &[f64] {
         &self.sorted
@@ -254,22 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn series_is_monotone() {
-        let c = Cdf::from_values([5.0, 1.0, 3.0, 2.0, 4.0]);
-        let s = c.series(11);
-        assert_eq!(s.len(), 11);
-        assert_eq!(s[0].0, 1.0);
-        assert_eq!(s[10].0, 5.0);
-        assert!(s.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(s[10].1, 1.0);
-    }
-
-    #[test]
-    fn degenerate_series() {
-        let c = Cdf::from_values([7.0, 7.0]);
-        assert_eq!(c.series(5), vec![(7.0, 1.0)]);
+    fn empty_cdf_is_zero_everywhere() {
         let empty = Cdf::from_values(std::iter::empty());
-        assert!(empty.series(5).is_empty());
         assert_eq!(empty.at(3.0), 0.0);
     }
 

@@ -108,16 +108,6 @@ impl Histogram {
             self.counts[i] as f64 / self.total as f64
         }
     }
-
-    /// `(bin center, probability mass)` series, ready for plotting.
-    pub fn pdf_series(&self) -> Vec<(f64, f64)> {
-        (0..self.bins())
-            .map(|i| {
-                let (a, b) = self.bin_edges(i);
-                ((a + b) / 2.0, self.pdf(i))
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -188,9 +178,6 @@ mod tests {
         let h = Histogram::new(0.0, 500.0, 50);
         assert_eq!(h.bin_edges(0), (0.0, 10.0));
         assert_eq!(h.bin_edges(49), (490.0, 500.0));
-        let series = h.pdf_series();
-        assert_eq!(series.len(), 50);
-        assert_eq!(series[0].0, 5.0);
     }
 
     #[test]

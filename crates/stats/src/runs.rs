@@ -32,22 +32,6 @@ pub fn run_lengths<T: Copy + PartialEq>(seq: &[T]) -> impl Iterator<Item = (T, u
     })
 }
 
-/// The longest run of `value` in `seq` (0 if absent).
-pub fn longest_run<T: Copy + PartialEq>(seq: &[T], value: T) -> usize {
-    run_lengths(seq)
-        .filter(|&(v, _)| v == value)
-        .map(|(_, l)| l)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Counts maximal runs of `value` with length at least `k`.
-pub fn count_runs_at_least<T: Copy + PartialEq>(seq: &[T], value: T, k: usize) -> usize {
-    run_lengths(seq)
-        .filter(|&(v, l)| v == value && l >= k)
-        .count()
-}
-
 /// The paper's naive estimate of how many `k`-runs a miner with block-win
 /// probability `p` produces among `n` blocks: `n * p^k`.
 ///
@@ -59,26 +43,6 @@ pub fn count_runs_at_least<T: Copy + PartialEq>(seq: &[T], value: T, k: usize) -
 pub fn naive_expected_runs(n: u64, p: f64, k: u32) -> f64 {
     assert!((0.0..=1.0).contains(&p), "probability out of range");
     n as f64 * p.powi(k as i32)
-}
-
-/// Exact expected number of *maximal* runs of length ≥ `k` in `n` Bernoulli
-/// trials with success probability `p`.
-///
-/// By linearity: a maximal ≥k-run starts at trial 1 with probability `p^k`,
-/// and at trial `i > 1` with probability `(1-p)·p^k`, so
-/// `E = p^k · (1 + (n-k)·(1-p))` for `n ≥ k`, else 0.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1]` or `k == 0`.
-pub fn expected_maximal_runs(n: u64, p: f64, k: u32) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "probability out of range");
-    assert!(k > 0, "run length must be positive");
-    if n < u64::from(k) {
-        return 0.0;
-    }
-    let pk = p.powi(k as i32);
-    pk * (1.0 + (n - u64::from(k)) as f64 * (1.0 - p))
 }
 
 /// Exact probability that `n` Bernoulli(`p`) trials contain at least one
@@ -202,26 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn longest_and_count() {
-        let seq = [1, 1, 2, 1, 1, 1, 2, 2, 1];
-        assert_eq!(longest_run(&seq, 1), 3);
-        assert_eq!(longest_run(&seq, 2), 2);
-        assert_eq!(longest_run(&seq, 9), 0);
-        assert_eq!(count_runs_at_least(&seq, 1, 2), 2);
-        assert_eq!(count_runs_at_least(&seq, 1, 3), 1);
-        assert_eq!(count_runs_at_least(&seq, 2, 1), 2);
-    }
-
-    #[test]
     fn paper_headline_numbers() {
         // Ethermine: p = 0.259, k = 8 => p^8 ~ 2e-5; over 201,086 blocks ~ 4
         // occurrences (paper's §III-D arithmetic).
         let p = 0.259f64;
         let naive = naive_expected_runs(201_086, p, 8);
         assert!((3.0..5.5).contains(&naive), "naive {naive}");
-        // Exact maximal-run expectation is close to (1-p) * naive here.
-        let exact = expected_maximal_runs(201_086, p, 8);
-        assert!((exact - naive * (1.0 - p)).abs() / exact < 0.01);
 
         // Sparkpool: p = 0.2269, k = 9 => about 0.3/month naive.
         let spark = naive_expected_runs(201_086, 0.2269, 9);
@@ -374,18 +324,5 @@ mod tests {
             prop_assert!(prob_run_at_least(n, p, k + 1) <= base + 1e-9);
         }
 
-        #[test]
-        fn expected_runs_bounds(p in 0.05f64..0.95, k in 1u32..6, n in 1u64..500) {
-            let e = expected_maximal_runs(n, p, k);
-            prop_assert!(e >= 0.0);
-            // Cannot exceed the count of available starting positions / k.
-            prop_assert!(e <= n as f64);
-            // Naive estimate upper-bounds the exact maximal-run expectation
-            // for n >= k (each maximal run is counted once, naive counts
-            // every position).
-            if n >= u64::from(k) {
-                prop_assert!(e <= naive_expected_runs(n, p, k) + 1e-9);
-            }
-        }
     }
 }

@@ -29,14 +29,8 @@
 
 use std::fmt;
 
-use crate::histogram::Histogram;
-
 /// Relative-accuracy base: bucket `i` spans `[γ^i, γ^{i+1})`.
 pub const GAMMA: f64 = 1.02;
-
-/// Documented relative error bound of [`QuantileSketch::quantile`]:
-/// `exact <= estimate <= exact * (1 + RELATIVE_ERROR)`.
-pub const RELATIVE_ERROR: f64 = GAMMA - 1.0;
 
 /// Smallest positive value resolved by the log buckets. Anything in
 /// `[0, MIN_TRACKED)` lands in the dedicated low bucket and reads back
@@ -45,7 +39,8 @@ pub const MIN_TRACKED: f64 = 1e-9;
 
 /// Largest value resolved by the log buckets; larger values clamp into
 /// the top bucket (the estimate is still capped at the observed max).
-pub const MAX_TRACKED: f64 = 1e12;
+#[cfg(test)]
+const MAX_TRACKED: f64 = 1e12;
 
 /// `-floor(ln(MIN_TRACKED) / ln(GAMMA))`: shifts bucket indices so that
 /// `MIN_TRACKED` maps to index 0 (pinned by a unit test below).
@@ -152,8 +147,8 @@ impl QuantileSketch {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Nearest-rank quantile estimate, within the documented
-    /// [`RELATIVE_ERROR`] of the exact [`Cdf`](crate::Cdf) answer (rank
+    /// Nearest-rank quantile estimate, within the module's documented
+    /// relative error (`GAMMA - 1`) of the exact [`Cdf`](crate::Cdf) answer (rank
     /// selection mirrors `Cdf::quantile`: rank `ceil(q*n)` clamped to
     /// `[1, n]`).
     ///
@@ -182,35 +177,6 @@ impl QuantileSketch {
             }
         }
         self.max
-    }
-
-    /// Projects the sketch onto a fixed-width [`Histogram`] over
-    /// `[lo, hi)` — the streaming replacement for building a histogram
-    /// from raw rows. Each log bucket contributes its full count at its
-    /// quantile representative (upper edge capped at the observed max),
-    /// so bins are accurate to the same ~[`RELATIVE_ERROR`] displacement.
-    ///
-    /// # Panics
-    ///
-    /// Propagates [`Histogram::new`]'s panics on an invalid range.
-    pub fn to_histogram(&self, lo: f64, hi: f64, bins: usize) -> Histogram {
-        let mut h = Histogram::new(lo, hi, bins);
-        if self.count == 0 {
-            return h;
-        }
-        for _ in 0..self.low {
-            h.record(0.0);
-        }
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let x = Self::upper_edge(i).min(self.max);
-            for _ in 0..c {
-                h.record(x);
-            }
-        }
-        h
     }
 }
 
@@ -290,32 +256,6 @@ mod tests {
         s.record_all([2e12, 3e12]); // beyond MAX_TRACKED: clamped buckets
         assert_eq!(s.quantile(1.0), 3e12);
         assert!(s.quantile(0.5) <= 3e12);
-    }
-
-    #[test]
-    fn histogram_projection_matches_direct_recording_within_bound() {
-        let values: Vec<f64> = (0..2_000).map(|i| (i % 487) as f64).collect();
-        let mut s = QuantileSketch::new();
-        s.record_all(values.iter().copied());
-        let h = s.to_histogram(0.0, 500.0, 25);
-        assert_eq!(h.total(), 2_000);
-        let mut exact = Histogram::new(0.0, 500.0, 25);
-        exact.record_all(values.iter().copied());
-        // Only samples within a factor GAMMA below a bin edge can shift up
-        // by one bin, so each bin's error is bounded by the number of
-        // samples hugging its two edges.
-        let near_edge = |edge: f64| {
-            values
-                .iter()
-                .filter(|&&v| v >= edge / GAMMA && v < edge)
-                .count() as u64
-        };
-        for i in 0..h.bins() {
-            let (lo, hi) = exact.bin_edges(i);
-            let slop = near_edge(lo) + near_edge(hi);
-            let (a, b) = (h.count(i), exact.count(i));
-            assert!(a.abs_diff(b) <= slop, "bin {i}: {a} vs {b} (slop {slop})");
-        }
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! assert_eq!(pool.add(&tx(11, 1, 5)), AddOutcome::Queued);
 //! assert_eq!(pool.add(&tx(10, 0, 5)), AddOutcome::Pending);
 //! // Both are now executable, in nonce order.
-//! assert_eq!(pool.pack(1_000_000), vec![TxId(10), TxId(11)]);
+//! let mut block = Vec::new();
+//! pool.pack_into(1_000_000, &mut block);
+//! assert_eq!(block, vec![TxId(10), TxId(11)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -107,6 +109,7 @@ impl Mempool {
     }
 
     /// Count of executable transactions (gap-free runs).
+    #[cfg(test)]
     pub fn pending_count(&self) -> usize {
         self.per_account
             .iter()
@@ -127,6 +130,7 @@ impl Mempool {
     }
 
     /// Count of parked (future-nonce) transactions.
+    #[cfg(test)]
     pub fn queued_count(&self) -> usize {
         self.len() - self.pending_count()
     }
@@ -180,19 +184,13 @@ impl Mempool {
         }
     }
 
-    /// Packs a block: highest-gas-price executable transactions first,
-    /// respecting per-sender nonce order, until `gas_limit` is filled.
+    /// Packs a block into `out` (cleared first): highest-gas-price
+    /// executable transactions first, respecting per-sender nonce order,
+    /// until `gas_limit` is filled. Ids land in inclusion order; a reused
+    /// buffer keeps its allocation across blocks.
     ///
-    /// Returns transaction ids in inclusion order. The pool itself is not
-    /// mutated — call [`Mempool::on_block`] when the block commits.
-    pub fn pack(&self, gas_limit: Gas) -> Vec<TxId> {
-        let mut out = Vec::new();
-        self.pack_into(gas_limit, &mut out);
-        out
-    }
-
-    /// [`Mempool::pack`] into a caller-provided buffer (cleared first), so
-    /// repeated packing reuses one allocation.
+    /// The pool itself is not mutated — call [`Mempool::on_block`] when
+    /// the block commits.
     pub fn pack_into(&self, gas_limit: Gas, out: &mut Vec<TxId>) {
         out.clear();
         // cursor per account: next executable nonce during this packing.
@@ -273,6 +271,12 @@ mod tests {
     use ethmeter_chain::tx::SIMPLE_TX_GAS;
     use ethmeter_types::{ByteSize, NodeId, SimTime};
 
+    pub(super) fn pack(pool: &Mempool, gas_limit: Gas) -> Vec<TxId> {
+        let mut out = Vec::new();
+        pool.pack_into(gas_limit, &mut out);
+        out
+    }
+
     fn tx(id: u64, sender: u32, nonce: u64, price: u64) -> Transaction {
         Transaction {
             id: TxId(id),
@@ -334,7 +338,7 @@ mod tests {
         pool.add(&tx(2, 1, 1, 100));
         // Account 2: expensive single.
         pool.add(&tx(3, 2, 0, 50));
-        let packed = pool.pack(10 * SIMPLE_TX_GAS);
+        let packed = pack(&pool, 10 * SIMPLE_TX_GAS);
         // 50 beats 1; then after account 2 drains, account 1's nonce 0
         // unlocks nonce 1 (100) only after nonce 0 (price 1) is taken.
         assert_eq!(packed, vec![TxId(3), TxId(1), TxId(2)]);
@@ -346,9 +350,9 @@ mod tests {
         for i in 0..10 {
             pool.add(&tx(i, i as u32, 0, 10));
         }
-        let packed = pool.pack(3 * SIMPLE_TX_GAS);
+        let packed = pack(&pool, 3 * SIMPLE_TX_GAS);
         assert_eq!(packed.len(), 3);
-        let none = pool.pack(SIMPLE_TX_GAS - 1);
+        let none = pack(&pool, SIMPLE_TX_GAS - 1);
         assert!(none.is_empty());
     }
 
@@ -357,7 +361,7 @@ mod tests {
         let mut pool = Mempool::new();
         pool.add(&tx(1, 1, 0, 10));
         pool.add(&tx(3, 1, 2, 99)); // gap at nonce 1
-        let packed = pool.pack(10 * SIMPLE_TX_GAS);
+        let packed = pack(&pool, 10 * SIMPLE_TX_GAS);
         assert_eq!(packed, vec![TxId(1)]);
     }
 
@@ -401,6 +405,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::pack;
     use super::*;
     use ethmeter_chain::tx::SIMPLE_TX_GAS;
     use ethmeter_types::{ByteSize, NodeId, SimTime};
@@ -430,7 +435,7 @@ mod proptests {
                 pool.add(t);
                 by_id.insert(t.id, (t.sender, t.nonce));
             }
-            let packed = pool.pack(1_000 * SIMPLE_TX_GAS);
+            let packed = pack(&pool, 1_000 * SIMPLE_TX_GAS);
             // Per-sender nonces in the packed list must be 0,1,2,... exactly.
             let mut seen: std::collections::HashMap<AccountId, Nonce> = Default::default();
             for id in &packed {
@@ -456,7 +461,7 @@ mod proptests {
                 pool.add(t);
                 prop_assert_eq!(pool.pending_count() + pool.queued_count(), pool.len());
                 if i % commit_every == 0 {
-                    let packed = pool.pack(8 * SIMPLE_TX_GAS);
+                    let packed = pack(&pool, 8 * SIMPLE_TX_GAS);
                     let committed: Vec<Transaction> = txs
                         .iter()
                         .filter(|t| packed.contains(&t.id))

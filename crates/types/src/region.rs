@@ -63,16 +63,6 @@ impl Region {
         self as usize
     }
 
-    /// Region from a dense index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= Region::COUNT`.
-    #[inline]
-    pub fn from_index(idx: usize) -> Region {
-        Self::ALL[idx]
-    }
-
     /// The short code used in the paper's tables ("NA", "EA", "WE", "CE").
     pub fn abbrev(self) -> &'static str {
         match self {
@@ -102,6 +92,7 @@ impl Region {
     }
 
     /// True for the four regions where the paper placed measurement nodes.
+    #[cfg(test)]
     pub fn is_vantage(self) -> bool {
         Self::VANTAGE.contains(&self)
     }
@@ -121,7 +112,6 @@ mod tests {
     fn indexes_round_trip() {
         for (i, r) in Region::ALL.iter().enumerate() {
             assert_eq!(r.index(), i);
-            assert_eq!(Region::from_index(i), *r);
         }
     }
 

@@ -129,7 +129,7 @@ impl<K: Copy + Eq + Hash> Interner<K> {
     /// # Panics
     ///
     /// Panics if `slot` was never assigned.
-    #[inline]
+    #[cfg(test)]
     pub fn resolve(&self, slot: u32) -> K {
         self.keys[slot as usize]
     }

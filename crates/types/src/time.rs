@@ -83,12 +83,6 @@ impl SimTime {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// The duration elapsed since `earlier`, or zero if `earlier` is later.
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Checked addition; `None` on overflow.
     #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
@@ -182,12 +176,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / NANOS_PER_MILLI
-    }
-
     /// Fractional milliseconds (for reporting).
     #[inline]
     pub fn as_millis_f64(self) -> f64 {
@@ -198,12 +186,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// Whole seconds (truncating).
-    #[inline]
-    pub const fn as_secs(self) -> u64 {
-        self.0 / NANOS_PER_SEC
     }
 
     /// True if this duration is zero.
@@ -272,8 +254,7 @@ impl Sub<SimTime> for SimTime {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `rhs` is later than `self`; use
-    /// [`SimTime::saturating_since`] when order is uncertain.
+    /// Panics in debug builds if `rhs` is later than `self`.
     #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0 - rhs.0)
@@ -370,9 +351,7 @@ mod tests {
     fn time_arithmetic() {
         let t = SimTime::from_secs(10);
         let u = t + SimDuration::from_millis(250);
-        assert_eq!((u - t).as_millis(), 250);
-        assert_eq!(u.saturating_since(t).as_millis(), 250);
-        assert_eq!(t.saturating_since(u), SimDuration::ZERO);
+        assert_eq!(u - t, SimDuration::from_millis(250));
         assert_eq!(u - SimDuration::from_millis(250), t);
     }
 
@@ -463,7 +442,7 @@ mod tests {
         assert!(big > SimDuration::from_secs(17_000_000_000));
         // A century-scale mul_f64 stays in range and ordered.
         let scaled = SimDuration::from_hours(1).mul_f64(8.76e5);
-        assert_eq!(scaled.as_secs(), 3_153_600_000);
+        assert_eq!(scaled.as_nanos() / NANOS_PER_SEC, 3_153_600_000);
     }
 
     #[test]

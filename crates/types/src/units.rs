@@ -19,12 +19,6 @@ impl ByteSize {
         ByteSize(bytes)
     }
 
-    /// Creates a size from kibibytes.
-    #[inline]
-    pub const fn from_kib(kib: u64) -> Self {
-        ByteSize(kib * 1024)
-    }
-
     /// Raw byte count.
     #[inline]
     pub const fn as_bytes(self) -> u64 {
@@ -85,12 +79,6 @@ impl Bandwidth {
         Bandwidth(gbps * 1_000_000_000)
     }
 
-    /// Bits per second.
-    #[inline]
-    pub const fn bits_per_sec(self) -> u64 {
-        self.0
-    }
-
     /// Time to serialize `size` onto this link.
     #[inline]
     pub fn transfer_time(self, size: ByteSize) -> SimDuration {
@@ -130,7 +118,6 @@ mod tests {
 
     #[test]
     fn byte_size_constructors() {
-        assert_eq!(ByteSize::from_kib(2).as_bytes(), 2048);
         assert_eq!(
             ByteSize::from_bytes(7) + ByteSize::from_bytes(3),
             ByteSize(10)
@@ -150,14 +137,14 @@ mod tests {
     fn gigabit_link_is_fast() {
         let bw = Bandwidth::from_gbps(10);
         // 25 KiB block on a 10 Gbps backbone: ~20 microseconds.
-        let t = bw.transfer_time(ByteSize::from_kib(25));
+        let t = bw.transfer_time(ByteSize::from_bytes(25 * 1024));
         assert!(t < SimDuration::from_micros(25), "got {t}");
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(ByteSize::from_bytes(512).to_string(), "512B");
-        assert_eq!(ByteSize::from_kib(25).to_string(), "25.00KiB");
+        assert_eq!(ByteSize::from_bytes(25 * 1024).to_string(), "25.00KiB");
         assert_eq!(Bandwidth::from_mbps(100).to_string(), "100.0Mbps");
         assert_eq!(Bandwidth::from_gbps(8).to_string(), "8.0Gbps");
     }

@@ -91,6 +91,7 @@ impl WorkloadConfig {
 
     /// Expected block gas utilization given a block gas limit and
     /// inter-block time.
+    // detlint::allow(unread-pub, reason = "the ~80% block-fullness calibration identity that the core preset tests pin")
     pub fn utilization(&self, gas_limit: Gas, interblock: SimDuration) -> f64 {
         self.tx_rate * self.mean_gas() * interblock.as_secs_f64() / gas_limit as f64
     }

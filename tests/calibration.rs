@@ -91,7 +91,7 @@ fn calibration_bands() {
     // longer than 1 are never recognized (structural).
     let t3 = forks::analyze(&data);
     let census = t3.census;
-    let fork_fraction = 1.0 - census.main_fraction();
+    let fork_fraction = 1.0 - census.main as f64 / census.total().max(1) as f64;
     assert!(
         (0.01..=0.15).contains(&fork_fraction),
         "fork fraction {fork_fraction}"
