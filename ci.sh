@@ -14,8 +14,10 @@
 #                run-length probability with its stepping reference
 #                (release only), the dataset row codec and the Fig. 4/5
 #                merge-joins against their reference implementations,
-#                and the event loop's allocation ceilings (tests/allocs.rs)
-#                in the profile the benchmark measures
+#                the spilled-versus-in-memory agreement of the observer
+#                log's segments, scans and merge (`measure` tests named
+#                `spill`), and the event loop's allocation ceilings
+#                (tests/allocs.rs) in the profile the benchmark measures
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
 #                sequential goldens bit-for-bit
@@ -105,6 +107,9 @@ stage_golden() {
     # the benchmark runs them in.
     filtered_tests --release -p ethmeter-measure csv::codec
     filtered_tests --release -p ethmeter-analysis commit::differential
+    # Spill segments, scans and the merge: spilled logs must read exactly
+    # as in-memory ones in the profile dataset-month runs them in.
+    filtered_tests --release -p ethmeter-measure spill
     # Allocator calls per event, cold planet-shaped start and warm small
     # preset: the counts do not depend on the profile, but release is
     # what the benchmark runs.

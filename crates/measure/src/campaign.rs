@@ -8,6 +8,7 @@ use ethmeter_types::{BlockHash, FxHashMap, PoolId, SimDuration, TxId};
 
 use crate::csv;
 use crate::log::{BlockRecord, ObserverLog, TxRecord};
+use crate::spill::Row;
 use crate::vantage::VantagePoint;
 
 /// Simulator-side ground truth. The real experiment approximates these
@@ -84,34 +85,11 @@ impl CampaignData {
     /// logs read identically and no caller ever materializes the raw
     /// rows — memory is bounded by the scans' fixed chunked read-ahead,
     /// not by campaign size.
-    pub fn for_each_main_block<F>(&self, mut f: F)
+    pub fn for_each_main_block<F>(&self, f: F)
     where
         F: FnMut(BlockHash, &[(usize, BlockRecord)]),
     {
-        let mut scans: Vec<_> = self
-            .main_observers()
-            .map(|(_, log)| log.scan_blocks().peekable())
-            .collect();
-        let mut group: Vec<(usize, BlockRecord)> = Vec::new();
-        loop {
-            let mut min: Option<BlockHash> = None;
-            for s in &mut scans {
-                if let Some(r) = s.peek() {
-                    min = Some(match min {
-                        Some(m) => m.min(r.hash),
-                        None => r.hash,
-                    });
-                }
-            }
-            let Some(min) = min else { break };
-            group.clear();
-            for (i, s) in scans.iter_mut().enumerate() {
-                if s.peek().is_some_and(|r| r.hash == min) {
-                    group.push((i, s.next().expect("peeked")));
-                }
-            }
-            f(min, &group);
-        }
+        merge_join(self.main_observers().map(|(_, log)| log.scan_blocks()), f);
     }
 
     /// Visits every distinct transaction observed by at least one main
@@ -119,34 +97,11 @@ impl CampaignData {
     /// record)` pairs — the transaction-side twin of
     /// [`CampaignData::for_each_main_block`], streaming through
     /// [`ObserverLog::scan_txs`].
-    pub fn for_each_main_tx<F>(&self, mut f: F)
+    pub fn for_each_main_tx<F>(&self, f: F)
     where
         F: FnMut(TxId, &[(usize, TxRecord)]),
     {
-        let mut scans: Vec<_> = self
-            .main_observers()
-            .map(|(_, log)| log.scan_txs().peekable())
-            .collect();
-        let mut group: Vec<(usize, TxRecord)> = Vec::new();
-        loop {
-            let mut min: Option<TxId> = None;
-            for s in &mut scans {
-                if let Some(r) = s.peek() {
-                    min = Some(match min {
-                        Some(m) => m.min(r.id),
-                        None => r.id,
-                    });
-                }
-            }
-            let Some(min) = min else { break };
-            group.clear();
-            for (i, s) in scans.iter_mut().enumerate() {
-                if s.peek().is_some_and(|r| r.id == min) {
-                    group.push((i, s.next().expect("peeked")));
-                }
-            }
-            f(min, &group);
-        }
+        merge_join(self.main_observers().map(|(_, log)| log.scan_txs()), f);
     }
 
     /// A stable 64-bit digest of the entire dataset: every observer log
@@ -219,6 +174,26 @@ impl CampaignData {
         h.write_u64(self.truth.interblock.as_nanos());
         h.write_u64(self.truth.duration.as_nanos());
         h.finish()
+    }
+}
+
+/// Joins ascending `scans` by key: `f` gets each key any scan yields,
+/// once, with the `(scan index, row)` pairs that carry it (ascending scan
+/// index).
+fn merge_join<R: Row>(
+    scans: impl Iterator<Item = impl Iterator<Item = R>>,
+    mut f: impl FnMut(R::Key, &[(usize, R)]),
+) {
+    let mut scans: Vec<_> = scans.map(Iterator::peekable).collect();
+    let mut group = Vec::new();
+    while let Some(min) = scans.iter_mut().filter_map(|s| s.peek().map(R::key)).min() {
+        group.clear();
+        for (i, s) in scans.iter_mut().enumerate() {
+            if let Some(r) = s.next_if(|r| r.key() == min) {
+                group.push((i, r));
+            }
+        }
+        f(min, &group);
     }
 }
 

@@ -6,7 +6,7 @@
 //! and loads into pandas with one call, like the original tooling.
 
 use std::fmt::{self, Write};
-use std::num::ParseIntError;
+use std::str::FromStr;
 
 use ethmeter_types::{BlockHash, NodeId, SimTime, TxId};
 
@@ -332,9 +332,10 @@ impl<'a, W: Write> RowWriter<'a, W> {
     }
 }
 
-fn parse_u64(s: &str, line: usize, field: &'static str) -> Result<u64, ParseError> {
-    s.parse::<u64>()
-        .map_err(|_: ParseIntError| ParseError::BadField { line, field })
+/// Parses an integer field at its own width, so an out-of-range value is
+/// a [`ParseError::BadField`], not a silent truncation.
+fn parse_int<T: FromStr>(s: &str, line: usize, field: &'static str) -> Result<T, ParseError> {
+    s.parse().map_err(|_| ParseError::BadField { line, field })
 }
 
 /// Splits `row` at commas into exactly `N` fields, or reports the row's
@@ -388,13 +389,13 @@ pub fn blocks_from_csv(text: &str) -> Result<Vec<BlockRecord>, ParseError> {
             _ => return Err(ParseError::BadKind { line }),
         };
         out.push(BlockRecord {
-            hash: BlockHash(parse_u64(hash, line, "hash")?),
-            first_local: SimTime::from_nanos(parse_u64(local, line, "first_local_ns")?),
-            first_true: SimTime::from_nanos(parse_u64(true_ns, line, "first_true_ns")?),
+            hash: BlockHash(parse_int(hash, line, "hash")?),
+            first_local: SimTime::from_nanos(parse_int(local, line, "first_local_ns")?),
+            first_true: SimTime::from_nanos(parse_int(true_ns, line, "first_true_ns")?),
             first_kind: kind,
-            first_from: NodeId(parse_u64(from, line, "first_from")? as u32),
-            announces: parse_u64(announces, line, "announces")? as u32,
-            full_blocks: parse_u64(full_blocks, line, "full_blocks")? as u32,
+            first_from: NodeId(parse_int(from, line, "first_from")?),
+            announces: parse_int(announces, line, "announces")?,
+            full_blocks: parse_int(full_blocks, line, "full_blocks")?,
         });
     }
     Ok(out)
@@ -414,11 +415,11 @@ pub fn txs_from_csv(text: &str) -> Result<Vec<TxRecord>, ParseError> {
         let line = i + 1;
         let [id, local, true_ns, from, seq] = split_row(row, line)?;
         out.push(TxRecord {
-            id: TxId(parse_u64(id, line, "tx")?),
-            first_local: SimTime::from_nanos(parse_u64(local, line, "first_local_ns")?),
-            first_true: SimTime::from_nanos(parse_u64(true_ns, line, "first_true_ns")?),
-            from: NodeId(parse_u64(from, line, "from")? as u32),
-            arrival_seq: parse_u64(seq, line, "arrival_seq")?,
+            id: TxId(parse_int(id, line, "tx")?),
+            first_local: SimTime::from_nanos(parse_int(local, line, "first_local_ns")?),
+            first_true: SimTime::from_nanos(parse_int(true_ns, line, "first_true_ns")?),
+            from: NodeId(parse_int(from, line, "from")?),
+            arrival_seq: parse_int(seq, line, "arrival_seq")?,
         });
     }
     Ok(out)
@@ -548,18 +549,22 @@ mod tests {
 
     #[test]
     fn every_block_field_reports_its_own_parse_error() {
-        let fields = [
-            "hash",
-            "first_local_ns",
-            "first_true_ns",
+        // One past u32::MAX: a u32 field must reject it, not wrap to 0.
+        let overflow = "4294967296";
+        for (i, field, bad) in [
+            (0, "hash", "not-a-number"),
+            (1, "first_local_ns", "not-a-number"),
+            (2, "first_true_ns", "not-a-number"),
             // index 3 is the kind tag -> BadKind, covered below
-            "first_from",
-            "announces",
-            "full_blocks",
-        ];
-        for (i, field) in (0..7).filter(|&i| i != 3).zip(fields) {
+            (4, "first_from", "not-a-number"),
+            (5, "announces", "not-a-number"),
+            (6, "full_blocks", "not-a-number"),
+            (4, "first_from", overflow),
+            (5, "announces", overflow),
+            (6, "full_blocks", overflow),
+        ] {
             let mut row: Vec<&str> = vec!["1", "2", "3", "ann", "4", "5", "6"];
-            row[i] = "not-a-number";
+            row[i] = bad;
             let text = format!("{BLOCK_HEADER}\n{}\n", row.join(","));
             assert_eq!(
                 blocks_from_csv(&text),
@@ -567,15 +572,16 @@ mod tests {
                 "field {i}"
             );
         }
-        for (i, field) in (0..5).zip([
-            "tx",
-            "first_local_ns",
-            "first_true_ns",
-            "from",
-            "arrival_seq",
-        ]) {
+        for (i, field, bad) in [
+            (0, "tx", "-9"),
+            (1, "first_local_ns", "-9"),
+            (2, "first_true_ns", "-9"),
+            (3, "from", "-9"),
+            (4, "arrival_seq", "-9"),
+            (3, "from", overflow),
+        ] {
             let mut row: Vec<&str> = vec!["1", "2", "3", "4", "5"];
-            row[i] = "-9";
+            row[i] = bad;
             let text = format!("{TX_HEADER}\n{}\n", row.join(","));
             assert_eq!(
                 txs_from_csv(&text),
@@ -673,7 +679,7 @@ mod proptests {
             let log = build_log(&events, &[]);
             let csv = blocks_to_csv(&log);
             let parsed = blocks_from_csv(&csv).expect("well-formed export");
-            let mut expected: Vec<BlockRecord> = log.blocks().copied().collect();
+            let mut expected: Vec<BlockRecord> = log.scan_blocks().collect();
             expected.sort_by_key(|r| (r.first_true, r.hash));
             prop_assert_eq!(parsed, expected);
             // Re-export is byte-identical (deterministic serialization).
@@ -692,7 +698,7 @@ mod proptests {
             let log = build_log(&[], &events);
             let csv = txs_to_csv(&log);
             let parsed = txs_from_csv(&csv).expect("well-formed export");
-            let mut expected: Vec<TxRecord> = log.txs().copied().collect();
+            let mut expected: Vec<TxRecord> = log.scan_txs().collect();
             expected.sort_by_key(|r| r.arrival_seq);
             prop_assert_eq!(parsed, expected);
         }
@@ -781,13 +787,13 @@ mod codec {
                 _ => return Err(ParseError::BadKind { line }),
             };
             out.push(BlockRecord {
-                hash: BlockHash(parse_u64(fields[0], line, "hash")?),
-                first_local: SimTime::from_nanos(parse_u64(fields[1], line, "first_local_ns")?),
-                first_true: SimTime::from_nanos(parse_u64(fields[2], line, "first_true_ns")?),
+                hash: BlockHash(parse_int(fields[0], line, "hash")?),
+                first_local: SimTime::from_nanos(parse_int(fields[1], line, "first_local_ns")?),
+                first_true: SimTime::from_nanos(parse_int(fields[2], line, "first_true_ns")?),
                 first_kind: kind,
-                first_from: NodeId(parse_u64(fields[4], line, "first_from")? as u32),
-                announces: parse_u64(fields[5], line, "announces")? as u32,
-                full_blocks: parse_u64(fields[6], line, "full_blocks")? as u32,
+                first_from: NodeId(parse_int(fields[4], line, "first_from")?),
+                announces: parse_int(fields[5], line, "announces")?,
+                full_blocks: parse_int(fields[6], line, "full_blocks")?,
             });
         }
         Ok(out)
@@ -809,11 +815,11 @@ mod codec {
                 });
             }
             out.push(TxRecord {
-                id: TxId(parse_u64(fields[0], line, "tx")?),
-                first_local: SimTime::from_nanos(parse_u64(fields[1], line, "first_local_ns")?),
-                first_true: SimTime::from_nanos(parse_u64(fields[2], line, "first_true_ns")?),
-                from: NodeId(parse_u64(fields[3], line, "from")? as u32),
-                arrival_seq: parse_u64(fields[4], line, "arrival_seq")?,
+                id: TxId(parse_int(fields[0], line, "tx")?),
+                first_local: SimTime::from_nanos(parse_int(fields[1], line, "first_local_ns")?),
+                first_true: SimTime::from_nanos(parse_int(fields[2], line, "first_true_ns")?),
+                from: NodeId(parse_int(fields[3], line, "from")?),
+                arrival_seq: parse_int(fields[4], line, "arrival_seq")?,
             });
         }
         Ok(out)

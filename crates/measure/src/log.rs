@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use ethmeter_types::{BlockHash, FxHashMap, NodeId, SimTime, TxId};
 
-use crate::spill::{self, BlockSegment, SpillConfig, TxSegment};
+use crate::spill::{self, Row, Segment, SpillConfig};
 
 /// How a block reached the observer (Table II's two message families).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,25 +80,67 @@ pub const TX_ENTRY_BYTES: usize = 56;
 /// reused runner.
 pub const MAX_RETAINED_BYTES: usize = 1 << 20;
 
-/// Out-of-core state of a budgeted log: its spill policy, the immutable
-/// segments flushed so far (shared by reference with any clones, e.g.
-/// extracted campaign data), and the filter over their keys.
+/// Out-of-core state of a budgeted log: its spill policy and, per record
+/// kind, what it has spilled.
 #[derive(Debug, Clone)]
 struct SpillState {
     config: SpillConfig,
-    block_segments: Vec<Arc<BlockSegment>>,
-    tx_segments: Vec<Arc<TxSegment>>,
-    /// Ascending distinct hashes of every spilled block: one probe tells
-    /// a fresh live block from a delta of a spilled one.
-    spilled_blocks: Vec<BlockHash>,
-    /// Ascending ids of every spilled tx (disjoint from the live map):
-    /// one probe keeps `arrival_seq` assignment identical to the
-    /// in-memory backend.
-    spilled_txs: Vec<TxId>,
+    blocks: Spilled<BlockRecord>,
+    txs: Spilled<TxRecord>,
     /// 8 bytes per row of every segment written so far — the filter cost
     /// [`ObserverLog::retained_bytes`] charges, kept as a running sum so
     /// the per-record high-water check stays O(1).
     segment_key_bytes: usize,
+}
+
+/// What a log has spilled of one record kind: the immutable segments
+/// flushed so far (shared by reference with any clones, e.g. extracted
+/// campaign data), and the filter over their keys.
+#[derive(Debug, Clone)]
+struct Spilled<R: Row> {
+    segments: Vec<Arc<Segment<R>>>,
+    /// Ascending distinct keys of every spilled row. For blocks one probe
+    /// tells a fresh live block from a delta of a spilled one; for txs
+    /// (disjoint from the live map) it keeps `arrival_seq` assignment
+    /// identical to the in-memory backend.
+    keys: Vec<R::Key>,
+}
+
+impl<R: Row> Default for Spilled<R> {
+    fn default() -> Self {
+        Spilled {
+            segments: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+}
+
+impl<R: Row> Spilled<R> {
+    /// Drains `live` into one new sorted segment (none if it is empty)
+    /// and merges its keys into the filter; returns the rows written.
+    fn flush(&mut self, config: &SpillConfig, live: &mut FxHashMap<R::Key, R>) -> usize {
+        if live.is_empty() {
+            return 0;
+        }
+        let mut rows: Vec<R> = live.drain().map(|(_, r)| r).collect();
+        rows.sort_unstable_by_key(R::key);
+        self.segments
+            .push(Segment::write(config, self.segments.len(), &rows));
+        merge_keys(&mut self.keys, rows.iter().map(R::key));
+        rows.len()
+    }
+
+    fn contains(&self, key: R::Key) -> bool {
+        self.keys.binary_search(&key).is_ok()
+    }
+}
+
+/// Every row of one kind in ascending key order: `spilled`'s segments
+/// merged with the `live` map.
+fn scan<R: Row>(live: &FxHashMap<R::Key, R>, spilled: Option<&Spilled<R>>) -> spill::Merge<R> {
+    let mut mem: Vec<R> = live.values().copied().collect();
+    mem.sort_unstable_by_key(R::key);
+    spill::merge(spilled.map_or(&[], |s| s.segments.as_slice()), mem)
 }
 
 /// Everything one observer recorded.
@@ -146,10 +188,8 @@ impl ObserverLog {
         );
         self.spill = config.map(|config| SpillState {
             config,
-            block_segments: Vec::new(),
-            tx_segments: Vec::new(),
-            spilled_blocks: Vec::new(),
-            spilled_txs: Vec::new(),
+            blocks: Spilled::default(),
+            txs: Spilled::default(),
             segment_key_bytes: 0,
         });
     }
@@ -187,7 +227,7 @@ impl ObserverLog {
     pub fn spilled_segments(&self) -> usize {
         self.spill
             .as_ref()
-            .map_or(0, |sp| sp.block_segments.len() + sp.tx_segments.len())
+            .map_or(0, |sp| sp.blocks.segments.len() + sp.txs.segments.len())
     }
 
     /// Post-record bookkeeping: track the heap high-water mark, then
@@ -206,28 +246,12 @@ impl ObserverLog {
     }
 
     /// Drains the live maps into one new sorted columnar segment each
-    /// (skipping empty maps). File names are `{prefix}.blk{seq:04}.seg` /
-    /// `{prefix}.txs{seq:04}.seg` under the configured spill dir.
+    /// (skipping empty maps) under the configured spill dir.
     fn flush(&mut self) {
         let sp = self.spill.as_mut().expect("flush requires spill config");
-        if !self.blocks.is_empty() {
-            let mut rows: Vec<BlockRecord> = self.blocks.drain().map(|(_, r)| r).collect();
-            rows.sort_unstable_by_key(|r| r.hash);
-            let name = format!("{}.blk{:04}.seg", sp.config.prefix, sp.block_segments.len());
-            sp.block_segments
-                .push(BlockSegment::write(&sp.config.dir, &name, &rows));
-            merge_keys(&mut sp.spilled_blocks, rows.iter().map(|r| r.hash));
-            sp.segment_key_bytes += rows.len() * 8;
-        }
-        if !self.txs.is_empty() {
-            let mut rows: Vec<TxRecord> = self.txs.drain().map(|(_, r)| r).collect();
-            rows.sort_unstable_by_key(|r| r.id);
-            let name = format!("{}.txs{:04}.seg", sp.config.prefix, sp.tx_segments.len());
-            sp.tx_segments
-                .push(TxSegment::write(&sp.config.dir, &name, &rows));
-            merge_keys(&mut sp.spilled_txs, rows.iter().map(|r| r.id));
-            sp.segment_key_bytes += rows.len() * 8;
-        }
+        let rows =
+            sp.blocks.flush(&sp.config, &mut self.blocks) + sp.txs.flush(&sp.config, &mut self.txs);
+        sp.segment_key_bytes += rows * 8;
     }
 
     /// Records a block-bearing or announcement message.
@@ -243,7 +267,7 @@ impl ObserverLog {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 if let Some(sp) = &self.spill {
-                    if sp.spilled_blocks.binary_search(&hash).is_err() {
+                    if !sp.blocks.contains(hash) {
                         self.distinct_blocks += 1;
                     }
                 }
@@ -282,7 +306,7 @@ impl ObserverLog {
         };
         if let Some(sp) = &self.spill {
             // Already flushed to a segment: still a duplicate.
-            if sp.spilled_txs.binary_search(&id).is_ok() {
+            if sp.txs.contains(id) {
                 return;
             }
         }
@@ -295,20 +319,6 @@ impl ObserverLog {
         });
         self.tx_arrivals += 1;
         self.after_record();
-    }
-
-    /// The live (in-memory) record of a block, if present. Under spill,
-    /// flushed blocks are not visible here — use
-    /// [`ObserverLog::scan_blocks`] for complete reads.
-    pub fn block(&self, hash: BlockHash) -> Option<&BlockRecord> {
-        self.blocks.get(&hash)
-    }
-
-    /// The live (in-memory) record of a transaction, if present. Under
-    /// spill, flushed txs are not visible here — use
-    /// [`ObserverLog::scan_txs`] for complete reads.
-    pub fn tx(&self, id: TxId) -> Option<&TxRecord> {
-        self.txs.get(&id)
     }
 
     /// Number of distinct blocks observed (across segments and the live
@@ -324,49 +334,22 @@ impl ObserverLog {
     /// live map; ids are globally deduplicated, so segment rows are
     /// disjoint).
     pub fn tx_count(&self) -> usize {
-        self.spill.as_ref().map_or(0, |sp| sp.spilled_txs.len()) + self.txs.len()
+        self.spill.as_ref().map_or(0, |sp| sp.txs.keys.len()) + self.txs.len()
     }
 
     /// Streams every block record in ascending hash order, merging
     /// spilled segments with the live map. This is **the** iteration API:
     /// both backends yield the bit-identical sequence for the same record
     /// stream, so analyses built on it never see the difference.
-    pub fn scan_blocks(&self) -> spill::BlockScan {
-        let mut mem: Vec<BlockRecord> = self.blocks.values().copied().collect();
-        mem.sort_unstable_by_key(|r| r.hash);
-        let segs: &[Arc<BlockSegment>] = self
-            .spill
-            .as_ref()
-            .map_or(&[], |sp| sp.block_segments.as_slice());
-        spill::merge_block_scan(segs, mem)
+    pub fn scan_blocks(&self) -> impl Iterator<Item = BlockRecord> {
+        scan(&self.blocks, self.spill.as_ref().map(|sp| &sp.blocks))
     }
 
     /// Streams every transaction record in ascending id order, merging
     /// spilled segments with the live map (counterpart of
     /// [`ObserverLog::scan_blocks`]).
-    pub fn scan_txs(&self) -> spill::TxScan {
-        let mut mem: Vec<TxRecord> = self.txs.values().copied().collect();
-        mem.sort_unstable_by_key(|r| r.id);
-        let segs: &[Arc<TxSegment>] = self
-            .spill
-            .as_ref()
-            .map_or(&[], |sp| sp.tx_segments.as_slice());
-        spill::merge_tx_scan(segs, mem)
-    }
-
-    /// Iterates over live block records (arbitrary, but deterministic,
-    /// order; excludes spilled rows — prefer [`ObserverLog::scan_blocks`]).
-    pub fn blocks(&self) -> impl Iterator<Item = &BlockRecord> + '_ {
-        // detlint::allow(unordered-iter, reason = "documented-unordered accessor over an FxHashMap (deterministic per process); goldens pin the observable results and consumers sort or fold commutatively")
-        self.blocks.values()
-    }
-
-    /// Iterates over live transaction records (arbitrary, but
-    /// deterministic, order; excludes spilled rows — prefer
-    /// [`ObserverLog::scan_txs`]).
-    pub fn txs(&self) -> impl Iterator<Item = &TxRecord> + '_ {
-        // detlint::allow(unordered-iter, reason = "documented-unordered accessor over an FxHashMap (deterministic per process); goldens pin the observable results and consumers sort or fold commutatively")
-        self.txs.values()
+    pub fn scan_txs(&self) -> impl Iterator<Item = TxRecord> {
+        scan(&self.txs, self.spill.as_ref().map(|sp| &sp.txs))
     }
 
     /// Forgets every record and drops this log's spill segments (their
@@ -481,8 +464,8 @@ mod tests {
     /// per row.
     fn segment_bytes(log: &ObserverLog) -> usize {
         log.spill.as_ref().map_or(0, |sp| {
-            let blocks: usize = sp.block_segments.iter().map(|s| s.rows()).sum();
-            let txs: usize = sp.tx_segments.iter().map(|s| s.rows()).sum();
+            let blocks: usize = sp.blocks.segments.iter().map(|s| s.rows()).sum();
+            let txs: usize = sp.txs.segments.iter().map(|s| s.rows()).sum();
             8 * (blocks + txs)
         })
     }
@@ -564,16 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_matches_the_unordered_accessors_in_memory() {
-        let mut log = ObserverLog::new();
-        replay(&mut log, 500);
-        let mut via_accessor: Vec<BlockRecord> = log.blocks().copied().collect();
-        via_accessor.sort_unstable_by_key(|r| r.hash);
-        let via_scan: Vec<BlockRecord> = log.scan_blocks().collect();
-        assert_eq!(via_scan, via_accessor);
-    }
-
-    #[test]
     fn spill_bounds_live_records_and_tracks_peak() {
         let budget = 4_096;
         let mut log = ObserverLog::with_spill(spill_cfg("budget", budget));
@@ -640,7 +613,7 @@ mod tests {
         let h = BlockHash(1);
         log.record_block_msg(h, BlockMsgKind::Announce, NodeId(1), t(10), t(11));
         log.record_block_msg(h, BlockMsgKind::FullBlock, NodeId(2), t(20), t(21));
-        let r = log.block(h).expect("recorded");
+        let r = log.blocks[&h];
         assert_eq!(r.first_kind, BlockMsgKind::Announce);
         assert_eq!(r.first_from, NodeId(1));
         assert_eq!(r.first_true, t(11));
@@ -655,7 +628,7 @@ mod tests {
         let h = BlockHash(2);
         log.record_block_msg(h, BlockMsgKind::FullBlock, NodeId(2), t(20), t(21));
         log.record_block_msg(h, BlockMsgKind::Announce, NodeId(1), t(10), t(11));
-        let r = log.block(h).expect("recorded");
+        let r = log.blocks[&h];
         assert_eq!(r.first_true, t(11));
         assert_eq!(r.first_kind, BlockMsgKind::Announce);
     }
@@ -667,10 +640,10 @@ mod tests {
         log.record_tx(TxId(5), NodeId(9), t(0), t(0)); // ignored duplicate
         log.record_tx(TxId(6), NodeId(2), t(3), t(4));
         assert_eq!(log.tx_count(), 2);
-        let r5 = log.tx(TxId(5)).expect("recorded");
+        let r5 = log.txs[&TxId(5)];
         assert_eq!(r5.from, NodeId(1));
         assert_eq!(r5.arrival_seq, 0);
-        let r6 = log.tx(TxId(6)).expect("recorded");
+        let r6 = log.txs[&TxId(6)];
         assert_eq!(r6.arrival_seq, 1);
     }
 
@@ -690,7 +663,7 @@ mod tests {
         for i in 0..3 {
             log.record_block_msg(h, BlockMsgKind::Announce, NodeId(10 + i), t(50), t(50));
         }
-        let r = log.block(h).expect("recorded");
+        let r = log.blocks[&h];
         assert_eq!(r.full_blocks, 7);
         assert_eq!(r.announces, 3);
         assert_eq!(log.block_count(), 1);

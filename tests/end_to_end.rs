@@ -39,7 +39,7 @@ fn different_seeds_diverge() {
 fn observers_see_ground_truth_blocks_only() {
     let data = tiny_campaign(9);
     for (v, log) in &data.observers {
-        for rec in log.blocks() {
+        for rec in log.scan_blocks() {
             assert!(
                 data.truth.tree.contains(rec.hash),
                 "observer {} logged unknown block {}",
@@ -47,7 +47,7 @@ fn observers_see_ground_truth_blocks_only() {
                 rec.hash
             );
         }
-        for rec in log.txs() {
+        for rec in log.scan_txs() {
             assert!(
                 data.truth.txs.contains_key(&rec.id),
                 "observer {} logged unknown tx {}",
