@@ -12,12 +12,14 @@
 #                by `test`; a debug/release divergence must fail CI), the
 #                pinned chain-only text, the whole-chain agreement of the
 #                run-length probability with its stepping reference
-#                (release only), the dataset row codec and the Fig. 4/5
-#                merge-joins against their reference implementations,
-#                the spilled-versus-in-memory agreement of the observer
-#                log's segments, scans and merge (`measure` tests named
-#                `spill`), and the event loop's allocation ceilings
-#                (tests/allocs.rs) in the profile the benchmark measures
+#                (release only), the chain-only selfish race's pinned
+#                cells (`selfish::pinned`), the dataset row codec and the
+#                Fig. 4/5 merge-joins against their reference
+#                implementations, the spilled-versus-in-memory agreement
+#                of the observer log's segments, scans and merge
+#                (`measure` tests named `spill`), and the event loop's
+#                allocation ceilings (tests/allocs.rs) in the profile the
+#                benchmark measures
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
 #                sequential goldens bit-for-bit
@@ -101,6 +103,10 @@ stage_golden() {
     # where it would take far longer).
     filtered_tests --release -p ethmeter-stats \
         stepping_and_matrix_power_agree_over_the_whole_chain
+    # The chain-only selfish race's pinned cells (below and above one
+    # half, where the attacker keeps blocks back) and the Fig. 7 month's
+    # miner sequence, in the profile the chain-only workload runs them in.
+    filtered_tests --release -p ethmeter-core selfish::pinned
     # The CSV row codec (digit writer, arrival placement, field splitter)
     # against the formatter/split-collect codec it replaced, and the
     # Fig. 4/5 merge-joins against the hash-map reference, in the profile
@@ -264,8 +270,9 @@ stage_consensus_smoke() {
     # The slot-backed core against the hash-keyed tree it replaced, every
     # engine, unbounded and at the smallest window (slots recycle).
     filtered_tests --release -p ethmeter-chain headertree::reference
-    # The chain-only selfish race over a 3x3 alpha x gamma grid and the
-    # Fig. 7 month's miner sequence, pinned value for value; and the
+    # The chain-only selfish race over a 3x3 alpha x gamma grid plus two
+    # cells above one half, and the Fig. 7 month's miner sequence, pinned
+    # value for value; and the
     # once-summed weighted draw against the inline loop it replaced, index
     # for index and generator state for state.
     filtered_tests --release -p ethmeter-core selfish::pinned

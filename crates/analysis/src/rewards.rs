@@ -14,7 +14,7 @@ use std::fmt;
 use ethmeter_chain::rewards::{tx_fees, uncle_reward, MilliEther, BLOCK_REWARD, NEPHEW_REWARD};
 use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::{pct, Table};
-use ethmeter_types::PoolId;
+use ethmeter_types::{BlockNumber, PoolId};
 
 /// One pool's revenue line.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,74 +74,113 @@ impl RevenueReport {
     }
 }
 
+/// Per-pool revenue, accumulated one canonical block at a time: the one
+/// place the reward schedule is applied. [`analyze`] folds a campaign's
+/// canonical chain through it; the chain-only selfish race folds each
+/// block once it is final and keeps no chain.
+#[derive(Debug, Clone)]
+pub struct RevenueFold {
+    /// Per-pool `(canonical blocks, uncles credited, reward)`.
+    pools: BTreeMap<PoolId, (u64, u64, MilliEther)>,
+    total_blocks: u64,
+    total_reward: MilliEther,
+    /// False under engines without uncle semantics (pure longest-chain):
+    /// they pay no nephew or uncle rewards, blocks and fees only.
+    uncles_pay: bool,
+}
+
+impl RevenueFold {
+    /// An empty fold; `uncles_pay` is the engine's
+    /// [`ethmeter_chain::consensus::Consensus::rewards_uncles`].
+    pub fn new(uncles_pay: bool) -> Self {
+        RevenueFold {
+            pools: BTreeMap::new(),
+            total_blocks: 0,
+            total_reward: 0,
+            uncles_pay,
+        }
+    }
+
+    /// Credits one canonical block above genesis: its height, miner and
+    /// transaction count, and the `(height, miner)` of each uncle it
+    /// references (only references from canonical blocks pay).
+    pub fn credit(
+        &mut self,
+        number: BlockNumber,
+        miner: PoolId,
+        txs: usize,
+        uncles: impl IntoIterator<Item = (BlockNumber, PoolId)>,
+    ) {
+        let mut reward = BLOCK_REWARD + tx_fees(txs);
+        if self.uncles_pay {
+            for (uncle_number, uncle_miner) in uncles {
+                let credit = uncle_reward(number, uncle_number);
+                let e = self.pools.entry(uncle_miner).or_default();
+                e.1 += 1;
+                e.2 += credit;
+                self.total_reward += credit;
+                reward += NEPHEW_REWARD;
+            }
+        }
+        let e = self.pools.entry(miner).or_default();
+        e.0 += 1;
+        e.2 += reward;
+        self.total_reward += reward;
+        self.total_blocks += 1;
+    }
+
+    /// The report: a row for every pool that earned anything, labelled by
+    /// `name` and `share` and ordered by descending share (ties by id).
+    pub fn finish(
+        self,
+        name: impl Fn(PoolId) -> String,
+        share: impl Fn(PoolId) -> f64,
+    ) -> RevenueReport {
+        let mut ids: Vec<PoolId> = self.pools.keys().copied().collect();
+        ids.sort_by(|a, b| {
+            share(*b)
+                .partial_cmp(&share(*a))
+                .expect("finite")
+                .then(a.cmp(b))
+        });
+        let rows = ids
+            .into_iter()
+            .map(|pool| {
+                let (blocks, uncles, reward) = self.pools[&pool];
+                RevenueRow {
+                    pool,
+                    name: name(pool),
+                    hash_share: share(pool),
+                    blocks,
+                    uncles,
+                    reward,
+                }
+            })
+            .collect();
+        RevenueReport {
+            rows,
+            total_blocks: self.total_blocks,
+            total_reward: self.total_reward,
+        }
+    }
+}
+
 /// Computes the revenue breakdown of one campaign.
 pub fn analyze(data: &CampaignData) -> RevenueReport {
-    // Per-pool `(canonical blocks, uncles credited, reward)`.
-    let mut pools: BTreeMap<PoolId, (u64, u64, MilliEther)> = BTreeMap::new();
-    let mut total_blocks = 0u64;
-    let mut total_reward: MilliEther = 0;
     let tree = &data.truth.tree;
-    // The reward schedule is consensus-dependent: engines without
-    // uncle semantics (pure longest-chain) pay no nephew or uncle
-    // rewards — blocks and fees only.
-    let uncles_pay = tree.consensus().rewards_uncles();
-    for block in tree.canonical_blocks() {
-        if block.number() == 0 {
-            continue;
-        }
-        total_blocks += 1;
-        let entry = pools.entry(block.miner()).or_default();
-        entry.0 += 1;
-        let nephew = if uncles_pay {
-            NEPHEW_REWARD * block.uncles().len() as MilliEther
-        } else {
-            0
-        };
-        let reward = BLOCK_REWARD + nephew + tx_fees(block.txs().len());
-        entry.2 += reward;
-        total_reward += reward;
-        if !uncles_pay {
-            continue;
-        }
-        // Uncle credits: only references from canonical blocks pay.
-        for &u in block.uncles() {
-            let Some(uncle) = tree.get(u) else {
-                continue;
-            };
-            let credit = uncle_reward(block.number(), uncle.number());
-            let e = pools.entry(uncle.miner()).or_default();
-            e.1 += 1;
-            e.2 += credit;
-            total_reward += credit;
-        }
+    let mut fold = RevenueFold::new(tree.consensus().rewards_uncles());
+    for block in tree.canonical_blocks().filter(|b| b.number() > 0) {
+        let uncles = block
+            .uncles()
+            .iter()
+            .filter_map(|&u| tree.get(u))
+            .map(|u| (u.number(), u.miner()));
+        fold.credit(block.number(), block.miner(), block.txs().len(), uncles);
     }
-    let share = |pool: PoolId| data.truth.pool_share(pool);
-    let mut ids: Vec<PoolId> = pools.keys().copied().collect();
-    ids.sort_by(|a, b| {
-        share(*b)
-            .partial_cmp(&share(*a))
-            .expect("finite")
-            .then(a.cmp(b))
-    });
-    let rows = ids
-        .into_iter()
-        .map(|pool| {
-            let (blocks, uncles, reward) = pools[&pool];
-            RevenueRow {
-                pool,
-                name: data.truth.pool_name(pool),
-                hash_share: share(pool),
-                blocks,
-                uncles,
-                reward,
-            }
-        })
-        .collect();
-    RevenueReport {
-        rows,
-        total_blocks,
-        total_reward,
-    }
+    fold.finish(
+        |pool| data.truth.pool_name(pool),
+        |pool| data.truth.pool_share(pool),
+    )
 }
 
 impl fmt::Display for RevenueReport {

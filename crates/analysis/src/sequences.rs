@@ -76,25 +76,24 @@ pub fn analyze_sequence(
     shares: &[f64],
     interblock: SimDuration,
 ) -> SequenceReport {
-    let max_pool = seq
-        .iter()
-        .map(|p| p.index() + 1)
-        .max()
-        .unwrap_or(0)
-        .max(names.len());
-    let mut blocks = vec![0u64; max_pool];
-    for p in seq {
-        blocks[p.index()] += 1;
-    }
-    let mut runs: Vec<Vec<u64>> = vec![Vec::new(); max_pool];
+    // One pass: per-pool block counts and run-length histograms, indexed
+    // by pool id and grown to the highest id seen.
+    let mut blocks = vec![0u64; names.len()];
+    let mut runs: Vec<Vec<u64>> = vec![Vec::new(); names.len()];
     for (pool, len) in run_lengths(seq) {
-        let r = &mut runs[pool.index()];
+        let i = pool.index();
+        if blocks.len() <= i {
+            blocks.resize(i + 1, 0);
+            runs.resize(i + 1, Vec::new());
+        }
+        blocks[i] += len as u64;
+        let r = &mut runs[i];
         if r.len() <= len {
             r.resize(len + 1, 0);
         }
         r[len] += 1;
     }
-    let mut pools: Vec<PoolSequenceRow> = (0..max_pool)
+    let mut pools: Vec<PoolSequenceRow> = (0..blocks.len())
         .filter(|&i| blocks[i] > 0)
         .map(|i| {
             let longest = runs[i]

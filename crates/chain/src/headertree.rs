@@ -5,25 +5,27 @@
 //! score}`, head selection under a pluggable [`Consensus`] engine (the default
 //! [`HeaviestChain`] reproduces total difficulty with first-seen
 //! tie-breaking), the canonical index, the orphan buffer and its cascade,
-//! the ancestor walk, the referenced-uncle record, and an optional pruning
-//! window. The `safe`/`finalized` markers are derived from the canonical
-//! index and the engine's confirmation depths, never stored. Uncle
-//! eligibility over the same state lives in [`crate::uncles`].
+//! the ancestor walk, the referenced-uncle record, and pruning: through a
+//! window that trails the head, or through a height the owner names. The
+//! `safe`/`finalized` markers are derived from the canonical index and the
+//! engine's confirmation depths, never stored. Uncle eligibility over the
+//! same state lives in [`crate::uncles`].
 //!
 //! Headers live in slots of one `Vec`, each linked to its parent's slot.
 //! A query probes the one hash→slot index once, for the hash it is handed;
 //! ancestry, head switches and uncle checks then walk slots. The canonical
 //! index holds slots too, so reading the chain by height makes no probe at
-//! all. A prune frees the slots at or below the window's cutoff and
-//! repairs no link, so a link counts only while its slot is live and still
-//! holds the parent's hash: a freed or reused slot ends a walk exactly
-//! where the pruned parent would have.
+//! all. A prune frees the slots at or below its height and repairs no
+//! link, so a link counts only while its slot is live and still holds the
+//! parent's hash: a freed or reused slot ends a walk exactly where the
+//! pruned parent would have.
 //!
-//! Both consumers are this type: a gossip node's view of the chain is a
+//! Every consumer is this type: a gossip node's view of the chain is a
 //! windowed tree (`ethmeter_net::HeaderView`, so per-node memory stays
-//! constant however long the simulation runs), and the ground-truth
+//! constant however long the simulation runs), the ground-truth
 //! [`crate::tree::BlockTree`] is an unbounded one with block bodies kept
-//! beside it.
+//! beside it, and the chain-only selfish-mining race prunes an unbounded
+//! one behind its own finality line.
 
 use std::collections::hash_map::Entry::Vacant;
 use std::collections::VecDeque;
@@ -173,7 +175,8 @@ pub struct HeaderTree {
     referenced: FxHashMap<BlockHash, BlockHash>,
     /// parent hash -> headers waiting for that parent.
     orphans: FxHashMap<BlockHash, Vec<Orphan>>,
-    /// Heights of history kept behind the head; `None` keeps everything.
+    /// Heights of history kept behind the head; `None` keeps everything
+    /// [`HeaderTree::prune_through`] has not let go of.
     window: Option<u64>,
     reorg_count: u64,
 }
@@ -200,7 +203,8 @@ impl HeaderTree {
         Self::rooted(genesis, Some(window), engine)
     }
 
-    /// A tree rooted at `genesis` that never prunes.
+    /// A tree rooted at `genesis` that prunes only through
+    /// [`HeaderTree::prune_through`].
     pub fn unbounded(genesis: BlockHash, engine: Arc<dyn Consensus>) -> Self {
         Self::rooted(genesis, None, engine)
     }
@@ -458,9 +462,9 @@ impl HeaderTree {
     /// # Errors
     ///
     /// [`InsertError::Duplicate`] if the hash is already attached or
-    /// buffered, [`InsertError::TooOld`] if a windowed tree has pruned
-    /// past its height, and any error from the engine's
-    /// [`Consensus::validate`] hook (by default
+    /// buffered, [`InsertError::TooOld`] if the tree has let go of its
+    /// height (see [`HeaderTree::prune_through`]), and any error from the
+    /// engine's [`Consensus::validate`] hook (by default
     /// [`InsertError::HeightMismatch`]).
     pub fn insert(
         &mut self,
@@ -474,7 +478,7 @@ impl HeaderTree {
         if self.index.contains_key(&hash) {
             return Err(InsertError::Duplicate(hash));
         }
-        if self.cutoff().is_some_and(|cutoff| number <= cutoff) {
+        if self.refused_through().is_some_and(|line| number <= line) {
             return Err(InsertError::TooOld { hash, number });
         }
         if self
@@ -624,31 +628,64 @@ impl HeaderTree {
         self.head_number().checked_sub(self.window?)
     }
 
+    /// The height at and below which an insert is refused as too old. A
+    /// windowed tree refuses its cutoff, which trails the head (a header
+    /// just above it is still buffered, as it always has been). A tree
+    /// without a window refuses everything up to its lowest retained
+    /// height once [`HeaderTree::prune_through`] has run: a header there
+    /// has lost its parent for good, so buffering it would only hold it
+    /// forever.
+    fn refused_through(&self) -> Option<BlockNumber> {
+        match self.window {
+            Some(_) => self.cutoff(),
+            None => (self.base > 0).then_some(self.base),
+        }
+    }
+
     /// Drops everything at or below the window's cutoff.
     fn prune(&mut self) {
-        let (Some(window), Some(cutoff)) = (self.window, self.cutoff()) else {
-            return;
-        };
+        if let Some(cutoff) = self.cutoff() {
+            self.prune_through(cutoff);
+        }
+    }
+
+    /// Lets go of every header at or below `height`: frees their slots,
+    /// shortens the canonical index to the heights above, and drops the
+    /// buffered headers there. A windowed tree calls this at its cutoff
+    /// after every head move; a tree without a window only when its owner
+    /// calls it, which must be below every height a later insert, uncle
+    /// check or walk can reach. An insert there is refused afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `height` is not below the head.
+    pub fn prune_through(&mut self, height: BlockNumber) {
+        let head = self.head_number();
+        assert!(
+            height < head,
+            "pruning through {height} would drop the head at {head}"
+        );
         for (slot, e) in (0u32..).zip(&mut self.entries) {
-            // A free slot claims FREE, above every cutoff.
-            if e.number <= cutoff {
+            // A free slot claims FREE, above every height.
+            if e.number <= height {
                 self.index.remove(&{ e.hash });
                 e.number = FREE;
                 self.free.push(slot);
             }
         }
-        while self.base <= cutoff {
+        while self.base <= height {
             self.canonical.pop_front();
             self.base += 1;
         }
         self.orphans.retain(|_, waiting| {
-            waiting.retain(|o| o.number > cutoff);
+            waiting.retain(|o| o.number > height);
             !waiting.is_empty()
         });
         // `referenced` may keep stale hashes — uncle candidates must be
         // attached, so a pruned hash can never be one again — and is only
-        // swept once it has outgrown the window several times over.
-        if self.referenced.len() as u64 > 4 * window {
+        // swept once it has outgrown the retained heights several times
+        // over.
+        if self.referenced.len() as u64 > 4 * (head - height) {
             let index = &self.index;
             self.referenced.retain(|u, _| index.contains_key(u));
         }
@@ -907,6 +944,133 @@ mod tests {
                 number: 1
             })
         );
+    }
+
+    /// Offers `count` random headers to both trees, which must answer
+    /// alike: each on a parent drawn from `known` at or above `floor`,
+    /// mostly one near the top, citing up to two random known headers as
+    /// uncles.
+    fn grow(
+        rng: &mut proptest::TestRng,
+        trees: &mut [HeaderTree; 2],
+        known: &mut Vec<(BlockHash, BlockNumber)>,
+        floor: BlockNumber,
+        count: u64,
+    ) {
+        for _ in 0..count {
+            let top = known.iter().map(|&(_, n)| n).max().expect("genesis");
+            let near_top = rng.next_u64() % 4 != 0;
+            let parents: Vec<_> = known
+                .iter()
+                .filter(|&&(_, n)| n >= floor && (!near_top || n + 3 > top))
+                .copied()
+                .collect();
+            let (parent, number) = parents[(rng.next_u64() % parents.len() as u64) as usize];
+            let miner = PoolId((rng.next_u64() % 3) as u16);
+            let uncles: Vec<BlockHash> = (0..rng.next_u64() % 3)
+                .map(|_| known[(rng.next_u64() % known.len() as u64) as usize].0)
+                .collect();
+            let hash = h(10_000 + known.len() as u64);
+            let [pruned, twin] = trees;
+            let indexed = twin.head_number() + 1 - floor;
+            let got = pruned.insert(hash, parent, number + 1, miner, 1, &uncles);
+            let want = twin.insert(hash, parent, number + 1, miner, 1, &uncles);
+            // A reorg forking below `floor` replaces, in the pruned tree,
+            // only the canonical blocks it still indexes.
+            let want = want.map(|outcome| match outcome {
+                InsertOutcome::Attached {
+                    new_head,
+                    reorg_depth,
+                    connected_orphans,
+                } => InsertOutcome::Attached {
+                    new_head,
+                    reorg_depth: reorg_depth.min(indexed),
+                    connected_orphans,
+                },
+                orphaned => orphaned,
+            });
+            assert_eq!(got, want);
+            known.push((hash, number + 1));
+        }
+    }
+
+    /// `pruned` answers as its unpruned `twin` for every query above
+    /// `line + MAX_UNCLE_DEPTH`.
+    fn agree_above(
+        pruned: &HeaderTree,
+        twin: &HeaderTree,
+        known: &[(BlockHash, BlockNumber)],
+        line: BlockNumber,
+    ) {
+        let above = line + MAX_UNCLE_DEPTH + 1;
+        assert_eq!(pruned.head(), twin.head());
+        assert_eq!(pruned.head_number(), twin.head_number());
+        for n in above..=twin.head_number() + 1 {
+            assert_eq!(pruned.canonical_hash(n), twin.canonical_hash(n), "at {n}");
+        }
+        let candidates = known.iter().map(|&(hash, _)| hash);
+        for &(hash, number) in known.iter().filter(|&&(_, n)| n >= above) {
+            assert_eq!(pruned.is_canonical(hash), twin.is_canonical(hash));
+            assert_eq!(
+                pruned.is_recognized_uncle(hash),
+                twin.is_recognized_uncle(hash)
+            );
+            for n in above..=number + 1 {
+                assert_eq!(pruned.ancestor_at(hash, n), twin.ancestor_at(hash, n));
+            }
+            for policy in [UnclePolicy::Standard, UnclePolicy::ForbidSameMinerHeight] {
+                assert_eq!(
+                    pruned.select_uncles_among(hash, candidates.clone(), policy),
+                    twin.select_uncles_among(hash, candidates.clone(), policy),
+                    "uncles on {hash} at {number}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_through_a_height_changes_no_answer_above_it() {
+        let mut rng = proptest::TestRng::deterministic("prune_through");
+        for case in 0..proptest::cases(64) {
+            let g = h(0);
+            let mut trees = [(); 2].map(|_| HeaderTree::unbounded(g, Arc::new(HeaviestChain)));
+            let mut known = vec![(g, 0)];
+            let mut line = 0;
+            // Constant difficulty, as in every simulated chain: the head
+            // never moves down.
+            grow(&mut rng, &mut trees, &mut known, 0, 40);
+            while trees[1].head_number() <= MAX_UNCLE_DEPTH {
+                grow(&mut rng, &mut trees, &mut known, 0, 1);
+            }
+            // Prune ever higher, each time checking the answers above the
+            // line, that nothing can attach at or just above it, and that
+            // inserts above it go on agreeing.
+            for _ in 0..3 {
+                let head = trees[1].head_number();
+                line = line.max(rng.next_u64() % (head - MAX_UNCLE_DEPTH));
+                trees[0].prune_through(line);
+                let [pruned, twin] = &mut trees;
+                agree_above(pruned, twin, &known, line);
+                for (k, &(parent, number)) in known.iter().enumerate() {
+                    if number > line {
+                        continue;
+                    }
+                    let hash = h(1_000_000 + k as u64);
+                    assert_eq!(
+                        pruned.insert(hash, parent, number + 1, PoolId(0), 1, &[]),
+                        Err(InsertError::TooOld {
+                            hash,
+                            number: number + 1
+                        }),
+                        "case {case}: a child of {parent} at {number}, line {line}"
+                    );
+                }
+                assert_eq!(pruned.orphan_count(), 0, "case {case}");
+                assert!(pruned.len() < twin.len(), "case {case}");
+                grow(&mut rng, &mut trees, &mut known, line + 1, 30);
+                agree_above(&trees[0], &trees[1], &known, line);
+            }
+        }
     }
 
     #[test]

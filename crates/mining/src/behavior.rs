@@ -173,6 +173,12 @@ impl<B> SelfishState<B> {
         }
     }
 
+    /// `(hash, height)` of the base: the public block the private branch
+    /// extends, or the next solve will when nothing is withheld.
+    pub fn base(&self) -> (BlockHash, BlockNumber) {
+        self.base
+    }
+
     /// `(hash, height)` of the private tip, if a branch exists.
     pub fn tip(&self) -> Option<(BlockHash, BlockNumber)> {
         self.private.last().map(|w| (w.hash, w.number))
