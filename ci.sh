@@ -17,9 +17,11 @@
 #                Fig. 4/5 merge-joins against their reference
 #                implementations, the spilled-versus-in-memory agreement
 #                of the observer log's segments, scans and merge
-#                (`measure` tests named `spill`), and the event loop's
-#                allocation ceilings (tests/allocs.rs) in the profile the
-#                benchmark measures
+#                (`measure` tests named `spill`), the event loop's
+#                allocation ceilings (tests/allocs.rs), and the
+#                reused-world equivalence checks (a reset runner, a reset
+#                world and a reusing grid must match fresh runs) in the
+#                profile the benchmark measures
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
 #                sequential goldens bit-for-bit
@@ -120,6 +122,12 @@ stage_golden() {
     # preset: the counts do not depend on the profile, but release is
     # what the benchmark runs.
     filtered_tests --release --test allocs allocation_ceiling
+    # Reused worlds (the grid workers' path) against fresh ones: the
+    # runner's reset proptest, the world's reset test, and the reusing
+    # grid against fresh and sequential runs.
+    filtered_tests --release -p ethmeter-core reset_reuse_is_fingerprint_identical
+    filtered_tests --release -p ethmeter-core reset_reproduces_a_fresh_world
+    filtered_tests --release --test sweep reused_worker_sweeps_equal_fresh_and_sequential
 }
 
 stage_par_smoke() {

@@ -112,21 +112,28 @@ impl RevenueFold {
         uncles: impl IntoIterator<Item = (BlockNumber, PoolId)>,
     ) {
         let mut reward = BLOCK_REWARD + tx_fees(txs);
-        if self.uncles_pay {
-            for (uncle_number, uncle_miner) in uncles {
-                let credit = uncle_reward(number, uncle_number);
-                let e = self.pools.entry(uncle_miner).or_default();
-                e.1 += 1;
-                e.2 += credit;
-                self.total_reward += credit;
-                reward += NEPHEW_REWARD;
-            }
+        for (uncle_number, uncle_miner) in uncles {
+            let Some(credit) = self.uncle_credit(number, uncle_number) else {
+                break;
+            };
+            let e = self.pools.entry(uncle_miner).or_default();
+            e.1 += 1;
+            e.2 += credit;
+            self.total_reward += credit;
+            reward += NEPHEW_REWARD;
         }
         let e = self.pools.entry(miner).or_default();
         e.0 += 1;
         e.2 += reward;
         self.total_reward += reward;
         self.total_blocks += 1;
+    }
+
+    /// What the canonical block at height `nephew` pays the miner of an
+    /// uncle at height `uncle` that it references: the gap schedule's
+    /// reward, or `None` under an engine whose uncles do not pay.
+    pub fn uncle_credit(&self, nephew: BlockNumber, uncle: BlockNumber) -> Option<MilliEther> {
+        self.uncles_pay.then(|| uncle_reward(nephew, uncle))
     }
 
     /// The report: a row for every pool that earned anything, labelled by

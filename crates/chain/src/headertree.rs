@@ -33,7 +33,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use ethmeter_types::{BlockHash, BlockNumber, FxHashMap, PoolId};
+use ethmeter_types::{BlockHash, BlockNumber, FxHashMap, FxHashSet, PoolId};
 
 use crate::consensus::{Consensus, HeaviestChain, Score};
 use crate::uncles::MAX_UNCLE_DEPTH;
@@ -171,8 +171,8 @@ pub struct HeaderTree {
     base: BlockNumber,
     head_score: Score,
     genesis: BlockHash,
-    /// uncle hash -> the block that referenced it first.
-    referenced: FxHashMap<BlockHash, BlockHash>,
+    /// Hashes referenced as an uncle by some attached header.
+    referenced: FxHashSet<BlockHash>,
     /// parent hash -> headers waiting for that parent.
     orphans: FxHashMap<BlockHash, Vec<Orphan>>,
     /// Heights of history kept behind the head; `None` keeps everything
@@ -221,7 +221,7 @@ impl HeaderTree {
             base: 0,
             head_score: 0,
             genesis,
-            referenced: FxHashMap::default(),
+            referenced: FxHashSet::default(),
             orphans: FxHashMap::default(),
             window,
             reorg_count: 0,
@@ -386,16 +386,11 @@ impl HeaderTree {
         self.entry(hash).map(|e| e.score)
     }
 
-    /// The block that first referenced `hash` as an uncle, if any. A
-    /// windowed tree may remember references to headers it has pruned.
-    pub fn uncle_included_in(&self, hash: BlockHash) -> Option<BlockHash> {
-        self.referenced.get(&hash).copied()
-    }
-
     /// True if `hash` has been referenced as an uncle by any attached
-    /// header.
+    /// header. A windowed tree may remember references to headers it has
+    /// pruned.
     pub fn is_recognized_uncle(&self, hash: BlockHash) -> bool {
-        self.referenced.contains_key(&hash)
+        self.referenced.contains(&hash)
     }
 
     /// The slot of an attached header: the one hash probe of a query.
@@ -575,9 +570,7 @@ impl HeaderTree {
             }
         };
         vacant.insert(slot);
-        for &u in uncles {
-            self.referenced.entry(u).or_insert(hash);
-        }
+        self.referenced.extend(uncles.iter().copied());
         if !self
             .engine
             .prefer(score, hash, self.head_score, self.head())
@@ -687,7 +680,7 @@ impl HeaderTree {
         // over.
         if self.referenced.len() as u64 > 4 * (head - height) {
             let index = &self.index;
-            self.referenced.retain(|u, _| index.contains_key(u));
+            self.referenced.retain(|u| index.contains_key(u));
         }
     }
 }

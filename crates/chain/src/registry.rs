@@ -182,13 +182,6 @@ impl TxRegistry {
     pub fn into_map(self) -> FxHashMap<TxId, Transaction> {
         self.txs.into_iter().map(|t| (t.id, t)).collect()
     }
-
-    /// [`TxRegistry::into_map`] by cloning, leaving the registry intact —
-    /// the campaign boundary for reused worlds, which keep their registry
-    /// allocation across runs.
-    pub fn to_map(&self) -> FxHashMap<TxId, Transaction> {
-        self.txs.iter().map(|t| (t.id, t.clone())).collect()
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use ethmeter_analysis::{
     sequences,
 };
 use ethmeter_chain::consensus::ConsensusKind;
-use ethmeter_chain::rewards::{uncle_reward, MilliEther};
+use ethmeter_chain::rewards::MilliEther;
 use ethmeter_chain::uncles::UnclePolicy;
 use ethmeter_measure::CampaignData;
 use ethmeter_stats::table::{grouped, pct, Table};
@@ -25,7 +25,7 @@ use ethmeter_analysis::reorg::{self, ReorgReport};
 use ethmeter_analysis::rewards;
 use ethmeter_dynamics::{DynamicsScript, RegionMask};
 use ethmeter_mining::{PoolBehavior, PoolConfig, PoolDirectory, SelfishConfig, Strategy};
-use ethmeter_types::{BlockHash, PoolId, Region, SimDuration, SimTime};
+use ethmeter_types::{BlockHash, FxHashSet, PoolId, Region, SimDuration, SimTime};
 
 use crate::chainonly::{run_chain_only, ChainOnlyConfig};
 use crate::grid::Grid;
@@ -199,9 +199,10 @@ pub struct AblationArm {
     pub policy: UnclePolicy,
     /// One-miner duplicate blocks produced.
     pub duplicates: u64,
-    /// Duplicates that earned an uncle reward.
+    /// Duplicates referenced as an uncle by some block.
     pub duplicates_recognized: u64,
-    /// Uncle rewards collected by duplicates (milli-ether).
+    /// Uncle rewards collected by duplicates through canonical blocks
+    /// (milli-ether; 0 under an engine whose uncles do not pay).
     pub duplicate_rewards: MilliEther,
     /// Non-canonical blocks (wasted work).
     pub fork_blocks: u64,
@@ -233,20 +234,26 @@ pub fn ablation_uncle_policy(base: &Scenario) -> AblationReport {
         let groups = ethmeter_chain::forks::one_miner_groups(tree);
         let mut duplicates = 0u64;
         let mut recognized = 0u64;
-        let mut rewards: MilliEther = 0;
+        let mut duplicate_blocks: FxHashSet<BlockHash> = FxHashSet::default();
         for g in &groups {
             duplicates += g.duplicates;
             recognized += g.recognized_duplicates;
-            for &h in &g.blocks {
-                if tree.is_canonical(h) {
-                    continue;
-                }
-                if let Some(nephew) = tree.uncle_included_in(h) {
-                    let (Some(n), Some(u)) = (tree.get(nephew), tree.get(h)) else {
-                        continue;
-                    };
-                    rewards += uncle_reward(n.number(), u.number());
-                }
+            duplicate_blocks.extend(g.blocks.iter().filter(|&&h| !tree.is_canonical(h)));
+        }
+        // A duplicate earns only through the canonical block that
+        // references it, and only under an engine whose uncles pay.
+        let fold = rewards::RevenueFold::new(tree.consensus().rewards_uncles());
+        let mut rewards: MilliEther = 0;
+        for nephew in tree.canonical_blocks() {
+            for uncle in nephew
+                .uncles()
+                .iter()
+                .filter(|u| duplicate_blocks.contains(*u))
+            {
+                let credit = tree
+                    .get(*uncle)
+                    .and_then(|u| fold.uncle_credit(nephew.number(), u.number()));
+                rewards += credit.unwrap_or(0);
             }
         }
         let census = ethmeter_chain::forks::census(tree);
@@ -753,6 +760,24 @@ mod tests {
             .duration(SimDuration::from_mins(10))
             .build();
         run_campaign(&scenario).campaign
+    }
+
+    #[test]
+    fn longest_chain_pays_duplicates_no_uncle_reward() {
+        // Seed 2 yields a one-miner duplicate that a later block
+        // references; a longest-chain engine pays no uncle rewards, so
+        // neither arm may credit it.
+        let base = Scenario::builder()
+            .preset(Preset::Tiny)
+            .seed(2)
+            .consensus(ConsensusKind::Longest)
+            .duration(SimDuration::from_mins(10))
+            .build();
+        let report = ablation_uncle_policy(&base);
+        assert!(report.arms.iter().any(|a| a.duplicates_recognized > 0));
+        for arm in &report.arms {
+            assert_eq!(arm.duplicate_rewards, 0, "{:?} arm", arm.policy);
+        }
     }
 
     #[test]

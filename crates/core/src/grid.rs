@@ -167,9 +167,13 @@ impl Grid {
         self
     }
 
-    /// Controls per-worker world reuse (default `true`). With `false`
-    /// every job constructs its world from scratch, exactly like calling
-    /// [`run_campaign`] in a loop. Results are bit-identical either way.
+    /// Controls per-worker world reuse (default `true`). With `true` each
+    /// worker keeps one [`CampaignRunner`], whose world and engine are
+    /// reset between jobs and keep their working allocations; each job's
+    /// observer logs and transaction table move out with its outcome.
+    /// With `false` every job constructs its world from scratch, exactly
+    /// like calling [`run_campaign`] in a loop. Results are bit-identical
+    /// either way.
     #[must_use]
     pub fn reuse_workers(mut self, reuse: bool) -> Self {
         self.reuse_workers = reuse;

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use ethmeter_chain::block::Block;
-use ethmeter_measure::{CampaignData, GroundTruth, ObserverLog};
+use ethmeter_measure::ObserverLog;
 use ethmeter_net::{RemoteEvent, ShardMap};
 use ethmeter_sim::Engine;
 use ethmeter_types::{SimDuration, SimTime};
@@ -420,43 +420,24 @@ fn merge(scenario: &Scenario, map: &ShardMap, mut worlds: Vec<(SimWorld, u64)>) 
         blocks.append(&mut world.take_local_blocks());
     }
     blocks.sort_by_key(|b| (b.mined_at(), b.miner().raw()));
-    let tree = SimWorld::build_truth_tree(scenario.consensus.build(), blocks);
 
     // Observer logs: each observer records only on its home shard; all
     // other shards hold an untouched empty log in that vantage slot.
     let observer_nodes = worlds[0].0.observer_nodes();
     let mut shard_logs: Vec<Vec<ObserverLog>> =
         worlds.iter_mut().map(|(w, _)| w.take_logs()).collect();
-    let observers = scenario
-        .vantages
+    let logs = observer_nodes
         .iter()
-        .cloned()
-        .zip(
-            observer_nodes
-                .iter()
-                .enumerate()
-                .map(|(slot, &node)| std::mem::take(&mut shard_logs[map.owner(node)][slot])),
-        )
+        .enumerate()
+        .map(|(slot, &node)| std::mem::take(&mut shard_logs[map.owner(node)][slot]))
         .collect();
 
     // The transaction table and pool directory are replicated; shard 0
     // donates its copies.
-    let txs = worlds[0].0.take_tx_map();
-    let pool_names = worlds[0].0.pool_names();
-    let pool_shares = worlds[0].0.pool_shares();
-
     CampaignOutcome {
-        campaign: CampaignData {
-            observers,
-            truth: GroundTruth {
-                tree,
-                txs,
-                pool_names,
-                pool_shares,
-                interblock: scenario.interblock,
-                duration: scenario.duration,
-            },
-        },
+        campaign: worlds[0]
+            .0
+            .assemble_campaign(logs, blocks, scenario.duration),
         stats,
         events,
     }

@@ -19,46 +19,33 @@ pub struct CampaignOutcome {
     pub events: u64,
 }
 
-/// Runs a scenario to its configured duration and returns the dataset.
+/// Runs a scenario to its configured duration and returns the dataset:
+/// one [`CampaignRunner`] run on a world built for it.
 ///
 /// Deterministic: the same scenario and seed produce an identical
 /// [`CampaignData`]. Scenarios with `shards > 1` run on the sharded
 /// parallel engine ([`crate::par::run_campaign_sharded`]), whose output
 /// is bit-identical to the sequential reference at any shard count.
 pub fn run_campaign(scenario: &Scenario) -> CampaignOutcome {
-    if scenario.shards > 1 {
-        return crate::par::run_campaign_sharded(scenario);
-    }
-    let mut world = SimWorld::new(scenario);
-    let initial = world.initial_events();
-    let mut engine = Engine::new(world);
-    for (t, e) in initial {
-        engine.schedule(t, e);
-    }
-    let (stats, events) = drive(&mut engine, scenario);
-    // One-shot path: the world is consumed, so logs and the transaction
-    // table move into the dataset instead of being cloned out.
-    CampaignOutcome {
-        campaign: engine.into_world().into_campaign(scenario.duration),
-        stats,
-        events,
-    }
+    CampaignRunner::new().run(scenario)
 }
 
 /// A reusable campaign worker: one engine + one world, reset between
 /// runs.
 ///
-/// [`run_campaign`] rebuilds the entire world per call — registries, node
-/// tables, per-peer known-set probe tables, observer-log maps, the event
-/// queue's slab. For a single campaign that is irrelevant; for a sweep
-/// worker executing hundreds of jobs it is pure overhead. `CampaignRunner`
-/// keeps one [`SimWorld`] and its [`Engine`] alive across a whole job
-/// stream, resetting them between runs so every allocation is reused.
+/// Building a world — registries, node tables, per-peer known-set probe
+/// tables, the event queue's slab — costs nothing that matters for a
+/// single campaign; for a sweep worker executing hundreds of jobs it is
+/// pure overhead. `CampaignRunner` keeps one [`SimWorld`] and its
+/// [`Engine`] alive across a whole job stream, resetting them between
+/// runs so those allocations are reused. Each run's observer logs and
+/// transaction table move out with its [`CampaignData`], so nothing of
+/// one job's dataset stays behind in the worker.
 ///
-/// The contract is exact equivalence: `runner.run(s)` returns a
-/// [`CampaignOutcome`] bit-identical to `run_campaign(s)` for every
-/// scenario, in any order, regardless of what ran before (pinned by the
-/// reset proptest below and the sweep equivalence suite).
+/// The contract is exact equivalence: a reused runner returns a
+/// [`CampaignOutcome`] bit-identical to a fresh one's ([`run_campaign`])
+/// for every scenario, in any order, regardless of what ran before
+/// (pinned by the reset proptest below and the sweep equivalence suite).
 #[derive(Debug, Default)]
 pub struct CampaignRunner {
     engine: Option<Engine<SimWorld>>,
@@ -85,35 +72,22 @@ impl CampaignRunner {
                 engine.world_mut().reset(scenario);
                 engine
             }
-            None => {
-                self.engine = Some(Engine::new(SimWorld::new(scenario)));
-                self.engine.as_mut().expect("just inserted")
-            }
+            None => self.engine.insert(Engine::new(SimWorld::new(scenario))),
         };
-        let initial = engine.world_mut().initial_events();
-        for (t, e) in initial {
+        for (t, e) in engine.world_mut().initial_events() {
             engine.schedule(t, e);
         }
-        let (stats, events) = drive(engine, scenario);
-        // Reuse path: the world survives for the next reset, so logs and
-        // the transaction table are cloned out.
+        let outcome = engine.run_until(SimTime::ZERO + scenario.duration);
+        debug_assert!(
+            outcome == RunOutcome::DeadlineReached || outcome == RunOutcome::QueueExhausted,
+            "unexpected engine outcome {outcome:?}"
+        );
         CampaignOutcome {
+            stats: engine.world().stats,
+            events: engine.processed(),
             campaign: engine.world_mut().take_campaign(scenario.duration),
-            stats,
-            events,
         }
     }
-}
-
-/// Drives a primed engine to the scenario horizon (shared by the
-/// one-shot and reusable paths); campaign extraction differs per path.
-fn drive(engine: &mut Engine<SimWorld>, scenario: &Scenario) -> (RunStats, u64) {
-    let outcome = engine.run_until(SimTime::ZERO + scenario.duration);
-    debug_assert!(
-        outcome == RunOutcome::DeadlineReached || outcome == RunOutcome::QueueExhausted,
-        "unexpected engine outcome {outcome:?}"
-    );
-    (engine.world().stats, engine.processed())
 }
 
 #[cfg(test)]

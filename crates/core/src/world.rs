@@ -23,10 +23,13 @@
 //! hot path never clones a block.
 //!
 //! Worlds are reusable: [`SimWorld::reset`] rewinds everything to what
-//! `SimWorld::new` would build for a scenario while retaining every
-//! allocation (registries, node tables, known-set chunk pools, observer
-//! logs), which is what lets sweep workers run whole job streams without
-//! rebuilding their heap footprint per seed.
+//! `SimWorld::new` would build for a scenario while retaining the
+//! allocations the run itself works in (block registry, node tables,
+//! known-set chunk pools, scratch buffers), which is what lets sweep
+//! workers run whole job streams without rebuilding their heap footprint
+//! per seed. What a campaign produces — the observer logs and the
+//! transaction table — moves out with its dataset
+//! ([`SimWorld::take_campaign`]), and `reset` starts fresh logs.
 //!
 //! Timing model per message: fixed processing overhead + sender-uplink
 //! serialization + sampled geographic link latency + receiver-downlink
@@ -43,7 +46,9 @@ use ethmeter_chain::uncles::UnclePolicy;
 use ethmeter_chain::{BlockRegistry, TxRegistry};
 use ethmeter_dynamics::{DynamicsEvent, RegionMask};
 use ethmeter_geo::{BandwidthClass, ClockSkew};
-use ethmeter_measure::{BlockMsgKind, ObserverLog, SpillConfig, VantagePoint};
+use ethmeter_measure::{
+    BlockMsgKind, CampaignData, GroundTruth, ObserverLog, SpillConfig, VantagePoint,
+};
 use ethmeter_mining::{
     next_block_delay, BlockPlan, PoolBehavior, PoolDirectory, SelfishOutcome, SelfishState,
 };
@@ -56,8 +61,8 @@ use ethmeter_sim::dist::{Exp, LogNormal};
 use ethmeter_sim::engine::Scheduler;
 use ethmeter_sim::{World, Xoshiro256};
 use ethmeter_types::{
-    AccountId, BlockHash, BlockIdx, BlockNumber, ByteSize, FxHashMap, FxHashSet, NodeId, PoolId,
-    Region, SimDuration, SimTime, TxId, TxIdx,
+    AccountId, BlockHash, BlockIdx, BlockNumber, ByteSize, FxHashSet, NodeId, PoolId, Region,
+    SimDuration, SimTime, TxId, TxIdx,
 };
 use std::sync::Arc;
 
@@ -450,9 +455,10 @@ impl SimWorld {
 
     /// Rewinds the world to exactly what `SimWorld::new(scenario)` builds
     /// — same topology, same placement, same RNG streams, same observers —
-    /// while reusing every allocation already held: the registries, the
-    /// node slabs and their known-set probe tables, the observer-log maps,
-    /// and the scratch buffers. `new` itself is implemented through this
+    /// while reusing the allocations the run works in: the block registry,
+    /// the node slabs and their known-set probe tables, and the scratch
+    /// buffers. Observer logs start fresh, one per vantage (any a campaign
+    /// left behind are dropped). `new` itself is implemented through this
     /// method, so the fresh and reused paths cannot diverge.
     ///
     /// A world whose campaign was extracted with [`SimWorld::take_campaign`]
@@ -510,6 +516,8 @@ impl SimWorld {
         self.observer_slot.clear();
         self.observer_slot.resize(self.node_meta.len(), None);
         self.observers.clear();
+        // Logs a campaign left behind (one never taken) are dropped.
+        self.logs.clear();
         for (slot, v) in scenario.vantages.iter().enumerate() {
             self.node_meta.push((v.region, BandwidthClass::Backbone));
             self.gateway_pool.push(None);
@@ -517,27 +525,19 @@ impl SimWorld {
             self.observers.push(ObserverState {
                 skew: scenario.clock.skew(&mut rng_clock),
             });
-            // Observer logs are reused across campaigns: clear in place
-            // (releasing oversized buffers per the log's shrink policy).
-            match self.logs.get_mut(slot) {
-                Some(log) => log.clear(),
-                None => self.logs.push(ObserverLog::new()),
-            }
             // Budgeted campaigns spill to per-vantage columnar segments.
             // The epoch in the prefix keeps this campaign's files disjoint
             // from any still-referenced files of earlier campaigns on a
             // reused world.
-            if let Some(dir) = &scenario.spill_dir {
-                let budget =
-                    (scenario.measure_budget_bytes / scenario.vantages.len().max(1)).max(1);
-                self.logs[slot].set_spill(Some(SpillConfig {
+            self.logs.push(match &scenario.spill_dir {
+                Some(dir) => ObserverLog::with_spill(SpillConfig {
                     dir: dir.clone(),
-                    budget_bytes: budget,
+                    budget_bytes: (scenario.measure_budget_bytes / n_obs.max(1)).max(1),
                     prefix: format!("{}-e{epoch:04}", SpillConfig::sanitize(&v.name)),
-                }));
-            }
+                }),
+                None => ObserverLog::new(),
+            });
         }
-        self.logs.truncate(n_obs);
 
         // Per-entity RNG lanes, derived positionally from one dedicated
         // stream: node lanes first, then pool lanes, then observer clock
@@ -711,12 +711,11 @@ impl SimWorld {
         evs
     }
 
-    /// Materializes the ground-truth block tree from the registry by
-    /// replaying every block in creation order — identical to the tree an
-    /// incremental builder would have produced, because parents are always
-    /// registered before children. Every block attaches, so the tree is
-    /// sized for all of them up front.
-    pub(crate) fn build_truth_tree<I>(engine: Arc<dyn Consensus>, blocks: I) -> BlockTree
+    /// Replays `blocks`, in creation order, into a tree under `engine` —
+    /// identical to the tree an incremental builder would have produced,
+    /// because parents are always registered before children. Every block
+    /// attaches, so the tree is sized for all of them up front.
+    fn build_truth_tree<I>(engine: Arc<dyn Consensus>, blocks: I) -> BlockTree
     where
         I: IntoIterator<Item = Block>,
         I::IntoIter: ExactSizeIterator,
@@ -733,23 +732,24 @@ impl SimWorld {
         tree
     }
 
-    /// Finishes the campaign without consuming the world: observer logs
-    /// and the transaction table are cloned out (the world keeps its
-    /// allocations for the next [`SimWorld::reset`]), while ground-truth
-    /// blocks are *moved* out of the registry — the world must be reset
-    /// before it runs again.
-    pub fn take_campaign(&mut self, duration: SimDuration) -> ethmeter_measure::CampaignData {
-        let tree = Self::build_truth_tree(Arc::clone(&self.consensus), self.blocks.take_blocks());
-        ethmeter_measure::CampaignData {
-            observers: self
-                .vantages
-                .iter()
-                .cloned()
-                .zip(self.logs.iter().cloned())
+    /// Assembles a campaign's dataset: `logs`, one per vantage in vantage
+    /// order, plus the ground truth — `blocks`, in creation order, replayed
+    /// under this world's engine, and the transaction table, moved out of
+    /// the world. The sequential and the sharded runs both finish here.
+    pub(crate) fn assemble_campaign(
+        &mut self,
+        logs: Vec<ObserverLog>,
+        blocks: Vec<Block>,
+        duration: SimDuration,
+    ) -> CampaignData {
+        CampaignData {
+            observers: std::mem::take(&mut self.vantages)
+                .into_iter()
+                .zip(logs)
                 .collect(),
-            truth: ethmeter_measure::GroundTruth {
-                tree,
-                txs: self.txs.to_map(),
+            truth: GroundTruth {
+                tree: Self::build_truth_tree(Arc::clone(&self.consensus), blocks),
+                txs: std::mem::take(&mut self.txs).into_map(),
                 pool_names: self.pools.iter().map(|p| p.name.clone()).collect(),
                 pool_shares: self.pools.iter().map(|p| p.share).collect(),
                 interblock: self.interblock,
@@ -758,23 +758,19 @@ impl SimWorld {
         }
     }
 
-    /// Finishes the campaign: hands out observer logs and ground truth.
-    /// Unlike [`SimWorld::take_campaign`], this consumes the world and
-    /// *moves* the logs and the transaction table into the dataset — the
-    /// one-shot path pays no clone of the campaign's largest structures.
-    pub fn into_campaign(mut self, duration: SimDuration) -> ethmeter_measure::CampaignData {
-        let tree = Self::build_truth_tree(Arc::clone(&self.consensus), self.blocks.take_blocks());
-        ethmeter_measure::CampaignData {
-            observers: self.vantages.into_iter().zip(self.logs).collect(),
-            truth: ethmeter_measure::GroundTruth {
-                tree,
-                txs: self.txs.into_map(),
-                pool_names: self.pools.iter().map(|p| p.name.clone()).collect(),
-                pool_shares: self.pools.iter().map(|p| p.share).collect(),
-                interblock: self.interblock,
-                duration,
-            },
-        }
+    /// Finishes the campaign: moves the observer logs, the ground-truth
+    /// blocks and the transaction table out into the dataset, leaving the
+    /// world's other allocations in place. The world must be
+    /// [reset](SimWorld::reset) before it runs again.
+    pub fn take_campaign(&mut self, duration: SimDuration) -> CampaignData {
+        let logs = std::mem::take(&mut self.logs);
+        let blocks = self.blocks.take_blocks();
+        self.assemble_campaign(logs, blocks, duration)
+    }
+
+    /// [`SimWorld::take_campaign`] on a world that is not run again.
+    pub fn into_campaign(mut self, duration: SimDuration) -> CampaignData {
+        self.take_campaign(duration)
     }
 
     /// Number of nodes in the world.
@@ -782,10 +778,10 @@ impl SimWorld {
         self.nodes.len()
     }
 
-    /// Ground-truth tree, materialized from the registry (for in-flight
-    /// or post-run inspection; the campaign boundary builds the same tree
-    /// without cloning).
-    pub fn truth(&self) -> BlockTree {
+    /// Ground-truth tree, materialized from the registry by cloning, for
+    /// inspecting a world mid-run or after it.
+    #[cfg(test)]
+    fn truth(&self) -> BlockTree {
         Self::build_truth_tree(
             Arc::clone(&self.consensus),
             self.blocks.blocks().iter().cloned(),
@@ -1773,11 +1769,6 @@ impl SimWorld {
         out.into_iter().map(|(_, n)| n).collect()
     }
 
-    /// Moves out the transaction table as the ground-truth map.
-    pub(crate) fn take_tx_map(&mut self) -> FxHashMap<TxId, Transaction> {
-        std::mem::take(&mut self.txs).into_map()
-    }
-
     /// `NextSubmission` events processed by this world.
     pub(crate) fn submission_events(&self) -> u64 {
         self.submissions
@@ -1793,16 +1784,6 @@ impl SimWorld {
     /// topology assertions (e.g. reachability after a partition heals).
     pub fn peers_of(&self, node: NodeId) -> &[NodeId] {
         self.nodes[node.index()].peers()
-    }
-
-    /// Pool names by id (replicated, identical on every shard).
-    pub(crate) fn pool_names(&self) -> Vec<String> {
-        self.pools.iter().map(|p| p.name.clone()).collect()
-    }
-
-    /// Pool hash-power shares by id (replicated, identical on every shard).
-    pub(crate) fn pool_shares(&self) -> Vec<f64> {
-        self.pools.iter().map(|p| p.share).collect()
     }
 }
 
@@ -2064,6 +2045,55 @@ mod tests {
                 scenario.seed
             );
         }
+    }
+
+    #[test]
+    fn take_campaign_moves_the_dataset_out_of_the_world() {
+        let spilled = |tag: &str| {
+            let dir = std::env::temp_dir().join(format!("ethmeter-world-take-{tag}"));
+            std::fs::create_dir_all(&dir).expect("create spill dir");
+            Scenario::builder()
+                .preset(Preset::Tiny)
+                .seed(23)
+                .duration(SimDuration::from_mins(3))
+                .spill_dir(dir)
+                .measure_budget(1 << 12)
+                .build()
+        };
+        let run = |engine: &mut Engine<SimWorld>, scenario: &Scenario| {
+            for (t, e) in engine.world_mut().initial_events() {
+                engine.schedule(t, e);
+            }
+            engine.run_until(SimTime::ZERO + scenario.duration);
+            engine.world_mut().take_campaign(scenario.duration)
+        };
+
+        let scenario = spilled("reused");
+        let mut engine = Engine::new(SimWorld::new(&scenario));
+        let first = run(&mut engine, &scenario);
+        assert!(first
+            .observers
+            .iter()
+            .any(|(_, l)| l.spilled_segments() > 0));
+        assert!(
+            engine.world().logs.is_empty(),
+            "observer logs stayed behind"
+        );
+        assert_eq!(engine.world().txs.len(), 0, "transactions stayed behind");
+
+        engine.reset();
+        engine.world_mut().reset(&scenario);
+        // Dropped at once: its segment files are unlinked.
+        let second = run(&mut engine, &scenario).fingerprint();
+        let fresh_scenario = spilled("fresh");
+        let fresh = run(
+            &mut Engine::new(SimWorld::new(&fresh_scenario)),
+            &fresh_scenario,
+        )
+        .fingerprint();
+        assert_eq!(second, fresh);
+        // The first dataset's segments outlive the world's next campaign.
+        assert_eq!(first.fingerprint(), fresh);
     }
 
     #[test]

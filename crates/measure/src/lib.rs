@@ -29,6 +29,6 @@ pub mod spill;
 pub mod vantage;
 
 pub use campaign::{CampaignData, GroundTruth};
-pub use log::{BlockMsgKind, BlockRecord, ObserverLog, TxRecord, MAX_RETAINED_BYTES};
+pub use log::{BlockMsgKind, BlockRecord, ObserverLog, TxRecord};
 pub use spill::SpillConfig;
 pub use vantage::VantagePoint;

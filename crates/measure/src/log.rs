@@ -74,12 +74,6 @@ pub const BLOCK_ENTRY_BYTES: usize = 64;
 /// Estimated resident bytes of one tx map entry.
 pub const TX_ENTRY_BYTES: usize = 56;
 
-/// [`ObserverLog::clear`] drops (rather than retains) map allocations
-/// whose estimated capacity exceeds this, so one planet-sized campaign
-/// cannot pin its peak measurement heap across later small jobs on a
-/// reused runner.
-pub const MAX_RETAINED_BYTES: usize = 1 << 20;
-
 /// Out-of-core state of a budgeted log: its spill policy and, per record
 /// kind, what it has spilled.
 #[derive(Debug, Clone)]
@@ -173,25 +167,15 @@ impl ObserverLog {
 
     /// Creates an empty log that spills under `config`'s budget.
     pub fn with_spill(config: SpillConfig) -> Self {
-        let mut log = Self::default();
-        log.set_spill(Some(config));
-        log
-    }
-
-    /// Switches the backend: `Some` enables spilling (budget per
-    /// [`SpillConfig`]), `None` reverts to purely in-memory. Must only be
-    /// called on an empty (new or cleared) log.
-    pub fn set_spill(&mut self, config: Option<SpillConfig>) {
-        assert!(
-            self.blocks.is_empty() && self.txs.is_empty(),
-            "spill backend must be configured before recording"
-        );
-        self.spill = config.map(|config| SpillState {
-            config,
-            blocks: Spilled::default(),
-            txs: Spilled::default(),
-            segment_key_bytes: 0,
-        });
+        ObserverLog {
+            spill: Some(SpillState {
+                config,
+                blocks: Spilled::default(),
+                txs: Spilled::default(),
+                segment_key_bytes: 0,
+            }),
+            ..Self::default()
+        }
     }
 
     /// True if this log spills to disk under a budget.
@@ -218,7 +202,7 @@ impl ObserverLog {
     }
 
     /// High-water mark of [`ObserverLog::retained_bytes`] over this log's
-    /// life (since construction or the last [`ObserverLog::clear`]).
+    /// life.
     pub fn peak_mem_bytes(&self) -> usize {
         self.peak_bytes
     }
@@ -350,30 +334,6 @@ impl ObserverLog {
     /// [`ObserverLog::scan_blocks`]).
     pub fn scan_txs(&self) -> impl Iterator<Item = TxRecord> {
         scan(&self.txs, self.spill.as_ref().map(|sp| &sp.txs))
-    }
-
-    /// Forgets every record and drops this log's spill segments (their
-    /// files are unlinked once no extracted campaign references them). A
-    /// cleared log behaves exactly like a new in-memory one.
-    ///
-    /// Shrink policy: map allocations above [`MAX_RETAINED_BYTES`] are
-    /// released rather than retained, so a reused
-    /// [`CampaignRunner`](../core) that just finished a planet-scale job
-    /// does not pin that job's measurement heap under later small jobs.
-    pub fn clear(&mut self) {
-        if self.blocks.capacity() * BLOCK_ENTRY_BYTES + self.txs.capacity() * TX_ENTRY_BYTES
-            > MAX_RETAINED_BYTES
-        {
-            self.blocks = FxHashMap::default();
-            self.txs = FxHashMap::default();
-        } else {
-            self.blocks.clear();
-            self.txs.clear();
-        }
-        self.tx_arrivals = 0;
-        self.spill = None;
-        self.distinct_blocks = 0;
-        self.peak_bytes = 0;
     }
 }
 
@@ -559,49 +519,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_releases_oversized_maps_and_spill_state() {
-        let mut log = ObserverLog::new();
-        // Grow the maps well past the retention cap.
-        for i in 0..40_000u64 {
-            log.record_tx(TxId(i), NodeId(1), t(i), t(i));
-        }
-        assert!(log.retained_bytes() > MAX_RETAINED_BYTES);
-        log.clear();
-        assert!(
-            log.retained_bytes() <= MAX_RETAINED_BYTES,
-            "clear must release oversized measurement buffers, retained {}",
-            log.retained_bytes()
-        );
-        assert_eq!(log.peak_mem_bytes(), 0);
-        assert_eq!(log.tx_count(), 0);
-
-        // A small log keeps its allocation (cheap reuse path).
-        let mut small = ObserverLog::new();
-        for i in 0..100u64 {
-            small.record_tx(TxId(i), NodeId(1), t(i), t(i));
-        }
-        let cap = small.txs.capacity();
-        small.clear();
-        assert_eq!(small.txs.capacity(), cap);
-
-        // Clearing a spilled log drops its segments (files unlink).
-        let mut sp = ObserverLog::with_spill(spill_cfg("clear", 1_024));
-        replay(&mut sp, 1_000);
-        assert!(sp.spilled_segments() > 0);
-        sp.clear();
-        assert_eq!(sp.spilled_segments(), 0);
-        assert!(!sp.is_spilling());
-    }
-
-    #[test]
-    fn extracted_clone_outlives_source_clear() {
-        // take_campaign clones logs and then resets the world; the clone
-        // must keep its segment files alive until it is dropped.
+    fn extracted_clone_outlives_source_drop() {
+        // A clone shares the source's segment files: they must stay
+        // readable until the last log referencing them is dropped.
         let mut log = ObserverLog::with_spill(spill_cfg("extract", 1_024));
         replay(&mut log, 1_200);
         let extracted = log.clone();
         let before: Vec<BlockRecord> = extracted.scan_blocks().collect();
-        log.clear();
+        drop(log);
         let after: Vec<BlockRecord> = extracted.scan_blocks().collect();
         assert_eq!(before, after);
         assert!(!before.is_empty());

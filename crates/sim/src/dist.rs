@@ -10,7 +10,6 @@
 //! | [`Normal`] | clock-offset core, misc. noise |
 //! | [`LogNormal`] | latency jitter, block validation times |
 //! | [`Zipf`] | transaction-sender activity skew |
-//! | [`Poisson`] | per-interval arrival counts |
 //! | [`Mixture2`] | NTP offsets (tight core + heavy tail) |
 //! | [`WeightedIndex`] | miner draws by hash-power share, region placement |
 
@@ -207,50 +206,6 @@ impl Zipf {
     }
 }
 
-/// Poisson distribution with mean `lambda`.
-///
-/// Sampling uses Knuth's product method for small means and a normal
-/// approximation above 30 (adequate for workload batching).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lambda` is finite and positive.
-    pub fn new(lambda: f64) -> Self {
-        assert!(
-            lambda.is_finite() && lambda > 0.0,
-            "Poisson mean must be positive, got {lambda}"
-        );
-        Poisson { lambda }
-    }
-
-    /// Draws a sample.
-    pub fn sample(&self, rng: &mut Xoshiro256) -> u64 {
-        if self.lambda < 30.0 {
-            let l = (-self.lambda).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= rng.next_f64();
-                if p <= l {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            // Normal approximation with continuity correction.
-            let n = Normal::new(self.lambda, self.lambda.sqrt());
-            n.sample(rng).round().max(0.0) as u64
-        }
-    }
-}
-
 /// A two-component mixture: with probability `p_tail` sample from `tail`,
 /// otherwise from `core`.
 ///
@@ -429,26 +384,6 @@ mod tests {
         for &c in &counts {
             assert!((9_000..=11_000).contains(&c), "{counts:?}");
         }
-    }
-
-    #[test]
-    fn poisson_small_mean() {
-        let mut rng = Xoshiro256::seed_from_u64(8);
-        let d = Poisson::new(3.0);
-        let samples: Vec<f64> = (0..100_000).map(|_| d.sample(&mut rng) as f64).collect();
-        let (mean, var) = mean_and_var(&samples);
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 3.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn poisson_large_mean_uses_gaussian_branch() {
-        let mut rng = Xoshiro256::seed_from_u64(9);
-        let d = Poisson::new(120.0);
-        let samples: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng) as f64).collect();
-        let (mean, var) = mean_and_var(&samples);
-        assert!((mean - 120.0).abs() < 0.5, "mean {mean}");
-        assert!((var - 120.0).abs() < 5.0, "var {var}");
     }
 
     #[test]
