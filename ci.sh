@@ -13,7 +13,12 @@
 #                pinned chain-only text, the whole-chain agreement of the
 #                run-length probability with its stepping reference
 #                (release only), the chain-only selfish race's pinned
-#                cells (`selfish::pinned`), the dataset row codec and the
+#                cells and miner-sequence pins (`selfish::pinned`; the
+#                whole-chain report's digest also by name,
+#                `whole_chain_sequence_matches_its_pin`), the whole-chain
+#                scan's heap peak under 1 MiB
+#                (`whole_chain_scan_peaks_under_a_mebibyte_of_heap`,
+#                tests/allocs.rs), the dataset row codec and the
 #                Fig. 4/5 merge-joins against their reference
 #                implementations, the spilled-versus-in-memory agreement
 #                of the observer log's segments, scans and merge
@@ -106,9 +111,14 @@ stage_golden() {
     filtered_tests --release -p ethmeter-stats \
         stepping_and_matrix_power_agree_over_the_whole_chain
     # The chain-only selfish race's pinned cells (below and above one
-    # half, where the attacker keeps blocks back) and the Fig. 7 month's
-    # miner sequence, in the profile the chain-only workload runs them in.
+    # half, where the attacker keeps blocks back), the Fig. 7 month's
+    # miner sequence and the whole-chain report, in the profile the
+    # chain-only workload runs them in. The whole-chain pin and the
+    # whole-chain scan's heap peak (the fold holds no sequence) are also
+    # named, so a rename cannot drop them from the gate.
     filtered_tests --release -p ethmeter-core selfish::pinned
+    filtered_tests --release -p ethmeter-core whole_chain_sequence_matches_its_pin
+    filtered_tests --release --test allocs whole_chain_scan_peaks_under_a_mebibyte_of_heap
     # The CSV row codec (digit writer, arrival placement, field splitter)
     # against the formatter/split-collect codec it replaced, and the
     # Fig. 4/5 merge-joins against the hash-map reference, in the profile

@@ -18,8 +18,8 @@
 //! | [`decentralization`] | Nakamoto / Gini / HHI scalars over hash power, block production, first observation, and revenue |
 //!
 //! All analyzers consume a [`ethmeter_measure::CampaignData`]; the
-//! sequence analyses additionally accept bare miner sequences so the fast
-//! chain-only simulator can feed them directly. Each analysis is one
+//! sequence analysis is also a fold ([`sequences::RunFold`]) that the fast
+//! chain-only simulator feeds one drawn miner at a time. Each analysis is one
 //! function from one campaign to one report; statistics across runs are
 //! per-run scalars read off these reports (`Scalars` in `ethmeter-core`).
 

@@ -212,13 +212,12 @@ fn sorted_txs(tree: &BlockTree, hash: BlockHash) -> Vec<ethmeter_types::TxId> {
     txs
 }
 
-/// The canonical chain's miner sequence, excluding genesis — the input to
-/// Figure 7's run-length analysis.
-pub fn miner_sequence(tree: &BlockTree) -> Vec<PoolId> {
+/// The canonical chain's miner sequence, excluding genesis, in height
+/// order — the input to Figure 7's run-length fold.
+pub fn miner_sequence(tree: &BlockTree) -> impl Iterator<Item = PoolId> + '_ {
     tree.canonical_blocks()
         .filter(|b| b.number() > 0)
         .map(|b| b.miner())
-        .collect()
 }
 
 #[cfg(test)]
@@ -394,6 +393,9 @@ mod tests {
         tree.insert(a).expect("ok");
         let b = BlockBuilder::new(ah, 2, PoolId(5)).salt(2).build();
         tree.insert(b).expect("ok");
-        assert_eq!(miner_sequence(&tree), vec![PoolId(3), PoolId(5)]);
+        assert_eq!(
+            miner_sequence(&tree).collect::<Vec<_>>(),
+            vec![PoolId(3), PoolId(5)]
+        );
     }
 }

@@ -7,8 +7,12 @@
 //! simulate, so this runner draws the winner of each height directly from
 //! the hash-power distribution. PoW makes this exact: each block is an
 //! independent race won with probability equal to the share.
+//!
+//! Each draw is folded into the per-pool run-length histograms as it is
+//! made ([`RunFold`]), so a run holds O(pools) state whatever its length:
+//! the whole-chain scan never materialises its 7.7M-entry sequence.
 
-use ethmeter_analysis::sequences::{analyze_sequence, SequenceReport};
+use ethmeter_analysis::sequences::{RunFold, SequenceReport};
 use ethmeter_mining::PoolDirectory;
 use ethmeter_sim::dist::WeightedIndex;
 use ethmeter_sim::Xoshiro256;
@@ -50,40 +54,29 @@ impl ChainOnlyConfig {
     }
 }
 
-/// The raw result of a chain-only run.
-#[derive(Debug, Clone)]
-pub struct ChainOnlyResult {
-    /// The block-producer sequence.
-    pub sequence: Vec<PoolId>,
-    /// Pool names by id.
-    pub names: Vec<String>,
-    /// Pool shares by id.
-    pub shares: Vec<f64>,
-    /// Inter-block time.
-    pub interblock: SimDuration,
-}
-
-impl ChainOnlyResult {
-    /// Runs the sequence analysis (Figure 7 / §III-D) over this result.
-    pub fn report(&self) -> SequenceReport {
-        analyze_sequence(&self.sequence, &self.names, &self.shares, self.interblock)
-    }
-}
-
-/// Draws the miner sequence.
-pub fn run_chain_only(cfg: &ChainOnlyConfig) -> ChainOnlyResult {
+/// Draws the winner of each of `cfg.blocks` heights in order and hands it
+/// to `sink`. The only place the chain-only draws are made: the report
+/// folds them and the sequence pin hashes them.
+pub(crate) fn draw_miners(cfg: &ChainOnlyConfig, mut sink: impl FnMut(PoolId)) {
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
     let shares: Vec<f64> = cfg.pools.iter().map(|p| p.share).collect();
     let winner = WeightedIndex::new(&shares);
-    let sequence = (0..cfg.blocks)
-        .map(|_| PoolId(winner.sample(&mut rng) as u16))
-        .collect();
-    ChainOnlyResult {
-        sequence,
-        names: cfg.pools.iter().map(|p| p.name.clone()).collect(),
-        shares,
-        interblock: cfg.interblock,
+    for _ in 0..cfg.blocks {
+        let i = winner.sample(&mut rng);
+        sink(PoolId(
+            u16::try_from(i).expect("a directory holds at most 65,536 pools"),
+        ));
     }
+}
+
+/// Draws the miner sequence and folds it into Figure 7 / §III-D's
+/// per-pool run-length report as it is drawn.
+pub fn run_chain_only(cfg: &ChainOnlyConfig) -> SequenceReport {
+    let mut fold = RunFold::default();
+    draw_miners(cfg, |pool| fold.push(pool));
+    let names: Vec<String> = cfg.pools.iter().map(|p| p.name.clone()).collect();
+    let shares: Vec<f64> = cfg.pools.iter().map(|p| p.share).collect();
+    fold.report(&names, &shares, cfg.interblock)
 }
 
 #[cfg(test)]
@@ -92,9 +85,8 @@ mod tests {
 
     #[test]
     fn month_scale_matches_paper_shapes() {
-        let result = run_chain_only(&ChainOnlyConfig::paper_month(2020));
-        assert_eq!(result.sequence.len(), 201_086);
-        let report = result.report();
+        let report = run_chain_only(&ChainOnlyConfig::paper_month(2020));
+        assert_eq!(report.total_blocks, 201_086);
         // Winners follow the hash-power shares: Ethermine (25.32%) mines
         // ~51k blocks, Nanopool (12.10%) ~24k.
         let pool = |name: &str| {
@@ -123,11 +115,17 @@ mod tests {
 
     #[test]
     fn deterministic_sequences() {
-        let a = run_chain_only(&ChainOnlyConfig::paper_month(1));
-        let b = run_chain_only(&ChainOnlyConfig::paper_month(1));
-        assert_eq!(a.sequence[..100], b.sequence[..100]);
-        let c = run_chain_only(&ChainOnlyConfig::paper_month(2));
-        assert_ne!(a.sequence[..100], c.sequence[..100]);
+        let first_100 = |seed| {
+            let mut seq = Vec::new();
+            let cfg = ChainOnlyConfig {
+                blocks: 100,
+                ..ChainOnlyConfig::paper_month(seed)
+            };
+            draw_miners(&cfg, |pool| seq.push(pool));
+            seq
+        };
+        assert_eq!(first_100(1), first_100(1));
+        assert_ne!(first_100(1), first_100(2));
     }
 
     #[test]
@@ -138,8 +136,7 @@ mod tests {
             interblock: SimDuration::from_secs_f64(13.3),
             seed: 9,
         };
-        let result = run_chain_only(&cfg);
-        let report = result.report();
+        let report = run_chain_only(&cfg);
         assert_eq!(report.total_blocks, 10_000);
         for p in &report.pools {
             let frac = p.blocks as f64 / 10_000.0;

@@ -157,12 +157,12 @@ pub fn cross_seed_report(
 
 /// Figure 7 at the paper's exact scale: 201,086 blocks.
 pub fn fig7_month(seed: u64) -> SequenceReport {
-    run_chain_only(&ChainOnlyConfig::paper_month(seed)).report()
+    run_chain_only(&ChainOnlyConfig::paper_month(seed))
 }
 
 /// §III-D whole-chain scan (7.7M blocks): the 10/11/12/14-run regime.
 pub fn security_whole_chain(seed: u64) -> SequenceReport {
-    run_chain_only(&ChainOnlyConfig::paper_whole_chain(seed)).report()
+    run_chain_only(&ChainOnlyConfig::paper_whole_chain(seed))
 }
 
 /// Table I: the measurement-deployment description.

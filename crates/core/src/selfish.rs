@@ -447,7 +447,14 @@ mod tests {
 #[cfg(test)]
 mod pinned {
     use super::*;
-    use crate::chainonly::{run_chain_only, ChainOnlyConfig};
+    use crate::chainonly::{draw_miners, run_chain_only, ChainOnlyConfig};
+
+    /// FNV-1a: folds `bytes` into the running hash `h`.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
 
     /// `(alpha, gamma, relative revenue bits, canonical height, unreleased,
     /// total blocks, total reward, rows)`, each row `(pool, blocks, uncles,
@@ -519,15 +526,30 @@ mod pinned {
 
     #[test]
     fn month_sequence_matches_its_pin() {
-        let sequence = run_chain_only(&ChainOnlyConfig::paper_month(7)).sequence;
-        assert_eq!(sequence.len(), 201_086);
-        // FNV-1a over the little-endian pool ids.
-        let fnv = sequence
-            .iter()
-            .flat_map(|p| p.raw().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
+        // FNV-1a over the little-endian pool ids, as they are drawn.
+        let (mut len, mut fnv) = (0u64, 0xcbf2_9ce4_8422_2325u64);
+        draw_miners(&ChainOnlyConfig::paper_month(7), |pool| {
+            len += 1;
+            fnv = fnv1a(fnv, &pool.raw().to_le_bytes());
+        });
+        assert_eq!(len, 201_086);
         assert_eq!(fnv, 0x5ce1_89a3_61e3_c6a1);
+    }
+
+    #[test]
+    fn whole_chain_sequence_matches_its_pin() {
+        let report = run_chain_only(&ChainOnlyConfig::paper_whole_chain(7));
+        assert_eq!(report.total_blocks, 7_700_000);
+        // FNV-1a over the rendered report, then over every row's pool id,
+        // block count and whole run-length histogram (the rendering shows
+        // only the eight largest pools' longest runs).
+        let mut bytes = report.to_string().into_bytes();
+        for row in &report.pools {
+            bytes.extend(row.pool.raw().to_le_bytes());
+            for n in std::iter::once(row.blocks).chain(row.runs.iter().copied()) {
+                bytes.extend(n.to_le_bytes());
+            }
+        }
+        assert_eq!(fnv1a(0xcbf2_9ce4_8422_2325, &bytes), 0xcb28_aab7_70bf_4144);
     }
 }

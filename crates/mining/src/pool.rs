@@ -98,10 +98,16 @@ impl PoolDirectory {
     ///
     /// # Panics
     ///
-    /// Panics if shares don't sum to ≈1, any share is negative, or ids
-    /// don't match positions.
+    /// Panics if there are more pools than `PoolId`s (65,536), shares
+    /// don't sum to ≈1, any share is negative, or ids don't match
+    /// positions.
     pub fn new(pools: Vec<PoolConfig>) -> Self {
         assert!(!pools.is_empty(), "directory needs at least one pool");
+        assert!(
+            pools.len() <= usize::from(u16::MAX) + 1,
+            "a directory holds at most 65,536 pools, got {}",
+            pools.len()
+        );
         let total: f64 = pools.iter().map(|p| p.share).sum();
         assert!(
             (total - 1.0).abs() < 1e-6,
@@ -109,7 +115,7 @@ impl PoolDirectory {
         );
         for (i, p) in pools.iter().enumerate() {
             assert!(p.share >= 0.0, "negative share for {}", p.name);
-            assert_eq!(p.id, PoolId(i as u16), "pool id must equal its index");
+            assert_eq!(usize::from(p.id.raw()), i, "pool id must equal its index");
         }
         PoolDirectory { pools }
     }
@@ -531,6 +537,13 @@ mod tests {
             plan.iter().filter(|&&r| r == Region::EasternAsia).count(),
             2
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65,536 pools")]
+    fn ids_past_the_id_space_are_refused() {
+        // Pool 65,536 would wrap to `PoolId(0)` and alias pool 0.
+        let _ = PoolDirectory::uniform(65_537, 1);
     }
 
     #[test]

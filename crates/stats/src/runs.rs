@@ -4,8 +4,9 @@
 //! single pool mined (Figure 7) and compares against the theoretical
 //! chance: "the theoretical chance of mining a sequence of 8 consecutive
 //! blocks would be 0.259^8 = 2 × 10^-5 ... Ethermine should be able to mine
-//! 8 consecutive blocks 4 times per month". This module provides both the
-//! empirical extraction and the exact theory the paper approximates.
+//! 8 consecutive blocks 4 times per month". This module provides the exact
+//! theory the paper approximates; the empirical extraction is the
+//! streaming run-length fold of `ethmeter_analysis::sequences`.
 //!
 //! The exact chance of a ≥k run in n trials ([`prob_run_at_least`]) is the
 //! absorbed mass of a (k+1)-state Markov chain after n steps, read off the
@@ -13,24 +14,6 @@
 //! O(k³·⌈log2 n⌉) instead of the O(n·k) of stepping the chain, so the
 //! whole-chain horizon (n = 7.7 M, k a pool's longest run) costs
 //! microseconds. The stepping DP stays in the tests as the reference.
-
-/// Extracts maximal runs from a sequence as `(value, run_length)`, lazily:
-/// nothing is materialised, so a whole-chain scan holds one run at a time.
-///
-/// ```
-/// use ethmeter_stats::runs::run_lengths;
-/// let runs: Vec<_> = run_lengths(&[1, 1, 2, 2, 2, 1]).collect();
-/// assert_eq!(runs, vec![(1, 2), (2, 3), (1, 1)]);
-/// ```
-pub fn run_lengths<T: Copy + PartialEq>(seq: &[T]) -> impl Iterator<Item = (T, usize)> + '_ {
-    let mut rest = seq;
-    std::iter::from_fn(move || {
-        let (&first, tail) = rest.split_first()?;
-        let len = 1 + tail.iter().take_while(|&&v| v == first).count();
-        rest = &rest[len..];
-        Some((first, len))
-    })
-}
 
 /// The paper's naive estimate of how many `k`-runs a miner with block-win
 /// probability `p` produces among `n` blocks: `n * p^k`.
@@ -154,16 +137,6 @@ pub fn expected_trials_until_run(p: f64, k: u32) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn run_extraction_basics() {
-        assert_eq!(run_lengths::<u8>(&[]).next(), None);
-        assert_eq!(run_lengths(&[5]).collect::<Vec<_>>(), vec![(5, 1)]);
-        assert_eq!(
-            run_lengths(&[1, 1, 1, 2, 1, 1]).collect::<Vec<_>>(),
-            vec![(1, 3), (2, 1), (1, 2)]
-        );
-    }
 
     #[test]
     fn paper_headline_numbers() {
@@ -293,24 +266,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn run_lengths_reconstruct_sequence(seq in proptest::collection::vec(0u8..4, 0..200)) {
-            let runs: Vec<(u8, usize)> = run_lengths(&seq).collect();
-            // Total length preserved.
-            let total: usize = runs.iter().map(|&(_, l)| l).sum();
-            prop_assert_eq!(total, seq.len());
-            // Adjacent runs differ in value.
-            for w in runs.windows(2) {
-                prop_assert_ne!(w[0].0, w[1].0);
-            }
-            // Reconstruction is identity.
-            let rebuilt: Vec<u8> = runs
-                .iter()
-                .flat_map(|&(v, l)| std::iter::repeat_n(v, l))
-                .collect();
-            prop_assert_eq!(rebuilt, seq);
-        }
-
         #[test]
         fn prob_is_monotone_in_n_and_antimonotone_in_k(
             p in 0.05f64..0.95,

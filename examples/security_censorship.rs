@@ -14,8 +14,7 @@ use ethmeter::stats::runs::{expected_trials_until_run, naive_expected_runs, prob
 
 fn main() {
     // One month at April-2019 shares.
-    let month = run_chain_only(&ChainOnlyConfig::paper_month(2019));
-    let report = month.report();
+    let report = run_chain_only(&ChainOnlyConfig::paper_month(2019));
     println!("{report}\n");
 
     // The paper's arithmetic, recomputed exactly.
@@ -37,8 +36,7 @@ fn main() {
 
     // Whole-chain scan: the 10/11/12/14-run regime of §III-D.
     println!("whole-chain scan (7.7M simulated blocks):");
-    let chain = run_chain_only(&ChainOnlyConfig::paper_whole_chain(2019));
-    let report = chain.report();
+    let report = run_chain_only(&ChainOnlyConfig::paper_whole_chain(2019));
     for row in report.pools.iter().take(4) {
         println!(
             "  {:<16} share {:>6.2}%  longest run {:>2}  censor window {:>4.0}s  runs>=10: {}",

@@ -2,14 +2,14 @@
 //! `HeaderView` must agree with the authoritative `BlockTree` fork choice,
 //! and the fork/sequence analyzers must agree with first principles.
 
+use ethmeter::analysis::sequences::RunFold;
 use ethmeter::chain::block::{Block, BlockBuilder};
 use ethmeter::chain::forks;
 use ethmeter::chain::tree::{BlockTree, InsertOutcome};
 use ethmeter::chain::uncles::{UnclePolicy, MAX_UNCLES};
 use ethmeter::chain::{ConsensusKind, HeaderTree};
 use ethmeter::net::headerview::HeaderView;
-use ethmeter::stats::runs;
-use ethmeter::types::{BlockHash, PoolId};
+use ethmeter::types::{BlockHash, PoolId, SimDuration};
 use proptest::prelude::*;
 
 /// Builds a random block-DAG growing plan: each step either extends the
@@ -89,10 +89,18 @@ proptest! {
         for b in &blocks {
             let _ = tree.insert(b.clone());
         }
-        let seq = forks::miner_sequence(&tree);
+        let seq: Vec<PoolId> = forks::miner_sequence(&tree).collect();
         prop_assert_eq!(seq.len() as u64, tree.head_number());
-        let total_run_len: usize = runs::run_lengths(&seq).map(|(_, l)| l).sum();
-        prop_assert_eq!(total_run_len, seq.len());
+        let fold: RunFold = seq.iter().copied().collect();
+        let report = fold.report(&[], &[], SimDuration::from_secs_f64(13.3));
+        prop_assert_eq!(report.total_blocks, seq.len() as u64);
+        // Every block sits in exactly one maximal run of its pool.
+        for row in &report.pools {
+            let in_runs: u64 = row.runs.iter().enumerate().map(|(len, &n)| len as u64 * n).sum();
+            prop_assert_eq!(in_runs, row.blocks);
+            let mined = seq.iter().filter(|&&p| p == row.pool).count() as u64;
+            prop_assert_eq!(row.blocks, mined);
+        }
     }
 
     /// Orphaned arrival orders converge to the same tree as in-order
