@@ -15,15 +15,19 @@
 #                (release only), the chain-only selfish race's pinned
 #                cells and miner-sequence pins (`selfish::pinned`; the
 #                whole-chain report's digest also by name,
-#                `whole_chain_sequence_matches_its_pin`), the whole-chain
-#                scan's heap peak under 1 MiB
+#                `whole_chain_sequence_matches_its_pin`), the weighted
+#                draw's threshold table against the subtraction loop it
+#                replaced (`rng::chooser`, draw for draw and at every
+#                threshold: the miner-sequence pins depend on the table),
+#                the whole-chain scan's heap peak under 1 MiB
 #                (`whole_chain_scan_peaks_under_a_mebibyte_of_heap`,
 #                tests/allocs.rs), the dataset row codec and the
 #                Fig. 4/5 merge-joins against their reference
 #                implementations, the spilled-versus-in-memory agreement
 #                of the observer log's segments, scans and merge
-#                (`measure` tests named `spill`), the event loop's
-#                allocation ceilings (tests/allocs.rs), and the
+#                (`measure` tests named `spill`), the event loop's and
+#                the selfish race's allocation ceilings (tests/allocs.rs),
+#                and the
 #                reused-world equivalence checks (a reset runner, a reset
 #                world and a reusing grid must match fresh runs) in the
 #                profile the benchmark measures
@@ -115,9 +119,12 @@ stage_golden() {
     # miner sequence and the whole-chain report, in the profile the
     # chain-only workload runs them in. The whole-chain pin and the
     # whole-chain scan's heap peak (the fold holds no sequence) are also
-    # named, so a rename cannot drop them from the gate.
+    # named, so a rename cannot drop them from the gate. The miner draws
+    # come from `WeightedIndex`'s threshold table, checked against the
+    # subtraction loop it replaced draw for draw and at every threshold.
     filtered_tests --release -p ethmeter-core selfish::pinned
     filtered_tests --release -p ethmeter-core whole_chain_sequence_matches_its_pin
+    filtered_tests --release -p ethmeter-sim rng::chooser
     filtered_tests --release --test allocs whole_chain_scan_peaks_under_a_mebibyte_of_heap
     # The CSV row codec (digit writer, arrival placement, field splitter)
     # against the formatter/split-collect codec it replaced, and the
@@ -129,8 +136,8 @@ stage_golden() {
     # as in-memory ones in the profile dataset-month runs them in.
     filtered_tests --release -p ethmeter-measure spill
     # Allocator calls per event, cold planet-shaped start and warm small
-    # preset: the counts do not depend on the profile, but release is
-    # what the benchmark runs.
+    # preset, and per block of the chain-only selfish race: the counts do
+    # not depend on the profile, but release is what the benchmark runs.
     filtered_tests --release --test allocs allocation_ceiling
     # Reused worlds (the grid workers' path) against fresh ones: the
     # runner's reset proptest, the world's reset test, and the reusing
@@ -290,9 +297,9 @@ stage_consensus_smoke() {
     filtered_tests --release -p ethmeter-chain headertree::reference
     # The chain-only selfish race over a 3x3 alpha x gamma grid plus two
     # cells above one half, and the Fig. 7 month's miner sequence, pinned
-    # value for value; and the
-    # once-summed weighted draw against the inline loop it replaced, index
-    # for index and generator state for state.
+    # value for value; and the weighted draw's threshold table against
+    # the subtraction loop it replaced, index for index, generator state
+    # for state and at every threshold.
     filtered_tests --release -p ethmeter-core selfish::pinned
     filtered_tests --release -p ethmeter-sim rng::chooser
     # The fork-choice comparison CLI on a pinned scenario: heaviest,

@@ -389,11 +389,8 @@ mod differential {
     const SHARES: [f64; 4] = [0.2532, 0.2288, 0.1234, 0.1210];
 
     /// Both analyses of `seq`, the first `named` pools named and the rest
-    /// not. Rendering evaluates the exact run theory, O(k²) memory and
-    /// O(k³) time in a pool's longest run `k`, so `render` is off where
-    /// runs are thousands of blocks long; a rendering is a function of
-    /// the report, which is compared either way.
-    fn assert_agree(seq: &[PoolId], named: usize, render: bool) {
+    /// not, as reports and as rendered text.
+    fn assert_agree(seq: &[PoolId], named: usize) {
         let names: Vec<String> = NAMES[..named].iter().map(|&n| n.into()).collect();
         let shares = &SHARES[..named];
         let interblock = SimDuration::from_secs_f64(13.3);
@@ -401,9 +398,7 @@ mod differential {
         let folded = fold.report(&names, shares, interblock);
         let expected = analyze_sequence(seq, &names, shares, interblock);
         assert_eq!(folded, expected);
-        if render {
-            assert_eq!(folded.to_string(), expected.to_string());
-        }
+        assert_eq!(folded.to_string(), expected.to_string());
     }
 
     /// `(pool, length)` runs laid end to end; adjacent equal pools merge.
@@ -415,17 +410,17 @@ mod differential {
 
     #[test]
     fn edge_cases_agree() {
-        assert_agree(&[], 0, true);
-        assert_agree(&[], 4, true);
-        assert_agree(&[PoolId(0)], 0, true);
-        assert_agree(&[PoolId(3)], 1, true);
+        assert_agree(&[], 0);
+        assert_agree(&[], 4);
+        assert_agree(&[PoolId(0)], 0);
+        assert_agree(&[PoolId(3)], 1);
         // 100k blocks by a pool beyond `names`, then a named pool and the
         // first pool again.
-        assert_agree(&expand(&[(2, 100_000), (0, 1), (2, 7)]), 2, false);
+        assert_agree(&expand(&[(2, 100_000), (0, 1), (2, 7)]), 2);
         // 100k blocks by a named pool.
-        assert_agree(&expand(&[(1, 3), (0, 100_000), (1, 1)]), 2, false);
+        assert_agree(&expand(&[(1, 3), (0, 100_000), (1, 1)]), 2);
         // A pool id at the top of the id space.
-        assert_agree(&expand(&[(u16::MAX, 3), (1, 2), (u16::MAX, 1)]), 2, true);
+        assert_agree(&expand(&[(u16::MAX, 3), (1, 2), (u16::MAX, 1)]), 2);
     }
 
     #[test]
@@ -449,7 +444,7 @@ mod differential {
                     (pool, 1 + (rng.next_u64() % cap) as usize)
                 })
                 .collect();
-            assert_agree(&expand(&runs), named, !long);
+            assert_agree(&expand(&runs), named);
         }
     }
 

@@ -470,32 +470,39 @@ impl HeaderTree {
         difficulty: u64,
         uncles: &[BlockHash],
     ) -> HeaderInsert {
-        if self.index.contains_key(&hash) {
-            return Err(InsertError::Duplicate(hash));
+        // Errors in this order: an attached duplicate, a refused height,
+        // a buffered duplicate. With the parent attached and the height
+        // not refused, `link` finds an attached duplicate itself, from the
+        // one probe that files the header.
+        let parent_slot = self.index.get(&parent).copied();
+        let refused = self.refused_through().is_some_and(|line| number <= line);
+        if parent_slot.is_none() || refused {
+            if self.index.contains_key(&hash) {
+                return Err(InsertError::Duplicate(hash));
+            }
+            if refused {
+                return Err(InsertError::TooOld { hash, number });
+            }
         }
-        if self.refused_through().is_some_and(|line| number <= line) {
-            return Err(InsertError::TooOld { hash, number });
-        }
-        if self
-            .orphans
-            .values()
-            .any(|waiting| waiting.iter().any(|o| o.hash == hash))
+        if !self.orphans.is_empty()
+            && self
+                .orphans
+                .values()
+                .any(|waiting| waiting.iter().any(|o| o.hash == hash))
         {
             return Err(InsertError::Duplicate(hash));
         }
-        let moved = match self.attach(hash, parent, number, miner, difficulty, uncles) {
-            Err(InsertError::UnknownParent { .. }) => {
-                self.orphans.entry(parent).or_default().push(Orphan {
-                    hash,
-                    number,
-                    miner,
-                    difficulty,
-                    uncles: uncles.to_vec(),
-                });
-                return Ok(InsertOutcome::Orphaned);
-            }
-            attached => attached?,
+        let Some(parent_slot) = parent_slot else {
+            self.orphans.entry(parent).or_default().push(Orphan {
+                hash,
+                number,
+                miner,
+                difficulty,
+                uncles: uncles.to_vec(),
+            });
+            return Ok(InsertOutcome::Orphaned);
         };
+        let moved = self.link(hash, parent, parent_slot, number, miner, difficulty, uncles)?;
         let mut new_head = moved.is_some();
         let mut reorg_depth = moved.unwrap_or(0);
 
@@ -545,12 +552,28 @@ impl HeaderTree {
         let Some(&parent_slot) = self.index.get(&parent) else {
             return Err(InsertError::UnknownParent { hash, parent });
         };
-        let p = &self.entries[parent_slot as usize];
-        self.engine.validate(hash, number, p.number)?;
-        let score = self.engine.score(p.score, difficulty, uncles.len());
+        self.link(hash, parent, parent_slot, number, miner, difficulty, uncles)
+    }
+
+    /// Attaches a header under the attached parent in `parent_slot`: the
+    /// one probe for `hash` both refuses a duplicate and files the slot.
+    #[allow(clippy::too_many_arguments)]
+    fn link(
+        &mut self,
+        hash: BlockHash,
+        parent: BlockHash,
+        parent_slot: u32,
+        number: BlockNumber,
+        miner: PoolId,
+        difficulty: u64,
+        uncles: &[BlockHash],
+    ) -> Result<Option<u64>, InsertError> {
         let Vacant(vacant) = self.index.entry(hash) else {
             return Err(InsertError::Duplicate(hash));
         };
+        let p = &self.entries[parent_slot as usize];
+        self.engine.validate(hash, number, p.number)?;
+        let score = self.engine.score(p.score, difficulty, uncles.len());
         let entry = Entry {
             hash,
             parent,
@@ -1001,7 +1024,7 @@ mod tests {
         for n in above..=twin.head_number() + 1 {
             assert_eq!(pruned.canonical_hash(n), twin.canonical_hash(n), "at {n}");
         }
-        let candidates = known.iter().map(|&(hash, _)| hash);
+        let candidates = known.iter().copied();
         for &(hash, number) in known.iter().filter(|&&(_, n)| n >= above) {
             assert_eq!(pruned.is_canonical(hash), twin.is_canonical(hash));
             assert_eq!(

@@ -78,38 +78,32 @@ impl HeaderTree {
     /// extending `parent`, from every attached header in the depth range
     /// (see [`HeaderTree::select_uncles_among`]).
     pub fn select_uncles(&self, parent: BlockHash, policy: UnclePolicy) -> Vec<BlockHash> {
-        let Some(p) = self.entry(parent) else {
-            return Vec::new();
-        };
-        let new_number = p.number + 1;
-        let min_number = new_number.saturating_sub(MAX_UNCLE_DEPTH);
-        let in_range = self
-            .attached()
-            .filter(|e| e.number >= min_number && e.number < new_number)
-            .map(|e| e.hash);
-        self.select_uncles_among(parent, in_range, policy)
+        let in_range = self.attached().map(|e| (e.hash, e.number));
+        self.select_uncles_among(parent, in_range, policy).hashes()
     }
 
-    /// Selects up to [`MAX_UNCLES`] of `candidates` that
-    /// [`HeaderTree::is_valid_uncle`] accepts for a block extending
-    /// `parent`, ordered recent-first (the oldest uncles claim the smallest
-    /// reward, so real miners prefer recent ones) with ties broken by hash
-    /// for determinism.
+    /// Selects up to [`MAX_UNCLES`] of `candidates`, each a `(hash,
+    /// height)` pair, that [`HeaderTree::is_valid_uncle`] accepts for a
+    /// block extending `parent`, ordered recent-first (the oldest uncles
+    /// claim the smallest reward, so real miners prefer recent ones) with
+    /// ties broken by hash for determinism.
     ///
     /// The parent's ancestry is walked once, [`MAX_UNCLE_DEPTH`]` + 1`
     /// heights deep (an uncle's height and its parent's), and every
-    /// candidate is tested against that table: an ancestor costs no
-    /// lookup, any other candidate at most two (its header and the
-    /// referenced-uncle record). Candidates that are not attached are
-    /// skipped.
+    /// candidate is tested against that table. The height handed in with
+    /// a candidate drops one outside the depth range, or the parent's own
+    /// ancestor there, with no lookup; any other candidate costs at most
+    /// two (its header and the referenced-uncle record). Candidates that
+    /// are not attached at the height given are skipped.
     pub fn select_uncles_among(
         &self,
         parent: BlockHash,
-        candidates: impl IntoIterator<Item = BlockHash>,
+        candidates: impl IntoIterator<Item = (BlockHash, BlockNumber)>,
         policy: UnclePolicy,
-    ) -> Vec<BlockHash> {
+    ) -> UnclePicks {
+        let mut picks = UnclePicks::default();
         let Some(p) = self.entry(parent) else {
-            return Vec::new();
+            return picks;
         };
         // ancestry[d] = the parent's ancestor `d` heights below it (hash,
         // miner); `None` once the walk leaves a windowed tree's horizon,
@@ -124,39 +118,80 @@ impl HeaderTree {
             *row = Some((e.hash, e.miner));
             cur = self.parent_entry(e);
         }
-        let ancestor_at = |number: BlockNumber| {
-            ancestry
-                .get(usize::try_from(p.number - number).ok()?)
-                .copied()
-                .flatten()
-        };
+        let ancestor_at = |number: BlockNumber| ancestry[(p.number - number) as usize];
         let new_number = p.number + 1;
-        let mut picked: Vec<(BlockNumber, BlockHash)> = candidates
-            .into_iter()
-            .filter_map(|h| {
-                // Not an ancestor. Checked first and without a lookup: a
-                // candidate list near the head is mostly the parent's own
-                // chain. (An ancestry entry more than MAX_UNCLE_DEPTH below
-                // the new block fails the gap test anyway.)
-                if ancestry.iter().flatten().any(|&(a, _)| a == h) {
-                    return None;
-                }
-                let u = self.entry(h)?;
-                // Generation gap: 1 <= gap <= MAX_UNCLE_DEPTH.
-                if u.number >= new_number || new_number - u.number > MAX_UNCLE_DEPTH {
-                    return None;
-                }
-                let valid = ancestor_at(u.number.saturating_sub(1)).map(|(a, _)| a)
-                    == Some(u.parent)
-                    && !self.is_recognized_uncle(h)
-                    && (policy == UnclePolicy::Standard
-                        || ancestor_at(u.number).is_none_or(|(_, miner)| miner != u.miner));
-                valid.then_some((u.number, h))
-            })
-            .collect();
-        picked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        picked.truncate(MAX_UNCLES);
-        picked.into_iter().map(|(_, h)| h).collect()
+        for (hash, number) in candidates {
+            // Generation gap: 1 <= gap <= MAX_UNCLE_DEPTH. Then not the
+            // new block's own ancestor at that height.
+            if number >= new_number
+                || new_number - number > MAX_UNCLE_DEPTH
+                || ancestor_at(number).is_some_and(|(a, _)| a == hash)
+            {
+                continue;
+            }
+            let Some(u) = self.entry(hash).filter(|u| u.number == number) else {
+                continue;
+            };
+            let valid = ancestor_at(number.saturating_sub(1)).map(|(a, _)| a) == Some(u.parent)
+                && !self.is_recognized_uncle(hash)
+                && (policy == UnclePolicy::Standard
+                    || ancestor_at(number).is_none_or(|(_, miner)| miner != u.miner));
+            if valid {
+                picks.offer(UnclePick {
+                    hash,
+                    number,
+                    miner: u.miner,
+                });
+            }
+        }
+        picks
+    }
+}
+
+/// An uncle [`HeaderTree::select_uncles_among`] picked, with the height
+/// and miner a reward fold credits it by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UnclePick {
+    /// The uncle's hash.
+    pub hash: BlockHash,
+    /// The uncle's height.
+    pub number: BlockNumber,
+    /// Who mined the uncle.
+    pub miner: PoolId,
+}
+
+/// Up to [`MAX_UNCLES`] picks, best first, held inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UnclePicks {
+    picks: [UnclePick; MAX_UNCLES],
+    len: usize,
+}
+
+impl UnclePicks {
+    /// Keeps `pick` if it ranks among the best [`MAX_UNCLES`]: higher
+    /// first, then lower hash, and after any equal pick already held.
+    fn offer(&mut self, pick: UnclePick) {
+        let key = |u: &UnclePick| (std::cmp::Reverse(u.number), u.hash);
+        let at = self.picks[..self.len].partition_point(|held| key(held) <= key(&pick));
+        if at == MAX_UNCLES {
+            return;
+        }
+        self.picks.copy_within(at..MAX_UNCLES - 1, at + 1);
+        self.picks[at] = pick;
+        self.len = (self.len + 1).min(MAX_UNCLES);
+    }
+
+    /// The picked hashes, in order: a block's uncle list.
+    pub fn hashes(&self) -> Vec<BlockHash> {
+        self.iter().map(|u| u.hash).collect()
+    }
+}
+
+impl std::ops::Deref for UnclePicks {
+    type Target = [UnclePick];
+
+    fn deref(&self) -> &[UnclePick] {
+        &self.picks[..self.len]
     }
 }
 

@@ -27,18 +27,29 @@
 //! few dozen headers deep however long the race runs; above it the
 //! attacker's base stops moving, and the tree keeps every public block
 //! above the base.
+//!
+//! Beside the tree the race keeps one window and no hash map: `live`,
+//! every published block above the settled height in height order, with
+//! its miner and the uncles it cites. A new block's uncle candidates are
+//! the slice of it within [`MAX_UNCLE_DEPTH`] heights below, handed to
+//! [`HeaderTree::select_uncles_among`] with their heights, which hands
+//! back each pick's height and miner; a settle credits the canonical
+//! blocks of the prefix at or below the line and drains it. The tree's
+//! canonical index answers the rest: whether the head extends the
+//! attacker's tip is one read at the tip's height, and a tie keeps its
+//! height beside its hash.
 
 use std::sync::Arc;
 
 use ethmeter_analysis::rewards::{RevenueFold, RevenueReport};
 use ethmeter_chain::block::{Block, BlockBuilder};
-use ethmeter_chain::headertree::{HeaderTree, InsertError, InsertOutcome};
+use ethmeter_chain::headertree::{HeaderTree, InsertOutcome};
 use ethmeter_chain::tree::BlockTree;
-use ethmeter_chain::uncles::{UnclePolicy, MAX_UNCLE_DEPTH};
+use ethmeter_chain::uncles::{UnclePolicy, MAX_UNCLES, MAX_UNCLE_DEPTH};
 use ethmeter_chain::HeaviestChain;
 use ethmeter_mining::{SelfishConfig, SelfishOutcome, SelfishState};
 use ethmeter_sim::Xoshiro256;
-use ethmeter_types::{BlockHash, BlockNumber, FxHashMap, PoolId};
+use ethmeter_types::{BlockHash, BlockNumber, PoolId};
 
 /// The attacker's pool id in race results.
 pub const ATTACKER: PoolId = PoolId(0);
@@ -99,32 +110,27 @@ impl SelfishRaceResult {
     }
 }
 
-/// `(height, miner)` of a public block: what the reward fold needs of an
-/// uncle.
-type Credit = (BlockNumber, PoolId);
+/// The uncles a block cites, as the reward fold credits them: each one's
+/// depth below the block (1 to [`MAX_UNCLE_DEPTH`]; 0 where the block
+/// cites fewer) and its miner. Read when the block is built: by the time
+/// the block is final its uncles may be behind the line.
+type Cited = [(u8, PoolId); MAX_UNCLES];
 
-/// A block the race mined, with the [`Credit`] of each uncle it cites,
-/// read when it was built: by the time the block is final its uncles may
-/// be behind the line.
+/// A block the race mined, with the uncles it cites.
 #[derive(Debug, Clone)]
 struct Mined {
     block: Block,
-    uncles: Vec<Credit>,
+    uncles: Cited,
 }
 
-/// The blocks of `recent` at heights an uncle of a block at `number` may
-/// have. `select_uncles_among` applies every rule itself, but each
-/// candidate it is handed costs a lookup in the tree; the heights stored
-/// beside the hashes drop the out-of-range ones without one.
-fn in_uncle_range(
-    recent: &[(BlockHash, u64)],
-    number: u64,
-) -> impl Iterator<Item = BlockHash> + '_ {
-    let heights = number.saturating_sub(MAX_UNCLE_DEPTH)..number;
-    recent
-        .iter()
-        .filter(move |(_, n)| heights.contains(n))
-        .map(|&(h, _)| h)
+/// A published block above the settled height: what crediting it needs,
+/// and what citing it as an uncle needs.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    hash: BlockHash,
+    number: BlockNumber,
+    miner: PoolId,
+    uncles: Cited,
 }
 
 /// Heights the finality line moves before the race settles it. A settle
@@ -137,15 +143,15 @@ const SETTLE_STEP: u64 = 16;
 /// revenue of the blocks already settled.
 struct PublicChain {
     tree: HeaderTree,
-    /// The own and uncle credits of every published block above the
-    /// settled height.
-    live: FxHashMap<BlockHash, (Credit, Vec<Credit>)>,
-    /// Uncle candidates: every public block still inside the depth
-    /// window, with its height.
-    recent: Vec<(BlockHash, u64)>,
-    /// The attacker's released block currently tied at head height, if
-    /// any — the branch point γ steers honest miners toward.
-    tie: Option<BlockHash>,
+    /// Every published block above the settled height, in height order
+    /// (one height's blocks in publication order): the uncle candidates
+    /// of a block are one slice of it, and the blocks a settle credits
+    /// are a prefix.
+    live: Vec<Live>,
+    /// The attacker's released block currently tied at head height, and
+    /// that height, if any — the branch point γ steers honest miners
+    /// toward.
+    tie: Option<(BlockHash, BlockNumber)>,
     /// Canonical heights at or below this are credited and pruned.
     settled: BlockNumber,
     revenue: RevenueFold,
@@ -157,8 +163,7 @@ impl PublicChain {
         let revenue = RevenueFold::new(tree.consensus().rewards_uncles());
         PublicChain {
             tree,
-            live: FxHashMap::default(),
-            recent: Vec::new(),
+            live: Vec::new(),
             tie: None,
             settled: 0,
             revenue,
@@ -168,79 +173,80 @@ impl PublicChain {
     /// Builds `miner`'s block on `parent` at `number`, citing the uncles
     /// the public chain offers there (none unless `parent` is public).
     fn mine(&self, parent: BlockHash, number: BlockNumber, miner: PoolId, salt: u64) -> Mined {
+        let lowest = number.saturating_sub(MAX_UNCLE_DEPTH);
+        let from = self.live.partition_point(|b| b.number < lowest);
+        let to = from + self.live[from..].partition_point(|b| b.number < number);
         let uncles = self.tree.select_uncles_among(
             parent,
-            in_uncle_range(&self.recent, number),
+            self.live[from..to].iter().map(|b| (b.hash, b.number)),
             UnclePolicy::Standard,
         );
-        let credits = uncles.iter().map(|u| self.live[u].0).collect();
+        let mut cited = Cited::default();
+        for (c, u) in cited.iter_mut().zip(uncles.iter()) {
+            let depth =
+                u8::try_from(number - u.number).expect("uncles sit at most six heights below");
+            *c = (depth, u.miner);
+        }
         let block = BlockBuilder::new(parent, number, miner)
-            .uncles(uncles)
+            .uncles(uncles.hashes())
             .salt(salt)
             .build();
         Mined {
             block,
-            uncles: credits,
+            uncles: cited,
         }
     }
 
-    /// Inserts released blocks, records them as uncle candidates and
-    /// tracks the tie race.
+    /// Inserts released blocks, records them as live and tracks the tie
+    /// race.
     fn publish(&mut self, blocks: impl IntoIterator<Item = Mined>) {
         for Mined { block, uncles } in blocks {
-            let hash = block.hash();
-            let number = block.number();
+            let (hash, number, miner) = (block.hash(), block.number(), block.miner());
             let outcome = self.tree.insert(
                 hash,
                 block.parent(),
                 number,
-                block.miner(),
+                miner,
                 block.header().difficulty(),
                 block.uncles(),
             );
-            assert!(
-                !matches!(outcome, Err(InsertError::TooOld { .. })),
-                "block {hash} at height {number} fell behind the settled height {}",
-                self.settled
-            );
-            // A block that attached alone is canonical iff it became the
-            // head; only an error or a connected orphan needs the probe.
-            let became_head = match outcome {
-                Ok(InsertOutcome::Attached {
-                    new_head,
-                    connected_orphans,
-                    ..
-                }) if connected_orphans.is_empty() => Some(new_head),
-                _ => None,
+            // Every block extends a public one above the line, so it
+            // attaches alone, and is canonical iff it became the head.
+            let Ok(InsertOutcome::Attached { new_head, .. }) = outcome else {
+                panic!(
+                    "block {hash} at height {number} did not attach above the settled height {}: {outcome:?}",
+                    self.settled
+                );
             };
-            self.live.insert(hash, ((number, block.miner()), uncles));
-            self.recent.push((hash, number));
+            let at = self.live.partition_point(|b| b.number <= number);
+            self.live.insert(
+                at,
+                Live {
+                    hash,
+                    number,
+                    miner,
+                    uncles,
+                },
+            );
             // A released attacker block contesting the head height opens
             // (or refreshes) the tie race.
-            if number == self.tree.head_number()
-                && !became_head.unwrap_or_else(|| self.tree.is_canonical(hash))
-            {
-                self.tie = Some(hash);
+            if !new_head && number == self.tree.head_number() {
+                self.tie = Some((hash, number));
             }
-        }
-        // Window the candidate list so uncle scans stay O(1).
-        if self.recent.len() > 4 * MAX_UNCLE_DEPTH as usize {
-            let min = self.tree.head_number().saturating_sub(MAX_UNCLE_DEPTH + 1);
-            self.recent.retain(|&(_, number)| number >= min);
         }
     }
 
-    /// Credits the canonical blocks above the settled height through `to`.
+    /// Credits the canonical blocks at or below `to` and lets go of every
+    /// live block there.
     fn credit_through(&mut self, to: BlockNumber) {
-        for number in self.settled + 1..=to {
-            let hash = self
-                .tree
-                .canonical_hash(number)
-                .expect("the canonical chain is kept above the settled height");
-            let ((_, miner), uncles) = &self.live[&hash];
-            // Race blocks carry no transactions.
-            self.revenue
-                .credit(number, *miner, 0, uncles.iter().copied());
+        let passed = self.live.partition_point(|b| b.number <= to);
+        for b in self.live.drain(..passed) {
+            if self.tree.canonical_hash(b.number) == Some(b.hash) {
+                // Race blocks carry no transactions.
+                let uncles = b.uncles.iter().filter(|&&(depth, _)| depth > 0);
+                let uncles = uncles.map(|&(depth, miner)| (b.number - u64::from(depth), miner));
+                self.revenue.credit(b.number, b.miner, 0, uncles);
+            }
         }
         self.settled = to;
     }
@@ -260,7 +266,6 @@ impl PublicChain {
         }
         self.credit_through(line);
         self.tree.prune_through(line);
-        self.live.retain(|_, ((number, _), _)| *number > line);
     }
 
     /// Credits the rest of the canonical chain and reports the revenue.
@@ -312,13 +317,13 @@ fn race(cfg: &SelfishRaceConfig) -> (PublicChain, SelfishState<Mined>) {
             // height, being canonical is being the head).
             let tree = &chain.tree;
             let head_number = tree.head_number();
-            if let Some(t) = chain.tie {
-                if t == tree.head() || tree.number_of(t) != Some(head_number) {
+            if let Some((t, number)) = chain.tie {
+                if t == tree.head() || number != head_number {
                     chain.tie = None;
                 }
             }
             let parent = match chain.tie {
-                Some(t) if rng.chance(cfg.gamma) => t,
+                Some((t, _)) if rng.chance(cfg.gamma) => t,
                 _ => tree.head(),
             };
             // Either way the parent sits at the head height.
@@ -326,14 +331,13 @@ fn race(cfg: &SelfishRaceConfig) -> (PublicChain, SelfishState<Mined>) {
             let mined = chain.mine(parent, head_number + 1, HONEST, salt);
             chain.publish(std::iter::once(mined));
             // Feed the machine the (possibly new) head at fork-choice
-            // time, exactly as the world's gateway hook does.
+            // time, exactly as the world's gateway hook does. The head's
+            // ancestry is the canonical index.
             let tree = &chain.tree;
-            let head = tree.head();
-            let head_number = tree.head_number();
-            let extends_tip = state.tip().is_some_and(|(tip, tip_number)| {
-                head_number >= tip_number && tree.ancestor_at(head, tip_number) == Some(tip)
-            });
-            let (_, released) = state.on_public_head(head, head_number, extends_tip);
+            let extends_tip = state
+                .tip()
+                .is_some_and(|(tip, tip_number)| tree.canonical_hash(tip_number) == Some(tip));
+            let (_, released) = state.on_public_head(tree.head(), tree.head_number(), extends_tip);
             chain.publish(released);
         }
         chain.settle(state.base().1);

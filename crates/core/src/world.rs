@@ -57,7 +57,7 @@ use ethmeter_net::{
     GossipScratch, ImportAction, Message, Node, RemoteEvent, RemoteEventKind, Send, ShardMap,
     Topology,
 };
-use ethmeter_sim::dist::{Exp, LogNormal};
+use ethmeter_sim::dist::{Exp, LogNormal, WeightedIndex};
 use ethmeter_sim::engine::Scheduler;
 use ethmeter_sim::{World, Xoshiro256};
 use ethmeter_types::{
@@ -497,10 +497,13 @@ impl SimWorld {
         let regions: Vec<Region> = scenario.region_weights.iter().map(|&(r, _)| r).collect();
         self.node_meta.clear();
         self.node_meta.reserve(n);
-        for _ in 0..n_ordinary {
-            let region = regions[rng_place.choose_weighted(&region_weights)];
-            self.node_meta
-                .push((region, BandwidthClass::sample_ordinary(&mut rng_place)));
+        if n_ordinary > 0 {
+            let placement = WeightedIndex::new(&region_weights);
+            for _ in 0..n_ordinary {
+                let region = regions[placement.sample(&mut rng_place)];
+                self.node_meta
+                    .push((region, BandwidthClass::sample_ordinary(&mut rng_place)));
+            }
         }
         let mut gateways: Vec<Vec<NodeId>> = vec![Vec::new(); self.pools.len()];
         self.gateway_pool.clear();

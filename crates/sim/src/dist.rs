@@ -245,43 +245,87 @@ impl Mixture2 {
 
 /// An index drawn with probability proportional to its weight.
 ///
-/// The weights are summed once, up front, in slice order: every draw is
-/// the one [`Xoshiro256::choose_weighted`] makes over the same slice, so a
-/// hot loop can hoist the sum without moving a result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedIndex<'a> {
-    weights: &'a [f64],
+/// A draw scales one uniform by the total weight, `x = next_f64() ·
+/// total`, and subtracts the weights from `x` in slice order: the first
+/// index whose weight takes `x` below zero is drawn, and if rounding
+/// leaves `x` non-negative after the last weight, the last index is.
+/// [`WeightedIndex::new`] turns that loop into a sorted threshold table
+/// once, and [`WeightedIndex::sample`] reads the same index off it from the
+/// same single draw.
+///
+/// Write `d_j(x)` for `x − w_0 − … − w_j`, subtracted left to right in
+/// `f64`. Rounding to nearest is monotone, so subtracting a fixed operand
+/// never reverses the order of two values: every `d_j` is non-decreasing
+/// in `x`. Subtracting a non-negative weight never raises a value, so
+/// `d_{j+1}(x) ≤ d_j(x)`. Hence `d_j(x) < 0` holds exactly for `x` below
+/// a threshold `t_j`, the least non-negative `x` with `d_j(x) ≥ 0` (it
+/// exists: `d_j(∞) = ∞`), and `t_j ≤ t_{j+1}`. The loop stops at the
+/// first `j` with `x < t_j`, so the index it draws is the number of
+/// `t_0, …, t_{n−2}` at or below `x`: the fall-through to the last index
+/// is the case where all of them are. The bit patterns of non-negative
+/// `f64` are ordered as their values, so each threshold is found by
+/// bisection over those integers, 63 steps of `j + 1` subtractions each.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightedIndex {
+    /// `thresholds[j]` is `t_j`, for every index but the last.
+    pub(crate) thresholds: Vec<f64>,
     total: f64,
 }
 
-impl<'a> WeightedIndex<'a> {
-    /// Sums non-negative `weights` for drawing.
+impl WeightedIndex {
+    /// Builds the threshold table of non-negative `weights`.
     ///
     /// # Panics
     ///
-    /// Panics if the weights are empty or sum to zero.
-    pub fn new(weights: &'a [f64]) -> Self {
+    /// Panics if the weights are empty, any is negative, or they do not
+    /// sum to a positive finite total.
+    pub fn new(weights: &[f64]) -> Self {
         let total: f64 = weights.iter().sum();
         assert!(
             total > 0.0 && total.is_finite(),
             "weights must be non-empty with positive finite sum"
         );
-        WeightedIndex { weights, total }
+        assert!(
+            weights.iter().all(|&w| w >= 0.0),
+            "weights must be non-negative"
+        );
+        let mut thresholds = Vec::with_capacity(weights.len() - 1);
+        // The least bit pattern whose value leaves `x − w_0 − … − w_j`
+        // non-negative; no threshold lies below the one before it.
+        let (mut lo, inf) = (0u64, f64::INFINITY.to_bits());
+        for j in 0..weights.len() - 1 {
+            let spent = |bits: u64| {
+                weights[..=j]
+                    .iter()
+                    .fold(f64::from_bits(bits), |x, w| x - w)
+                    >= 0.0
+            };
+            let mut hi = inf;
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if spent(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            thresholds.push(f64::from_bits(lo));
+        }
+        WeightedIndex { thresholds, total }
     }
 
-    /// Draws an index: one uniform scaled by the total, then the weights
-    /// subtracted in order until it goes negative. Rounding can leave it
-    /// non-negative after the last weight; the last index takes that draw.
+    /// Draws an index: the one the subtraction loop picks for
+    /// `next_f64() · total` (see the type's docs).
     #[inline]
     pub fn sample(&self, rng: &mut Xoshiro256) -> usize {
-        let mut x = rng.next_f64() * self.total;
-        for (i, w) in self.weights.iter().enumerate() {
-            x -= w;
-            if x < 0.0 {
-                return i;
-            }
-        }
-        self.weights.len() - 1
+        self.index_of(rng.next_f64() * self.total)
+    }
+
+    /// The index the subtraction loop picks for the scaled draw `x`: how
+    /// many thresholds are at or below it.
+    #[inline]
+    pub(crate) fn index_of(&self, x: f64) -> usize {
+        self.thresholds.partition_point(|&t| t <= x)
     }
 }
 
@@ -409,6 +453,25 @@ mod tests {
         let f100 = under100 as f64 / n as f64;
         assert!(f10 > 0.85 && f10 < 0.97, "P(<10ms) = {f10}");
         assert!(f100 > 0.985, "P(<100ms) = {f100}");
+    }
+
+    #[test]
+    fn weighted_index_respects_weights() {
+        let mut rng = Xoshiro256::seed_from_u64(23);
+        let chooser = WeightedIndex::new(&[0.7, 0.2, 0.1]);
+        let mut counts = [0usize; 3];
+        for _ in 0..100_000 {
+            counts[chooser.sample(&mut rng)] += 1;
+        }
+        assert!((68_000..=72_000).contains(&counts[0]), "{counts:?}");
+        assert!((18_000..=22_000).contains(&counts[1]), "{counts:?}");
+        assert!((8_000..=12_000).contains(&counts[2]), "{counts:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn weighted_index_rejects_negative_weights() {
+        let _ = WeightedIndex::new(&[0.5, -0.1, 0.6]);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 
 use std::fmt;
 
-use crate::dist::WeightedIndex;
-
 /// SplitMix64 — a 64-bit generator mainly used for seeding.
 ///
 /// Reference: Guy L. Steele Jr., Doug Lea, Christine H. Flood,
@@ -198,17 +196,6 @@ impl Xoshiro256 {
             }
         }
     }
-
-    /// Chooses an index according to a slice of non-negative weights.
-    /// Drawing many times from one slice? Build its [`WeightedIndex`]
-    /// once instead: the draws are identical and the sum is not redone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weights are empty or sum to zero.
-    pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
-        WeightedIndex::new(weights).sample(self)
-    }
 }
 
 #[cfg(test)]
@@ -343,19 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn choose_weighted_respects_weights() {
-        let mut rng = Xoshiro256::seed_from_u64(23);
-        let weights = [0.7, 0.2, 0.1];
-        let mut counts = [0usize; 3];
-        for _ in 0..100_000 {
-            counts[rng.choose_weighted(&weights)] += 1;
-        }
-        assert!((68_000..=72_000).contains(&counts[0]), "{counts:?}");
-        assert!((18_000..=22_000).contains(&counts[1]), "{counts:?}");
-        assert!((8_000..=12_000).contains(&counts[2]), "{counts:?}");
-    }
-
-    #[test]
     fn forked_streams_are_independent_of_label_order() {
         let mut root1 = Xoshiro256::seed_from_u64(100);
         let mut net1 = root1.fork("net");
@@ -375,20 +349,16 @@ mod tests {
     }
 }
 
-/// [`WeightedIndex`] against the inline loop `choose_weighted` ran before
-/// the sum was hoisted out of it.
+/// [`WeightedIndex`]'s threshold table against the subtraction loop it
+/// replaced, draw for draw and at every threshold.
 #[cfg(test)]
 mod chooser {
     use super::*;
+    use crate::dist::WeightedIndex;
 
-    /// The previous `choose_weighted`, verbatim.
-    fn inline_choose_weighted(rng: &mut Xoshiro256, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "weights must be non-empty with positive finite sum"
-        );
-        let mut x = rng.next_f64() * total;
+    /// The subtraction loop, verbatim: the index it picks for the scaled
+    /// draw `x`.
+    fn inline_index(weights: &[f64], mut x: f64) -> usize {
         for (i, w) in weights.iter().enumerate() {
             x -= w;
             if x < 0.0 {
@@ -396,6 +366,16 @@ mod chooser {
             }
         }
         weights.len() - 1
+    }
+
+    /// The draw the loop made: one uniform scaled by the slice-order sum.
+    fn inline_choose_weighted(rng: &mut Xoshiro256, weights: &[f64]) -> usize {
+        let total: f64 = weights.iter().sum();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "weights must be non-empty with positive finite sum"
+        );
+        inline_index(weights, rng.next_f64() * total)
     }
 
     /// Random weight vectors of length 1–20, about a quarter of the weights
@@ -426,7 +406,6 @@ mod chooser {
             let chooser = WeightedIndex::new(&w);
             let mut old = Xoshiro256::seed_from_u64(case);
             let mut new = old.clone();
-            let mut via = old.clone();
             for draw in 0..10_000 {
                 let expected = inline_choose_weighted(&mut old, &w);
                 assert_eq!(
@@ -434,13 +413,33 @@ mod chooser {
                     expected,
                     "case {case} draw {draw}"
                 );
-                assert_eq!(via.choose_weighted(&w), expected, "case {case} draw {draw}");
             }
             assert_eq!(new, old, "case {case}: rng state");
-            assert_eq!(via, old, "case {case}: rng state");
         }
     }
 
+    #[test]
+    fn chooser_matches_the_inline_loop_at_every_threshold() {
+        // A draw at a threshold and one at the float just below it fall on
+        // either side of the loop's decision there: a threshold one bit
+        // pattern off moves one of the two.
+        let mut gen = Xoshiro256::seed_from_u64(0x5eed);
+        for case in 0..200u64 {
+            let w = weights(&mut gen);
+            let chooser = WeightedIndex::new(&w);
+            assert_eq!(chooser.thresholds.len(), w.len() - 1, "case {case}");
+            for (j, &t) in chooser.thresholds.iter().enumerate() {
+                let below = (t > 0.0).then(|| f64::from_bits(t.to_bits() - 1));
+                for x in std::iter::once(t).chain(below) {
+                    assert_eq!(
+                        chooser.index_of(x),
+                        inline_index(&w, x),
+                        "case {case}: threshold {j} = {t:e}, x = {x:e}, weights {w:?}"
+                    );
+                }
+            }
+        }
+    }
     /// A generator whose next `next_f64` is the largest value below 1.
     fn next_draw_just_below_one() -> Xoshiro256 {
         // The inverse of an odd multiplier modulo 2^64, by Newton's method.

@@ -39,6 +39,13 @@ pub fn naive_expected_runs(n: u64, p: f64, k: u32) -> f64 {
 /// nonnegative numbers only, so it loses no precision to a `1 − q`
 /// cancellation.
 ///
+/// A ≥k run starts at one of `n − k + 1` trials, each with chance `p^k`,
+/// so the answer is at most `(n − k + 1)·p^k`. Once that union bound's
+/// log falls below −745.2 (half the least subnormal `f64`, 2^−1075, is
+/// e^−745.13) the correctly rounded answer is `0.0`, returned without the
+/// matrix: a pool with no share, or a run far longer than its share
+/// makes likely (a 100,000-block run would need two 80 GB matrices).
+///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1]` or `k == 0`.
@@ -51,7 +58,23 @@ pub fn prob_run_at_least(n: u64, p: f64, k: u32) -> f64 {
     if p == 1.0 {
         return 1.0;
     }
+    if union_bound_vanishes(n, p, k) {
+        return 0.0;
+    }
     prob_by_matrix_power(n, p, k as usize)
+}
+
+/// `ln(n − k + 1) + k·ln(p) < −745.2`, for `n ≥ k ≥ 1` and `p < 1`.
+///
+/// A normal `p` is at least `2^e` for its binary exponent `e`, so
+/// `ln p ≥ e·ln 2`, and `ln(n − k + 1) ≥ 0`: the test can only pass once
+/// `k·(−e) > 1075` (`745.2 / ln 2 ≈ 1075.1`). Below that the logarithms
+/// are not taken, so rows at real shares never call into libm's `log`
+/// (whose tables alone are ~0.2 MiB of a process's resident pages).
+fn union_bound_vanishes(n: u64, p: f64, k: u32) -> bool {
+    let e = (p.to_bits() >> 52) as i64 - 1023;
+    (p < f64::MIN_POSITIVE || -e * i64::from(k) > 1075)
+        && ((n - u64::from(k) + 1) as f64).ln() + f64::from(k) * p.ln() < -745.2
 }
 
 /// `e_0 · T^n`'s absorbed entry, with `T` the transfer matrix over states
@@ -233,6 +256,52 @@ mod tests {
         assert_eq!(prob_run_at_least(10, 1.0, 4), 1.0);
         assert_eq!(prob_run_at_least(10, 0.0, 1), 0.0);
         assert_eq!(prob_run_at_least(7_700_000, 0.0, 3), 0.0);
+    }
+
+    #[test]
+    fn a_union_bound_below_half_the_least_subnormal_rounds_to_zero() {
+        // At p = 0.01 over 1,000 trials the union bound's log crosses
+        // −745.2 between k = 163 (−743.9) and k = 164 (−748.5).
+        assert_eq!(
+            prob_run_at_least(1_000, 0.01, 163),
+            prob_by_matrix_power(1_000, 0.01, 163)
+        );
+        assert_eq!(prob_run_at_least(1_000, 0.01, 164), 0.0);
+        assert!(prob_by_matrix_power(1_000, 0.01, 164) <= f64::from_bits(1));
+        // Runs no matrix this side of 80 GB could hold.
+        assert_eq!(prob_run_at_least(100_000, 0.55, 100_000), 0.0);
+        assert_eq!(prob_run_at_least(7_700_000, 0.0, 100_000), 0.0);
+    }
+
+    #[test]
+    fn the_exponent_filter_never_changes_the_bound_test() {
+        // At p = 2^−e the filter's estimate of ln p is exact, so k·e = 1075
+        // and 1076 straddle the test itself: a filter one step too strict
+        // fails here.
+        let by_logs = |n: u64, p: f64, k: u32| {
+            ((n - u64::from(k) + 1) as f64).ln() + f64::from(k) * p.ln() < -745.2
+        };
+        for e in 1..=1074u32 {
+            let p = 0.5f64.powi(e as i32);
+            for k in [1075 / e, 1075 / e + 1, 1075 / e + 2] {
+                for n in [u64::from(k), u64::from(k) + 1_000, 7_700_000] {
+                    assert_eq!(
+                        union_bound_vanishes(n, p, k),
+                        by_logs(n, p, k),
+                        "p = 2^-{e}, k = {k}, n = {n}"
+                    );
+                }
+            }
+        }
+        for p in [0.0, f64::from_bits(1), 1e-310, 0.01, 0.2532, 0.55, 0.9] {
+            for k in (1..=3_000u32).step_by(7) {
+                assert_eq!(
+                    union_bound_vanishes(10_000, p, k),
+                    by_logs(10_000, p, k),
+                    "p = {p}, k = {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,9 +25,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use ethmeter::analysis::sequences::RunFold;
 use ethmeter::prelude::*;
 use ethmeter::sim::engine::RunOutcome;
 use ethmeter::sim::Engine;
+use ethmeter::types::PoolId;
 use ethmeter::SimWorld;
 
 thread_local! {
@@ -179,4 +181,56 @@ fn whole_chain_scan_peaks_under_a_mebibyte_of_heap() {
         peak < 1 << 20,
         "the whole-chain scan peaked at {peak} heap bytes (ceiling 1 MiB)"
     );
+}
+
+#[test]
+fn rendering_a_hundred_thousand_block_run_peaks_under_a_mebibyte_of_heap() {
+    // 100,000 blocks in a row by a pool at share 0.55, then 100,000 by a
+    // pool with no share: what a full campaign with a selfish majority
+    // pool hands the report.
+    let mut fold = RunFold::default();
+    for pool in [PoolId(0), PoolId(1)] {
+        for _ in 0..100_000 {
+            fold.push(pool);
+        }
+    }
+    let names = ["Majority".to_owned(), "Idle".to_owned()];
+    let report = fold.report(&names, &[0.55, 0.0], SimDuration::from_secs_f64(13.3));
+    let before = reset_peak();
+    let text = report.to_string();
+    let peak = PEAK_BYTES.with(Cell::get) - before;
+    assert!(text.contains("Majority") && text.contains("Idle"), "{text}");
+    // Measured 1,863 bytes. Each row's chance of its longest run is far
+    // below the least subnormal, so no run-theory matrix is built: the
+    // two (k+1)² matrices at k = 100,000 asked for 80 GB each.
+    assert!(
+        peak < 1 << 20,
+        "rendering peaked at {peak} heap bytes (ceiling 1 MiB)"
+    );
+}
+
+/// Allocator calls per race block over a 100,000-block chain-only
+/// selfish-mining race at seed 42.
+fn race_allocs_per_block(alpha: f64, gamma: f64) -> f64 {
+    let cfg = SelfishRaceConfig::new(alpha, gamma, 100_000, 42);
+    let before = ALLOC_CALLS.with(Cell::get);
+    let result = run_selfish_race(&cfg);
+    let calls = ALLOC_CALLS.with(Cell::get) - before;
+    assert!(result.canonical_height > 0);
+    calls as f64 / cfg.blocks as f64
+}
+
+#[test]
+fn selfish_race_stays_under_the_allocation_ceiling() {
+    // Measured 0.176 and 0.805: what remains is a referencing block's
+    // uncle list, a release's block batch and the window's growth. With a
+    // `Vec` of picks and one of credits per block, and the reward inputs
+    // in a hash map, the same races made 0.26 and 1.22.
+    for (alpha, gamma, ceiling) in [(0.1, 0.0, 0.20), (0.45, 1.0, 0.90)] {
+        let per_block = race_allocs_per_block(alpha, gamma);
+        assert!(
+            per_block <= ceiling,
+            "alpha {alpha}, gamma {gamma}: {per_block:.3} allocator calls per block (ceiling {ceiling})"
+        );
+    }
 }

@@ -196,13 +196,13 @@ fn build_recent_fork_stream(plan: &[(usize, u16, usize, usize)]) -> Vec<Block> {
 fn reference_uncles(
     chain: &HeaderTree,
     parent: BlockHash,
-    candidates: &[BlockHash],
+    candidates: &[(BlockHash, u64)],
     policy: UnclePolicy,
 ) -> Vec<BlockHash> {
     let mut valid: Vec<(u64, BlockHash)> = candidates
         .iter()
-        .filter(|&&h| chain.is_valid_uncle(parent, h, policy))
-        .map(|&h| (chain.number_of(h).expect("valid uncles are attached"), h))
+        .filter(|&&(h, _)| chain.is_valid_uncle(parent, h, policy))
+        .map(|&(h, number)| (number, h))
         .collect();
     valid.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     valid.truncate(MAX_UNCLES);
@@ -258,8 +258,8 @@ proptest! {
                         prop_assert_eq!(view.is_canonical(seen.hash()), tree.is_canonical(seen.hash()));
                     }
                 }
-                let seen: Vec<BlockHash> = std::iter::once(tree.genesis_hash())
-                    .chain(blocks[..=step].iter().map(Block::hash))
+                let seen: Vec<(BlockHash, u64)> = std::iter::once((tree.genesis_hash(), 0))
+                    .chain(blocks[..=step].iter().map(|b| (b.hash(), b.number())))
                     .collect();
                 for policy in [UnclePolicy::Standard, UnclePolicy::ForbidSameMinerHeight] {
                     prop_assert_eq!(
@@ -278,7 +278,7 @@ proptest! {
                                 "{} step {} {}: select_uncles under {:?}", kind, step, name, policy
                             );
                             prop_assert_eq!(
-                                &chain.select_uncles_among(parent, seen.iter().copied(), policy),
+                                &chain.select_uncles_among(parent, seen.iter().copied(), policy).hashes(),
                                 &expected,
                                 "{} step {} {}: select_uncles_among under {:?}", kind, step, name, policy
                             );
