@@ -27,6 +27,12 @@
 #                of the observer log's segments, scans and merge
 #                (`measure` tests named `spill`), the event loop's and
 #                the selfish race's allocation ceilings (tests/allocs.rs),
+#                the full-network selfish-pool pins
+#                (`selfish_worlds_match_their_goldens`: fingerprints and
+#                withheld/released counts of a classic and a stubborn
+#                attacker), the shared job loop's panic context (a
+#                selfish-threshold race that fails is named by its α, γ
+#                and seed: `a_failing_threshold_race_names_its_cell_and_seed`),
 #                and the
 #                reused-world equivalence checks (a reset runner, a reset
 #                world and a reusing grid must match fresh runs) in the
@@ -109,6 +115,9 @@ stage_golden() {
     # pinned Fig. 7 month + selfish-grid text among them, and the report
     # pin: the tiny-101 suite text and the four scalar sets' CSV/JSON).
     filtered_tests --release --test golden
+    # The selfish-pool worlds are named too, so a rename cannot drop the
+    # only pins on the world's withholding path from the gate.
+    filtered_tests --release --test golden selfish_worlds_match_their_goldens
     # prob_run_at_least's O(k³·log n) matrix power against the O(n·k)
     # stepping reference at n = 7.7 M (~1 min; ignored in debug builds,
     # where it would take far longer).
@@ -145,6 +154,9 @@ stage_golden() {
     filtered_tests --release -p ethmeter-core reset_reuse_is_fingerprint_identical
     filtered_tests --release -p ethmeter-core reset_reproduces_a_fresh_world
     filtered_tests --release --test sweep reused_worker_sweeps_equal_fresh_and_sequential
+    # The job loop grids and the selfish-threshold grid share: a failing
+    # race is re-raised with its cell and seed after every other has run.
+    filtered_tests --release -p ethmeter-core a_failing_threshold_race_names_its_cell_and_seed
 }
 
 stage_par_smoke() {

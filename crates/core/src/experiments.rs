@@ -28,7 +28,7 @@ use ethmeter_mining::{PoolBehavior, PoolConfig, PoolDirectory, SelfishConfig, St
 use ethmeter_types::{BlockHash, FxHashSet, PoolId, Region, SimDuration, SimTime};
 
 use crate::chainonly::{run_chain_only, ChainOnlyConfig};
-use crate::grid::Grid;
+use crate::grid::{fan_out, Grid};
 use crate::metric::Scalars;
 use crate::report::GridReport;
 use crate::runner::run_campaign;
@@ -368,17 +368,18 @@ impl fmt::Display for SelfishThresholdReport {
 }
 
 /// Runs the chain-only α × γ × seed grid behind
-/// [`SelfishThresholdReport`]. Cells are independent deterministic
-/// races (see [`crate::selfish`]) fanned over worker threads the same
-/// way [`Grid`] fans campaigns — each cell's value is a pure function
-/// of its own seeds, so the result is identical at any thread count.
-/// The γ-dependence of the threshold is what the full-network
-/// simulation realizes through gateway placement.
+/// [`SelfishThresholdReport`]. Races are independent and deterministic
+/// (see [`crate::selfish`]), one job each on the job loop [`Grid`] runs
+/// its campaigns on — each cell's value is a pure function of its own
+/// seeds, so the result is identical at any thread count. The
+/// γ-dependence of the threshold is what the full-network simulation
+/// realizes through gateway placement.
 ///
 /// # Panics
 ///
-/// Panics if either axis is empty or `seeds` is 0 (and propagates the
-/// race's own α/γ range checks).
+/// Panics if either axis is empty or `seeds` is 0, and, once every race
+/// has run, with the α, γ and seed of each race that failed the race's
+/// own α/γ range checks.
 pub fn selfish_threshold(
     alphas: &[f64],
     gammas: &[f64],
@@ -394,42 +395,28 @@ pub fn selfish_threshold(
     let threads = std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get)
         .min(cells);
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    // One job per (cell, seed), seeds innermost; a cell's gain averages
+    // its seeds in seed order.
+    let race = |job: usize| {
+        let (cell, s) = (job / seeds, job % seeds);
+        let (g, a) = (cell / alphas.len(), cell % alphas.len());
+        SelfishRaceConfig::new(alphas[a], gammas[g], blocks, first_seed + s as u64)
+    };
+    let gains = fan_out(
+        "selfish-threshold races",
+        vec![(); threads],
+        cells * seeds,
+        |_, job| run_selfish_race(&race(job)).relative_revenue(),
+        |job| {
+            let cfg = race(job);
+            format!("alpha={} gamma={} seed={}", cfg.alpha, cfg.gamma, cfg.seed)
+        },
+    );
     let mut gain = vec![vec![0.0; alphas.len()]; gammas.len()];
-    std::thread::scope(|scope| {
-        let next = &next;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let cell = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if cell >= cells {
-                            break;
-                        }
-                        let (g, a) = (cell / alphas.len(), cell % alphas.len());
-                        let mut sum = 0.0;
-                        for s in 0..seeds as u64 {
-                            let cfg = SelfishRaceConfig::new(
-                                alphas[a],
-                                gammas[g],
-                                blocks,
-                                first_seed + s,
-                            );
-                            sum += run_selfish_race(&cfg).relative_revenue();
-                        }
-                        mine.push((g, a, sum / seeds as f64));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (g, a, value) in handle.join().expect("threshold worker panicked") {
-                gain[g][a] = value;
-            }
-        }
-    });
+    for (cell, races) in gains.chunks(seeds).enumerate() {
+        let sum = races.iter().fold(0.0, |sum, gain| sum + gain);
+        gain[cell / alphas.len()][cell % alphas.len()] = sum / seeds as f64;
+    }
     SelfishThresholdReport {
         alphas: alphas.to_vec(),
         gammas: gammas.to_vec(),
@@ -1006,5 +993,22 @@ mod tests {
         assert!(r.gain.iter().flatten().all(|g| g.is_finite() && *g > 0.0));
         // γ = 1 strictly dominates γ = 0 cell-wise at these shares.
         assert!(r.gain[1][0] > r.gain[0][0]);
+    }
+
+    #[test]
+    fn a_failing_threshold_race_names_its_cell_and_seed() {
+        let result = std::panic::catch_unwind(|| selfish_threshold(&[0.3, 1.0], &[0.5], 7, 2, 200));
+        // Every other race still runs; the re-raised panic names each
+        // failed race, in job order, with the race's own message.
+        let msg = crate::par::panic_text(result.expect_err("alpha = 1 must fail its races"));
+        assert!(
+            msg.starts_with("2 of 4 selfish-threshold races panicked: "),
+            "{msg}"
+        );
+        for seed in [7, 8] {
+            let race = format!("[alpha=1 gamma=0.5 seed={seed}] alpha must be in (0, 1), got 1");
+            assert!(msg.contains(&race), "{msg}");
+        }
+        assert!(!msg.contains("alpha=0.3"), "{msg}");
     }
 }

@@ -40,8 +40,9 @@
 //! ```
 
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 
 use crate::metric::{Metric, RunCtx};
@@ -317,113 +318,63 @@ impl Grid {
         let points = self.points();
         let jobs = points.len() * seeds.len();
         let threads = self.effective_threads(jobs);
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<(M, RunStats, u64)>> = (0..jobs).map(|_| None).collect();
-        // `(job index, grid point, seed, panic message)` per failed job.
-        let panics: Mutex<Vec<(usize, String, u64, String)>> = Mutex::new(Vec::new());
-        thread::scope(|scope| {
-            let seeds = &seeds;
-            let points = &points;
-            let next = &next;
-            let panics = &panics;
-            // Each worker owns a copy of the prototype to clone per job,
-            // so `M` only needs `Send`, not `Sync`.
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let proto = metric.clone();
-                    scope.spawn(move || {
-                        // One reusable world+engine per worker thread (the
-                        // CampaignRunner contract keeps outcomes identical
-                        // to fresh construction).
-                        let mut runner = self.reuse_workers.then(CampaignRunner::new);
-                        let mut mine = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= jobs {
-                                break;
-                            }
-                            let point_index = index / seeds.len();
-                            let seed_index = index % seeds.len();
-                            let seed = seeds[seed_index];
-                            // A panicking job (world bug, metric bug, bad
-                            // scenario point) must not take the worker —
-                            // and with it every job it would have claimed —
-                            // down with it: record it with its grid
-                            // context and move on to the next job.
-                            let job =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let scenario = self.materialize(point_index, seed);
-                                    let outcome = match runner.as_mut() {
-                                        Some(r) => r.run(&scenario),
-                                        None => run_campaign(&scenario),
-                                    };
-                                    let mut m = proto.clone();
-                                    let (stats, events) = (outcome.stats, outcome.events);
-                                    // Owned handoff: each job observes exactly
-                                    // once, so retaining collectors can move the
-                                    // dataset instead of cloning it.
-                                    m.observe_owned(
-                                        &RunCtx {
-                                            index,
-                                            point_index,
-                                            seed_index,
-                                            seed: scenario.seed,
-                                            point: &points[point_index],
-                                            scenario: &scenario,
-                                        },
-                                        outcome,
-                                    );
-                                    (m, stats, events)
-                                }));
-                            match job {
-                                Ok((m, stats, events)) => mine.push((index, m, stats, events)),
-                                Err(payload) => {
-                                    panics.lock().unwrap_or_else(|e| e.into_inner()).push((
-                                        index,
-                                        points[point_index].to_string(),
-                                        seed,
-                                        panic_text(payload),
-                                    ));
-                                    // The engine/world may have unwound
-                                    // mid-event; rebuild rather than reuse
-                                    // a possibly inconsistent instance.
-                                    runner = self.reuse_workers.then(CampaignRunner::new);
-                                }
-                            }
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // Workers catch job panics themselves, so joins cannot
-                // fail; `expect` guards the invariant.
-                for (i, m, stats, events) in handle.join().expect("grid workers catch job panics") {
-                    slots[i] = Some((m, stats, events));
-                }
-            }
-        });
-
-        let mut failed = panics.into_inner().unwrap_or_else(|e| e.into_inner());
-        if !failed.is_empty() {
-            failed.sort_by_key(|&(index, ..)| index);
-            let detail: Vec<String> = failed
-                .iter()
-                .map(|(_, point, seed, msg)| format!("[{point} seed={seed}] {msg}"))
-                .collect();
-            panic!(
-                "{} of {jobs} grid jobs panicked: {}",
-                failed.len(),
-                detail.join("; ")
-            );
-        }
+        // Each worker owns a copy of the prototype to clone per job, so
+        // `M` only needs `Send`, not `Sync`, and with reuse one world and
+        // engine (the CampaignRunner contract keeps outcomes identical to
+        // fresh construction).
+        let workers = (0..threads)
+            .map(|_| (metric.clone(), None::<CampaignRunner>))
+            .collect();
+        let runs = fan_out(
+            "grid jobs",
+            workers,
+            jobs,
+            |(proto, runner), index| {
+                let (point_index, seed_index) = (index / seeds.len(), index % seeds.len());
+                let scenario = self.materialize(point_index, seeds[seed_index]);
+                let outcome = if self.reuse_workers {
+                    // Taken for the job and put back once it completes: a
+                    // job that panics mid-event drops a possibly
+                    // inconsistent world, and the next one builds afresh.
+                    let mut reused = runner.take().unwrap_or_default();
+                    let outcome = reused.run(&scenario);
+                    *runner = Some(reused);
+                    outcome
+                } else {
+                    run_campaign(&scenario)
+                };
+                let mut m = proto.clone();
+                let (stats, events) = (outcome.stats, outcome.events);
+                // Owned handoff: each job observes exactly once, so
+                // retaining collectors can move the dataset instead of
+                // cloning it.
+                m.observe_owned(
+                    &RunCtx {
+                        index,
+                        point_index,
+                        seed_index,
+                        seed: scenario.seed,
+                        point: &points[point_index],
+                        scenario: &scenario,
+                    },
+                    outcome,
+                );
+                (m, stats, events)
+            },
+            |index| {
+                format!(
+                    "{} seed={}",
+                    points[index / seeds.len()],
+                    seeds[index % seeds.len()]
+                )
+            },
+        );
 
         // Deterministic reduction: fold per-job instances in grid order.
         let mut totals = RunStats::default();
         let mut events = 0u64;
         let mut acc: Option<M> = None;
-        for slot in slots {
-            let (m, stats, ev) = slot.expect("no job panicked, so every slot is filled");
+        for (m, stats, ev) in runs {
             totals.merge(&stats);
             events += ev;
             match acc.as_mut() {
@@ -449,6 +400,69 @@ impl Grid {
         };
         cap.clamp(1, jobs.max(1))
     }
+}
+
+/// Runs jobs `0..jobs` on one scoped thread per element of `workers`.
+/// Each thread owns its worker state, claims the next job index from a
+/// shared counter and runs `job(&mut state, index)`; the results come
+/// back in job order, so they do not depend on scheduling.
+///
+/// # Panics
+///
+/// A panicking job takes neither its thread nor the jobs that thread would
+/// have claimed down with it. Once every thread has drained the queue and
+/// exited, the failures are raised again with each failed job's `label`
+/// and message, in job order: `1 of 4 {what} panicked: [label] message`.
+pub(crate) fn fan_out<W: Send, T: Send>(
+    what: &str,
+    workers: Vec<W>,
+    jobs: usize,
+    job: impl Fn(&mut W, usize) -> T + Sync,
+    label: impl Fn(usize) -> String,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut runs: Vec<(usize, Result<T, String>)> = thread::scope(|scope| {
+        let (next, job) = (&next, &job);
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|mut state| {
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= jobs {
+                            break mine;
+                        }
+                        let run =
+                            std::panic::catch_unwind(AssertUnwindSafe(|| job(&mut state, index)));
+                        mine.push((index, run.map_err(panic_text)));
+                    }
+                })
+            })
+            .collect();
+        // Workers catch job panics themselves, so joins cannot fail;
+        // `expect` guards the invariant.
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().expect("workers catch job panics"));
+        joined.flatten().collect()
+    });
+    runs.sort_unstable_by_key(|&(index, _)| index);
+    let (mut done, mut failed) = (Vec::with_capacity(jobs), Vec::new());
+    for (index, run) in runs {
+        match run {
+            Ok(value) => done.push(value),
+            Err(msg) => failed.push(format!("[{}] {msg}", label(index))),
+        }
+    }
+    if !failed.is_empty() {
+        panic!(
+            "{} of {jobs} {what} panicked: {}",
+            failed.len(),
+            failed.join("; ")
+        );
+    }
+    done
 }
 
 impl fmt::Debug for Grid {

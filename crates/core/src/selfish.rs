@@ -38,6 +38,11 @@
 //! canonical index answers the rest: whether the head extends the
 //! attacker's tip is one read at the tip's height, and a tie keeps its
 //! height beside its hash.
+//!
+//! The machine moves each block it releases into one buffer the race
+//! reuses from the first draw to the last, and the race drains that
+//! buffer into the tree once the machine has decided, so a block is
+//! built once and never copied on its way to the public chain.
 
 use std::sync::Arc;
 
@@ -117,7 +122,7 @@ impl SelfishRaceResult {
 type Cited = [(u8, PoolId); MAX_UNCLES];
 
 /// A block the race mined, with the uncles it cites.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Mined {
     block: Block,
     uncles: Cited,
@@ -197,8 +202,8 @@ impl PublicChain {
         }
     }
 
-    /// Inserts released blocks, records them as live and tracks the tie
-    /// race.
+    /// Inserts released blocks, oldest first, records them as live and
+    /// tracks the tie race.
     fn publish(&mut self, blocks: impl IntoIterator<Item = Mined>) {
         for Mined { block, uncles } in blocks {
             let (hash, number, miner) = (block.hash(), block.number(), block.miner());
@@ -296,6 +301,8 @@ fn race(cfg: &SelfishRaceConfig) -> (PublicChain, SelfishState<Mined>) {
     let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
     let mut chain = PublicChain::new();
     let mut state: SelfishState<Mined> = SelfishState::new(cfg.behavior, chain.tree.genesis_hash());
+    // What the machine releases, moved out of it and into the tree.
+    let mut released = Vec::new();
     let mut salt = 0u64;
 
     for _ in 0..cfg.blocks {
@@ -305,11 +312,11 @@ fn race(cfg: &SelfishRaceConfig) -> (PublicChain, SelfishState<Mined>) {
             let (parent, number) = state.target();
             salt += 1;
             let mined = chain.mine(parent, number, ATTACKER, salt);
-            let (outcome, released) = state.on_solve(mined.block.hash(), mined);
+            let outcome = state.on_solve(mined.block.hash(), mined, &mut released);
             if outcome == SelfishOutcome::Published {
                 chain.tie = None; // the race just ended in the attacker's favor
             }
-            chain.publish(released);
+            chain.publish(released.drain(..));
         } else {
             // Honest network wins. Validate the tie pointer first: it only
             // steers miners while the contested height is still the head
@@ -337,8 +344,8 @@ fn race(cfg: &SelfishRaceConfig) -> (PublicChain, SelfishState<Mined>) {
             let extends_tip = state
                 .tip()
                 .is_some_and(|(tip, tip_number)| tree.canonical_hash(tip_number) == Some(tip));
-            let (_, released) = state.on_public_head(tree.head(), tree.head_number(), extends_tip);
-            chain.publish(released);
+            state.on_public_head(tree.head(), tree.head_number(), extends_tip, &mut released);
+            chain.publish(released.drain(..));
         }
         chain.settle(state.base().1);
     }

@@ -22,6 +22,15 @@
 //! is materialized from the registry only at the campaign boundary — the
 //! hot path never clones a block.
 //!
+//! Every pool block leaves through one mint path (`SimWorld::mint`): a
+//! solve's block, its malfunction siblings, a one-miner duplicate and a
+//! selfish pool's block alike take the pool's next salt, pass the
+//! consensus engine's check and enter the registry there. The callers
+//! choose only what a block carries and how it is published: at once
+//! through the pool's gateways, or when a selfish pool's machine releases
+//! it ([`Event::PoolRelease`]), moved out of the machine into a buffer the
+//! world reuses.
+//!
 //! Worlds are reusable: [`SimWorld::reset`] rewinds everything to what
 //! `SimWorld::new` would build for a scenario while retaining the
 //! allocations the run itself works in (block registry, node tables,
@@ -42,7 +51,7 @@ use ethmeter_chain::block::{Block, BlockBuilder};
 use ethmeter_chain::consensus::{Consensus, ConsensusKind};
 use ethmeter_chain::tree::BlockTree;
 use ethmeter_chain::tx::Transaction;
-use ethmeter_chain::uncles::UnclePolicy;
+use ethmeter_chain::uncles::{UnclePolicy, MAX_UNCLE_DEPTH};
 use ethmeter_chain::{BlockRegistry, TxRegistry};
 use ethmeter_dynamics::{DynamicsEvent, RegionMask};
 use ethmeter_geo::{BandwidthClass, ClockSkew};
@@ -67,6 +76,14 @@ use ethmeter_types::{
 use std::sync::Arc;
 
 use crate::scenario::Scenario;
+
+/// Ancestors whose transactions [`SimWorld::pack_for`] keeps out of a new
+/// template. A gateway's mempool drops a block's transactions only when
+/// that block becomes its head, yet a pool mines on its own fresh block at
+/// once, and a selfish pool on a branch its gateway never imports. Eight
+/// heights covers both with room to spare; the walk is eight registry
+/// lookups. Changing it changes what blocks carry, and every golden.
+const PACK_GUARD_DEPTH: usize = 8;
 
 /// The event alphabet of a campaign.
 ///
@@ -350,6 +367,9 @@ pub struct SimWorld {
     pack_buf: Vec<TxId>,
     /// Recent-ancestor transaction set for double-inclusion guarding.
     ancestor_scratch: FxHashSet<TxId>,
+    /// The blocks a selfish pool's machine releases, moved out of it and
+    /// into [`Event::PoolRelease`] events.
+    releases: Vec<BlockIdx>,
 
     /// Sharded-execution context. `None` (the default after every
     /// [`SimWorld::reset`]) is the sequential reference: the world owns
@@ -444,6 +464,7 @@ impl SimWorld {
             gossip_scratch: GossipScratch::default(),
             pack_buf: Vec::new(),
             ancestor_scratch: FxHashSet::default(),
+            releases: Vec::new(),
             shard: None,
             submissions: 0,
             measure_epoch: 0,
@@ -680,6 +701,7 @@ impl SimWorld {
         self.send_scratch.clear();
         self.pack_buf.clear();
         self.ancestor_scratch.clear();
+        self.releases.clear();
         self.shard = None;
         self.submissions = 0;
         self.dyn_script.clear();
@@ -888,11 +910,19 @@ impl SimWorld {
         }
     }
 
+    /// The primary gateway's head, `(hash, height)`: the public chain as
+    /// the pool's miners see it.
+    fn gateway_head(&self, pool: PoolId) -> (BlockHash, BlockNumber) {
+        let chain = self.nodes[self.primary_gateway(pool).index()].chain();
+        (chain.head(), chain.head_number())
+    }
+
     /// Packs a block template for `pool` on top of `parent`, filtering
-    /// out transactions already included in the last few ancestors (the
-    /// guard against double inclusion while imports are in flight). Runs
-    /// entirely on world-owned scratch; only the returned template (which
-    /// the block will own) is allocated.
+    /// out transactions already included in the last
+    /// [`PACK_GUARD_DEPTH`] ancestors (the guard against double inclusion
+    /// while imports are in flight). Runs entirely on world-owned scratch;
+    /// only the returned template (which the block will own) is
+    /// allocated.
     fn pack_for(&mut self, pool: PoolId, parent: BlockHash) -> Vec<TxId> {
         let gw = self.primary_gateway(pool);
         let mut packed = std::mem::take(&mut self.pack_buf);
@@ -902,7 +932,7 @@ impl SimWorld {
         }
         self.ancestor_scratch.clear();
         let mut cur = parent;
-        for _ in 0..8 {
+        for _ in 0..PACK_GUARD_DEPTH {
             let Some(b) = self.blocks.get(cur) else {
                 break;
             };
@@ -919,38 +949,60 @@ impl SimWorld {
         out
     }
 
-    /// The uncle-reference policy in force for a minting pool: the
-    /// engine's policy when it imposes one, otherwise the pool's
-    /// configured strategy. The shipped engines impose
-    /// [`UnclePolicy::Standard`] — defer to the pool — preserving the
-    /// historical per-pool ablation behavior bit for bit.
-    fn effective_uncle_policy(&self, pool_policy: UnclePolicy) -> UnclePolicy {
-        match self.consensus.uncle_policy() {
-            UnclePolicy::Standard => pool_policy,
+    /// The uncles `pool` cites in a block on `parent`: what its primary
+    /// gateway's view offers there, under the engine's uncle policy when
+    /// it imposes one and the pool's own otherwise. The shipped engines
+    /// impose [`UnclePolicy::Standard`] — defer to the pool — preserving
+    /// the historical per-pool ablation behavior bit for bit. A parent the
+    /// view lacks (a selfish pool's private block) offers none.
+    fn uncles_for(&self, pool: PoolId, parent: BlockHash) -> Vec<BlockHash> {
+        let policy = match self.consensus.uncle_policy() {
+            UnclePolicy::Standard => self.pools.pool(pool).strategy.uncle_policy,
             stricter => stricter,
-        }
+        };
+        let gw = self.primary_gateway(pool);
+        self.nodes[gw.index()].chain().select_uncles(parent, policy)
     }
 
-    /// Registers a block, returning its dense slot. The registry is the
-    /// single owner; ground truth is derived from it at the campaign
-    /// boundary. On a shard, the slot is also recorded as locally minted
-    /// so the window barrier can replicate it and the merge can rebuild
-    /// global creation order.
-    fn register_block(&mut self, block: Block) -> BlockIdx {
-        self.stats.blocks_produced += 1;
-        // Mint-time consensus validation. The parent is absent only for
-        // children of the (unregistered) genesis, which have nothing to
-        // validate against.
-        if let Some(parent) = self.blocks.get(block.parent()) {
+    /// Mints one of `pool`'s blocks and returns its hash and dense slot.
+    /// Every pool block leaves through here: it takes the pool's next
+    /// salt, is checked against the consensus engine, and goes into the
+    /// registry, its single owner (ground truth is derived from the
+    /// registry at the campaign boundary). On a shard, the slot is also
+    /// recorded as locally minted so the window barrier can replicate it
+    /// and the merge can rebuild global creation order. Publishing it is
+    /// the caller's business.
+    fn mint(
+        &mut self,
+        pool: PoolId,
+        (parent, number): (BlockHash, BlockNumber),
+        now: SimTime,
+        txs: Vec<TxId>,
+        uncles: Vec<BlockHash>,
+    ) -> (BlockHash, BlockIdx) {
+        let state = &mut self.pool_states[pool.index()];
+        let salt = state.salt;
+        state.salt += 1;
+        let block = BlockBuilder::new(parent, number, pool)
+            .mined_at(now)
+            .txs(txs)
+            .uncles(uncles)
+            .salt(salt)
+            .build();
+        // The parent is absent only for children of the (unregistered)
+        // genesis, which have nothing to validate against.
+        if let Some(parent) = self.blocks.get(parent) {
             self.consensus
-                .validate(block.hash(), block.number(), parent.number())
+                .validate(block.hash(), number, parent.number())
                 .expect("minted block must satisfy the consensus engine");
         }
+        self.stats.blocks_produced += 1;
+        let hash = block.hash();
         let idx = self.blocks.insert(block);
         if let Some(ctx) = self.shard.as_mut() {
             ctx.local_created.push(idx.index());
         }
-        idx
+        (hash, idx)
     }
 
     /// Injects a block at every gateway of its pool. Pools run dedicated
@@ -1018,43 +1070,26 @@ impl SimWorld {
 
     /// Builds and publishes one block for `pool` at its current target.
     fn solve_normal(&mut self, pool: PoolId, now: SimTime, sched: &mut Scheduler<Event>) {
-        let cfg = self.pools.pool(pool).clone();
-        let plan = BlockPlan::decide(&cfg, &mut self.lanes_pool[pool.index()]);
+        let plan = BlockPlan::decide(self.pools.pool(pool), &mut self.lanes_pool[pool.index()]);
         let (parent, number) = self.pool_states[pool.index()].target;
-        let gw = self.primary_gateway(pool);
-        let policy = self.effective_uncle_policy(cfg.strategy.uncle_policy);
-        let uncles = self.nodes[gw.index()].chain().select_uncles(parent, policy);
+        let uncles = self.uncles_for(pool, parent);
         let txs = if plan.empty {
             Vec::new()
         } else {
             self.pack_for(pool, parent)
         };
-        let salt = self.next_salt(pool);
-        let block = BlockBuilder::new(parent, number, pool)
-            .mined_at(now)
-            .txs(txs.clone())
-            .uncles(uncles)
-            .salt(salt)
-            .build();
-        let hash = block.hash();
-        let idx = self.register_block(block);
+        let (hash, idx) = self.mint(pool, (parent, number), now, txs.clone(), uncles);
         self.broadcast_from_gateways(pool, idx, sched);
 
         // Malfunction burst: extra same-height siblings released at once.
+        let same_txset = self.pools.pool(pool).strategy.duplicate_same_txset_prob;
         for k in 0..plan.malfunction_extra {
-            let sibling_txs =
-                if self.lanes_pool[pool.index()].chance(cfg.strategy.duplicate_same_txset_prob) {
-                    txs.clone()
-                } else {
-                    txs.iter().copied().skip(k + 1).collect()
-                };
-            let salt = self.next_salt(pool);
-            let sib = BlockBuilder::new(parent, number, pool)
-                .mined_at(now)
-                .txs(sibling_txs)
-                .salt(salt)
-                .build();
-            let sib_idx = self.register_block(sib);
+            let sibling_txs = if self.lanes_pool[pool.index()].chance(same_txset) {
+                txs.clone()
+            } else {
+                txs.iter().copied().skip(k + 1).collect()
+            };
+            let (_, sib_idx) = self.mint(pool, (parent, number), now, sibling_txs, Vec::new());
             self.stats.duplicates_produced += 1;
             self.broadcast_from_gateways(pool, sib_idx, sched);
         }
@@ -1076,9 +1111,7 @@ impl SimWorld {
 
     /// Ends a duplication episode: resume mining at the freshest target.
     fn resume_after_duplication(&mut self, pool: PoolId, ds: &DupState) {
-        let gw = self.primary_gateway(pool);
-        let head = self.nodes[gw.index()].chain().head();
-        let head_number = self.nodes[gw.index()].chain().head_number();
+        let (head, head_number) = self.gateway_head(pool);
         self.pool_states[pool.index()].target = if head_number >= ds.height {
             (head, head_number + 1)
         } else {
@@ -1096,33 +1129,18 @@ impl SimWorld {
             .take()
             .expect("solve_selfish is only dispatched to selfish pools");
         let (parent, number) = state.target();
-        let gw = self.primary_gateway(pool);
         // Only the first private block sits on a parent the gateway's
         // public view knows; it references orphaned honest blocks as
         // uncles (the Niu–Feng revenue channel). Deeper private parents
         // are invisible to the view, so deeper blocks reference none.
-        let uncles = if self.nodes[gw.index()].chain().contains(parent) {
-            let policy = self.effective_uncle_policy(self.pools.pool(pool).strategy.uncle_policy);
-            self.nodes[gw.index()].chain().select_uncles(parent, policy)
-        } else {
-            Vec::new()
-        };
+        let uncles = self.uncles_for(pool, parent);
         let txs = self.pack_for(pool, parent);
-        let salt = self.next_salt(pool);
-        let block = BlockBuilder::new(parent, number, pool)
-            .mined_at(now)
-            .txs(txs)
-            .uncles(uncles)
-            .salt(salt)
-            .build();
-        let hash = block.hash();
-        let idx = self.register_block(block);
-        let (outcome, releases) = state.on_solve(hash, idx);
-        if outcome == SelfishOutcome::Withheld {
+        let (hash, idx) = self.mint(pool, (parent, number), now, txs, uncles);
+        if state.on_solve(hash, idx, &mut self.releases) == SelfishOutcome::Withheld {
             self.stats.blocks_withheld += 1;
         }
-        for r in releases {
-            sched.now_event(Event::PoolRelease { pool, idx: r });
+        for idx in self.releases.drain(..) {
+            sched.now_event(Event::PoolRelease { pool, idx });
         }
         self.pool_states[pool.index()].selfish = Some(state);
     }
@@ -1130,36 +1148,26 @@ impl SimWorld {
     /// Fork-choice-time hook: the selfish pool's primary gateway adopted
     /// a new head, and the behavior machine decides what to release.
     fn selfish_head_update(&mut self, pool: PoolId, sched: &mut Scheduler<Event>) {
-        let gw = self.primary_gateway(pool);
-        let head = self.nodes[gw.index()].chain().head();
-        let head_number = self.nodes[gw.index()].chain().head_number();
-        let mut state = self.pool_states[pool.index()]
+        let (head, head_number) = self.gateway_head(pool);
+        let chain = self.nodes[self.primary_gateway(pool).index()].chain();
+        let state = self.pool_states[pool.index()]
             .selfish
-            .take()
+            .as_mut()
             .expect("head updates are only routed to selfish pools");
         // Did the network adopt our branch? Withheld tips can never be
         // ancestors of a public head, so this is false until we release.
         let extends_tip = state.tip().is_some_and(|(tip, tip_number)| {
-            head_number >= tip_number
-                && self.nodes[gw.index()].chain().ancestor_at(head, tip_number) == Some(tip)
+            head_number >= tip_number && chain.ancestor_at(head, tip_number) == Some(tip)
         });
-        let (_, releases) = state.on_public_head(head, head_number, extends_tip);
-        for r in releases {
-            sched.now_event(Event::PoolRelease { pool, idx: r });
+        state.on_public_head(head, head_number, extends_tip, &mut self.releases);
+        for idx in self.releases.drain(..) {
+            sched.now_event(Event::PoolRelease { pool, idx });
         }
-        self.pool_states[pool.index()].selfish = Some(state);
     }
 
     fn on_pool_release(&mut self, pool: PoolId, idx: BlockIdx, sched: &mut Scheduler<Event>) {
         self.stats.blocks_released += 1;
         self.broadcast_from_gateways(pool, idx, sched);
-    }
-
-    /// The next hash salt of `pool`'s counter.
-    fn next_salt(&mut self, pool: PoolId) -> u64 {
-        let salt = self.pool_states[pool.index()].salt;
-        self.pool_states[pool.index()].salt += 1;
-        salt
     }
 
     fn solve(&mut self, pool: PoolId, now: SimTime, sched: &mut Scheduler<Event>) {
@@ -1173,27 +1181,19 @@ impl SimWorld {
             return;
         }
         if let Some(ds) = self.pool_states[pool.index()].dup.take() {
-            let gw = self.primary_gateway(pool);
-            let head_number = self.nodes[gw.index()].chain().head_number();
-            // Duplicate is only worth publishing while it can still become
-            // an uncle (within 6 generations).
-            if head_number < ds.height + 6 {
-                let cfg = self.pools.pool(pool).clone();
+            // A duplicate is only worth publishing while it can still
+            // become an uncle.
+            if self.gateway_head(pool).1 < ds.height + MAX_UNCLE_DEPTH {
                 let txs = if ds.same_txs {
                     ds.txs.clone()
                 } else {
                     self.pack_for(pool, ds.parent)
                 };
-                let salt = self.next_salt(pool);
-                let dup = BlockBuilder::new(ds.parent, ds.height, pool)
-                    .mined_at(now)
-                    .txs(txs)
-                    .salt(salt)
-                    .build();
-                let dup_idx = self.register_block(dup);
+                let (_, dup_idx) = self.mint(pool, (ds.parent, ds.height), now, txs, Vec::new());
                 self.stats.duplicates_produced += 1;
                 self.broadcast_from_gateways(pool, dup_idx, sched);
-                if BlockPlan::continue_duplicating(&cfg, &mut self.lanes_pool[pool.index()]) {
+                let lane = &mut self.lanes_pool[pool.index()];
+                if BlockPlan::continue_duplicating(self.pools.pool(pool), lane) {
                     self.pool_states[pool.index()].dup = Some(ds);
                 } else {
                     self.resume_after_duplication(pool, &ds);
@@ -1344,9 +1344,7 @@ impl SimWorld {
         {
             return;
         }
-        let gw = self.primary_gateway(pool);
-        let head = self.nodes[gw.index()].chain().head();
-        let head_number = self.nodes[gw.index()].chain().head_number();
+        let (head, head_number) = self.gateway_head(pool);
         if head_number + 1 > self.pool_states[pool.index()].target.1 {
             self.pool_states[pool.index()].target = (head, head_number + 1);
         }
@@ -1700,10 +1698,10 @@ impl SimWorld {
     pub(crate) fn ingest_replica_blocks(&mut self, blocks: &mut Vec<Block>) {
         blocks.sort_by_key(|b| (b.mined_at(), b.miner().raw(), b.hash().raw()));
         for b in blocks.drain(..) {
-            // Same mint-time consensus check as `register_block`. A
-            // replica's parent may be a genesis child (no registered
-            // parent) or may itself arrive later in this sorted batch;
-            // only parent-present blocks can be validated here.
+            // Same mint-time consensus check as `mint`. A replica's
+            // parent may be a genesis child (no registered parent) or may
+            // itself arrive later in this sorted batch; only
+            // parent-present blocks can be validated here.
             if let Some(parent) = self.blocks.get(b.parent()) {
                 self.consensus
                     .validate(b.hash(), b.number(), parent.number())

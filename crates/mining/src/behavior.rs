@@ -12,11 +12,13 @@
 //! [`SelfishState`] is the *pure* decision core — it never touches a
 //! network, a registry, or an RNG. Drivers feed it two events (the pool
 //! solved a block; the pool's gateway adopted a new public head) and
-//! obey its release decisions. That purity is what lets the same machine
-//! drive both the full discrete-event world (`ethmeter-core`'s
-//! `SimWorld`, where the tie-win fraction γ *emerges* from gateway
-//! placement) and the chain-only profitability race (where γ is an
-//! explicit parameter), and what makes its invariants proptestable.
+//! obey its release decisions: each event moves the payloads of the
+//! blocks to publish into a buffer the caller owns and reuses. That
+//! purity is what lets the same machine drive both the full
+//! discrete-event world (`ethmeter-core`'s `SimWorld`, where the tie-win
+//! fraction γ *emerges* from gateway placement) and the chain-only
+//! profitability race (where γ is an explicit parameter), and what makes
+//! its invariants proptestable.
 
 use ethmeter_types::{BlockHash, BlockNumber};
 
@@ -78,20 +80,6 @@ impl Default for SelfishConfig {
     }
 }
 
-/// One withheld block of the private branch.
-#[derive(Debug, Clone)]
-pub struct Withheld<B> {
-    /// The block's hash.
-    pub hash: BlockHash,
-    /// The parent it extends (the previous private block, or the base).
-    pub parent: BlockHash,
-    /// Height.
-    pub number: BlockNumber,
-    /// Driver payload (registry slot, full block, ...), handed back when
-    /// the machine decides to release the block.
-    pub payload: B,
-}
-
 /// The selfish-mining state machine (see the module docs).
 ///
 /// The machine tracks a *base* (the public block the private branch
@@ -100,8 +88,11 @@ pub struct Withheld<B> {
 /// [`SelfishState::target`] to know where the pool mines,
 /// [`SelfishState::on_solve`] when the pool wins a PoW race, and
 /// [`SelfishState::on_public_head`] when the pool's gateway adopts a new
-/// public head; both event methods return the payloads of every block
-/// that must be published *now*.
+/// public head. Each block's payload `B` (a registry slot, a full
+/// block, ...) is handed over with its solve and moved back out, never
+/// cloned, when the machine releases the block: both event methods
+/// append the payloads of every block that must be published *now* to
+/// the caller's `out`, oldest first.
 #[derive(Debug, Clone)]
 pub struct SelfishState<B> {
     cfg: SelfishConfig,
@@ -109,10 +100,13 @@ pub struct SelfishState<B> {
     /// Only rewritten when the branch is empty (fold/adopt/abandon), so
     /// the branch is always connected to it.
     base: (BlockHash, BlockNumber),
-    /// The private branch, oldest first; entry `i` extends entry `i-1`.
-    private: Vec<Withheld<B>>,
+    /// The private branch's hashes, oldest first: entry `i` extends
+    /// entry `i - 1` (entry 0 the base) at height `base.1 + 1 + i`.
+    private: Vec<BlockHash>,
     /// Length of the already-released prefix of `private`.
     released: usize,
+    /// The payloads of `private[released..]`, oldest first.
+    payloads: Vec<B>,
     /// Highest public head height the machine has been told about.
     public_number: BlockNumber,
     /// True while the fully released branch is tied with a public branch
@@ -153,6 +147,7 @@ impl<B> SelfishState<B> {
             base: (base, 0),
             private: Vec::new(),
             released: 0,
+            payloads: Vec::new(),
             public_number: 0,
             racing: false,
         }
@@ -167,10 +162,8 @@ impl<B> SelfishState<B> {
     /// on top of the private tip, or of the base when nothing is
     /// withheld.
     pub fn target(&self) -> (BlockHash, BlockNumber) {
-        match self.private.last() {
-            Some(tip) => (tip.hash, tip.number + 1),
-            None => (self.base.0, self.base.1 + 1),
-        }
+        let (hash, number) = self.tip().unwrap_or(self.base);
+        (hash, number + 1)
     }
 
     /// `(hash, height)` of the base: the public block the private branch
@@ -181,7 +174,8 @@ impl<B> SelfishState<B> {
 
     /// `(hash, height)` of the private tip, if a branch exists.
     pub fn tip(&self) -> Option<(BlockHash, BlockNumber)> {
-        self.private.last().map(|w| (w.hash, w.number))
+        let number = self.base.1 + self.private.len() as BlockNumber;
+        self.private.last().map(|&hash| (hash, number))
     }
 
     /// Blocks currently on the private branch (released prefix included).
@@ -198,10 +192,8 @@ impl<B> SelfishState<B> {
     /// Never negative: the machine abandons the branch the moment the
     /// public chain overtakes it.
     pub fn lead(&self) -> u64 {
-        match self.private.last() {
-            Some(tip) => tip.number.saturating_sub(self.public_number),
-            None => 0,
-        }
+        self.tip()
+            .map_or(0, |(_, number)| number.saturating_sub(self.public_number))
     }
 
     /// True while a fully released branch is racing a public tie.
@@ -210,22 +202,11 @@ impl<B> SelfishState<B> {
         self.racing
     }
 
-    /// The withheld branch, oldest first (inspection/testing).
-    #[cfg(test)]
-    pub fn branch(&self) -> &[Withheld<B>] {
-        &self.private
-    }
-
-    fn drain_unreleased(&mut self, upto: usize) -> Vec<B>
-    where
-        B: Clone,
-    {
-        let out: Vec<B> = self.private[self.released..upto]
-            .iter()
-            .map(|w| w.payload.clone())
-            .collect();
+    /// Moves the payloads of the unreleased blocks below `upto` into
+    /// `out`.
+    fn drain_unreleased(&mut self, upto: usize, out: &mut Vec<B>) {
+        out.extend(self.payloads.drain(..upto - self.released));
         self.released = upto;
-        out
     }
 
     /// Folds the (fully released) branch away: mining continues on
@@ -234,93 +215,81 @@ impl<B> SelfishState<B> {
         self.base = (head, number);
         self.private.clear();
         self.released = 0;
+        self.payloads.clear();
         self.racing = false;
     }
 
-    /// The pool solved a block at [`SelfishState::target`]. Returns the
-    /// payloads to publish now (empty means the block was withheld).
-    pub fn on_solve(&mut self, hash: BlockHash, payload: B) -> (SelfishOutcome, Vec<B>)
-    where
-        B: Clone,
-    {
-        let (parent, number) = self.target();
+    /// The pool solved a block at [`SelfishState::target`]. Moves the
+    /// payload into `out` if the block is to be published now; otherwise
+    /// the machine keeps it and `out` is left as it was.
+    pub fn on_solve(&mut self, hash: BlockHash, payload: B, out: &mut Vec<B>) -> SelfishOutcome {
+        let (_, number) = self.target();
         if self.racing {
             // State 0′: the branch is public and tied; this block breaks
             // the tie in our favor. Publish it immediately and fold.
             self.fold_to(hash, number);
-            return (SelfishOutcome::Published, vec![payload]);
+            out.push(payload);
+            return SelfishOutcome::Published;
         }
-        self.private.push(Withheld {
-            hash,
-            parent,
-            number,
-            payload,
-        });
-        (SelfishOutcome::Withheld, Vec::new())
+        self.private.push(hash);
+        self.payloads.push(payload);
+        SelfishOutcome::Withheld
     }
 
     /// The pool's gateway adopted a new public head. `extends_tip` must
     /// be true iff `head` is the private tip or a descendant of it (the
-    /// driver answers this from its chain view). Returns the payloads to
-    /// publish now.
+    /// caller answers this from its chain view). Moves the payloads to
+    /// publish now into `out`, oldest first.
     pub fn on_public_head(
         &mut self,
         head: BlockHash,
         number: BlockNumber,
         extends_tip: bool,
-    ) -> (SelfishOutcome, Vec<B>)
-    where
-        B: Clone,
-    {
+        out: &mut Vec<B>,
+    ) -> SelfishOutcome {
         self.public_number = self.public_number.max(number);
-        if extends_tip {
+        if extends_tip || self.private.is_empty() {
             // The network adopted our branch (override landed, or we won
-            // a tie): continue from the head like an honest miner.
+            // a tie), or there is none: continue from the head like an
+            // honest miner.
             self.fold_to(head, number);
-            return (SelfishOutcome::Idle, Vec::new());
+            return SelfishOutcome::Idle;
         }
-        if self.private.is_empty() {
-            self.fold_to(head, number);
-            return (SelfishOutcome::Idle, Vec::new());
-        }
-        let tip_number = self.private.last().expect("branch non-empty").number;
+        let (tip, tip_number) = self.tip().expect("branch non-empty");
         if number > tip_number {
             // Overtaken: the branch lost. Release the leftovers anyway —
             // published losers are uncle candidates worth 7/8 of a block
             // reward, the Niu–Feng uncle channel.
-            let rest = self.drain_unreleased(self.private.len());
+            self.drain_unreleased(self.private.len(), out);
             self.fold_to(head, number);
-            return (SelfishOutcome::Abandoned, rest);
+            return SelfishOutcome::Abandoned;
         }
         let lead = tip_number - number;
         if lead == 0 {
             // Equal height: show everything and let the network (γ)
             // settle the tie. The branch stays recorded so a later win
             // can still fold onto it.
-            let rest = self.drain_unreleased(self.private.len());
+            self.drain_unreleased(self.private.len(), out);
             self.racing = true;
-            return (SelfishOutcome::Tied, rest);
+            return SelfishOutcome::Tied;
         }
         if lead <= self.cfg.override_lead {
             // Strictly longer: publish the whole branch; fork choice
             // must switch to it. Fold eagerly so mining continues on the
             // tip without waiting for our own gateway's import.
-            let rest = self.drain_unreleased(self.private.len());
-            let tip = (
-                self.private.last().expect("branch non-empty").hash,
-                tip_number,
-            );
-            self.fold_to(tip.0, tip.1);
-            return (SelfishOutcome::Overrode, rest);
+            self.drain_unreleased(self.private.len(), out);
+            self.fold_to(tip, tip_number);
+            return SelfishOutcome::Overrode;
         }
         // Comfortable lead: reveal just enough to contest every public
-        // height, keep the rest private.
-        let need = (number - self.base.1) as usize;
+        // height above the base, keep the rest private. A head at or
+        // below the base (an override not yet adopted) contests none.
+        let need = number.saturating_sub(self.base.1) as usize;
         if need > self.released {
-            let out = self.drain_unreleased(need);
-            return (SelfishOutcome::Matched, out);
+            self.drain_unreleased(need, out);
+            return SelfishOutcome::Matched;
         }
-        (SelfishOutcome::Idle, Vec::new())
+        SelfishOutcome::Idle
     }
 }
 
@@ -336,6 +305,23 @@ mod tests {
         SelfishState::new(SelfishConfig::classic(), h(0))
     }
 
+    /// [`SelfishState::on_solve`], with what it released.
+    fn solve<B>(m: &mut SelfishState<B>, hash: BlockHash, payload: B) -> (SelfishOutcome, Vec<B>) {
+        let mut out = Vec::new();
+        (m.on_solve(hash, payload, &mut out), out)
+    }
+
+    /// [`SelfishState::on_public_head`], with what it released.
+    fn public_head<B>(
+        m: &mut SelfishState<B>,
+        head: BlockHash,
+        number: BlockNumber,
+        extends_tip: bool,
+    ) -> (SelfishOutcome, Vec<B>) {
+        let mut out = Vec::new();
+        (m.on_public_head(head, number, extends_tip, &mut out), out)
+    }
+
     #[test]
     fn honest_default_and_adversarial_flag() {
         assert_eq!(PoolBehavior::default(), PoolBehavior::Honest);
@@ -349,7 +335,7 @@ mod tests {
     fn first_solve_is_withheld() {
         let mut m = machine();
         assert_eq!(m.target(), (h(0), 1));
-        let (out, rel) = m.on_solve(h(1), 1);
+        let (out, rel) = solve(&mut m, h(1), 1);
         assert_eq!(out, SelfishOutcome::Withheld);
         assert!(rel.is_empty());
         assert_eq!(m.target(), (h(1), 2));
@@ -359,9 +345,9 @@ mod tests {
     #[test]
     fn lead_one_honest_block_forces_tie_release() {
         let mut m = machine();
-        m.on_solve(h(1), 1);
+        solve(&mut m, h(1), 1);
         // Honest network reaches height 1 on a competing block.
-        let (out, rel) = m.on_public_head(h(100), 1, false);
+        let (out, rel) = public_head(&mut m, h(100), 1, false);
         assert_eq!(out, SelfishOutcome::Tied);
         assert_eq!(rel, vec![1]);
         assert!(m.is_racing());
@@ -372,9 +358,9 @@ mod tests {
     #[test]
     fn race_win_by_own_solve_publishes_immediately() {
         let mut m = machine();
-        m.on_solve(h(1), 1);
-        m.on_public_head(h(100), 1, false);
-        let (out, rel) = m.on_solve(h(2), 2);
+        solve(&mut m, h(1), 1);
+        public_head(&mut m, h(100), 1, false);
+        let (out, rel) = solve(&mut m, h(2), 2);
         assert_eq!(out, SelfishOutcome::Published);
         assert_eq!(rel, vec![2]);
         assert!(!m.is_racing());
@@ -385,10 +371,10 @@ mod tests {
     #[test]
     fn race_win_by_honest_extension_folds() {
         let mut m = machine();
-        m.on_solve(h(1), 1);
-        m.on_public_head(h(100), 1, false);
+        solve(&mut m, h(1), 1);
+        public_head(&mut m, h(100), 1, false);
         // An honest miner built on our released block: we won the tie.
-        let (out, rel) = m.on_public_head(h(101), 2, true);
+        let (out, rel) = public_head(&mut m, h(101), 2, true);
         assert_eq!(out, SelfishOutcome::Idle);
         assert!(rel.is_empty());
         assert_eq!(m.target(), (h(101), 3));
@@ -397,10 +383,10 @@ mod tests {
     #[test]
     fn race_loss_abandons_cleanly() {
         let mut m = machine();
-        m.on_solve(h(1), 1);
-        m.on_public_head(h(100), 1, false);
+        solve(&mut m, h(1), 1);
+        public_head(&mut m, h(100), 1, false);
         // The honest branch got extended instead: adopt it.
-        let (out, rel) = m.on_public_head(h(101), 2, false);
+        let (out, rel) = public_head(&mut m, h(101), 2, false);
         assert_eq!(out, SelfishOutcome::Abandoned);
         assert!(rel.is_empty(), "everything was already released");
         assert_eq!(m.target(), (h(101), 3));
@@ -410,10 +396,10 @@ mod tests {
     #[test]
     fn lead_two_override_releases_whole_branch() {
         let mut m = machine();
-        m.on_solve(h(1), 1);
-        m.on_solve(h(2), 2);
+        solve(&mut m, h(1), 1);
+        solve(&mut m, h(2), 2);
         assert_eq!(m.lead(), 2);
-        let (out, rel) = m.on_public_head(h(100), 1, false);
+        let (out, rel) = public_head(&mut m, h(100), 1, false);
         assert_eq!(out, SelfishOutcome::Overrode);
         assert_eq!(rel, vec![1, 2]);
         // Folded onto our own tip.
@@ -425,19 +411,19 @@ mod tests {
     fn long_lead_matches_then_overrides() {
         let mut m = machine();
         for i in 1..=4u64 {
-            m.on_solve(h(i), i);
+            solve(&mut m, h(i), i);
         }
         // Honest height 1: match with our first block only.
-        let (out, rel) = m.on_public_head(h(100), 1, false);
+        let (out, rel) = public_head(&mut m, h(100), 1, false);
         assert_eq!(out, SelfishOutcome::Matched);
         assert_eq!(rel, vec![1]);
         assert_eq!(m.released_len(), 1);
         // Honest height 2: still lead 2 -> match the second block.
-        let (out, rel) = m.on_public_head(h(101), 2, false);
+        let (out, rel) = public_head(&mut m, h(101), 2, false);
         assert_eq!(out, SelfishOutcome::Matched);
         assert_eq!(rel, vec![2]);
         // Honest height 3: lead 1 -> override with the rest.
-        let (out, rel) = m.on_public_head(h(102), 3, false);
+        let (out, rel) = public_head(&mut m, h(102), 3, false);
         assert_eq!(out, SelfishOutcome::Overrode);
         assert_eq!(rel, vec![3, 4]);
         assert_eq!(m.target(), (h(4), 5));
@@ -446,10 +432,10 @@ mod tests {
     #[test]
     fn overtaken_branch_is_released_for_uncles() {
         let mut m = machine();
-        m.on_solve(h(1), 1);
-        m.on_solve(h(2), 2);
+        solve(&mut m, h(1), 1);
+        solve(&mut m, h(2), 2);
         // Public jumps straight past us (e.g. a burst of honest imports).
-        let (out, rel) = m.on_public_head(h(100), 3, false);
+        let (out, rel) = public_head(&mut m, h(100), 3, false);
         assert_eq!(out, SelfishOutcome::Abandoned);
         assert_eq!(rel, vec![1, 2], "losers still go public as uncle bait");
         assert_eq!(m.target(), (h(100), 4));
@@ -459,23 +445,68 @@ mod tests {
     #[test]
     fn stubborn_variant_keeps_matching_at_lead_one() {
         let mut m: SelfishState<u64> = SelfishState::new(SelfishConfig::stubborn(0), h(0));
-        m.on_solve(h(1), 1);
-        m.on_solve(h(2), 2);
-        let (out, rel) = m.on_public_head(h(100), 1, false);
+        solve(&mut m, h(1), 1);
+        solve(&mut m, h(2), 2);
+        let (out, rel) = public_head(&mut m, h(100), 1, false);
         assert_eq!(out, SelfishOutcome::Matched, "no early override");
         assert_eq!(rel, vec![1]);
         assert_eq!(m.branch_len(), 2);
         // Only the tie is settled by release.
-        let (out, rel) = m.on_public_head(h(101), 2, false);
+        let (out, rel) = public_head(&mut m, h(101), 2, false);
         assert_eq!(out, SelfishOutcome::Tied);
         assert_eq!(rel, vec![2]);
         assert!(m.is_racing());
     }
 
     #[test]
+    fn a_head_below_the_base_after_an_override_releases_nothing() {
+        let mut m: SelfishState<u64> = SelfishState::new(SelfishConfig::stubborn(2), h(0));
+        solve(&mut m, h(1), 1);
+        solve(&mut m, h(2), 2);
+        solve(&mut m, h(3), 3);
+        // Lead 2 at public height 1: override, folding onto our tip.
+        let (out, rel) = public_head(&mut m, h(100), 1, false);
+        assert_eq!((out, rel), (SelfishOutcome::Overrode, vec![1, 2, 3]));
+        solve(&mut m, h(4), 4);
+        solve(&mut m, h(5), 5);
+        // The gateway still sees the honest chain, now at height 2, below
+        // the base: a lead of 3 with nothing to contest.
+        let (out, rel) = public_head(&mut m, h(101), 2, false);
+        assert_eq!((out, rel), (SelfishOutcome::Idle, vec![]));
+        assert_eq!(m.target(), (h(5), 6));
+    }
+
+    #[test]
+    fn releases_move_payloads_onto_the_end_of_the_callers_buffer() {
+        // A payload that cannot be cloned: releases hand back the values
+        // the solves handed in.
+        #[derive(Debug, PartialEq)]
+        struct Slot(u64);
+        let mut m = SelfishState::new(SelfishConfig::classic(), h(0));
+        let mut out = vec![Slot(0)];
+        for i in 1..=3u64 {
+            assert_eq!(
+                m.on_solve(h(i), Slot(i), &mut out),
+                SelfishOutcome::Withheld
+            );
+        }
+        assert_eq!(out, [Slot(0)], "withheld blocks stay with the machine");
+        assert_eq!(
+            m.on_public_head(h(100), 1, false, &mut out),
+            SelfishOutcome::Matched
+        );
+        assert_eq!(
+            m.on_public_head(h(101), 2, false, &mut out),
+            SelfishOutcome::Overrode
+        );
+        assert_eq!(out, [Slot(0), Slot(1), Slot(2), Slot(3)]);
+        assert_eq!(m.target(), (h(3), 4));
+    }
+
+    #[test]
     fn adopting_heads_without_a_branch_is_honest() {
         let mut m = machine();
-        let (out, rel) = m.on_public_head(h(100), 1, false);
+        let (out, rel) = public_head(&mut m, h(100), 1, false);
         assert_eq!(out, SelfishOutcome::Idle);
         assert!(rel.is_empty());
         assert_eq!(m.target(), (h(100), 2));
@@ -497,30 +528,21 @@ mod proptests {
     /// structural invariants after every step:
     ///
     /// - the lead is never negative (the machine abandons instead);
-    /// - `released` is a prefix of the branch;
-    /// - the branch is connected: entry 0 extends the base, entry i
-    ///   extends entry i-1, heights are consecutive;
-    /// - every release output is itself a connected run of payloads;
+    /// - `released` is a prefix of the branch, and the machine holds the
+    ///   payloads of exactly the rest (here each payload is its block's
+    ///   height);
+    /// - every event's releases are a run of consecutive heights;
     /// - the mining target is always one above the tip (or base).
-    fn check_invariants(m: &SelfishState<u64>) {
-        assert!(m.released_len() <= m.branch_len());
-        let (base_hash, base_number) = match m.branch().first() {
-            Some(first) => (first.parent, first.number - 1),
-            None => {
-                let (t, n) = m.target();
-                (t, n - 1)
-            }
-        };
-        let mut parent = base_hash;
-        let mut number = base_number;
-        for w in m.branch() {
-            assert_eq!(w.parent, parent, "branch must be connected");
-            assert_eq!(w.number, number + 1, "heights must be consecutive");
-            parent = w.hash;
-            number = w.number;
-        }
-        let (_, target_number) = m.target();
-        assert_eq!(target_number, number + 1);
+    fn check_invariants(m: &SelfishState<u64>, released: &[u64]) {
+        assert!(m.released <= m.private.len());
+        let (_, base) = m.base();
+        let unreleased = base + m.released as u64 + 1..=base + m.private.len() as u64;
+        assert!(m.payloads.iter().copied().eq(unreleased), "payloads held");
+        assert!(
+            released.windows(2).all(|w| w[1] == w[0] + 1),
+            "{released:?}"
+        );
+        assert_eq!(m.target().1, base + m.private.len() as u64 + 1);
     }
 
     proptest! {
@@ -533,24 +555,24 @@ mod proptests {
                 SelfishState::new(SelfishConfig::stubborn(override_lead), h(0));
             let mut next = 1u64;
             let mut public = 0u64; // highest public height announced
-            let mut released_total = 0usize;
+            // One event's releases, and every event's.
+            let (mut released, mut released_total) = (Vec::new(), 0);
             for (op, jump) in script {
+                released.clear();
                 match op {
                     // The pool solves at its target.
                     0 => {
                         let (_, n) = m.target();
                         let hash = h(next);
                         next += 1;
-                        let (_, rel) = m.on_solve(hash, n);
-                        released_total += rel.len();
+                        m.on_solve(hash, n, &mut released);
                     }
                     // A competing public head at/above the known height.
                     1 | 2 => {
                         public = (public + 1).max(public + jump);
                         let hash = h(10_000 + next);
                         next += 1;
-                        let (_, rel) = m.on_public_head(hash, public, false);
-                        released_total += rel.len();
+                        m.on_public_head(hash, public, false, &mut released);
                         prop_assert!(
                             m.branch_len() == 0 || m.lead() >= 1 || m.is_racing(),
                             "an unreleased branch never trails the public chain"
@@ -562,8 +584,7 @@ mod proptests {
                         if let Some((tip, tip_n)) = m.tip() {
                             if tip_n >= public && m.released_len() == m.branch_len() {
                                 public = tip_n;
-                                let (_, rel) = m.on_public_head(tip, tip_n, true);
-                                released_total += rel.len();
+                                m.on_public_head(tip, tip_n, true, &mut released);
                             }
                         }
                     }
@@ -575,7 +596,8 @@ mod proptests {
                 if let Some((_, tip_n)) = m.tip() {
                     prop_assert!(tip_n >= public, "tip {tip_n} vs public {public}");
                 }
-                check_invariants(&m);
+                released_total += released.len();
+                check_invariants(&m, &released);
             }
             // Releases only ever surface blocks that exist.
             prop_assert!(released_total <= (next as usize));

@@ -22,6 +22,7 @@ use ethmeter::prelude::*;
 
 mod common;
 use common::GOLDENS;
+use ethmeter::mining::{PoolDirectory, SelfishConfig};
 
 fn scenario(preset: Preset, seed: u64, mins: u64) -> Scenario {
     Scenario::builder()
@@ -220,5 +221,53 @@ fn campaign_reports_match_their_pinned_digest() {
             got, CAMPAIGN_REPORTS,
             "campaign report digest {got:#018x}, pinned {CAMPAIGN_REPORTS:#018x}:\n{text}"
         );
+    }
+}
+
+/// (seed, minutes, attacker share, attacker gateways, override lead,
+/// fingerprint, and blocks produced, withheld, released and duplicated).
+type SelfishWorld = (u64, u64, f64, usize, u64, u64, [u64; 4]);
+
+/// Campaigns with a selfish pool: `Preset::Tiny` under
+/// [`PoolDirectory::attacker_vs_honest`]. Lead 1 is the classic machine,
+/// lead 0 the stubborn one. No other golden has a pool that withholds, so
+/// these pin the world's selfish path: its mint order, its release events
+/// and the salts both take (`ETHMETER_BLESS=1` prints the current values).
+#[rustfmt::skip]
+const SELFISH_WORLDS: [SelfishWorld; 2] = [
+    (9, 45, 0.40, 6, 1, 0x4261_0549_01ad_8f5b, [197, 70, 76, 0]),
+    (5, 30, 0.35, 4, 0, 0x4c5a_c0ea_e124_0857, [129, 32, 41, 0]),
+];
+
+#[test]
+fn selfish_worlds_match_their_goldens() {
+    let bless = std::env::var_os("ETHMETER_BLESS").is_some();
+    for (seed, mins, alpha, gateways, lead, fingerprint, counts) in SELFISH_WORLDS {
+        let machine = SelfishConfig::stubborn(lead);
+        let s = Scenario::builder()
+            .preset(Preset::Tiny)
+            .seed(seed)
+            .duration(SimDuration::from_mins(mins))
+            .pools(PoolDirectory::attacker_vs_honest(alpha, gateways, machine))
+            .build();
+        let outcome = run_campaign(&s);
+        let got = outcome.campaign.fingerprint();
+        let st = outcome.stats;
+        let got_counts = [
+            st.blocks_produced,
+            st.blocks_withheld,
+            st.blocks_released,
+            st.duplicates_produced,
+        ];
+        let label = format!("seed {seed}, lead {lead}");
+        if bless {
+            println!("{label}: {got:#018x}, {got_counts:?}");
+        } else {
+            assert_eq!(
+                (got, got_counts),
+                (fingerprint, counts),
+                "{label}: fingerprint and (produced, withheld, released, duplicates)"
+            );
+        }
     }
 }
