@@ -18,7 +18,8 @@
 #                `whole_chain_sequence_matches_its_pin`), the weighted
 #                draw's threshold table against the subtraction loop it
 #                replaced (`rng::chooser`, draw for draw and at every
-#                threshold: the miner-sequence pins depend on the table),
+#                threshold, and the galloped search against the 63-step
+#                bisection: the miner-sequence pins depend on the table),
 #                the whole-chain scan's heap peak under 1 MiB
 #                (`whole_chain_scan_peaks_under_a_mebibyte_of_heap`,
 #                tests/allocs.rs), the dataset row codec and the
@@ -33,9 +34,13 @@
 #                attacker), the shared job loop's panic context (a
 #                selfish-threshold race that fails is named by its α, γ
 #                and seed: `a_failing_threshold_race_names_its_cell_and_seed`),
-#                and the
+#                the
 #                reused-world equivalence checks (a reset runner, a reset
-#                world and a reusing grid must match fresh runs) in the
+#                world and a reusing grid must match fresh runs), and the
+#                two-lane analysis and digest (`suite_lanes_equal_each_family_run_alone`:
+#                every `Suite` report equals its family run alone, in
+#                memory and spilled; `the_hashing_lane`: the fingerprint's
+#                hashing lane against one sequential FNV stream) in the
 #                profile the benchmark measures
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
@@ -130,7 +135,8 @@ stage_golden() {
     # whole-chain scan's heap peak (the fold holds no sequence) are also
     # named, so a rename cannot drop them from the gate. The miner draws
     # come from `WeightedIndex`'s threshold table, checked against the
-    # subtraction loop it replaced draw for draw and at every threshold.
+    # subtraction loop it replaced draw for draw and at every threshold,
+    # and its galloped search against the plain bisection bit for bit.
     filtered_tests --release -p ethmeter-core selfish::pinned
     filtered_tests --release -p ethmeter-core whole_chain_sequence_matches_its_pin
     filtered_tests --release -p ethmeter-sim rng::chooser
@@ -157,6 +163,11 @@ stage_golden() {
     # The job loop grids and the selfish-threshold grid share: a failing
     # race is re-raised with its cell and seed after every other has run.
     filtered_tests --release -p ethmeter-core a_failing_threshold_race_names_its_cell_and_seed
+    # The lanes dataset-month's analysis and digest run on: each Suite
+    # report against its family alone, and the fingerprint's hashing lane
+    # against the sequential stream (chunk-spanning texts, spilled logs).
+    filtered_tests --release -p ethmeter-core suite_lanes_equal_each_family_run_alone
+    filtered_tests --release -p ethmeter-measure the_hashing_lane
 }
 
 stage_par_smoke() {

@@ -7,6 +7,8 @@
 
 use ethmeter_types::{BlockHash, BlockNumber, ByteSize, PoolId, SimTime, TxId};
 
+use crate::uncles::MAX_UNCLES;
+
 /// Approximate RLP size of an Ethereum block header, in bytes.
 pub const HEADER_BYTES: u64 = 540;
 
@@ -66,7 +68,23 @@ impl BlockHeader {
 pub struct Block {
     header: BlockHeader,
     txs: Vec<TxId>,
-    uncles: Vec<BlockHash>,
+    uncles: Uncles,
+}
+
+/// A block's uncle references, held inline: no block cites more than
+/// [`MAX_UNCLES`], so a list costs no allocation (and takes the 24 bytes
+/// a `Vec` header did). Unused slots stay zero, so derived equality
+/// compares the lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Uncles {
+    hashes: [BlockHash; MAX_UNCLES],
+    len: u8,
+}
+
+impl Uncles {
+    fn as_slice(&self) -> &[BlockHash] {
+        &self.hashes[..usize::from(self.len)]
+    }
 }
 
 impl Block {
@@ -107,7 +125,7 @@ impl Block {
 
     /// Uncle headers referenced by this block.
     pub fn uncles(&self) -> &[BlockHash] {
-        &self.uncles
+        self.uncles.as_slice()
     }
 
     /// True if the block carries no transactions (§III-C3's subject).
@@ -120,7 +138,7 @@ impl Block {
         ByteSize::from_bytes(
             HEADER_BYTES
                 + self.txs.len() as u64 * TX_BYTES
-                + self.uncles.len() as u64 * HEADER_BYTES,
+                + u64::from(self.uncles.len) * HEADER_BYTES,
         )
     }
 }
@@ -137,7 +155,7 @@ pub struct BlockBuilder {
     mined_at: SimTime,
     difficulty: u64,
     txs: Vec<TxId>,
-    uncles: Vec<BlockHash>,
+    uncles: Uncles,
     hash_salt: u64,
 }
 
@@ -151,7 +169,7 @@ impl BlockBuilder {
             mined_at: SimTime::ZERO,
             difficulty: 1,
             txs: Vec::new(),
-            uncles: Vec::new(),
+            uncles: Uncles::default(),
             hash_salt: 0,
         }
     }
@@ -174,18 +192,24 @@ impl BlockBuilder {
         self
     }
 
-    /// Sets the uncle references.
+    /// Sets the uncle references (any list of hashes: a `Vec`, an
+    /// array, or an iterator such as a pick list's hashes).
     ///
     /// # Panics
     ///
-    /// Panics if more than [`crate::uncles::MAX_UNCLES`] are supplied.
-    pub fn uncles(mut self, uncles: Vec<BlockHash>) -> Self {
-        assert!(
-            uncles.len() <= crate::uncles::MAX_UNCLES,
-            "a block may reference at most {} uncles",
-            crate::uncles::MAX_UNCLES
-        );
-        self.uncles = uncles;
+    /// Panics if more than [`MAX_UNCLES`] are supplied.
+    pub fn uncles(mut self, uncles: impl IntoIterator<Item = BlockHash>) -> Self {
+        let mut list = Uncles::default();
+        for hash in uncles {
+            let at = usize::from(list.len);
+            assert!(
+                at < MAX_UNCLES,
+                "a block may reference at most {MAX_UNCLES} uncles"
+            );
+            list.hashes[at] = hash;
+            list.len += 1;
+        }
+        self.uncles = list;
         self
     }
 
@@ -208,7 +232,7 @@ impl BlockBuilder {
         for (i, tx) in self.txs.iter().enumerate() {
             acc ^= tx.raw().rotate_left((i % 63) as u32 + 1);
         }
-        for u in &self.uncles {
+        for u in self.uncles.as_slice() {
             acc ^= u.raw().rotate_left(11);
         }
         let hash = BlockHash::mix(acc);

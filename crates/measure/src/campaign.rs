@@ -1,6 +1,7 @@
 //! The complete dataset of one measurement campaign.
 
 use std::fmt;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 use ethmeter_chain::tree::BlockTree;
 use ethmeter_chain::tx::Transaction;
@@ -115,8 +116,15 @@ impl CampaignData {
     /// platform, build profile, and in-memory layout (hash-map iteration
     /// order never reaches it: every collection is sorted into a canonical
     /// order first).
+    ///
+    /// The calling thread scans, sorts and formats; a hashing lane
+    /// absorbs what it produces.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
+        hash_beside(|h| self.write_digest_input(h))
+    }
+
+    /// Writes everything [`CampaignData::fingerprint`] digests, in order.
+    fn write_digest_input(&self, h: &mut Feed) {
         h.write_u64(self.observers.len() as u64);
         for (vantage, log) in &self.observers {
             h.write_bytes(vantage.name.as_bytes());
@@ -173,7 +181,6 @@ impl CampaignData {
         }
         h.write_u64(self.truth.interblock.as_nanos());
         h.write_u64(self.truth.duration.as_nanos());
-        h.finish()
     }
 }
 
@@ -222,22 +229,15 @@ impl Fnv64 {
         self.0 = self.0.wrapping_mul(Self::PRIME);
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        self.absorb(bytes);
-        self.terminate(bytes.len() as u64);
-    }
-
-    /// Hashes the text `write` emits as one field — the same digest as
-    /// [`Fnv64::write_bytes`] over the whole text, without building it.
-    fn write_text(&mut self, write: impl FnOnce(&mut TextField<'_>) -> fmt::Result) {
-        let mut field = TextField { hash: self, len: 0 };
-        write(&mut field).expect("hashing cannot fail");
-        let len = field.len;
-        self.terminate(len);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+    /// Absorbs one chunk: its bytes, with each terminator where it falls.
+    fn absorb_chunk(&mut self, chunk: &Chunk) {
+        let mut at = 0;
+        for &(end, len) in &chunk.ends {
+            self.absorb(&chunk.bytes[at..end]);
+            self.terminate(len);
+            at = end;
+        }
+        self.absorb(&chunk.bytes[at..]);
     }
 
     fn finish(&self) -> u64 {
@@ -245,16 +245,158 @@ impl Fnv64 {
     }
 }
 
-/// The field [`Fnv64::write_text`] is writing: bytes are hashed as they
-/// come and counted for the length terminator.
+/// Bytes one [`Chunk`] carries to the hashing lane.
+const CHUNK_BYTES: usize = 64 << 10;
+/// Terminators one [`Chunk`] carries: one per `u64` field that fills it.
+const CHUNK_ENDS: usize = CHUNK_BYTES / 8;
+/// Chunks in circulation: one being filled, one being hashed, one queued.
+const CHUNKS: usize = 3;
+
+/// One stretch of the digest's input, in stream order: `bytes` to absorb,
+/// and each length terminator as `(offset into bytes, length)`, applied
+/// once the bytes before the offset are absorbed.
+#[derive(Default)]
+struct Chunk {
+    bytes: Vec<u8>,
+    ends: Vec<(usize, u64)>,
+}
+
+/// Digests what `feed` writes into a [`Feed`], with the FNV absorption on
+/// a scoped hashing lane: the caller fills 64 KiB chunks, a bounded
+/// channel carries them to the lane in order, and a second one hands each
+/// back emptied for reuse. Every chunk is allocated by the caller, so the
+/// lane allocates nothing of its own and the digest leaves nothing on
+/// another thread's heap. The digest equals the sequential FNV stream's:
+/// the lane absorbs bytes and terminators in exactly the order written.
+///
+/// # Panics
+///
+/// A panic on the lane is resumed on the caller with its own payload.
+fn hash_beside(feed: impl FnOnce(&mut Feed)) -> u64 {
+    let (full, to_hash) = mpsc::sync_channel::<Chunk>(CHUNKS);
+    let (hashed, empty) = mpsc::sync_channel::<Chunk>(CHUNKS);
+    std::thread::scope(|scope| {
+        let lane = scope.spawn(move || {
+            let mut h = Fnv64::new();
+            for mut chunk in to_hash {
+                h.absorb_chunk(&chunk);
+                chunk.bytes.clear();
+                chunk.ends.clear();
+                // The caller stops taking chunks back once it has sent
+                // its last.
+                let _ = hashed.send(chunk);
+            }
+            h.finish()
+        });
+        let mut sink = Feed {
+            chunk: Feed::fresh_chunk(),
+            unmade: CHUNKS - 1,
+            full: Some(full),
+            empty,
+        };
+        feed(&mut sink);
+        sink.flush();
+        // Dropping the sender ends the lane's loop.
+        drop(sink);
+        lane.join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    })
+}
+
+/// The caller's end of [`hash_beside`]: FNV's field writes, buffered into
+/// chunks for the hashing lane.
+struct Feed {
+    chunk: Chunk,
+    /// Chunks not yet allocated; once none are left, emptied ones are
+    /// taken back from the lane.
+    unmade: usize,
+    /// `None` once the lane has hung up (it panicked): writes are then
+    /// dropped, and the join raises the lane's panic.
+    full: Option<SyncSender<Chunk>>,
+    empty: Receiver<Chunk>,
+}
+
+impl Feed {
+    fn fresh_chunk() -> Chunk {
+        Chunk {
+            bytes: Vec::with_capacity(CHUNK_BYTES),
+            ends: Vec::with_capacity(CHUNK_ENDS),
+        }
+    }
+
+    fn absorb(&mut self, mut bytes: &[u8]) {
+        loop {
+            let room = CHUNK_BYTES - self.chunk.bytes.len();
+            let (now, rest) = bytes.split_at(room.min(bytes.len()));
+            self.chunk.bytes.extend_from_slice(now);
+            if rest.is_empty() {
+                return;
+            }
+            bytes = rest;
+            self.flush();
+        }
+    }
+
+    fn terminate(&mut self, len: u64) {
+        if self.chunk.ends.len() == CHUNK_ENDS {
+            self.flush();
+        }
+        self.chunk.ends.push((self.chunk.bytes.len(), len));
+    }
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.absorb(bytes);
+        self.terminate(bytes.len() as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    /// Hashes the text `write` emits as one field — the same digest as
+    /// [`Feed::write_bytes`] over the whole text, without building it.
+    fn write_text(&mut self, write: impl FnOnce(&mut TextField<'_>) -> fmt::Result) {
+        let mut field = TextField { feed: self, len: 0 };
+        write(&mut field).expect("hashing cannot fail");
+        let len = field.len;
+        self.terminate(len);
+    }
+
+    /// Sends the current chunk to the lane and starts the next.
+    fn flush(&mut self) {
+        let chunk = std::mem::take(&mut self.chunk);
+        let unsent = match &self.full {
+            Some(full) => full.send(chunk).err().map(|e| e.0),
+            None => Some(chunk),
+        };
+        self.chunk = match unsent {
+            // The lane hung up (it panicked): the writes go nowhere, and
+            // the join raises the lane's panic.
+            Some(mut chunk) => {
+                self.full = None;
+                chunk.bytes.clear();
+                chunk.ends.clear();
+                chunk
+            }
+            None if self.unmade > 0 => {
+                self.unmade -= 1;
+                Feed::fresh_chunk()
+            }
+            None => self.empty.recv().unwrap_or_else(|_| Feed::fresh_chunk()),
+        };
+    }
+}
+
+/// The field [`Feed::write_text`] is writing: bytes are fed as they come
+/// and counted for the length terminator.
 struct TextField<'a> {
-    hash: &'a mut Fnv64,
+    feed: &'a mut Feed,
     len: u64,
 }
 
 impl fmt::Write for TextField<'_> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.hash.absorb(s.as_bytes());
+        self.feed.absorb(s.as_bytes());
         self.len += s.len() as u64;
         Ok(())
     }
@@ -313,28 +455,212 @@ mod tests {
         assert_ne!(a.fingerprint(), d.fingerprint());
     }
 
-    #[test]
-    fn streamed_csv_hashes_like_the_rendered_text() {
-        use ethmeter_types::{NodeId, SimTime};
-        let mut log = ObserverLog::new();
-        for i in 0..50u64 {
-            let t = SimTime::from_nanos(1_000 * (50 - i));
-            log.record_block_msg(
-                BlockHash(i % 7),
-                crate::BlockMsgKind::Announce,
-                NodeId(1),
-                t,
-                t,
-            );
-            log.record_tx(TxId(i), NodeId(2), t, t);
+    impl Fnv64 {
+        fn write_bytes(&mut self, bytes: &[u8]) {
+            self.absorb(bytes);
+            self.terminate(bytes.len() as u64);
         }
-        let mut rendered = Fnv64::new();
-        rendered.write_bytes(csv::blocks_to_csv(&log).as_bytes());
-        rendered.write_bytes(csv::txs_to_csv(&log).as_bytes());
-        let mut streamed = Fnv64::new();
-        streamed.write_text(|out| csv::write_blocks_csv(out, &log));
-        streamed.write_text(|out| csv::write_txs_csv(out, &log));
-        assert_eq!(streamed.finish(), rendered.finish());
+
+        fn write_u64(&mut self, v: u64) {
+            self.write_bytes(&v.to_le_bytes());
+        }
+    }
+
+    /// The digest [`CampaignData::fingerprint`] computes, the plain way:
+    /// one thread, one FNV stream, each log's CSV rendered first.
+    fn sequential_fingerprint(c: &CampaignData) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(c.observers.len() as u64);
+        for (vantage, log) in &c.observers {
+            h.write_bytes(vantage.name.as_bytes());
+            h.write_u64(u64::from(vantage.default_peers));
+            h.write_bytes(csv::blocks_to_csv(log).as_bytes());
+            h.write_bytes(csv::txs_to_csv(log).as_bytes());
+        }
+        let tree = &c.truth.tree;
+        h.write_u64(tree.len() as u64);
+        for number in 0..=tree.head_number() {
+            h.write_u64(tree.canonical_hash(number).unwrap().raw());
+        }
+        let mut blocks: Vec<_> = tree.all_blocks().collect();
+        blocks.sort_by_key(|b| (b.number(), b.hash()));
+        for b in blocks {
+            for v in [
+                b.hash().raw(),
+                b.parent().raw(),
+                b.number(),
+                u64::from(b.miner().raw()),
+                b.mined_at().as_nanos(),
+            ] {
+                h.write_u64(v);
+            }
+            b.txs().iter().for_each(|t| h.write_u64(t.raw()));
+            b.uncles().iter().for_each(|u| h.write_u64(u.raw()));
+        }
+        let mut txs: Vec<&Transaction> = c.truth.txs.values().collect();
+        txs.sort_by_key(|t| t.id);
+        h.write_u64(txs.len() as u64);
+        for t in txs {
+            for v in [
+                t.id.raw(),
+                u64::from(t.sender.raw()),
+                t.nonce,
+                t.gas_price,
+                t.gas,
+                t.size.as_bytes(),
+                t.submitted_at.as_nanos(),
+                u64::from(t.origin.raw()),
+            ] {
+                h.write_u64(v);
+            }
+        }
+        for name in &c.truth.pool_names {
+            h.write_bytes(name.as_bytes());
+        }
+        for share in &c.truth.pool_shares {
+            h.write_u64(share.to_bits());
+        }
+        h.write_u64(c.truth.interblock.as_nanos());
+        h.write_u64(c.truth.duration.as_nanos());
+        h.finish()
+    }
+
+    /// A campaign with `rows` block and tx records per observer (as many
+    /// truth transactions, and a chain of `rows / 8` blocks), spilling
+    /// under `budget` bytes when given one.
+    fn campaign(seed: u64, rows: u64, budget: Option<usize>) -> CampaignData {
+        use ethmeter_chain::block::BlockBuilder;
+        use ethmeter_types::{AccountId, ByteSize, NodeId, SimTime};
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut c = empty_campaign();
+        for (i, (vantage, log)) in c.observers.iter_mut().enumerate() {
+            if let Some(budget) = budget {
+                *log = ObserverLog::with_spill(crate::SpillConfig {
+                    dir: std::env::temp_dir().join(format!("ethmeter-fingerprint-{seed}-{i}")),
+                    budget_bytes: budget,
+                    prefix: crate::SpillConfig::sanitize(&vantage.name),
+                });
+            }
+            for _ in 0..rows {
+                let t = SimTime::from_nanos(next() % 1_000_000_000_000);
+                let kind = if next() % 2 == 0 {
+                    crate::BlockMsgKind::Announce
+                } else {
+                    crate::BlockMsgKind::FullBlock
+                };
+                log.record_block_msg(BlockHash(next() % (rows * 2)), kind, NodeId(1), t, t);
+                log.record_tx(TxId(next() % (rows * 2)), NodeId(2), t, t);
+            }
+        }
+        let mut parent = c.truth.tree.genesis_hash();
+        for n in 1..=rows / 8 {
+            let block = BlockBuilder::new(parent, n, PoolId((n % 2) as u16))
+                .mined_at(SimTime::from_secs(n))
+                .txs((0..next() % 4).map(|_| TxId(next())).collect())
+                .build();
+            parent = block.hash();
+            c.truth.tree.insert(block).expect("linear insert");
+        }
+        for id in 0..rows {
+            c.truth.txs.insert(
+                TxId(id),
+                Transaction {
+                    id: TxId(id),
+                    sender: AccountId(next() as u32),
+                    nonce: next() % 9,
+                    gas_price: next(),
+                    gas: 21_000,
+                    size: ByteSize::from_bytes(180),
+                    submitted_at: SimTime::from_nanos(next() % 1_000_000),
+                    origin: NodeId(next() as u32),
+                },
+            );
+        }
+        c
+    }
+
+    #[test]
+    fn the_hashing_lane_digests_like_one_sequential_stream() {
+        // Zero observers, and empty logs.
+        let mut none = empty_campaign();
+        none.observers.clear();
+        assert_eq!(none.fingerprint(), sequential_fingerprint(&none));
+        let empty = empty_campaign();
+        assert_eq!(empty.fingerprint(), sequential_fingerprint(&empty));
+
+        // Empty and chunk-spanning single fields.
+        let mut names = empty_campaign();
+        names.truth.pool_names = vec![
+            String::new(),
+            "x".repeat(3 * CHUNK_BYTES + 5),
+            String::new(),
+        ];
+        assert_eq!(names.fingerprint(), sequential_fingerprint(&names));
+
+        // Texts spanning many chunks, and more terminators than a chunk
+        // holds (each truth transaction writes eight fields).
+        for (seed, rows) in [(1, 1), (2, 700), (3, 20_000)] {
+            let c = campaign(seed, rows, None);
+            let text: usize = c
+                .observers
+                .iter()
+                .map(|(_, l)| csv::blocks_to_csv(l).len() + csv::txs_to_csv(l).len())
+                .sum();
+            if rows == 20_000 {
+                assert!(text > 16 * CHUNK_BYTES && 8 * rows as usize > CHUNK_ENDS);
+            }
+            assert_eq!(c.fingerprint(), sequential_fingerprint(&c), "{rows} rows");
+        }
+    }
+
+    #[test]
+    fn a_panicking_feed_reaches_the_caller_with_its_own_payload() {
+        let result = std::panic::catch_unwind(|| {
+            hash_beside(|h| {
+                h.write_bytes(&[7; 3 * CHUNK_BYTES]);
+                std::panic::panic_any(43_u32);
+            })
+        });
+        let payload = result.expect_err("the feed panicked");
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&43));
+    }
+
+    #[test]
+    fn the_hashing_lane_digests_spilled_logs_like_in_memory_ones() {
+        // A 1-byte budget writes a segment per record: fewer rows there.
+        for (seed, budget, rows) in [
+            (4, 1, 100),
+            (5, 64, 300),
+            (6, 512, 1_000),
+            (7, 4_096, 3_000),
+        ] {
+            let disk = campaign(seed, rows, Some(budget));
+            let spilled: usize = disk
+                .observers
+                .iter()
+                .map(|(_, l)| l.spilled_segments())
+                .sum();
+            assert!(spilled > 0, "budget {budget} spilled");
+            let mem = campaign(seed, rows, None);
+            assert_eq!(
+                disk.fingerprint(),
+                sequential_fingerprint(&mem),
+                "budget {budget}"
+            );
+            assert_eq!(
+                disk.fingerprint(),
+                sequential_fingerprint(&disk),
+                "budget {budget}"
+            );
+        }
     }
 
     #[test]

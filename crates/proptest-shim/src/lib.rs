@@ -14,8 +14,9 @@
 //! Unlike real proptest there is **no shrinking**: a failing case panics
 //! with the case index so it can be replayed (cases are deterministic per
 //! test name). The case count defaults to 48, is raised to 256 by the
-//! consuming crate's `slow-tests` feature, and can be overridden at run
-//! time with `PROPTEST_CASES=n`.
+//! consuming crate's `slow-tests` feature, is set per block by the real
+//! crate's `#![proptest_config(ProptestConfig::with_cases(n))]`, and can be
+//! overridden at run time with `PROPTEST_CASES=n`.
 //!
 //! [`proptest`]: https://docs.rs/proptest
 //! [ranges]: std::ops::Range
@@ -218,13 +219,20 @@ pub mod prelude {
 /// Declares deterministic property tests (shim for `proptest::proptest!`).
 ///
 /// Each function body runs once per generated case; failures panic with
-/// the case index (cases are reproducible per test name).
+/// the case index (cases are reproducible per test name). A block may open
+/// with the real crate's `#![proptest_config(ProptestConfig::with_cases(n))]`
+/// (the one configuration the shim reads): its properties then run `n`
+/// cases in every build instead of the feature-dependent default, and
+/// `PROPTEST_CASES` still wins over both.
 #[macro_export]
 macro_rules! proptest {
-    ($($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)*) => {$(
+    (#![proptest_config(ProptestConfig::with_cases($cases:expr))] $($rest:tt)*) => {
+        $crate::proptest!(@cases ($cases) $($rest)*);
+    };
+    (@cases ($cases:expr) $($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)*) => {$(
         $(#[$meta])*
         fn $name() {
-            let cases = $crate::cases(if cfg!(feature = "slow-tests") { 256 } else { 48 });
+            let cases = $crate::cases($cases);
             let mut rng = $crate::TestRng::deterministic(stringify!($name));
             for case in 0..cases {
                 let guard = $crate::CaseGuard::new(stringify!($name), case);
@@ -234,6 +242,9 @@ macro_rules! proptest {
             }
         }
     )*};
+    ($($rest:tt)*) => {
+        $crate::proptest!(@cases (if cfg!(feature = "slow-tests") { 256 } else { 48 }) $($rest)*);
+    };
 }
 
 /// Shim for `prop_assert!` (no shrinking: plain assertion).
@@ -306,5 +317,25 @@ mod tests {
             // failing case on stderr.
             prop_assert!(x > 100);
         }
+    }
+
+    static CONFIGURED_CASES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+        fn configured_property(x in 0u64..10) {
+            prop_assert!(x < 10);
+            CONFIGURED_CASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn a_configured_block_runs_its_own_case_count() {
+        configured_property();
+        let expected = cases(300);
+        assert_eq!(
+            CONFIGURED_CASES.load(std::sync::atomic::Ordering::Relaxed),
+            expected
+        );
     }
 }

@@ -263,8 +263,9 @@ impl Mixture2 {
 /// first `j` with `x < t_j`, so the index it draws is the number of
 /// `t_0, …, t_{n−2}` at or below `x`: the fall-through to the last index
 /// is the case where all of them are. The bit patterns of non-negative
-/// `f64` are ordered as their values, so each threshold is found by
-/// bisection over those integers, 63 steps of `j + 1` subtractions each.
+/// `f64` are ordered as their values, so each threshold is the least
+/// pattern `d_j` accepts, found by a search over those integers at `j + 1`
+/// subtractions a step (`least_spent`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedIndex {
     /// `thresholds[j]` is `t_j`, for every index but the last.
@@ -290,25 +291,18 @@ impl WeightedIndex {
             "weights must be non-negative"
         );
         let mut thresholds = Vec::with_capacity(weights.len() - 1);
-        // The least bit pattern whose value leaves `x − w_0 − … − w_j`
-        // non-negative; no threshold lies below the one before it.
-        let (mut lo, inf) = (0u64, f64::INFINITY.to_bits());
+        // No threshold lies below the one before it; each lies within a
+        // few ulps of the float prefix sum.
+        let (mut lo, mut prefix) = (0u64, 0.0);
         for j in 0..weights.len() - 1 {
+            prefix += weights[j];
             let spent = |bits: u64| {
                 weights[..=j]
                     .iter()
                     .fold(f64::from_bits(bits), |x, w| x - w)
                     >= 0.0
             };
-            let mut hi = inf;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if spent(mid) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
+            lo = least_spent(spent, lo, prefix.to_bits());
             thresholds.push(f64::from_bits(lo));
         }
         WeightedIndex { thresholds, total }
@@ -329,9 +323,82 @@ impl WeightedIndex {
     }
 }
 
+/// The least bit pattern in `[lo, +∞]` that `spent` accepts, where
+/// `spent` is monotone over those patterns (read as non-negative `f64`),
+/// accepts +∞, and rejects everything below `lo`.
+///
+/// The search starts at `guess`, gallops outward from it in steps of 1,
+/// 2, 4, … patterns until the answer is bracketed, then bisects the
+/// bracket. A gallop that reaches `lo` or +∞ stops there, so the bracket
+/// falls back to at most `[lo, +∞]`, the whole range a plain 63-step
+/// bisection searches. Either way the answer is the same pattern; a guess
+/// within `k` patterns of it costs about `2·log2(k) + 2` probes.
+fn least_spent(spent: impl Fn(u64) -> bool, lo: u64, guess: u64) -> u64 {
+    let inf = f64::INFINITY.to_bits();
+    let guess = guess.clamp(lo, inf);
+    // Every pattern below `below` is rejected; `above` is accepted.
+    let (mut below, mut above) = (lo, inf);
+    let mut step = 1u64;
+    if spent(guess) {
+        above = guess;
+        while below < above {
+            let probe = above.saturating_sub(step).max(below);
+            if !spent(probe) {
+                below = probe + 1;
+                break;
+            }
+            above = probe;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        below = guess + 1;
+        while below < above {
+            let probe = guess.saturating_add(step).min(above);
+            if spent(probe) {
+                above = probe;
+                break;
+            }
+            below = probe + 1;
+            step = step.saturating_mul(2);
+        }
+    }
+    while below < above {
+        let mid = below + (above - below) / 2;
+        if spent(mid) {
+            above = mid;
+        } else {
+            below = mid + 1;
+        }
+    }
+    below
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn least_spent_finds_the_least_accepted_pattern_from_any_guess() {
+        // Guesses far off either side gallop into `lo` or +∞ and fall
+        // back to bisecting the whole range.
+        let inf = f64::INFINITY.to_bits();
+        for target in [0, 1, 2, 1 << 20, 1.0f64.to_bits(), inf - 1, inf] {
+            for lo in [0, target / 2, target] {
+                for guess in [
+                    0,
+                    1,
+                    target.saturating_sub(3),
+                    target,
+                    target + 5,
+                    inf,
+                    u64::MAX,
+                ] {
+                    let found = least_spent(|bits| bits >= target, lo, guess);
+                    assert_eq!(found, target, "lo {lo:#x}, guess {guess:#x}");
+                }
+            }
+        }
+    }
 
     fn mean_and_var(samples: &[f64]) -> (f64, f64) {
         let n = samples.len() as f64;

@@ -440,6 +440,75 @@ mod chooser {
             }
         }
     }
+    /// The thresholds as the table first found them: a 63-step bisection
+    /// of `[previous threshold, +∞]` per index.
+    fn bisected_thresholds(weights: &[f64]) -> Vec<u64> {
+        let (mut lo, inf) = (0u64, f64::INFINITY.to_bits());
+        (0..weights.len() - 1)
+            .map(|j| {
+                let spent = |bits: u64| {
+                    weights[..=j]
+                        .iter()
+                        .fold(f64::from_bits(bits), |x, w| x - w)
+                        >= 0.0
+                };
+                let mut hi = inf;
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if spent(mid) {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                lo
+            })
+            .collect()
+    }
+
+    /// `len` weights drawn from one of several shapes: zeros among
+    /// ordinary values, subnormals, ratios near the range of `f64`, equal
+    /// weights, and a huge weight beside tiny ones. Never all zero.
+    fn shaped_weights(rng: &mut Xoshiro256, len: usize, shape: u64) -> Vec<f64> {
+        let mut w: Vec<f64> = (0..len)
+            .map(|_| match shape {
+                0 if rng.chance(0.3) => 0.0,
+                0 => rng.next_f64() * 10f64.powi(rng.range_u64(0, 7) as i32 - 3),
+                1 => f64::from_bits(rng.range_u64(0, 1 << 52)),
+                2 if rng.chance(0.5) => rng.next_f64() * 1e-300,
+                2 => rng.next_f64() * 1e300,
+                3 => 0.25,
+                _ if rng.chance(0.05) => 1e12,
+                _ => f64::from_bits(rng.range_u64(0, 1 << 52)) + rng.next_f64() * 1e-3,
+            })
+            .collect();
+        if w.iter().all(|&x| x == 0.0) {
+            w[len - 1] = 1.0;
+        }
+        w
+    }
+
+    #[test]
+    fn galloped_thresholds_are_the_bisected_ones_bit_for_bit() {
+        let mut gen = Xoshiro256::seed_from_u64(0x9a11);
+        let mut sizes: Vec<usize> = (1..=40).chain([63, 64, 65, 257, 1_024, 4_096]).collect();
+        sizes.extend((0..12).map(|_| 1 + gen.index(1_500)));
+        for (case, &len) in sizes.iter().enumerate() {
+            let shape = case as u64 % 5;
+            let w = shaped_weights(&mut gen, len, shape);
+            let galloped: Vec<u64> = WeightedIndex::new(&w)
+                .thresholds
+                .iter()
+                .map(|t| t.to_bits())
+                .collect();
+            assert_eq!(
+                galloped,
+                bisected_thresholds(&w),
+                "case {case}: {len} weights of shape {shape}"
+            );
+        }
+    }
+
     /// A generator whose next `next_f64` is the largest value below 1.
     fn next_draw_just_below_one() -> Xoshiro256 {
         // The inverse of an odd multiplier modulo 2^64, by Newton's method.
