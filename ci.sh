@@ -40,8 +40,16 @@
 #                two-lane analysis and digest (`suite_lanes_equal_each_family_run_alone`:
 #                every `Suite` report equals its family run alone, in
 #                memory and spilled; `the_hashing_lane`: the fingerprint's
-#                hashing lane against one sequential FNV stream) in the
-#                profile the benchmark measures
+#                hashing lane against one sequential FNV stream, also when
+#                the lane lags a full 128-chunk queue, with a chunk count
+#                that never passes the bound and a lane panic that reaches
+#                the caller), and the month's row path against its
+#                references (`spill_guard`: the spilled-key guard against
+#                the plain binary search, and tx rows read segment after
+#                segment against the merged scan by `arrival_seq`;
+#                `one_pass_rows_match_the_reference_at_every_edge`: the
+#                one-pass row parser at every edge value) in the profile
+#                the benchmark measures
 #   par-smoke    the sharded parallel engine in --release: shards=4 (and
 #                2, 8) campaign fingerprints must equal the committed
 #                sequential goldens bit-for-bit
@@ -168,6 +176,12 @@ stage_golden() {
     # against the sequential stream (chunk-spanning texts, spilled logs).
     filtered_tests --release -p ethmeter-core suite_lanes_equal_each_family_run_alone
     filtered_tests --release -p ethmeter-measure the_hashing_lane
+    # The month's row path, named so a rename cannot drop it: the guard
+    # in front of the spilled-key search against the search alone, the
+    # merge-free tx rows against the merged scan (and the fallback when
+    # seqs are not a permutation), and the one-pass parser's edge rows.
+    filtered_tests --release -p ethmeter-measure spill_guard
+    filtered_tests --release -p ethmeter-measure one_pass_rows_match_the_reference_at_every_edge
 }
 
 stage_par_smoke() {

@@ -247,10 +247,17 @@ impl Fnv64 {
 
 /// Bytes one [`Chunk`] carries to the hashing lane.
 const CHUNK_BYTES: usize = 64 << 10;
-/// Terminators one [`Chunk`] carries: one per `u64` field that fills it.
+/// Terminators one [`Chunk`] carries at most: one per `u64` field that
+/// fills it.
 const CHUNK_ENDS: usize = CHUNK_BYTES / 8;
-/// Chunks in circulation: one being filled, one being hashed, one queued.
-const CHUNKS: usize = 3;
+/// Chunks in circulation: the lane may fall this far behind, 8 MiB of
+/// text. The caller gathers and sorts a whole log's rows before it
+/// writes any, and the lane hashes in the meantime only what is queued:
+/// with three chunks it sat idle for about 70 ms of a 170 ms month
+/// digest. 96 to 128 chunks hashed fastest on a 2-core Xeon; 64 left the
+/// lane waiting and 256 was slower again. The caller makes a chunk only
+/// when it finds none to reuse, so a short digest allocates few.
+const CHUNKS: usize = 128;
 
 /// One stretch of the digest's input, in stream order: `bytes` to absorb,
 /// and each length terminator as `(offset into bytes, length)`, applied
@@ -258,35 +265,48 @@ const CHUNKS: usize = 3;
 #[derive(Default)]
 struct Chunk {
     bytes: Vec<u8>,
+    /// Grows to what the chunk holds: a stretch of CSV text carries one
+    /// or two terminators, a stretch of ground-truth fields thousands.
     ends: Vec<(usize, u64)>,
 }
 
 /// Digests what `feed` writes into a [`Feed`], with the FNV absorption on
-/// a scoped hashing lane: the caller fills 64 KiB chunks, a bounded
-/// channel carries them to the lane in order, and a second one hands each
-/// back emptied for reuse. Every chunk is allocated by the caller, so the
-/// lane allocates nothing of its own and the digest leaves nothing on
-/// another thread's heap. The digest equals the sequential FNV stream's:
-/// the lane absorbs bytes and terminators in exactly the order written.
+/// a scoped hashing lane (see [`absorb_beside`]). The digest equals the
+/// sequential FNV stream's: the lane absorbs bytes and terminators in
+/// exactly the order written.
 ///
 /// # Panics
 ///
 /// A panic on the lane is resumed on the caller with its own payload.
 fn hash_beside(feed: impl FnOnce(&mut Feed)) -> u64 {
+    let mut h = Fnv64::new();
+    absorb_beside(|chunk| h.absorb_chunk(chunk), feed);
+    h.finish()
+}
+
+/// Runs `feed` on the caller and `absorb` on a scoped lane over the
+/// chunks it fills, in order: a bounded channel carries each full chunk
+/// to the lane, and a second one hands it back emptied for reuse. Every
+/// chunk is allocated by the caller, at most [`CHUNKS`], so the lane
+/// allocates nothing of its own and leaves nothing on another thread's
+/// heap.
+///
+/// # Panics
+///
+/// A panic on the lane is resumed on the caller with its own payload.
+fn absorb_beside(mut absorb: impl FnMut(&Chunk) + Send, feed: impl FnOnce(&mut Feed)) {
     let (full, to_hash) = mpsc::sync_channel::<Chunk>(CHUNKS);
     let (hashed, empty) = mpsc::sync_channel::<Chunk>(CHUNKS);
     std::thread::scope(|scope| {
         let lane = scope.spawn(move || {
-            let mut h = Fnv64::new();
             for mut chunk in to_hash {
-                h.absorb_chunk(&chunk);
+                absorb(&chunk);
                 chunk.bytes.clear();
                 chunk.ends.clear();
                 // The caller stops taking chunks back once it has sent
                 // its last.
                 let _ = hashed.send(chunk);
             }
-            h.finish()
         });
         let mut sink = Feed {
             chunk: Feed::fresh_chunk(),
@@ -307,8 +327,8 @@ fn hash_beside(feed: impl FnOnce(&mut Feed)) -> u64 {
 /// chunks for the hashing lane.
 struct Feed {
     chunk: Chunk,
-    /// Chunks not yet allocated; once none are left, emptied ones are
-    /// taken back from the lane.
+    /// Chunks the caller may still allocate when the lane has none
+    /// emptied to hand back.
     unmade: usize,
     /// `None` once the lane has hung up (it panicked): writes are then
     /// dropped, and the join raises the lane's panic.
@@ -320,7 +340,7 @@ impl Feed {
     fn fresh_chunk() -> Chunk {
         Chunk {
             bytes: Vec::with_capacity(CHUNK_BYTES),
-            ends: Vec::with_capacity(CHUNK_ENDS),
+            ends: Vec::new(),
         }
     }
 
@@ -378,11 +398,16 @@ impl Feed {
                 chunk.ends.clear();
                 chunk
             }
-            None if self.unmade > 0 => {
-                self.unmade -= 1;
-                Feed::fresh_chunk()
-            }
-            None => self.empty.recv().unwrap_or_else(|_| Feed::fresh_chunk()),
+            // An emptied chunk if one is back, else a new one while the
+            // bound allows, else wait for the lane to empty one.
+            None => match self.empty.try_recv() {
+                Ok(chunk) => chunk,
+                Err(_) if self.unmade > 0 => {
+                    self.unmade -= 1;
+                    Feed::fresh_chunk()
+                }
+                Err(_) => self.empty.recv().unwrap_or_else(|_| Feed::fresh_chunk()),
+            },
         };
     }
 }
@@ -619,6 +644,156 @@ mod tests {
             }
             assert_eq!(c.fingerprint(), sequential_fingerprint(&c), "{rows} rows");
         }
+    }
+
+    /// One write of a generated feed.
+    enum Op {
+        Bytes(Vec<u8>),
+        U64(u64),
+        Text(Vec<String>),
+    }
+
+    /// At least `chunks` chunks' worth of writes: fields from empty to
+    /// several chunks long, runs of `u64` fields (a terminator each) and
+    /// texts written in pieces.
+    fn ops(seed: u64, chunks: usize) -> Vec<Op> {
+        let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+        let (mut ops, mut bytes) = (Vec::new(), 0);
+        while bytes < chunks * CHUNK_BYTES {
+            let x = rng.next_u64();
+            let len = match x % 4 {
+                0 => (x >> 8) as usize % 16,
+                1 => (x >> 8) as usize % (3 * CHUNK_BYTES),
+                _ => (x >> 8) as usize % CHUNK_BYTES,
+            };
+            bytes += len;
+            match x % 3 {
+                0 => ops.push(Op::Bytes(vec![x as u8; len])),
+                1 => {
+                    let (mut pieces, mut left) = (Vec::new(), len);
+                    while left > 0 {
+                        let n = left.min(1 + (x as usize + 131 * pieces.len()) % 700);
+                        let letter = char::from(b'a' + (pieces.len() % 26) as u8);
+                        pieces.push(letter.to_string().repeat(n));
+                        left -= n;
+                    }
+                    ops.push(Op::Text(pieces));
+                }
+                _ => ops.extend((0..=len / 8).map(|v| Op::U64(x ^ v as u64))),
+            }
+        }
+        ops
+    }
+
+    fn feed_ops(feed: &mut Feed, ops: &[Op]) {
+        for op in ops {
+            match op {
+                Op::Bytes(b) => feed.write_bytes(b),
+                Op::U64(v) => feed.write_u64(*v),
+                Op::Text(pieces) => feed.write_text(|out| {
+                    pieces
+                        .iter()
+                        .try_for_each(|p| fmt::Write::write_str(out, p))
+                }),
+            }
+        }
+    }
+
+    fn reference_digest<'a>(ops: impl IntoIterator<Item = &'a Op>) -> u64 {
+        let mut h = Fnv64::new();
+        for op in ops {
+            match op {
+                Op::Bytes(b) => h.write_bytes(b),
+                Op::U64(v) => h.write_u64(*v),
+                Op::Text(pieces) => h.write_bytes(pieces.concat().as_bytes()),
+            }
+        }
+        h.finish()
+    }
+
+    /// The caller's first write: every chunk the bound allows is made and
+    /// all but the one being filled are queued, while the lane waits at
+    /// a gate the caller opens after this.
+    fn fill_the_queue() -> [Op; 1] {
+        [Op::Bytes(vec![1; CHUNKS * CHUNK_BYTES])]
+    }
+
+    #[test]
+    fn the_hashing_lane_digests_like_the_reference_when_it_lags_a_full_queue() {
+        let ops = ops(11, 2 * CHUNKS);
+        let gate = std::sync::Barrier::new(2);
+        let fill = fill_the_queue();
+        let (mut h, mut chunks) = (Fnv64::new(), Vec::new());
+        absorb_beside(
+            |chunk| {
+                if chunks.is_empty() {
+                    gate.wait();
+                }
+                chunks.push(chunk.bytes.as_ptr() as usize);
+                h.absorb_chunk(chunk);
+                // Slower than the caller, which only copies: hash twice.
+                let mut again = Fnv64::new();
+                again.absorb_chunk(chunk);
+                std::hint::black_box(again.finish());
+            },
+            |feed| {
+                feed_ops(feed, &fill);
+                assert_eq!(feed.unmade, 0, "every chunk made");
+                gate.wait();
+                feed_ops(feed, &ops);
+            },
+        );
+        assert!(chunks.len() >= 200, "{} chunks", chunks.len());
+        assert_eq!(h.finish(), reference_digest(fill.iter().chain(&ops)));
+        // Every chunk the bound allows was made, and no more.
+        chunks.sort_unstable();
+        chunks.dedup();
+        assert_eq!(chunks.len(), CHUNKS);
+    }
+
+    #[test]
+    fn the_hashing_lane_feed_never_makes_more_chunks_than_its_bound() {
+        let ops = ops(12, 3 * CHUNKS);
+        let (mut h, mut chunks) = (Fnv64::new(), Vec::new());
+        absorb_beside(
+            |chunk| {
+                chunks.push(chunk.bytes.as_ptr() as usize);
+                h.absorb_chunk(chunk);
+            },
+            |feed| feed_ops(feed, &ops),
+        );
+        assert_eq!(h.finish(), reference_digest(&ops));
+        assert!(chunks.len() > 3 * CHUNKS);
+        chunks.sort_unstable();
+        chunks.dedup();
+        assert!(chunks.len() <= CHUNKS, "{} chunks made", chunks.len());
+    }
+
+    #[test]
+    fn the_hashing_lane_panic_with_the_queue_full_reaches_the_caller_with_its_own_payload() {
+        let gate = std::sync::Barrier::new(2);
+        let mut absorbed = 0;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            absorb_beside(
+                |_| {
+                    if absorbed == 0 {
+                        gate.wait();
+                    }
+                    absorbed += 1;
+                    if absorbed == CHUNKS / 2 {
+                        std::panic::panic_any(47_u32);
+                    }
+                },
+                |feed| {
+                    feed_ops(feed, &fill_the_queue());
+                    assert_eq!(feed.unmade, 0, "every chunk made");
+                    gate.wait();
+                    feed.write_bytes(&vec![3; 3 * CHUNKS * CHUNK_BYTES]);
+                },
+            )
+        }));
+        let payload = result.expect_err("the lane panicked");
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&47));
     }
 
     #[test]

@@ -4,6 +4,28 @@
 //! equivalent. The format is deliberately plain (no quoting needed — all
 //! fields are numeric or controlled identifiers) so it round-trips exactly
 //! and loads into pandas with one call, like the original tooling.
+//!
+//! **Writing.** A private `RowWriter` renders rows into one fixed buffer
+//! at a running index and hands the sink 64 KiB of text at a time. An
+//! integer is cut into groups of eight decimal digits; each group is
+//! built in one `u64` by multiply-shift steps (SWAR, "SIMD within a
+//! register": 8 digits → two 4-digit lanes → four 2-digit lanes → eight
+//! bytes) and written with one 8-byte store. The leading group drops its
+//! leading zeros by shifting them out and advancing the index by the
+//! digits kept, so the text is exactly `u64::to_string`'s. Transaction
+//! rows are placed by `arrival_seq` into their slots as the log reads
+//! them out in storage order (segments back to back, then the live map),
+//! with no key-order merge; seqs that are not exactly `0..n` fall back to
+//! the merged scan, stably sorted.
+//!
+//! **Parsing.** A plain row — unsigned decimal fields (and, for blocks,
+//! an `ann`/`blk` tag) separated by single commas — is read in one byte
+//! loop that accumulates each field's digits as it passes them. Any other
+//! row (a `+` sign, an empty field, a value that overflows its column,
+//! the wrong number of fields, an unknown tag, stray bytes) is parsed
+//! again by the general path, `split_row` and `parse_int`, which alone
+//! builds errors. So a row the fast loop accepts has the general path's
+//! value, and every error is the general path's.
 
 use std::fmt::{self, Write};
 use std::str::FromStr;
@@ -187,20 +209,27 @@ pub(crate) fn write_txs_csv(out: &mut impl Write, log: &ObserverLog) -> fmt::Res
     write_tx_rows(out, &tx_rows(log))
 }
 
-fn tx_rows(log: &ObserverLog) -> Vec<TxRecord> {
-    by_arrival(log.tx_count(), || log.scan_txs())
+/// The log's tx rows in `arrival_seq` order: placed from its storage
+/// order, with the merged scan as the fallback.
+pub(crate) fn tx_rows(log: &ObserverLog) -> Vec<TxRecord> {
+    by_arrival(log.tx_count(), log.txs_unordered(), || log.scan_txs())
 }
 
-/// The `n` rows `scan` yields, ordered by `arrival_seq` as a stable sort
-/// of the scan order would order them.
+/// The `n` rows `rows` yields, in any order, ordered by `arrival_seq` as
+/// a stable sort of `scan`'s order would order them.
 ///
 /// A log numbers its arrivals `0..n`, so each row is stored straight into
-/// slot `arrival_seq` as the scan yields it: O(1) per row, one buffer,
-/// and independent stores where an in-place cycle walk would chase one
-/// cache miss per row. Seqs that are not exactly `0..n` (out of range,
-/// repeated, missing) leave a slot unfilled; then the scan runs again
-/// into the stable sort.
-fn by_arrival<I: Iterator<Item = TxRecord>>(n: usize, scan: impl Fn() -> I) -> Vec<TxRecord> {
+/// slot `arrival_seq` as `rows` yields it: O(1) per row, one buffer, and
+/// independent stores where an in-place cycle walk would chase one cache
+/// miss per row. When the seqs are a permutation of `0..n` the slots
+/// hold the only order there is, whatever order the rows came in. Seqs
+/// that are not (out of range, repeated, missing) leave a slot unfilled;
+/// then `scan` runs into the stable sort.
+fn by_arrival<I: Iterator<Item = TxRecord>>(
+    n: usize,
+    rows: impl Iterator<Item = TxRecord>,
+    scan: impl FnOnce() -> I,
+) -> Vec<TxRecord> {
     const UNFILLED: TxRecord = TxRecord {
         id: TxId(0),
         first_local: SimTime::ZERO,
@@ -208,25 +237,25 @@ fn by_arrival<I: Iterator<Item = TxRecord>>(n: usize, scan: impl Fn() -> I) -> V
         from: NodeId(0),
         arrival_seq: u64::MAX,
     };
-    let mut rows = vec![UNFILLED; n];
-    let (mut scanned, mut in_range) = (0, true);
-    for r in scan() {
-        scanned += 1;
+    let mut placed = vec![UNFILLED; n];
+    let (mut read, mut in_range) = (0, true);
+    for r in rows {
+        read += 1;
         match usize::try_from(r.arrival_seq)
             .ok()
-            .and_then(|i| rows.get_mut(i))
+            .and_then(|i| placed.get_mut(i))
         {
             Some(slot) => *slot = r,
             None => in_range = false,
         }
     }
     // `n` rows filling `n` slots, each with its own seq: a permutation.
-    if scanned == n && in_range && rows.iter().zip(0..).all(|(r, i)| r.arrival_seq == i) {
-        return rows;
+    if read == n && in_range && placed.iter().zip(0..).all(|(r, i)| r.arrival_seq == i) {
+        return placed;
     }
-    rows = scan().collect();
-    rows.sort_by_key(|r| r.arrival_seq);
-    rows
+    placed = scan().collect();
+    placed.sort_by_key(|r| r.arrival_seq);
+    placed
 }
 
 fn write_tx_rows(out: &mut impl Write, rows: &[TxRecord]) -> fmt::Result {
@@ -254,76 +283,112 @@ const CHUNK_BYTES: usize = 64 << 10;
 /// their separators and the newline.
 const MAX_ROW_BYTES: usize = 7 * 21;
 
-/// `"00"`, `"01"`, …, `"99"`: two digits per table lookup.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-0001020304050607080910111213141516171819\
-2021222324252627282930313233343536373839\
-4041424344454647484950515253545556575859\
-6061626364656667686970717273747576777879\
-8081828384858687888990919293949596979899";
+/// `b'0'` in every byte: turns eight digit values into their ASCII.
+const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
 
-/// Appends the decimal digits of `v` — exactly `v.to_string()`'s bytes.
-fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        at -= 2;
-        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        at -= 2;
-        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        digits[at] = b'0' + v as u8;
-    }
-    buf.extend_from_slice(&digits[at..]);
+/// The eight decimal digits of `x < 10^8`, leading zeros included, one
+/// per byte with the first digit in the lowest byte, so a little-endian
+/// store writes them in reading order. Each step halves the lane width:
+/// `y / 100` as `(y * 10_486) >> 20` is exact for `y < 10^4`, `y / 10` as
+/// `(y * 103) >> 10` for `y < 100`, and no lane's product reaches the
+/// next lane.
+fn digits8(x: u64) -> u64 {
+    debug_assert!(x < 100_000_000);
+    // Four digits per 32-bit lane, the high four in the low lane.
+    let v = (x / 10_000) | ((x % 10_000) << 32);
+    // Two per 16-bit lane.
+    let hi = ((v * 10_486) >> 20) & 0x0000_007f_0000_007f;
+    let v = hi | ((v - hi * 100) << 16);
+    // One per byte.
+    let hi = ((v * 103) >> 10) & 0x000f_000f_000f_000f;
+    hi | ((v - hi * 10) << 8)
 }
 
-/// Renders rows into one reused byte buffer and hands the sink a chunk
-/// every [`CHUNK_BYTES`], so a row costs its digits, not a formatter
-/// call per field. The sink sees the same text in fewer, larger pieces.
+/// Renders rows into one fixed buffer at a running index and hands the
+/// sink a chunk every [`CHUNK_BYTES`], so a row costs its digits, not a
+/// formatter call or a length check per field. Digits go eight at a time
+/// (see [`digits8`]) as one 8-byte store; a store may run up to 7 bytes
+/// past the text, which the next field overwrites or the flush leaves
+/// out. The sink sees the same text in fewer, larger pieces.
 struct RowWriter<'a, W: Write> {
     out: &'a mut W,
-    buf: Vec<u8>,
+    /// Room for a full chunk, one more row, and one store past it.
+    buf: Box<[u8]>,
+    /// Bytes of text in `buf`.
+    at: usize,
 }
 
 impl<'a, W: Write> RowWriter<'a, W> {
     fn new(out: &'a mut W, header: &str) -> Self {
-        let mut buf = Vec::with_capacity(CHUNK_BYTES + MAX_ROW_BYTES);
-        buf.extend_from_slice(header.as_bytes());
-        buf.push(b'\n');
-        RowWriter { out, buf }
+        let mut w = RowWriter {
+            out,
+            buf: vec![0; CHUNK_BYTES + MAX_ROW_BYTES + 8].into_boxed_slice(),
+            at: 0,
+        };
+        w.push(header.as_bytes());
+        w.push(b"\n");
+        w
     }
 
     /// Flushes the buffer if the next row might not fit.
     fn row_start(&mut self) -> fmt::Result {
-        if self.buf.len() >= CHUNK_BYTES {
+        if self.at >= CHUNK_BYTES {
             self.flush()?;
         }
         Ok(())
     }
 
+    /// Writes `v`'s decimal digits — exactly `v.to_string()`'s bytes.
     fn u64(&mut self, v: u64) {
-        push_u64(&mut self.buf, v);
+        const E8: u64 = 100_000_000;
+        if v < E8 {
+            self.leading(v);
+        } else if v < E8 * E8 {
+            self.leading(v / E8);
+            self.group(v % E8);
+        } else {
+            // At most 1,844: four digits lead.
+            self.leading(v / (E8 * E8));
+            let rest = v % (E8 * E8);
+            self.group(rest / E8);
+            self.group(rest % E8);
+        }
+    }
+
+    /// The first digits of a number: `v < 10^8` without its leading
+    /// zeros, which are the low zero bytes of [`digits8`]; zero keeps one.
+    fn leading(&mut self, v: u64) {
+        let digits = digits8(v);
+        let skip = (digits.trailing_zeros() / 8).min(7);
+        self.store((digits | ASCII_ZEROS) >> (8 * skip), 8 - skip as usize);
+    }
+
+    /// Eight digits after the leading ones, zeros included.
+    fn group(&mut self, v: u64) {
+        self.store(digits8(v) | ASCII_ZEROS, 8);
+    }
+
+    /// Stores all eight bytes of `word` and keeps the first `len`.
+    fn store(&mut self, word: u64, len: usize) {
+        self.buf[self.at..self.at + 8].copy_from_slice(&word.to_le_bytes());
+        self.at += len;
     }
 
     fn comma(&mut self) {
-        self.buf.push(b',');
+        self.buf[self.at] = b',';
+        self.at += 1;
     }
 
     fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.buf[self.at..self.at + bytes.len()].copy_from_slice(bytes);
+        self.at += bytes.len();
     }
 
     fn flush(&mut self) -> fmt::Result {
         // Digits, separators and the ASCII header: always UTF-8.
-        let text = std::str::from_utf8(&self.buf).map_err(|_| fmt::Error)?;
+        let text = std::str::from_utf8(&self.buf[..self.at]).map_err(|_| fmt::Error)?;
         self.out.write_str(text)?;
-        self.buf.clear();
+        self.at = 0;
         Ok(())
     }
 
@@ -381,24 +446,58 @@ pub fn blocks_from_csv(text: &str) -> Result<Vec<BlockRecord>, ParseError> {
         if i == 0 || row.is_empty() {
             continue;
         }
-        let line = i + 1;
-        let [hash, local, true_ns, kind, from, announces, full_blocks] = split_row(row, line)?;
-        let kind = match kind {
-            "ann" => BlockMsgKind::Announce,
-            "blk" => BlockMsgKind::FullBlock,
-            _ => return Err(ParseError::BadKind { line }),
-        };
-        out.push(BlockRecord {
-            hash: BlockHash(parse_int(hash, line, "hash")?),
-            first_local: SimTime::from_nanos(parse_int(local, line, "first_local_ns")?),
-            first_true: SimTime::from_nanos(parse_int(true_ns, line, "first_true_ns")?),
-            first_kind: kind,
-            first_from: NodeId(parse_int(from, line, "first_from")?),
-            announces: parse_int(announces, line, "announces")?,
-            full_blocks: parse_int(full_blocks, line, "full_blocks")?,
+        out.push(match plain_block(row) {
+            Some(r) => r,
+            None => block_row(row, i + 1)?,
         });
     }
     Ok(out)
+}
+
+/// A block row the general way: split, check the tag, parse each field.
+fn block_row(row: &str, line: usize) -> Result<BlockRecord, ParseError> {
+    let [hash, local, true_ns, kind, from, announces, full_blocks] = split_row(row, line)?;
+    let kind = match kind {
+        "ann" => BlockMsgKind::Announce,
+        "blk" => BlockMsgKind::FullBlock,
+        _ => return Err(ParseError::BadKind { line }),
+    };
+    Ok(BlockRecord {
+        hash: BlockHash(parse_int(hash, line, "hash")?),
+        first_local: SimTime::from_nanos(parse_int(local, line, "first_local_ns")?),
+        first_true: SimTime::from_nanos(parse_int(true_ns, line, "first_true_ns")?),
+        first_kind: kind,
+        first_from: NodeId(parse_int(from, line, "first_from")?),
+        announces: parse_int(announces, line, "announces")?,
+        full_blocks: parse_int(full_blocks, line, "full_blocks")?,
+    })
+}
+
+/// A plain block row in one pass, or `None` for [`block_row`] to parse
+/// (or reject).
+fn plain_block(row: &str) -> Option<BlockRecord> {
+    let mut p = Plain::new(row);
+    let hash = p.field()?;
+    let local = p.field()?;
+    let true_ns = p.field()?;
+    let kind = match p.rest.get(..4)? {
+        b"ann," => BlockMsgKind::Announce,
+        b"blk," => BlockMsgKind::FullBlock,
+        _ => return None,
+    };
+    p.rest = &p.rest[4..];
+    let from = p.field()?;
+    let announces = p.field()?;
+    let full_blocks = p.last()?;
+    Some(BlockRecord {
+        hash: BlockHash(hash),
+        first_local: SimTime::from_nanos(local),
+        first_true: SimTime::from_nanos(true_ns),
+        first_kind: kind,
+        first_from: NodeId(u32::try_from(from).ok()?),
+        announces: u32::try_from(announces).ok()?,
+        full_blocks: u32::try_from(full_blocks).ok()?,
+    })
 }
 
 /// Parses a transaction-record CSV produced by [`txs_to_csv`].
@@ -412,17 +511,89 @@ pub fn txs_from_csv(text: &str) -> Result<Vec<TxRecord>, ParseError> {
         if i == 0 || row.is_empty() {
             continue;
         }
-        let line = i + 1;
-        let [id, local, true_ns, from, seq] = split_row(row, line)?;
-        out.push(TxRecord {
-            id: TxId(parse_int(id, line, "tx")?),
-            first_local: SimTime::from_nanos(parse_int(local, line, "first_local_ns")?),
-            first_true: SimTime::from_nanos(parse_int(true_ns, line, "first_true_ns")?),
-            from: NodeId(parse_int(from, line, "from")?),
-            arrival_seq: parse_int(seq, line, "arrival_seq")?,
+        out.push(match plain_tx(row) {
+            Some(r) => r,
+            None => tx_row(row, i + 1)?,
         });
     }
     Ok(out)
+}
+
+/// A transaction row the general way (see [`block_row`]).
+fn tx_row(row: &str, line: usize) -> Result<TxRecord, ParseError> {
+    let [id, local, true_ns, from, seq] = split_row(row, line)?;
+    Ok(TxRecord {
+        id: TxId(parse_int(id, line, "tx")?),
+        first_local: SimTime::from_nanos(parse_int(local, line, "first_local_ns")?),
+        first_true: SimTime::from_nanos(parse_int(true_ns, line, "first_true_ns")?),
+        from: NodeId(parse_int(from, line, "from")?),
+        arrival_seq: parse_int(seq, line, "arrival_seq")?,
+    })
+}
+
+/// A plain transaction row in one pass, or `None` for [`tx_row`].
+fn plain_tx(row: &str) -> Option<TxRecord> {
+    let mut p = Plain::new(row);
+    let id = p.field()?;
+    let local = p.field()?;
+    let true_ns = p.field()?;
+    let from = p.field()?;
+    let seq = p.last()?;
+    Some(TxRecord {
+        id: TxId(id),
+        first_local: SimTime::from_nanos(local),
+        first_true: SimTime::from_nanos(true_ns),
+        from: NodeId(u32::try_from(from).ok()?),
+        arrival_seq: seq,
+    })
+}
+
+/// The unread bytes of a row the one-pass parsers walk. Every method
+/// returns `None` where the row is not plain, and the caller hands the
+/// row to the general path, which finds the same value or the error.
+struct Plain<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Plain<'a> {
+    fn new(row: &'a str) -> Self {
+        Plain {
+            rest: row.as_bytes(),
+        }
+    }
+
+    /// One or more digits that fit a `u64`, and where they stop.
+    fn digits(&mut self) -> Option<(u64, Option<u8>)> {
+        let mut v: u64 = 0;
+        let mut read = 0;
+        for &b in self.rest {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+            read += 1;
+        }
+        let stop = self.rest.get(read).copied();
+        self.rest = self.rest.get(read + 1..).unwrap_or_default();
+        (read > 0).then_some((v, stop))
+    }
+
+    /// A field followed by a comma.
+    fn field(&mut self) -> Option<u64> {
+        match self.digits()? {
+            (v, Some(b',')) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The row's last field.
+    fn last(&mut self) -> Option<u64> {
+        match self.digits()? {
+            (v, None) => Some(v),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -825,10 +996,83 @@ mod codec {
         Ok(out)
     }
 
+    /// `v` as [`RowWriter`] writes it.
     fn rendered(v: u64) -> String {
-        let mut buf = Vec::new();
-        push_u64(&mut buf, v);
-        String::from_utf8(buf).expect("ASCII digits")
+        let mut out = String::new();
+        let mut w = RowWriter::new(&mut out, "");
+        w.u64(v);
+        w.finish().expect("String");
+        out.split_off(1)
+    }
+
+    /// Every edge value in every column: the one-pass loop must take
+    /// the reference's value or leave the row to the general path.
+    #[test]
+    fn one_pass_rows_match_the_reference_at_every_edge() {
+        let edges = [
+            "0",
+            "007",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "018446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "+5",
+            "-0",
+            "",
+            "5 ",
+            "1e3",
+            "ann",
+        ];
+        let plain_block = ["1", "2", "3", "blk", "4", "5", "6"];
+        let plain_tx = ["1", "2", "3", "4", "5"];
+        for edge in edges {
+            for at in 0..plain_block.len() {
+                let mut row = plain_block;
+                row[at] = edge;
+                let text = format!("{BLOCK_HEADER}\n{}\n", row.join(","));
+                assert_eq!(
+                    blocks_from_csv(&text),
+                    reference_blocks_from_csv(&text),
+                    "{text}"
+                );
+            }
+            for at in 0..plain_tx.len() {
+                let mut row = plain_tx;
+                row[at] = edge;
+                let text = format!("{TX_HEADER}\n{}\n", row.join(","));
+                assert_eq!(txs_from_csv(&text), reference_txs_from_csv(&text), "{text}");
+            }
+        }
+        // Row ends and separators the loop must not accept.
+        for row in [
+            "1,2,3,4,5,",
+            ",1,2,3,4,5",
+            "1,2,3,4,,5",
+            "1,2,3,4,5\r",
+            "1,2,3,4",
+        ] {
+            let text = format!("{TX_HEADER}\n{row}\n");
+            assert_eq!(
+                txs_from_csv(&text),
+                reference_txs_from_csv(&text),
+                "{row:?}"
+            );
+        }
+        for row in [
+            "1,2,3,blk,4,5,6,",
+            "1,2,3,blkx,4,5,6",
+            "1,2,3,bl,4,5,6",
+            "1,2,3,ann4,5,6",
+        ] {
+            let text = format!("{BLOCK_HEADER}\n{row}\n");
+            assert_eq!(
+                blocks_from_csv(&text),
+                reference_blocks_from_csv(&text),
+                "{row:?}"
+            );
+        }
     }
 
     #[test]
@@ -966,14 +1210,16 @@ mod codec {
             expected.sort_by_key(|r| r.arrival_seq);
             // `n` as the log counts it, or off by one either way.
             let n = (rows.len() + miscount).saturating_sub(1);
-            let placed = by_arrival(n, || rows.iter().copied());
+            // The rows arrive reversed; the fallback scans them in order.
+            let placed = by_arrival(n, rows.iter().rev().copied(), || rows.iter().copied());
             prop_assert_eq!(&placed, &expected);
             // A repeated seq beside a full permutation fills every slot.
             let mut extra = rows.clone();
             extra.extend(rows.first().copied());
             expected.extend(rows.first().copied());
             expected.sort_by_key(|r| r.arrival_seq);
-            prop_assert_eq!(by_arrival(rows.len(), || extra.iter().copied()), expected);
+            let placed = by_arrival(rows.len(), extra.iter().rev().copied(), || extra.iter().copied());
+            prop_assert_eq!(placed, expected);
         }
     }
 }

@@ -9,6 +9,12 @@
 //! in-memory rows in ascending key order, so reports stream over the
 //! union without ever re-materializing the raw rows.
 //!
+//! The transaction export needs no key order: it places every row by its
+//! `arrival_seq`. It reads a log's tx segments back to back, then the
+//! live map, and skips the merge. That is exact because tx segments are
+//! disjoint by construction (recording drops an id already spilled), so
+//! no row needs folding with another.
+//!
 //! Both record kinds take one path. A crate-private `Row` trait gives a
 //! kind's key, file tag, columns, codec and fold rule; one segment type,
 //! one chunked scan and one merge serve both kinds. A segment of `n` rows
@@ -23,7 +29,8 @@
 //! file's first column, read back by scans like every other column. The
 //! dedup filter recording needs — which keys were spilled at all — is one
 //! ascending key list per record kind and log, owned by the
-//! [`ObserverLog`](crate::ObserverLog) and merged at each flush.
+//! [`ObserverLog`](crate::ObserverLog) and merged at each flush, behind a
+//! guard of hashed presence bits that lets most misses skip the search.
 //!
 //! Determinism contract:
 //!
@@ -322,6 +329,15 @@ impl<R: Row> Iterator for SegmentScan<R> {
         }
         self.buf.pop()
     }
+}
+
+/// Every row of `segments`, read back to back in creation order: no key
+/// order across segments, one file open at a time. For rows placed by
+/// something other than their key (tx rows by `arrival_seq`); only
+/// kinds whose segments are disjoint, which txs are by construction,
+/// yield each key once this way.
+pub(crate) fn back_to_back<R: Row>(segments: &[Arc<Segment<R>>]) -> impl Iterator<Item = R> + '_ {
+    segments.iter().flat_map(Segment::scan)
 }
 
 /// Ascending-key merge over a log's segments of one kind plus its
