@@ -1,4 +1,17 @@
 //! The complete dataset of one measurement campaign.
+//!
+//! [`CampaignData::fingerprint`] digests the whole dataset on two lanes:
+//! the caller scans, sorts and renders each log's rows, and a scoped
+//! hashing lane runs FNV-1a over what it writes, fed 64 KiB chunks in
+//! order through a bounded channel. The queue is deep on purpose: up to
+//! 128 chunks, 8 MiB of text, may wait for the lane. The caller does its
+//! gathering in bursts (it reads and orders a whole log's rows before it
+//! renders any), and the lane can hash only what is queued: with three
+//! chunks in circulation it waited out each burst, and the month's
+//! digest took about a third longer. Every chunk is the caller's, made
+//! only when none comes back emptied, so a small digest makes few. Depth
+//! cannot reach the digest: the lane absorbs the same bytes and
+//! terminators in the same order at any depth.
 
 use std::fmt;
 use std::sync::mpsc::{self, Receiver, SyncSender};
@@ -250,13 +263,9 @@ const CHUNK_BYTES: usize = 64 << 10;
 /// Terminators one [`Chunk`] carries at most: one per `u64` field that
 /// fills it.
 const CHUNK_ENDS: usize = CHUNK_BYTES / 8;
-/// Chunks in circulation: the lane may fall this far behind, 8 MiB of
-/// text. The caller gathers and sorts a whole log's rows before it
-/// writes any, and the lane hashes in the meantime only what is queued:
-/// with three chunks it sat idle for about 70 ms of a 170 ms month
-/// digest. 96 to 128 chunks hashed fastest on a 2-core Xeon; 64 left the
-/// lane waiting and 256 was slower again. The caller makes a chunk only
-/// when it finds none to reuse, so a short digest allocates few.
+/// Chunks in circulation, so the lane may fall up to 8 MiB of text
+/// behind (see the module doc). On a 2-core Xeon 96 to 128 chunks hashed
+/// the month fastest; 64 left the lane waiting and 256 was slower again.
 const CHUNKS: usize = 128;
 
 /// One stretch of the digest's input, in stream order: `bytes` to absorb,

@@ -195,7 +195,9 @@ fn write_block_rows(out: &mut impl Write, rows: &[BlockRecord]) -> fmt::Result {
 }
 
 /// Serializes an observer's transaction records (sorted by arrival seq).
-/// Reads through [`ObserverLog::scan_txs`] — see [`blocks_to_csv`].
+/// Reads the log in storage order and places each row by its seq, with
+/// [`ObserverLog::scan_txs`] as the fallback; spilled and in-memory logs
+/// export the identical text — see [`blocks_to_csv`].
 pub fn txs_to_csv(log: &ObserverLog) -> String {
     let rows = tx_rows(log);
     let mut out = String::with_capacity(48 * (rows.len() + 1));
@@ -309,7 +311,7 @@ fn digits8(x: u64) -> u64 {
 
 /// Renders rows into one fixed buffer at a running index and hands the
 /// sink a chunk every [`CHUNK_BYTES`], so a row costs its digits, not a
-/// formatter call or a length check per field. Digits go eight at a time
+/// formatter call or a capacity check per field. Digits go eight at a time
 /// (see [`digits8`]) as one 8-byte store; a store may run up to 7 bytes
 /// past the text, which the next field overwrites or the flush leaves
 /// out. The sink sees the same text in fewer, larger pieces.

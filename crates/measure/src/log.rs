@@ -84,7 +84,9 @@ struct SpillState {
     txs: Spilled<TxRecord>,
     /// 8 bytes per row of every segment written so far — the filter cost
     /// [`ObserverLog::retained_bytes`] charges, kept as a running sum so
-    /// the per-record high-water check stays O(1).
+    /// the per-record high-water check stays O(1). The filter's guard,
+    /// half a byte per distinct key, is not charged, so the estimate
+    /// stays comparable across versions.
     segment_key_bytes: usize,
 }
 
