@@ -727,16 +727,27 @@ mod tests {
         [Op::Bytes(vec![1; CHUNKS * CHUNK_BYTES])]
     }
 
+    /// Where the lane waits until the caller, having filled the queue,
+    /// opens it. A caller that never gets there (blocked on a queue
+    /// shallower than the bound) fails the test instead of hanging it.
+    fn wait_at(gate: &std::sync::Mutex<Receiver<()>>) {
+        gate.lock()
+            .expect("one waiter")
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the caller fills every chunk, then opens the gate");
+    }
+
     #[test]
     fn the_hashing_lane_digests_like_the_reference_when_it_lags_a_full_queue() {
         let ops = ops(11, 2 * CHUNKS);
-        let gate = std::sync::Barrier::new(2);
+        let (open, gate) = mpsc::channel();
+        let gate = std::sync::Mutex::new(gate);
         let fill = fill_the_queue();
         let (mut h, mut chunks) = (Fnv64::new(), Vec::new());
         absorb_beside(
             |chunk| {
                 if chunks.is_empty() {
-                    gate.wait();
+                    wait_at(&gate);
                 }
                 chunks.push(chunk.bytes.as_ptr() as usize);
                 h.absorb_chunk(chunk);
@@ -747,8 +758,11 @@ mod tests {
             },
             |feed| {
                 feed_ops(feed, &fill);
-                assert_eq!(feed.unmade, 0, "every chunk made");
-                gate.wait();
+                // Checked past the gate: a failure before it would leave
+                // the lane waiting out the gate's timeout.
+                let unmade = feed.unmade;
+                open.send(()).expect("the lane waits at the gate");
+                assert_eq!(unmade, 0, "every chunk made");
                 feed_ops(feed, &ops);
             },
         );
@@ -780,13 +794,14 @@ mod tests {
 
     #[test]
     fn the_hashing_lane_panic_with_the_queue_full_reaches_the_caller_with_its_own_payload() {
-        let gate = std::sync::Barrier::new(2);
+        let (open, gate) = mpsc::channel();
+        let gate = std::sync::Mutex::new(gate);
         let mut absorbed = 0;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             absorb_beside(
                 |_| {
                     if absorbed == 0 {
-                        gate.wait();
+                        wait_at(&gate);
                     }
                     absorbed += 1;
                     if absorbed == CHUNKS / 2 {
@@ -795,8 +810,9 @@ mod tests {
                 },
                 |feed| {
                     feed_ops(feed, &fill_the_queue());
-                    assert_eq!(feed.unmade, 0, "every chunk made");
-                    gate.wait();
+                    let unmade = feed.unmade;
+                    open.send(()).expect("the lane waits at the gate");
+                    assert_eq!(unmade, 0, "every chunk made");
                     feed.write_bytes(&vec![3; 3 * CHUNKS * CHUNK_BYTES]);
                 },
             )
