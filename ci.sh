@@ -18,8 +18,8 @@
 #                `whole_chain_sequence_matches_its_pin`), the weighted
 #                draw's threshold table against the subtraction loop it
 #                replaced (`rng::chooser`, draw for draw and at every
-#                threshold, and the galloped search against the 63-step
-#                bisection: the miner-sequence pins depend on the table),
+#                threshold, up to 4,096 weights of extreme shapes: the
+#                miner-sequence pins depend on the table),
 #                the whole-chain scan's heap peak under 1 MiB
 #                (`whole_chain_scan_peaks_under_a_mebibyte_of_heap`,
 #                tests/allocs.rs), the dataset row codec and the
@@ -44,7 +44,7 @@
 #                the lane lags a full 128-chunk queue, with a chunk count
 #                that never passes the bound and a lane panic that reaches
 #                the caller), and the month's row path against its
-#                references (`spill_guard`: the spilled-key guard against
+#                references (`spill_guard`: the spilled tx-id guard against
 #                the plain binary search, and tx rows read segment after
 #                segment against the merged scan by `arrival_seq`;
 #                `one_pass_rows_match_the_reference_at_every_edge`: the
@@ -144,7 +144,8 @@ stage_golden() {
     # named, so a rename cannot drop them from the gate. The miner draws
     # come from `WeightedIndex`'s threshold table, checked against the
     # subtraction loop it replaced draw for draw and at every threshold,
-    # and its galloped search against the plain bisection bit for bit.
+    # the latter also over 1-4,096 weights with zeros, subnormals and
+    # extreme ratios.
     filtered_tests --release -p ethmeter-core selfish::pinned
     filtered_tests --release -p ethmeter-core whole_chain_sequence_matches_its_pin
     filtered_tests --release -p ethmeter-sim rng::chooser
@@ -177,7 +178,7 @@ stage_golden() {
     filtered_tests --release -p ethmeter-core suite_lanes_equal_each_family_run_alone
     filtered_tests --release -p ethmeter-measure the_hashing_lane
     # The month's row path, named so a rename cannot drop it: the guard
-    # in front of the spilled-key search against the search alone, the
+    # in front of the spilled tx-id search against the search alone, the
     # merge-free tx rows against the merged scan (and the fallback when
     # seqs are not a permutation), and the one-pass parser's edge rows.
     filtered_tests --release -p ethmeter-measure spill_guard

@@ -82,11 +82,9 @@ pub fn analyze(data: &CampaignData) -> Result<RedundancyReport, RedundancyError>
     let (_, log) = data
         .redundancy_observer()
         .ok_or(RedundancyError::NoDefaultObserver)?;
-    if log.block_count() == 0 {
-        return Err(RedundancyError::EmptyLog);
-    }
     // One pass over `ObserverLog::scan_blocks`, so a spilled log reads
-    // identically to an in-memory one and raw rows are never collected.
+    // identically to an in-memory one and raw rows are never collected;
+    // the block count is the scan's row count.
     let mut ann: Vec<f64> = Vec::new();
     let mut full: Vec<f64> = Vec::new();
     let mut both: Vec<f64> = Vec::new();
@@ -95,11 +93,15 @@ pub fn analyze(data: &CampaignData) -> Result<RedundancyReport, RedundancyError>
         full.push(f64::from(r.full_blocks));
         both.push(f64::from(r.total_receptions()));
     }
+    if both.is_empty() {
+        return Err(RedundancyError::EmptyLog);
+    }
+    let blocks = both.len() as u64;
     Ok(RedundancyReport {
         announcements: RedundancyRow::from_cdf(&Cdf::from_values(ann)),
         whole_blocks: RedundancyRow::from_cdf(&Cdf::from_values(full)),
         combined: RedundancyRow::from_cdf(&Cdf::from_values(both)),
-        blocks: log.block_count() as u64,
+        blocks,
     })
 }
 

@@ -329,6 +329,7 @@ impl HeaderTree {
     }
 
     /// Number of headers buffered waiting for a parent.
+    // detlint::allow(unread-pub, reason = "tests/consistency.rs reads it: the view and the tree must buffer the same orphans")
     pub fn orphan_count(&self) -> usize {
         self.orphans.values().map(Vec::len).sum()
     }

@@ -48,6 +48,7 @@ impl HeaderTree {
     /// Ancestry is always the *parent's*, never the current head's: a miner
     /// building on a side tip may reference the canonical sibling.
     /// [`UnclePolicy::ForbidSameMinerHeight`] adds the §V restriction.
+    // detlint::allow(unread-pub, reason = "tests/consistency.rs reads it as the reference for every uncle choice")
     pub fn is_valid_uncle(&self, parent: BlockHash, uncle: BlockHash, policy: UnclePolicy) -> bool {
         let (Some(u), Some(p)) = (self.entry(uncle), self.entry(parent)) else {
             return false;

@@ -626,20 +626,15 @@ impl SimWorld {
         self.consensus = scenario.consensus.build();
         let consensus = Arc::clone(&self.consensus);
         for i in 0..self.node_meta.len() {
-            let (region, bandwidth) = self.node_meta[i];
             match self.nodes.get_mut(i) {
                 Some(node) => node.reset(
                     NodeId(i as u32),
-                    region,
-                    bandwidth,
                     self.genesis,
                     &scenario.net,
                     Arc::clone(&consensus),
                 ),
                 None => self.nodes.push(Node::new(
                     NodeId(i as u32),
-                    region,
-                    bandwidth,
                     self.genesis,
                     &scenario.net,
                     Arc::clone(&consensus),

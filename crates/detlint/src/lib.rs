@@ -128,6 +128,50 @@ fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
+/// The paths a `mod name;` in the file at `rel` may load: beside a crate
+/// root or `mod.rs`, else in the directory named after the file.
+fn module_paths(rel: &str, name: &str) -> [String; 2] {
+    let (dir, file) = rel.rsplit_once('/').unwrap_or(("", rel));
+    let base = match file {
+        "lib.rs" | "main.rs" | "mod.rs" => dir.to_string(),
+        _ => rel.trim_end_matches(".rs").to_string(),
+    };
+    let base = if base.is_empty() { base } else { base + "/" };
+    [format!("{base}{name}.rs"), format!("{base}{name}/mod.rs")]
+}
+
+/// Classifies as test code every source file that only test code mounts:
+/// through a `mod name;` inside a `#[cfg(test)]` region, or any
+/// `mod name;` in a file that is test code itself. Such a file is built
+/// into test binaries only, so what it reads is not a use (R6).
+fn mark_test_mounted(files: &mut [(String, FileCtx, String)]) {
+    let mounts: Vec<Vec<(String, bool)>> = files
+        .iter()
+        .map(|(_, _, source)| rules::declared_modules(source))
+        .collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (parent, decls) in mounts.iter().enumerate() {
+            let parent_is_test = files[parent].1.kind == FileKind::Test;
+            for (name, in_test) in decls {
+                if !(parent_is_test || *in_test) {
+                    continue;
+                }
+                for path in module_paths(&files[parent].0, name) {
+                    if let Some((_, ctx, _)) = files
+                        .iter_mut()
+                        .find(|(rel, ctx, _)| *rel == path && ctx.kind == FileKind::Source)
+                    {
+                        ctx.kind = FileKind::Test;
+                        changed = true;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Scans every workspace `.rs` file under `root` and returns the report.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
@@ -142,6 +186,7 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
         let Some(ctx) = classify(&rel) else { continue };
         files.push((rel, ctx, std::fs::read_to_string(&path)?));
     }
+    mark_test_mounted(&mut files);
     let inputs: Vec<(FileCtx, &str)> = files
         .iter()
         .map(|(_, ctx, source)| (ctx.clone(), source.as_str()))

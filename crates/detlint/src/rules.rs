@@ -117,7 +117,9 @@ pub const ENTROPY_EXEMPT_CRATES: &[&str] = &["bench"];
 pub enum FileKind {
     /// Library/binary source: all rules apply.
     Source,
-    /// Under a `tests/` directory: R1–R3 do not apply.
+    /// Under a `tests/` directory, or a module file only test code
+    /// mounts: R1–R3 do not apply, and R6 neither checks its items nor
+    /// counts its reads.
     Test,
     /// Under a `benches/` directory: R1–R3 do not apply.
     Bench,
@@ -131,7 +133,8 @@ pub struct FileCtx {
     /// Short crate directory name (`net`, `chain`, `ethmeter` for the
     /// facade, ...).
     pub crate_name: String,
-    /// Path-derived kind.
+    /// Path-derived kind (`Test` also for a module file only test code
+    /// mounts).
     pub kind: FileKind,
     /// True for `src/lib.rs` of a workspace member (R4 target).
     pub is_crate_root: bool,
@@ -376,6 +379,25 @@ fn test_region_lines(view: &CodeView) -> Vec<bool> {
         }
     }
     test
+}
+
+/// The file-backed modules `source` declares (`mod name;`, any
+/// visibility), each with whether its declaration sits in a
+/// `#[cfg(test)]` region.
+pub(crate) fn declared_modules(source: &str) -> Vec<(String, bool)> {
+    let view = lex(source);
+    let test_lines = test_region_lines(&view);
+    let code = &view.code;
+    let mut out = Vec::new();
+    for at in token_positions(code, "mod") {
+        let rest = code[at + 3..].trim_start();
+        let name_len = rest.bytes().take_while(|&c| is_ident(c)).count();
+        if name_len > 0 && rest[name_len..].trim_start().starts_with(';') {
+            let in_test = test_lines.get(view.line_of(at)).copied().unwrap_or(false);
+            out.push((rest[..name_len].to_string(), in_test));
+        }
+    }
+    out
 }
 
 /// Byte spans of `use ...;` statements (imports are not uses of a type).

@@ -126,6 +126,25 @@ fn r6_good_passes_read_restricted_and_pragma_kept_items() {
 }
 
 #[test]
+fn r6_counts_no_read_from_a_test_mounted_module_file() {
+    // `src/testutil.rs` is mounted by `#[cfg(test)] mod testutil;` and
+    // mounts `src/testutil/nested.rs`: both are test code, so neither's
+    // `pub fn` is flagged and the lib item only they read is.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/r6_test_mount");
+    let report = scan_workspace(&root).expect("fixture scan");
+    assert_eq!(report.files_scanned, 4);
+    let found: Vec<(String, usize, RuleId)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.file.clone(), d.finding.line, d.finding.rule))
+        .collect();
+    assert_eq!(
+        found,
+        vec![("src/lib.rs".to_string(), 16, RuleId::UnreadPub)]
+    );
+}
+
+#[test]
 fn pragmas_suppress_in_both_placements_and_keep_their_reasons() {
     let out = check_fixture("pragma_ok.rs", false);
     assert!(out.findings.is_empty(), "{:?}", out.findings);

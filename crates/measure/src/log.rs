@@ -6,6 +6,12 @@
 //! first reception. This is lossless for every analysis in §III and keeps
 //! month-scale simulations in memory. Raw per-message streams can be
 //! reconstructed for small runs via the `csv` module's record export.
+//!
+//! A log made by [`ObserverLog::with_spill`] drains its maps into sorted
+//! segments (`spill`) when they pass half the budget. Only transactions
+//! keep a filter of the keys spilled, so a tx id is recorded once; a
+//! block received again after a flush starts a delta record that every
+//! scan folds back (`BlockRecord::fold`).
 
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasher, Hash};
@@ -75,67 +81,15 @@ pub const BLOCK_ENTRY_BYTES: usize = 64;
 /// Estimated resident bytes of one tx map entry.
 pub const TX_ENTRY_BYTES: usize = 56;
 
-/// Out-of-core state of a budgeted log: its spill policy and, per record
-/// kind, what it has spilled.
-#[derive(Debug, Clone)]
-struct SpillState {
-    config: SpillConfig,
-    blocks: Spilled<BlockRecord>,
-    txs: Spilled<TxRecord>,
-    /// 8 bytes per row of every segment written so far — the filter cost
-    /// [`ObserverLog::retained_bytes`] charges, kept as a running sum so
-    /// the per-record high-water check stays O(1). The filter's guard,
-    /// half a byte per distinct key, is not charged, so the estimate
-    /// stays comparable across versions.
-    segment_key_bytes: usize,
-}
-
-/// What a log has spilled of one record kind: the immutable segments
-/// flushed so far (shared by reference with any clones, e.g. extracted
-/// campaign data), and the filter over their keys.
-#[derive(Debug, Clone)]
-struct Spilled<R: Row> {
-    segments: Vec<Arc<Segment<R>>>,
-    /// For blocks one probe tells a fresh live block from a delta of a
-    /// spilled one; for txs (disjoint from the live map) it keeps
-    /// `arrival_seq` assignment identical to the in-memory backend.
-    keys: SpilledKeys<R::Key>,
-}
-
-impl<R: Row> Default for Spilled<R> {
-    fn default() -> Self {
-        Spilled {
-            segments: Vec::new(),
-            keys: SpilledKeys::default(),
-        }
-    }
-}
-
-impl<R: Row> Spilled<R> {
-    /// Drains `live` into one new sorted segment (none if it is empty)
-    /// and merges its keys into the filter; returns the rows written.
-    fn flush(&mut self, config: &SpillConfig, live: &mut FxHashMap<R::Key, R>) -> usize {
-        if live.is_empty() {
-            return 0;
-        }
-        let mut rows: Vec<R> = live.drain().map(|(_, r)| r).collect();
-        rows.sort_unstable_by_key(R::key);
-        self.segments
-            .push(Segment::write(config, self.segments.len(), &rows));
-        self.keys.merge(rows.iter().map(R::key));
-        rows.len()
-    }
-}
-
 /// Guard slots per spilled key: with one bit per key, about
 /// `1 - e^(-1/4)`, 22 %, of the misses still reach the search, for
 /// 0.5 bytes per key beside the filter's 8.
 const GUARD_BITS_PER_KEY: usize = 4;
 
-/// The distinct keys a log has spilled of one kind, and a guard in front
-/// of them. Recording probes mostly keys never spilled (every new tx id);
-/// a miss the guard catches costs one hash and one load, not a binary
-/// search over every spilled key.
+/// The distinct tx ids a log has spilled, and a guard in front of them.
+/// Recording probes mostly keys never spilled (every new tx id); a miss
+/// the guard catches costs one hash and one load, not a binary search
+/// over every spilled key.
 #[derive(Debug, Clone)]
 struct SpilledKeys<K> {
     /// Ascending distinct keys.
@@ -196,12 +150,27 @@ impl<K: Ord + Copy + Hash> SpilledKeys<K> {
     }
 }
 
-/// Every row of one kind in ascending key order: `spilled`'s segments
-/// merged with the `live` map.
-fn scan<R: Row>(live: &FxHashMap<R::Key, R>, spilled: Option<&Spilled<R>>) -> spill::Merge<R> {
+/// Every row of one kind in ascending key order: `segments` merged with
+/// the `live` map.
+fn scan<R: Row>(live: &FxHashMap<R::Key, R>, segments: &[Arc<Segment<R>>]) -> spill::Merge<R> {
     let mut mem: Vec<R> = live.values().copied().collect();
     mem.sort_unstable_by_key(R::key);
-    spill::merge(spilled.map_or(&[], |s| s.segments.as_slice()), mem)
+    spill::merge(segments, mem)
+}
+
+/// Drains `live` into one new sorted segment appended to `segments`
+/// (none if it is empty); returns the rows written.
+fn flush_into<R: Row>(
+    config: &SpillConfig,
+    live: &mut FxHashMap<R::Key, R>,
+    segments: &mut Vec<Arc<Segment<R>>>,
+) -> Vec<R> {
+    let mut rows: Vec<R> = live.drain().map(|(_, r)| r).collect();
+    if !rows.is_empty() {
+        rows.sort_unstable_by_key(R::key);
+        segments.push(Segment::write(config, segments.len(), &rows));
+    }
+    rows
 }
 
 /// Everything one observer recorded.
@@ -218,10 +187,17 @@ pub struct ObserverLog {
     /// half the budget. The flush decision is a pure function of the
     /// record stream (estimated byte counts), never of allocator state,
     /// so segment boundaries are deterministic.
-    spill: Option<SpillState>,
-    /// Distinct blocks across segments and the live map (only maintained
-    /// under spill; equals `blocks.len()` otherwise).
-    distinct_blocks: usize,
+    spill: Option<SpillConfig>,
+    /// The immutable segments flushed so far, per kind, shared by
+    /// reference with any clones (e.g. extracted campaign data). Empty
+    /// until the first flush.
+    block_segments: Vec<Arc<Segment<BlockRecord>>>,
+    tx_segments: Vec<Arc<Segment<TxRecord>>>,
+    /// The ids in `tx_segments`: a tx already spilled is a duplicate, so
+    /// `arrival_seq` is assigned as in an unspilled log. Blocks keep no
+    /// such filter: a block received again after a flush starts a delta
+    /// record that the scan folds back (`BlockRecord::fold`).
+    spilled_txs: SpilledKeys<TxId>,
     /// High-water mark of [`ObserverLog::retained_bytes`].
     peak_bytes: usize,
 }
@@ -235,12 +211,7 @@ impl ObserverLog {
     /// Creates an empty log that spills under `config`'s budget.
     pub fn with_spill(config: SpillConfig) -> Self {
         ObserverLog {
-            spill: Some(SpillState {
-                config,
-                blocks: Spilled::default(),
-                txs: Spilled::default(),
-                segment_key_bytes: 0,
-            }),
+            spill: Some(config),
             ..Self::default()
         }
     }
@@ -258,14 +229,15 @@ impl ObserverLog {
     }
 
     /// Estimated resident bytes of everything this log retains: map
-    /// capacity plus (under spill) the spilled-key filter, charged at 8
-    /// bytes per segment row. The filter is what exact deduplication
-    /// across segments needs; it is *not* counted against the flush
-    /// budget (flushing cannot shrink it).
+    /// capacity plus the spilled tx-id filter, charged at 8 bytes per
+    /// spilled id. The filter is what exact tx deduplication across
+    /// segments needs; it is *not* counted against the flush budget
+    /// (flushing cannot shrink it). Its guard, half a byte per id, is
+    /// not charged, so the estimate stays comparable across versions.
     pub fn retained_bytes(&self) -> usize {
         self.blocks.capacity() * BLOCK_ENTRY_BYTES
             + self.txs.capacity() * TX_ENTRY_BYTES
-            + self.spill.as_ref().map_or(0, |sp| sp.segment_key_bytes)
+            + self.spilled_txs.len() * 8
     }
 
     /// High-water mark of [`ObserverLog::retained_bytes`] over this log's
@@ -276,9 +248,7 @@ impl ObserverLog {
 
     /// Number of segments flushed to disk so far.
     pub fn spilled_segments(&self) -> usize {
-        self.spill
-            .as_ref()
-            .map_or(0, |sp| sp.blocks.segments.len() + sp.txs.segments.len())
+        self.block_segments.len() + self.tx_segments.len()
     }
 
     /// Post-record bookkeeping: track the heap high-water mark, then
@@ -289,20 +259,23 @@ impl ObserverLog {
     /// capacity peak itself within the budget, not within 2x of it.
     fn after_record(&mut self) {
         self.peak_bytes = self.peak_bytes.max(self.retained_bytes());
-        if let Some(sp) = &self.spill {
-            if self.record_bytes() >= (sp.config.budget_bytes / 2).max(1) {
+        if let Some(config) = &self.spill {
+            if self.record_bytes() >= (config.budget_bytes / 2).max(1) {
                 self.flush();
             }
         }
     }
 
     /// Drains the live maps into one new sorted columnar segment each
-    /// (skipping empty maps) under the configured spill dir.
+    /// (skipping empty maps) under the configured spill dir, and merges
+    /// the spilled tx ids into their filter.
     fn flush(&mut self) {
-        let sp = self.spill.as_mut().expect("flush requires spill config");
-        let rows =
-            sp.blocks.flush(&sp.config, &mut self.blocks) + sp.txs.flush(&sp.config, &mut self.txs);
-        sp.segment_key_bytes += rows * 8;
+        let config = self.spill.as_ref().expect("flush requires spill config");
+        flush_into(config, &mut self.blocks, &mut self.block_segments);
+        let flushed = flush_into(config, &mut self.txs, &mut self.tx_segments);
+        if !flushed.is_empty() {
+            self.spilled_txs.merge(flushed.iter().map(|r| r.id));
+        }
     }
 
     /// Records a block-bearing or announcement message.
@@ -314,25 +287,15 @@ impl ObserverLog {
         local: SimTime,
         true_time: SimTime,
     ) {
-        let entry = match self.blocks.entry(hash) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                if let Some(sp) = &self.spill {
-                    if !sp.blocks.keys.contains(hash) {
-                        self.distinct_blocks += 1;
-                    }
-                }
-                e.insert(BlockRecord {
-                    hash,
-                    first_local: local,
-                    first_true: true_time,
-                    first_kind: kind,
-                    first_from: from,
-                    announces: 0,
-                    full_blocks: 0,
-                })
-            }
-        };
+        let entry = self.blocks.entry(hash).or_insert_with(|| BlockRecord {
+            hash,
+            first_local: local,
+            first_true: true_time,
+            first_kind: kind,
+            first_from: from,
+            announces: 0,
+            full_blocks: 0,
+        });
         match kind {
             BlockMsgKind::Announce => entry.announces += 1,
             BlockMsgKind::FullBlock => entry.full_blocks += 1,
@@ -355,11 +318,10 @@ impl ObserverLog {
         let Entry::Vacant(slot) = self.txs.entry(id) else {
             return;
         };
-        if let Some(sp) = &self.spill {
-            // Already flushed to a segment: still a duplicate.
-            if sp.txs.keys.contains(id) {
-                return;
-            }
+        // Already flushed to a segment: still a duplicate. A log that has
+        // not spilled has nothing to probe.
+        if !self.tx_segments.is_empty() && self.spilled_txs.contains(id) {
+            return;
         }
         slot.insert(TxRecord {
             id,
@@ -372,12 +334,14 @@ impl ObserverLog {
         self.after_record();
     }
 
-    /// Number of distinct blocks observed (across segments and the live
-    /// map).
+    /// Number of distinct blocks observed: the live map's length when no
+    /// block has spilled, else the merged scan's row count (a block can
+    /// sit in several segments and the live map at once).
     pub fn block_count(&self) -> usize {
-        match &self.spill {
-            Some(_) => self.distinct_blocks,
-            None => self.blocks.len(),
+        if self.block_segments.is_empty() {
+            self.blocks.len()
+        } else {
+            self.scan_blocks().count()
         }
     }
 
@@ -385,22 +349,23 @@ impl ObserverLog {
     /// live map; ids are globally deduplicated, so segment rows are
     /// disjoint).
     pub fn tx_count(&self) -> usize {
-        self.spill.as_ref().map_or(0, |sp| sp.txs.keys.len()) + self.txs.len()
+        self.spilled_txs.len() + self.txs.len()
     }
 
     /// Streams every block record in ascending hash order, merging
     /// spilled segments with the live map. This is **the** iteration API:
-    /// both backends yield the bit-identical sequence for the same record
-    /// stream, so analyses built on it never see the difference.
+    /// spilled and unspilled logs yield the bit-identical sequence for
+    /// the same record stream, so analyses built on it never see the
+    /// difference.
     pub fn scan_blocks(&self) -> impl Iterator<Item = BlockRecord> {
-        scan(&self.blocks, self.spill.as_ref().map(|sp| &sp.blocks))
+        scan(&self.blocks, &self.block_segments)
     }
 
     /// Streams every transaction record in ascending id order, merging
     /// spilled segments with the live map (counterpart of
     /// [`ObserverLog::scan_blocks`]).
     pub fn scan_txs(&self) -> impl Iterator<Item = TxRecord> {
-        scan(&self.txs, self.spill.as_ref().map(|sp| &sp.txs))
+        scan(&self.txs, &self.tx_segments)
     }
 
     /// Every transaction record in storage order: the spilled segments
@@ -408,14 +373,13 @@ impl ObserverLog {
     /// as [`ObserverLog::scan_txs`], since tx ids are spilled at most
     /// once and never live and spilled at once.
     pub(crate) fn txs_unordered(&self) -> impl Iterator<Item = TxRecord> + '_ {
-        let segments = self.spill.as_ref().map_or(&[][..], |sp| &sp.txs.segments);
         // detlint::allow(unordered-iter, reason = "the one caller, csv::tx_rows, stores each row in slot arrival_seq and falls back to the ordered scan unless the seqs are a permutation, so no output depends on this order")
-        spill::back_to_back(segments).chain(self.txs.values().copied())
+        spill::back_to_back(&self.tx_segments).chain(self.txs.values().copied())
     }
 }
 
 /// Merges the ascending `new` keys into the ascending `filter`, keeping
-/// one copy of a key present in both (a block re-spilled as a delta).
+/// one copy of a key present in both.
 /// The result is allocated once at its bound, so the filter carries no
 /// doubling slack.
 fn merge_keys<K: Ord + Copy>(filter: &mut Vec<K>, new: impl ExactSizeIterator<Item = K>) {
@@ -498,13 +462,9 @@ mod tests {
     }
 
     /// The filter charge recomputed from the segments on disk: 8 bytes
-    /// per row.
+    /// per tx row, none for block rows.
     fn segment_bytes(log: &ObserverLog) -> usize {
-        log.spill.as_ref().map_or(0, |sp| {
-            let blocks: usize = sp.blocks.segments.iter().map(|s| s.rows()).sum();
-            let txs: usize = sp.txs.segments.iter().map(|s| s.rows()).sum();
-            8 * (blocks + txs)
-        })
+        8 * log.tx_segments.iter().map(|s| s.rows()).sum::<usize>()
     }
 
     #[test]
@@ -546,6 +506,7 @@ mod tests {
             assert_eq!(blocks, mem_blocks, "budget {budget}");
             assert_eq!(txs, mem_txs, "budget {budget}");
             assert_eq!(log.block_count(), mem.block_count(), "budget {budget}");
+            assert_eq!(log.block_count(), blocks.len(), "budget {budget}");
             assert_eq!(log.tx_count(), mem.tx_count(), "budget {budget}");
         }
     }
@@ -681,8 +642,8 @@ mod spill_guard {
 
     proptest! {
         /// Keys merged at random flush points, from sequential ids (the
-        /// gossip world's tx ids) or random `u64`s (the dataset's ids and
-        /// every block hash): every probe — each key of the stream, its
+        /// gossip world's tx ids) or random `u64`s (the dataset's ids):
+        /// every probe — each key of the stream, its
         /// neighbours, and random keys — answers as the search alone.
         #[test]
         fn the_guard_answers_every_probe_as_the_search_alone(
@@ -701,8 +662,8 @@ mod spill_guard {
             let mut filter = SpilledKeys::default();
             let (mut at, mut misses, mut passed) = (0usize, 0usize, 0usize);
             for cut in cuts {
-                // A flush re-spills a few keys of the last one, as a
-                // block's delta would be.
+                // A flush re-spills a few keys of the last one: the
+                // merge keeps one copy.
                 let mut piece = stream[at.saturating_sub(3)..cut].to_vec();
                 piece.sort_unstable();
                 piece.dedup();
@@ -768,10 +729,7 @@ mod spill_guard {
         let mut live = 0;
         for (budget, n) in [(1, 150), (64, 400), (512, 600), (4_096, 600)] {
             let log = log("rows", budget, n);
-            assert!(log
-                .spill
-                .as_ref()
-                .is_some_and(|sp| sp.txs.segments.len() > 1));
+            assert!(log.tx_segments.len() > 1);
             live += log.txs.len();
             assert_eq!(
                 log.txs_unordered().count(),

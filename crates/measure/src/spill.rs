@@ -26,11 +26,13 @@
 //! | [`TxRecord`] | `{prefix}.txs{seq:04}.seg` | `id` 8, `first_local` 8, `first_true` 8, `from` 4, `arrival_seq` 8 |
 //!
 //! A segment keeps nothing per row in memory: its key column is the
-//! file's first column, read back by scans like every other column. The
-//! dedup filter recording needs — which keys were spilled at all — is one
-//! ascending key list per record kind and log, owned by the
+//! file's first column, read back by scans like every other column. Only
+//! txs keep a dedup filter — which ids were spilled at all — as one
+//! ascending id list per log, owned by the
 //! [`ObserverLog`](crate::ObserverLog) and merged at each flush, behind a
 //! guard of hashed presence bits that lets most misses skip the search.
+//! Blocks keep none: a block received after a flush starts a delta
+//! record, and scans fold it back under the scan-order rule below.
 //!
 //! Determinism contract:
 //!
@@ -200,7 +202,7 @@ impl Row for TxRecord {
     }
 
     /// The first reception is kept. Never called: recording dedups tx ids
-    /// against the log's spilled-key filter, so sources are disjoint.
+    /// against the log's spilled tx-id filter, so sources are disjoint.
     fn fold(earlier: Self, _later: Self) -> Self {
         earlier
     }
@@ -220,7 +222,7 @@ fn read_exact(file: &mut File, path: &Path, off: u64, buf: &mut [u8]) {
 /// when the last [`Arc`] reference drops.
 pub(crate) struct Segment<R> {
     path: PathBuf,
-    /// Row count. The ascending key column lives only on disk; the dedup
+    /// Row count. The ascending key column lives only on disk; the tx-id
     /// filter over a log's segments is the log's.
     rows: usize,
     kind: PhantomData<fn() -> R>,

@@ -54,9 +54,8 @@ use std::sync::Arc;
 use ethmeter_chain::block::Block;
 use ethmeter_chain::consensus::Consensus;
 use ethmeter_chain::TxRegistry;
-use ethmeter_geo::BandwidthClass;
 use ethmeter_sim::Xoshiro256;
-use ethmeter_types::{BlockHash, BlockIdx, NodeId, Region, TxId};
+use ethmeter_types::{BlockHash, BlockIdx, NodeId, TxId};
 
 use crate::config::{NetConfig, TxRelayPolicy};
 use crate::headerview::{HeaderView, InsertOutcome};
@@ -216,8 +215,6 @@ impl std::error::Error for LinkError {}
 #[derive(Debug)]
 pub struct Node {
     id: NodeId,
-    region: Region,
-    bandwidth: BandwidthClass,
     peers: Vec<NodeId>,
     /// Position of each peer in `peers` (slab key for the per-peer state
     /// below).
@@ -251,16 +248,12 @@ impl Node {
     /// `consensus`.
     pub fn new(
         id: NodeId,
-        region: Region,
-        bandwidth: BandwidthClass,
         genesis: BlockHash,
         cfg: &NetConfig,
         consensus: Arc<dyn Consensus>,
     ) -> Self {
         let mut node = Node {
             id,
-            region,
-            bandwidth,
             peers: Vec::new(),
             peer_index: PeerIndex::default(),
             known_blocks: PeerKnownSet::new(),
@@ -271,12 +264,12 @@ impl Node {
             mempool: None,
             spare_mempool: None,
         };
-        node.reset(id, region, bandwidth, genesis, cfg, consensus);
+        node.reset(id, genesis, cfg, consensus);
         node
     }
 
-    /// Rewinds the node to the state `Node::new(id, region, bandwidth,
-    /// genesis, cfg, consensus)` builds (`new` is an empty shell plus this
+    /// Rewinds the node to the state `Node::new(id, genesis, cfg,
+    /// consensus)` builds (`new` is an empty shell plus this
     /// call), keeping every allocation: peer slabs, the known-set
     /// families' chunk pools, the header view's maps, and the mempool (if
     /// re-enabled). Campaign-over-campaign behavior is identical to a
@@ -284,15 +277,11 @@ impl Node {
     pub fn reset(
         &mut self,
         id: NodeId,
-        region: Region,
-        bandwidth: BandwidthClass,
         genesis: BlockHash,
         cfg: &NetConfig,
         consensus: Arc<dyn Consensus>,
     ) {
         self.id = id;
-        self.region = region;
-        self.bandwidth = bandwidth;
         self.peers.clear();
         self.peer_index.clear();
         self.known_blocks.clear();
@@ -314,16 +303,6 @@ impl Node {
     /// The node's id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The node's region.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
-    /// The node's access-link class.
-    pub fn bandwidth(&self) -> BandwidthClass {
-        self.bandwidth
     }
 
     /// The node's header view of the chain.
@@ -778,14 +757,7 @@ mod tests {
 
     fn node(id: u32, n_peers: u32) -> Node {
         let c = cfg();
-        let mut n = Node::new(
-            NodeId(id),
-            Region::WesternEurope,
-            BandwidthClass::Datacenter,
-            genesis(),
-            &c,
-            ConsensusKind::Heaviest.build(),
-        );
+        let mut n = Node::new(NodeId(id), genesis(), &c, ConsensusKind::Heaviest.build());
         for p in 0..n_peers {
             if p != id {
                 n.try_add_link(NodeId(p), &c)
@@ -1191,14 +1163,7 @@ mod tests {
         transactions(&mut used, Some(NodeId(2)), TxId(1), &txs, &c, &mut rng_a);
 
         // ...then reset it and wire the same topology as a fresh twin.
-        used.reset(
-            NodeId(99),
-            Region::WesternEurope,
-            BandwidthClass::Datacenter,
-            genesis(),
-            &c,
-            ConsensusKind::Heaviest.build(),
-        );
+        used.reset(NodeId(99), genesis(), &c, ConsensusKind::Heaviest.build());
         for p in 0..8 {
             used.try_add_link(NodeId(p), &c)
                 .expect("well-formed test link");
@@ -1315,8 +1280,6 @@ mod peer_index_proptests {
     fn fresh(cfg: &NetConfig) -> Node {
         Node::new(
             SELF_ID,
-            Region::WesternEurope,
-            BandwidthClass::Datacenter,
             BlockHash::mix(0),
             cfg,
             ConsensusKind::Heaviest.build(),
@@ -1342,8 +1305,6 @@ mod peer_index_proptests {
                     0 => {
                         node.reset(
                             SELF_ID,
-                            Region::WesternEurope,
-                            BandwidthClass::Datacenter,
                             BlockHash::mix(0),
                             &cfg,
                             ConsensusKind::Heaviest.build(),
