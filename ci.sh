@@ -41,12 +41,12 @@
 #                every `Suite` report equals its family run alone, in
 #                memory and spilled; `the_hashing_lane`: the fingerprint's
 #                hashing lane against one sequential FNV stream, also when
-#                the lane lags a full 128-chunk queue, with a chunk count
-#                that never passes the bound and a lane panic that reaches
-#                the caller), and the month's row path against its
-#                references (`spill_guard`: the spilled tx-id guard against
-#                the plain binary search, and tx rows read segment after
-#                segment against the merged scan by `arrival_seq`;
+#                the lane lags a full 128-chunk queue, and a lane panic
+#                that reaches the caller), and the month's row path against
+#                its references (`spill_guard`: the spilled tx-id guard
+#                against the plain binary search, and tx rows read segment
+#                after segment against the merged scan by `arrival_seq`,
+#                with a repeated seq panicking;
 #                `one_pass_rows_match_the_reference_at_every_edge`: the
 #                one-pass row parser at every edge value) in the profile
 #                the benchmark measures
@@ -179,8 +179,8 @@ stage_golden() {
     filtered_tests --release -p ethmeter-measure the_hashing_lane
     # The month's row path, named so a rename cannot drop it: the guard
     # in front of the spilled tx-id search against the search alone, the
-    # merge-free tx rows against the merged scan (and the fallback when
-    # seqs are not a permutation), and the one-pass parser's edge rows.
+    # merge-free tx rows against the merged scan (and the panic when a
+    # seq repeats), and the one-pass parser's edge rows.
     filtered_tests --release -p ethmeter-measure spill_guard
     filtered_tests --release -p ethmeter-measure one_pass_rows_match_the_reference_at_every_edge
 }

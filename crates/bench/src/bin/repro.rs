@@ -13,7 +13,7 @@
 //! The preset scales the campaign for campaign-backed experiments and the
 //! α × γ grid density for `selfish`. `--shards` runs the campaign on the
 //! sharded parallel engine; `--spill-dir` + `--budget` bound the
-//! measurement heap by spilling observer logs to columnar segments under
+//! measurement heap by spilling observer logs to on-disk segments under
 //! DIR (bit-identical reports to the in-memory path). `--json` switches
 //! the experiments that have a machine-readable form to it.
 

@@ -34,8 +34,10 @@ pub enum Preset {
     PaperScaled,
     /// ~10,000 nodes, 30 simulated minutes, √-fanout tx relay —
     /// planet-scale decentralization measurements (Nakamoto/Gini/HHI over
-    /// observation and revenue share). Only practical with the sharded
-    /// parallel engine ([`ScenarioBuilder::shards`]).
+    /// observation and revenue share). Runs on the sequential engine
+    /// (the `planet-cold` benchmark workload does);
+    /// [`ScenarioBuilder::shards`] splits it across threads, a median
+    /// 1.17x faster at 2 shards on a 2-core Intel host.
     Planet,
 }
 
@@ -79,7 +81,7 @@ pub struct Scenario {
     /// shard count (pinned by the golden fingerprints).
     pub shards: usize,
     /// Spill directory for out-of-core measurement. `Some` flips every
-    /// observer log to the columnar on-disk backend: once a log's
+    /// observer log to the on-disk backend: once a log's
     /// estimated in-memory record bytes cross its share of
     /// [`Scenario::measure_budget_bytes`], it drains to sorted segment
     /// files under this directory (deterministic names; unlinked when the
@@ -317,7 +319,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables out-of-core measurement: observer logs spill to columnar
+    /// Enables out-of-core measurement: observer logs spill to sorted
     /// segment files under `dir` once they exceed their share of the
     /// measurement budget (see [`ScenarioBuilder::measure_budget`];
     /// default 64 MiB). Output is bit-identical to the in-memory backend.

@@ -549,7 +549,7 @@ impl SimWorld {
             self.observers.push(ObserverState {
                 skew: scenario.clock.skew(&mut rng_clock),
             });
-            // Budgeted campaigns spill to per-vantage columnar segments.
+            // Budgeted campaigns spill to per-vantage segments.
             // The epoch in the prefix keeps this campaign's files disjoint
             // from any still-referenced files of earlier campaigns on a
             // reused world.

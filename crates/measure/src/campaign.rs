@@ -8,13 +8,13 @@
 //! gathering in bursts (it reads and orders a whole log's rows before it
 //! renders any), and the lane can hash only what is queued: with three
 //! chunks in circulation it waited out each burst, and the month's
-//! digest took about a third longer. Every chunk is the caller's, made
-//! only when none comes back emptied, so a small digest makes few. Depth
+//! digest took about a third longer. The caller makes each chunk and the
+//! lane drops it once absorbed, so a small digest makes few. Depth
 //! cannot reach the digest: the lane absorbs the same bytes and
 //! terminators in the same order at any depth.
 
 use std::fmt;
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, SyncSender};
 
 use ethmeter_chain::tree::BlockTree;
 use ethmeter_chain::tx::Transaction;
@@ -263,15 +263,14 @@ const CHUNK_BYTES: usize = 64 << 10;
 /// Terminators one [`Chunk`] carries at most: one per `u64` field that
 /// fills it.
 const CHUNK_ENDS: usize = CHUNK_BYTES / 8;
-/// Chunks in circulation, so the lane may fall up to 8 MiB of text
-/// behind (see the module doc). On a 2-core Xeon 96 to 128 chunks hashed
+/// Full chunks the queue to the hashing lane holds, so the lane may fall
+/// up to 8 MiB of text behind (see the module doc). On a 2-core Xeon 96 to 128 chunks hashed
 /// the month fastest; 64 left the lane waiting and 256 was slower again.
 const CHUNKS: usize = 128;
 
 /// One stretch of the digest's input, in stream order: `bytes` to absorb,
 /// and each length terminator as `(offset into bytes, length)`, applied
 /// once the bytes before the offset are absorbed.
-#[derive(Default)]
 struct Chunk {
     bytes: Vec<u8>,
     /// Grows to what the chunk holds: a stretch of CSV text carries one
@@ -294,39 +293,26 @@ fn hash_beside(feed: impl FnOnce(&mut Feed)) -> u64 {
 }
 
 /// Runs `feed` on the caller and `absorb` on a scoped lane over the
-/// chunks it fills, in order: a bounded channel carries each full chunk
-/// to the lane, and a second one hands it back emptied for reuse. Every
-/// chunk is allocated by the caller, at most [`CHUNKS`], so the lane
-/// allocates nothing of its own and leaves nothing on another thread's
-/// heap.
+/// chunks it fills, in order: a channel bounded at [`CHUNKS`] carries
+/// each full chunk to the lane, which drops it once absorbed.
 ///
 /// # Panics
 ///
 /// A panic on the lane is resumed on the caller with its own payload.
 fn absorb_beside(mut absorb: impl FnMut(&Chunk) + Send, feed: impl FnOnce(&mut Feed)) {
     let (full, to_hash) = mpsc::sync_channel::<Chunk>(CHUNKS);
-    let (hashed, empty) = mpsc::sync_channel::<Chunk>(CHUNKS);
     std::thread::scope(|scope| {
-        let lane = scope.spawn(move || {
-            for mut chunk in to_hash {
-                absorb(&chunk);
-                chunk.bytes.clear();
-                chunk.ends.clear();
-                // The caller stops taking chunks back once it has sent
-                // its last.
-                let _ = hashed.send(chunk);
-            }
-        });
+        let lane = scope.spawn(move || to_hash.into_iter().for_each(|chunk| absorb(&chunk)));
         let mut sink = Feed {
             chunk: Feed::fresh_chunk(),
-            unmade: CHUNKS - 1,
             full: Some(full),
-            empty,
         };
         feed(&mut sink);
-        sink.flush();
-        // Dropping the sender ends the lane's loop.
-        drop(sink);
+        // Sending the last chunk and dropping the sender ends the lane's
+        // loop; a lane that hung up raises its panic at the join.
+        if let Some(full) = sink.full {
+            let _ = full.send(sink.chunk);
+        }
         lane.join()
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     })
@@ -336,13 +322,9 @@ fn absorb_beside(mut absorb: impl FnMut(&Chunk) + Send, feed: impl FnOnce(&mut F
 /// chunks for the hashing lane.
 struct Feed {
     chunk: Chunk,
-    /// Chunks the caller may still allocate when the lane has none
-    /// emptied to hand back.
-    unmade: usize,
     /// `None` once the lane has hung up (it panicked): writes are then
     /// dropped, and the join raises the lane's panic.
     full: Option<SyncSender<Chunk>>,
-    empty: Receiver<Chunk>,
 }
 
 impl Feed {
@@ -393,31 +375,14 @@ impl Feed {
 
     /// Sends the current chunk to the lane and starts the next.
     fn flush(&mut self) {
-        let chunk = std::mem::take(&mut self.chunk);
-        let unsent = match &self.full {
-            Some(full) => full.send(chunk).err().map(|e| e.0),
-            None => Some(chunk),
-        };
-        self.chunk = match unsent {
+        let chunk = std::mem::replace(&mut self.chunk, Feed::fresh_chunk());
+        if let Some(full) = &self.full {
             // The lane hung up (it panicked): the writes go nowhere, and
             // the join raises the lane's panic.
-            Some(mut chunk) => {
+            if full.send(chunk).is_err() {
                 self.full = None;
-                chunk.bytes.clear();
-                chunk.ends.clear();
-                chunk
             }
-            // An emptied chunk if one is back, else a new one while the
-            // bound allows, else wait for the lane to empty one.
-            None => match self.empty.try_recv() {
-                Ok(chunk) => chunk,
-                Err(_) if self.unmade > 0 => {
-                    self.unmade -= 1;
-                    Feed::fresh_chunk()
-                }
-                Err(_) => self.empty.recv().unwrap_or_else(|_| Feed::fresh_chunk()),
-            },
-        };
+        }
     }
 }
 
@@ -439,6 +404,7 @@ impl fmt::Write for TextField<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::Receiver;
 
     fn empty_campaign() -> CampaignData {
         CampaignData {
@@ -720,9 +686,9 @@ mod tests {
         h.finish()
     }
 
-    /// The caller's first write: every chunk the bound allows is made and
-    /// all but the one being filled are queued, while the lane waits at
-    /// a gate the caller opens after this.
+    /// The caller's first write: `CHUNKS` chunks filled, all but the one
+    /// still open queued, while the lane waits at a gate the caller opens
+    /// after this.
     fn fill_the_queue() -> [Op; 1] {
         [Op::Bytes(vec![1; CHUNKS * CHUNK_BYTES])]
     }
@@ -743,13 +709,13 @@ mod tests {
         let (open, gate) = mpsc::channel();
         let gate = std::sync::Mutex::new(gate);
         let fill = fill_the_queue();
-        let (mut h, mut chunks) = (Fnv64::new(), Vec::new());
+        let (mut h, mut chunks) = (Fnv64::new(), 0);
         absorb_beside(
             |chunk| {
-                if chunks.is_empty() {
+                if chunks == 0 {
                     wait_at(&gate);
                 }
-                chunks.push(chunk.bytes.as_ptr() as usize);
+                chunks += 1;
                 h.absorb_chunk(chunk);
                 // Slower than the caller, which only copies: hash twice.
                 let mut again = Fnv64::new();
@@ -758,38 +724,12 @@ mod tests {
             },
             |feed| {
                 feed_ops(feed, &fill);
-                // Checked past the gate: a failure before it would leave
-                // the lane waiting out the gate's timeout.
-                let unmade = feed.unmade;
                 open.send(()).expect("the lane waits at the gate");
-                assert_eq!(unmade, 0, "every chunk made");
                 feed_ops(feed, &ops);
             },
         );
-        assert!(chunks.len() >= 200, "{} chunks", chunks.len());
+        assert!(chunks >= 200, "{chunks} chunks");
         assert_eq!(h.finish(), reference_digest(fill.iter().chain(&ops)));
-        // Every chunk the bound allows was made, and no more.
-        chunks.sort_unstable();
-        chunks.dedup();
-        assert_eq!(chunks.len(), CHUNKS);
-    }
-
-    #[test]
-    fn the_hashing_lane_feed_never_makes_more_chunks_than_its_bound() {
-        let ops = ops(12, 3 * CHUNKS);
-        let (mut h, mut chunks) = (Fnv64::new(), Vec::new());
-        absorb_beside(
-            |chunk| {
-                chunks.push(chunk.bytes.as_ptr() as usize);
-                h.absorb_chunk(chunk);
-            },
-            |feed| feed_ops(feed, &ops),
-        );
-        assert_eq!(h.finish(), reference_digest(&ops));
-        assert!(chunks.len() > 3 * CHUNKS);
-        chunks.sort_unstable();
-        chunks.dedup();
-        assert!(chunks.len() <= CHUNKS, "{} chunks made", chunks.len());
     }
 
     #[test]
@@ -810,9 +750,7 @@ mod tests {
                 },
                 |feed| {
                     feed_ops(feed, &fill_the_queue());
-                    let unmade = feed.unmade;
                     open.send(()).expect("the lane waits at the gate");
-                    assert_eq!(unmade, 0, "every chunk made");
                     feed.write_bytes(&vec![3; 3 * CHUNKS * CHUNK_BYTES]);
                 },
             )

@@ -15,8 +15,7 @@
 //! digits kept, so the text is exactly `u64::to_string`'s. Transaction
 //! rows are placed by `arrival_seq` into their slots as the log reads
 //! them out in storage order (segments back to back, then the live map),
-//! with no key-order merge; seqs that are not exactly `0..n` fall back to
-//! the merged scan, stably sorted.
+//! with no key-order merge: a log numbers its arrivals `0..n`.
 //!
 //! **Parsing.** A plain row — unsigned decimal fields (and, for blocks,
 //! an `ann`/`blk` tag) separated by single commas — is read in one byte
@@ -195,9 +194,9 @@ fn write_block_rows(out: &mut impl Write, rows: &[BlockRecord]) -> fmt::Result {
 }
 
 /// Serializes an observer's transaction records (sorted by arrival seq).
-/// Reads the log in storage order and places each row by its seq, with
-/// [`ObserverLog::scan_txs`] as the fallback; spilled and in-memory logs
-/// export the identical text — see [`blocks_to_csv`].
+/// Reads the log in storage order and places each row by its seq;
+/// spilled and in-memory logs export the identical text — see
+/// [`blocks_to_csv`].
 pub fn txs_to_csv(log: &ObserverLog) -> String {
     let rows = tx_rows(log);
     let mut out = String::with_capacity(48 * (rows.len() + 1));
@@ -211,28 +210,30 @@ pub(crate) fn write_txs_csv(out: &mut impl Write, log: &ObserverLog) -> fmt::Res
     write_tx_rows(out, &tx_rows(log))
 }
 
-/// The log's tx rows in `arrival_seq` order: placed from its storage
-/// order, with the merged scan as the fallback.
+/// The log's tx rows in `arrival_seq` order, placed from its storage
+/// order.
+///
+/// # Panics
+///
+/// If the log's seqs are not a permutation of `0..tx_count()` (see
+/// [`by_arrival`]), which no log records.
 pub(crate) fn tx_rows(log: &ObserverLog) -> Vec<TxRecord> {
-    by_arrival(log.tx_count(), log.txs_unordered(), || log.scan_txs())
+    by_arrival(log.tx_count(), log.txs_unordered())
 }
 
-/// The `n` rows `rows` yields, in any order, ordered by `arrival_seq` as
-/// a stable sort of `scan`'s order would order them.
+/// The `n` rows `rows` yields, in any order, ordered by `arrival_seq`.
 ///
-/// A log numbers its arrivals `0..n`, so each row is stored straight into
-/// slot `arrival_seq` as `rows` yields it: O(1) per row, one buffer, and
-/// independent stores where an in-place cycle walk would chase one cache
-/// miss per row. When the seqs are a permutation of `0..n` the slots
-/// hold the only order there is, whatever order the rows came in. A row
-/// whose slot is out of range or already filled rules that out; then
-/// `scan` runs into the stable sort. `n` rows each filling a slot of its
-/// own fill all `n`: no pass afterwards checks them.
-fn by_arrival<I: Iterator<Item = TxRecord>>(
-    n: usize,
-    rows: impl Iterator<Item = TxRecord>,
-    scan: impl FnOnce() -> I,
-) -> Vec<TxRecord> {
+/// A log numbers its arrivals `0..n`: `ObserverLog::record_tx` alone
+/// sets a seq, and logs are never merged. So each row is stored straight
+/// into slot `arrival_seq` as `rows` yields it: O(1) per row, one buffer,
+/// and independent stores where an in-place cycle walk would chase one
+/// cache miss per row. `n` rows each filling a slot of its own fill all
+/// `n`: no pass afterwards checks them.
+///
+/// # Panics
+///
+/// If a seq is out of range or repeated, or fewer than `n` rows arrive.
+fn by_arrival(n: usize, rows: impl Iterator<Item = TxRecord>) -> Vec<TxRecord> {
     const UNFILLED: TxRecord = TxRecord {
         id: TxId(0),
         first_local: SimTime::ZERO,
@@ -241,25 +242,23 @@ fn by_arrival<I: Iterator<Item = TxRecord>>(
         arrival_seq: u64::MAX,
     };
     let mut placed = vec![UNFILLED; n];
-    let (mut read, mut exact) = (0, true);
+    let mut read = 0;
     // `for_each`, not `for`: the segment readers chained behind `rows`
     // then run as one fold each, which halved the placement's time.
     rows.for_each(|r| {
         read += 1;
-        match usize::try_from(r.arrival_seq)
-            .ok()
-            .and_then(|i| placed.get_mut(i))
-        {
+        let seq = r.arrival_seq;
+        match usize::try_from(seq).ok().and_then(|i| placed.get_mut(i)) {
             // A slot in range holds `u64::MAX` until it is filled.
             Some(slot) if slot.arrival_seq == u64::MAX => *slot = r,
-            _ => exact = false,
+            Some(_) => panic!("tx arrival_seq {seq} repeated: a log's seqs are 0..{n}, once each"),
+            None => panic!("tx arrival_seq {seq} out of range: a log's seqs are 0..{n}, once each"),
         }
     });
-    if read == n && exact {
-        return placed;
-    }
-    placed = scan().collect();
-    placed.sort_by_key(|r| r.arrival_seq);
+    assert!(
+        read == n,
+        "{read} tx rows read for {n} arrivals: a log's seqs are 0..{n}, once each"
+    );
     placed
 }
 
@@ -1137,6 +1136,31 @@ mod codec {
         out
     }
 
+    fn seq_rows(seqs: &[u64]) -> Vec<TxRecord> {
+        seqs.iter()
+            .enumerate()
+            .map(|(i, &seq)| TxRecord {
+                id: TxId(3 * i as u64 + 1),
+                first_local: SimTime::from_nanos(i as u64),
+                first_true: SimTime::from_nanos(i as u64),
+                from: NodeId(i as u32),
+                arrival_seq: seq,
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "tx arrival_seq 3 out of range")]
+    fn an_out_of_range_seq_panics_naming_the_invariant() {
+        by_arrival(3, seq_rows(&[0, 3, 1]).into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "2 tx rows read for 3 arrivals")]
+    fn a_short_read_panics_naming_the_invariant() {
+        by_arrival(3, seq_rows(&[2, 0]).into_iter());
+    }
+
     proptest! {
         #[test]
         fn u64_writer_matches_display(x in 0u64..u64::MAX, shift in 0u32..64) {
@@ -1188,52 +1212,23 @@ mod codec {
             prop_assert_eq!(txs_to_csv(&log), txs);
         }
 
-        /// Arbitrary seqs — duplicates, gaps, out of range, a row too
-        /// many or too few — order exactly as the stable sort of the scan
-        /// order; permutations of `0..n` too.
+        /// A permutation of `0..n`, arriving reversed, orders as the
+        /// stable sort does.
         #[test]
         fn arrival_order_equals_the_stable_sort(
-            seqs in proptest::collection::vec(0u64..40, 0..40),
-            permute in 0u8..2,
-            miscount in 0usize..3,
+            draws in proptest::collection::vec(0u64..40, 0..40),
         ) {
-            let seqs: Vec<u64> = if permute == 1 {
-                // A permutation of 0..n: rank each draw (ties by position).
-                let mut order: Vec<usize> = (0..seqs.len()).collect();
-                order.sort_by_key(|&i| seqs[i]);
-                let mut perm = vec![0; seqs.len()];
-                for (rank, &i) in order.iter().enumerate() {
-                    perm[i] = rank as u64;
-                }
-                perm
-            } else {
-                seqs
-            };
-            let rows: Vec<TxRecord> = seqs
-                .iter()
-                .enumerate()
-                .map(|(i, &seq)| TxRecord {
-                    id: TxId(3 * i as u64 + 1),
-                    first_local: SimTime::from_nanos(i as u64),
-                    first_true: SimTime::from_nanos(i as u64),
-                    from: NodeId(i as u32),
-                    arrival_seq: seq,
-                })
-                .collect();
+            // Rank each draw (ties by position): a permutation of 0..n.
+            let mut order: Vec<usize> = (0..draws.len()).collect();
+            order.sort_by_key(|&i| draws[i]);
+            let mut seqs = vec![0; draws.len()];
+            for (rank, &i) in order.iter().enumerate() {
+                seqs[i] = rank as u64;
+            }
+            let rows = seq_rows(&seqs);
             let mut expected = rows.clone();
             expected.sort_by_key(|r| r.arrival_seq);
-            // `n` as the log counts it, or off by one either way.
-            let n = (rows.len() + miscount).saturating_sub(1);
-            // The rows arrive reversed; the fallback scans them in order.
-            let placed = by_arrival(n, rows.iter().rev().copied(), || rows.iter().copied());
-            prop_assert_eq!(&placed, &expected);
-            // A repeated seq beside a full permutation fills every slot.
-            let mut extra = rows.clone();
-            extra.extend(rows.first().copied());
-            expected.extend(rows.first().copied());
-            expected.sort_by_key(|r| r.arrival_seq);
-            let placed = by_arrival(rows.len(), extra.iter().rev().copied(), || extra.iter().copied());
-            prop_assert_eq!(placed, expected);
+            prop_assert_eq!(by_arrival(rows.len(), rows.iter().rev().copied()), expected);
         }
     }
 }

@@ -16,8 +16,9 @@
 //!   cross-checks);
 //! - [`csv`]: dataset export/import in a stable text format, standing in
 //!   for the paper's published measurement data;
-//! - [`spill`]: columnar on-disk segments backing budget-bounded
-//!   (out-of-core) observer logs for planet-scale campaigns.
+//! - [`spill`]: on-disk segments of fixed-width rows backing
+//!   budget-bounded (out-of-core) observer logs for planet-scale
+//!   campaigns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -266,7 +266,7 @@ impl ObserverLog {
         }
     }
 
-    /// Drains the live maps into one new sorted columnar segment each
+    /// Drains the live maps into one new sorted segment each
     /// (skipping empty maps) under the configured spill dir, and merges
     /// the spilled tx ids into their filter.
     fn flush(&mut self) {
@@ -373,7 +373,7 @@ impl ObserverLog {
     /// as [`ObserverLog::scan_txs`], since tx ids are spilled at most
     /// once and never live and spilled at once.
     pub(crate) fn txs_unordered(&self) -> impl Iterator<Item = TxRecord> + '_ {
-        // detlint::allow(unordered-iter, reason = "the one caller, csv::tx_rows, stores each row in slot arrival_seq and falls back to the ordered scan unless the seqs are a permutation, so no output depends on this order")
+        // detlint::allow(unordered-iter, reason = "the one caller, csv::tx_rows, stores each row in slot arrival_seq and panics unless the seqs are a permutation of 0..n, so no output depends on this order")
         spill::back_to_back(&self.tx_segments).chain(self.txs.values().copied())
     }
 }
@@ -746,14 +746,12 @@ mod spill_guard {
     }
 
     #[test]
-    fn seqs_that_are_not_a_permutation_take_the_merged_fallback() {
-        let mut log = log("fallback", 4_096, 600);
-        // One live row repeats seq 0 (spilled first), so a seq goes
-        // missing and two rows tie: the tie keeps the merged scan's order.
+    #[should_panic(expected = "tx arrival_seq 0 repeated")]
+    fn a_repeated_seq_panics_naming_the_invariant() {
+        let mut log = log("repeated", 4_096, 600);
+        // One live row repeats seq 0, which was spilled first.
         let live = log.txs.values_mut().next().expect("rows left live");
         live.arrival_seq = 0;
-        let rows = crate::csv::tx_rows(&log);
-        assert_eq!(rows, reference(&log));
-        assert_eq!(rows.iter().filter(|r| r.arrival_seq == 0).count(), 2);
+        crate::csv::tx_rows(&log);
     }
 }

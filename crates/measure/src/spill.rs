@@ -1,13 +1,12 @@
-//! Columnar on-disk spill segments for observer logs.
+//! On-disk spill segments for observer logs.
 //!
 //! A planet-scale campaign observes far more block/tx receptions than the
 //! in-memory record maps can hold under a measurement budget. When a
 //! budgeted [`ObserverLog`](crate::ObserverLog) overflows, it drains its
-//! maps into an immutable on-disk **segment**: a fixed-width columnar file
-//! (one contiguous little-endian column per record field) whose rows are
-//! sorted by key. Scans later k-way merge the segments with the residual
-//! in-memory rows in ascending key order, so reports stream over the
-//! union without ever re-materializing the raw rows.
+//! maps into an immutable on-disk **segment**: a file of fixed-width
+//! little-endian rows sorted by key. Scans later k-way merge the segments
+//! with the residual in-memory rows in ascending key order, so reports
+//! stream over the union without ever re-materializing the raw rows.
 //!
 //! The transaction export needs no key order: it places every row by its
 //! `arrival_seq`. It reads a log's tx segments back to back, then the
@@ -16,19 +15,19 @@
 //! no row needs folding with another.
 //!
 //! Both record kinds take one path. A crate-private `Row` trait gives a
-//! kind's key, file tag, columns, codec and fold rule; one segment type,
-//! one chunked scan and one merge serve both kinds. A segment of `n` rows
-//! is its columns back to back, each `n` values wide, key column first:
+//! kind's key, file tag, row width, codec and fold rule; one segment
+//! type, one chunked scan and one merge serve both kinds. A segment of
+//! `n` rows is `n` rows back to back, each field at a fixed byte offset:
 //!
-//! | kind | file | columns (bytes per value) |
-//! |---|---|---|
-//! | [`BlockRecord`] | `{prefix}.blk{seq:04}.seg` | `hash` 8, `first_local` 8, `first_true` 8, `first_kind` 1 (0 announce, 1 full block), `first_from` 4, `announces` 4, `full_blocks` 4 |
-//! | [`TxRecord`] | `{prefix}.txs{seq:04}.seg` | `id` 8, `first_local` 8, `first_true` 8, `from` 4, `arrival_seq` 8 |
+//! | kind | file | bytes per row | field at offset |
+//! |---|---|---|---|
+//! | [`BlockRecord`] | `{prefix}.blk{seq:04}.seg` | 37 | `hash` 0, `first_local` 8, `first_true` 16, `first_kind` 24 (1 byte: 0 announce, 1 full block), `first_from` 25, `announces` 29, `full_blocks` 33 |
+//! | [`TxRecord`] | `{prefix}.txs{seq:04}.seg` | 36 | `id` 0, `first_local` 8, `first_true` 16, `from` 24, `arrival_seq` 28 |
 //!
-//! A segment keeps nothing per row in memory: its key column is the
-//! file's first column, read back by scans like every other column. Only
-//! txs keep a dedup filter — which ids were spilled at all — as one
-//! ascending id list per log, owned by the
+//! Keys, times and `arrival_seq` take 8 bytes; node ids and counters 4.
+//! A segment keeps nothing per row in memory: scans read its rows back,
+//! key first. Only txs keep a dedup filter — which ids were spilled at
+//! all — as one ascending id list per log, owned by the
 //! [`ObserverLog`](crate::ObserverLog) and merged at each flush, behind a
 //! guard of hashed presence bits that lets most misses skip the search.
 //! Blocks keep none: a block received after a flush starts a delta
@@ -56,10 +55,10 @@
 use std::fmt::Debug;
 use std::fs::File;
 use std::hash::Hash;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::iter::Peekable;
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use ethmeter_types::{BlockHash, NodeId, SimTime, TxId};
@@ -95,64 +94,63 @@ pub(crate) trait Row: Copy {
     type Key: Copy + Ord + Hash + Debug;
     /// File-name tag: segments are `{prefix}.{TAG}{seq:04}.seg`.
     const TAG: &'static str;
-    /// Bytes per value of each column, in file order.
-    const COLUMNS: &'static [usize];
+    /// Bytes per row on disk.
+    const BYTES: usize;
 
     /// This row's key.
     fn key(&self) -> Self::Key;
-    /// Appends this row's value of column `col` to `out`.
-    fn encode(&self, col: usize, out: &mut Vec<u8>);
-    /// Row `i` of a chunk of columns, or what makes it corrupt.
-    fn decode(cols: &[Vec<u8>], i: usize) -> Result<Self, String>;
+    /// Appends this row's [`Row::BYTES`] bytes to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+    /// The row `bytes` (exactly [`Row::BYTES`] long) holds, or what makes
+    /// it corrupt.
+    fn decode(bytes: &[u8]) -> Result<Self, String>;
     /// Folds a later partial record of one key into an earlier one.
     fn fold(earlier: Self, later: Self) -> Self;
 }
 
-fn decode_u64(col: &[u8], i: usize) -> u64 {
-    u64::from_le_bytes(col[i * 8..i * 8 + 8].try_into().expect("u64 column"))
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte field"))
 }
 
-fn decode_u32(col: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes(col[i * 4..i * 4 + 4].try_into().expect("u32 column"))
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte field"))
 }
 
 impl Row for BlockRecord {
     type Key = BlockHash;
     const TAG: &'static str = "blk";
-    const COLUMNS: &'static [usize] = &[8, 8, 8, 1, 4, 4, 4];
+    const BYTES: usize = 37;
 
     fn key(&self) -> BlockHash {
         self.hash
     }
 
-    fn encode(&self, col: usize, out: &mut Vec<u8>) {
-        match col {
-            0 => out.extend_from_slice(&self.hash.raw().to_le_bytes()),
-            1 => out.extend_from_slice(&self.first_local.as_nanos().to_le_bytes()),
-            2 => out.extend_from_slice(&self.first_true.as_nanos().to_le_bytes()),
-            3 => out.push(match self.first_kind {
-                BlockMsgKind::Announce => 0,
-                BlockMsgKind::FullBlock => 1,
-            }),
-            4 => out.extend_from_slice(&self.first_from.raw().to_le_bytes()),
-            5 => out.extend_from_slice(&self.announces.to_le_bytes()),
-            _ => out.extend_from_slice(&self.full_blocks.to_le_bytes()),
-        }
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.hash.raw().to_le_bytes());
+        out.extend_from_slice(&self.first_local.as_nanos().to_le_bytes());
+        out.extend_from_slice(&self.first_true.as_nanos().to_le_bytes());
+        out.push(match self.first_kind {
+            BlockMsgKind::Announce => 0,
+            BlockMsgKind::FullBlock => 1,
+        });
+        out.extend_from_slice(&self.first_from.raw().to_le_bytes());
+        out.extend_from_slice(&self.announces.to_le_bytes());
+        out.extend_from_slice(&self.full_blocks.to_le_bytes());
     }
 
-    fn decode(cols: &[Vec<u8>], i: usize) -> Result<Self, String> {
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
         Ok(BlockRecord {
-            hash: BlockHash(decode_u64(&cols[0], i)),
-            first_local: SimTime::from_nanos(decode_u64(&cols[1], i)),
-            first_true: SimTime::from_nanos(decode_u64(&cols[2], i)),
-            first_kind: match cols[3][i] {
+            hash: BlockHash(u64_at(bytes, 0)),
+            first_local: SimTime::from_nanos(u64_at(bytes, 8)),
+            first_true: SimTime::from_nanos(u64_at(bytes, 16)),
+            first_kind: match bytes[24] {
                 0 => BlockMsgKind::Announce,
                 1 => BlockMsgKind::FullBlock,
                 k => return Err(format!("kind {k}")),
             },
-            first_from: NodeId(decode_u32(&cols[4], i)),
-            announces: decode_u32(&cols[5], i),
-            full_blocks: decode_u32(&cols[6], i),
+            first_from: NodeId(u32_at(bytes, 25)),
+            announces: u32_at(bytes, 29),
+            full_blocks: u32_at(bytes, 33),
         })
     }
 
@@ -175,29 +173,27 @@ impl Row for BlockRecord {
 impl Row for TxRecord {
     type Key = TxId;
     const TAG: &'static str = "txs";
-    const COLUMNS: &'static [usize] = &[8, 8, 8, 4, 8];
+    const BYTES: usize = 36;
 
     fn key(&self) -> TxId {
         self.id
     }
 
-    fn encode(&self, col: usize, out: &mut Vec<u8>) {
-        match col {
-            0 => out.extend_from_slice(&self.id.raw().to_le_bytes()),
-            1 => out.extend_from_slice(&self.first_local.as_nanos().to_le_bytes()),
-            2 => out.extend_from_slice(&self.first_true.as_nanos().to_le_bytes()),
-            3 => out.extend_from_slice(&self.from.raw().to_le_bytes()),
-            _ => out.extend_from_slice(&self.arrival_seq.to_le_bytes()),
-        }
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.id.raw().to_le_bytes());
+        out.extend_from_slice(&self.first_local.as_nanos().to_le_bytes());
+        out.extend_from_slice(&self.first_true.as_nanos().to_le_bytes());
+        out.extend_from_slice(&self.from.raw().to_le_bytes());
+        out.extend_from_slice(&self.arrival_seq.to_le_bytes());
     }
 
-    fn decode(cols: &[Vec<u8>], i: usize) -> Result<Self, String> {
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
         Ok(TxRecord {
-            id: TxId(decode_u64(&cols[0], i)),
-            first_local: SimTime::from_nanos(decode_u64(&cols[1], i)),
-            first_true: SimTime::from_nanos(decode_u64(&cols[2], i)),
-            from: NodeId(decode_u32(&cols[3], i)),
-            arrival_seq: decode_u64(&cols[4], i),
+            id: TxId(u64_at(bytes, 0)),
+            first_local: SimTime::from_nanos(u64_at(bytes, 8)),
+            first_true: SimTime::from_nanos(u64_at(bytes, 16)),
+            from: NodeId(u32_at(bytes, 24)),
+            arrival_seq: u64_at(bytes, 28),
         })
     }
 
@@ -208,22 +204,16 @@ impl Row for TxRecord {
     }
 }
 
-/// Rows decoded per column read — bounds scan memory to a few records'
-/// worth per open segment regardless of segment size.
+/// Rows decoded per read — bounds scan memory to a few records' worth
+/// per open segment regardless of segment size.
 const CHUNK_ROWS: usize = 1024;
-
-fn read_exact(file: &mut File, path: &Path, off: u64, buf: &mut [u8]) {
-    file.seek(SeekFrom::Start(off))
-        .and_then(|_| file.read_exact(buf))
-        .unwrap_or_else(|e| panic!("spill segment read {}: {e}", path.display()));
-}
 
 /// An immutable sorted segment of `R` rows on disk. The file is unlinked
 /// when the last [`Arc`] reference drops.
 pub(crate) struct Segment<R> {
     path: PathBuf,
-    /// Row count. The ascending key column lives only on disk; the tx-id
-    /// filter over a log's segments is the log's.
+    /// Row count. The keys live only on disk; the tx-id filter over a
+    /// log's segments is the log's.
     rows: usize,
     kind: PhantomData<fn() -> R>,
 }
@@ -241,23 +231,18 @@ impl<R> Drop for Segment<R> {
 }
 
 impl<R: Row> Segment<R> {
-    /// Writes `rows` (pre-sorted ascending by key) as the columnar file
-    /// of `config`'s log's `seq`-th segment of this kind.
+    /// Writes `rows` (pre-sorted ascending by key) as the file of
+    /// `config`'s log's `seq`-th segment of this kind.
     pub(crate) fn write(config: &SpillConfig, seq: usize, rows: &[R]) -> Arc<Self> {
         debug_assert!(rows.windows(2).all(|w| w[0].key() < w[1].key()));
         let dir = &config.dir;
         std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("spill dir {}: {e}", dir.display()));
         let path = dir.join(format!("{}.{}{seq:04}.seg", config.prefix, R::TAG));
-        // One buffer, column after column: a buffer per column cost
-        // 2.7 MiB more peak RSS on the `dataset-month` benchmark.
-        let mut buf = Vec::with_capacity(rows.len() * R::COLUMNS.iter().sum::<usize>());
-        for (col, &w) in R::COLUMNS.iter().enumerate() {
-            let start = buf.len();
-            for r in rows {
-                r.encode(col, &mut buf);
-            }
-            debug_assert_eq!(buf.len() - start, rows.len() * w, "column {col}");
+        let mut buf = Vec::with_capacity(rows.len() * R::BYTES);
+        for r in rows {
+            r.encode(&mut buf);
         }
+        debug_assert_eq!(buf.len(), rows.len() * R::BYTES);
         File::create(&path)
             .and_then(|mut f| f.write_all(&buf))
             .unwrap_or_else(|e| panic!("spill segment write {}: {e}", path.display()));
@@ -297,23 +282,18 @@ struct SegmentScan<R> {
 }
 
 impl<R: Row> SegmentScan<R> {
+    /// Reads the next chunk of rows in one read from the file's cursor.
+    /// The byte buffer is per chunk: kept per open segment, it would add
+    /// to a merge's peak RSS.
     fn refill(&mut self) {
         let n = CHUNK_ROWS.min(self.seg.rows - self.next_row);
-        let (rows, at) = (self.seg.rows as u64, self.next_row as u64);
         let path = &self.seg.path;
-        // Column `c` starts after the `rows` values of every column
-        // before it. Buffers are per chunk: kept per open segment, they
-        // would add to a scan's peak RSS.
-        let mut base = 0;
-        let mut cols = Vec::with_capacity(R::COLUMNS.len());
-        for &w in R::COLUMNS {
-            let mut col = vec![0u8; n * w];
-            read_exact(&mut self.file, path, base + at * w as u64, &mut col);
-            cols.push(col);
-            base += rows * w as u64;
-        }
-        for i in (0..n).rev() {
-            match R::decode(&cols, i) {
+        let mut bytes = vec![0u8; n * R::BYTES];
+        self.file
+            .read_exact(&mut bytes)
+            .unwrap_or_else(|e| panic!("spill segment read {}: {e}", path.display()));
+        for row in bytes.chunks_exact(R::BYTES).rev() {
+            match R::decode(row) {
                 Ok(r) => self.buf.push(r),
                 Err(e) => panic!("corrupt spill segment {}: {e}", path.display()),
             }
@@ -471,14 +451,78 @@ mod tests {
         assert_eq!(back, rows);
     }
 
+    /// Asserts that row `row` of a file of `width`-byte rows holds each
+    /// `(offset, bytes)` field.
+    fn assert_fields(file: &[u8], width: usize, row: usize, fields: &[(usize, &[u8])]) {
+        for &(at, want) in fields {
+            let got = &file[row * width + at..][..want.len()];
+            assert_eq!(got, want, "row {row}, offset {at}");
+        }
+    }
+
+    #[test]
+    fn segment_rows_keep_each_field_at_its_documented_offset() {
+        let config = cfg("layout", "l");
+        let kinds = [BlockMsgKind::Announce, BlockMsgKind::FullBlock];
+        let blocks: Vec<BlockRecord> = (0..2)
+            .map(|i| BlockRecord {
+                hash: BlockHash(0x1111 + i),
+                first_local: SimTime::from_nanos(0x2222 + i),
+                first_true: SimTime::from_nanos(0x3333 + i),
+                first_kind: kinds[i as usize],
+                first_from: NodeId(0x4444 + i as u32),
+                announces: 0x5555 + i as u32,
+                full_blocks: 0x6666 + i as u32,
+            })
+            .collect();
+        let seg = Segment::write(&config, 0, &blocks);
+        let file = std::fs::read(&seg.path).expect("segment");
+        assert_eq!(file.len(), 2 * 37);
+        for (row, r) in blocks.iter().enumerate() {
+            let fields: [(usize, &[u8]); 7] = [
+                (0, &r.hash.raw().to_le_bytes()),
+                (8, &r.first_local.as_nanos().to_le_bytes()),
+                (16, &r.first_true.as_nanos().to_le_bytes()),
+                (24, &[row as u8]),
+                (25, &r.first_from.raw().to_le_bytes()),
+                (29, &r.announces.to_le_bytes()),
+                (33, &r.full_blocks.to_le_bytes()),
+            ];
+            assert_fields(&file, 37, row, &fields);
+        }
+        let txs: Vec<TxRecord> = (0..2)
+            .map(|i| TxRecord {
+                id: TxId(0x7777 + i),
+                first_local: SimTime::from_nanos(0x8888 + i),
+                first_true: SimTime::from_nanos(0x9999 + i),
+                from: NodeId(0xaaaa + i as u32),
+                arrival_seq: 0xbbbb + i,
+            })
+            .collect();
+        let seg = Segment::write(&config, 0, &txs);
+        let file = std::fs::read(&seg.path).expect("segment");
+        assert_eq!(file.len(), 2 * 36);
+        for (row, r) in txs.iter().enumerate() {
+            let fields: [(usize, &[u8]); 5] = [
+                (0, &r.id.raw().to_le_bytes()),
+                (8, &r.first_local.as_nanos().to_le_bytes()),
+                (16, &r.first_true.as_nanos().to_le_bytes()),
+                (24, &r.from.raw().to_le_bytes()),
+                (28, &r.arrival_seq.to_le_bytes()),
+            ];
+            assert_fields(&file, 36, row, &fields);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "corrupt spill segment")]
     fn a_bad_kind_byte_panics_as_a_corrupt_segment() {
         let rows: Vec<BlockRecord> = (0..10).map(|i| blk(i, i, 1, 0)).collect();
         let seg = Segment::write(&cfg("corrupt", "c"), 0, &rows);
-        // The kind column follows three 8-byte columns; corrupt row 4's.
+        // The kind byte sits at offset 24 of each 37-byte row; corrupt
+        // row 4's.
         let mut bytes = std::fs::read(&seg.path).expect("segment");
-        bytes[24 * rows.len() + 4] = 2;
+        bytes[4 * 37 + 24] = 2;
         std::fs::write(&seg.path, bytes).expect("segment");
         merge(&[seg], Vec::new()).for_each(drop);
     }
